@@ -25,7 +25,8 @@ use std::rc::Rc;
 
 use lambda_fs::{DfsService, OpDone, RunMetrics};
 use lambda_namespace::{
-    DfsPath, FsError, FsOp, Inode, InodeId, OpOutcome, OpResult, Partitioner, ROOT_INODE_ID,
+    interned, DfsPath, FsError, FsOp, Inode, InodeId, OpOutcome, OpResult, Partitioner,
+    ROOT_INODE_ID,
 };
 use lambda_sim::params::NetParams;
 use lambda_sim::{every, CostMeter, Dist, Sim, SimDuration, Station, StationRef, VmPricing};
@@ -200,14 +201,14 @@ impl MemNamespace {
     fn ls(&self, path: &DfsPath) -> OpResult {
         let target = self.resolve(path)?;
         if !target.is_dir() {
-            return Ok(OpOutcome::Listing(vec![target.name.to_string()]));
+            return Ok(OpOutcome::Listing(Rc::new(vec![target.name.as_str()])));
         }
         let names = self
             .children
             .range((target.id, String::new())..(target.id + 1, String::new()))
-            .map(|((_, name), _)| name.clone())
+            .map(|((_, name), _)| interned(name))
             .collect();
-        Ok(OpOutcome::Listing(names))
+        Ok(OpOutcome::Listing(Rc::new(names)))
     }
 }
 
@@ -353,7 +354,7 @@ impl CephFs {
                         let ns = namespace.borrow();
                         match &op {
                             FsOp::ReadFile(p) | FsOp::Stat(p) => {
-                                ns.resolve(p).map(|i| OpOutcome::Meta(Box::new(i)))
+                                ns.resolve(p).map(|i| OpOutcome::Meta(Rc::new(i)))
                             }
                             FsOp::Ls(p) => ns.ls(p),
                             _ => unreachable!("write op on read path"),

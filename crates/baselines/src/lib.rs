@@ -72,7 +72,7 @@ mod tests {
         let OpOutcome::Listing(names) = run_op(sim, svc, 3, FsOp::Ls(p("/a"))).unwrap() else {
             panic!("expected Listing")
         };
-        assert_eq!(names, vec!["f"]);
+        assert_eq!(*names, ["f"]);
         run_op(sim, svc, 0, FsOp::Mv(p("/a/f"), p("/a/g"))).unwrap();
         assert!(matches!(
             run_op(sim, svc, 1, FsOp::ReadFile(p("/a/f"))),

@@ -1,4 +1,5 @@
-//! Per-op allocation regression gate for the store's lean-read paths.
+//! Per-op allocation regression gates: the store's lean-read paths, and
+//! warmed reads through the whole system.
 //!
 //! The arena-backed store engine exists so that steady-state metadata
 //! reads do no heap work: point gets walk arena indices, and listings
@@ -14,6 +15,15 @@
 //! probes, two inode fetches), plus the listing-shaped visitor scan and
 //! range count the directory paths use.
 //!
+//! The end-to-end gate drives cached `Stat` / `ReadFile` / `Ls` through a
+//! warmed, prewarmed [`LambdaFs`] — client library, TCP dispatch,
+//! NameNode, cache hit, result cache, reply — and pins the request path's
+//! two properties (DESIGN.md §3.2, "Request path"): a cached `ls` reply
+//! costs the same number of allocations whatever the directory's size (it
+//! shares the cache's interned names), and a warmed read costs one boxed
+//! continuation per simulated event plus its reply, not copies of chains,
+//! listings and retained replies.
+//!
 //! Like `bootstrap_budget.rs`, the file only exists under
 //! `--features alloc-stats` (verify.sh runs it in release); a plain
 //! `cargo test` compiles it to nothing.
@@ -21,14 +31,28 @@
 //! [`MemScope::allocs`]: lambda_allocstats::MemScope::allocs
 #![cfg(feature = "alloc-stats")]
 
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use lambda_allocstats as mem;
-use lambda_namespace::{interned, DfsPath, MetadataSchema, ROOT_INODE_ID};
+use lambda_fs::{LambdaFs, LambdaFsConfig};
+use lambda_namespace::{interned, DfsPath, FsOp, MetadataSchema, OpOutcome, ROOT_INODE_ID};
 use lambda_sim::params::StoreParams;
-use lambda_sim::{SimDuration, SimRng};
+use lambda_sim::{Sim, SimDuration, SimRng};
 use lambda_store::{Db, NameKey};
 
 #[global_allocator]
 static COUNTING_ALLOC: mem::CountingAlloc = mem::CountingAlloc;
+
+/// The allocation counter is process-wide and the harness runs tests on
+/// parallel threads: each test holds this for as long as it counts.
+static COUNTER_IN_USE: Mutex<()> = Mutex::new(());
+
+fn exclusive_counter() -> MutexGuard<'static, ()> {
+    // A test that failed while counting leaves nothing half-updated.
+    COUNTER_IN_USE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The fig08d 250k-inode point: 5103 directories of 48 files.
 const DIRS: usize = 5_103;
@@ -38,6 +62,7 @@ const OPS: usize = 10_000;
 
 #[test]
 fn lean_reads_do_not_allocate_at_250k_inodes() {
+    let _counting = exclusive_counter();
     assert!(mem::active(), "counting allocator must be registered");
     let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
     let schema = MetadataSchema::install(&db);
@@ -88,4 +113,83 @@ fn lean_reads_do_not_allocate_at_250k_inodes() {
          (point gets and visitor scans must stay heap-free)"
     );
     assert!(rows_seen > 0);
+}
+
+/// Allocation events of one operation, submit to reply, and what it
+/// returned. The simulation advances only until the reply arrives.
+fn allocs_of(sim: &mut Sim, fs: &LambdaFs, op: FsOp) -> (u64, OpOutcome) {
+    let reply = Rc::new(Cell::new(None));
+    let slot = Rc::clone(&reply);
+    let scope = mem::GLOBAL.scope();
+    fs.submit(sim, 0, op, Box::new(move |_sim, result| slot.set(Some(result))));
+    while sim.step() {
+        if let Some(result) = reply.take() {
+            return (scope.allocs(), result.expect("warmed read succeeds"));
+        }
+    }
+    panic!("the event queue drained before the reply arrived");
+}
+
+fn median(mut counts: Vec<u64>) -> u64 {
+    counts.sort_unstable();
+    counts[counts.len() / 2]
+}
+
+#[test]
+fn warmed_reads_allocate_per_event_not_per_reply_byte() {
+    let _counting = exclusive_counter();
+    assert!(mem::active(), "counting allocator must be registered");
+    const OPS: usize = 400;
+    let mut sim = Sim::new(0x15);
+    // No HTTP replacement: every measured operation takes the TCP path.
+    let config = LambdaFsConfig { clients: 4, http_replace_prob: 0.0, ..Default::default() };
+    let fs = LambdaFs::build(&mut sim, config);
+    let small = fs.schema().bootstrap_tree(fs.db(), &DfsPath::root(), 1, 8).remove(0);
+    let large_root = DfsPath::root().join("large").expect("valid name");
+    fs.schema().bootstrap_mkdir(fs.db(), &large_root);
+    let large = fs.schema().bootstrap_tree(fs.db(), &large_root, 1, 512).remove(0);
+    fs.start(&mut sim);
+    fs.prewarm_with(&mut sim, &[small.clone(), large.clone()]);
+    sim.run_for(SimDuration::from_secs(5));
+
+    let file = |dir: &DfsPath, f: usize| dir.join(&format!("file{f:05}")).expect("valid name");
+    let mix = |i: usize| match i % 4 {
+        0 => FsOp::Stat(file(&small, i % 8)),
+        1 => FsOp::ReadFile(file(&large, i % 512)),
+        2 => FsOp::Ls(small.clone()),
+        _ => FsOp::Ls(large.clone()),
+    };
+    // Fill the caches (every file of both directories is touched once the
+    // mix has gone round 512 times) and register the connections.
+    for i in 0..4 * 512 {
+        allocs_of(&mut sim, &fs, mix(i));
+    }
+    let hits_before = fs.cache_stats();
+
+    let ls = |sim: &mut Sim, dir: &DfsPath, children: usize| {
+        let counts = (0..OPS).map(|_| {
+            let (allocs, outcome) = allocs_of(sim, &fs, FsOp::Ls(dir.clone()));
+            assert!(matches!(outcome, OpOutcome::Listing(names) if names.len() == children));
+            allocs
+        });
+        median(counts.collect())
+    };
+    let (ls_small, ls_large) = (ls(&mut sim, &small, 8), ls(&mut sim, &large, 512));
+    assert_eq!(
+        ls_small, ls_large,
+        "a cached ls of 512 children allocated {ls_large} times, of 8 children {ls_small} times: \
+         the reply must share the cached names, not copy them"
+    );
+
+    let total: u64 = (0..OPS).map(|i| allocs_of(&mut sim, &fs, mix(i)).0).sum();
+    let per_op = total as f64 / OPS as f64;
+    let stats = fs.cache_stats();
+    assert_eq!(stats.misses, hits_before.misses, "the measured operations must all be hits");
+    assert_eq!(stats.listing_misses, hits_before.listing_misses);
+    assert!(
+        per_op <= 16.0,
+        "a warmed Stat/ReadFile/Ls mix allocated {per_op:.1} times per operation (budget 16): \
+         something on the request path copies again"
+    );
+    eprintln!("allocs/op: ls of 8 {ls_small}, ls of 512 {ls_large}, read mix {per_op:.2}");
 }

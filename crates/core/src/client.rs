@@ -171,10 +171,14 @@ impl LatencyWindow {
         if self.len == 0 {
             return None;
         }
-        let cap = self.buf.len();
+        // Oldest to newest is at most two contiguous runs: from `head` to
+        // the end of the buffer, then the wrapped-around front.
+        let (head, len) = (self.head as usize, self.len as usize);
+        let tail = &self.buf[head..(head + len).min(self.buf.len())];
+        let front = &self.buf[..len - tail.len()];
         let mut sum = 0.0;
-        for k in 0..self.len as usize {
-            sum += self.buf[(self.head as usize + k) % cap];
+        for v in tail.iter().chain(front) {
+            sum += v;
         }
         Some(sum / f64::from(self.len))
     }
@@ -922,6 +926,33 @@ mod tests {
             // Bit-identical, not approximately equal: the ring must sum in
             // the deque's oldest-first order.
             assert_eq!(ring.avg(), deque_avg);
+        }
+    }
+
+    #[test]
+    fn latency_window_sums_in_the_order_of_the_per_element_modulo_loop() {
+        // The loop `avg` used before it summed two slices.
+        fn avg_by_modulo(w: &LatencyWindow) -> Option<f64> {
+            if w.len == 0 {
+                return None;
+            }
+            let cap = w.buf.len();
+            let mut sum = 0.0;
+            for k in 0..w.len as usize {
+                sum += w.buf[(w.head as usize + k) % cap];
+            }
+            Some(sum / f64::from(w.len))
+        }
+        let mut rng = lambda_sim::SimRng::new(0xA7);
+        for cap in [1, 2, 3, 7, 64] {
+            let mut ring = LatencyWindow::boxed(cap);
+            assert_eq!(ring.avg(), None);
+            // Several times around the ring, values spanning nine decades
+            // so that the order of additions shows in the low bits.
+            for _ in 0..cap * 5 + 3 {
+                ring.push(10f64.powf(rng.gen_range(-6.0..3.0)));
+                assert_eq!(ring.avg().map(f64::to_bits), avg_by_modulo(&ring).map(f64::to_bits));
+            }
         }
     }
 

@@ -59,6 +59,9 @@ pub struct CoordCoherence {
     coord: Coordinator<CoherenceMsg>,
     session: SessionId,
     partitioner: Rc<Partitioner>,
+    /// [`deployment_group`] of every deployment, by index: a round looks
+    /// its target groups up by name and must not build the names each time.
+    groups: Rc<[String]>,
     cache: Rc<RefCell<MetadataCache>>,
     inner: Rc<RefCell<CoherenceInner>>,
 }
@@ -86,6 +89,7 @@ impl CoordCoherence {
         CoordCoherence {
             coord,
             session,
+            groups: (0..partitioner.deployments()).map(deployment_group).collect(),
             partitioner,
             cache,
             inner: Rc::new(RefCell::new(CoherenceInner {
@@ -193,7 +197,7 @@ impl CoherenceHook for CoordCoherence {
         // cache is updated inline by the write path).
         let members: Vec<SessionId> = deployments
             .iter()
-            .flat_map(|d| self.coord.members(&deployment_group(*d)))
+            .flat_map(|d| self.coord.members(&self.groups[*d as usize]))
             .filter(|m| *m != self.session)
             .collect();
         if members.is_empty() {

@@ -217,15 +217,40 @@ impl OpEngine {
     where
         F: FnOnce(&mut Sim, ChainResult) + 'static,
     {
-        if let Some(cache) = &self.cache {
-            if let Some(chain) = cache.borrow_mut().lookup(&path) {
-                // Serving from NameNode memory: a small CPU charge, no
-                // store interaction.
-                let hit = sim.rng().sample_duration(&self.cpu_params.read_hit);
-                Station::submit(&self.cpu, sim, hit, move |sim| done(sim, Ok(chain)));
-                return;
-            }
+        let hit = self.cache.as_ref().and_then(|cache| cache.borrow_mut().lookup(&path));
+        match hit {
+            Some(chain) => self.serve_hit(sim, move |sim| done(sim, Ok(chain))),
+            None => self.resolve_miss(sim, path, allow_cache, done),
         }
+    }
+
+    /// [`OpEngine::resolve_chain`] for the operations that only need the
+    /// target inode — the same cache traffic, store traffic and events,
+    /// but a hit copies one inode instead of the chain.
+    pub fn resolve_target<F>(&self, sim: &mut Sim, path: DfsPath, allow_cache: bool, done: F)
+    where
+        F: FnOnce(&mut Sim, Result<Inode, FsError>) + 'static,
+    {
+        let hit = self.cache.as_ref().and_then(|cache| cache.borrow_mut().lookup_target(&path));
+        match hit {
+            Some(target) => self.serve_hit(sim, move |sim| done(sim, Ok(target))),
+            None => self.resolve_miss(sim, path, allow_cache, move |sim, chain| {
+                done(sim, chain.map(|mut chain| chain.pop().expect("chain non-empty")));
+            }),
+        }
+    }
+
+    /// Serving from NameNode memory: a small CPU charge, no store
+    /// interaction.
+    fn serve_hit(&self, sim: &mut Sim, done: impl FnOnce(&mut Sim) + 'static) {
+        let hit = sim.rng().sample_duration(&self.cpu_params.read_hit);
+        Station::submit(&self.cpu, sim, hit, done);
+    }
+
+    fn resolve_miss<F>(&self, sim: &mut Sim, path: DfsPath, allow_cache: bool, done: F)
+    where
+        F: FnOnce(&mut Sim, ChainResult) + 'static,
+    {
         // Miss: hint the ids (client INode-hint-cache model), then fetch
         // and validate the *uncached suffix* of the chain in one
         // shared-locked batch. The cached prefix (the root and hot
@@ -305,35 +330,27 @@ impl OpEngine {
     // ------------------------------------------------------------------
 
     fn execute_read(&self, sim: &mut Sim, path: DfsPath, allow_cache: bool, done: OpDone) {
-        self.resolve_chain(sim, path, allow_cache, move |sim, chain| match chain {
-            Err(e) => done(sim, Err(e)),
-            Ok(chain) => {
-                let target = chain.last().expect("chain non-empty").clone();
-                done(sim, Ok(OpOutcome::Meta(Box::new(target))));
-            }
+        self.resolve_target(sim, path, allow_cache, move |sim, target| {
+            done(sim, target.map(|target| OpOutcome::Meta(Rc::new(target))));
         });
     }
 
     fn execute_ls(&self, sim: &mut Sim, path: DfsPath, allow_cache: bool, done: OpDone) {
         let this = self.clone();
-        self.resolve_chain(sim, path.clone(), allow_cache, move |sim, chain| {
-            let chain = match chain {
+        self.resolve_target(sim, path, allow_cache, move |sim, target| {
+            let target = match target {
                 Err(e) => return done(sim, Err(e)),
-                Ok(c) => c,
+                Ok(t) => t,
             };
-            let target = chain.last().expect("non-empty").clone();
             if !target.is_dir() {
                 // `ls` of a file lists the file itself.
-                return done(sim, Ok(OpOutcome::Listing(vec![target.name.to_string()])));
+                let itself = Rc::new(vec![target.name.as_str()]);
+                return done(sim, Ok(OpOutcome::Listing(itself)));
             }
             if allow_cache {
                 if let Some(cache) = &this.cache {
                     if let Some(names) = cache.borrow_mut().listing(target.id) {
-                        let hit = sim.rng().sample_duration(&this.cpu_params.read_hit);
-                        let cpu = Rc::clone(&this.cpu);
-                        Station::submit(&cpu, sim, hit, move |sim| {
-                            done(sim, Ok(OpOutcome::Listing(names)));
-                        });
+                        this.serve_hit(sim, move |sim| done(sim, Ok(OpOutcome::Listing(names))));
                         return;
                     }
                 }
@@ -369,13 +386,14 @@ impl OpEngine {
                             this3.schema.children,
                             (dir, NameKey::MIN)..(dir + 1, NameKey::MIN),
                             Vec::new,
-                            |names: &mut Vec<String>, (_, name), _| {
-                                names.push(name.as_str().to_string());
+                            |names: &mut Vec<&'static str>, (_, name), _| {
+                                names.push(name.as_str());
                             },
                             move |sim, names| {
+                                let names = Rc::new(names);
                                 if allow_cache {
                                     if let Some(cache) = &this4.cache {
-                                        cache.borrow_mut().cache_listing(dir, names.clone());
+                                        cache.borrow_mut().cache_listing(dir, Rc::clone(&names));
                                     }
                                 }
                                 done(sim, Ok(OpOutcome::Listing(names)));
@@ -506,10 +524,10 @@ impl OpEngine {
                             if allow_cache {
                                 if let Some(cache) = &this5.cache {
                                     let mut cache = cache.borrow_mut();
-                                    let mut chain2 = chain.clone();
-                                    chain2.push(inode.clone());
-                                    cache.insert_chain(&path2, &chain2);
-                                    cache.update_listing(parent.id, &inode.name, true);
+                                    let mut chain = chain;
+                                    chain.push(inode.clone());
+                                    cache.insert_chain(&path2, &chain);
+                                    cache.update_listing(parent.id, name2, true);
                                 }
                             }
                             done(sim, Ok(OpOutcome::Created(Box::new(inode))));
@@ -532,12 +550,11 @@ impl OpEngine {
                 return done(sim, Err(FsError::SubtreeLocked(p)));
             }
             let this2 = this.clone();
-            this.resolve_chain(sim, path.clone(), allow_cache, move |sim, chain| {
-                let chain = match chain {
+            this.resolve_target(sim, path.clone(), allow_cache, move |sim, target| {
+                let target = match target {
                     Err(e) => return done(sim, Err(e)),
-                    Ok(c) => c,
+                    Ok(t) => t,
                 };
-                let target = chain.last().expect("non-empty").clone();
                 if target.is_dir()
                     && this2.db.peek_count_range(
                         this2.schema.children,
@@ -620,7 +637,7 @@ impl OpEngine {
                         if let Some(cache) = &this3.cache {
                             let mut cache = cache.borrow_mut();
                             cache.invalidate_inode(target.id);
-                            cache.update_listing(target.parent, &target.name, false);
+                            cache.update_listing(target.parent, name, false);
                         }
                     }
                     done(sim, Ok(OpOutcome::Deleted(1)));
@@ -642,12 +659,11 @@ impl OpEngine {
             let this2 = this.clone();
             let src2 = src.clone();
             let dst2 = dst.clone();
-            this.resolve_chain(sim, src.clone(), allow_cache, move |sim, chain| {
-                let chain = match chain {
+            this.resolve_target(sim, src.clone(), allow_cache, move |sim, target| {
+                let target = match target {
                     Err(e) => return done(sim, Err(e)),
-                    Ok(c) => c,
+                    Ok(t) => t,
                 };
-                let target = chain.last().expect("non-empty").clone();
                 if target.is_dir() {
                     let sub = crate::subtree::SubtreeExecutor::new(this2.clone());
                     return sub.mv(sim, src2, dst2, done);
@@ -673,12 +689,11 @@ impl OpEngine {
         let dst_name = dst.file_name().expect("non-root");
         let src_parent_path = src.parent().expect("non-root");
         let this = self.clone();
-        self.resolve_chain(sim, dst_parent_path.clone(), allow_cache, move |sim, dchain| {
-            let dchain = match dchain {
+        self.resolve_target(sim, dst_parent_path.clone(), allow_cache, move |sim, dst_parent| {
+            let dst_parent = match dst_parent {
                 Err(e) => return done(sim, Err(e)),
-                Ok(c) => c,
+                Ok(p) => p,
             };
-            let dst_parent = dchain.last().expect("non-empty").clone();
             if !dst_parent.is_dir() {
                 return done(sim, Err(FsError::NotADirectory(dst_parent_path.to_string())));
             }
@@ -765,7 +780,7 @@ impl OpEngine {
                             if let Some(cache) = &this4.cache {
                                 let mut cache = cache.borrow_mut();
                                 cache.invalidate_inode(target.id);
-                                cache.update_listing(target.parent, &target.name, false);
+                                cache.update_listing(target.parent, target.name.as_str(), false);
                                 cache.update_listing(dst_parent.id, dst_name, true);
                             }
                         }

@@ -59,6 +59,7 @@ mod fsops;
 mod messages;
 mod metrics;
 mod namenode;
+mod result_cache;
 mod service;
 pub mod shard;
 mod subtree;
@@ -75,6 +76,7 @@ pub use messages::{
 };
 pub use metrics::RunMetrics;
 pub use namenode::{NameNode, NnServices};
+pub use result_cache::ResultCache;
 pub use service::DfsService;
 pub use shard::{
     run_sharded_cluster, ClusterMsg, ClusterReport, DomainReport, ShardedClusterConfig,

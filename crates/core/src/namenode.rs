@@ -14,12 +14,11 @@
 //! `create`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use lambda_coord::{Coordinator, SessionId};
 use lambda_faas::{DeploymentId, Function, InstanceCtx, Platform, Responder};
-use lambda_namespace::{DataNodeId, MetadataCache, MetadataSchema, Partitioner};
+use lambda_namespace::{DataNodeId, MetadataCache, MetadataSchema, OpResult, Partitioner};
 use lambda_sim::{every, Sim, SimDuration, Station};
 use lambda_store::Db;
 
@@ -27,6 +26,7 @@ use crate::coherence::{deployment_group, CoordCoherence};
 use crate::config::LambdaFsConfig;
 use crate::fsops::{OpEngine, Offloader, SubtreeSettings};
 use crate::messages::{CoherenceMsg, NnRequest, NnResponse, RequestId, SubtreeBatch};
+use crate::result_cache::ResultCache;
 use crate::subtree::SubtreeExecutor;
 
 /// How many recent results a NameNode retains for retry deduplication.
@@ -68,8 +68,7 @@ struct NnState {
     session: Option<SessionId>,
     engine: Option<OpEngine>,
     coherence: Option<CoordCoherence>,
-    results: HashMap<RequestId, NnResponse>,
-    result_order: VecDeque<RequestId>,
+    results: ResultCache<OpResult>,
 }
 
 /// One serverless NameNode (the λFS function body).
@@ -98,8 +97,7 @@ impl NameNode {
                 session: None,
                 engine: None,
                 coherence: None,
-                results: HashMap::new(),
-                result_order: VecDeque::new(),
+                results: ResultCache::new(RESULT_CACHE_CAPACITY),
             })),
         }
     }
@@ -108,18 +106,6 @@ impl NameNode {
     #[must_use]
     pub fn session(&self) -> Option<SessionId> {
         self.state.borrow().session
-    }
-
-    fn remember_result(state: &Rc<RefCell<NnState>>, id: RequestId, resp: NnResponse) {
-        let mut st = state.borrow_mut();
-        if st.results.insert(id, resp).is_none() {
-            st.result_order.push_back(id);
-            if st.result_order.len() > RESULT_CACHE_CAPACITY {
-                if let Some(old) = st.result_order.pop_front() {
-                    st.results.remove(&old);
-                }
-            }
-        }
     }
 
     fn handle_op(
@@ -133,7 +119,10 @@ impl NameNode {
     ) {
         // Retry deduplication (§3.2): a resubmitted request is answered
         // from the result cache without re-executing.
-        if let Some(cached) = self.state.borrow().results.get(&id).cloned() {
+        let instance = ctx.instance;
+        let deployment = self.deployment_index;
+        if let Some(result) = self.state.borrow().results.get(&id).cloned() {
+            let cached = NnResponse::Op { id, result, served_by: instance, deployment };
             sim.schedule(SimDuration::ZERO, move |sim| respond.send(sim, cached));
             return;
         }
@@ -144,16 +133,15 @@ impl NameNode {
             return;
         };
         let state = Rc::clone(&self.state);
-        let instance = ctx.instance;
-        let deployment = self.deployment_index;
         engine.execute(
             sim,
             op,
             owned,
             Box::new(move |sim, result| {
-                let resp = NnResponse::Op { id, result, served_by: instance, deployment };
-                Self::remember_result(&state, id, resp.clone());
-                respond.send(sim, resp);
+                // The retained copy shares the reply's payload; the rest of
+                // the response is this instance's own identity.
+                state.borrow_mut().results.insert(id, result.clone());
+                respond.send(sim, NnResponse::Op { id, result, served_by: instance, deployment });
             }),
         );
     }

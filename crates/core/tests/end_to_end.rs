@@ -68,7 +68,7 @@ fn full_lifecycle_of_every_operation_type() {
     else {
         panic!("expected Listing")
     };
-    assert_eq!(names, vec!["paper.pdf"]);
+    assert_eq!(*names, ["paper.pdf"]);
 
     // Mv relocates it; the old path disappears.
     assert!(matches!(

@@ -35,8 +35,10 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use crate::inode::{Inode, InodeId};
+use crate::ops::Listing;
 use crate::path::{DfsPath, Sym};
 
 /// Cache effectiveness counters.
@@ -79,10 +81,11 @@ const NIL: u32 = u32::MAX;
 const ROOT: u32 = 0;
 
 /// Integer-keyed hasher: splitmix64 finalizer over the raw key. The child
-/// map's `(parent, symbol)` keys and `by_id`'s inode ids are both single
-/// `u64` writes, so this avoids SipHash entirely on the descent path.
-#[derive(Default, Clone)]
-struct MixHasher(u64);
+/// map's `(parent, symbol)` keys and `by_id`'s inode ids are single `u64`
+/// writes, so this avoids SipHash entirely on the descent path. Not
+/// collision-resistant: only for keys the program itself assigns.
+#[derive(Debug, Default, Clone)]
+pub struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn finish(&self) -> u64 {
@@ -96,6 +99,10 @@ impl Hasher for MixHasher {
         }
     }
 
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
     fn write_u64(&mut self, x: u64) {
         let mut x = x ^ self.0;
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -105,7 +112,9 @@ impl Hasher for MixHasher {
     }
 }
 
-type MixBuild = BuildHasherDefault<MixHasher>;
+/// `BuildHasher` for maps keyed by program-assigned integers (inode ids,
+/// trie slots, request ids).
+pub type MixBuild = BuildHasherDefault<MixHasher>;
 
 fn child_key(parent: u32, sym: Sym) -> u64 {
     (u64::from(parent) << 32) | u64::from(sym.0)
@@ -172,7 +181,7 @@ pub struct MetadataCache {
     lru_tail: u32,
     capacity: usize,
     len: usize,
-    listings: HashMap<InodeId, Vec<String>>,
+    listings: HashMap<InodeId, Listing, MixBuild>,
     listing_capacity: usize,
     stats: CacheStats,
     /// Reusable scratch for the node indices of a path walk.
@@ -208,7 +217,7 @@ impl MetadataCache {
             lru_tail: NIL,
             capacity,
             len: 0,
-            listings: HashMap::new(),
+            listings: HashMap::default(),
             listing_capacity,
             stats: CacheStats::default(),
             walk: Vec::new(),
@@ -216,23 +225,30 @@ impl MetadataCache {
     }
 
     /// Caches a directory's child names (kept sorted so in-place updates
-    /// can binary-search). When the listing bound is hit the listing cache
-    /// is flushed wholesale (coarse but sufficient: λFS's benefit comes
-    /// from repeated `ls` of hot directories).
-    pub fn cache_listing(&mut self, dir: InodeId, mut names: Vec<String>) {
+    /// can binary-search). The cache keeps `names` itself — a store scan
+    /// arrives in key order, so the reply that filled the cache and the
+    /// cache share one allocation — and sorts a private copy only if it
+    /// must. When the listing bound is hit the listing cache is flushed
+    /// wholesale (coarse but sufficient: λFS's benefit comes from repeated
+    /// `ls` of hot directories).
+    pub fn cache_listing(&mut self, dir: InodeId, mut names: Listing) {
         if self.listings.len() >= self.listing_capacity {
             self.listings.clear();
         }
-        names.sort_unstable();
+        if !names.is_sorted() {
+            Rc::make_mut(&mut names).sort_unstable();
+        }
         self.listings.insert(dir, names);
     }
 
-    /// Looks up a cached listing, recording hit/miss statistics.
-    pub fn listing(&mut self, dir: InodeId) -> Option<Vec<String>> {
+    /// Looks up a cached listing, recording hit/miss statistics. A hit
+    /// shares the cached names (a reference-count bump); later updates to
+    /// the cache never show through a listing already handed out.
+    pub fn listing(&mut self, dir: InodeId) -> Option<Listing> {
         match self.listings.get(&dir) {
             Some(names) => {
                 self.stats.listing_hits += 1;
-                Some(names.clone())
+                Some(Rc::clone(names))
             }
             None => {
                 self.stats.listing_misses += 1;
@@ -249,16 +265,16 @@ impl MetadataCache {
     /// Applies an in-place listing delta: a coherence INV that *names* the
     /// created/deleted child lets caches update their listing instead of
     /// dropping it (equivalent to invalidate-then-refill, without the
-    /// store round trip). No-op when the listing is not cached.
-    pub fn update_listing(&mut self, dir: InodeId, name: &str, present: bool) {
+    /// store round trip). Copy-on-write: the names are copied first if a
+    /// reply still shares them. No-op when the listing is not cached.
+    pub fn update_listing(&mut self, dir: InodeId, name: &'static str, present: bool) {
         if let Some(names) = self.listings.get_mut(&dir) {
-            match (names.binary_search_by(|n| n.as_str().cmp(name)), present) {
-                (Ok(_), true) => {}
+            match (names.binary_search(&name), present) {
                 (Ok(idx), false) => {
-                    names.remove(idx);
+                    Rc::make_mut(names).remove(idx);
                 }
-                (Err(idx), true) => names.insert(idx, name.to_string()),
-                (Err(_), false) => {}
+                (Err(idx), true) => Rc::make_mut(names).insert(idx, name),
+                (Ok(_), true) | (Err(_), false) => {}
             }
         }
     }
@@ -344,16 +360,16 @@ impl MetadataCache {
         Some(idx)
     }
 
-    /// Looks up the full inode chain (root → target) for `path`.
-    ///
-    /// Returns `Some(chain)` only when **every** component — including the
-    /// root inode — is cached (a hit serves the whole permission-check
-    /// walk); otherwise records a miss.
-    pub fn lookup(&mut self, path: &DfsPath) -> Option<Vec<Inode>> {
+    /// Walks `path` into `self.walk` (root first) and reports whether
+    /// **every** component — including the root inode — is cached. A full
+    /// hit refreshes the chain's LRU positions root-first and counts a
+    /// hit; anything else counts a miss.
+    fn walk_full_chain(&mut self, path: &DfsPath) -> bool {
         let mut idxs = std::mem::take(&mut self.walk);
         idxs.clear();
         idxs.push(ROOT);
         let mut idx = ROOT;
+        let mut hit = true;
         for &sym in path.comp_syms() {
             match self.child(idx, sym) {
                 Some(child) => {
@@ -361,29 +377,46 @@ impl MetadataCache {
                     idxs.push(child);
                 }
                 None => {
-                    self.stats.misses += 1;
-                    self.walk = idxs;
-                    return None;
+                    hit = false;
+                    break;
                 }
             }
         }
-        let mut chain = Vec::with_capacity(idxs.len());
-        for &i in &idxs {
-            match &self.nodes[i as usize].entry {
-                Some(inode) => chain.push(inode.clone()),
-                None => {
-                    self.stats.misses += 1;
-                    self.walk = idxs;
-                    return None;
-                }
+        hit = hit && idxs.iter().all(|&i| self.nodes[i as usize].entry.is_some());
+        if hit {
+            for &i in &idxs {
+                self.touch(i);
             }
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
-        for &i in &idxs {
-            self.touch(i);
-        }
-        self.stats.hits += 1;
         self.walk = idxs;
-        Some(chain)
+        hit
+    }
+
+    /// Looks up the full inode chain (root → target) for `path`.
+    ///
+    /// Returns `Some(chain)` only when **every** component — including the
+    /// root inode — is cached (a hit serves the whole permission-check
+    /// walk); otherwise records a miss.
+    pub fn lookup(&mut self, path: &DfsPath) -> Option<Vec<Inode>> {
+        if !self.walk_full_chain(path) {
+            return None;
+        }
+        let entry = |&i: &u32| self.nodes[i as usize].entry.clone().expect("full-chain hit");
+        Some(self.walk.iter().map(entry).collect())
+    }
+
+    /// [`MetadataCache::lookup`] for a caller that needs only the target
+    /// inode: the same hit condition, statistics and LRU refresh, without
+    /// materializing the chain.
+    pub fn lookup_target(&mut self, path: &DfsPath) -> Option<Inode> {
+        if !self.walk_full_chain(path) {
+            return None;
+        }
+        let target = *self.walk.last().expect("walk holds the root");
+        self.nodes[target as usize].entry.clone()
     }
 
     /// The longest cached prefix of `path`'s chain, starting at the root
@@ -769,13 +802,17 @@ mod listing_tests {
         s.parse().unwrap()
     }
 
+    fn names(names: &[&'static str]) -> Listing {
+        Rc::new(names.to_vec())
+    }
+
     #[test]
     fn listing_cache_round_trip_and_stats() {
         let mut cache = MetadataCache::new(100);
         assert_eq!(cache.listing(7), None);
-        cache.cache_listing(7, vec!["b".into(), "a".into()]);
+        cache.cache_listing(7, names(&["b", "a"]));
         // Stored sorted for in-place updates.
-        assert_eq!(cache.listing(7), Some(vec!["a".to_string(), "b".to_string()]));
+        assert_eq!(cache.listing(7), Some(names(&["a", "b"])));
         assert_eq!(cache.stats().listing_hits, 1);
         assert_eq!(cache.stats().listing_misses, 1);
     }
@@ -783,14 +820,11 @@ mod listing_tests {
     #[test]
     fn update_listing_inserts_and_removes_in_order() {
         let mut cache = MetadataCache::new(100);
-        cache.cache_listing(7, vec!["b".into(), "d".into()]);
+        cache.cache_listing(7, names(&["b", "d"]));
         cache.update_listing(7, "c", true);
         cache.update_listing(7, "a", true);
         cache.update_listing(7, "d", false);
-        assert_eq!(
-            cache.listing(7),
-            Some(vec!["a".to_string(), "b".to_string(), "c".to_string()])
-        );
+        assert_eq!(cache.listing(7), Some(names(&["a", "b", "c"])));
         // Idempotent in both directions.
         cache.update_listing(7, "a", true);
         cache.update_listing(7, "zz", false);
@@ -805,12 +839,57 @@ mod listing_tests {
     }
 
     #[test]
+    fn a_sorted_fill_and_every_hit_share_one_allocation() {
+        let mut cache = MetadataCache::new(100);
+        let filled = names(&["a", "b"]);
+        cache.cache_listing(7, Rc::clone(&filled));
+        let hit = cache.listing(7).unwrap();
+        assert!(Rc::ptr_eq(&filled, &hit), "a hit must not copy the names");
+        // An update while replies are out copies once, for the cache only.
+        cache.update_listing(7, "c", true);
+        assert_eq!(hit, names(&["a", "b"]));
+        assert_eq!(cache.listing(7), Some(names(&["a", "b", "c"])));
+        // With no reply outstanding the update is in place.
+        drop((filled, hit));
+        let before = Rc::as_ptr(&cache.listing(7).unwrap());
+        cache.update_listing(7, "d", true);
+        assert_eq!(Rc::as_ptr(&cache.listing(7).unwrap()), before);
+    }
+
+    #[test]
+    fn lookup_target_is_lookup_without_the_chain() {
+        let path = p("/a/b");
+        let chain = vec![Inode::root(), Inode::directory(2, 1, "a"), Inode::file(3, 2, "b")];
+        let (mut full, mut lean) = (MetadataCache::new(3), MetadataCache::new(3));
+        assert_eq!(full.lookup(&path), None);
+        assert_eq!(lean.lookup_target(&path), None);
+        for cache in [&mut full, &mut lean] {
+            cache.insert_chain(&path, &chain);
+            cache.insert_chain(&p("/a"), &chain[..2]); // b is now the LRU entry
+        }
+        let target = lean.lookup_target(&path);
+        assert_eq!(target.as_ref().map(|inode| inode.id), Some(3));
+        assert_eq!(full.lookup(&path).unwrap().pop(), target);
+        // The hit refreshed root, a, b in that order, so the next insertion
+        // (which re-touches the root) evicts a, not b.
+        for cache in [&mut full, &mut lean] {
+            cache.insert_chain(&p("/x"), &[Inode::root(), Inode::file(9, 1, "x")]);
+            assert!(cache.contains_inode(3) && !cache.contains_inode(2));
+        }
+        // A broken chain misses in both.
+        assert_eq!(full.lookup(&path), None);
+        assert_eq!(lean.lookup_target(&path), None);
+        assert_eq!(full.stats(), lean.stats());
+        assert_eq!((lean.stats().hits, lean.stats().misses), (1, 2));
+    }
+
+    #[test]
     fn invalidating_a_dir_inode_drops_its_listing() {
         let mut cache = MetadataCache::new(100);
         let path = p("/d");
         let chain = vec![Inode::root(), Inode::directory(2, 1, "d")];
         cache.insert_chain(&path, &chain);
-        cache.cache_listing(2, vec!["x".into()]);
+        cache.cache_listing(2, names(&["x"]));
         cache.invalidate_inode(2);
         assert_eq!(cache.listing(2), None, "listing survived its inode's invalidation");
     }
@@ -818,12 +897,12 @@ mod listing_tests {
     #[test]
     fn listing_capacity_flushes_wholesale() {
         let mut cache = MetadataCache::with_listing_capacity(100, 2);
-        cache.cache_listing(1, vec!["a".into()]);
-        cache.cache_listing(2, vec!["b".into()]);
-        cache.cache_listing(3, vec!["c".into()]); // exceeds bound: flush
+        cache.cache_listing(1, names(&["a"]));
+        cache.cache_listing(2, names(&["b"]));
+        cache.cache_listing(3, names(&["c"])); // exceeds bound: flush
         assert_eq!(cache.listing(1), None);
         assert_eq!(cache.listing(2), None);
-        assert_eq!(cache.listing(3), Some(vec!["c".to_string()]));
+        assert_eq!(cache.listing(3), Some(names(&["c"])));
     }
 
     #[test]

@@ -28,13 +28,13 @@ mod partition;
 mod path;
 mod schema;
 
-pub use cache::{CacheStats, MetadataCache};
+pub use cache::{CacheStats, MetadataCache, MixBuild};
 pub use datanode::DataNodeFleet;
 pub use inode::{
     BlockId, BlockInfo, BlockList, DataNodeId, DataNodeInfo, Inode, InodeId, InodeKind,
     ROOT_INODE_ID,
 };
-pub use ops::{FsError, FsOp, OpClass, OpOutcome, OpResult};
+pub use ops::{FsError, FsOp, Listing, OpClass, OpOutcome, OpResult};
 pub use partition::Partitioner;
 pub use path::{interned, Ancestors, DfsPath, InodeName, ParsePathError};
 pub use schema::{MetadataSchema, SubtreeLockRow};

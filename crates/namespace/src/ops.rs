@@ -7,6 +7,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::inode::Inode;
 use crate::path::DfsPath;
@@ -123,13 +124,22 @@ impl FsOp {
     }
 }
 
+/// A directory's child names in order, as a shared slice of interned
+/// names: the listing cache, every reply served from it and every retained
+/// copy of such a reply hold the same allocation, so handing one out is a
+/// reference-count bump whatever the directory's size.
+pub type Listing = Rc<Vec<&'static str>>;
+
 /// Successful result of a metadata operation.
+///
+/// Read replies are reference-counted so that a reply and the copy a
+/// NameNode retains for retry deduplication (§3.2) share one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpOutcome {
     /// Attributes (and, for reads, block list) of the resolved inode.
-    Meta(Box<Inode>),
+    Meta(Rc<Inode>),
     /// Directory listing: child names in order.
-    Listing(Vec<String>),
+    Listing(Listing),
     /// The inode created by `create`/`mkdir`.
     Created(Box<Inode>),
     /// A delete completed, removing this many inodes.

@@ -347,8 +347,13 @@ impl MetadataSchema {
     #[must_use]
     pub fn check_consistency(&self, db: &Db) -> Vec<String> {
         let mut problems = Vec::new();
+        // Both tables come back in ascending key order, so every cross
+        // reference below is a binary search, not a scan.
         let inodes = db.peek_range(self.inodes, ..);
         let children = db.peek_range(self.children, ..);
+        let inode_at = |id: InodeId| {
+            inodes.binary_search_by_key(&id, |(key, _)| *key).ok().map(|at| &inodes[at].1)
+        };
         for (id, inode) in &inodes {
             if *id != inode.id {
                 problems.push(format!("inode {} stored under key {}", inode.id, id));
@@ -356,25 +361,24 @@ impl MetadataSchema {
             if *id == ROOT_INODE_ID {
                 continue;
             }
-            match inodes.iter().find(|(pid, _)| *pid == inode.parent) {
+            match inode_at(inode.parent) {
                 None => problems.push(format!("inode {} has dangling parent {}", id, inode.parent)),
-                Some((_, parent)) => {
+                Some(parent) => {
                     if !parent.is_dir() {
                         problems.push(format!("inode {} parent {} is a file", id, parent.id));
                     }
                 }
             }
+            let slot = (inode.parent, inode.name.key());
             let indexed = children
-                .iter()
-                .any(|((pid, name), cid)| {
-                    *pid == inode.parent && name.as_str() == inode.name.as_str() && cid == id
-                });
+                .binary_search_by(|(key, _)| key.cmp(&slot))
+                .is_ok_and(|at| children[at].1 == *id);
             if !indexed {
                 problems.push(format!("inode {id} missing from children index"));
             }
         }
         for ((pid, name), cid) in &children {
-            if !inodes.iter().any(|(id, _)| id == cid) {
+            if inode_at(*cid).is_none() {
                 problems.push(format!("children row ({pid},{name}) -> dangling inode {cid}"));
             }
         }
@@ -474,12 +478,38 @@ mod tests {
     }
 
     #[test]
-    fn consistency_checker_detects_corruption() {
+    fn consistency_checker_names_every_kind_of_corruption() {
         let (db, schema) = db_and_schema();
-        schema.bootstrap_mkdir(&db, &p("/a"));
-        // Forge an orphan: an inode whose parent does not exist.
-        db.bootstrap_insert(schema.inodes, 999, Inode::file(999, 12345, "orphan"));
+        let a = schema.bootstrap_mkdir(&db, &p("/a"));
+        let f = schema.bootstrap_create(&db, &p("/a/f"));
+        assert!(schema.check_consistency(&db).is_empty());
+        // An orphan stored under a key that is not its id; a child hanging
+        // off a file, indexed; a children row pointing nowhere.
+        db.bootstrap_insert(schema.inodes, 999, Inode::file(998, 12345, "orphan"));
+        db.bootstrap_insert(schema.inodes, 1000, Inode::file(1000, f, "under-file"));
+        db.bootstrap_insert(schema.children, (f, NameKey::new("under-file")), 1000);
+        db.bootstrap_insert(schema.children, (a, NameKey::new("ghost")), 4242);
+        assert_eq!(
+            schema.check_consistency(&db),
+            [
+                "inode 998 stored under key 999".to_string(),
+                "inode 999 has dangling parent 12345".to_string(),
+                "inode 999 missing from children index".to_string(),
+                format!("inode 1000 parent {f} is a file"),
+                format!("children row ({a},ghost) -> dangling inode 4242"),
+            ]
+        );
+    }
+
+    #[test]
+    fn consistency_check_of_200k_inodes_is_not_quadratic() {
+        let (db, schema) = db_and_schema();
+        schema.bootstrap_tree(&db, &DfsPath::root(), 4_000, 49);
+        assert_eq!(schema.inode_count(&db), 200_001);
+        let started = std::time::Instant::now();
         let problems = schema.check_consistency(&db);
-        assert!(!problems.is_empty());
+        let took = started.elapsed();
+        assert!(problems.is_empty(), "{problems:?}");
+        assert!(took.as_secs_f64() < 2.0, "audit of 200k inodes took {took:?}");
     }
 }

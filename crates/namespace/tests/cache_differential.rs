@@ -8,11 +8,18 @@
 //! return values, identical [`CacheStats`], and the same surviving-entry
 //! set. The overhaul changed the representation (slab nodes, symbol keys,
 //! intrusive LRU links); it must not have changed a single observable.
+//!
+//! The arena cache hands out listings as shared slices of interned names
+//! where the baseline hands out fresh `Vec<String>`s. Sharing must not be
+//! observable either: every listing ever handed out is kept and must still
+//! read what the baseline's private copy read, whatever updates,
+//! invalidations and flushes the cache saw afterwards.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use lambda_namespace::cache_baseline::MetadataCache as BaselineCache;
-use lambda_namespace::{DfsPath, Inode, InodeId, MetadataCache, ROOT_INODE_ID};
+use lambda_namespace::{interned, DfsPath, Inode, InodeId, Listing, MetadataCache, ROOT_INODE_ID};
 use proptest::prelude::*;
 
 /// One cache operation, path-addressed; ids are assigned deterministically
@@ -108,6 +115,7 @@ proptest! {
         let mut arena = MetadataCache::with_listing_capacity(5, 3);
         let mut baseline = BaselineCache::with_listing_capacity(5, 3);
         let mut ids = IdSpace::new();
+        let mut handed_out: Vec<(Listing, Vec<String>)> = Vec::new();
 
         for op in &ops {
             match op {
@@ -131,16 +139,18 @@ proptest! {
                 }
                 Op::CacheListing(p, names) => {
                     let dir = ids.id_of(p);
-                    arena.cache_listing(dir, names.clone());
+                    arena.cache_listing(dir, Rc::new(names.iter().map(|n| interned(n)).collect()));
                     baseline.cache_listing(dir, names.clone());
                 }
                 Op::Listing(p) => {
                     let dir = ids.id_of(p);
-                    prop_assert_eq!(arena.listing(dir), baseline.listing(dir));
+                    let (shared, owned) = (arena.listing(dir), baseline.listing(dir));
+                    prop_assert_eq!(shared.is_some(), owned.is_some());
+                    handed_out.extend(shared.zip(owned));
                 }
                 Op::UpdateListing(p, name, present) => {
                     let dir = ids.id_of(p);
-                    arena.update_listing(dir, name, *present);
+                    arena.update_listing(dir, interned(name), *present);
                     baseline.update_listing(dir, name, *present);
                 }
                 Op::InvalidateListing(p) => {
@@ -153,6 +163,9 @@ proptest! {
             // divergence (say, an over-eager eviction that a later
             // invalidation masks) would hide otherwise.
             prop_assert_eq!(arena.len(), baseline.len());
+            for (shared, owned) in &handed_out {
+                prop_assert!(shared.iter().eq(owned.iter()), "{:?} != {:?}", shared, owned);
+            }
         }
 
         prop_assert_eq!(arena.stats(), baseline.stats());
@@ -169,4 +182,24 @@ proptest! {
             );
         }
     }
+}
+
+/// A reply handed out before `update_listing` / `invalidate_listing` keeps
+/// reading what it read, while the cache moves on.
+#[test]
+fn a_listing_reply_does_not_observe_later_cache_changes() {
+    let mut cache = MetadataCache::new(16);
+    cache.cache_listing(7, Rc::new(vec!["a", "c"]));
+    let before = cache.listing(7).expect("cached");
+
+    cache.update_listing(7, "b", true);
+    cache.update_listing(7, "a", false);
+    let after = cache.listing(7).expect("still cached");
+    assert_eq!(*before, ["a", "c"]);
+    assert_eq!(*after, ["b", "c"]);
+
+    cache.invalidate_listing(7);
+    assert_eq!(cache.listing(7), None);
+    assert_eq!(*before, ["a", "c"]);
+    assert_eq!(*after, ["b", "c"]);
 }

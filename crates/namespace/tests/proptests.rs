@@ -3,8 +3,9 @@
 //! deltas against set semantics, and partitioner determinism.
 
 use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
 
-use lambda_namespace::{DfsPath, Inode, InodeId, MetadataCache, Partitioner};
+use lambda_namespace::{interned, DfsPath, Inode, InodeId, MetadataCache, Partitioner};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -252,18 +253,17 @@ proptest! {
     ) {
         let mut cache = MetadataCache::new(100);
         let dir: InodeId = 7;
-        cache.cache_listing(dir, initial.iter().cloned().collect());
+        cache.cache_listing(dir, Rc::new(initial.iter().map(|n| interned(n)).collect()));
         let mut model = initial;
         for (name, present) in updates {
-            cache.update_listing(dir, &name, present);
+            cache.update_listing(dir, interned(&name), present);
             if present {
                 model.insert(name);
             } else {
                 model.remove(&name);
             }
             let got = cache.listing(dir).expect("listing stays cached");
-            let expect: Vec<String> = model.iter().cloned().collect();
-            prop_assert_eq!(got, expect);
+            prop_assert!(got.iter().eq(model.iter()), "{:?} != {:?}", got, model);
         }
     }
 }

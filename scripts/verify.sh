@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One entry point for correctness + perf verification of a PR:
-#   1. tier-1: release build + full test suite (quiet)
+#   1. tier-1: release build + full test suite (quiet). The root manifest
+#      lists the root package and every crate as default members, so this
+#      builds the bench binaries and runs the ~410 crate-level tests too.
 #   2. lint: clippy across the workspace, warnings denied
 #   3. kernel bench smoke: a fast liveness run of the DES-kernel
 #      throughput microbench (slab/wheel engine vs boxed baseline)
@@ -41,11 +43,14 @@
 #      tree vs std-BTreeMap microbench at small scales (liveness; the
 #      full-scale numbers live in results/BENCH_store.json). The engine's
 #      observational equivalence is pinned by the differential proptests
-#      in crates/store/tests/engine_differential.rs, which run as part of
-#      tier-1 `cargo test`.
-#  15. per-op allocation regression: lean reads (point gets + visitor
-#      scans) against a 250k-inode tree must make zero heap allocations
-#      (crates/bench/tests/alloc_per_op.rs, release + alloc-stats).
+#      in crates/store/tests/engine_differential.rs, which tier-1
+#      `cargo test` runs since the crates became default members (until
+#      then only `cargo test --workspace` did).
+#  15. per-op allocation regression (crates/bench/tests/alloc_per_op.rs,
+#      release + alloc-stats): lean reads (point gets + visitor scans)
+#      against a 250k-inode tree must make zero heap allocations; through
+#      a warmed λFS, a cached ls of 8 and of 512 children must allocate
+#      equally often and a Stat/ReadFile/Ls mix at most 16 times per op.
 #  16. LSM crash/replay differential: the lambda-lsm proptests (random
 #      put/delete/flush interleavings crashed at arbitrary points; WAL
 #      replay must reconstruct the exact pre-crash visible state) run
@@ -58,6 +63,9 @@
 #      flush-interval x crash-rate grid (recovery time, write
 #      amplification, lost-window aborts) and exits nonzero on any
 #      audit failure. Full-scale numbers: results/BENCH_durability.json.
+#  19. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
+#      the standalone package and runs all four workloads at 1/20 size
+#      with every correctness check; then the package's own tests.
 #
 # The smoke benches write results/BENCH_*_smoke.json and are
 # informational at that scale; the recorded full-size numbers live in
@@ -69,18 +77,8 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
-# The workspace build does not cover the bench crate's binaries; the smoke
-# steps below need these.
-cargo build --release --offline -p lambda-bench --bin bench_kernel
-cargo build --release --offline -p lambda-bench --bin bench_metadata
-cargo build --release --offline -p lambda-bench --bin bench_faas
-cargo build --release --offline -p lambda-bench --bin fig10_latency_cdfs
-cargo build --release --offline -p lambda-bench --bin fig15_fault_tolerance
-cargo build --release --offline -p lambda-bench --bin fig15b_chaos
-cargo build --release --offline -p lambda-bench --bin bench_parallel
+# The memory sweep smoke needs its binary built with the counting allocator.
 cargo build --release --offline -p lambda-bench --bin fig08d_million_scale --features alloc-stats
-cargo build --release --offline -p lambda-bench --bin bench_store
-cargo build --release --offline -p lambda-bench --bin fig15c_durability
 
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
@@ -134,7 +132,7 @@ cargo test -q --release --offline -p lambda-bench --features alloc-stats --test 
 echo "== store engine bench smoke (arena B+ tree vs std BTreeMap) =="
 ./target/release/bench_store --smoke
 
-echo "== per-op allocation regression (lean reads allocate zero) =="
+echo "== per-op allocation regression (lean reads zero; warmed reads per event) =="
 cargo test -q --release --offline -p lambda-bench --features alloc-stats --test alloc_per_op
 
 echo "== LSM crash/replay differential proptests =="
@@ -145,5 +143,9 @@ echo "== durable chaos smoke (WAL replay recovery + shadow check) =="
 
 echo "== durability sweep smoke (flush interval x crash rate) =="
 ./target/release/fig15c_durability --smoke
+
+echo "== benchmark smoke (four workloads at 1/20 size) + its own tests =="
+bash benchmark/run.sh --smoke
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "verify.sh: all checks passed"

@@ -56,11 +56,11 @@ fn fingerprint(sim: &mut Sim, svc: &dyn DfsService) -> Vec<String> {
     let OpOutcome::Listing(top) = run_op(sim, svc, 0, FsOp::Ls(p("/base"))).unwrap() else {
         panic!("expected listing")
     };
-    for name in top {
+    for name in top.iter() {
         let dir = format!("/base/{name}");
         out.push(dir.clone());
         if let Ok(OpOutcome::Listing(children)) = run_op(sim, svc, 1, FsOp::Ls(p(&dir))) {
-            for c in children {
+            for c in children.iter() {
                 out.push(format!("{dir}/{c}"));
             }
         }
