@@ -270,76 +270,6 @@ fn advise_huge(ptr: *mut u8, len: usize) {
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 fn advise_huge(_ptr: *mut u8, _len: usize) {}
 
-/// Best-effort synchronous collapse of every large anonymous mapping into
-/// huge pages (`MADV_COLLAPSE`, Linux 6.1+). Returns the number of bytes
-/// the kernel accepted for collapse (0 where unsupported).
-///
-/// [`advise_huge`] only affects pages faulted *after* the advice; a `Vec`
-/// grown by doubling keeps every page touched before its final `realloc`
-/// at 4 KiB (`mremap` moves small pages as small pages), which caps THP
-/// coverage of the arenas near 50%. Calling this once after a bulk build
-/// collapses the already-faulted remainder in place. Failures (old
-/// kernel, fragmented memory) leave the mapping as it was.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-pub fn collapse_large_anon_mappings() -> usize {
-    const SYS_MADVISE: usize = 28;
-    const MADV_COLLAPSE: usize = 25;
-    let Ok(maps) = std::fs::read_to_string("/proc/self/maps") else {
-        return 0;
-    };
-    let mut collapsed = 0usize;
-    for line in maps.lines() {
-        // "start-end perms offset dev inode [path]" — large private
-        // writable anonymous regions only (the heap and glibc's mmap'd
-        // big blocks; leave files, stacks, and guard pages alone).
-        let mut fields = line.split_ascii_whitespace();
-        let (Some(range), Some(perms)) = (fields.next(), fields.next()) else {
-            continue;
-        };
-        let path = fields.nth(3);
-        if perms != "rw-p" || path.is_some_and(|p| p != "[heap]") {
-            continue;
-        }
-        let Some((lo, hi)) = range.split_once('-') else {
-            continue;
-        };
-        let (Ok(lo), Ok(hi)) =
-            (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
-        else {
-            continue;
-        };
-        let len = hi.saturating_sub(lo);
-        if len < HUGE_THRESHOLD {
-            continue;
-        }
-        // SAFETY: MADV_COLLAPSE on a mapping this process owns; it only
-        // changes the page-table granularity, never contents or validity.
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") SYS_MADVISE => ret,
-                in("rdi") lo,
-                in("rsi") len,
-                in("rdx") MADV_COLLAPSE,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        if ret == 0 {
-            collapsed += len;
-        }
-    }
-    collapsed
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-pub fn collapse_large_anon_mappings() -> usize {
-    0
-}
-
 /// The counting allocator: [`System`] plus [`GLOBAL`] accounting, plus
 /// huge-page advice for arena-scale blocks (see [`advise_huge`]). Register
 /// it with `#[global_allocator]` in a binary to activate both.

@@ -3,6 +3,7 @@
 //! experiment sweeps.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::thread;
 use std::time::Instant;
 
@@ -75,13 +76,33 @@ pub fn print_series(title: &str, labels: &[&str], series: &[Vec<f64>], stride: u
     print_table(title, &headers, &rows);
 }
 
+/// `--name=value` parsed out of `args`: `Ok(default)` when absent, and on a
+/// present-but-malformed value `Err` with the message the binaries exit on.
+fn parse_arg<T: FromStr>(
+    mut args: impl Iterator<Item = String>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let prefix = format!("--{name}=");
+    match args.find_map(|a| a.strip_prefix(&prefix).map(str::to_owned)) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("bad value for --{name}: {v}")),
+    }
+}
+
+/// [`parse_arg`] over the process arguments. A malformed value exits 2: a
+/// typo (`--seed=1O`) must not silently run the default.
+fn arg<T: FromStr>(name: &str, default: T) -> T {
+    parse_arg(std::env::args(), name, default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
 /// Reads `--name=value` from the process arguments, with a default.
 #[must_use]
 pub fn arg_f64(name: &str, default: f64) -> f64 {
-    let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+    arg(name, default)
 }
 
 /// Reads an integer `--name=value` (e.g. a seed) from the process
@@ -90,10 +111,7 @@ pub fn arg_f64(name: &str, default: f64) -> f64 {
 /// mantissa.
 #[must_use]
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+    arg(name, default)
 }
 
 /// Reads a `--flag` boolean from the process arguments.
@@ -103,41 +121,29 @@ pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// Reads a `usize` `--name=value` (a count: threads, domains, clients)
-/// from the process arguments, with a default.
+/// Reads a `usize` `--name=value` (a count: threads, clients) from the
+/// process arguments, with a default.
 #[must_use]
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+    arg(name, default)
 }
 
-/// The sweep/shard thread width every benchmark binary uses, resolved in
-/// priority order: the `LAMBDA_BENCH_THREADS` environment variable, then
-/// a `--threads=N` argument, then the machine's available parallelism.
+/// The sweep thread width every benchmark binary uses: `--threads=N`,
+/// else the machine's available parallelism.
 ///
-/// Thread width never changes any simulated result — figure sweeps
-/// preserve job order and the sharded engine is thread-count-invariant by
-/// construction — so this knob only trades wall-clock time for cores.
+/// Thread width never changes any simulated result — each sweep job is a
+/// whole independent simulation and job order is preserved — so this knob
+/// only trades wall-clock time for cores.
 #[must_use]
 pub fn bench_threads() -> usize {
-    if let Some(n) = std::env::var("LAMBDA_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
     let fallback = thread::available_parallelism().map(usize::from).unwrap_or(4);
     arg_usize("threads", fallback).max(1)
 }
 
 /// The number of hardware threads on the machine running the bench, as
-/// reported by [`std::thread::available_parallelism`]. Recorded in every
-/// bench JSON that reports wall-clock speedups so the numbers stay
-/// interpretable off-host: a `speedup_vs_1 ≈ 1.0` sweep is *expected* on
-/// a `host_cores = 1` box, and evidence of a bug on a 32-core one.
+/// reported by [`std::thread::available_parallelism`]. Recorded beside
+/// `threads` in bench JSON that reports wall-clock numbers, so they stay
+/// interpretable off-host.
 #[must_use]
 pub fn host_cores() -> usize {
     thread::available_parallelism().map(usize::from).unwrap_or(1)
@@ -164,7 +170,15 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let width = bench_threads();
+    run_parallel_on(bench_threads(), jobs)
+}
+
+/// [`run_parallel`] at an explicit thread width.
+fn run_parallel_on<T, F>(width: usize, jobs: Vec<F>) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
     let n_jobs = jobs.len();
     let started = Instant::now();
     let mut results: Vec<Option<T>> = Vec::new();
@@ -292,14 +306,33 @@ mod tests {
     }
 
     #[test]
-    fn thread_width_env_override_wins() {
-        // Not a great fit for parallel test execution, but the variable is
-        // namespaced to this one test's scope and restored immediately.
-        std::env::set_var("LAMBDA_BENCH_THREADS", "3");
-        assert_eq!(bench_threads(), 3);
-        std::env::set_var("LAMBDA_BENCH_THREADS", "0");
-        assert!(bench_threads() >= 1, "zero falls through to the default");
-        std::env::remove_var("LAMBDA_BENCH_THREADS");
-        assert!(bench_threads() >= 1);
+    fn parse_arg_reads_defaults_and_rejects_malformed_values() {
+        let args = || ["bin", "--seed=17", "--scale=abc"].into_iter().map(String::from);
+        assert_eq!(parse_arg(args(), "seed", 42u64), Ok(17));
+        assert_eq!(parse_arg(args(), "threads", 4usize), Ok(4));
+        assert_eq!(parse_arg(args(), "scale", 5.0f64), Err("bad value for --scale: abc".to_string()));
+    }
+
+    #[test]
+    fn sweep_results_do_not_depend_on_thread_width() {
+        use crate::industrial::{run_industrial, IndustrialParams, SystemKind};
+        // Whole simulations per job, so paths interned on one worker thread
+        // are read back on another.
+        let sweep = |width| {
+            let jobs: Vec<_> = [
+                (SystemKind::Lambda, 1u64),
+                (SystemKind::Hops, 2),
+                (SystemKind::HopsCache, 3),
+                (SystemKind::Ceph, 4),
+                (SystemKind::Lambda, 5),
+            ]
+            .into_iter()
+            .map(|(kind, seed)| {
+                move || format!("{:?}", run_industrial(kind, &IndustrialParams::spotify(25_000.0, 200.0, seed)))
+            })
+            .collect();
+            run_parallel_on(width, jobs)
+        };
+        assert_eq!(sweep(1), sweep(4));
     }
 }

@@ -19,6 +19,7 @@
 //! plain debug `cargo test` compiles it to nothing.
 #![cfg(feature = "alloc-stats")]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use lambda_allocstats as mem;
@@ -33,6 +34,16 @@ static COUNTING_ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 /// Floor on fresh-tree bootstrap throughput, inodes per wall-second.
 const INODES_PER_SEC_FLOOR: f64 = 500_000.0;
 
+/// The allocation counter is process-wide and the harness runs tests on
+/// parallel threads: both tests hold this, so the density test is never
+/// charged for the throughput test's 1M-inode tree.
+static COUNTER_IN_USE: Mutex<()> = Mutex::new(());
+
+fn exclusive_counter() -> MutexGuard<'static, ()> {
+    // A test that failed while holding it leaves nothing half-updated.
+    COUNTER_IN_USE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn fresh_schema() -> (Db, MetadataSchema) {
     let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
     let schema = MetadataSchema::install(&db);
@@ -41,6 +52,7 @@ fn fresh_schema() -> (Db, MetadataSchema) {
 
 #[test]
 fn fresh_tree_bootstrap_meets_throughput_floor() {
+    let _counting = exclusive_counter();
     let (db, schema) = fresh_schema();
     // 20 409 dirs × 48 files ≈ the fig08d 100k-client point (1.0M inodes):
     // large enough that the rate is timing-jitter-free, small enough for CI.
@@ -62,6 +74,7 @@ fn fresh_tree_bootstrap_meets_throughput_floor() {
 
 #[test]
 fn streaming_path_is_at_least_as_dense_as_insert_plus_repack() {
+    let _counting = exclusive_counter();
     assert!(mem::active(), "counting allocator must be registered");
     let (dirs, files_per_dir) = (2_000, 48);
     // Intern every name up front so neither measurement pays arena growth

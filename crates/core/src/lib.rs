@@ -61,7 +61,6 @@ mod metrics;
 mod namenode;
 mod result_cache;
 mod service;
-pub mod shard;
 mod subtree;
 mod system;
 
@@ -78,8 +77,5 @@ pub use metrics::RunMetrics;
 pub use namenode::{NameNode, NnServices};
 pub use result_cache::ResultCache;
 pub use service::DfsService;
-pub use shard::{
-    run_sharded_cluster, ClusterMsg, ClusterReport, DomainReport, ShardedClusterConfig,
-};
 pub use subtree::SubtreeExecutor;
 pub use system::LambdaFs;

@@ -47,11 +47,9 @@ pub struct RunMetrics {
     /// Per-second series of no-connection HTTP fallbacks (diagnostics).
     pub no_conn_timeline: Timeline,
     /// Resident heap bytes per stored inode, measured by a bench with the
-    /// counting allocator active (0.0 = not measured this run). A gauge,
-    /// not a counter: [`RunMetrics::merge`] keeps the maximum.
+    /// counting allocator active (0.0 = not measured this run).
     pub bytes_per_inode: f64,
     /// Resident heap bytes per simulated client (0.0 = not measured).
-    /// Same gauge semantics as [`RunMetrics::bytes_per_inode`].
     pub bytes_per_client: f64,
 }
 
@@ -161,40 +159,6 @@ impl RunMetrics {
     pub fn class_latency(&self, class: OpClass) -> Option<&LatencyRecorder> {
         self.latency.get(&class)
     }
-
-    /// Folds another run's measurements into this one: per-class latency
-    /// recorders and timelines are merged, counters are summed.
-    ///
-    /// This is how a sharded run (`lambda_core::shard`) reduces per-domain
-    /// metrics into the run-wide figures — the result is identical to
-    /// having recorded every observation into a single `RunMetrics`, and
-    /// because it only depends on the per-domain contents (which are
-    /// thread-count-invariant), so is the merged whole.
-    pub fn merge(&mut self, other: &RunMetrics) {
-        for (class, rec) in &other.latency {
-            self.latency.entry(*class).or_default().merge(rec);
-        }
-        self.throughput.merge(&other.throughput);
-        self.no_conn_timeline.merge(&other.no_conn_timeline);
-        self.issued += other.issued;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.timeouts += other.timeouts;
-        self.retries_exhausted += other.retries_exhausted;
-        self.retries += other.retries;
-        self.load_sheds += other.load_sheds;
-        self.http_rpcs += other.http_rpcs;
-        self.tcp_rpcs += other.tcp_rpcs;
-        self.straggler_resubmits += other.straggler_resubmits;
-        self.anti_thrash_entries += other.anti_thrash_entries;
-        self.connection_shares += other.connection_shares;
-        self.http_replaced += other.http_replaced;
-        self.http_no_connection += other.http_no_connection;
-        // Gauges, not counters: per-entity footprints are properties of a
-        // measurement, so a merged run reports the worst domain's figure.
-        self.bytes_per_inode = self.bytes_per_inode.max(other.bytes_per_inode);
-        self.bytes_per_client = self.bytes_per_client.max(other.bytes_per_client);
-    }
 }
 
 #[cfg(test)]
@@ -212,77 +176,6 @@ mod tests {
         assert_eq!(m.mean_latency(), SimDuration::from_millis_f64(14.0 / 3.0));
         assert_eq!(m.throughput.buckets(), vec![0.0, 2.0, 1.0]);
         assert_eq!(m.peak_throughput(), 2.0);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut left = RunMetrics::new();
-        let mut right = RunMetrics::new();
-        let mut whole = RunMetrics::new();
-        let obs = [
-            (1u64, OpClass::Read, 2u64),
-            (1, OpClass::Create, 9),
-            (3, OpClass::Read, 4),
-            (4, OpClass::Mkdir, 7),
-        ];
-        for (i, (sec, class, ms)) in obs.into_iter().enumerate() {
-            let at = SimTime::from_secs(sec);
-            let lat = SimDuration::from_millis(ms);
-            let half = if i % 2 == 0 { &mut left } else { &mut right };
-            half.record_success(at, class, lat);
-            half.issued += 1;
-            whole.record_success(at, class, lat);
-            whole.issued += 1;
-        }
-        left.retries += 2;
-        right.http_rpcs += 5;
-        whole.retries += 2;
-        whole.http_rpcs += 5;
-
-        let mut merged = RunMetrics::new();
-        merged.merge(&left);
-        merged.merge(&right);
-        assert_eq!(merged.issued, whole.issued);
-        assert_eq!(merged.completed, whole.completed);
-        assert_eq!(merged.retries, 2);
-        assert_eq!(merged.http_rpcs, 5);
-        assert_eq!(merged.accounted(), whole.accounted());
-        assert_eq!(merged.mean_latency(), whole.mean_latency());
-        assert_eq!(merged.throughput.buckets(), whole.throughput.buckets());
-        for class in [OpClass::Read, OpClass::Create, OpClass::Mkdir] {
-            assert_eq!(
-                merged.class_latency(class).map(|r| (r.count(), r.mean(), r.max())),
-                whole.class_latency(class).map(|r| (r.count(), r.mean(), r.max())),
-                "{class:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_into_empty_copies_everything() {
-        let mut src = RunMetrics::new();
-        src.record_success(SimTime::from_secs(2), OpClass::Read, SimDuration::from_millis(1));
-        src.record_failure(true);
-        src.issued = 2;
-        let mut dst = RunMetrics::new();
-        dst.merge(&src);
-        assert_eq!(dst.issued, 2);
-        assert_eq!(dst.completed, 1);
-        assert_eq!(dst.timeouts, 1);
-        assert_eq!(dst.peak_throughput(), 1.0);
-    }
-
-    #[test]
-    fn byte_gauges_merge_as_maxima() {
-        let mut a = RunMetrics::new();
-        a.bytes_per_inode = 120.0;
-        a.bytes_per_client = 48.0;
-        let mut b = RunMetrics::new();
-        b.bytes_per_inode = 90.0;
-        b.bytes_per_client = 64.0;
-        a.merge(&b);
-        assert_eq!(a.bytes_per_inode, 120.0);
-        assert_eq!(a.bytes_per_client, 64.0);
     }
 
     #[test]

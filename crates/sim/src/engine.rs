@@ -325,32 +325,9 @@ impl Sim {
         true
     }
 
-    /// The instant of the earliest pending event, if any. The conservative
-    /// shard-synchronization protocol (see [`crate::shard`]) reads this to
-    /// compute the global lower bound on virtual time.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.queue.peek_at()
-    }
-
     /// Runs until the event queue drains.
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    /// Runs every event scheduled strictly before `deadline`, leaving the
-    /// clock at the last executed event (it is *not* bumped to `deadline`).
-    ///
-    /// This is the shard-window primitive: a conservative synchronization
-    /// window `[w, w + lookahead)` must execute events up to but excluding
-    /// its end, because a message sent at `w` may be delivered at exactly
-    /// `w + lookahead` and must order ahead of any local event there.
-    pub fn run_before(&mut self, deadline: SimTime) {
-        while let Some(at) = self.queue.peek_at() {
-            if at >= deadline {
-                break;
-            }
-            self.step();
-        }
     }
 
     /// Runs all events scheduled at or before `deadline`, then advances the
@@ -489,26 +466,6 @@ mod tests {
         // Queue drains before a later deadline: the clock still lands on it.
         sim.run_until(SimTime::from_secs(100));
         assert_eq!(sim.now(), SimTime::from_secs(100));
-    }
-
-    #[test]
-    fn run_before_excludes_the_deadline_instant() {
-        let mut sim = Sim::new(0);
-        let fired = Rc::new(RefCell::new(Vec::new()));
-        for ms in [5u64, 10, 15] {
-            let fired = Rc::clone(&fired);
-            sim.schedule(SimDuration::from_millis(ms), move |_| fired.borrow_mut().push(ms));
-        }
-        assert_eq!(sim.next_event_at(), Some(SimTime::from_nanos(5_000_000)));
-        sim.run_before(SimTime::from_nanos(10_000_000));
-        // The event at exactly the deadline must NOT run, and the clock
-        // stays at the last executed event rather than the deadline.
-        assert_eq!(*fired.borrow(), vec![5]);
-        assert_eq!(sim.now(), SimTime::from_nanos(5_000_000));
-        assert_eq!(sim.next_event_at(), Some(SimTime::from_nanos(10_000_000)));
-        sim.run_before(SimTime::from_nanos(100_000_000));
-        assert_eq!(*fired.borrow(), vec![5, 10, 15]);
-        assert_eq!(sim.next_event_at(), None);
     }
 
     #[test]

@@ -55,9 +55,7 @@ pub mod fault;
 mod metrics;
 pub mod params;
 mod rng;
-pub mod shard;
 mod station;
-mod sync;
 mod time;
 mod wheel;
 
@@ -69,7 +67,5 @@ pub use fault::{
 };
 pub use metrics::{GaugeSeries, LatencyRecorder, Timeline};
 pub use rng::{Dist, SimRng};
-pub use shard::{domain_seed, run_sharded, ShardConfig, ShardWorld};
 pub use station::{Station, StationRef, StationStats};
-pub use sync::{Envelope, ShardLink};
 pub use time::{SimDuration, SimTime};

@@ -200,21 +200,6 @@ impl LatencyRecorder {
         }
         out
     }
-
-    /// Merges another recorder's histogram into this one (bucket-wise; the
-    /// result is identical to having recorded both sample streams here).
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min_seen = self.min_seen.min(other.min_seen);
-        self.max_seen = self.max_seen.max(other.max_seen);
-    }
 }
 
 /// A per-bucket accumulator over simulated time (e.g. ops completed per
@@ -307,27 +292,6 @@ impl Timeline {
             0.0
         } else {
             self.total() / self.values.len() as f64
-        }
-    }
-
-    /// Merges another timeline's buckets into this one (element-wise sum;
-    /// identical to having accumulated both series here). Per-shard
-    /// timelines merge through this after a sharded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ — summing misaligned buckets
-    /// would silently smear time.
-    pub fn merge(&mut self, other: &Timeline) {
-        assert_eq!(
-            self.bucket, other.bucket,
-            "cannot merge timelines with different bucket widths"
-        );
-        if other.values.len() > self.values.len() {
-            self.values.resize(other.values.len(), 0.0);
-        }
-        for (mine, theirs) in self.values.iter_mut().zip(&other.values) {
-            *mine += theirs;
         }
     }
 
@@ -540,65 +504,6 @@ mod tests {
         assert!(rel_err(full, 50.0) < 0.01, "p50 of 1..=100 was {full}");
         assert_eq!(rec.count(), 100);
         assert_eq!(rec.max().as_millis_f64(), 100.0);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(SimDuration::from_millis(1));
-        b.record(SimDuration::from_millis(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean().as_millis_f64(), 2.0);
-    }
-
-    #[test]
-    fn merge_equals_recording_both_streams() {
-        let mut merged = LatencyRecorder::new();
-        let mut separate = LatencyRecorder::new();
-        let mut other = LatencyRecorder::new();
-        for i in 0..500u64 {
-            let d = SimDuration::from_micros(i * 13 % 9_000 + 1);
-            if i % 3 == 0 {
-                other.record(d);
-            } else {
-                merged.record(d);
-            }
-            separate.record(d);
-        }
-        merged.merge(&other);
-        assert_eq!(merged.count(), separate.count());
-        assert_eq!(merged.max(), separate.max());
-        for p in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(merged.percentile(p), separate.percentile(p));
-        }
-    }
-
-    #[test]
-    fn timeline_merge_equals_accumulating_both_series() {
-        let mut merged = Timeline::new(SimDuration::from_secs(1));
-        let mut other = Timeline::new(SimDuration::from_secs(1));
-        let mut reference = Timeline::new(SimDuration::from_secs(1));
-        for (sec, v) in [(0u64, 1.0), (1, 2.0), (4, 3.0), (2, 0.5)] {
-            if sec % 2 == 0 {
-                other.add(SimTime::from_secs(sec), v);
-            } else {
-                merged.add(SimTime::from_secs(sec), v);
-            }
-            reference.add(SimTime::from_secs(sec), v);
-        }
-        merged.merge(&other);
-        assert_eq!(merged.buckets(), reference.buckets());
-        assert_eq!(merged.total(), reference.total());
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn timeline_merge_rejects_mismatched_widths() {
-        let mut a = Timeline::new(SimDuration::from_secs(1));
-        let b = Timeline::new(SimDuration::from_secs(10));
-        a.merge(&b);
     }
 
     #[test]

@@ -30,28 +30,6 @@ pub struct NetParams {
     pub coord_one_way: Dist,
 }
 
-impl NetParams {
-    /// The conservative-synchronization lookahead this network model
-    /// guarantees: the smallest latency floor across every link class. Any
-    /// message crossing between simulation shards rides at least one such
-    /// link, so a sharded run (see `lambda_sim::shard`) may safely execute
-    /// each shard this far ahead of the global virtual-time lower bound.
-    ///
-    /// With the default calibration this is the Coordinator link's 0.2 ms
-    /// floor. A model whose link distributions have no positive floor (e.g.
-    /// exponential latencies) yields zero, which the shard runner rejects.
-    #[must_use]
-    pub fn conservative_lookahead(&self) -> SimDuration {
-        let floor = self
-            .tcp_one_way
-            .lower_bound()
-            .min(self.http_overhead.lower_bound())
-            .min(self.store_one_way.lower_bound())
-            .min(self.coord_one_way.lower_bound());
-        SimDuration::from_secs_f64(floor.max(0.0))
-    }
-}
-
 impl Default for NetParams {
     fn default() -> Self {
         NetParams {
@@ -206,21 +184,6 @@ mod tests {
         // Writes are several times slower than reads, which is what caps
         // write throughput in Figs. 11/12.
         assert!(s.row_write.mean() > 4.0 * s.pk_read.mean());
-    }
-
-    #[test]
-    fn conservative_lookahead_is_the_smallest_link_floor() {
-        let net = NetParams::default();
-        let l = net.conservative_lookahead();
-        // The default floor is the Coordinator link's 0.2 ms lower bound.
-        assert_eq!(l, SimDuration::from_secs_f64(0.2 / 1e3));
-        // No link class can undercut the lookahead.
-        for d in [&net.tcp_one_way, &net.http_overhead, &net.store_one_way, &net.coord_one_way] {
-            assert!(d.lower_bound() >= l.as_secs_f64());
-        }
-        // A floorless link collapses the lookahead to zero.
-        let floorless = NetParams { coord_one_way: Dist::Exp { mean: 0.001 }, ..net };
-        assert!(floorless.conservative_lookahead().is_zero());
     }
 
     #[test]

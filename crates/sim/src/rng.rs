@@ -183,21 +183,6 @@ impl Dist {
         }
     }
 
-    /// The infimum of the distribution's support: no sample is ever below
-    /// this value. This is the "latency floor" a conservative-synchronization
-    /// lookahead is derived from — a link whose latency distribution has a
-    /// positive lower bound guarantees that much virtual-time slack between
-    /// shards. [`Dist::Exp`] has no positive floor and returns `0.0`.
-    #[must_use]
-    pub fn lower_bound(&self) -> f64 {
-        match *self {
-            Dist::Constant(v) => v,
-            Dist::Uniform { lo, .. } => lo,
-            Dist::Exp { .. } => 0.0,
-            Dist::ParetoBounded { x_m, .. } => x_m,
-        }
-    }
-
     /// The mean of the distribution.
     #[must_use]
     pub fn mean(&self) -> f64 {
