@@ -1,5 +1,5 @@
 //! Per-op allocation regression gates: the store's lean-read paths, and
-//! warmed reads through the whole system.
+//! warmed and first-touch reads through the whole system.
 //!
 //! The arena-backed store engine exists so that steady-state metadata
 //! reads do no heap work: point gets walk arena indices, and listings
@@ -24,6 +24,12 @@
 //! continuation per simulated event plus its reply, not copies of chains,
 //! listings and retained replies.
 //!
+//! The first-touch gate drives `Stat` / `ReadFile` of files (and
+//! directories) no NameNode has seen: the cache-miss path — id hints from
+//! the children index, one shared-locked batch read of the uncached
+//! suffix, a read-only commit, the cache fill — which is every operation
+//! of a tree far larger than the caches.
+//!
 //! Like `bootstrap_budget.rs`, the file only exists under
 //! `--features alloc-stats` (verify.sh runs it in release); a plain
 //! `cargo test` compiles it to nothing.
@@ -37,7 +43,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lambda_allocstats as mem;
 use lambda_fs::{LambdaFs, LambdaFsConfig};
-use lambda_namespace::{interned, DfsPath, FsOp, MetadataSchema, OpOutcome, ROOT_INODE_ID};
+use lambda_namespace::{DfsPath, FsOp, InodeName, MetadataSchema, OpOutcome, ROOT_INODE_ID};
 use lambda_sim::params::StoreParams;
 use lambda_sim::{Sim, SimDuration, SimRng};
 use lambda_store::{Db, NameKey};
@@ -71,9 +77,9 @@ fn lean_reads_do_not_allocate_at_250k_inodes() {
     // Pre-intern the probe keys: the interner is shared namespace
     // infrastructure, not per-op work.
     let dir_keys: Vec<NameKey> =
-        (0..DIRS).map(|d| NameKey::new(interned(&format!("dir{d:05}")))).collect();
+        (0..DIRS).map(|d| InodeName::new(&format!("dir{d:05}")).key()).collect();
     let file_keys: Vec<NameKey> =
-        (0..FILES_PER_DIR).map(|f| NameKey::new(interned(&format!("file{f:05}")))).collect();
+        (0..FILES_PER_DIR).map(|f| InodeName::new(&format!("file{f:05}")).key()).collect();
 
     let mut rng = SimRng::new(0x250_0000);
     let lean_read = |rng: &mut SimRng, rows_seen: &mut usize| {
@@ -124,7 +130,7 @@ fn allocs_of(sim: &mut Sim, fs: &LambdaFs, op: FsOp) -> (u64, OpOutcome) {
     fs.submit(sim, 0, op, Box::new(move |_sim, result| slot.set(Some(result))));
     while sim.step() {
         if let Some(result) = reply.take() {
-            return (scope.allocs(), result.expect("warmed read succeeds"));
+            return (scope.allocs(), result.expect("read succeeds"));
         }
     }
     panic!("the event queue drained before the reply arrived");
@@ -192,4 +198,42 @@ fn warmed_reads_allocate_per_event_not_per_reply_byte() {
          something on the request path copies again"
     );
     eprintln!("allocs/op: ls of 8 {ls_small}, ls of 512 {ls_large}, read mix {per_op:.2}");
+}
+
+#[test]
+fn first_touch_reads_allocate_per_event_not_per_chain_copy() {
+    let _counting = exclusive_counter();
+    assert!(mem::active(), "counting allocator must be registered");
+    const DIRS: usize = 1_024;
+    let mut sim = Sim::new(0x20);
+    let config = LambdaFsConfig { clients: 4, http_replace_prob: 0.0, ..Default::default() };
+    let fs = LambdaFs::build(&mut sim, config);
+    let dirs = fs.schema().bootstrap_tree(fs.db(), &DfsPath::root(), DIRS, 2);
+    fs.start(&mut sim);
+    sim.run_for(SimDuration::from_secs(5));
+
+    let file = |d: usize, f: usize| dirs[d].join(&format!("file{f:05}")).expect("valid name");
+    // Register the connections and cache the root on every deployment; the
+    // measured operations then take the TCP path to a cold directory.
+    let (warm, measured) = (DIRS / 4, DIRS - DIRS / 4);
+    for d in 0..warm {
+        allocs_of(&mut sim, &fs, FsOp::Stat(file(d, 0)));
+    }
+    let before = fs.cache_stats();
+    let total: u64 = (warm..DIRS)
+        .map(|d| {
+            let path = file(d, d % 2);
+            let op = if d % 4 < 2 { FsOp::Stat(path) } else { FsOp::ReadFile(path) };
+            allocs_of(&mut sim, &fs, op).0
+        })
+        .sum();
+    let per_op = total as f64 / measured as f64;
+    let misses = fs.cache_stats().misses - before.misses;
+    assert_eq!(misses, measured as u64, "the measured operations must all be first touches");
+    assert!(
+        per_op <= 21.0,
+        "a first-touch Stat/ReadFile allocated {per_op:.1} times per operation (budget 21): \
+         something on the miss path copies again"
+    );
+    eprintln!("allocs/op: first-touch read {per_op:.2}");
 }

@@ -31,8 +31,11 @@
 //! simulated clients must fit comfortably. Per-client state is 40 bytes —
 //! a client's VM and TCP-server indices are *derived* from its id (the
 //! placement is a fixed formula) rather than stored, and the moving
-//! latency window is a lazily boxed fixed ring instead of an eagerly
-//! allocated `VecDeque`. In-flight requests live in a generation-tagged
+//! latency window is boxed on the client's first completed read and grows
+//! with the samples it holds up to `latency_window`, where it becomes a
+//! ring: at that scale the average client completes less than one read,
+//! so neither an eager `VecDeque` nor a zeroed full-size ring per client
+//! is affordable. In-flight requests live in a generation-tagged
 //! slab: completion frees the record immediately (the old
 //! `Rc<RefCell<Attempt>>` lived until its last retry timer fired), and the
 //! timers hold a 12-byte `Copy` key instead of refcounted pointers.
@@ -133,54 +136,54 @@ struct Vm {
     servers: Vec<TcpServer>,
 }
 
-/// Fixed-capacity ring of the most recent read latencies (seconds),
-/// summing oldest-to-newest — float-for-float the order the `VecDeque` it
-/// replaced summed in, so moving averages are bit-identical.
+/// Ring of the most recent read latencies (seconds), summing
+/// oldest-to-newest — float-for-float the order the `VecDeque` it replaced
+/// summed in, so moving averages are bit-identical.
+///
+/// The buffer grows by pushing until it holds `cap` samples and only then
+/// wraps: most clients of a million-client run finish a handful of reads,
+/// and a zeroed full-size ring apiece was most of that run's heap growth.
 #[derive(Debug)]
 struct LatencyWindow {
-    buf: Box<[f64]>,
-    /// Index of the oldest sample.
-    head: u32,
-    len: u32,
+    buf: Vec<f64>,
+    /// Index of the oldest sample (0 until the buffer is full).
+    head: usize,
+    /// Samples held before the ring starts overwriting.
+    cap: usize,
 }
 
 impl LatencyWindow {
-    fn boxed(capacity: usize) -> Box<LatencyWindow> {
-        Box::new(LatencyWindow { buf: vec![0.0; capacity].into_boxed_slice(), head: 0, len: 0 })
+    fn boxed(cap: usize) -> Box<LatencyWindow> {
+        Box::new(LatencyWindow { buf: Vec::new(), head: 0, cap })
     }
 
     fn len(&self) -> usize {
-        self.len as usize
+        self.buf.len()
     }
 
     /// Appends a sample, dropping the oldest once full — the
     /// `push_back` + `pop_front` discipline of the old deque.
     fn push(&mut self, v: f64) {
-        let cap = self.buf.len();
-        if (self.len as usize) < cap {
-            let idx = (self.head as usize + self.len as usize) % cap;
-            self.buf[idx] = v;
-            self.len += 1;
+        if self.buf.len() < self.cap {
+            self.buf.push(v);
         } else {
-            self.buf[self.head as usize] = v;
-            self.head = ((self.head as usize + 1) % cap) as u32;
+            self.buf[self.head] = v;
+            self.head = (self.head + 1) % self.cap;
         }
     }
 
     fn avg(&self) -> Option<f64> {
-        if self.len == 0 {
+        if self.buf.is_empty() {
             return None;
         }
         // Oldest to newest is at most two contiguous runs: from `head` to
         // the end of the buffer, then the wrapped-around front.
-        let (head, len) = (self.head as usize, self.len as usize);
-        let tail = &self.buf[head..(head + len).min(self.buf.len())];
-        let front = &self.buf[..len - tail.len()];
+        let (front, tail) = self.buf.split_at(self.head);
         let mut sum = 0.0;
         for v in tail.iter().chain(front) {
             sum += v;
         }
-        Some(sum / f64::from(self.len))
+        Some(sum / self.buf.len() as f64)
     }
 }
 
@@ -195,8 +198,8 @@ struct ClientState {
     retry_tokens: f64,
     /// When the token bucket was last refilled.
     last_refill: SimTime,
-    /// Moving window of recent end-to-end latencies (seconds), lazily
-    /// allocated at its fixed `latency_window` capacity.
+    /// Moving window of recent end-to-end latencies (seconds), allocated
+    /// on the first read and grown on demand up to `latency_window`.
     window: Option<Box<LatencyWindow>>,
     anti_thrash: bool,
 }
@@ -907,41 +910,48 @@ mod tests {
     #[test]
     fn latency_window_matches_deque_semantics() {
         use std::collections::VecDeque;
-        let cap = 4;
-        let mut ring = LatencyWindow::boxed(cap);
-        let mut deque: VecDeque<f64> = VecDeque::new();
-        for i in 0..11 {
-            let v = f64::from(i) * 0.25 + 0.001;
-            ring.push(v);
-            deque.push_back(v);
-            if deque.len() > cap {
-                deque.pop_front();
+        // Fewer samples than capacity, then several times around.
+        for cap in [4, 64] {
+            let mut ring = LatencyWindow::boxed(cap);
+            let mut deque: VecDeque<f64> = VecDeque::new();
+            for i in 0..cap as u32 * 3 + 3 {
+                let v = f64::from(i) * 0.25 + 0.001;
+                ring.push(v);
+                deque.push_back(v);
+                if deque.len() > cap {
+                    deque.pop_front();
+                }
+                assert_eq!(ring.len(), deque.len());
+                let deque_avg = if deque.is_empty() {
+                    None
+                } else {
+                    Some(deque.iter().sum::<f64>() / deque.len() as f64)
+                };
+                // Bit-identical, not approximately equal: the ring must sum
+                // in the deque's oldest-first order.
+                assert_eq!(ring.avg(), deque_avg);
             }
-            assert_eq!(ring.len(), deque.len());
-            let deque_avg = if deque.is_empty() {
-                None
-            } else {
-                Some(deque.iter().sum::<f64>() / deque.len() as f64)
-            };
-            // Bit-identical, not approximately equal: the ring must sum in
-            // the deque's oldest-first order.
-            assert_eq!(ring.avg(), deque_avg);
+            assert_eq!(ring.buf.len(), cap);
         }
+        // A client that stops after one read never pays for the whole
+        // window.
+        let mut ring = LatencyWindow::boxed(64);
+        ring.push(0.002);
+        assert!(ring.buf.capacity() < 64);
     }
 
     #[test]
     fn latency_window_sums_in_the_order_of_the_per_element_modulo_loop() {
         // The loop `avg` used before it summed two slices.
         fn avg_by_modulo(w: &LatencyWindow) -> Option<f64> {
-            if w.len == 0 {
+            if w.buf.is_empty() {
                 return None;
             }
-            let cap = w.buf.len();
             let mut sum = 0.0;
-            for k in 0..w.len as usize {
-                sum += w.buf[(w.head as usize + k) % cap];
+            for k in 0..w.buf.len() {
+                sum += w.buf[(w.head + k) % w.cap];
             }
-            Some(sum / f64::from(w.len))
+            Some(sum / w.buf.len() as f64)
         }
         let mut rng = lambda_sim::SimRng::new(0xA7);
         for cap in [1, 2, 3, 7, 64] {

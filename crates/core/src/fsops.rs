@@ -30,8 +30,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use lambda_namespace::{
-    DfsPath, FsError, FsOp, Inode, InodeId, InodeName, MetadataCache, MetadataSchema, OpOutcome,
-    OpResult,
+    DfsPath, FsError, FsOp, Inode, InodeId, MetadataCache, MetadataSchema, OpOutcome, OpResult,
 };
 use lambda_sim::params::CpuParams;
 use lambda_sim::{Sim, SimDuration, Station, StationRef};
@@ -275,7 +274,8 @@ impl OpEngine {
             }
             _ => Vec::new(),
         };
-        let missing_ids: Vec<InodeId> = hinted[prefix.len()..].to_vec();
+        let mut missing_ids = hinted;
+        missing_ids.drain(..prefix.len());
         debug_assert!(!missing_ids.is_empty(), "full hits are handled above");
         let txn = self.db.begin();
         let this = self.clone();
@@ -291,12 +291,13 @@ impl OpEngine {
                     done(sim, Err(store_error(&e)));
                 }
                 Ok(rows) => {
-                    let suffix: Option<Vec<Inode>> = rows.into_iter().collect();
-                    let chain: Option<Vec<Inode>> = suffix.map(|suffix| {
-                        let mut chain = prefix;
-                        chain.extend(suffix);
-                        chain
-                    });
+                    // The fetched suffix lands straight on the cached
+                    // prefix; a missing row voids the chain.
+                    let mut chain = prefix;
+                    let want = chain.len() + rows.len();
+                    chain.reserve(rows.len());
+                    chain.extend(rows.into_iter().flatten());
+                    let chain = (chain.len() == want).then_some(chain);
                     let valid =
                         chain.as_ref().is_some_and(|chain| chain_matches(chain, &path));
                     let this2 = this.clone();
@@ -414,7 +415,7 @@ impl OpEngine {
         let Some(parent_path) = path.parent() else {
             return done(sim, Err(FsError::AlreadyExists("/".into())));
         };
-        let name = path.file_name().expect("non-root");
+        let name = path.file_name_interned().expect("non-root");
         let this = self.clone();
         self.check_subtree_locks(sim, path.clone(), move |sim, blocked| {
             if let Some(p) = blocked {
@@ -435,7 +436,7 @@ impl OpEngine {
                 // children slot, and the new inode row. The children key
                 // tuple is built once and reused for the post-lock
                 // revalidation probe below.
-                let child_key = (parent.id, NameKey::new(name));
+                let child_key = (parent.id, name.key());
                 let mut keys = vec![
                     this2.db.lock_key(this2.schema.inodes, &parent.id),
                     this2.db.lock_key(this2.schema.inodes, &new_id),
@@ -485,18 +486,17 @@ impl OpEngine {
                     let inv = InvalidationSet {
                         inodes: Vec::new(),
                         listings: Vec::new(),
-                        listing_updates: vec![(parent.id, name, true)],
+                        listing_updates: vec![(parent.id, name.as_str(), true)],
                         prefix: None,
                         paths: vec![path2.clone(), parent_path2.clone()],
                     };
                     let this4 = this3.clone();
-                    let name2 = name;
                     this3.with_coherence(sim, inv, move |sim| {
                         parent_now.mtime_nanos = sim.now().as_nanos();
                         let inode = if dir {
-                            Inode::directory(new_id, parent.id, name2)
+                            Inode::directory(new_id, parent.id, name)
                         } else {
-                            Inode::file(new_id, parent.id, name2)
+                            Inode::file(new_id, parent.id, name)
                         };
                         let writes = this4
                             .db
@@ -505,12 +505,7 @@ impl OpEngine {
                                 this4.db.upsert(txn, this4.schema.inodes, new_id, inode.clone())
                             })
                             .and_then(|()| {
-                                this4.db.upsert(
-                                    txn,
-                                    this4.schema.children,
-                                    (parent.id, NameKey::new(name2)),
-                                    new_id,
-                                )
+                                this4.db.upsert(txn, this4.schema.children, child_key, new_id)
                             });
                         if writes.is_err() {
                             this4.db.abort(sim, txn);
@@ -527,7 +522,7 @@ impl OpEngine {
                                     let mut chain = chain;
                                     chain.push(inode.clone());
                                     cache.insert_chain(&path2, &chain);
-                                    cache.update_listing(parent.id, name2, true);
+                                    cache.update_listing(parent.id, name.as_str(), true);
                                 }
                             }
                             done(sim, Ok(OpOutcome::Created(Box::new(inode))));
@@ -581,10 +576,11 @@ impl OpEngine {
     ) {
         let parent_path = path.parent().expect("non-root");
         let name = target.name.as_str();
+        let child_key = (target.parent, target.name.key());
         let mut keys = vec![
             self.db.lock_key(self.schema.inodes, &target.parent),
             self.db.lock_key(self.schema.inodes, &target.id),
-            self.db.lock_key(self.schema.children, &(target.parent, NameKey::new(name))),
+            self.db.lock_key(self.schema.children, &child_key),
         ];
         keys.sort();
         let txn = self.db.begin();
@@ -618,7 +614,7 @@ impl OpEngine {
                 parent_now.mtime_nanos = sim.now().as_nanos();
                 let writes = this2
                     .db
-                    .remove(txn, this2.schema.children, (target.parent, NameKey::new(name)))
+                    .remove(txn, this2.schema.children, child_key)
                     .map(|_| ())
                     .and_then(|()| this2.db.remove(txn, this2.schema.inodes, target.id).map(|_| ()))
                     .and_then(|()| {
@@ -686,7 +682,7 @@ impl OpEngine {
         let Some(dst_parent_path) = dst.parent() else {
             return done(sim, Err(FsError::AlreadyExists("/".into())));
         };
-        let dst_name = dst.file_name().expect("non-root");
+        let dst_name = dst.file_name_interned().expect("non-root");
         let src_parent_path = src.parent().expect("non-root");
         let this = self.clone();
         self.resolve_target(sim, dst_parent_path.clone(), allow_cache, move |sim, dst_parent| {
@@ -701,7 +697,7 @@ impl OpEngine {
                 this.db.lock_key(this.schema.inodes, &target.parent),
                 this.db.lock_key(this.schema.inodes, &target.id),
                 this.db.lock_key(this.schema.children, &(target.parent, target.name.key())),
-                this.db.lock_key(this.schema.children, &(dst_parent.id, NameKey::new(dst_name))),
+                this.db.lock_key(this.schema.children, &(dst_parent.id, dst_name.key())),
             ];
             if dst_parent.id != target.parent {
                 keys.push(this.db.lock_key(this.schema.inodes, &dst_parent.id));
@@ -720,8 +716,8 @@ impl OpEngine {
                     .db
                     .peek(this2.schema.children, &(target.parent, target.name.key()))
                     == Some(target.id);
-                let dst_free =
-                    this2.db.peek(this2.schema.children, &(dst_parent.id, NameKey::new(dst_name))).is_none();
+                let dst_key = (dst_parent.id, dst_name.key());
+                let dst_free = this2.db.peek(this2.schema.children, &dst_key).is_none();
                 let dst_parent_now = this2.db.peek(this2.schema.inodes, &dst_parent.id);
                 if !still_there || dst_parent_now.as_ref().is_none_or(|p| !p.is_dir()) {
                     this2.db.abort(sim, txn);
@@ -736,7 +732,7 @@ impl OpEngine {
                     listings: Vec::new(),
                     listing_updates: vec![
                         (target.parent, lambda_namespace::interned(&target.name), false),
-                        (dst_parent.id, dst_name, true),
+                        (dst_parent.id, dst_name.as_str(), true),
                     ],
                     prefix: None,
                     paths: vec![
@@ -750,7 +746,7 @@ impl OpEngine {
                 this2.with_coherence(sim, inv, move |sim| {
                     let mut moved = target.clone();
                     moved.parent = dst_parent.id;
-                    moved.name = InodeName::new(dst_name);
+                    moved.name = dst_name;
                     moved.mtime_nanos = sim.now().as_nanos();
                     let writes = this3
                         .db
@@ -760,7 +756,7 @@ impl OpEngine {
                             this3.db.upsert(
                                 txn,
                                 this3.schema.children,
-                                (dst_parent.id, NameKey::new(dst_name)),
+                                (dst_parent.id, dst_name.key()),
                                 target.id,
                             )
                         })
@@ -781,7 +777,7 @@ impl OpEngine {
                                 let mut cache = cache.borrow_mut();
                                 cache.invalidate_inode(target.id);
                                 cache.update_listing(target.parent, target.name.as_str(), false);
-                                cache.update_listing(dst_parent.id, dst_name, true);
+                                cache.update_listing(dst_parent.id, dst_name.as_str(), true);
                             }
                         }
                         done(sim, Ok(OpOutcome::Moved(1)));

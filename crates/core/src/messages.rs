@@ -4,6 +4,7 @@
 use lambda_coord::SessionId;
 use lambda_faas::InstanceId;
 use lambda_namespace::{DfsPath, FsOp, InodeId, OpResult};
+use lambda_store::NameKey;
 
 /// Identifies one client process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,7 +29,7 @@ pub struct RequestId {
 }
 
 /// One item of subtree work: an inode plus its `children`-index key.
-/// `Copy`: the name is interned ([`lambda_namespace::interned`]), so batch
+/// `Copy`: the name is the index's own interned [`NameKey`], so batch
 /// cloning for offload fan-out is a memcpy instead of per-item `String`
 /// allocations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,8 +38,8 @@ pub struct SubtreeItem {
     pub id: InodeId,
     /// Its parent directory id.
     pub parent: InodeId,
-    /// Its name within the parent (interned).
-    pub name: &'static str,
+    /// Its name within the parent, as the `children` index keys it.
+    pub name: NameKey,
 }
 
 /// The kind of work in an offloaded subtree batch (Appendix D).
@@ -145,6 +146,7 @@ pub enum CoherenceMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lambda_namespace::InodeName;
 
     #[test]
     fn request_ids_are_copyable_map_keys() {
@@ -161,8 +163,8 @@ mod tests {
         let batch = SubtreeBatch {
             kind: SubtreeBatchKind::DeleteRows,
             items: vec![
-                SubtreeItem { id: 9, parent: 3, name: "leaf".into() },
-                SubtreeItem { id: 3, parent: 1, name: "mid".into() },
+                SubtreeItem { id: 9, parent: 3, name: InodeName::new("leaf").key() },
+                SubtreeItem { id: 3, parent: 1, name: InodeName::new("mid").key() },
             ],
         };
         assert_eq!(batch.items.len(), 2);

@@ -333,7 +333,7 @@ impl SubtreeExecutor {
                 if is_dir {
                     queue.push_back(id);
                 }
-                acc.push(SubtreeItem { id, parent, name: name.as_str() });
+                acc.push(SubtreeItem { id, parent, name });
             },
             move |sim, (queue, acc)| {
                 this.collect_step(sim, queue, acc, done);
@@ -474,10 +474,9 @@ impl SubtreeExecutor {
                 let engine = self.engine.clone();
                 let txn = engine.db.begin();
                 let mut keys = Vec::with_capacity(batch.items.len() * 2);
-                // Item names are interned, so each probe key is two moves.
                 for item in &batch.items {
                     keys.push(engine.db.lock_key(engine.schema.inodes, &item.id));
-                    let child_key = (item.parent, NameKey::new(item.name));
+                    let child_key = (item.parent, item.name);
                     keys.push(engine.db.lock_key(engine.schema.children, &child_key));
                 }
                 keys.sort();
@@ -495,7 +494,7 @@ impl SubtreeExecutor {
                         let _ = engine2.db.remove(
                             txn,
                             engine2.schema.children,
-                            (item.parent, NameKey::new(item.name)),
+                            (item.parent, item.name),
                         );
                     }
                     engine2.db.commit(sim, txn, move |sim, _r| done(sim));
@@ -568,11 +567,12 @@ fn make_batches(items: &[SubtreeItem], batch_size: usize, kind: SubtreeBatchKind
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lambda_namespace::InodeName;
 
     #[test]
     fn batching_covers_all_items() {
         let items: Vec<SubtreeItem> = (0..1000)
-            .map(|i| SubtreeItem { id: i, parent: 0, name: lambda_namespace::interned(&format!("f{i}")) })
+            .map(|i| SubtreeItem { id: i, parent: 0, name: InodeName::new(&format!("f{i}")).key() })
             .collect();
         let batches = make_batches(&items, 512, SubtreeBatchKind::Quiesce);
         assert_eq!(batches.len(), 2);
@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn zero_batch_size_is_clamped() {
         let items =
-            vec![SubtreeItem { id: 1, parent: 0, name: "x".into() }];
+            vec![SubtreeItem { id: 1, parent: 0, name: InodeName::new("x").key() }];
         let batches = make_batches(&items, 0, SubtreeBatchKind::DeleteRows);
         assert_eq!(batches.len(), 1);
     }

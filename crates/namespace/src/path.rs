@@ -17,6 +17,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use lambda_store::{NameEntry, NameKey};
+
 /// Interned path-component symbol: an index into the process-wide arena.
 ///
 /// Two components are the same string iff their symbols are equal, which is
@@ -25,9 +27,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct Sym(pub(crate) u32);
 
+impl Sym {
+    /// The component as a children-index key suffix: one thread-local
+    /// table read, no interner lock, no allocation.
+    pub(crate) fn key(self) -> NameKey {
+        entry(self).key()
+    }
+}
+
 struct SymTab {
     ids: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
+    names: Vec<&'static NameEntry>,
 }
 
 fn symtab() -> &'static Mutex<SymTab> {
@@ -36,27 +46,28 @@ fn symtab() -> &'static Mutex<SymTab> {
 }
 
 /// Interns one component. Each distinct component string is leaked exactly
-/// once; namespace vocabularies (directory/file names) are bounded, so the
-/// arena is too.
+/// once (as a [`NameEntry`], so the store's children-index keys point at
+/// the same record); namespace vocabularies (directory/file names) are
+/// bounded, so the arena is too.
 fn intern(comp: &str) -> Sym {
     let mut tab = symtab().lock().expect("symbol table poisoned");
     if let Some(&id) = tab.ids.get(comp) {
         return Sym(id);
     }
-    let name: &'static str = Box::leak(comp.to_owned().into_boxed_str());
+    let entry = NameEntry::leak(comp);
     let id = u32::try_from(tab.names.len()).expect("symbol arena overflow");
-    tab.names.push(name);
-    tab.ids.insert(name, id);
+    tab.names.push(entry);
+    tab.ids.insert(entry.text(), id);
     Sym(id)
 }
 
 thread_local! {
-    /// Read-only mirror of the arena's names, refreshed on miss, so
+    /// Read-only mirror of the arena's entries, refreshed on miss, so
     /// resolving a symbol needs no lock after first sight on this thread.
-    static NAMES: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    static NAMES: RefCell<Vec<&'static NameEntry>> = const { RefCell::new(Vec::new()) };
 }
 
-fn resolve(sym: Sym) -> &'static str {
+fn entry(sym: Sym) -> &'static NameEntry {
     NAMES.with(|cache| {
         let mut cache = cache.borrow_mut();
         if (sym.0 as usize) >= cache.len() {
@@ -71,6 +82,10 @@ fn resolve(sym: Sym) -> &'static str {
         }
         cache[sym.0 as usize]
     })
+}
+
+fn resolve(sym: Sym) -> &'static str {
+    entry(sym).text()
 }
 
 /// Interns `name` as a path component and returns the arena-backed string.
@@ -115,15 +130,15 @@ impl InodeName {
     }
 
     /// This name as a children-index key suffix (resolves the symbol to
-    /// its arena string; no interner lock, no allocation).
+    /// its arena entry; no interner lock, no allocation).
     #[must_use]
-    pub fn key(self) -> lambda_store::NameKey {
-        lambda_store::NameKey::new(self.as_str())
+    pub fn key(self) -> NameKey {
+        self.0.key()
     }
 }
 
-impl From<InodeName> for lambda_store::NameKey {
-    fn from(name: InodeName) -> lambda_store::NameKey {
+impl From<InodeName> for NameKey {
+    fn from(name: InodeName) -> NameKey {
         name.key()
     }
 }
@@ -371,6 +386,14 @@ impl DfsPath {
     #[must_use]
     pub fn file_name(&self) -> Option<&'static str> {
         self.comps.as_slice().last().map(|&s| resolve(s))
+    }
+
+    /// [`DfsPath::file_name`] as the already-interned [`InodeName`]: what
+    /// an inode row or a children-index key for this path's entry is built
+    /// from, without going back through the interner by text.
+    #[must_use]
+    pub fn file_name_interned(&self) -> Option<InodeName> {
+        self.comps.as_slice().last().map(|&s| InodeName(s))
     }
 
     /// The parent path, or `None` for the root.

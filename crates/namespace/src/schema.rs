@@ -44,9 +44,10 @@ pub struct MetadataSchema {
     /// inode id → inode.
     pub inodes: TableHandle<InodeId, Inode>,
     /// (parent id, child name) → child inode id. The name suffix is a
-    /// [`NameKey`] — a `Copy` pointer into the component interner arena —
-    /// with an encoding byte-identical to the `(u64, String)` key it
-    /// replaced, so shard routing and lock ordering are unchanged.
+    /// [`NameKey`] — the name's first eight bytes plus a `Copy` pointer to
+    /// its entry in the component interner arena — with an encoding
+    /// byte-identical to the `(u64, String)` key it replaced, so shard
+    /// routing and lock ordering are unchanged.
     pub children: TableHandle<(InodeId, NameKey), InodeId>,
     /// block id → block info.
     pub blocks: TableHandle<BlockId, BlockInfo>,
@@ -92,17 +93,7 @@ impl MetadataSchema {
     /// is missing.
     #[must_use]
     pub fn peek_chain(&self, db: &Db, path: &DfsPath) -> Option<Vec<Inode>> {
-        let mut chain = vec![db.peek(self.inodes, &ROOT_INODE_ID)?];
-        // One children-table probe per component; components are already
-        // arena-backed, so building each probe key is two register moves.
-        let mut parent = ROOT_INODE_ID;
-        for comp in path.components() {
-            let child = db.peek(self.children, &(parent, NameKey::new(comp)))?;
-            let inode = db.peek(self.inodes, &child)?;
-            parent = child;
-            chain.push(inode);
-        }
-        Some(chain)
+        self.peek_chain_ids(db, path)?.into_iter().map(|id| db.peek(self.inodes, &id)).collect()
     }
 
     /// The id chain for `path` (root inclusive) against the committed
@@ -115,14 +106,15 @@ impl MetadataSchema {
     /// them only to drop them.
     #[must_use]
     pub fn peek_chain_ids(&self, db: &Db, path: &DfsPath) -> Option<Vec<InodeId>> {
-        let comps = path.components();
-        let mut ids = Vec::with_capacity(comps.size_hint().0 + 1);
+        // Components are interned symbols, so each probe key is a table
+        // read away — no text, no hashing.
+        let comps = path.comp_syms();
+        let mut ids = Vec::with_capacity(comps.len() + 1);
         ids.push(ROOT_INODE_ID);
         let mut parent = ROOT_INODE_ID;
         for comp in comps {
-            let child = db.peek(self.children, &(parent, NameKey::new(comp)))?;
-            parent = child;
-            ids.push(child);
+            parent = db.peek(self.children, &(parent, comp.key()))?;
+            ids.push(parent);
         }
         Some(ids)
     }
@@ -218,28 +210,30 @@ impl MetadataSchema {
             use std::fmt::Write;
             buf.clear();
             write!(buf, "{prefix}{i:05}").expect("write to String");
-            InodeName::new(buf)
+            // The children-index key rides along, built once per name
+            // (not once per row that carries it).
+            let name = InodeName::new(buf);
+            (name, name.key())
         };
-        let dir_names: Vec<InodeName> =
+        let dir_names: Vec<(InodeName, NameKey)> =
             (0..dirs).map(|d| render(&mut buf, "dir", d)).collect();
-        let file_names: Vec<InodeName> =
+        let file_names: Vec<(InodeName, NameKey)> =
             (0..files_per_dir).map(|f| render(&mut buf, "file", f)).collect();
 
-        let fresh = dir_names
-            .iter()
-            .all(|dn| db.peek(self.children, &(root_id, dn.key())).is_none());
+        let fresh =
+            dir_names.iter().all(|&(_, dkey)| db.peek(self.children, &(root_id, dkey)).is_none());
         let mut out = Vec::with_capacity(dirs);
         if fresh {
             self.stream_tree(db, root_id, &dir_names, &file_names);
-            out.extend(dir_names.iter().map(|&dn| root.join_interned(dn)));
+            out.extend(dir_names.iter().map(|&(dn, _)| root.join_interned(dn)));
             return out;
         }
 
         // Idempotent per-entry path: re-bootstrapping an existing tree
         // (e.g. a harness pre-loading before the workload driver does) is
         // a no-op per existing entry.
-        for (d, &dname) in dir_names.iter().enumerate() {
-            let dir_id = match db.peek(self.children, &(root_id, dname.key())) {
+        for (d, &(dname, dkey)) in dir_names.iter().enumerate() {
+            let dir_id = match db.peek(self.children, &(root_id, dkey)) {
                 Some(id) => id,
                 None => self.bootstrap_add_under(db, root_id, dname, true),
             };
@@ -251,8 +245,8 @@ impl MetadataSchema {
                     "bootstrap parent is a file: {root}/dir{d:05}"
                 );
             }
-            for &fname in &file_names {
-                if db.peek(self.children, &(dir_id, fname.key())).is_none() {
+            for &(fname, fkey) in &file_names {
+                if db.peek(self.children, &(dir_id, fkey)).is_none() {
                     self.bootstrap_add_under(db, dir_id, fname, false);
                 }
             }
@@ -273,13 +267,14 @@ impl MetadataSchema {
     /// Ids are allocated arithmetically in exactly the order the per-entry
     /// path would have produced (each directory's id, then its files'), so
     /// the resulting tables — and every later allocation — are identical
-    /// to the per-entry path followed by a repack.
+    /// to the per-entry path followed by a repack. Each name comes with its
+    /// children-index key.
     fn stream_tree(
         &self,
         db: &Db,
         root_id: InodeId,
-        dir_names: &[InodeName],
-        file_names: &[InodeName],
+        dir_names: &[(InodeName, NameKey)],
+        file_names: &[(InodeName, NameKey)],
     ) {
         let base = self.next_id.get();
         assert!(root_id < base, "tree root must predate the ids of its children");
@@ -289,10 +284,10 @@ impl MetadataSchema {
 
         // The inodes stream ascends by construction: ids are handed out in
         // generation order.
-        let inode_rows = dir_names.iter().enumerate().flat_map(|(d, &dname)| {
+        let inode_rows = dir_names.iter().enumerate().flat_map(|(d, &(dname, _))| {
             let did = dir_id(d);
             std::iter::once((did, Inode::directory(did, root_id, dname))).chain(
-                file_names.iter().enumerate().map(move |(f, &fname)| {
+                file_names.iter().enumerate().map(move |(f, &(fname, _))| {
                     let fid = did + 1 + f as u64;
                     (fid, Inode::file(fid, did, fname))
                 }),
@@ -312,17 +307,16 @@ impl MetadataSchema {
         // every per-directory block (keyed by the strictly larger fresh
         // directory ids), which ascend in generation order.
         let mut dir_order: Vec<u32> = (0..dir_names.len() as u32).collect();
-        dir_order.sort_unstable_by_key(|&d| dir_names[d as usize].as_str());
+        dir_order.sort_unstable_by_key(|&d| dir_names[d as usize].1);
         let mut file_order: Vec<u32> = (0..file_names.len() as u32).collect();
-        file_order.sort_unstable_by_key(|&f| file_names[f as usize].as_str());
-        let root_block = dir_order
-            .iter()
-            .map(|&d| ((root_id, dir_names[d as usize].key()), dir_id(d as usize)));
+        file_order.sort_unstable_by_key(|&f| file_names[f as usize].1);
+        let root_block =
+            dir_order.iter().map(|&d| ((root_id, dir_names[d as usize].1), dir_id(d as usize)));
         let file_blocks = (0..dir_names.len()).flat_map(|d| {
             let did = dir_id(d);
             file_order
                 .iter()
-                .map(move |&f| ((did, file_names[f as usize].key()), did + 1 + u64::from(f)))
+                .map(move |&f| ((did, file_names[f as usize].1), did + 1 + u64::from(f)))
         });
         db.bootstrap_bulk_load(
             self.children,
@@ -487,8 +481,8 @@ mod tests {
         // off a file, indexed; a children row pointing nowhere.
         db.bootstrap_insert(schema.inodes, 999, Inode::file(998, 12345, "orphan"));
         db.bootstrap_insert(schema.inodes, 1000, Inode::file(1000, f, "under-file"));
-        db.bootstrap_insert(schema.children, (f, NameKey::new("under-file")), 1000);
-        db.bootstrap_insert(schema.children, (a, NameKey::new("ghost")), 4242);
+        db.bootstrap_insert(schema.children, (f, InodeName::new("under-file").key()), 1000);
+        db.bootstrap_insert(schema.children, (a, InodeName::new("ghost").key()), 4242);
         assert_eq!(
             schema.check_consistency(&db),
             [

@@ -1,11 +1,17 @@
 //! Property-based tests of the namespace substrate: the path algebra,
-//! the metadata-cache trie against a flat reference model, listing
-//! deltas against set semantics, and partitioner determinism.
+//! the metadata-cache trie against a flat reference model, unlocked path
+//! resolution against a path → id map, listing deltas against set
+//! semantics, and partitioner determinism.
 
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
-use lambda_namespace::{interned, DfsPath, Inode, InodeId, MetadataCache, Partitioner};
+use lambda_namespace::{
+    interned, DfsPath, Inode, InodeId, MetadataCache, MetadataSchema, Partitioner, ROOT_INODE_ID,
+};
+use lambda_sim::params::StoreParams;
+use lambda_sim::SimDuration;
+use lambda_store::Db;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -235,6 +241,69 @@ proptest! {
             prop_assert_eq!(g.id, c.id);
         }
         prop_assert!(cache.lookup(&p).is_none());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Unlocked resolution vs a path → id map
+// ---------------------------------------------------------------------
+
+/// A component drawn to collide where the children index's name keys
+/// compare by an inline eight-byte prefix: numbered names sharing it,
+/// names shorter than it and exactly as long, zero-padded look-alikes and
+/// multi-byte UTF-8 across the boundary.
+fn colliding_component() -> impl Strategy<Value = String> {
+    prop_oneof![
+        3 => "file0001[0-9]",
+        2 => "[ab]{1,7}",
+        1 => "[ab]{8}",
+        2 => "aaaaaa[ab\u{0}é]{1,5}",
+        1 => "[a\u{0}]{1,10}",
+    ]
+}
+
+fn colliding_paths() -> impl Strategy<Value = Vec<DfsPath>> {
+    let path = prop::collection::vec(colliding_component(), 1..=3).prop_map(|comps| {
+        comps.iter().fold(DfsPath::root(), |p, c| p.join(c).expect("valid component"))
+    });
+    prop::collection::vec(path, 1..24)
+}
+
+/// The root, every ancestor, then `p` itself.
+fn lineage(p: &DfsPath) -> impl Iterator<Item = DfsPath> + '_ {
+    p.ancestors().chain(std::iter::once(p.clone()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `peek_chain_ids` resolves exactly the paths that were created, to
+    /// the ids they were created with, and `peek_chain` returns those
+    /// ids' rows — for present paths and for near-miss absent ones.
+    #[test]
+    fn peek_chain_ids_match_peek_chain_and_a_path_map(
+        created in colliding_paths(),
+        probes in colliding_paths(),
+    ) {
+        let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+        let schema = MetadataSchema::install(&db);
+        let mut ids: HashMap<DfsPath, InodeId> = HashMap::from([(DfsPath::root(), ROOT_INODE_ID)]);
+        for p in &created {
+            for dir in lineage(p) {
+                ids.entry(dir.clone()).or_insert_with(|| schema.bootstrap_mkdir(&db, &dir));
+            }
+        }
+        for p in created.iter().chain(&probes) {
+            let want: Option<Vec<InodeId>> = lineage(p).map(|a| ids.get(&a).copied()).collect();
+            prop_assert_eq!(&schema.peek_chain_ids(&db, p), &want, "ids of {}", p);
+            let chain = schema.peek_chain(&db, p);
+            let chain_ids = chain.as_ref().map(|c| c.iter().map(|i| i.id).collect::<Vec<_>>());
+            prop_assert_eq!(&chain_ids, &want, "chain of {}", p);
+            for (inode, name) in chain.iter().flatten().skip(1).zip(p.components()) {
+                prop_assert_eq!(inode.name.as_str(), name);
+            }
+        }
+        prop_assert!(schema.check_consistency(&db).is_empty());
     }
 }
 

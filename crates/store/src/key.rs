@@ -63,39 +63,124 @@ impl KeyCodec for (u64, u64) {
     }
 }
 
-/// A `Copy` name suffix for `(id, name)` row keys: a `&'static str`
-/// (pointing into an interner arena or at a literal) instead of an owned
-/// `String`, so a children-index row key is 24 bytes with no heap box and
-/// cloning one is a memcpy.
+/// One interned name: the text plus its precomputed comparison prefix.
 ///
-/// Equality and ordering are by **content** (`&str`'s own `Ord`), exactly
-/// like the `String` it replaces, so two `NameKey`s built from different
-/// arena entries with equal text still collide — interning is a memory
-/// optimization, never a correctness requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NameKey(&'static str);
+/// Leaked once per distinct name by whoever owns the vocabulary (the
+/// namespace's component interner; tests call [`NameEntry::leak`]), so a
+/// [`NameKey`] can point at it with a thin reference.
+#[derive(Debug)]
+pub struct NameEntry {
+    prefix: u64,
+    text: &'static str,
+}
 
-impl NameKey {
-    /// The smallest key (`""`): the start bound for `ls`-style range scans
-    /// over one parent id, `(dir, NameKey::MIN)..(dir + 1, NameKey::MIN)`.
-    pub const MIN: NameKey = NameKey("");
-
-    /// Wraps a static (interned or literal) name.
+impl NameEntry {
+    /// Leaks a new entry for `name`. Every call allocates: deduplicating
+    /// equal names is the caller's business (equal text compares equal
+    /// across entries regardless).
     #[must_use]
-    pub fn new(name: &'static str) -> NameKey {
-        NameKey(name)
+    pub fn leak(name: &str) -> &'static NameEntry {
+        let text: &'static str = Box::leak(name.into());
+        Box::leak(Box::new(NameEntry { prefix: name_prefix(text), text }))
     }
 
     /// The name text.
     #[must_use]
+    pub fn text(&self) -> &'static str {
+        self.text
+    }
+
+    /// This name as an `(id, name)` row-key suffix.
+    #[must_use]
+    pub fn key(&'static self) -> NameKey {
+        NameKey { prefix: self.prefix, entry: self }
+    }
+}
+
+/// The first eight bytes of `name`, big-endian, zero-padded: comparing two
+/// of these as integers compares those bytes lexicographically.
+fn name_prefix(name: &str) -> u64 {
+    let bytes = name.as_bytes();
+    let mut head = [0u8; 8];
+    let n = bytes.len().min(8);
+    head[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(head)
+}
+
+/// A `Copy` name suffix for `(id, name)` row keys: the name's first eight
+/// bytes inline plus a thin reference to its interned [`NameEntry`], so a
+/// children-index row key is 24 bytes with no heap box, cloning one is a
+/// memcpy, and ordering two keys reads no memory outside them unless
+/// their first eight bytes tie.
+///
+/// Equality, ordering and hashing are by **content**, exactly like the
+/// `String` this stands in for: two `NameKey`s built from different
+/// entries with equal text still collide — interning is a memory
+/// optimization, never a correctness requirement.
+///
+/// Ordering compares the prefixes first. Zero is the smallest byte, so
+/// padding a short name with zeros orders it where `str` does whenever
+/// the prefixes differ. Equal prefixes decide nothing — `"a"` and `"a\0"`
+/// share one — so they always fall through to the full `str` comparison
+/// (skipped when both keys point at the same entry).
+#[derive(Clone, Copy)]
+pub struct NameKey {
+    prefix: u64,
+    entry: &'static NameEntry,
+}
+
+impl NameKey {
+    /// The smallest key (`""`): the start bound for `ls`-style range scans
+    /// over one parent id, `(dir, NameKey::MIN)..(dir + 1, NameKey::MIN)`.
+    pub const MIN: NameKey = NameKey { prefix: 0, entry: &NameEntry { prefix: 0, text: "" } };
+
+    /// The name text.
+    #[must_use]
     pub fn as_str(self) -> &'static str {
-        self.0
+        self.entry.text
+    }
+}
+
+impl PartialEq for NameKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.prefix == other.prefix
+            && (std::ptr::eq(self.entry, other.entry) || self.entry.text == other.entry.text)
+    }
+}
+
+impl Eq for NameKey {}
+
+impl Ord for NameKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match self.prefix.cmp(&other.prefix) {
+            Ordering::Equal if std::ptr::eq(self.entry, other.entry) => Ordering::Equal,
+            Ordering::Equal => self.entry.text.cmp(other.entry.text),
+            decided => decided,
+        }
+    }
+}
+
+impl PartialOrd for NameKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for NameKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.entry.text.hash(state);
+    }
+}
+
+impl fmt::Debug for NameKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("NameKey").field(&self.entry.text).finish()
     }
 }
 
 impl fmt::Display for NameKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.0)
+        f.write_str(self.entry.text)
     }
 }
 
@@ -105,7 +190,7 @@ impl KeyCodec for (u64, NameKey) {
     /// reorders no lock acquisition.
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0.to_be_bytes());
-        out.extend_from_slice(self.1 .0.as_bytes());
+        out.extend_from_slice(self.1.entry.text.as_bytes());
     }
 }
 
@@ -223,6 +308,21 @@ mod tests {
         let mut sorted = encoded.clone();
         sorted.sort();
         assert_eq!(encoded, sorted);
+
+        // The `NameKey` form of the same keys sorts the same way and
+        // encodes to the same bytes (lock keys and shard routing hang off
+        // them).
+        let mut name_keys: Vec<(u64, NameKey)> =
+            keys.iter().rev().map(|(id, name)| (*id, NameEntry::leak(name).key())).collect();
+        name_keys.sort();
+        let name_encoded: Vec<Vec<u8>> = name_keys.iter().map(KeyCodec::encode).collect();
+        assert_eq!(name_encoded, encoded);
+    }
+
+    #[test]
+    fn name_keys_stay_two_words() {
+        assert_eq!(std::mem::size_of::<NameKey>(), 16);
+        assert_eq!(std::mem::size_of::<(u64, NameKey)>(), 24);
     }
 
     #[test]

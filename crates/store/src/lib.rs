@@ -36,7 +36,7 @@ pub use backend::{BackendKind, DurabilityConfig, DurabilityStats};
 pub use db::{Db, DbStats};
 pub use lambda_lsm::{LsmConfig, LsmStats};
 pub use error::{StoreError, StoreResult};
-pub use key::{EncodedKey, KeyCodec, NameKey};
+pub use key::{EncodedKey, KeyCodec, NameEntry, NameKey};
 pub use lock::{Acquire, LockKey, LockManager, LockMode, WaiterToken};
 pub use table::{TableHandle, TableId};
 pub use txn::TxnId;

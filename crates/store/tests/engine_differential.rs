@@ -9,7 +9,10 @@
 //! streams the bootstrap uses. These tests drive randomized op scripts
 //! over both engines and compare after every step, on both `u64` keys
 //! (the inodes table) and composite `(u64, NameKey)` keys (the children
-//! index, where ordering mixes integer and string comparison).
+//! index, where ordering mixes integer and string comparison). `NameKey`
+//! orders by an inline prefix before it looks at the text, so its own
+//! `Ord`/`Eq` are first pinned against `str`'s, and the composite oracle
+//! is keyed by `(u64, String)` — never by the type under test.
 //!
 //! Occupancy pins mirror `bulk_build.rs`: a bulk-built tree must be dense
 //! (≈100% full leaves) and a churned-then-repacked tree must return to
@@ -18,7 +21,7 @@
 //! [`TypedTable`]: lambda_store::Db
 
 use lambda_store::bptree::{BpTree, LEAF_CAP};
-use lambda_store::NameKey;
+use lambda_store::{NameEntry, NameKey};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -41,11 +44,26 @@ fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Interns a test name: differential scripts generate names dynamically,
-/// so back `NameKey`'s `&'static str` with a leaked allocation (test-only;
-/// the real store uses the component interner).
+/// Keys a test name: differential scripts generate names dynamically, so
+/// each gets a leaked entry of its own (test-only; the real store's come
+/// from the component interner).
 fn name(s: &str) -> NameKey {
-    NameKey::new(Box::leak(s.to_string().into_boxed_str()))
+    NameEntry::leak(s).key()
+}
+
+/// Names drawn to collide where `NameKey` is cleverest: around its
+/// eight-byte inline prefix. Numbered names sharing the first eight bytes
+/// (`file00010`…`file00019`), names shorter than eight bytes (the empty
+/// one included) and exactly eight, zero-padded look-alikes (`"a"` vs
+/// `"a\0"`), and multi-byte UTF-8 straddling the boundary.
+fn colliding_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        3 => "file0001[0-9]",
+        3 => "[ab]{0,7}",
+        2 => "[ab]{8}",
+        3 => "aaaaaa[ab\u{0}é]{0,5}",
+        2 => "[a\u{0}]{0,10}",
+    ]
 }
 
 fn assert_same_u64(tree: &BpTree<u64, u64>, model: &BTreeMap<u64, u64>) {
@@ -127,43 +145,76 @@ proptest! {
         assert_same_u64(&tree, &model);
     }
 
+    /// `NameKey` compares, equates and hashes exactly as its text does —
+    /// whichever entries the two keys came from, the same one included.
+    #[test]
+    fn name_key_order_and_equality_match_str(
+        names in proptest::collection::vec(colliding_name(), 2..24),
+    ) {
+        let keys: Vec<NameKey> = names.iter().map(|n| name(n)).collect();
+        let twins: Vec<NameKey> = names.iter().map(|n| name(n)).collect();
+        for (a, ka) in names.iter().zip(&keys) {
+            prop_assert_eq!(ka.as_str(), a.as_str());
+            prop_assert_eq!(ka.cmp(&NameKey::MIN), a.as_str().cmp(""), "{:?} vs MIN", a);
+            for ((b, kb), tb) in names.iter().zip(&keys).zip(&twins) {
+                for other in [kb, tb] {
+                    prop_assert_eq!(ka.cmp(other), a.cmp(b), "{:?} vs {:?}", a, b);
+                    prop_assert_eq!(ka == other, a == b, "{:?} vs {:?}", a, b);
+                }
+            }
+        }
+        let distinct: std::collections::HashSet<&str> = names.iter().map(String::as_str).collect();
+        let hashed: std::collections::HashSet<NameKey> =
+            keys.iter().chain(&twins).copied().collect();
+        prop_assert_eq!(hashed.len(), distinct.len());
+    }
+
     /// Composite `(u64, NameKey)` keys — the children index's shape, where
     /// ordering falls through an integer compare into a string compare and
     /// per-directory blocks sit back to back. Scans slice one parent's
-    /// block the way `ls` does.
+    /// block the way `ls` does. The oracle is keyed by `(u64, String)`: a
+    /// `BTreeMap` keyed by `NameKey` would share a wrong `Ord` with the
+    /// tree it checks.
     #[test]
     fn composite_key_scripts_match_btreemap(
         parents in proptest::collection::btree_set(0u64..24, 1..6),
-        names in proptest::collection::btree_set("[a-z]{1,12}", 1..24),
+        names in proptest::collection::btree_set(colliding_name(), 1..24),
         remove_mask in any::<u64>(),
         ls_parent in 0u64..24,
     ) {
-        let names: Vec<NameKey> = names.iter().map(|n| name(n)).collect();
+        let names: Vec<(NameKey, &str)> = names.iter().map(|n| (name(n), n.as_str())).collect();
         let mut tree: BpTree<(u64, NameKey), u64> = BpTree::new();
-        let mut model: BTreeMap<(u64, NameKey), u64> = BTreeMap::new();
+        let mut model: BTreeMap<(u64, String), u64> = BTreeMap::new();
         for &p in &parents {
-            for (i, &n) in names.iter().enumerate() {
+            for (i, &(n, text)) in names.iter().enumerate() {
                 let v = p << 8 | i as u64;
-                prop_assert_eq!(tree.insert((p, n), v), model.insert((p, n), v));
+                prop_assert_eq!(tree.insert((p, n), v), model.insert((p, text.to_string()), v));
             }
         }
         for (i, &p) in parents.iter().enumerate() {
-            for (j, &n) in names.iter().enumerate() {
+            for (j, &(n, text)) in names.iter().enumerate() {
                 if remove_mask >> ((i * 7 + j) % 64) & 1 == 1 {
-                    prop_assert_eq!(tree.remove(&(p, n)), model.remove(&(p, n)));
+                    // Probe with a key from a fresh entry: lookups must not
+                    // depend on pointing at the stored key's entry.
+                    let removed = tree.remove(&(p, name(text)));
+                    prop_assert_eq!(removed, model.remove(&(p, text.to_string())));
+                    prop_assert_eq!(tree.get(&(p, n)), None);
                 }
             }
         }
         prop_assert_eq!(tree.len(), model.len());
-        let got: Vec<(u64, NameKey)> = tree.iter().map(|(k, _)| *k).collect();
-        let want: Vec<(u64, NameKey)> = model.keys().copied().collect();
+        let got: Vec<(u64, &str)> = tree.iter().map(|((p, n), _)| (*p, n.as_str())).collect();
+        let want: Vec<(u64, &str)> = model.keys().map(|(p, n)| (*p, n.as_str())).collect();
         prop_assert_eq!(got, want, "composite iteration order diverged");
         tree.check_invariants();
 
         // One directory's listing: the per-parent block slice.
         let r = (ls_parent, NameKey::MIN)..(ls_parent + 1, NameKey::MIN);
-        let got: Vec<NameKey> = tree.range(&r).map(|((_, n), _)| *n).collect();
-        let want: Vec<NameKey> = model.range(r.clone()).map(|((_, n), _)| *n).collect();
+        let got: Vec<&str> = tree.range(&r).map(|((_, n), _)| n.as_str()).collect();
+        let want: Vec<&str> = model
+            .range((ls_parent, String::new())..(ls_parent + 1, String::new()))
+            .map(|((_, n), _)| n.as_str())
+            .collect();
         prop_assert_eq!(&got, &want, "listing of parent {}", ls_parent);
         prop_assert_eq!(tree.count_range(&r), want.len());
     }

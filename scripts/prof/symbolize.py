@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Symbolizes sigprof.c captures: self and inclusive tables, and a top-down tree.
+
+    symbolize.py [--top N] [--root NAME] [--min-share PCT] capture.<pid> ...
+
+Addresses in the executable are resolved through `addr2line -f -C -i`
+(inlined frames count as frames). Shared objects carry no debug info here,
+so theirs are named from `nm -D` (exported symbols with sizes), from where
+the capture says libc's IFUNC'd string functions resolved to, or else as
+`[object+page]`. A sample whose instruction pointer is outside the
+executable takes the word at its stack pointer as its caller when that
+word points into code: libc's leaf routines keep no frame, and the
+frame-pointer chain alone would skip the function that called them.
+
+Shares are of all samples given; with `--root NAME` a call tree is printed
+below the outermost frame whose function name contains NAME, with shares
+of the samples that reach it.
+"""
+import argparse
+import bisect
+import collections
+import re
+import subprocess
+import sys
+
+HASH = re.compile(r"::h[0-9a-f]{16}$")
+ESCAPES = {"$LT$": "<", "$GT$": ">", "$C$": ",", "$u20$": " ", "$RF$": "&", "$BP$": "*",
+           "$u7b$": "{", "$u7d$": "}", "$LP$": "(", "$RP$": ")", "$u5b$": "[", "$u5d$": "]",
+           "..": "::"}
+
+
+def clean(name):
+    name = HASH.sub("", name)
+    for esc, text in ESCAPES.items():
+        name = name.replace(esc, text)
+    return name
+
+
+def read_capture(path):
+    """Returns (samples, ifuncs, exe, maps).
+
+    A sample is [ip, word at sp, return addresses innermost first]; ifuncs is
+    sorted (address, name); maps is sorted (start, end, load bias, file).
+    """
+    samples, ifuncs, exe, maps, bases = [], [], "", [], {}
+    with open(path) as f:
+        lines = iter(f)
+        for line in lines:
+            fields = line.split()
+            if fields[:1] == ["MAPS"]:
+                break
+            if fields[:1] == ["SYM"]:
+                ifuncs.append((int(fields[2], 16), fields[1]))
+            elif fields[:1] == ["EXE"]:
+                exe = line[4:].rstrip("\n")
+            elif fields:
+                samples.append([int(a, 16) for a in fields])
+        for line in lines:
+            fields = line.split()
+            if len(fields) < 6 or not fields[5].startswith("/"):
+                continue
+            start, end = (int(x, 16) for x in fields[0].split("-"))
+            # The load bias of an object is where its offset-0 mapping starts.
+            base = bases.setdefault(fields[5], start - int(fields[2], 16))
+            if "x" in fields[1]:
+                maps.append((start, end, base, fields[5]))
+    return samples, sorted(ifuncs), exe, sorted(maps)
+
+
+def object_of(addr, maps, starts):
+    i = bisect.bisect_right(starts, addr) - 1
+    return maps[i] if i >= 0 and addr < maps[i][1] else None
+
+
+def exported(obj):
+    """Sorted (start, end, name) of the object's sized dynamic symbols."""
+    out = subprocess.run(["nm", "-D", "-S", "--defined-only", obj], text=True,
+                         capture_output=True).stdout
+    syms = []
+    for line in out.splitlines():
+        fields = line.split()
+        if len(fields) == 4:
+            start = int(fields[0], 16)
+            syms.append((start, start + int(fields[1], 16), fields[3].split("@")[0]))
+    return sorted(syms)
+
+
+def symbolize(addresses, ifuncs, exe, maps):
+    """Maps each address to its frames, innermost first: [function, ...]."""
+    starts = [m[0] for m in maps]
+    by_object = collections.defaultdict(list)
+    frames = {}
+    for addr in addresses:
+        m = object_of(addr, maps, starts)
+        if m:
+            by_object[m[3]].append((addr, addr - m[2]))
+        else:
+            frames[addr] = ["[unmapped]"]
+    for obj, pairs in by_object.items():
+        short = obj.rsplit("/", 1)[-1]
+        if obj != exe:
+            syms = exported(obj)
+            for addr, vaddr in pairs:
+                i = bisect.bisect_right(syms, (vaddr, float("inf"), "")) - 1
+                j = bisect.bisect_right(ifuncs, (addr, "~")) - 1
+                if i >= 0 and vaddr < syms[i][1]:
+                    frames[addr] = [f"{syms[i][2]} [{short}]"]
+                elif j >= 0 and addr - ifuncs[j][0] < 4096:
+                    # Several names can share one implementation (memcpy and
+                    # memmove do): list them all.
+                    names = "/".join(n for a, n in ifuncs if a == ifuncs[j][0])
+                    frames[addr] = [f"{names} [{short}]"]
+                else:
+                    frames[addr] = [f"[{short}+{vaddr & ~0xfff:#x}]"]
+            continue
+        out = subprocess.run(["addr2line", "-a", "-f", "-C", "-i", "-e", obj],
+                             input="\n".join(hex(v) for _, v in pairs), text=True,
+                             capture_output=True, check=True).stdout.splitlines()
+        groups, i = [], 0
+        while i < len(out):
+            if out[i].startswith("0x"):
+                groups.append([])
+                i += 1
+            else:
+                groups[-1].append(out[i])  # function; out[i + 1] is file:line
+                i += 2
+        for (addr, _), names in zip(pairs, groups):
+            frames[addr] = [clean(n) if n != "??" else f"[{short}]" for n in names]
+    return frames
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("captures", nargs="+")
+    ap.add_argument("--top", type=int, default=25, help="rows per table")
+    ap.add_argument("--root", help="print a call tree below the frame containing this text")
+    ap.add_argument("--min-share", type=float, default=1.0, help="prune tree nodes below this %%")
+    args = ap.parse_args()
+
+    stacks = []  # outermost first, function names
+    for path in args.captures:
+        samples, ifuncs, exe, maps = read_capture(path)
+        starts = [m[0] for m in maps]
+        chains = []
+        for ip, at_sp, *returns in samples:
+            leaf, caller = object_of(ip, maps, starts), object_of(at_sp, maps, starts)
+            if leaf and leaf[3] != exe and caller and at_sp not in returns[:1]:
+                returns.insert(0, at_sp)
+            # A return address points past its call: step back into it.
+            chains.append([ip] + [a - 1 for a in returns])
+        frames = symbolize({a for c in chains for a in c}, ifuncs, exe, maps)
+        for c in chains:
+            stacks.append([f for a in c for f in frames[a]][::-1])
+    total = len(stacks)
+    if not total:
+        sys.exit("no samples")
+
+    self_count = collections.Counter(s[-1] for s in stacks)
+    incl_count = collections.Counter(f for s in stacks for f in set(s))
+    for title, table in (("self", self_count), ("inclusive", incl_count)):
+        print(f"\n== {title}: top {args.top} of {total} samples ==")
+        for name, n in table.most_common(args.top):
+            print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
+
+    if args.root:
+        tree = lambda: {"n": 0, "kids": collections.defaultdict(tree)}
+        root, reached = tree(), 0
+        for s in stacks:
+            at = next((i for i, f in enumerate(s) if args.root in f), None)
+            if at is None:
+                continue
+            reached += 1
+            node = root
+            for f in s[at:]:
+                node = node["kids"][f]
+                node["n"] += 1
+        print(f"\n== below {args.root!r}: {reached} of {total} samples "
+              f"({100 * reached / total:.1f}%) ==")
+
+        def show(node, depth):
+            for name, kid in sorted(node["kids"].items(), key=lambda kv: -kv[1]["n"]):
+                if 100 * kid["n"] / reached >= args.min_share:
+                    print(f"{100 * kid['n'] / reached:6.2f}%  {'  ' * depth}{name}")
+                    show(kid, depth + 1)
+        if reached:
+            show(root, 0)
+
+
+if __name__ == "__main__":
+    main()

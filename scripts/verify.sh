@@ -48,7 +48,9 @@
 #      release + alloc-stats): lean reads (point gets + visitor scans)
 #      against a 250k-inode tree must make zero heap allocations; through
 #      a warmed λFS, a cached ls of 8 and of 512 children must allocate
-#      equally often and a Stat/ReadFile/Ls mix at most 16 times per op.
+#      equally often and a Stat/ReadFile/Ls mix at most 16 times per op;
+#      a first-touch Stat/ReadFile (cache miss resolved against the
+#      store) at most 21 times.
 #  15. LSM crash/replay differential: the lambda-lsm proptests (random
 #      put/delete/flush interleavings crashed at arbitrary points; WAL
 #      replay must reconstruct the exact pre-crash visible state) run
@@ -130,7 +132,7 @@ cargo test -q --release --offline -p lambda-bench --features alloc-stats --test 
 echo "== store engine bench smoke (arena B+ tree vs std BTreeMap) =="
 ./target/release/bench_store --smoke
 
-echo "== per-op allocation regression (lean reads zero; warmed reads per event) =="
+echo "== per-op allocation regression (lean reads zero; warmed and first-touch reads per event) =="
 cargo test -q --release --offline -p lambda-bench --features alloc-stats --test alloc_per_op
 
 echo "== LSM crash/replay differential proptests =="
