@@ -291,13 +291,12 @@ impl OpEngine {
                     done(sim, Err(store_error(&e)));
                 }
                 Ok(rows) => {
-                    // The fetched suffix lands straight on the cached
-                    // prefix; a missing row voids the chain.
-                    let mut chain = prefix;
-                    let want = chain.len() + rows.len();
-                    chain.reserve(rows.len());
-                    chain.extend(rows.into_iter().flatten());
-                    let chain = (chain.len() == want).then_some(chain);
+                    let suffix: Option<Vec<Inode>> = rows.into_iter().collect();
+                    let chain: Option<Vec<Inode>> = suffix.map(|suffix| {
+                        let mut chain = prefix;
+                        chain.extend(suffix);
+                        chain
+                    });
                     let valid =
                         chain.as_ref().is_some_and(|chain| chain_matches(chain, &path));
                     let this2 = this.clone();
@@ -731,7 +730,7 @@ impl OpEngine {
                     inodes: vec![target.id],
                     listings: Vec::new(),
                     listing_updates: vec![
-                        (target.parent, lambda_namespace::interned(&target.name), false),
+                        (target.parent, target.name.as_str(), false),
                         (dst_parent.id, dst_name.as_str(), true),
                     ],
                     prefix: None,

@@ -146,9 +146,9 @@ impl MetadataSchema {
             .pop()
             .expect("chain non-empty");
         assert!(parent.is_dir(), "bootstrap parent is a file: {parent_path}");
-        // One intern for the whole entry; the inode row and the children
-        // key both reuse it.
-        let name = InodeName::new(path.file_name().expect("non-root"));
+        // The path interned its components already; the inode row and the
+        // children key both reuse that symbol.
+        let name = path.file_name_interned().expect("non-root");
         assert!(
             db.peek(self.children, &(parent.id, name.key())).is_none(),
             "bootstrap name collision: {path}"

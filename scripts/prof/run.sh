@@ -2,7 +2,7 @@
 # Samples one benchmark workload with the SIGPROF sampler (sigprof.c) and
 # prints where the time went (symbolize.py):
 #
-#   scripts/prof/run.sh <workload> [reps] [seed] [-- symbolize.py options]
+#   scripts/prof/run.sh <workload> [reps] [seed] [-- --root NAME]
 #   scripts/prof/run.sh tree_10m 4 1 -- --root peek_chain_ids
 #
 # Builds `lfsbench` with frame pointers into its own target directory
@@ -12,7 +12,7 @@
 # further symbolize.py runs. It measures; it gates nothing.
 set -euo pipefail
 
-workload="${1:?usage: run.sh <workload> [reps] [seed] [-- symbolize.py options]}"
+workload="${1:?usage: run.sh <workload> [reps] [seed] [-- --root NAME]}"
 reps="${2:-4}"
 seed="${3:-1}"
 shift $(( $# < 3 ? $# : 3 ))

@@ -13,10 +13,11 @@
  * the executable's path and `/proc/self/maps`; symbolize.py reads that.
  *
  * Only the main thread's stack is walked (other threads contribute their
- * instruction pointer alone); x86-64 Linux only.
+ * instruction pointer alone; each handler reserves its record atomically,
+ * so concurrent ones do not interleave); x86-64 Linux only.
  *
  *   gcc -O2 -shared -fPIC -o libsigprof.so sigprof.c
- *   SIGPROF_HZ=250 SIGPROF_OUT=prof LD_PRELOAD=./libsigprof.so ./program
+ *   SIGPROF_OUT=prof LD_PRELOAD=./libsigprof.so ./program
  */
 #define _GNU_SOURCE
 #include <dlfcn.h>
@@ -30,20 +31,23 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#define HZ 250
 #define MAX_DEPTH 64
-#define MAX_WORDS (8u << 20) /* 64 MiB of untouched .bss until sampled into */
+#define RECORD (1 + MAX_DEPTH) /* depth, then the addresses */
+#define MAX_WORDS (8u << 20)   /* 64 MiB of untouched .bss until sampled into */
 
 extern char **environ;
 
-static uintptr_t words[MAX_WORDS]; /* per sample: depth, then the addresses */
+static uintptr_t words[MAX_WORDS];
 static size_t used;
 static uintptr_t stack_lo, stack_hi;
 
 static void on_sigprof(int sig, siginfo_t *info, void *context) {
     (void)sig, (void)info;
     const ucontext_t *uc = context;
-    if (used + 1 + MAX_DEPTH > MAX_WORDS) return;
-    uintptr_t *sample = &words[used + 1];
+    size_t at = __atomic_fetch_add(&used, RECORD, __ATOMIC_RELAXED);
+    if (at + RECORD > MAX_WORDS) return;
+    uintptr_t *sample = &words[at + 1];
     size_t depth = 0;
     sample[depth++] = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
     uintptr_t sp = (uintptr_t)uc->uc_mcontext.gregs[REG_RSP];
@@ -60,8 +64,7 @@ static void on_sigprof(int sig, siginfo_t *info, void *context) {
             fp = frame[0];
         }
     }
-    words[used] = depth;
-    used += 1 + depth;
+    words[at] = depth; /* last: a record without it dumps as an empty line */
 }
 
 __attribute__((constructor)) static void sigprof_start(void) {
@@ -76,10 +79,7 @@ __attribute__((constructor)) static void sigprof_start(void) {
     sa.sa_sigaction = on_sigprof;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigaction(SIGPROF, &sa, NULL);
-    const char *hz_text = getenv("SIGPROF_HZ");
-    long hz = hz_text ? atol(hz_text) : 250;
-    if (hz < 2 || hz > 10000) hz = 250;
-    struct itimerval tick = {{0, 1000000 / hz}, {0, 1000000 / hz}};
+    struct itimerval tick = {{0, 1000000 / HZ}, {0, 1000000 / HZ}};
     setitimer(ITIMER_PROF, &tick, NULL);
 }
 
@@ -91,7 +91,7 @@ __attribute__((destructor)) static void sigprof_dump(void) {
     snprintf(path, sizeof path, "%s.%d", prefix ? prefix : "sigprof", (int)getpid());
     FILE *out = fopen(path, "w");
     if (!out) return;
-    for (size_t at = 0; at < used; at += 1 + words[at]) {
+    for (size_t at = 0; at + RECORD <= MAX_WORDS && at < used; at += RECORD) {
         for (size_t i = 1; i <= words[at]; i++)
             fprintf(out, "%s%lx", i > 1 ? " " : "", (unsigned long)words[at + i]);
         fputc('\n', out);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolizes sigprof.c captures: self and inclusive tables, and a top-down tree.
 
-    symbolize.py [--top N] [--root NAME] [--min-share PCT] capture.<pid> ...
+    symbolize.py [--root NAME] capture.<pid> ...
 
 Addresses in the executable are resolved through `addr2line -f -C -i`
 (inlined frames count as frames). Shared objects carry no debug info here,
@@ -14,7 +14,7 @@ frame-pointer chain alone would skip the function that called them.
 
 Shares are of all samples given; with `--root NAME` a call tree is printed
 below the outermost frame whose function name contains NAME, with shares
-of the samples that reach it.
+of the samples that reach it; nodes below MIN_SHARE percent are pruned.
 """
 import argparse
 import bisect
@@ -23,6 +23,8 @@ import re
 import subprocess
 import sys
 
+TOP = 25  # rows per table
+MIN_SHARE = 1.0  # percent of the samples reaching the root; smaller tree nodes are pruned
 HASH = re.compile(r"::h[0-9a-f]{16}$")
 ESCAPES = {"$LT$": "<", "$GT$": ">", "$C$": ",", "$u20$": " ", "$RF$": "&", "$BP$": "*",
            "$u7b$": "{", "$u7d$": "}", "$LP$": "(", "$RP$": ")", "$u5b$": "[", "$u5d$": "]",
@@ -132,9 +134,7 @@ def symbolize(addresses, ifuncs, exe, maps):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("captures", nargs="+")
-    ap.add_argument("--top", type=int, default=25, help="rows per table")
     ap.add_argument("--root", help="print a call tree below the frame containing this text")
-    ap.add_argument("--min-share", type=float, default=1.0, help="prune tree nodes below this %%")
     args = ap.parse_args()
 
     stacks = []  # outermost first, function names
@@ -158,8 +158,8 @@ def main():
     self_count = collections.Counter(s[-1] for s in stacks)
     incl_count = collections.Counter(f for s in stacks for f in set(s))
     for title, table in (("self", self_count), ("inclusive", incl_count)):
-        print(f"\n== {title}: top {args.top} of {total} samples ==")
-        for name, n in table.most_common(args.top):
+        print(f"\n== {title}: top {TOP} of {total} samples ==")
+        for name, n in table.most_common(TOP):
             print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
 
     if args.root:
@@ -179,7 +179,7 @@ def main():
 
         def show(node, depth):
             for name, kid in sorted(node["kids"].items(), key=lambda kv: -kv[1]["n"]):
-                if 100 * kid["n"] / reached >= args.min_share:
+                if 100 * kid["n"] / reached >= MIN_SHARE:
                     print(f"{100 * kid['n'] / reached:6.2f}%  {'  ' * depth}{name}")
                     show(kid, depth + 1)
         if reached:
