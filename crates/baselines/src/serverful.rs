@@ -86,12 +86,6 @@ impl ServerfulCluster {
         }
     }
 
-    /// Number of servers.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Total provisioned vCPUs (billed whether busy or idle).
     #[must_use]
     pub fn vcpus_total(&self) -> u32 {

@@ -45,9 +45,8 @@ pub use industrial::{
 };
 pub use micro_exp::{run_micro_point, MicroParams, MicroPoint, MICRO_OPS};
 pub use report::{
-    arg_f64, arg_flag, arg_u64, arg_usize, bench_threads, fmt_events_per_sec, fmt_ms, fmt_ops,
-    host_cores, print_series, print_table, run_parallel, run_parallel_ops, scale_from_args,
-    write_json,
+    arg_f64, arg_flag, arg_u64, arg_usize, bench_threads, fmt_ms, fmt_ops, host_cores,
+    print_series, print_table, run_parallel, run_parallel_ops, scale_from_args, write_json,
 };
 pub use subtree_exp::{run_subtree_mv, SubtreeMvResult};
 pub use tree_exp::{run_tree_point, TreePoint, TreeSystem};

@@ -61,7 +61,7 @@ pub fn inventory(workspace_root: &Path) -> Vec<LocEntry> {
             }
         }
     }
-    for extra in ["examples", "tests", "src"] {
+    for extra in ["examples", "tests", "src", "benchmark", "stubs"] {
         let dir = workspace_root.join(extra);
         if dir.is_dir() {
             let (lines, files) = count_dir(&dir);
@@ -87,6 +87,7 @@ mod tests {
     fn inventory_sees_this_workspace() {
         let entries = inventory(&workspace_root());
         assert!(entries.iter().any(|e| e.component == "crates/sim"));
+        assert!(entries.iter().any(|e| e.component == "benchmark" && e.lines > 0));
         let total: usize = entries.iter().map(|e| e.lines).sum();
         assert!(total > 5_000, "suspiciously small workspace: {total} lines");
     }

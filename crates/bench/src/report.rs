@@ -251,15 +251,6 @@ where
         .collect()
 }
 
-/// Formats an events-per-second wall-clock rate for run summaries.
-#[must_use]
-pub fn fmt_events_per_sec(events: u64, wall_secs: f64) -> String {
-    if wall_secs <= 0.0 {
-        return "-".to_string();
-    }
-    format!("{} events/s", fmt_ops(events as f64 / wall_secs))
-}
-
 /// Writes a machine-readable result file to `results/<name>.json`
 /// (creating the directory if needed) and returns its path.
 ///

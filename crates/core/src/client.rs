@@ -870,21 +870,6 @@ impl ClientLib {
         }
     }
 
-    /// Per-VM, per-server connection counts by deployment (diagnostics).
-    #[must_use]
-    pub fn connection_snapshot(&self) -> Vec<Vec<(u32, usize)>> {
-        let inner = self.inner.borrow();
-        inner
-            .vms
-            .iter()
-            .flat_map(|vm| {
-                vm.servers
-                    .iter()
-                    .map(|s| s.connections.iter().map(|(d, c)| (*d, c.len())).collect())
-            })
-            .collect()
-    }
-
     fn remove_connection(&self, deployment: u32, instance: InstanceId) {
         let mut inner = self.inner.borrow_mut();
         for vm in &mut inner.vms {

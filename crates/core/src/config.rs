@@ -148,14 +148,6 @@ impl Default for LambdaFsConfig {
     }
 }
 
-impl LambdaFsConfig {
-    /// Total vCPUs λFS would use if every deployment ran one instance.
-    #[must_use]
-    pub fn baseline_vcpus(&self) -> u32 {
-        self.deployments * self.nn_vcpus
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,10 +1,11 @@
 //! The pre-overhaul platform, retained verbatim for differential testing
-//! and as the `bench_faas` comparison baseline: a `BTreeMap` instance
-//! table, full-table scans for routing/reclamation/billing, a boxed
-//! wrapper closure per dispatched request, and per-invocation config
-//! clones. Behavior is the contract: `tests/platform_differential.rs`
-//! drives this and [`crate::Platform`] with identical schedules and
-//! requires identical observables.
+//! and nothing else: a `BTreeMap` instance table, full-table scans for
+//! routing/reclamation/billing, a boxed wrapper closure per dispatched
+//! request, and per-invocation config clones. Behavior is the contract:
+//! `tests/platform_differential.rs` drives this and [`crate::Platform`]
+//! with identical schedules and requires identical observables. Nothing
+//! outside tests should use this module (`scripts/verify.sh` fails if any
+//! other `.rs` file names it).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};

@@ -87,16 +87,6 @@ impl LsmStats {
             self.bytes_compacted as f64 / self.bytes_ingested as f64
         }
     }
-
-    /// Mean SSTables probed per user read.
-    #[must_use]
-    pub fn read_amplification(&self) -> f64 {
-        if self.user_reads == 0 {
-            0.0
-        } else {
-            self.tables_probed as f64 / self.user_reads as f64
-        }
-    }
 }
 
 /// What a crash-recovery pass did: how much of the WAL was lost vs
@@ -183,12 +173,6 @@ impl LsmTree {
     #[must_use]
     pub fn wal(&self) -> &Wal {
         &self.wal
-    }
-
-    /// Number of SSTables per level, L0 first.
-    #[must_use]
-    pub fn level_table_counts(&self) -> Vec<usize> {
-        self.levels.iter().map(Vec::len).collect()
     }
 
     /// Inserts or replaces a key. Returns the mutation's WAL sequence

@@ -1,13 +1,14 @@
-//! The **pre-overhaul** metadata cache trie, retained verbatim as a
-//! differential-testing and benchmarking baseline.
+//! The **pre-overhaul** metadata cache trie, retained verbatim as the
+//! reference of a differential test.
 //!
 //! PR 3 replaced this `HashMap<String, usize>`-child, `BTreeSet`-LRU trie
 //! with the arena/symbol-keyed trie in [`crate::MetadataCache`]. The two
 //! implementations must stay observationally equivalent: the differential
 //! proptest in `tests/cache_differential.rs` drives identical operation
 //! sequences through both and asserts equal statistics and surviving-entry
-//! sets, and `bench_metadata` measures the speedup of the new trie against
-//! this one. Do not "improve" this module — its value is standing still.
+//! sets. Do not "improve" this module — its value is standing still — and
+//! use it nowhere outside tests (`scripts/verify.sh` fails if any other
+//! `.rs` file names it).
 
 use std::collections::{BTreeSet, HashMap};
 

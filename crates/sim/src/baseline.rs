@@ -5,19 +5,14 @@
 //! event-store rewrite (see the [`engine`](crate::engine) docs): every
 //! scheduled event is a `Box<dyn FnOnce>` carried *inside* the binary-heap
 //! entry, station completions box a fresh closure per job, and periodic
-//! events re-box their tick closure every period. It exists for two
-//! purposes:
+//! events re-box their tick closure every period. It exists for one
+//! purpose, differential testing: the property tests in
+//! `crates/sim/tests/differential.rs` drive [`BoxedSim`] and
+//! [`Sim`](crate::Sim) with identical schedules and require identical
+//! firing orders, clocks, and station statistics.
 //!
-//! 1. **Differential testing** — the property tests in
-//!    `crates/sim/tests/differential.rs` drive [`BoxedSim`] and
-//!    [`Sim`](crate::Sim) with identical schedules and require identical
-//!    firing orders, clocks, and station statistics.
-//! 2. **Benchmarking** — `cargo run -p lambda-bench --bin bench_kernel`
-//!    measures the slab kernel's event throughput against this baseline;
-//!    the ≥2× acceptance floor in `results/BENCH_kernel.json` is relative
-//!    to these types.
-//!
-//! Nothing outside tests and benches should use this module.
+//! Nothing outside tests should use this module (`scripts/verify.sh`
+//! fails if any other `.rs` file names it).
 
 use std::cell::RefCell;
 use std::cmp::Ordering;

@@ -234,12 +234,6 @@ impl Timeline {
         Timeline { bucket, values: Vec::new() }
     }
 
-    /// Bucket width.
-    #[must_use]
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
-    }
-
     /// Adds `value` to the bucket containing instant `at`.
     pub fn add(&mut self, at: SimTime, value: f64) {
         let idx = (at.as_nanos() / self.bucket.as_nanos()) as usize;

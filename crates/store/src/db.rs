@@ -430,23 +430,6 @@ impl Db {
         self.with_table(table, |t| t.rows.len())
     }
 
-    /// Names and row counts of all tables (reporting aid). The names are
-    /// shared handles, not per-call string copies.
-    #[must_use]
-    pub fn table_inventory(&self) -> Vec<(Rc<str>, usize)> {
-        let inner = self.inner.borrow();
-        inner.tables.iter().map(|t| (t.name_shared(), t.len())).collect()
-    }
-
-    /// Rows written so far by an active transaction, if it exists.
-    ///
-    /// Reports 0 once [`Db::commit`] has claimed the write set (the commit
-    /// charge is then in flight).
-    #[must_use]
-    pub fn txn_write_count(&self, txn: TxnId) -> Option<u32> {
-        self.inner.borrow().txns.get(&txn).map(|s| s.total_writes())
-    }
-
     /// Builds the canonical lock key for a row.
     #[must_use]
     pub fn lock_key<K: KeyCodec, V>(&self, table: TableHandle<K, V>, key: &K) -> LockKey {

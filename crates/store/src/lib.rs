@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod baseline;
 pub mod bptree;
 mod db;
 mod error;
@@ -37,7 +36,7 @@ pub use db::{Db, DbStats};
 pub use lambda_lsm::{LsmConfig, LsmStats};
 pub use error::{StoreError, StoreResult};
 pub use key::{EncodedKey, KeyCodec, NameEntry, NameKey};
-pub use lock::{Acquire, LockKey, LockManager, LockMode, WaiterToken};
+pub use lock::{LockKey, LockMode};
 pub use table::{TableHandle, TableId};
 pub use txn::TxnId;
 

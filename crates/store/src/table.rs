@@ -10,8 +10,7 @@
 //! [`bptree`](crate::bptree) module docs) is invisible at this layer:
 //! `TypedTable` keeps the exact same surface and semantics, and
 //! `tests/engine_differential.rs` pins the equivalence against the std
-//! map. The pre-overhaul store in [`baseline`](crate::baseline) still
-//! runs on `BTreeMap`, serving as the end-to-end oracle.
+//! map.
 
 use std::any::Any;
 use std::fmt;
@@ -81,10 +80,6 @@ impl<K, V> fmt::Debug for TableHandle<K, V> {
 pub(crate) trait AnyTable {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// The name as a shared handle (inventory reporting without a deep
-    /// string copy per call).
-    fn name_shared(&self) -> Rc<str>;
-    fn len(&self) -> usize;
     /// Repacks the backing B-tree into dense nodes (see
     /// [`TypedTable::repack`]).
     fn repack(&mut self);
@@ -234,12 +229,6 @@ impl<K: KeyCodec, V: Clone + 'static> AnyTable for TypedTable<K, V> {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-    fn name_shared(&self) -> Rc<str> {
-        Rc::clone(&self.name)
-    }
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
     fn repack(&mut self) {
         TypedTable::repack(self);
     }
@@ -264,7 +253,7 @@ mod tests {
         assert_eq!(t.insert(1, "b".into()), Some("a".into()));
         assert_eq!(t.get(&1), Some(&"b".to_string()));
         assert_eq!(t.remove(&1), Some("b".into()));
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.rows.len(), 0);
     }
 
     #[test]
@@ -283,7 +272,6 @@ mod tests {
     #[test]
     fn any_table_round_trips_through_registry_types() {
         let t: Box<dyn AnyTable> = Box::new(TypedTable::<u64, u64>::new("x"));
-        assert_eq!(&*t.name_shared(), "x");
         assert!(t.as_any().downcast_ref::<TypedTable<u64, u64>>().is_some());
         assert!(t.as_any().downcast_ref::<TypedTable<u64, String>>().is_none());
     }

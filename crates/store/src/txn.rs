@@ -58,10 +58,6 @@ impl TxnState {
             shadow_log: Vec::new(),
         }
     }
-
-    pub(crate) fn total_writes(&self) -> u32 {
-        self.writes_per_shard.values().sum()
-    }
 }
 
 impl fmt::Debug for TxnState {
@@ -90,7 +86,7 @@ mod tests {
         let mut st = TxnState::new();
         *st.writes_per_shard.entry(0).or_default() += 2;
         *st.writes_per_shard.entry(3).or_default() += 1;
-        assert_eq!(st.total_writes(), 3);
+        assert_eq!(st.writes_per_shard.values().sum::<u32>(), 3);
         assert_eq!(st.phase, TxnPhase::Active);
     }
 }

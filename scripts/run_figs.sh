@@ -3,6 +3,8 @@
 #   scripts/run_figs.sh            # every figure and table
 #   scripts/run_figs.sh fig10_latency_cdfs fig15_fault_tolerance
 # Build first: cargo build --release --offline
+# Runs every binary named even if one fails (panic, or the 1 800 s
+# timeout), then exits 1 naming the failures.
 set -u
 cd "$(dirname "$0")/.."
 if [ $# -eq 0 ]; then
@@ -12,9 +14,24 @@ if [ $# -eq 0 ]; then
          tab03_subtree_mv fig15_fault_tolerance fig16_indexfs ablation_knobs
 fi
 mkdir -p results
+failed=()
 for bin in "$@"; do
   echo "=== RUNNING $bin $(date +%T) ==="
-  timeout 1800 "./target/release/$bin" > "results/$bin.txt" 2>&1
-  echo "=== DONE $bin rc=$? $(date +%T) ==="
+  out="$(mktemp)"
+  timeout 1800 "./target/release/$bin" > "$out" 2>&1
+  rc=$?
+  echo "=== DONE $bin rc=$rc $(date +%T) ==="
+  # Only a complete run replaces results/<bin>.txt; keep going either
+  # way so the other files are still regenerated.
+  if [ "$rc" -eq 0 ]; then
+    mv "$out" "results/$bin.txt"
+  else
+    echo "$bin failed; its truncated output is kept in $out" >&2
+    failed+=("$bin")
+  fi
 done
+if [ ${#failed[@]} -gt 0 ]; then
+  echo "FIGS_FAILED: ${failed[*]}" >&2
+  exit 1
+fi
 echo FIGS_DONE
