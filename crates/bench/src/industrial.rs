@@ -8,7 +8,7 @@ use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig};
 use lambda_namespace::OpClass;
 use lambda_sim::params::StoreParams;
 use lambda_sim::{every, Sim, SimDuration, SimTime};
-use lambda_workload::{run_spotify, SpotifyConfig};
+use lambda_workload::{run_spotify, SpotifyConfig, SpotifyRun};
 
 /// Which system an industrial run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,18 +161,17 @@ pub struct IndustrialReport {
     pub tcp_rpcs: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The report of a finished run. The λFS-only series (`namenodes_per_sec`,
+/// `cost_simplified_cumulative`) are left empty for the caller to fill.
 fn collect_report<S: DfsService>(
     system: &S,
-    label: &str,
-    offered: Vec<f64>,
-    generated: u64,
-    nn_series: Vec<f64>,
-    cost_cumulative: Vec<f64>,
-    cost_simplified: Vec<f64>,
-    vcpus: u32,
+    kind: SystemKind,
+    run: &SpotifyRun,
     workload_secs: f64,
+    vcpus: u32,
+    cost_cumulative: Vec<f64>,
 ) -> IndustrialReport {
+    let offered = run.offered.buckets();
     let metrics = system.run_metrics();
     let mut metrics = metrics.borrow_mut();
     let throughput = metrics.throughput.buckets();
@@ -221,7 +220,7 @@ fn collect_report<S: DfsService>(
         .map(|(tp, c)| if *c > 1e-12 { tp / c } else { 0.0 })
         .collect();
     IndustrialReport {
-        system: label.to_string(),
+        system: kind.label().to_string(),
         offered_per_sec: offered,
         throughput_per_sec: throughput,
         avg_throughput,
@@ -229,12 +228,12 @@ fn collect_report<S: DfsService>(
         avg_latency_ms,
         latency_by_class,
         cdf_by_class,
-        generated,
+        generated: run.generated,
         completed: metrics.completed,
         timeouts: metrics.timeouts,
-        namenodes_per_sec: nn_series,
+        namenodes_per_sec: Vec::new(),
         cost_cumulative,
-        cost_simplified_cumulative: cost_simplified,
+        cost_simplified_cumulative: Vec::new(),
         cost_total,
         perf_per_cost_per_sec,
         vcpus,
@@ -288,8 +287,8 @@ pub fn lambda_config(p: &IndustrialParams, reduced_cache: bool) -> LambdaFsConfi
 pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> IndustrialReport {
     let mut sim = Sim::new(params.seed);
     let spotify = params.spotify_config();
-    let run_secs =
-        spotify.duration.as_secs_f64() as usize + spotify.drain_grace.as_secs_f64() as usize;
+    let workload_secs = spotify.duration.as_secs_f64();
+    let run_secs = workload_secs as usize + spotify.drain_grace.as_secs_f64() as usize;
     match kind {
         SystemKind::Lambda | SystemKind::LambdaReducedCache => {
             let fs = Rc::new(LambdaFs::build(
@@ -323,41 +322,23 @@ pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> Industrial
                     true
                 });
             }
-            let workload_secs = spotify.duration.as_secs_f64();
             let run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
             fs.stop(&mut sim);
-            let nn_series = nn.borrow().clone();
-            collect_report(
-                fs.as_ref(),
-                kind.label(),
-                run.offered.buckets(),
-                run.generated,
-                nn_series,
-                fs.pay_meter().cumulative_per_second(),
-                fs.simplified_meter().cumulative_per_second(),
-                params.vcpus(),
-                workload_secs,
-            )
+            let pay = fs.pay_meter().cumulative_per_second();
+            let namenodes_per_sec = nn.borrow().clone();
+            IndustrialReport {
+                namenodes_per_sec,
+                cost_simplified_cumulative: fs.simplified_meter().cumulative_per_second(),
+                ..collect_report(fs.as_ref(), kind, &run, workload_secs, params.vcpus(), pay)
+            }
         }
         SystemKind::InfiniCache => {
-            let base = lambda_config(params, false);
-            let fs = Rc::new(InfiniCacheStyle::build(&mut sim, base));
+            let fs = Rc::new(InfiniCacheStyle::build(&mut sim, lambda_config(params, false)));
             fs.start(&mut sim);
-            let workload_secs = spotify.duration.as_secs_f64();
             let run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
             fs.stop(&mut sim);
             let pay = fs.system().pay_meter().cumulative_per_second();
-            collect_report(
-                fs.as_ref(),
-                kind.label(),
-                run.offered.buckets(),
-                run.generated,
-                Vec::new(),
-                pay,
-                Vec::new(),
-                params.vcpus(),
-                workload_secs,
-            )
+            collect_report(fs.as_ref(), kind, &run, workload_secs, params.vcpus(), pay)
         }
         SystemKind::Hops | SystemKind::HopsCache | SystemKind::HopsCacheCostNormalized => {
             let vcpus = params.vcpus();
@@ -368,21 +349,10 @@ pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> Industrial
             cfg.store = params.store();
             let fs = Rc::new(HopsFs::build(&mut sim, cfg));
             fs.start(&mut sim);
-            let workload_secs = spotify.duration.as_secs_f64();
             let run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
             fs.stop(&mut sim);
             let cost = fs.cost_meter().cumulative_per_second();
-            collect_report(
-                fs.as_ref(),
-                kind.label(),
-                run.offered.buckets(),
-                run.generated,
-                Vec::new(),
-                cost,
-                Vec::new(),
-                fs.vcpus_total(),
-                workload_secs,
-            )
+            collect_report(fs.as_ref(), kind, &run, workload_secs, fs.vcpus_total(), cost)
         }
         SystemKind::Ceph => {
             let fs = Rc::new(CephFs::build(
@@ -390,23 +360,24 @@ pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> Industrial
                 CephFsConfig::sized(params.vcpus(), params.clients()),
             ));
             fs.start(&mut sim);
-            let workload_secs = spotify.duration.as_secs_f64();
             let run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
             fs.stop(&mut sim);
             let cost = fs.cost_meter().cumulative_per_second();
-            collect_report(
-                fs.as_ref(),
-                kind.label(),
-                run.offered.buckets(),
-                run.generated,
-                Vec::new(),
-                cost,
-                Vec::new(),
-                params.vcpus(),
-                workload_secs,
-            )
+            collect_report(fs.as_ref(), kind, &run, workload_secs, params.vcpus(), cost)
         }
     }
+}
+
+/// Runs one whole industrial simulation per `(system, parameters)` pair on
+/// `threads` sweep threads ([`crate::report::Args::threads`]), reports in
+/// the order given.
+#[must_use]
+pub fn run_industrial_sweep(
+    threads: usize,
+    runs: impl IntoIterator<Item = (SystemKind, IndustrialParams)>,
+) -> Vec<IndustrialReport> {
+    let jobs = runs.into_iter().map(|(kind, p)| move || run_industrial(kind, &p)).collect();
+    crate::report::run_parallel_ops(threads, jobs, |r| r.completed)
 }
 
 /// The §5.2.2 cost-normalized vCPU budget: 72 vCPUs for the 25 k workload

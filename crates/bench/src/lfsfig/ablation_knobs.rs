@@ -10,6 +10,9 @@ use lambda_sim::{Sim, SimDuration};
 use lambda_workload::{run_spotify, SpotifyConfig};
 use std::rc::Rc;
 
+/// One design knob moved off its default.
+type Knob = fn(&mut LambdaFsConfig);
+
 struct Ablation {
     label: String,
     avg_tp: f64,
@@ -19,7 +22,7 @@ struct Ablation {
     cost: f64,
 }
 
-fn run_one(label: &str, scale: f64, seed: u64, mutate: impl Fn(&mut LambdaFsConfig)) -> Ablation {
+fn run_one(label: &str, scale: f64, seed: u64, mutate: Knob) -> Ablation {
     let mut sim = Sim::new(seed);
     let mut config = LambdaFsConfig {
         deployments: 10,
@@ -61,24 +64,24 @@ fn run_one(label: &str, scale: f64, seed: u64, mutate: impl Fn(&mut LambdaFsConf
     }
 }
 
-fn main() {
-    let scale = scale_from_args();
-    let seed = arg_u64("seed", 54);
-    let jobs: Vec<Box<dyn FnOnce() -> Ablation + Send>> = vec![
-        Box::new(move || run_one("baseline (p=1%, CL=4, coherence on)", scale, seed, |_| {})),
-        Box::new(move || run_one("replacement p=0 (no autoscale signal)", scale, seed, |c| c.http_replace_prob = 0.0)),
-        Box::new(move || run_one("replacement p=5%", scale, seed, |c| c.http_replace_prob = 0.05)),
-        Box::new(move || run_one("replacement p=100% (per-op HTTP)", scale, seed, |c| c.http_replace_prob = 1.0)),
-        Box::new(move || run_one("ConcurrencyLevel=1", scale, seed, |c| c.concurrency_level = 1)),
-        Box::new(move || run_one("ConcurrencyLevel=16", scale, seed, |c| c.concurrency_level = 16)),
-        Box::new(move || run_one("reduced cache (< WSS)", scale, seed, |c| c.cache_capacity = 4_000)),
-        Box::new(move || run_one("coherence OFF (unsafe)", scale, seed, |c| c.coherence_enabled = false)),
-        Box::new(move || run_one("no subtree offloading", scale, seed, |c| c.subtree_offload = false)),
-        Box::new(move || run_one("NDB coordinator (10ms epochs)", scale, seed, |c| {
-            c.coordinator = lambda_coord::CoordinatorKind::Ndb;
-        })),
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let seed = args.u64("seed", 54);
+    let knobs: [(&str, Knob); 10] = [
+        ("baseline (p=1%, CL=4, coherence on)", |_| {}),
+        ("replacement p=0 (no autoscale signal)", |c| c.http_replace_prob = 0.0),
+        ("replacement p=5%", |c| c.http_replace_prob = 0.05),
+        ("replacement p=100% (per-op HTTP)", |c| c.http_replace_prob = 1.0),
+        ("ConcurrencyLevel=1", |c| c.concurrency_level = 1),
+        ("ConcurrencyLevel=16", |c| c.concurrency_level = 16),
+        ("reduced cache (< WSS)", |c| c.cache_capacity = 4_000),
+        ("coherence OFF (unsafe)", |c| c.coherence_enabled = false),
+        ("no subtree offloading", |c| c.subtree_offload = false),
+        ("NDB coordinator (10ms epochs)", |c| c.coordinator = lambda_coord::CoordinatorKind::Ndb),
     ];
-    let results = run_parallel(jobs);
+    let jobs: Vec<_> =
+        knobs.into_iter().map(|(label, mutate)| move || run_one(label, scale, seed, mutate)).collect();
+    let results = run_parallel(args.threads(), jobs);
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|a| {

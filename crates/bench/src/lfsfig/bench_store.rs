@@ -25,21 +25,14 @@
 //! `results/BENCH_store.json`; `--smoke` runs small scales for CI
 //! liveness.
 //!
-//! Flags: `--smoke`, `--seed=N`.
+//! Flags: `--smoke`, `--seed=N`, `--rows=N` (one scale of N rows instead
+//! of the list).
 
-use lambda_bench::{arg_flag, arg_u64, fmt_ops, print_table, write_json};
+use lambda_bench::{fmt_ops, print_table, write_json, Args};
 use lambda_sim::SimRng;
 use lambda_store::bptree::BpTree;
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-// With `--features alloc-stats` the counting allocator is live, which also
-// turns on its huge-page advice for the arena tables — the configuration
-// the recorded fig08d numbers run under, so the engine comparison here
-// must match it.
-#[cfg(feature = "alloc-stats")]
-#[global_allocator]
-static COUNTING_ALLOC: lambda_allocstats::CountingAlloc = lambda_allocstats::CountingAlloc;
 
 /// A 64-byte row, the size of the packed inode row the store actually
 /// holds at the fig08d scales.
@@ -67,6 +60,15 @@ struct EngineRates {
     scan48: f64,
     churn: f64,
     build: f64,
+}
+
+impl EngineRates {
+    fn json(&self) -> String {
+        format!(
+            "{{\"get_uniform\": {:.1}, \"get_zipf\": {:.1}, \"scan48\": {:.1}, \"churn\": {:.1}, \"build\": {:.1}}}",
+            self.get_uniform, self.get_zipf, self.scan48, self.churn, self.build,
+        )
+    }
 }
 
 /// Ops and reps per scenario, scaled down under `--smoke`.
@@ -215,20 +217,17 @@ fn run_engine<E: Engine>(rows: u64, seed: u64, budget: &Budget) -> EngineRates {
     EngineRates { get_uniform, get_zipf, scan48, churn, build }
 }
 
-fn main() {
-    let seed = arg_u64("seed", 17);
-    let smoke = arg_flag("smoke");
-    let only_rows = arg_u64("rows", 0);
-    let scales: &[u64] = if only_rows > 0 {
-        &[0] // placeholder, replaced below
+pub fn run(args: &Args) {
+    let seed = args.u64("seed", 17);
+    let smoke = args.flag("smoke");
+    let only_rows = [args.u64("rows", 0)];
+    let scales: &[u64] = if only_rows[0] > 0 {
+        &only_rows
     } else if smoke {
         &[25_000, 100_000]
     } else {
         &[250_000, 1_000_000, 10_000_000]
     };
-    let scales_owned: Vec<u64> =
-        if only_rows > 0 { vec![only_rows] } else { scales.to_vec() };
-    let scales = &scales_owned[..];
     let budget = if smoke {
         Budget { gets: 200_000, scans: 20_000, churn: 100_000, reps: 1 }
     } else {
@@ -256,17 +255,9 @@ fn main() {
             ]);
         }
         json.push_str(&format!(
-            "    {{\"rows\": {rows}, \"bptree\": {{\"get_uniform\": {:.1}, \"get_zipf\": {:.1}, \"scan48\": {:.1}, \"churn\": {:.1}, \"build\": {:.1}}}, \"btreemap\": {{\"get_uniform\": {:.1}, \"get_zipf\": {:.1}, \"scan48\": {:.1}, \"churn\": {:.1}, \"build\": {:.1}}}}}{}\n",
-            bp.get_uniform,
-            bp.get_zipf,
-            bp.scan48,
-            bp.churn,
-            bp.build,
-            std.get_uniform,
-            std.get_zipf,
-            std.scan48,
-            std.churn,
-            std.build,
+            "    {{\"rows\": {rows}, \"bptree\": {}, \"btreemap\": {}}}{}\n",
+            bp.json(),
+            std.json(),
             if i + 1 == scales.len() { "" } else { "," },
         ));
     }

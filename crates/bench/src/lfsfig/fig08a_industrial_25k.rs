@@ -5,9 +5,9 @@
 
 use lambda_bench::*;
 
-fn main() {
-    let scale = scale_from_args();
-    let seed = arg_u64("seed", 42);
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let seed = args.u64("seed", 42);
     print_table(
         "Table 2: operation mix (relative frequency)",
         &["operation", "share"],
@@ -21,24 +21,19 @@ fn main() {
             vec!["mkdirs".into(), "0.02%".into()],
         ],
     );
-    let kinds = vec![
+    let kinds = [
         (SystemKind::Lambda, None),
         (SystemKind::LambdaReducedCache, None),
         (SystemKind::Hops, None),
         (SystemKind::HopsCache, None),
         (SystemKind::HopsCacheCostNormalized, Some(cost_normalized_vcpus(25_000.0))),
     ];
-    let jobs: Vec<_> = kinds
-        .into_iter()
-        .map(|(kind, vcpus)| {
-            move || {
-                let mut p = IndustrialParams::spotify(25_000.0, scale, seed);
-                p.vcpus_override = vcpus;
-                run_industrial(kind, &p)
-            }
-        })
-        .collect();
-    let reports = run_parallel_ops(jobs, |r| r.completed);
+    let reports = run_industrial_sweep(
+        args.threads(),
+        kinds.map(|(kind, vcpus_override)| {
+            (kind, IndustrialParams { vcpus_override, ..IndustrialParams::spotify(25_000.0, scale, seed) })
+        }),
+    );
 
     let rows: Vec<Vec<String>> = reports
         .iter()

@@ -45,11 +45,7 @@ use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig};
 use lambda_namespace::{DfsPath, FsOp, InodeName};
 use lambda_sim::{every, Sim, SimDuration, SimRng};
 
-#[cfg(feature = "alloc-stats")]
-#[global_allocator]
-static COUNTING_ALLOC: mem::CountingAlloc = mem::CountingAlloc;
-
-/// Bytes/inode measured by this binary's `reference_scale25` run on the
+/// Bytes/inode measured by this figure's `reference_scale25` run on the
 /// tree before the footprint overhaul (the commit introducing this bench),
 /// with `--features alloc-stats` on a sequential sweep. The committed JSON
 /// reports the reduction against these.
@@ -280,11 +276,11 @@ fn fmt_bytes(b: f64) -> String {
     }
 }
 
-fn main() {
-    let seed = arg_u64("seed", 11);
-    let smoke = arg_flag("smoke");
-    let phase_timings = arg_flag("phase-timings");
-    let threads = bench_threads();
+pub fn run(args: &Args) {
+    let seed = args.u64("seed", 11);
+    let smoke = args.flag("smoke");
+    let phase_timings = args.flag("phase-timings");
+    let threads = args.threads();
     let host_cores = host_cores();
     let counting = mem::active();
     if !counting {
@@ -299,7 +295,7 @@ fn main() {
     } else {
         &[(25_000, 5_103), (100_000, 20_409), (500_000, 204_082), (1_000_000, 244_898)]
     };
-    let only_point = arg_u64("point", 0) as usize;
+    let only_point = args.u64("point", 0) as usize;
     let points: &[(u32, usize)] = if only_point > 0 {
         assert!(only_point <= points.len(), "--point={only_point} out of range");
         &points[only_point - 1..only_point]
@@ -308,14 +304,12 @@ fn main() {
     };
     // `--clients=N --dirs=N`: one custom point, for separating client-count
     // from namespace-size effects when chasing a cliff. Implies no JSON.
-    let custom_point = [(arg_u64("clients", 0) as u32, arg_u64("dirs", 0) as usize)];
+    let custom_point = [(args.u64("clients", 0) as u32, args.u64("dirs", 0) as usize)];
     let custom = custom_point[0].0 > 0 && custom_point[0].1 > 0;
     let points = if custom { &custom_point[..] } else { points };
     let (total_ops, rate) = if smoke { (1_500, 500.0) } else { (20_000, 4_000.0) };
-    let total_ops = match arg_u64("ops", 0) {
-        0 => total_ops,
-        n => n,
-    };
+    let ops_override = args.u64("ops", 0);
+    let total_ops = if ops_override > 0 { ops_override } else { total_ops };
 
     println!("scale-25 reference (fig08a λFS system):");
     let reference = scale25_reference(seed);
@@ -328,14 +322,11 @@ fn main() {
         reference.bootstrap_wall_secs,
     );
 
-    let jobs: Vec<Box<dyn FnOnce() -> PointResult + Send>> = points
+    let jobs: Vec<_> = points
         .iter()
-        .map(|&(clients, dirs)| {
-            Box::new(move || run_point(clients, dirs, total_ops, rate, seed))
-                as Box<dyn FnOnce() -> PointResult + Send>
-        })
+        .map(|&(clients, dirs)| move || run_point(clients, dirs, total_ops, rate, seed))
         .collect();
-    let results = run_parallel_ops(jobs, |p| p.sim_ops);
+    let results = run_parallel_ops(threads, jobs, |p| p.sim_ops);
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -445,7 +436,7 @@ fn main() {
         fmt_opt(client_reduction),
         entries.join(",\n")
     );
-    if only_point > 0 || custom || arg_u64("ops", 0) > 0 {
+    if only_point > 0 || custom || ops_override > 0 {
         println!("(--point/--clients/--ops set: JSON not written)");
         return;
     }

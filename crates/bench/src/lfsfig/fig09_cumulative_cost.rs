@@ -4,15 +4,14 @@
 
 use lambda_bench::*;
 
-fn main() {
-    let scale = scale_from_args();
-    let seed = arg_u64("seed", 45);
-    let jobs: Vec<Box<dyn FnOnce() -> IndustrialReport + Send>> = vec![
-        Box::new(move || run_industrial(SystemKind::Lambda, &IndustrialParams::spotify(25_000.0, scale, seed))),
-        Box::new(move || run_industrial(SystemKind::Hops, &IndustrialParams::spotify(25_000.0, scale, seed))),
-        Box::new(move || run_industrial(SystemKind::HopsCache, &IndustrialParams::spotify(25_000.0, scale, seed))),
-    ];
-    let reports = run_parallel_ops(jobs, |r| r.completed);
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let seed = args.u64("seed", 45);
+    let reports = run_industrial_sweep(
+        args.threads(),
+        [SystemKind::Lambda, SystemKind::Hops, SystemKind::HopsCache]
+            .map(|kind| (kind, IndustrialParams::spotify(25_000.0, scale, seed))),
+    );
     let lambda = &reports[0];
     let rows = vec![
         vec!["lambda-fs (pay-per-use)".to_string(), format!("${:.4}", lambda.cost_total)],

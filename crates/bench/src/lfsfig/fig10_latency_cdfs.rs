@@ -3,16 +3,15 @@
 
 use lambda_bench::*;
 
-fn main() {
-    let scale = scale_from_args();
-    let seed = arg_u64("seed", 46);
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let seed = args.u64("seed", 46);
     for base in [25_000.0, 50_000.0] {
-        let jobs: Vec<Box<dyn FnOnce() -> IndustrialReport + Send>> = vec![
-            Box::new(move || run_industrial(SystemKind::Lambda, &IndustrialParams::spotify(base, scale, seed))),
-            Box::new(move || run_industrial(SystemKind::Hops, &IndustrialParams::spotify(base, scale, seed))),
-            Box::new(move || run_industrial(SystemKind::HopsCache, &IndustrialParams::spotify(base, scale, seed))),
-        ];
-        let reports = run_parallel_ops(jobs, |r| r.completed);
+        let reports = run_industrial_sweep(
+            args.threads(),
+            [SystemKind::Lambda, SystemKind::Hops, SystemKind::HopsCache]
+                .map(|kind| (kind, IndustrialParams::spotify(base, scale, seed))),
+        );
         for r in &reports {
             let rows: Vec<Vec<String>> = r
                 .latency_by_class

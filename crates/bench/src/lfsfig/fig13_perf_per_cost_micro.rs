@@ -4,36 +4,24 @@
 use lambda_bench::*;
 use lambda_namespace::OpClass;
 
-fn main() {
-    let scale = scale_from_args();
-    let full = arg_flag("full");
-    let seed = arg_u64("seed", 49);
-    let vcpus = ((512.0 / scale) as u32).max(64);
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let full = args.flag("full");
+    let seed = args.u64("seed", 49);
     let clients: Vec<u32> =
         if full { vec![8, 16, 32, 64, 128, 256, 512, 1024] } else { vec![8, 32, 128, 256] };
-    let ops_per_client = if full { 3072 } else { 512 };
     for op in [OpClass::Read, OpClass::Ls, OpClass::Stat] {
-        let jobs: Vec<Box<dyn FnOnce() -> (MicroPoint, MicroPoint) + Send>> = clients
+        let jobs: Vec<_> = clients
             .iter()
             .map(|&c| {
-                Box::new(move || {
-                    let p = MicroParams {
-                        deployments: 10,
-                        op,
-                        clients: c,
-                        vcpus,
-                        ops_per_client,
-                        store_slowdown: scale,
-                        seed,
-                        autoscale_limit: None,
-                                concurrency_level: 4,
-                    };
+                move || {
+                    let p = MicroParams::paper(op, c, scale, full, seed);
                     (run_micro_point(SystemKind::Lambda, &p),
                      run_micro_point(SystemKind::HopsCache, &p))
-                }) as Box<dyn FnOnce() -> (MicroPoint, MicroPoint) + Send>
+                }
             })
             .collect();
-        let points = run_parallel(jobs);
+        let points = run_parallel(args.threads(), jobs);
         let rows: Vec<Vec<String>> = clients
             .iter()
             .zip(points.iter())

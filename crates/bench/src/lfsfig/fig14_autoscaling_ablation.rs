@@ -9,44 +9,37 @@
 
 use lambda_bench::*;
 
-fn main() {
-    let scale = scale_from_args();
-    let full = arg_flag("full");
-    let seed = arg_u64("seed", 50);
-    let vcpus = ((512.0 / scale) as u32).max(64);
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let full = args.flag("full");
+    let seed = args.u64("seed", 50);
     let clients =
         if full { 1024 } else { ((1024.0 / scale * 2.5) as u32).max(64) };
     // Preserve the head-room ratio between the deployment floor and the
     // vCPU budget (10 deployments vs ~100 possible NameNodes at full
     // scale) so the ablation's effect survives scaling.
     let deployments = ((10.0 / scale).round() as u32).max(2);
-    let ops_per_client = if full { 3072 } else { 512 };
     let modes: [(&str, Option<u32>); 3] =
         [("auto-scaling", None), ("limited (≤2)", Some(2)), ("disabled (1)", Some(1))];
-    let jobs: Vec<Box<dyn FnOnce() -> MicroPoint + Send>> = MICRO_OPS
+    let jobs: Vec<_> = MICRO_OPS
         .iter()
         .flat_map(|&op| {
-            modes.iter().map(move |&(_, limit)| {
-                Box::new(move || {
+            modes.iter().map(move |&(_, autoscale_limit)| {
+                move || {
                     run_micro_point(
                         SystemKind::Lambda,
                         &MicroParams {
                             deployments,
-                            op,
-                            clients,
-                            vcpus,
-                            ops_per_client,
-                            store_slowdown: scale,
-                            seed,
-                            autoscale_limit: limit,
+                            autoscale_limit,
                             concurrency_level: 1,
+                            ..MicroParams::paper(op, clients, scale, full, seed)
                         },
                     )
-                }) as Box<dyn FnOnce() -> MicroPoint + Send>
+                }
             })
         })
         .collect();
-    let points = run_parallel(jobs);
+    let points = run_parallel(args.threads(), jobs);
     let rows: Vec<Vec<String>> = MICRO_OPS
         .iter()
         .enumerate()

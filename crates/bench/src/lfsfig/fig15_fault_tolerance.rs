@@ -4,20 +4,16 @@
 use lambda_bench::*;
 use lambda_sim::SimDuration;
 
-fn main() {
-    let scale = scale_from_args();
-    let seed = arg_u64("seed", 52);
-    let jobs: Vec<Box<dyn FnOnce() -> IndustrialReport + Send>> = vec![
-        Box::new(move || {
-            run_industrial(SystemKind::Lambda, &IndustrialParams::spotify(25_000.0, scale, seed))
-        }),
-        Box::new(move || {
-            let mut p = IndustrialParams::spotify(25_000.0, scale, seed);
-            p.kill_every = Some(SimDuration::from_secs(30));
-            run_industrial(SystemKind::Lambda, &p)
-        }),
-    ];
-    let reports = run_parallel_ops(jobs, |r| r.completed);
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let seed = args.u64("seed", 52);
+    let p = IndustrialParams::spotify(25_000.0, scale, seed);
+    let with_kills =
+        IndustrialParams { kill_every: Some(SimDuration::from_secs(30)), ..p.clone() };
+    let reports = run_industrial_sweep(
+        args.threads(),
+        [(SystemKind::Lambda, p), (SystemKind::Lambda, with_kills)],
+    );
     let rows: Vec<Vec<String>> = reports
         .iter()
         .zip(["lambda-fs", "lambda-fs + failures"])

@@ -6,21 +6,18 @@
 //! drives a closed-loop mixed read/write workload, drains the event
 //! queue, and audits (namespace↔store consistency, no leaked locks or
 //! transactions, no orphaned invocations, op-count conservation). The
-//! binary exits nonzero if any audit fails, so it doubles as a CI gate.
+//! figure exits nonzero if any audit fails, so it doubles as a CI gate.
 //!
 //! `--smoke` shortens the measured window; `--seed=N` reseeds every run;
 //! `--durable` swaps in the WAL-backed durable store backend, so shard
 //! failovers recover by WAL replay and the audit additionally checks
 //! post-crash shadow↔table agreement.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use lambda_bench::*;
-use lambda_fs::{AuditReport, DfsService, LambdaFs, LambdaFsConfig};
-use lambda_namespace::{DfsPath, FsOp};
+use lambda_fs::{AuditReport, LambdaFsConfig};
 use lambda_sim::fault::FaultPlan;
-use lambda_sim::{Sim, SimDuration, SimTime};
+
+use crate::closed_loop::{audit_cell, exit_on_violations, run_closed_loop, Mix};
 
 /// One chaos run's summary.
 struct ChaosReport {
@@ -41,87 +38,18 @@ struct ChaosReport {
     audit: AuditReport,
 }
 
-/// Closed-loop driver: every client keeps exactly one op in flight until
-/// the measured window closes, so the run terminates by construction.
-struct Driver {
-    fs: Rc<LambdaFs>,
-    dirs: Vec<DfsPath>,
-    until: SimTime,
-    fresh: RefCell<u64>,
-}
-
-impl Driver {
-    fn pick(&self, sim: &mut Sim) -> FsOp {
-        let dir = self.dirs[sim.rng().pick_index(self.dirs.len())].clone();
-        let r = sim.rng().gen_unit();
-        if r < 0.45 {
-            FsOp::Stat(dir.join("file00000").expect("valid"))
-        } else if r < 0.65 {
-            FsOp::ReadFile(dir.join("file00001").expect("valid"))
-        } else if r < 0.75 {
-            FsOp::Ls(dir)
-        } else {
-            let n = {
-                let mut fresh = self.fresh.borrow_mut();
-                *fresh += 1;
-                *fresh
-            };
-            FsOp::CreateFile(dir.join(&format!("chaos{n:06}")).expect("valid"))
-        }
-    }
-
-    fn kick(self: &Rc<Self>, sim: &mut Sim, client: usize) {
-        if sim.now() >= self.until {
-            return;
-        }
-        let op = self.pick(sim);
-        let this = Rc::clone(self);
-        self.fs.submit(
-            sim,
-            client,
-            op,
-            Box::new(move |sim, _result| this.kick(sim, client)),
-        );
-    }
-}
-
 fn run_chaos(seed: u64, label: &'static str, spec: &str, secs: u64, durable: bool) -> ChaosReport {
     let plan = FaultPlan::parse(spec).expect("valid fault spec");
-    let mut sim = Sim::new(seed);
-    let fs = Rc::new(LambdaFs::build(
-        &mut sim,
-        LambdaFsConfig {
-            deployments: 4,
-            clients: 16,
-            client_vms: 4,
-            cluster_vcpus: 64,
-            durability: durable.then(lambda_store::DurabilityConfig::default),
-            ..Default::default()
-        },
-    ));
-    fs.start(&mut sim);
-    fs.install_fault_plan(&mut sim, &plan);
-    let root: DfsPath = "/chaos".parse().expect("valid");
-    let dirs = DfsService::bootstrap_tree(fs.as_ref(), &root, 16, 8);
-    fs.prewarm_with(&mut sim, &dirs);
-    sim.run_for(SimDuration::from_secs(3));
-
-    let driver = Rc::new(Driver {
-        fs: Rc::clone(&fs),
-        dirs,
-        until: sim.now() + SimDuration::from_secs(secs),
-        fresh: RefCell::new(0),
-    });
-    for client in 0..fs.client_count() {
-        driver.kick(&mut sim, client);
-    }
-    sim.run_for(SimDuration::from_secs(secs));
-    // Drain: outstanding retries/timeouts resolve within
-    // max_retries × client_timeout, and the platform's request TTL expires
-    // anything still queued — all while maintenance keeps ticking.
-    sim.run_for(SimDuration::from_secs(45));
-    fs.stop(&mut sim);
-    sim.run();
+    let config = LambdaFsConfig {
+        deployments: 4,
+        clients: 16,
+        client_vms: 4,
+        cluster_vcpus: 64,
+        durability: durable.then(lambda_store::DurabilityConfig::default),
+        ..Default::default()
+    };
+    let mix = Mix { stat: 0.45, read: 0.65, ls: 0.75, create_prefix: "chaos" };
+    let fs = run_closed_loop(seed, config, &plan, "/chaos", mix, secs);
 
     let audit = fs.audit();
     let m = fs.metrics().borrow().clone();
@@ -145,10 +73,10 @@ fn run_chaos(seed: u64, label: &'static str, spec: &str, secs: u64, durable: boo
     }
 }
 
-fn main() {
-    let seed = arg_u64("seed", 52);
-    let secs = if arg_flag("smoke") { 5 } else { 20 };
-    let durable = arg_flag("durable");
+pub fn run(args: &Args) {
+    let seed = args.u64("seed", 52);
+    let secs = if args.flag("smoke") { 5 } else { 20 };
+    let durable = args.flag("durable");
     // Windows are absolute sim times; the workload occupies roughly
     // [3s, 3s + secs], so every class lands inside the measured window.
     let classes: Vec<(&'static str, String)> = vec![
@@ -167,14 +95,11 @@ fn main() {
                 .into(),
         ),
     ];
-    let jobs: Vec<Box<dyn FnOnce() -> ChaosReport + Send>> = classes
+    let jobs: Vec<_> = classes
         .into_iter()
-        .map(|(label, spec)| {
-            Box::new(move || run_chaos(seed, label, &spec, secs, durable))
-                as Box<dyn FnOnce() -> ChaosReport + Send>
-        })
+        .map(|(label, spec)| move || run_chaos(seed, label, &spec, secs, durable))
         .collect();
-    let reports = run_parallel_ops(jobs, |r| r.completed);
+    let reports = run_parallel_ops(args.threads(), jobs, |r| r.completed);
 
     let rows: Vec<Vec<String>> = reports
         .iter()
@@ -188,11 +113,7 @@ fn main() {
                 format!("{}/{}/{}", r.timeouts, r.retries_exhausted, r.load_sheds),
                 format!("{}/{}/{}", r.net_dropped, r.net_duplicated, r.net_delayed),
                 format!("{}/{}", r.shard_crashes, r.kills),
-                if r.audit.is_clean() {
-                    format!("clean ({})", r.audit.checks)
-                } else {
-                    format!("FAILED ({})", r.audit.violations.len())
-                },
+                audit_cell(&r.audit),
             ]
         })
         .collect();
@@ -215,17 +136,7 @@ fn main() {
         &rows,
     );
 
-    let mut failed = false;
-    for r in &reports {
-        if !r.audit.is_clean() {
-            failed = true;
-            println!("\n{} audit violations:", r.label);
-            print!("{}", r.audit);
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    exit_on_violations(reports.iter().map(|r| (r.label.to_string(), &r.audit)));
     println!("\nall {} fault classes audited clean: every op reached a terminal state,", reports.len());
     println!("no lock/txn/invocation leaked, and the namespace matches the store.");
 }

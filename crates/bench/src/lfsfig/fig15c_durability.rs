@@ -10,20 +10,18 @@
 //! Every run ends in the PR 5 invariant audit — namespace↔store
 //! consistency, zero leaked transactions/locks, op-count conservation,
 //! plus the durable backend's post-crash shadow↔table check — and the
-//! binary exits nonzero if any cell fails, so it doubles as a CI gate.
+//! figure exits nonzero if any cell fails, so it doubles as a CI gate.
 //!
 //! `--smoke` shrinks the grid and the measured window; `--seed=N`
 //! reseeds every run.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use lambda_bench::*;
-use lambda_fs::{AuditReport, DfsService, LambdaFs, LambdaFsConfig};
-use lambda_namespace::{DfsPath, FsOp};
+use lambda_fs::{AuditReport, LambdaFsConfig};
 use lambda_sim::fault::{FaultPlan, ShardOutage};
-use lambda_sim::{Sim, SimDuration, SimTime};
+use lambda_sim::{SimDuration, SimTime};
 use lambda_store::{DurabilityConfig, DurabilityStats, LsmStats};
+
+use crate::closed_loop::{audit_cell, exit_on_violations, run_closed_loop, Mix};
 
 /// One grid cell's summary.
 struct Cell {
@@ -36,52 +34,6 @@ struct Cell {
     durability: DurabilityStats,
     lsm: LsmStats,
     audit: AuditReport,
-}
-
-/// Closed-loop driver: every client keeps exactly one op in flight until
-/// the measured window closes, so the run terminates by construction.
-struct Driver {
-    fs: Rc<LambdaFs>,
-    dirs: Vec<DfsPath>,
-    until: SimTime,
-    fresh: RefCell<u64>,
-}
-
-impl Driver {
-    fn pick(&self, sim: &mut Sim) -> FsOp {
-        let dir = self.dirs[sim.rng().pick_index(self.dirs.len())].clone();
-        let r = sim.rng().gen_unit();
-        if r < 0.40 {
-            FsOp::Stat(dir.join("file00000").expect("valid"))
-        } else if r < 0.60 {
-            FsOp::ReadFile(dir.join("file00001").expect("valid"))
-        } else if r < 0.70 {
-            FsOp::Ls(dir)
-        } else {
-            // A write-heavy tail keeps the WAL and the commit window busy
-            // so crashes actually have in-flight commits to threaten.
-            let n = {
-                let mut fresh = self.fresh.borrow_mut();
-                *fresh += 1;
-                *fresh
-            };
-            FsOp::CreateFile(dir.join(&format!("dur{n:06}")).expect("valid"))
-        }
-    }
-
-    fn kick(self: &Rc<Self>, sim: &mut Sim, client: usize) {
-        if sim.now() >= self.until {
-            return;
-        }
-        let op = self.pick(sim);
-        let this = Rc::clone(self);
-        self.fs.submit(
-            sim,
-            client,
-            op,
-            Box::new(move |sim, _result| this.kick(sim, client)),
-        );
-    }
 }
 
 /// Builds the crash schedule for one cell: starting at 6 s, one shard
@@ -114,7 +66,6 @@ fn run_cell(
     spacing: Option<SimDuration>,
     secs: u64,
 ) -> Cell {
-    let mut sim = Sim::new(seed);
     let config = LambdaFsConfig {
         deployments: 4,
         clients: 16,
@@ -129,29 +80,10 @@ fn run_cell(
     let shards = config.store.shards;
     let plan = crash_plan(spacing, secs, shards);
     let crashes_planned = plan.shards.len();
-    let fs = Rc::new(LambdaFs::build(&mut sim, config));
-    fs.start(&mut sim);
-    fs.install_fault_plan(&mut sim, &plan);
-    let root: DfsPath = "/durability".parse().expect("valid");
-    let dirs = DfsService::bootstrap_tree(fs.as_ref(), &root, 16, 8);
-    fs.prewarm_with(&mut sim, &dirs);
-    sim.run_for(SimDuration::from_secs(3));
-
-    let driver = Rc::new(Driver {
-        fs: Rc::clone(&fs),
-        dirs,
-        until: sim.now() + SimDuration::from_secs(secs),
-        fresh: RefCell::new(0),
-    });
-    for client in 0..fs.client_count() {
-        driver.kick(&mut sim, client);
-    }
-    sim.run_for(SimDuration::from_secs(secs));
-    // Drain: retries resolve within max_retries × client_timeout and the
-    // request TTL reaps anything still queued.
-    sim.run_for(SimDuration::from_secs(45));
-    fs.stop(&mut sim);
-    sim.run();
+    // A write-heavy tail keeps the WAL and the commit window busy so
+    // crashes actually have in-flight commits to threaten.
+    let mix = Mix { stat: 0.40, read: 0.60, ls: 0.70, create_prefix: "dur" };
+    let fs = run_closed_loop(seed, config, &plan, "/durability", mix, secs);
 
     let audit = fs.audit();
     let m = fs.metrics().borrow().clone();
@@ -168,9 +100,9 @@ fn run_cell(
     }
 }
 
-fn main() {
-    let seed = arg_u64("seed", 53);
-    let smoke = arg_flag("smoke");
+pub fn run(args: &Args) {
+    let seed = args.u64("seed", 53);
+    let smoke = args.flag("smoke");
     let secs = if smoke { 5 } else { 20 };
     let flush_intervals: &[f64] = if smoke { &[2.0] } else { &[0.5, 2.0, 8.0] };
     let crash_rates: &[(&'static str, Option<u64>)] = if smoke {
@@ -185,15 +117,13 @@ fn main() {
             cells.push((f, label, spacing));
         }
     }
-    let jobs: Vec<Box<dyn FnOnce() -> Cell + Send>> = cells
+    let jobs: Vec<_> = cells
         .into_iter()
         .map(|(f, label, spacing)| {
-            Box::new(move || {
-                run_cell(seed, f, label, spacing.map(SimDuration::from_secs), secs)
-            }) as Box<dyn FnOnce() -> Cell + Send>
+            move || run_cell(seed, f, label, spacing.map(SimDuration::from_secs), secs)
         })
         .collect();
-    let reports = run_parallel_ops(jobs, |c| c.completed);
+    let reports = run_parallel_ops(args.threads(), jobs, |c| c.completed);
 
     let rows: Vec<Vec<String>> = reports
         .iter()
@@ -218,11 +148,7 @@ fn main() {
                 format!("{}/{}", d.lost_window_aborts, d.lost_records),
                 format!("{}/{}", d.wal_appends, d.group_syncs),
                 format!("{:.2}x", c.lsm.write_amplification()),
-                if c.audit.is_clean() {
-                    format!("clean ({})", c.audit.checks)
-                } else {
-                    format!("FAILED ({})", c.audit.violations.len())
-                },
+                audit_cell(&c.audit),
             ]
         })
         .collect();
@@ -281,17 +207,9 @@ fn main() {
     let path = write_json(if smoke { "BENCH_durability_smoke" } else { "BENCH_durability" }, &json);
     println!("wrote {}", path.display());
 
-    let mut failed = false;
-    for c in &reports {
-        if !c.audit.is_clean() {
-            failed = true;
-            println!("\nflush={} crashes={} audit violations:", c.flush_ms, c.crash_label);
-            print!("{}", c.audit);
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    exit_on_violations(
+        reports.iter().map(|c| (format!("flush={} crashes={}", c.flush_ms, c.crash_label), &c.audit)),
+    );
     println!(
         "\nall {} cells audited clean: every crash recovered by WAL replay,",
         reports.len()

@@ -4,10 +4,10 @@
 
 use lambda_bench::*;
 
-fn main() {
-    let full = arg_flag("full");
-    let scale = scale_from_args();
-    let seed = arg_u64("seed", 53);
+pub fn run(args: &Args) {
+    let full = args.flag("full");
+    let scale = args.scale();
+    let seed = args.u64("seed", 53);
     let clients: Vec<u32> =
         if full { vec![2, 4, 8, 16, 32, 64, 128, 256] } else { vec![2, 8, 32, 64] };
     let per_client = if full { 10_000 } else { (10_000.0 / scale) as usize };
@@ -15,18 +15,18 @@ fn main() {
     for (title, ops) in
         [("variable-sized (per-client constant)", Some(per_client)), ("fixed-sized (total constant)", None)]
     {
-        let jobs: Vec<Box<dyn FnOnce() -> (TreePoint, TreePoint) + Send>> = clients
+        let jobs: Vec<_> = clients
             .iter()
             .map(|&c| {
-                Box::new(move || {
+                move || {
                     (
                         run_tree_point(TreeSystem::IndexFs, c, ops, fixed_total, seed),
                         run_tree_point(TreeSystem::LambdaIndexFs, c, ops, fixed_total, seed),
                     )
-                }) as Box<dyn FnOnce() -> (TreePoint, TreePoint) + Send>
+                }
             })
             .collect();
-        let results = run_parallel(jobs);
+        let results = run_parallel(args.threads(), jobs);
         let rows: Vec<Vec<String>> = clients
             .iter()
             .zip(results.iter())

@@ -3,9 +3,9 @@
 //! drivers, λIndexFS, and scripts).
 
 use lambda_bench::loc::{inventory, workspace_root};
-use lambda_bench::print_table;
+use lambda_bench::{print_table, Args};
 
-fn main() {
+pub fn run(_args: &Args) {
     let entries = inventory(&workspace_root());
     let mut rows: Vec<Vec<String>> = entries
         .iter()

@@ -6,25 +6,25 @@
 
 use lambda_bench::*;
 
-fn main() {
-    let scale = scale_from_args();
-    let seed = arg_u64("seed", 51);
+pub fn run(args: &Args) {
+    let scale = args.scale();
+    let seed = args.u64("seed", 51);
     let sizes: Vec<usize> = [1usize << 18, 1 << 19, 1 << 20]
         .iter()
         .map(|s| ((*s as f64 / scale) as usize).max(1 << 12))
         .collect();
-    let jobs: Vec<Box<dyn FnOnce() -> (SubtreeMvResult, SubtreeMvResult) + Send>> = sizes
+    let jobs: Vec<_> = sizes
         .iter()
         .map(|&size| {
-            Box::new(move || {
+            move || {
                 (
                     run_subtree_mv(SystemKind::Hops, size, seed),
                     run_subtree_mv(SystemKind::Lambda, size, seed),
                 )
-            }) as Box<dyn FnOnce() -> (SubtreeMvResult, SubtreeMvResult) + Send>
+            }
         })
         .collect();
-    let results = run_parallel(jobs);
+    let results = run_parallel(args.threads(), jobs);
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|(h, l)| {

@@ -10,6 +10,7 @@ use lambda_sim::{Sim, SimDuration, VmPricing};
 use lambda_workload::{run_micro, MicroConfig};
 
 use crate::industrial::SystemKind;
+use crate::report::{print_table, run_parallel};
 
 /// One point in a scaling sweep.
 #[derive(Debug, Clone)]
@@ -64,6 +65,27 @@ pub struct MicroParams {
     pub concurrency_level: u32,
 }
 
+impl MicroParams {
+    /// The §5.3 set-up at `scale`: 10 deployments under a 512-vCPU budget
+    /// (÷ `scale`), 3 072 operations per client at `--full` (512
+    /// otherwise), the default `ConcurrencyLevel`, unbounded auto-scaling.
+    /// Figures override the axis they sweep by struct update.
+    #[must_use]
+    pub fn paper(op: OpClass, clients: u32, scale: f64, full: bool, seed: u64) -> Self {
+        MicroParams {
+            deployments: 10,
+            op,
+            clients,
+            vcpus: ((512.0 / scale) as u32).max(64),
+            ops_per_client: if full { 3072 } else { 512 },
+            store_slowdown: scale,
+            seed,
+            autoscale_limit: None,
+            concurrency_level: 4,
+        }
+    }
+}
+
 fn micro_config(p: &MicroParams) -> MicroConfig {
     MicroConfig {
         op: p.op,
@@ -81,20 +103,25 @@ fn micro_config(p: &MicroParams) -> MicroConfig {
 pub fn run_micro_point(kind: SystemKind, p: &MicroParams) -> MicroPoint {
     let mut sim = Sim::new(p.seed);
     let store = StoreParams::default().slowed(p.store_slowdown);
-    let (throughput, makespan, cost, peak_nn, label) = match kind {
+    let lambda_base = |store| LambdaFsConfig {
+        deployments: 10,
+        nn_vcpus: 5,
+        cluster_vcpus: p.vcpus,
+        clients: p.clients,
+        client_vms: 8,
+        store,
+        ..Default::default()
+    };
+    // `faas_cost`: pay-per-use dollars, metered by the FaaS systems only.
+    let (run, faas_cost, peak_nn) = match kind {
         SystemKind::Lambda | SystemKind::LambdaReducedCache => {
             let fs = Rc::new(LambdaFs::build(
                 &mut sim,
                 LambdaFsConfig {
                     deployments: p.deployments.max(1),
-                    nn_vcpus: 5,
-                    cluster_vcpus: p.vcpus,
-                    clients: p.clients,
-                    client_vms: 8,
                     max_instances_per_deployment: p.autoscale_limit.unwrap_or(u32::MAX),
                     concurrency_level: p.concurrency_level.max(1),
-                    store,
-                    ..Default::default()
+                    ..lambda_base(store)
                 },
             ));
             fs.start(&mut sim);
@@ -118,35 +145,14 @@ pub fn run_micro_point(kind: SystemKind, p: &MicroParams) -> MicroPoint {
             sim.run_for(SimDuration::from_secs(8));
             let run = run_micro(&mut sim, Rc::clone(&fs), cfg);
             fs.stop(&mut sim);
-            (
-                run.throughput,
-                run.makespan.as_secs_f64(),
-                fs.pay_meter().total(),
-                fs.namenode_gauge().peak(),
-                kind.label(),
-            )
+            (run, Some(fs.pay_meter().total()), fs.namenode_gauge().peak())
         }
         SystemKind::InfiniCache => {
-            let base = LambdaFsConfig {
-                deployments: 10,
-                nn_vcpus: 5,
-                cluster_vcpus: p.vcpus,
-                clients: p.clients,
-                client_vms: 8,
-                store,
-                ..Default::default()
-            };
-            let fs = Rc::new(InfiniCacheStyle::build(&mut sim, base));
+            let fs = Rc::new(InfiniCacheStyle::build(&mut sim, lambda_base(store)));
             fs.start(&mut sim);
             let run = run_micro(&mut sim, Rc::clone(&fs), micro_config(p));
             fs.stop(&mut sim);
-            (
-                run.throughput,
-                run.makespan.as_secs_f64(),
-                fs.system().pay_meter().total(),
-                0.0,
-                kind.label(),
-            )
+            (run, Some(fs.system().pay_meter().total()), 0.0)
         }
         SystemKind::Hops | SystemKind::HopsCache | SystemKind::HopsCacheCostNormalized => {
             let mut cfg = match kind {
@@ -158,29 +164,30 @@ pub fn run_micro_point(kind: SystemKind, p: &MicroParams) -> MicroPoint {
             fs.start(&mut sim);
             let run = run_micro(&mut sim, Rc::clone(&fs), micro_config(p));
             fs.stop(&mut sim);
-            // Serverful cost: the paper's HopsFS deployments are statically
-            // provisioned, so the whole *rented* vCPU budget is billed for
-            // the whole makespan regardless of how many NameNodes the
-            // system chose to run on it.
-            let cost = VmPricing::default().cost(f64::from(p.vcpus), run.makespan);
-            (run.throughput, run.makespan.as_secs_f64(), cost, 0.0, kind.label())
+            (run, None, 0.0)
         }
         SystemKind::Ceph => {
             let fs = Rc::new(CephFs::build(&mut sim, CephFsConfig::sized(p.vcpus, p.clients)));
             fs.start(&mut sim);
             let run = run_micro(&mut sim, Rc::clone(&fs), micro_config(p));
             fs.stop(&mut sim);
-            let cost = VmPricing::default().cost(f64::from(p.vcpus), run.makespan);
-            (run.throughput, run.makespan.as_secs_f64(), cost, 0.0, kind.label())
+            (run, None, 0.0)
         }
     };
+    // Serverful cost: the paper's HopsFS deployments are statically
+    // provisioned, so the whole *rented* vCPU budget is billed for the
+    // whole makespan regardless of how many NameNodes the system chose to
+    // run on it.
+    let cost = faas_cost
+        .unwrap_or_else(|| VmPricing::default().cost(f64::from(p.vcpus), run.makespan));
+    let (throughput, makespan) = (run.throughput, run.makespan.as_secs_f64());
     let perf_per_cost = if cost > 1e-12 && makespan > 0.0 {
         throughput / (cost / makespan)
     } else {
         0.0
     };
     MicroPoint {
-        system: label.to_string(),
+        system: kind.label().to_string(),
         op: p.op,
         clients: p.clients,
         vcpus: p.vcpus,
@@ -195,3 +202,47 @@ pub fn run_micro_point(kind: SystemKind, p: &MicroParams) -> MicroPoint {
 /// The five operations of Figs. 11/12/14.
 pub const MICRO_OPS: [OpClass; 5] =
     [OpClass::Read, OpClass::Ls, OpClass::Stat, OpClass::Create, OpClass::Mkdir];
+
+/// The systems Figs. 11 and 12 compare, in column order.
+const SWEEP_SYSTEMS: [SystemKind; 5] = [
+    SystemKind::Lambda,
+    SystemKind::Hops,
+    SystemKind::HopsCache,
+    SystemKind::InfiniCache,
+    SystemKind::Ceph,
+];
+
+/// Figs. 11 and 12: for each of [`MICRO_OPS`], runs every system at every
+/// value of one swept axis (`params(op, value)`) and prints a table with a
+/// row per value and a `cell` per system.
+pub fn print_scaling_sweep(
+    threads: usize,
+    axis: &str,
+    values: &[u32],
+    params: impl Fn(OpClass, u32) -> MicroParams,
+    cell: impl Fn(&MicroPoint) -> String,
+    title: impl Fn(OpClass) -> String,
+) {
+    let mut headers = vec![axis];
+    headers.extend(SWEEP_SYSTEMS.iter().map(|s| s.label()));
+    for op in MICRO_OPS {
+        let jobs = SWEEP_SYSTEMS
+            .iter()
+            .flat_map(|&kind| values.iter().map(move |&v| (kind, v)))
+            .map(|(kind, v)| {
+                let p = params(op, v);
+                move || run_micro_point(kind, &p)
+            })
+            .collect();
+        let points = run_parallel(threads, jobs);
+        let rows: Vec<Vec<String>> = values
+            .iter()
+            .enumerate()
+            .map(|(vi, v)| {
+                let column = points.iter().skip(vi).step_by(values.len());
+                std::iter::once(v.to_string()).chain(column.map(&cell)).collect()
+            })
+            .collect();
+        print_table(&title(op), &headers, &rows);
+    }
+}

@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
@@ -77,67 +78,104 @@ pub fn print_series(title: &str, labels: &[&str], series: &[Vec<f64>], stride: u
 }
 
 /// `--name=value` parsed out of `args`: `Ok(default)` when absent, and on a
-/// present-but-malformed value `Err` with the message the binaries exit on.
-fn parse_arg<T: FromStr>(
-    mut args: impl Iterator<Item = String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
+/// present-but-malformed value `Err` with the message the driver exits on.
+fn parse_arg<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
     let prefix = format!("--{name}=");
-    match args.find_map(|a| a.strip_prefix(&prefix).map(str::to_owned)) {
+    match args.iter().find_map(|a| a.strip_prefix(&prefix)) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad value for --{name}: {v}")),
     }
 }
 
-/// [`parse_arg`] over the process arguments. A malformed value exits 2: a
-/// typo (`--seed=1O`) must not silently run the default.
-fn arg<T: FromStr>(name: &str, default: T) -> T {
-    parse_arg(std::env::args(), name, default).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
+/// The flags every figure accepts. `name` is a switch (`--full`), `name=`
+/// takes a value (`--seed=7`); figures declare theirs the same way.
+pub const COMMON_FLAGS: [&str; 4] = ["scale=", "full", "seed=", "threads="];
+
+/// Flags as typed on a command line: `--scale= --full`.
+#[must_use]
+pub fn flag_list(flags: &[&str]) -> String {
+    flags.iter().map(|f| format!("--{f}")).collect::<Vec<_>>().join(" ")
 }
 
-/// Reads `--name=value` from the process arguments, with a default.
-#[must_use]
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg(name, default)
+/// The flags of one `lfsfig <figure> …` invocation, checked against the
+/// ones the figure declares: a typo (`--sead=7`, `--durabel`) must not
+/// silently run the default.
+#[derive(Debug)]
+pub struct Args {
+    given: Vec<String>,
+    accepted: Vec<&'static str>,
 }
 
-/// Reads an integer `--name=value` (e.g. a seed) from the process
-/// arguments, with a default. Unlike going through [`arg_f64`] and
-/// casting, large seeds survive without losing low bits to the `f64`
-/// mantissa.
-#[must_use]
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    arg(name, default)
-}
+impl Args {
+    /// Checks every argument after the figure name against
+    /// [`COMMON_FLAGS`] plus `figure_flags`.
+    ///
+    /// # Errors
+    ///
+    /// The first argument that is not an accepted `--name` / `--name=value`,
+    /// named in a message that lists the accepted ones.
+    pub fn parse(given: Vec<String>, figure_flags: &[&'static str]) -> Result<Args, String> {
+        let accepted: Vec<&str> = COMMON_FLAGS.iter().chain(figure_flags).copied().collect();
+        for arg in &given {
+            let key = arg.strip_prefix("--").and_then(|f| f.split_inclusive('=').next());
+            if !key.is_some_and(|k| accepted.contains(&k)) {
+                return Err(format!("unknown flag {arg} (accepted: {})", flag_list(&accepted)));
+            }
+        }
+        Ok(Args { given, accepted })
+    }
 
-/// Reads a `--flag` boolean from the process arguments.
-#[must_use]
-pub fn arg_flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}
+    /// A figure that reads a flag its table entry does not declare would
+    /// have that flag rejected on every command line: a bug, not a default.
+    fn assert_declared(&self, key: &str) {
+        assert!(self.accepted.contains(&key), "--{key} is read but not declared by this figure");
+    }
 
-/// Reads a `usize` `--name=value` (a count: threads, clients) from the
-/// process arguments, with a default.
-#[must_use]
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg(name, default)
-}
+    /// `--name=value`, or `default` when absent. A malformed value exits 2
+    /// (`--seed=1O` must not silently run the default either).
+    fn value<T: FromStr>(&self, name: &str, default: T) -> T {
+        self.assert_declared(&format!("{name}="));
+        parse_arg(&self.given, name, default).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
+    }
 
-/// The sweep thread width every benchmark binary uses: `--threads=N`,
-/// else the machine's available parallelism.
-///
-/// Thread width never changes any simulated result — each sweep job is a
-/// whole independent simulation and job order is preserved — so this knob
-/// only trades wall-clock time for cores.
-#[must_use]
-pub fn bench_threads() -> usize {
-    let fallback = thread::available_parallelism().map(usize::from).unwrap_or(4);
-    arg_usize("threads", fallback).max(1)
+    /// Reads an integer `--name=value` (a seed, a count), with a default.
+    #[must_use]
+    pub fn u64(&self, name: &str, default: u64) -> u64 {
+        self.value(name, default)
+    }
+
+    /// Reads a `--name` switch.
+    #[must_use]
+    pub fn flag(&self, name: &str) -> bool {
+        self.assert_declared(name);
+        self.given.iter().any(|a| a.strip_prefix("--") == Some(name))
+    }
+
+    /// The sweep thread width: `--threads=N`, else the machine's available
+    /// parallelism.
+    ///
+    /// Thread width never changes any simulated result — each sweep job is a
+    /// whole independent simulation and job order is preserved — so this knob
+    /// only trades wall-clock time for cores.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.value("threads", host_cores()).max(1)
+    }
+
+    /// The experiment scale factor: 1.0 = the paper's full scale. Defaults to
+    /// a 5× reduction (load, resources, and store capacity shrink together, so
+    /// the figures' shapes are preserved); `--full` forces 1.0.
+    #[must_use]
+    pub fn scale(&self) -> f64 {
+        if self.flag("full") {
+            1.0
+        } else {
+            self.value("scale", 5.0_f64).max(1.0)
+        }
+    }
 }
 
 /// The number of hardware threads on the machine running the bench, as
@@ -149,58 +187,25 @@ pub fn host_cores() -> usize {
     thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
-/// The experiment scale factor: 1.0 = the paper's full scale. Defaults to
-/// a 5× reduction (load, resources, and store capacity shrink together, so
-/// the figures' shapes are preserved); `--full` forces 1.0.
-#[must_use]
-pub fn scale_from_args() -> f64 {
-    if arg_flag("full") {
-        1.0
-    } else {
-        arg_f64("scale", 5.0).max(1.0)
-    }
-}
-
-/// Runs jobs on up to [`bench_threads`] threads, preserving order, and
+/// Runs jobs on `width` threads ([`Args::threads`]), preserving order, and
 /// prints a wall-clock summary of the sweep when it finishes.
 ///
 /// Each job builds its own simulation, so jobs are fully independent.
-pub fn run_parallel<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_parallel_on(bench_threads(), jobs)
-}
-
-/// [`run_parallel`] at an explicit thread width.
-fn run_parallel_on<T, F>(width: usize, jobs: Vec<F>) -> Vec<T>
+pub fn run_parallel<T, F>(width: usize, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
     let n_jobs = jobs.len();
     let started = Instant::now();
-    let mut results: Vec<Option<T>> = Vec::new();
-    results.resize_with(jobs.len(), || None);
-    let mut jobs: Vec<Option<F>> = jobs.into_iter().map(Some).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let jobs_ref = std::sync::Mutex::new(&mut jobs);
-    let results_ref = std::sync::Mutex::new(&mut results);
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let results = Mutex::new((0..n_jobs).map(|_| None).collect::<Vec<Option<T>>>());
     thread::scope(|scope| {
         for _ in 0..width {
             scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                let job = {
-                    let mut jobs = jobs_ref.lock().expect("jobs lock");
-                    match jobs.get_mut(idx) {
-                        Some(slot) => slot.take(),
-                        None => return,
-                    }
-                };
-                let Some(job) = job else { return };
+                let Some((idx, job)) = queue.lock().expect("queue lock").next() else { return };
                 let out = job();
-                results_ref.lock().expect("results lock")[idx] = Some(out);
+                results.lock().expect("results lock")[idx] = Some(out);
             });
         }
     });
@@ -210,6 +215,7 @@ where
         if n_jobs == 1 { "" } else { "s" },
         if width == 1 { "" } else { "s" },
     );
+    let results = results.into_inner().expect("results lock");
     results.into_iter().map(|r| r.expect("job completed")).collect()
 }
 
@@ -220,7 +226,7 @@ where
 /// Every line is prefixed `[wall-clock]` so golden-output diffs can
 /// filter the runtime-dependent part, exactly like [`run_parallel`]'s
 /// sweep summary.
-pub fn run_parallel_ops<T, F>(jobs: Vec<F>, ops: impl Fn(&T) -> u64) -> Vec<T>
+pub fn run_parallel_ops<T, F>(width: usize, jobs: Vec<F>, ops: impl Fn(&T) -> u64) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -235,7 +241,7 @@ where
             }
         })
         .collect();
-    let results = run_parallel(timed);
+    let results = run_parallel(width, timed);
     results
         .into_iter()
         .enumerate()
@@ -284,7 +290,7 @@ mod tests {
     fn parallel_runner_preserves_order() {
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
             (0..32usize).map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>).collect();
-        let out = run_parallel(jobs);
+        let out = run_parallel(4, jobs);
         assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -292,37 +298,61 @@ mod tests {
     fn parallel_ops_runner_preserves_order_and_results() {
         let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> =
             (0..8u64).map(|i| Box::new(move || i + 100) as Box<dyn FnOnce() -> u64 + Send>).collect();
-        let out = run_parallel_ops(jobs, |r| *r);
+        let out = run_parallel_ops(4, jobs, |r| *r);
         assert_eq!(out, (0..8).map(|i| i + 100).collect::<Vec<_>>());
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
     }
 
     #[test]
     fn parse_arg_reads_defaults_and_rejects_malformed_values() {
-        let args = || ["bin", "--seed=17", "--scale=abc"].into_iter().map(String::from);
-        assert_eq!(parse_arg(args(), "seed", 42u64), Ok(17));
-        assert_eq!(parse_arg(args(), "threads", 4usize), Ok(4));
-        assert_eq!(parse_arg(args(), "scale", 5.0f64), Err("bad value for --scale: abc".to_string()));
+        let args = strings(&["--seed=17", "--scale=abc"]);
+        assert_eq!(parse_arg(&args, "seed", 42u64), Ok(17));
+        assert_eq!(parse_arg(&args, "threads", 4usize), Ok(4));
+        assert_eq!(parse_arg(&args, "scale", 5.0f64), Err("bad value for --scale: abc".to_string()));
+    }
+
+    #[test]
+    fn args_accept_common_and_declared_flags_only() {
+        let args = Args::parse(strings(&["--scale=50", "--seed=7", "--smoke"]), &["smoke", "rows="])
+            .expect("all declared");
+        assert_eq!((args.scale(), args.u64("seed", 52), args.u64("rows", 0)), (50.0, 7, 0));
+        assert!(args.flag("smoke") && !args.flag("full"));
+        assert_eq!(Args::parse(strings(&["--threads=3", "--full"]), &[]).expect("common").threads(), 3);
+
+        // Misspelt, undeclared, positional, and switch/value mix-ups.
+        for bad in ["--sead=7", "--smokee", "--durable", "seed=7", "--", "--seed", "--smoke=1"] {
+            let err = Args::parse(strings(&["--scale=50", bad]), &["smoke"]).expect_err(bad);
+            assert_eq!(
+                err,
+                format!("unknown flag {bad} (accepted: --scale= --full --seed= --threads= --smoke)")
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "--rows= is read but not declared")]
+    fn args_panic_on_reading_an_undeclared_flag() {
+        let _ = Args::parse(Vec::new(), &["smoke"]).expect("no flags given").u64("rows", 0);
     }
 
     #[test]
     fn sweep_results_do_not_depend_on_thread_width() {
-        use crate::industrial::{run_industrial, IndustrialParams, SystemKind};
+        use crate::industrial::{run_industrial_sweep, IndustrialParams, SystemKind};
         // Whole simulations per job, so paths interned on one worker thread
         // are read back on another.
         let sweep = |width| {
-            let jobs: Vec<_> = [
+            let runs = [
                 (SystemKind::Lambda, 1u64),
                 (SystemKind::Hops, 2),
                 (SystemKind::HopsCache, 3),
                 (SystemKind::Ceph, 4),
                 (SystemKind::Lambda, 5),
-            ]
-            .into_iter()
-            .map(|(kind, seed)| {
-                move || format!("{:?}", run_industrial(kind, &IndustrialParams::spotify(25_000.0, 200.0, seed)))
-            })
-            .collect();
-            run_parallel_on(width, jobs)
+            ];
+            let params = |seed| IndustrialParams::spotify(25_000.0, 200.0, seed);
+            format!("{:?}", run_industrial_sweep(width, runs.map(|(kind, seed)| (kind, params(seed)))))
         };
         assert_eq!(sweep(1), sweep(4));
     }

@@ -1,0 +1,92 @@
+//! The `lfsfig` driver end to end (debug build, seconds): figure lookup,
+//! flag checking before anything runs, and that every figure name the
+//! scripts and goldens use is one the driver registers.
+
+use std::path::Path;
+use std::process::Command;
+
+/// Runs `lfsfig args…`; returns (exit code, stdout, stderr).
+fn lfsfig(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_lfsfig")).args(args).output().expect("spawn lfsfig");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+fn registered() -> Vec<String> {
+    let (code, stdout, _) = lfsfig(&["list"]);
+    assert_eq!(code, Some(0));
+    stdout.lines().map(str::to_owned).collect()
+}
+
+#[test]
+fn list_names_the_eighteen_figures() {
+    let names = registered();
+    assert_eq!(names.len(), 18, "{names:?}");
+    for name in ["tab01_loc", "fig08d_million_scale", "fig15b_chaos", "bench_store"] {
+        assert_eq!(names.iter().filter(|n| *n == name).count(), 1, "{name} in {names:?}");
+    }
+}
+
+#[test]
+fn a_figure_runs_and_an_unknown_one_lists_the_rest() {
+    let (code, stdout, stderr) = lfsfig(&["tab01_loc"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("TOTAL"));
+
+    let (code, stdout, stderr) = lfsfig(&["fig10_latency_cdf"]);
+    assert_eq!((code, stdout.as_str()), (Some(2), ""));
+    for name in registered() {
+        assert!(stderr.contains(&name), "usage omits {name}");
+    }
+}
+
+#[test]
+fn bad_flags_exit_2_before_anything_runs() {
+    let common = "--scale= --full --seed= --threads=";
+    for (args, message) in [
+        (["fig10_latency_cdfs", "--sead=1"], format!("unknown flag --sead=1 (accepted: {common})")),
+        (["fig15b_chaos", "--durabel"], format!("unknown flag --durabel (accepted: {common} --smoke --durable)")),
+        (["fig10_latency_cdfs", "--seed=1O"], "bad value for --seed: 1O".to_string()),
+    ] {
+        let (code, stdout, stderr) = lfsfig(&args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
+        assert_eq!(stdout, "", "{args:?} printed a figure");
+    }
+}
+
+/// A rename must not leave a script or a golden pointing at nothing.
+#[test]
+fn scripts_and_goldens_name_registered_figures() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+
+    // run_figs.sh: the words of its default list, `set -- a b \` … up to `fi`.
+    let run_figs = read("scripts/run_figs.sh");
+    let list = run_figs.split_once("set -- ").expect("default list").1;
+    let list = list.split_once("\nfi").expect("end of default list").0;
+    let mut used: Vec<String> =
+        list.split_whitespace().filter(|w| *w != "\\").map(str::to_owned).collect();
+    assert!(used.len() >= 14, "run_figs.sh default list not found: {used:?}");
+
+    // verify.sh: the word after `lfsfig` or `golden_check` on a command line.
+    let verify = read("scripts/verify.sh");
+    let runs = verify
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .flat_map(|l| ["target/release/lfsfig ", "golden_check "].map(|m| l.split_once(m)))
+        .filter_map(|found| found?.1.split_whitespace().next())
+        .filter(|word| word.starts_with(|c: char| c.is_ascii_alphabetic()));
+    let before = used.len();
+    used.extend(runs.map(str::to_owned));
+    assert!(used.len() >= before + 8, "verify.sh figure runs not found: {:?}", &used[before..]);
+
+    for entry in std::fs::read_dir(root.join("results/golden")).expect("results/golden") {
+        let path = entry.expect("dir entry").path();
+        used.push(path.file_stem().expect("stem").to_string_lossy().into_owned());
+    }
+    let names = registered();
+    for name in used {
+        assert!(names.contains(&name), "{name} is not a figure `lfsfig list` prints");
+    }
+}

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates results/<bin>.txt from the release figure binaries:
-#   scripts/run_figs.sh            # every figure and table
+# Regenerates results/<figure>.txt with the release figure driver:
+#   scripts/run_figs.sh            # every figure and table of the paper
 #   scripts/run_figs.sh fig10_latency_cdfs fig15_fault_tolerance
-# Build first: cargo build --release --offline
-# Runs every binary named even if one fails (panic, or the 1 800 s
-# timeout), then exits 1 naming the failures.
+# Build first: cargo build --release --offline (`lfsfig list` names the
+# figures). Runs every figure named even if one fails (unknown name,
+# panic, or the 1 800 s timeout), then exits 1 naming the failures.
 set -u
 cd "$(dirname "$0")/.."
 if [ $# -eq 0 ]; then
@@ -15,19 +15,19 @@ if [ $# -eq 0 ]; then
 fi
 mkdir -p results
 failed=()
-for bin in "$@"; do
-  echo "=== RUNNING $bin $(date +%T) ==="
+for fig in "$@"; do
+  echo "=== RUNNING $fig $(date +%T) ==="
   out="$(mktemp)"
-  timeout 1800 "./target/release/$bin" > "$out" 2>&1
+  timeout 1800 ./target/release/lfsfig "$fig" > "$out" 2>&1
   rc=$?
-  echo "=== DONE $bin rc=$rc $(date +%T) ==="
-  # Only a complete run replaces results/<bin>.txt; keep going either
+  echo "=== DONE $fig rc=$rc $(date +%T) ==="
+  # Only a complete run replaces results/<figure>.txt; keep going either
   # way so the other files are still regenerated.
   if [ "$rc" -eq 0 ]; then
-    mv "$out" "results/$bin.txt"
+    mv "$out" "results/$fig.txt"
   else
-    echo "$bin failed; its truncated output is kept in $out" >&2
-    failed+=("$bin")
+    echo "$fig failed; its truncated output is kept in $out" >&2
+    failed+=("$fig")
   fi
 done
 if [ ${#failed[@]} -gt 0 ]; then

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# One entry point for correctness + perf verification of a PR:
+# One entry point for correctness + perf verification of a PR. Every figure
+# step runs `./target/release/lfsfig <figure> …`; the steps that need the
+# plain build come first, because step 11 rebuilds that one binary with the
+# counting allocator for the steps after it.
 #   1. tier-1: release build + full test suite (quiet). The root manifest
 #      lists the root package and every crate as default members, so this
-#      builds the bench binaries and runs the ~390 crate-level tests too.
+#      builds `lfsfig` and runs the ~400 crate-level tests too
+#      (crates/bench/tests/driver.rs among them: figure lookup, flag
+#      rejection, and that every figure named below is registered).
 #   2. lint: clippy across the workspace, warnings denied; and the
 #      retained baseline engines (lambda_sim::baseline,
 #      lambda_faas::baseline, lambda_namespace::cache_baseline) must be
@@ -23,44 +28,45 @@
 #      threads must still match the golden capture byte-for-byte —
 #      sweep-level parallelism (whole independent simulations per
 #      thread, the only kind there is) must never reach the results.
-#   7. memory sweep smoke: fig08d_million_scale --smoke --phase-timings
-#      exercises the footprint instrumentation and the per-phase
-#      wall-clock breakdown end-to-end (small scales, exact bytes/inode +
-#      bytes/client accounting via the counting allocator).
-#   8. alloc-stats feature build: the counting-allocator feature must
-#      keep compiling in release mode (it is off by default, so only
-#      this step catches bit-rot).
-#   9. bootstrap budget regression: the streaming tree loader must keep
-#      loading fresh trees at >=500k inodes/sec and stay at least as
-#      dense per inode as insert+repack (crates/bench/tests/
-#      bootstrap_budget.rs, release + alloc-stats).
-#  10. store engine bench smoke: bench_store --smoke runs the arena B+
+#   7. store engine bench smoke: bench_store --smoke runs the arena B+
 #      tree vs std-BTreeMap microbench at small scales (liveness; the
 #      full-scale numbers live in results/BENCH_store.json). The engine's
 #      observational equivalence is pinned by the differential proptests
-#      in crates/store/tests/engine_differential.rs, which tier-1
-#      `cargo test` runs since the crates became default members (until
-#      then only `cargo test --workspace` did).
-#  11. per-op allocation regression (crates/bench/tests/alloc_per_op.rs,
+#      in crates/store/tests/engine_differential.rs, which step 1 runs.
+#   8. durable chaos smoke: fig15b_chaos --smoke --durable re-runs every
+#      fault class on the WAL-backed durable store backend — shard
+#      failovers recover by WAL replay, and the audit adds the
+#      post-crash shadow↔table consistency check.
+#   9. durability sweep smoke: fig15c_durability --smoke runs the
+#      flush-interval x crash-rate grid (recovery time, write
+#      amplification, lost-window aborts) and exits nonzero on any
+#      audit failure. Full-scale numbers: results/BENCH_durability.json.
+#  10. LSM crash/replay differential: the lambda-lsm proptests (random
+#      put/delete/flush interleavings crashed at arbitrary points; WAL
+#      replay must reconstruct the exact pre-crash visible state) run
+#      explicitly in release mode.
+#  11. alloc-stats build: `lfsfig` rebuilt with the counting allocator
+#      registered. The feature is off by default, so only this step
+#      catches its bit-rot; steps 12-15 need it.
+#  12. memory sweep smoke: fig08d_million_scale --smoke --phase-timings
+#      exercises the footprint instrumentation and the per-phase
+#      wall-clock breakdown end-to-end (small scales, exact bytes/inode +
+#      bytes/client accounting via the counting allocator).
+#  13. memory budget regression: bytes/inode of the fig08a λFS tree at
+#      scale 25 stays under budget (crates/bench/tests/mem_budget.rs,
+#      release + alloc-stats).
+#  14. bootstrap budget regression: the streaming tree loader must keep
+#      loading fresh trees at >=500k inodes/sec and stay at least as
+#      dense per inode as insert+repack (crates/bench/tests/
+#      bootstrap_budget.rs, release + alloc-stats).
+#  15. per-op allocation regression (crates/bench/tests/alloc_per_op.rs,
 #      release + alloc-stats): lean reads (point gets + visitor scans)
 #      against a 250k-inode tree must make zero heap allocations; through
 #      a warmed λFS, a cached ls of 8 and of 512 children must allocate
 #      equally often and a Stat/ReadFile/Ls mix at most 16 times per op;
 #      a first-touch Stat/ReadFile (cache miss resolved against the
 #      store) at most 21 times.
-#  12. LSM crash/replay differential: the lambda-lsm proptests (random
-#      put/delete/flush interleavings crashed at arbitrary points; WAL
-#      replay must reconstruct the exact pre-crash visible state) run
-#      explicitly in release mode.
-#  13. durable chaos smoke: fig15b_chaos --smoke --durable re-runs every
-#      fault class on the WAL-backed durable store backend — shard
-#      failovers recover by WAL replay, and the audit adds the
-#      post-crash shadow↔table consistency check.
-#  14. durability sweep smoke: fig15c_durability --smoke runs the
-#      flush-interval x crash-rate grid (recovery time, write
-#      amplification, lost-window aborts) and exits nonzero on any
-#      audit failure. Full-scale numbers: results/BENCH_durability.json.
-#  15. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
+#  16. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
 #      the standalone package and runs all four workloads at 1/20 size
 #      with every correctness check; then the package's own tests.
 #
@@ -68,17 +74,17 @@
 # results/BENCH_*_smoke.json (ignored by git) and are informational at
 # that scale; the recorded full-size numbers are results/BENCH_scale.json,
 # BENCH_store.json and BENCH_durability.json. Host-side cost per layer is
-# the benchmark's to measure (step 15 runs it at smoke size).
+# the benchmark's to measure (step 16 runs it at smoke size).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# golden_check <bin> [args…]: the binary's output must equal
-# results/golden/<bin>.txt except for the [wall-clock] lines. Captured to
-# a temp file so a passing run leaves the tracked results/ untouched.
+# golden_check <figure> [args…]: the figure's output must equal
+# results/golden/<figure>.txt except for the [wall-clock] lines. Captured
+# to a temp file so a passing run leaves the tracked results/ untouched.
 golden_check() {
     local out
     out="$(mktemp)"
-    "./target/release/$1" "${@:2}" > "$out"
+    ./target/release/lfsfig "$@" > "$out"
     diff <(grep -v wall-clock "results/golden/$1.txt") <(grep -v wall-clock "$out") \
         || { echo "$* differs from the golden capture (output kept in $out)"; return 1; }
     rm -f "$out"
@@ -87,8 +93,6 @@ golden_check() {
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
-# The memory sweep smoke needs its binary built with the counting allocator.
-cargo build --release --offline -p lambda-bench --bin fig08d_million_scale --features alloc-stats
 
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
@@ -110,13 +114,28 @@ echo "== fig15 golden check (fault plane off => byte-identical) =="
 golden_check fig15_fault_tolerance
 
 echo "== chaos smoke (fault classes + invariant audits) =="
-./target/release/fig15b_chaos --smoke
+./target/release/lfsfig fig15b_chaos --smoke
 
 echo "== fig10 golden check at --threads=4 =="
 golden_check fig10_latency_cdfs --threads=4
 
+echo "== store engine bench smoke (arena B+ tree vs std BTreeMap) =="
+./target/release/lfsfig bench_store --smoke
+
+echo "== durable chaos smoke (WAL replay recovery + shadow check) =="
+./target/release/lfsfig fig15b_chaos --smoke --durable
+
+echo "== durability sweep smoke (flush interval x crash rate) =="
+./target/release/lfsfig fig15c_durability --smoke
+
+echo "== LSM crash/replay differential proptests =="
+cargo test -q --release --offline -p lambda-lsm --test crash_replay
+
+echo "== alloc-stats build (lfsfig with the counting allocator) =="
+cargo build --release --offline -p lambda-bench --features alloc-stats
+
 echo "== memory sweep smoke (fig08d, counting allocator, phase timings) =="
-./target/release/fig08d_million_scale --smoke --phase-timings
+./target/release/lfsfig fig08d_million_scale --smoke --phase-timings
 
 echo "== memory budget regression (bytes/inode at scale 25) =="
 cargo test -q --release --offline -p lambda-bench --features alloc-stats --test mem_budget
@@ -124,20 +143,8 @@ cargo test -q --release --offline -p lambda-bench --features alloc-stats --test 
 echo "== bootstrap budget regression (throughput floor + bulk density) =="
 cargo test -q --release --offline -p lambda-bench --features alloc-stats --test bootstrap_budget
 
-echo "== store engine bench smoke (arena B+ tree vs std BTreeMap) =="
-./target/release/bench_store --smoke
-
 echo "== per-op allocation regression (lean reads zero; warmed and first-touch reads per event) =="
 cargo test -q --release --offline -p lambda-bench --features alloc-stats --test alloc_per_op
-
-echo "== LSM crash/replay differential proptests =="
-cargo test -q --release --offline -p lambda-lsm --test crash_replay
-
-echo "== durable chaos smoke (WAL replay recovery + shadow check) =="
-./target/release/fig15b_chaos --smoke --durable
-
-echo "== durability sweep smoke (flush interval x crash rate) =="
-./target/release/fig15c_durability --smoke
 
 echo "== benchmark smoke (four workloads at 1/20 size) + its own tests =="
 bash benchmark/run.sh --smoke
