@@ -21,14 +21,12 @@
 //! * `build` — dense bulk build from an ascending stream vs
 //!   `BTreeMap::from_iter`.
 //!
-//! Results (per-scale rates for both engines plus speedups) go to
-//! `results/BENCH_store.json`; `--smoke` runs small scales for CI
-//! liveness.
+//! It prints per-scale rates for both engines plus speedups; `--smoke`
+//! runs small scales for CI liveness.
 //!
-//! Flags: `--smoke`, `--seed=N`, `--rows=N` (one scale of N rows instead
-//! of the list).
+//! Flags: `--smoke`, `--seed=N`.
 
-use lambda_bench::{fmt_ops, print_table, write_json, Args};
+use lambda_bench::{fmt_ops, print_table, Args};
 use lambda_sim::SimRng;
 use lambda_store::bptree::BpTree;
 use std::collections::BTreeMap;
@@ -60,15 +58,6 @@ struct EngineRates {
     scan48: f64,
     churn: f64,
     build: f64,
-}
-
-impl EngineRates {
-    fn json(&self) -> String {
-        format!(
-            "{{\"get_uniform\": {:.1}, \"get_zipf\": {:.1}, \"scan48\": {:.1}, \"churn\": {:.1}, \"build\": {:.1}}}",
-            self.get_uniform, self.get_zipf, self.scan48, self.churn, self.build,
-        )
-    }
 }
 
 /// Ops and reps per scenario, scaled down under `--smoke`.
@@ -220,10 +209,7 @@ fn run_engine<E: Engine>(rows: u64, seed: u64, budget: &Budget) -> EngineRates {
 pub fn run(args: &Args) {
     let seed = args.u64("seed", 17);
     let smoke = args.flag("smoke");
-    let only_rows = [args.u64("rows", 0)];
-    let scales: &[u64] = if only_rows[0] > 0 {
-        &only_rows
-    } else if smoke {
+    let scales: &[u64] = if smoke {
         &[25_000, 100_000]
     } else {
         &[250_000, 1_000_000, 10_000_000]
@@ -234,9 +220,8 @@ pub fn run(args: &Args) {
         Budget { gets: 2_000_000, scans: 100_000, churn: 1_000_000, reps: 3 }
     };
 
-    let mut json = String::from("{\n  \"scales\": [\n");
     let mut rows_out: Vec<Vec<String>> = Vec::new();
-    for (i, &rows) in scales.iter().enumerate() {
+    for &rows in scales {
         let bp = run_engine::<BpTree<u64, Row>>(rows, seed, &budget);
         let std = run_engine::<BTreeMap<u64, Row>>(rows, seed, &budget);
         for (name, b, s) in [
@@ -254,14 +239,7 @@ pub fn run(args: &Args) {
                 format!("{:.2}x", b / s),
             ]);
         }
-        json.push_str(&format!(
-            "    {{\"rows\": {rows}, \"bptree\": {}, \"btreemap\": {}}}{}\n",
-            bp.json(),
-            std.json(),
-            if i + 1 == scales.len() { "" } else { "," },
-        ));
     }
-    json.push_str(&format!("  ],\n  \"seed\": {seed},\n  \"smoke\": {smoke}\n}}\n"));
 
     print_table(
         &format!("Store engine: arena B+ tree vs std BTreeMap (seed {seed}{})",
@@ -269,6 +247,4 @@ pub fn run(args: &Args) {
         &["rows", "scenario", "bptree/s", "btreemap/s", "speedup"],
         &rows_out,
     );
-    let path = write_json(if smoke { "BENCH_store_smoke" } else { "BENCH_store" }, &json);
-    println!("wrote {}", path.display());
 }

@@ -13,27 +13,24 @@
 //!   (store, platform, deployments), so it over-reports slightly at small
 //!   client counts and converges to the true per-client figure at 25k+.
 //!
-//! Byte accounting needs the counting global allocator: build with
-//! `--features alloc-stats`. Without it the sweep still runs (wall-clock
-//! and sim-op throughput are reported) and the byte fields are zero.
+//! Byte accounting needs the counting global allocator, so the figure
+//! refuses to run (exit 2) unless built with `--features alloc-stats`.
 //!
-//! A `reference_scale25` section replays the fig08a λFS configuration at
-//! scale 25 (the exact system the performance figures run, via
-//! [`lambda_config`]) and compares its bytes/inode against the value
-//! measured on the tree *before* the footprint overhaul, pinning the
-//! optimization's claimed reduction in the committed JSON.
+//! A scale-25 reference replays the fig08a λFS configuration at scale 25
+//! (the exact system the performance figures run, via [`lambda_config`])
+//! and compares its bytes/inode against the value measured on the tree
+//! *before* the footprint overhaul, printing the optimization's claimed
+//! reduction.
 //!
-//! Flags: `--smoke` (tiny points for CI), `--threads=N` (sweep width;
-//! byte deltas are exact only at the default sequential width because the
-//! allocator counters are process-global), `--seed=N`, `--phase-timings`
-//! (print a per-point wall-clock breakdown of build/bootstrap/start/
-//! prewarm/warmup/issue/drain — the profile that directs scale-cliff
-//! work; the same breakdown is always emitted into the JSON),
-//! `--point=N` (run only the N-th sweep point, 1-based, and skip the JSON
-//! write — for iterating on one scale without clobbering the committed
-//! results), `--clients=N --dirs=N` (run one custom point instead of the
-//! sweep), `--ops=N` (override the issue-phase op count). All three
-//! diagnostic flags skip the JSON write.
+//! Every point also prints a wall-clock breakdown of build / bootstrap /
+//! start / prewarm / warmup / issue / drain — the profile that directs
+//! scale-cliff work.
+//!
+//! The points run one at a time whatever `--threads` says: the allocator
+//! counters are process-wide, so a byte delta is exact only when nothing
+//! else allocates beside it.
+//!
+//! Flags: `--smoke` (tiny points for CI), `--seed=N`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -45,10 +42,10 @@ use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig};
 use lambda_namespace::{DfsPath, FsOp, InodeName};
 use lambda_sim::{every, Sim, SimDuration, SimRng};
 
-/// Bytes/inode measured by this figure's `reference_scale25` run on the
+/// Bytes/inode measured by this figure's scale-25 reference on the
 /// tree before the footprint overhaul (the commit introducing this bench),
-/// with `--features alloc-stats` on a sequential sweep. The committed JSON
-/// reports the reduction against these.
+/// with `--features alloc-stats` on a sequential sweep. The figure prints
+/// the reduction against these.
 const PRE_PR_BYTES_PER_INODE_SCALE25: f64 = 295.0;
 /// Bytes/client measured at the 25k-client sweep point before the
 /// overhaul (same capture protocol as
@@ -67,21 +64,15 @@ const PHASES: &[&str] = &["build", "bootstrap", "start", "prewarm", "warmup", "i
 
 struct PointResult {
     clients: u32,
-    dirs: usize,
     inodes_created: usize,
-    build_bytes: u64,
-    bootstrap_bytes: u64,
     peak_bytes: u64,
     bytes_per_client: f64,
     bytes_per_inode: f64,
-    build_wall_secs: f64,
     bootstrap_wall_secs: f64,
     run_wall_secs: f64,
     /// Seconds per phase, parallel to [`PHASES`].
     phase_secs: Vec<f64>,
     sim_ops: u64,
-    issued: u64,
-    accounted: u64,
 }
 
 fn sweep_config(clients: u32) -> LambdaFsConfig {
@@ -194,33 +185,22 @@ fn run_point(clients: u32, dirs: usize, total_ops: u64, rate: f64, seed: u64) ->
         drain_secs,
     ];
 
-    let (issued, accounted) = {
-        let metrics = fs.metrics();
-        let mut metrics = metrics.borrow_mut();
-        metrics.bytes_per_inode = bootstrap_bytes as f64 / inodes_created.max(1) as f64;
-        metrics.bytes_per_client = build_bytes as f64 / f64::from(clients.max(1));
-        (metrics.issued, metrics.accounted())
-    };
+    let metrics = fs.metrics();
+    let metrics = metrics.borrow();
     // `audit()` is O(n²) in the namespace — at 10M inodes the billing
     // conservation check below is the affordable integrity gate.
-    assert_eq!(issued, accounted, "{clients} clients: operations leaked");
+    assert_eq!(metrics.issued, metrics.accounted(), "{clients} clients: operations leaked");
 
     PointResult {
         clients,
-        dirs,
         inodes_created,
-        build_bytes,
-        bootstrap_bytes,
         peak_bytes,
         bytes_per_client: build_bytes as f64 / f64::from(clients.max(1)),
         bytes_per_inode: bootstrap_bytes as f64 / inodes_created.max(1) as f64,
-        build_wall_secs,
         bootstrap_wall_secs,
         run_wall_secs,
         phase_secs,
         sim_ops,
-        issued,
-        accounted,
     }
 }
 
@@ -256,14 +236,6 @@ fn scale25_reference(seed: u64) -> Scale25Reference {
     }
 }
 
-fn reduction_vs(pre: f64, post: f64) -> Option<f64> {
-    (pre > 0.0 && post > 0.0).then(|| pre / post)
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or("null".to_string(), |x| format!("{x:.2}"))
-}
-
 fn fmt_bytes(b: f64) -> String {
     if b >= 1e9 {
         format!("{:.2}GB", b / 1e9)
@@ -277,15 +249,15 @@ fn fmt_bytes(b: f64) -> String {
 }
 
 pub fn run(args: &Args) {
+    if !mem::active() {
+        eprintln!(
+            "fig08d_million_scale measures heap bytes and needs the counting allocator: \
+             cargo build --release -p lambda-bench --features alloc-stats"
+        );
+        std::process::exit(2);
+    }
     let seed = args.u64("seed", 11);
     let smoke = args.flag("smoke");
-    let phase_timings = args.flag("phase-timings");
-    let threads = args.threads();
-    let host_cores = host_cores();
-    let counting = mem::active();
-    if !counting {
-        println!("note: built without --features alloc-stats; byte columns will read 0");
-    }
 
     // (clients, directories): each directory holds 48 files, so the full
     // sweep tops out at 1M clients over a 12.0M-inode namespace and the
@@ -295,21 +267,7 @@ pub fn run(args: &Args) {
     } else {
         &[(25_000, 5_103), (100_000, 20_409), (500_000, 204_082), (1_000_000, 244_898)]
     };
-    let only_point = args.u64("point", 0) as usize;
-    let points: &[(u32, usize)] = if only_point > 0 {
-        assert!(only_point <= points.len(), "--point={only_point} out of range");
-        &points[only_point - 1..only_point]
-    } else {
-        points
-    };
-    // `--clients=N --dirs=N`: one custom point, for separating client-count
-    // from namespace-size effects when chasing a cliff. Implies no JSON.
-    let custom_point = [(args.u64("clients", 0) as u32, args.u64("dirs", 0) as usize)];
-    let custom = custom_point[0].0 > 0 && custom_point[0].1 > 0;
-    let points = if custom { &custom_point[..] } else { points };
     let (total_ops, rate) = if smoke { (1_500, 500.0) } else { (20_000, 4_000.0) };
-    let ops_override = args.u64("ops", 0);
-    let total_ops = if ops_override > 0 { ops_override } else { total_ops };
 
     println!("scale-25 reference (fig08a λFS system):");
     let reference = scale25_reference(seed);
@@ -326,7 +284,7 @@ pub fn run(args: &Args) {
         .iter()
         .map(|&(clients, dirs)| move || run_point(clients, dirs, total_ops, rate, seed))
         .collect();
-    let results = run_parallel_ops(threads, jobs, |p| p.sim_ops);
+    let results = run_parallel_ops(1, jobs, |p| p.sim_ops);
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -345,102 +303,36 @@ pub fn run(args: &Args) {
         .collect();
     print_table(
         &format!(
-            "Million-scale memory sweep: seed {seed}, threads {threads}{}",
+            "Million-scale memory sweep: seed {seed}{}",
             if smoke { ", smoke" } else { "" }
         ),
         &["clients", "inodes", "B/inode", "B/client", "peak", "boot", "run", "ops/wsec"],
         &rows,
     );
 
-    if phase_timings {
-        let mut header = vec!["clients", "inodes/s"];
-        header.extend(PHASES);
-        let rows: Vec<Vec<String>> = results
-            .iter()
-            .map(|p| {
-                let mut row = vec![
-                    p.clients.to_string(),
-                    fmt_ops(p.inodes_created as f64 / p.bootstrap_wall_secs.max(1e-9)),
-                ];
-                row.extend(p.phase_secs.iter().map(|s| format!("{s:.3}s")));
-                row
-            })
-            .collect();
-        print_table("Phase wall-clock breakdown", &header, &rows);
-    }
-
-    let inode_reduction =
-        reduction_vs(PRE_PR_BYTES_PER_INODE_SCALE25, reference.bytes_per_inode);
-    let client_reduction = reduction_vs(
-        PRE_PR_BYTES_PER_CLIENT_25K,
-        results.first().map_or(0.0, |p| p.bytes_per_client),
-    );
-    if let Some(r) = inode_reduction {
-        println!("\nbytes/inode at scale 25: {r:.2}x reduction vs pre-overhaul");
-    }
-
-    let entries: Vec<String> = results
+    let mut header = vec!["clients", "inodes/s"];
+    header.extend(PHASES);
+    let rows: Vec<Vec<String>> = results
         .iter()
         .map(|p| {
-            let phases = PHASES
-                .iter()
-                .zip(&p.phase_secs)
-                .map(|(name, secs)| format!("\"{name}\": {secs:.3}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "    {{\"clients\": {}, \"dirs\": {}, \"inodes\": {}, \
-                 \"build_bytes\": {}, \"bootstrap_bytes\": {}, \"peak_bytes\": {}, \
-                 \"bytes_per_inode\": {:.2}, \"bytes_per_client\": {:.2}, \
-                 \"build_wall_secs\": {:.3}, \"bootstrap_wall_secs\": {:.3}, \
-                 \"bootstrap_inodes_per_sec\": {:.0}, \
-                 \"run_wall_secs\": {:.3}, \"sim_ops\": {}, \
-                 \"sim_ops_per_wall_sec\": {:.1}, \"issued\": {}, \"accounted\": {}, \
-                 \"phases\": {{{phases}}}}}",
-                p.clients,
-                p.dirs,
-                p.inodes_created,
-                p.build_bytes,
-                p.bootstrap_bytes,
-                p.peak_bytes,
-                p.bytes_per_inode,
-                p.bytes_per_client,
-                p.build_wall_secs,
-                p.bootstrap_wall_secs,
-                p.inodes_created as f64 / p.bootstrap_wall_secs.max(1e-9),
-                p.run_wall_secs,
-                p.sim_ops,
-                p.sim_ops as f64 / p.run_wall_secs.max(1e-9),
-                p.issued,
-                p.accounted,
-            )
+            let mut row = vec![
+                p.clients.to_string(),
+                fmt_ops(p.inodes_created as f64 / p.bootstrap_wall_secs.max(1e-9)),
+            ];
+            row.extend(p.phase_secs.iter().map(|s| format!("{s:.3}s")));
+            row
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"million_scale_memory\",\n  \"seed\": {seed},\n  \
-         \"smoke\": {smoke},\n  \"threads\": {threads},\n  \"host_cores\": {host_cores},\n  \
-         \"alloc_stats_active\": {counting},\n  \
-         \"bytes_exact\": {},\n  \
-         \"reference_scale25\": {{\"clients\": {}, \"dirs\": {}, \"inodes\": {}, \
-         \"bytes_per_inode\": {:.2}, \"pre_pr_bytes_per_inode\": {:.2}, \
-         \"inode_reduction_vs_pre_pr\": {}, \"pre_pr_bytes_per_client_25k\": {:.2}, \
-         \"client_reduction_vs_pre_pr\": {}}},\n  \"points\": [\n{}\n  ]\n}}\n",
-        counting && threads == 1,
-        reference.clients,
-        reference.dirs,
-        reference.inodes_created,
-        reference.bytes_per_inode,
-        PRE_PR_BYTES_PER_INODE_SCALE25,
-        fmt_opt(inode_reduction),
-        PRE_PR_BYTES_PER_CLIENT_25K,
-        fmt_opt(client_reduction),
-        entries.join(",\n")
+    print_table("Phase wall-clock breakdown", &header, &rows);
+
+    println!(
+        "\nbytes/inode at scale 25: {:.2}x reduction vs pre-overhaul",
+        PRE_PR_BYTES_PER_INODE_SCALE25 / reference.bytes_per_inode
     );
-    if only_point > 0 || custom || ops_override > 0 {
-        println!("(--point/--clients/--ops set: JSON not written)");
-        return;
+    if let Some(p) = results.iter().find(|p| p.clients == 25_000) {
+        println!(
+            "bytes/client at 25k clients: {:.2}x reduction vs pre-overhaul",
+            PRE_PR_BYTES_PER_CLIENT_25K / p.bytes_per_client
+        );
     }
-    let name = if smoke { "BENCH_scale_smoke" } else { "BENCH_scale" };
-    let path = write_json(name, &json);
-    println!("wrote {}", path.display());
 }

@@ -4,17 +4,24 @@
 
 use lambda_bench::*;
 
+/// The client counts swept: the paper's 8 → 1024 at scale 1, 8 → 256 at
+/// any other.
+pub fn clients(scale: f64) -> &'static [u32] {
+    if scale == 1.0 {
+        &[8, 16, 32, 64, 128, 256, 512, 1024]
+    } else {
+        &[8, 16, 32, 64, 128, 256]
+    }
+}
+
 pub fn run(args: &Args) {
     let scale = args.scale();
-    let full = args.flag("full");
     let seed = args.u64("seed", 47);
-    let clients: &[u32] =
-        if full { &[8, 16, 32, 64, 128, 256, 512, 1024] } else { &[8, 16, 32, 64, 128, 256] };
     print_scaling_sweep(
         args.threads(),
         "clients",
-        clients,
-        |op, c| MicroParams::paper(op, c, scale, full, seed),
+        clients(scale),
+        |op, c| MicroParams::paper(op, c, scale, seed),
         |p| format!("{} ({:.0}NN)", fmt_ops(p.throughput * scale), p.peak_namenodes),
         |op| format!("Fig. 11 [{op}] throughput (≈full-scale ops/sec) vs clients (scale 1/{scale})"),
     );

@@ -5,15 +5,15 @@ use lambda_bench::*;
 
 pub fn run(args: &Args) {
     let scale = args.scale();
-    let full = args.flag("full");
     let seed = args.u64("seed", 48);
-    let vcpus_sweep: &[u32] = if full { &[16, 32, 64, 128, 256, 512] } else { &[32, 64, 128, 256] };
+    let vcpus_sweep: &[u32] =
+        if scale == 1.0 { &[16, 32, 64, 128, 256, 512] } else { &[32, 64, 128, 256] };
     let clients = ((1024.0 / scale) as u32).max(32);
     print_scaling_sweep(
         args.threads(),
         "vcpus",
         vcpus_sweep,
-        |op, vcpus| MicroParams { vcpus, ..MicroParams::paper(op, clients, scale, full, seed) },
+        |op, vcpus| MicroParams { vcpus, ..MicroParams::paper(op, clients, scale, seed) },
         |p| fmt_ops(p.throughput * scale),
         |op| format!("Fig. 12 [{op}] throughput (≈full ops/sec) vs vCPUs (scale 1/{scale}, {clients} clients)"),
     );

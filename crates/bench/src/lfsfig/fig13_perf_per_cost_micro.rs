@@ -6,16 +6,15 @@ use lambda_namespace::OpClass;
 
 pub fn run(args: &Args) {
     let scale = args.scale();
-    let full = args.flag("full");
     let seed = args.u64("seed", 49);
     let clients: Vec<u32> =
-        if full { vec![8, 16, 32, 64, 128, 256, 512, 1024] } else { vec![8, 32, 128, 256] };
+        if scale == 1.0 { vec![8, 16, 32, 64, 128, 256, 512, 1024] } else { vec![8, 32, 128, 256] };
     for op in [OpClass::Read, OpClass::Ls, OpClass::Stat] {
         let jobs: Vec<_> = clients
             .iter()
             .map(|&c| {
                 move || {
-                    let p = MicroParams::paper(op, c, scale, full, seed);
+                    let p = MicroParams::paper(op, c, scale, seed);
                     (run_micro_point(SystemKind::Lambda, &p),
                      run_micro_point(SystemKind::HopsCache, &p))
                 }

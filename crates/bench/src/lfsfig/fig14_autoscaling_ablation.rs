@@ -9,12 +9,20 @@
 
 use lambda_bench::*;
 
+/// The paper's 1024 clients at scale 1; 2.5× the scaled population at any
+/// other (see the module doc).
+pub fn clients(scale: f64) -> u32 {
+    if scale == 1.0 {
+        1024
+    } else {
+        ((1024.0 / scale * 2.5) as u32).max(64)
+    }
+}
+
 pub fn run(args: &Args) {
     let scale = args.scale();
-    let full = args.flag("full");
     let seed = args.u64("seed", 50);
-    let clients =
-        if full { 1024 } else { ((1024.0 / scale * 2.5) as u32).max(64) };
+    let clients = clients(scale);
     // Preserve the head-room ratio between the deployment floor and the
     // vCPU budget (10 deployments vs ~100 possible NameNodes at full
     // scale) so the ablation's effect survives scaling.
@@ -32,7 +40,7 @@ pub fn run(args: &Args) {
                             deployments,
                             autoscale_limit,
                             concurrency_level: 1,
-                            ..MicroParams::paper(op, clients, scale, full, seed)
+                            ..MicroParams::paper(op, clients, scale, seed)
                         },
                     )
                 }

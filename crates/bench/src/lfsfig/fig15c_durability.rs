@@ -145,9 +145,11 @@ pub fn run(args: &Args) {
                     fmt_ms(mean_recovery_ms),
                     fmt_ms(d.recovery_nanos_max as f64 / 1e6)
                 ),
+                d.replayed_records.to_string(),
                 format!("{}/{}", d.lost_window_aborts, d.lost_records),
                 format!("{}/{}", d.wal_appends, d.group_syncs),
                 format!("{:.2}x", c.lsm.write_amplification()),
+                format!("{}/{}", c.lsm.flushes, c.lsm.compactions),
                 audit_cell(&c.audit),
             ]
         })
@@ -163,49 +165,15 @@ pub fn run(args: &Args) {
             "done/gen",
             "recov/plan",
             "recovery avg/max",
+            "replayed",
             "lost ab/rec",
             "wal/syncs",
             "write amp",
+            "lsm fl/cmp",
             "audit",
         ],
         &rows,
     );
-
-    let mut json = String::from("{\n  \"cells\": [\n");
-    for (i, c) in reports.iter().enumerate() {
-        let d = &c.durability;
-        json.push_str(&format!(
-            "    {{\"flush_ms\": {}, \"crashes\": \"{}\", \"crashes_planned\": {}, \
-             \"throughput\": {:.1}, \"completed\": {}, \"issued\": {}, \
-             \"recoveries\": {}, \"recovery_ms_total\": {:.3}, \"recovery_ms_max\": {:.3}, \
-             \"replayed_records\": {}, \"lost_records\": {}, \"lost_window_aborts\": {}, \
-             \"wal_appends\": {}, \"group_syncs\": {}, \
-             \"write_amplification\": {:.4}, \"lsm_flushes\": {}, \"lsm_compactions\": {}, \
-             \"audit_clean\": {}}}{}\n",
-            c.flush_ms,
-            c.crash_label,
-            c.crashes_planned,
-            c.throughput,
-            c.completed,
-            c.issued,
-            d.recoveries,
-            d.recovery_nanos_total as f64 / 1e6,
-            d.recovery_nanos_max as f64 / 1e6,
-            d.replayed_records,
-            d.lost_records,
-            d.lost_window_aborts,
-            d.wal_appends,
-            d.group_syncs,
-            c.lsm.write_amplification(),
-            c.lsm.flushes,
-            c.lsm.compactions,
-            c.audit.is_clean(),
-            if i + 1 == reports.len() { "" } else { "," },
-        ));
-    }
-    json.push_str(&format!("  ],\n  \"seed\": {seed},\n  \"smoke\": {smoke}\n}}\n"));
-    let path = write_json(if smoke { "BENCH_durability_smoke" } else { "BENCH_durability" }, &json);
-    println!("wrote {}", path.display());
 
     exit_on_violations(
         reports.iter().map(|c| (format!("flush={} crashes={}", c.flush_ms, c.crash_label), &c.audit)),

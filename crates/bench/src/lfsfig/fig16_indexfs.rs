@@ -5,13 +5,12 @@
 use lambda_bench::*;
 
 pub fn run(args: &Args) {
-    let full = args.flag("full");
     let scale = args.scale();
     let seed = args.u64("seed", 53);
     let clients: Vec<u32> =
-        if full { vec![2, 4, 8, 16, 32, 64, 128, 256] } else { vec![2, 8, 32, 64] };
-    let per_client = if full { 10_000 } else { (10_000.0 / scale) as usize };
-    let fixed_total = if full { 1_000_000 } else { (1_000_000.0 / scale) as usize };
+        if scale == 1.0 { vec![2, 4, 8, 16, 32, 64, 128, 256] } else { vec![2, 8, 32, 64] };
+    let per_client = (10_000.0 / scale) as usize;
+    let fixed_total = (1_000_000.0 / scale) as usize;
     for (title, ops) in
         [("variable-sized (per-client constant)", Some(per_client)), ("fixed-sized (total constant)", None)]
     {

@@ -6,9 +6,10 @@
 use lambda_bench::report::{flag_list, Args, COMMON_FLAGS};
 
 // With `--features alloc-stats` the counting allocator is live (fig08d's
-// byte columns), which also turns on its huge-page advice for the arena
-// tables — the configuration the recorded fig08d numbers run under, so
-// bench_store's engine comparison matches it. Its counters are
+// byte columns; fig08d refuses to run without it), which also turns on its
+// huge-page advice for the arena tables — the configuration the recorded
+// fig08d numbers run under, so bench_store's engine comparison matches it
+// (`scripts/run_figs.sh` regenerates both on that build). Its counters are
 // process-wide atomics that slow a two-thread figure sweep 1.6×: off by
 // default.
 #[cfg(feature = "alloc-stats")]
@@ -44,8 +45,7 @@ figures! {
     fig08a_industrial_25k: "Fig. 8(a) + Table 2", [];
     fig08b_industrial_50k: "Fig. 8(b)", [];
     fig08c_perf_per_cost: "Fig. 8(c)", [];
-    fig08d_million_scale: "beyond-paper: memory footprint at 25k-1M clients, 10M+ inodes",
-        ["smoke", "phase-timings", "point=", "clients=", "dirs=", "ops="];
+    fig08d_million_scale: "beyond-paper: memory footprint at 25k-1M clients, 10M+ inodes", ["smoke"];
     fig09_cumulative_cost: "Fig. 9", [];
     fig10_latency_cdfs: "Fig. 10", [];
     fig11_client_scaling: "Fig. 11", [];
@@ -58,7 +58,7 @@ figures! {
     fig15c_durability: "beyond-paper: flush interval x crash rate on the durable backend", ["smoke"];
     fig16_indexfs: "Fig. 16", [];
     ablation_knobs: "beyond-paper: design-choice ablations", [];
-    bench_store: "beyond-paper: arena B+ tree vs std BTreeMap", ["smoke", "rows="];
+    bench_store: "beyond-paper: arena B+ tree vs std BTreeMap", ["smoke"];
 }
 
 fn main() {
@@ -82,4 +82,26 @@ fn main() {
         std::process::exit(2)
     });
     (figure.run)(&args);
+}
+
+#[cfg(test)]
+mod tests {
+    use lambda_bench::MicroParams;
+    use lambda_namespace::OpClass;
+
+    use super::{fig11_client_scaling, fig14_autoscaling_ablation};
+
+    /// `--scale=1` is the paper's experiment; any other scale the reduced one.
+    #[test]
+    fn scale_1_selects_the_paper_sweeps() {
+        let ops = |scale| MicroParams::paper(OpClass::Read, 8, scale, 7).ops_per_client;
+        assert_eq!((ops(1.0), ops(5.0)), (3072, 512));
+        assert_eq!(fig14_autoscaling_ablation::clients(1.0), 1024);
+        for scale in [2.0, 5.0, 50.0] {
+            let reduced = ((1024.0 / scale * 2.5) as u32).max(64);
+            assert_eq!(fig14_autoscaling_ablation::clients(scale), reduced);
+        }
+        assert_eq!(fig11_client_scaling::clients(1.0).last(), Some(&1024));
+        assert_eq!(fig11_client_scaling::clients(5.0).last(), Some(&256));
+    }
 }

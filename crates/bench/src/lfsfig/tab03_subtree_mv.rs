@@ -2,7 +2,7 @@
 //! 2^19, and 2^20 files, λFS vs HopsFS.
 //!
 //! Scaled runs shrink the directory sizes by the scale factor (the cost is
-//! linear in size); `--full` uses the paper's sizes.
+//! linear in size); `--scale=1` uses the paper's sizes.
 
 use lambda_bench::*;
 

@@ -9,10 +9,12 @@
 //!
 //! Every figure takes `--scale=N` (default 5): load, resources, and store
 //! capacity shrink together by `N`, preserving the figures' *shapes*
-//! while keeping run times laptop-friendly. `--full` runs at the paper's
-//! scale, `--seed=N` changes the deterministic seed, `--threads=N` the
-//! sweep width. Any other flag must be one the figure declares
-//! ([`report::Args`]); a misspelt one exits 2 before anything runs.
+//! while keeping run times laptop-friendly. `--scale=1` is the paper's
+//! experiment, sweeps and op counts included; `--seed=N` changes the
+//! deterministic seed, `--threads=N` the sweep width. Any other flag must
+//! be one the figure declares ([`report::Args`]); a misspelt one exits 2
+//! before anything runs. A figure's record is its stdout, which
+//! `scripts/run_figs.sh` keeps as `results/<figure>.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +32,7 @@ pub use industrial::{
 };
 pub use micro_exp::{print_scaling_sweep, run_micro_point, MicroParams, MicroPoint, MICRO_OPS};
 pub use report::{
-    fmt_ms, fmt_ops, host_cores, print_series, print_table, run_parallel, run_parallel_ops,
-    write_json, Args,
+    fmt_ms, fmt_ops, print_series, print_table, run_parallel, run_parallel_ops, Args,
 };
 pub use subtree_exp::{run_subtree_mv, SubtreeMvResult};
 pub use tree_exp::{run_tree_point, TreePoint, TreeSystem};

@@ -49,7 +49,7 @@ pub struct MicroParams {
     pub clients: u32,
     /// Total vCPU budget.
     pub vcpus: u32,
-    /// Operations per client (3 072 at full scale).
+    /// Operations per client (3 072 at the paper's scale).
     pub ops_per_client: usize,
     /// Store slow-down factor (shrinks the experiment; 1.0 = paper).
     pub store_slowdown: f64,
@@ -67,17 +67,17 @@ pub struct MicroParams {
 
 impl MicroParams {
     /// The §5.3 set-up at `scale`: 10 deployments under a 512-vCPU budget
-    /// (÷ `scale`), 3 072 operations per client at `--full` (512
-    /// otherwise), the default `ConcurrencyLevel`, unbounded auto-scaling.
-    /// Figures override the axis they sweep by struct update.
+    /// (÷ `scale`), the paper's 3 072 operations per client at scale 1 (512
+    /// at any other), the default `ConcurrencyLevel`, unbounded
+    /// auto-scaling. Figures override the axis they sweep by struct update.
     #[must_use]
-    pub fn paper(op: OpClass, clients: u32, scale: f64, full: bool, seed: u64) -> Self {
+    pub fn paper(op: OpClass, clients: u32, scale: f64, seed: u64) -> Self {
         MicroParams {
             deployments: 10,
             op,
             clients,
             vcpus: ((512.0 / scale) as u32).max(64),
-            ops_per_client: if full { 3072 } else { 512 },
+            ops_per_client: if scale == 1.0 { 3072 } else { 512 },
             store_slowdown: scale,
             seed,
             autoscale_limit: None,

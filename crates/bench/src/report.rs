@@ -1,8 +1,6 @@
 //! Reporting utilities: ASCII tables, series printers, argument parsing,
-//! machine-readable result files, and a bounded parallel runner for
-//! experiment sweeps.
+//! and a bounded parallel runner for experiment sweeps.
 
-use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Mutex;
 use std::thread;
@@ -87,11 +85,11 @@ fn parse_arg<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, S
     }
 }
 
-/// The flags every figure accepts. `name` is a switch (`--full`), `name=`
-/// takes a value (`--seed=7`); figures declare theirs the same way.
-pub const COMMON_FLAGS: [&str; 4] = ["scale=", "full", "seed=", "threads="];
+/// The flags every figure accepts. `name=` takes a value (`--seed=7`),
+/// `name` is a switch (`--smoke`); figures declare theirs the same way.
+pub const COMMON_FLAGS: [&str; 3] = ["scale=", "seed=", "threads="];
 
-/// Flags as typed on a command line: `--scale= --full`.
+/// Flags as typed on a command line: `--scale= --smoke`.
 #[must_use]
 pub fn flag_list(flags: &[&str]) -> String {
     flags.iter().map(|f| format!("--{f}")).collect::<Vec<_>>().join(" ")
@@ -162,29 +160,18 @@ impl Args {
     /// only trades wall-clock time for cores.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.value("threads", host_cores()).max(1)
+        let cores = thread::available_parallelism().map(usize::from).unwrap_or(1);
+        self.value("threads", cores).max(1)
     }
 
-    /// The experiment scale factor: 1.0 = the paper's full scale. Defaults to
-    /// a 5× reduction (load, resources, and store capacity shrink together, so
-    /// the figures' shapes are preserved); `--full` forces 1.0.
+    /// The experiment scale factor: 1.0 = the paper's full scale, where the
+    /// micro-benchmark figures also run the paper's sweeps and op counts.
+    /// Defaults to a 5× reduction (load, resources, and store capacity
+    /// shrink together, so the figures' shapes are preserved).
     #[must_use]
     pub fn scale(&self) -> f64 {
-        if self.flag("full") {
-            1.0
-        } else {
-            self.value("scale", 5.0_f64).max(1.0)
-        }
+        self.value("scale", 5.0_f64).max(1.0)
     }
-}
-
-/// The number of hardware threads on the machine running the bench, as
-/// reported by [`std::thread::available_parallelism`]. Recorded beside
-/// `threads` in bench JSON that reports wall-clock numbers, so they stay
-/// interpretable off-host.
-#[must_use]
-pub fn host_cores() -> usize {
-    thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
 /// Runs jobs on `width` threads ([`Args::threads`]), preserving order, and
@@ -257,21 +244,6 @@ where
         .collect()
 }
 
-/// Writes a machine-readable result file to `results/<name>.json`
-/// (creating the directory if needed) and returns its path.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written — a benchmark whose results vanish
-/// silently is worse than one that fails.
-pub fn write_json(name: &str, json: &str) -> PathBuf {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, json).expect("write results file");
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,15 +291,15 @@ mod tests {
         let args = Args::parse(strings(&["--scale=50", "--seed=7", "--smoke"]), &["smoke", "rows="])
             .expect("all declared");
         assert_eq!((args.scale(), args.u64("seed", 52), args.u64("rows", 0)), (50.0, 7, 0));
-        assert!(args.flag("smoke") && !args.flag("full"));
-        assert_eq!(Args::parse(strings(&["--threads=3", "--full"]), &[]).expect("common").threads(), 3);
+        assert!(args.flag("smoke"));
+        assert_eq!(Args::parse(strings(&["--threads=3"]), &[]).expect("common").threads(), 3);
 
         // Misspelt, undeclared, positional, and switch/value mix-ups.
         for bad in ["--sead=7", "--smokee", "--durable", "seed=7", "--", "--seed", "--smoke=1"] {
             let err = Args::parse(strings(&["--scale=50", bad]), &["smoke"]).expect_err(bad);
             assert_eq!(
                 err,
-                format!("unknown flag {bad} (accepted: --scale= --full --seed= --threads= --smoke)")
+                format!("unknown flag {bad} (accepted: --scale= --seed= --threads= --smoke)")
             );
         }
     }

@@ -30,12 +30,7 @@
 //! suffix, a read-only commit, the cache fill — which is every operation
 //! of a tree far larger than the caches.
 //!
-//! Like `bootstrap_budget.rs`, the file only exists under
-//! `--features alloc-stats` (verify.sh runs it in release); a plain
-//! `cargo test` compiles it to nothing.
-//!
 //! [`MemScope::allocs`]: lambda_allocstats::MemScope::allocs
-#![cfg(feature = "alloc-stats")]
 
 use std::cell::Cell;
 use std::rc::Rc;

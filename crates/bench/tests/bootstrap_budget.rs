@@ -13,11 +13,9 @@
 //!   `crates/store/tests/bulk_build.rs`; node occupancy is only
 //!   observable through the allocator, so it is pinned here.
 //!
-//! Wall-clock and allocator measurements both need a release build with
-//! the counting global allocator, so the file only exists under
-//! `--features alloc-stats` (verify.sh runs it that way in release); a
-//! plain debug `cargo test` compiles it to nothing.
-#![cfg(feature = "alloc-stats")]
+//! The file registers the counting global allocator itself. The density
+//! test runs in any build; the throughput floor is calibrated for release
+//! and is ignored in debug builds.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -51,6 +49,7 @@ fn fresh_schema() -> (Db, MetadataSchema) {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock floor is calibrated for release")]
 fn fresh_tree_bootstrap_meets_throughput_floor() {
     let _counting = exclusive_counter();
     let (db, schema) = fresh_schema();

@@ -42,17 +42,29 @@ fn a_figure_runs_and_an_unknown_one_lists_the_rest() {
 
 #[test]
 fn bad_flags_exit_2_before_anything_runs() {
-    let common = "--scale= --full --seed= --threads=";
+    let common = "--scale= --seed= --threads=";
     for (args, message) in [
         (["fig10_latency_cdfs", "--sead=1"], format!("unknown flag --sead=1 (accepted: {common})")),
         (["fig15b_chaos", "--durabel"], format!("unknown flag --durabel (accepted: {common} --smoke --durable)")),
         (["fig10_latency_cdfs", "--seed=1O"], "bad value for --seed: 1O".to_string()),
+        (["fig10_latency_cdfs", "--full"], format!("unknown flag --full (accepted: {common})")),
+        (["bench_store", "--rows=5"], format!("unknown flag --rows=5 (accepted: {common} --smoke)")),
     ] {
         let (code, stdout, stderr) = lfsfig(&args);
         assert_eq!(code, Some(2), "{args:?}");
         assert!(stderr.contains(&message), "{args:?}: {stderr}");
         assert_eq!(stdout, "", "{args:?} printed a figure");
     }
+}
+
+/// fig08d's record is heap bytes: without the counting allocator it would
+/// print zeros, so it refuses before building anything.
+#[test]
+#[cfg(not(feature = "alloc-stats"))]
+fn fig08d_refuses_to_run_without_the_counting_allocator() {
+    let (code, stdout, stderr) = lfsfig(&["fig08d_million_scale", "--smoke"]);
+    assert_eq!((code, stdout.as_str()), (Some(2), ""));
+    assert!(stderr.contains("--features alloc-stats"), "{stderr}");
 }
 
 /// A rename must not leave a script or a golden pointing at nothing.

@@ -6,11 +6,6 @@
 //! layout was paid for in DESIGN.md §3.6 (295.0 → ~113 bytes/inode); a
 //! change that drifts back above budget fails here instead of silently
 //! eroding the sweep.
-//!
-//! The measurement needs the process-global allocator hook, so the test
-//! only exists under `--features alloc-stats` (verify.sh runs it that
-//! way); a plain `cargo test` compiles it to nothing.
-#![cfg(feature = "alloc-stats")]
 
 use lambda_allocstats as mem;
 use lambda_bench::{lambda_config, IndustrialParams};

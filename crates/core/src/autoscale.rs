@@ -11,13 +11,8 @@
 //!   another).
 //!
 //! This module implements Fig. 6's closed-form model of the expected
-//! scale, used for configuration reasoning and validated against the
-//! emergent behavior of the full system in the integration tests.
-
-use std::fmt;
-
-use lambda_faas::{DeploymentId, Function, InstanceId, Platform};
-use lambda_sim::{SimTime, StationStats};
+//! scale, used for configuration reasoning. Its unit tests pin the
+//! formula; no test compares it with the scale the full system reaches.
 
 /// Inputs to the Fig. 6 scale model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,104 +60,6 @@ impl ScaleModel {
     #[must_use]
     pub fn expected_namenodes(&self) -> f64 {
         self.desired_scale().min(self.resource_bound()).max(f64::from(self.deployments))
-    }
-}
-
-/// One observation of the platform's scale, taken by [`ScaleSampler`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleSample {
-    /// Simulation time of the observation.
-    pub at: SimTime,
-    /// Provisioned instances (starting + warm).
-    pub instances: usize,
-    /// Warm instances.
-    pub warm: u32,
-    /// In-flight HTTP requests across all instances.
-    pub active_http: u32,
-    /// Busy vCPUs across all instance CPU stations.
-    pub busy_vcpus: u32,
-}
-
-/// An opt-in scale observer for validating the Fig. 6 model against the
-/// emergent platform behavior. Not wired into [`crate::LambdaFs::start`] —
-/// sampling is driver-controlled so default runs schedule no extra events.
-///
-/// The sampler keeps reusable scratch buffers and reads the platform
-/// through the allocation-free `_into` diagnostics
-/// ([`Platform::instance_slots_into`], [`Platform::instance_cpu_stats_into`],
-/// [`Platform::warm_instances_into`]), so steady-state sampling allocates
-/// only when a buffer grows past its high-water mark.
-#[derive(Default)]
-pub struct ScaleSampler {
-    samples: Vec<ScaleSample>,
-    slots_scratch: Vec<(InstanceId, DeploymentId, u32, u32, bool)>,
-    cpu_scratch: Vec<(InstanceId, u32, u32, usize, StationStats)>,
-    warm_scratch: Vec<InstanceId>,
-}
-
-impl fmt::Debug for ScaleSampler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScaleSampler").field("samples", &self.samples.len()).finish()
-    }
-}
-
-impl ScaleSampler {
-    /// A sampler with no recorded observations.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation of `platform` at time `now` and returns it.
-    pub fn sample<F: Function>(&mut self, now: SimTime, platform: &Platform<F>) -> ScaleSample {
-        platform.instance_slots_into(&mut self.slots_scratch);
-        platform.instance_cpu_stats_into(&mut self.cpu_scratch);
-        let warm = self.slots_scratch.iter().filter(|(_, _, _, _, w)| *w).count() as u32;
-        let active_http = self.slots_scratch.iter().map(|(_, _, http, _, _)| http).sum();
-        let busy_vcpus = self.cpu_scratch.iter().map(|(_, _, busy, _, _)| busy).sum();
-        let s = ScaleSample {
-            at: now,
-            instances: self.slots_scratch.len(),
-            warm,
-            active_http,
-            busy_vcpus,
-        };
-        self.samples.push(s);
-        s
-    }
-
-    /// Warm-instance count of one deployment (scratch-buffered; does not
-    /// record a sample).
-    pub fn warm_count<F: Function>(
-        &mut self,
-        platform: &Platform<F>,
-        deployment: DeploymentId,
-    ) -> usize {
-        platform.warm_instances_into(deployment, &mut self.warm_scratch);
-        self.warm_scratch.len()
-    }
-
-    /// All recorded observations, in sampling order.
-    #[must_use]
-    pub fn samples(&self) -> &[ScaleSample] {
-        &self.samples
-    }
-
-    /// The largest observed warm-instance count (0 when never sampled).
-    #[must_use]
-    pub fn peak_warm(&self) -> u32 {
-        self.samples.iter().map(|s| s.warm).max().unwrap_or(0)
-    }
-
-    /// Mean warm-instance count over the recorded samples (time-unweighted;
-    /// callers wanting time-weighted scale should sample on a fixed tick).
-    #[must_use]
-    pub fn mean_warm(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.samples.iter().map(|s| u64::from(s.warm)).sum();
-        total as f64 / self.samples.len() as f64
     }
 }
 
@@ -229,98 +126,5 @@ mod tests {
         let mut m = base();
         m.alpha = 0.0;
         assert!((m.expected_namenodes() - 10.0).abs() < 1e-12);
-    }
-
-    mod sampler {
-        use super::super::*;
-        use lambda_faas::{
-            FunctionConfig, InstanceCtx, PlatformConfig, Responder,
-        };
-        use lambda_sim::{Sim, SimDuration, Station};
-
-        struct Echo;
-
-        impl Function for Echo {
-            type Req = u64;
-            type Resp = u64;
-
-            fn on_start(&mut self, _sim: &mut Sim, _ctx: &InstanceCtx) {}
-
-            fn on_request(
-                &mut self,
-                sim: &mut Sim,
-                ctx: &InstanceCtx,
-                req: u64,
-                respond: Responder<u64>,
-            ) {
-                let work = SimDuration::from_millis(1);
-                Station::submit(&ctx.cpu, sim, work, move |sim| respond.send(sim, req));
-            }
-
-            fn on_terminate(&mut self, _sim: &mut Sim, _ctx: &InstanceCtx, _graceful: bool) {}
-        }
-
-        fn platform() -> (Platform<Echo>, DeploymentId) {
-            let platform = Platform::new(&PlatformConfig::default());
-            let dep = platform.register_deployment(
-                "echo",
-                FunctionConfig {
-                    vcpus: 4,
-                    mem_gb: 6.0,
-                    concurrency: 2,
-                    max_instances: u32::MAX,
-                    min_instances: 0,
-                },
-                Box::new(|_ctx| Echo),
-            );
-            (platform, dep)
-        }
-
-        #[test]
-        fn sampler_tracks_scale_out() {
-            let mut sim = Sim::new(7);
-            let (platform, dep) = platform();
-            let mut sampler = ScaleSampler::new();
-
-            let cold = sampler.sample(sim.now(), &platform);
-            assert_eq!(cold.instances, 0);
-            assert_eq!(cold.warm, 0);
-            assert_eq!(sampler.warm_count(&platform, dep), 0);
-
-            // Five concurrent HTTP requests at concurrency 2 need three
-            // instances; sample after the dust settles.
-            for i in 0..5 {
-                platform.invoke_http(&mut sim, dep, i, Responder::new(|_, _| {}));
-            }
-            sim.run();
-            let warm = sampler.sample(sim.now(), &platform);
-            assert_eq!(warm.instances, 3);
-            assert_eq!(warm.warm, 3);
-            assert_eq!(warm.active_http, 0, "all requests completed");
-            assert_eq!(sampler.warm_count(&platform, dep), 3);
-
-            assert_eq!(sampler.samples().len(), 2);
-            assert_eq!(sampler.peak_warm(), 3);
-            assert!((sampler.mean_warm() - 1.5).abs() < 1e-12);
-        }
-
-        #[test]
-        fn sampling_reuses_scratch_capacity() {
-            let mut sim = Sim::new(8);
-            let (platform, dep) = platform();
-            for i in 0..4 {
-                platform.invoke_http(&mut sim, dep, i, Responder::new(|_, _| {}));
-            }
-            sim.run();
-
-            let mut sampler = ScaleSampler::new();
-            sampler.sample(sim.now(), &platform);
-            let cap = (sampler.slots_scratch.capacity(), sampler.cpu_scratch.capacity());
-            for _ in 0..16 {
-                sampler.sample(sim.now(), &platform);
-            }
-            let after = (sampler.slots_scratch.capacity(), sampler.cpu_scratch.capacity());
-            assert_eq!(cap, after, "steady-state samples must not regrow scratch");
-        }
     }
 }

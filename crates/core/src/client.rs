@@ -32,7 +32,7 @@
 //! a client's VM and TCP-server indices are *derived* from its id (the
 //! placement is a fixed formula) rather than stored, and the moving
 //! latency window is boxed on the client's first completed read and grows
-//! with the samples it holds up to `latency_window`, where it becomes a
+//! with the samples it holds up to [`LATENCY_WINDOW`], where it becomes a
 //! ring: at that scale the average client completes less than one read,
 //! so neither an eager `VecDeque` nor a zeroed full-size ring per client
 //! is affordable. In-flight requests live in a generation-tagged
@@ -72,6 +72,9 @@ const NN_ENDPOINT_BASE: u32 = 1000;
 const RETRY_BUDGET_CAPACITY: f64 = 50.0;
 /// Tokens regained per simulated second of calm.
 const RETRY_BUDGET_REFILL_PER_SEC: f64 = 10.0;
+/// Latency samples in a client's moving average; anti-thrashing waits for
+/// half of them.
+const LATENCY_WINDOW: usize = 64;
 
 /// A client-VM TCP server's connection table (generic over the instance
 /// id type only so unit tests can drive it with plain integers).
@@ -199,7 +202,7 @@ struct ClientState {
     /// When the token bucket was last refilled.
     last_refill: SimTime,
     /// Moving window of recent end-to-end latencies (seconds), allocated
-    /// on the first read and grown on demand up to `latency_window`.
+    /// on the first read and grown on demand up to [`LATENCY_WINDOW`].
     window: Option<Box<LatencyWindow>>,
     anti_thrash: bool,
 }
@@ -839,13 +842,12 @@ impl ClientLib {
             // writes are store-bound and 10-100× slower by design, so
             // mixing them in would flap anti-thrashing on every write.
             if !a.op.is_write() {
-                let window_size = inner.config.latency_window;
                 let thresh = inner.config.anti_thrash_threshold;
                 let state = &mut inner.clients[key.client as usize];
                 let avg = state.avg_latency();
                 let lat = latency.as_secs_f64();
                 if let Some(avg) = avg {
-                    if state.window_len() >= window_size / 2 {
+                    if state.window_len() >= LATENCY_WINDOW / 2 {
                         if !state.anti_thrash
                             && lat > (thresh * avg).max(ANTI_THRASH_FLOOR_SECS)
                         {
@@ -856,12 +858,7 @@ impl ClientLib {
                         }
                     }
                 }
-                if window_size > 0 {
-                    state
-                        .window
-                        .get_or_insert_with(|| LatencyWindow::boxed(window_size))
-                        .push(lat);
-                }
+                state.window.get_or_insert_with(|| LatencyWindow::boxed(LATENCY_WINDOW)).push(lat);
             }
             a.done.take()
         };

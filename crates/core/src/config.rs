@@ -23,10 +23,6 @@ pub struct LambdaFsConfig {
     /// Maximum instances per deployment (`u32::MAX` = platform limits;
     /// Fig. 14's ablations lower this).
     pub max_instances_per_deployment: u32,
-    /// Minimum instances kept warm per deployment — the
-    /// provisioned-concurrency mitigation for warm-function reclamation
-    /// that the paper leaves as future work. 0 = pure scale-to-zero.
-    pub min_warm_per_deployment: u32,
     /// Cluster-wide vCPU cap for the FaaS platform (the evaluation's
     /// fairness control; 512 in most experiments).
     pub cluster_vcpus: u32,
@@ -34,8 +30,6 @@ pub struct LambdaFsConfig {
     /// "reduced-cache λFS" run (§5.2.3) sets this below the working-set
     /// size.
     pub cache_capacity: usize,
-    /// Directory-listing cache capacity per NameNode, in directories.
-    pub listing_cache_capacity: usize,
     /// Probability that a client replaces a TCP RPC with an HTTP RPC
     /// (fine-grained auto-scaling control; §3.4 finds ≤ 1 % works best).
     pub http_replace_prob: f64,
@@ -47,16 +41,10 @@ pub struct LambdaFsConfig {
     /// the client's moving-average latency is cancelled and resubmitted
     /// (Appendix B; default 10).
     pub straggler_threshold: f64,
-    /// Minimum samples in the moving average before straggler mitigation
-    /// and anti-thrashing activate.
-    pub latency_window: usize,
     /// Anti-thrashing threshold `T` (Appendix C; 2–3 works best): a
     /// latency above `T ×` the moving average puts the client in
     /// TCP-only mode.
     pub anti_thrash_threshold: f64,
-    /// Sub-operation batch size for subtree operations (Appendix D;
-    /// default 512).
-    pub subtree_batch_size: usize,
     /// Offload subtree batches to helper NameNodes (Appendix D's
     /// "serverless offloading").
     pub subtree_offload: bool,
@@ -74,19 +62,12 @@ pub struct LambdaFsConfig {
     /// each TCP server"); smaller values exercise connection sharing
     /// (Fig. 4).
     pub clients_per_tcp_server: u32,
-    /// Coordinator session timeout (crash-detection latency).
-    pub session_timeout: SimDuration,
     /// Which Coordinator implementation to run (§3.5: ZooKeeper, the
     /// evaluation's default, or MySQL Cluster NDB's event API — the
     /// latter needs no extra service but rides the metadata store).
     pub coordinator: lambda_coord::CoordinatorKind,
-    /// NDB event-API flush epoch (only used with
-    /// [`CoordinatorKind::Ndb`](lambda_coord::CoordinatorKind::Ndb)).
-    pub ndb_event_epoch: SimDuration,
     /// Number of simulated DataNodes publishing reports.
     pub datanodes: u32,
-    /// Interval between DataNode reports.
-    pub datanode_report_every: SimDuration,
     /// Network latency model.
     pub net: NetParams,
     /// NameNode CPU service-time model.
@@ -97,8 +78,6 @@ pub struct LambdaFsConfig {
     pub faas: FaasParams,
     /// Pay-per-use prices.
     pub pricing: LambdaPricing,
-    /// Store lock-wait timeout (aborts the waiter).
-    pub lock_timeout: SimDuration,
     /// Store persistence model: `None` (default) runs the volatile
     /// in-memory backend with fixed-takeover crash semantics; `Some`
     /// selects the WAL-backed durable backend, whose shard crashes run
@@ -115,34 +94,26 @@ impl Default for LambdaFsConfig {
             nn_mem_gb: 6.0,
             concurrency_level: 4,
             max_instances_per_deployment: u32::MAX,
-            min_warm_per_deployment: 0,
             cluster_vcpus: 512,
             cache_capacity: 2_000_000,
-            listing_cache_capacity: 100_000,
             http_replace_prob: 0.01,
             client_timeout: SimDuration::from_secs(5),
             max_retries: 6,
             straggler_threshold: 10.0,
-            latency_window: 64,
             anti_thrash_threshold: 2.5,
-            subtree_batch_size: 512,
             subtree_offload: true,
             subtree_parallelism: 4,
             coherence_enabled: true,
             client_vms: 8,
             clients: 64,
             clients_per_tcp_server: 128,
-            session_timeout: SimDuration::from_secs(4),
             coordinator: lambda_coord::CoordinatorKind::ZooKeeper,
-            ndb_event_epoch: SimDuration::from_nanos(10_000_000),
             datanodes: 8,
-            datanode_report_every: SimDuration::from_secs(10),
             net: NetParams::default(),
             cpu: CpuParams::default(),
             store: StoreParams::default(),
             faas: FaasParams::default(),
             pricing: LambdaPricing::default(),
-            lock_timeout: SimDuration::from_secs(5),
             durability: None,
         }
     }
@@ -157,7 +128,7 @@ mod tests {
         let c = LambdaFsConfig::default();
         assert_eq!(c.cluster_vcpus, 512);
         assert!(c.http_replace_prob <= 0.01);
-        assert_eq!(c.subtree_batch_size, 512);
+        assert_eq!(crate::namenode::SUBTREE_BATCH_SIZE, 512);
         assert!((2.0..=3.0).contains(&c.anti_thrash_threshold));
         assert_eq!(c.straggler_threshold, 10.0);
     }

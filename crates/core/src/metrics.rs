@@ -46,11 +46,6 @@ pub struct RunMetrics {
     pub http_no_connection: u64,
     /// Per-second series of no-connection HTTP fallbacks (diagnostics).
     pub no_conn_timeline: Timeline,
-    /// Resident heap bytes per stored inode, measured by a bench with the
-    /// counting allocator active (0.0 = not measured this run).
-    pub bytes_per_inode: f64,
-    /// Resident heap bytes per simulated client (0.0 = not measured).
-    pub bytes_per_client: f64,
 }
 
 impl Default for RunMetrics {
@@ -81,8 +76,6 @@ impl RunMetrics {
             http_replaced: 0,
             http_no_connection: 0,
             no_conn_timeline: Timeline::new(SimDuration::from_secs(10)),
-            bytes_per_inode: 0.0,
-            bytes_per_client: 0.0,
         }
     }
 

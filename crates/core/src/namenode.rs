@@ -31,6 +31,10 @@ use crate::subtree::SubtreeExecutor;
 
 /// How many recent results a NameNode retains for retry deduplication.
 const RESULT_CACHE_CAPACITY: usize = 4096;
+/// Directory-listing cache capacity per NameNode, in directories.
+const LISTING_CACHE_CAPACITY: usize = 100_000;
+/// Sub-operation batch size for subtree operations (Appendix D).
+pub(crate) const SUBTREE_BATCH_SIZE: usize = 512;
 
 /// Shared services a NameNode needs; cheap to clone per instance.
 ///
@@ -177,7 +181,7 @@ impl Function for NameNode {
         // The metadata cache and coherence endpoint.
         let cache = Rc::new(RefCell::new(MetadataCache::with_listing_capacity(
             config.cache_capacity,
-            config.listing_cache_capacity,
+            LISTING_CACHE_CAPACITY,
         )));
         services.cache_registry.borrow_mut().push(Rc::clone(&cache));
         let coherence = CoordCoherence::new(
@@ -314,7 +318,7 @@ impl Function for NameNode {
                 .coherence_enabled
                 .then(|| Rc::new(coherence.clone()) as Rc<dyn crate::fsops::CoherenceHook>),
             subtree: SubtreeSettings {
-                batch_size: config.subtree_batch_size,
+                batch_size: SUBTREE_BATCH_SIZE,
                 parallelism: config.subtree_parallelism,
                 offloader: config.subtree_offload.then(|| Rc::new(offloader) as Rc<dyn Offloader>),
                 holder_tag: session.raw(),

@@ -9,7 +9,7 @@ use lambda_coord::Coordinator;
 use lambda_faas::{DeploymentId, FunctionConfig, InstanceId, Platform, PlatformConfig};
 use lambda_namespace::{DataNodeFleet, DfsPath, FsOp, MetadataSchema, Partitioner};
 use lambda_sim::fault::{FaultInjector, FaultPlan};
-use lambda_sim::{CostMeter, GaugeSeries, Sim};
+use lambda_sim::{CostMeter, GaugeSeries, Sim, SimDuration};
 use lambda_store::Db;
 
 use crate::audit::AuditReport;
@@ -20,6 +20,20 @@ use crate::messages::CoherenceMsg;
 use crate::metrics::RunMetrics;
 use crate::namenode::{NameNode, NnServices};
 use crate::service::DfsService;
+
+/// Instances kept warm per deployment: none. Provisioned concurrency
+/// against warm-function reclamation is future work in the paper.
+const MIN_WARM_PER_DEPLOYMENT: u32 = 0;
+/// Coordinator session timeout (crash-detection latency).
+const SESSION_TIMEOUT: SimDuration = SimDuration::from_secs(4);
+/// NDB event-API flush epoch (the [`CoordinatorKind::Ndb`] coordinator).
+///
+/// [`CoordinatorKind::Ndb`]: lambda_coord::CoordinatorKind::Ndb
+const NDB_EVENT_EPOCH: SimDuration = SimDuration::from_millis(10);
+/// Interval between DataNode reports.
+const DATANODE_REPORT_EVERY: SimDuration = SimDuration::from_secs(10);
+/// Store lock-wait timeout (aborts the waiter).
+const LOCK_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// A fully assembled λFS system.
 ///
@@ -80,19 +94,19 @@ impl LambdaFs {
         let _ = &sim; // future: seed-forked sub-streams per component
         let config = Rc::new(config);
         let db = match &config.durability {
-            None => Db::new(&config.store, config.lock_timeout),
-            Some(d) => Db::new_durable(&config.store, config.lock_timeout, d.clone()),
+            None => Db::new(&config.store, LOCK_TIMEOUT),
+            Some(d) => Db::new_durable(&config.store, LOCK_TIMEOUT, d.clone()),
         };
         let schema = MetadataSchema::install(&db);
         let coord: Coordinator<CoherenceMsg> = match config.coordinator {
             lambda_coord::CoordinatorKind::ZooKeeper => {
-                Coordinator::new(&config.net, config.session_timeout)
+                Coordinator::new(&config.net, SESSION_TIMEOUT)
             }
             lambda_coord::CoordinatorKind::Ndb => Coordinator::over_ndb(
                 db.shards(),
                 &config.store,
-                config.ndb_event_epoch,
-                config.session_timeout,
+                NDB_EVENT_EPOCH,
+                SESSION_TIMEOUT,
             ),
         };
         let partitioner = Rc::new(Partitioner::new(config.deployments));
@@ -123,7 +137,7 @@ impl LambdaFs {
                         mem_gb: config.nn_mem_gb,
                         concurrency: config.concurrency_level,
                         max_instances: config.max_instances_per_deployment,
-                        min_instances: config.min_warm_per_deployment,
+                        min_instances: MIN_WARM_PER_DEPLOYMENT,
                     },
                     Box::new(move |_ctx| NameNode::new(services.clone(), d)),
                 )
@@ -134,8 +148,7 @@ impl LambdaFs {
         *services.platform.borrow_mut() = Some(platform.clone());
         *services.deployments.borrow_mut() = deployments.clone();
 
-        let fleet =
-            DataNodeFleet::new(&db, &schema, config.datanodes, config.datanode_report_every);
+        let fleet = DataNodeFleet::new(&db, &schema, config.datanodes, DATANODE_REPORT_EVERY);
         let metrics = Rc::new(RefCell::new(RunMetrics::new()));
         let clients = ClientLib::new(
             Rc::clone(&config),

@@ -131,12 +131,6 @@ impl<F: Function> Platform<F> {
         id
     }
 
-    /// Number of registered deployments.
-    #[must_use]
-    pub fn deployment_count(&self) -> usize {
-        self.inner.borrow().deployments.len()
-    }
-
     /// The name a deployment was registered under.
     #[must_use]
     pub fn deployment_name(&self, deployment: DeploymentId) -> String {
@@ -209,23 +203,6 @@ impl<F: Function> Platform<F> {
     #[must_use]
     pub fn total_instances(&self) -> usize {
         self.inner.borrow().instances.len()
-    }
-
-    /// Per-instance CPU station statistics (diagnostics): `(instance,
-    /// servers, busy, queue, stats)`.
-    #[must_use]
-    pub fn instance_cpu_stats(
-        &self,
-    ) -> Vec<(InstanceId, u32, u32, usize, lambda_sim::StationStats)> {
-        let inner = self.inner.borrow();
-        inner
-            .instances
-            .iter()
-            .map(|(id, st)| {
-                let cpu = st.ctx.cpu.borrow();
-                (*id, cpu.servers(), cpu.busy(), cpu.queue_len(), cpu.stats())
-            })
-            .collect()
     }
 
     /// Per-instance request-slot occupancy (diagnostics): `(instance,

@@ -666,12 +666,6 @@ impl<F: Function> Platform<F> {
         id
     }
 
-    /// Number of registered deployments.
-    #[must_use]
-    pub fn deployment_count(&self) -> usize {
-        self.core.inner.borrow().deployments.len()
-    }
-
     /// The name a deployment was registered under. Cheap: a shared handle,
     /// not a fresh `String`.
     #[must_use]
@@ -732,23 +726,13 @@ impl<F: Function> Platform<F> {
     /// Warm instances of `deployment`, in creation order.
     #[must_use]
     pub fn warm_instances(&self, deployment: DeploymentId) -> Vec<InstanceId> {
-        let mut out = Vec::new();
-        self.warm_instances_into(deployment, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Platform::warm_instances`]: clears
-    /// `out` and fills it with the warm instances in creation order.
-    pub fn warm_instances_into(&self, deployment: DeploymentId, out: &mut Vec<InstanceId>) {
-        out.clear();
         let inner = self.core.inner.borrow();
-        out.extend(
-            inner.deployments[deployment.0 as usize]
-                .instances
-                .iter()
-                .copied()
-                .filter(|id| inner.slot_of(*id).is_some_and(|slot| inner.state(slot).warm)),
-        );
+        inner.deployments[deployment.0 as usize]
+            .instances
+            .iter()
+            .copied()
+            .filter(|id| inner.slot_of(*id).is_some_and(|slot| inner.state(slot).warm))
+            .collect()
     }
 
     /// The earliest-created warm instance of `deployment`, if any — the
@@ -770,53 +754,20 @@ impl<F: Function> Platform<F> {
         self.core.inner.borrow().live_ids.len()
     }
 
-    /// Per-instance CPU station statistics (diagnostics): `(instance,
-    /// servers, busy, queue, stats)`.
-    #[must_use]
-    pub fn instance_cpu_stats(
-        &self,
-    ) -> Vec<(InstanceId, u32, u32, usize, lambda_sim::StationStats)> {
-        let mut out = Vec::new();
-        self.instance_cpu_stats_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Platform::instance_cpu_stats`]: clears
-    /// `out` and fills it in ascending instance-id order.
-    pub fn instance_cpu_stats_into(
-        &self,
-        out: &mut Vec<(InstanceId, u32, u32, usize, lambda_sim::StationStats)>,
-    ) {
-        out.clear();
-        let inner = self.core.inner.borrow();
-        out.extend(inner.live_ids.iter().map(|id| {
-            let st = inner.state(inner.slot_of(*id).expect("live id"));
-            let cpu = st.ctx.cpu.borrow();
-            (*id, cpu.servers(), cpu.busy(), cpu.queue_len(), cpu.stats())
-        }));
-    }
-
     /// Per-instance request-slot occupancy (diagnostics): `(instance,
-    /// deployment, active_http, active_total, warm)`.
+    /// deployment, active_http, active_total, warm)`, in ascending
+    /// instance-id order.
     #[must_use]
     pub fn instance_slots(&self) -> Vec<(InstanceId, DeploymentId, u32, u32, bool)> {
-        let mut out = Vec::new();
-        self.instance_slots_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Platform::instance_slots`]: clears
-    /// `out` and fills it in ascending instance-id order.
-    pub fn instance_slots_into(
-        &self,
-        out: &mut Vec<(InstanceId, DeploymentId, u32, u32, bool)>,
-    ) {
-        out.clear();
         let inner = self.core.inner.borrow();
-        out.extend(inner.live_ids.iter().map(|id| {
-            let st = inner.state(inner.slot_of(*id).expect("live id"));
-            (*id, st.ctx.deployment, st.active_http, st.active_total, st.warm)
-        }));
+        inner
+            .live_ids
+            .iter()
+            .map(|id| {
+                let st = inner.state(inner.slot_of(*id).expect("live id"));
+                (*id, st.ctx.deployment, st.active_http, st.active_total, st.warm)
+            })
+            .collect()
     }
 
     /// HTTP load (active requests + queue depth) of a deployment.

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # One entry point for correctness + perf verification of a PR. Every figure
 # step runs `./target/release/lfsfig <figure> …`; the steps that need the
-# plain build come first, because step 11 rebuilds that one binary with the
-# counting allocator for the steps after it.
+# plain build come first, because step 12 rebuilds that one binary with the
+# counting allocator for the step after it.
 #   1. tier-1: release build + full test suite (quiet). The root manifest
 #      lists the root package and every crate as default members, so this
 #      builds `lfsfig` and runs the ~400 crate-level tests too
 #      (crates/bench/tests/driver.rs among them: figure lookup, flag
-#      rejection, and that every figure named below is registered).
+#      rejection, and that every figure named below is registered; and the
+#      allocation gates of step 11, in a debug build).
 #   2. lint: clippy across the workspace, warnings denied; and the
 #      retained baseline engines (lambda_sim::baseline,
 #      lambda_faas::baseline, lambda_namespace::cache_baseline) must be
@@ -30,7 +31,7 @@
 #      thread, the only kind there is) must never reach the results.
 #   7. store engine bench smoke: bench_store --smoke runs the arena B+
 #      tree vs std-BTreeMap microbench at small scales (liveness; the
-#      full-scale numbers live in results/BENCH_store.json). The engine's
+#      full-scale numbers are results/bench_store.txt). The engine's
 #      observational equivalence is pinned by the differential proptests
 #      in crates/store/tests/engine_differential.rs, which step 1 runs.
 #   8. durable chaos smoke: fig15b_chaos --smoke --durable re-runs every
@@ -40,41 +41,35 @@
 #   9. durability sweep smoke: fig15c_durability --smoke runs the
 #      flush-interval x crash-rate grid (recovery time, write
 #      amplification, lost-window aborts) and exits nonzero on any
-#      audit failure. Full-scale numbers: results/BENCH_durability.json.
+#      audit failure. Full-scale numbers: results/fig15c_durability.txt.
 #  10. LSM crash/replay differential: the lambda-lsm proptests (random
 #      put/delete/flush interleavings crashed at arbitrary points; WAL
 #      replay must reconstruct the exact pre-crash visible state) run
 #      explicitly in release mode.
-#  11. alloc-stats build: `lfsfig` rebuilt with the counting allocator
+#  11. allocation gates in release (each test file registers the counting
+#      allocator itself): bytes/inode of the fig08a λFS tree at scale 25
+#      under budget (mem_budget.rs); the streaming tree loader at
+#      >=500k inodes/sec — release only — and at least as dense per inode
+#      as insert+repack (bootstrap_budget.rs); lean reads (point gets +
+#      visitor scans) against a 250k-inode tree with zero heap
+#      allocations, a cached ls of 8 and of 512 children allocating
+#      equally often, a warmed Stat/ReadFile/Ls mix at most 16 times per
+#      op and a first-touch Stat/ReadFile at most 21 (alloc_per_op.rs).
+#  12. alloc-stats build: `lfsfig` rebuilt with the counting allocator
 #      registered. The feature is off by default, so only this step
-#      catches its bit-rot; steps 12-15 need it.
-#  12. memory sweep smoke: fig08d_million_scale --smoke --phase-timings
-#      exercises the footprint instrumentation and the per-phase
-#      wall-clock breakdown end-to-end (small scales, exact bytes/inode +
-#      bytes/client accounting via the counting allocator).
-#  13. memory budget regression: bytes/inode of the fig08a λFS tree at
-#      scale 25 stays under budget (crates/bench/tests/mem_budget.rs,
-#      release + alloc-stats).
-#  14. bootstrap budget regression: the streaming tree loader must keep
-#      loading fresh trees at >=500k inodes/sec and stay at least as
-#      dense per inode as insert+repack (crates/bench/tests/
-#      bootstrap_budget.rs, release + alloc-stats).
-#  15. per-op allocation regression (crates/bench/tests/alloc_per_op.rs,
-#      release + alloc-stats): lean reads (point gets + visitor scans)
-#      against a 250k-inode tree must make zero heap allocations; through
-#      a warmed λFS, a cached ls of 8 and of 512 children must allocate
-#      equally often and a Stat/ReadFile/Ls mix at most 16 times per op;
-#      a first-touch Stat/ReadFile (cache miss resolved against the
-#      store) at most 21 times.
-#  16. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
+#      catches its bit-rot; step 13 needs it.
+#  13. memory sweep smoke: fig08d_million_scale --smoke exercises the
+#      footprint instrumentation and the per-phase wall-clock breakdown
+#      end-to-end (small scales, exact bytes/inode + bytes/client
+#      accounting via the counting allocator).
+#  14. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
 #      the standalone package and runs all four workloads at 1/20 size
 #      with every correctness check; then the package's own tests.
 #
-# The smoke runs of fig08d, bench_store and fig15c write
-# results/BENCH_*_smoke.json (ignored by git) and are informational at
-# that scale; the recorded full-size numbers are results/BENCH_scale.json,
-# BENCH_store.json and BENCH_durability.json. Host-side cost per layer is
-# the benchmark's to measure (step 16 runs it at smoke size).
+# The smoke runs print to the terminal only and are informational at that
+# scale; the recorded full-size numbers are results/<figure>.txt, which
+# scripts/run_figs.sh regenerates. Host-side cost per layer is the
+# benchmark's to measure (step 14 runs it at smoke size).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -131,20 +126,14 @@ echo "== durability sweep smoke (flush interval x crash rate) =="
 echo "== LSM crash/replay differential proptests =="
 cargo test -q --release --offline -p lambda-lsm --test crash_replay
 
+echo "== allocation gates in release (bytes/inode, bootstrap floor + density, allocs per op) =="
+cargo test -q --release --offline -p lambda-bench --test mem_budget --test bootstrap_budget --test alloc_per_op
+
 echo "== alloc-stats build (lfsfig with the counting allocator) =="
 cargo build --release --offline -p lambda-bench --features alloc-stats
 
 echo "== memory sweep smoke (fig08d, counting allocator, phase timings) =="
-./target/release/lfsfig fig08d_million_scale --smoke --phase-timings
-
-echo "== memory budget regression (bytes/inode at scale 25) =="
-cargo test -q --release --offline -p lambda-bench --features alloc-stats --test mem_budget
-
-echo "== bootstrap budget regression (throughput floor + bulk density) =="
-cargo test -q --release --offline -p lambda-bench --features alloc-stats --test bootstrap_budget
-
-echo "== per-op allocation regression (lean reads zero; warmed and first-touch reads per event) =="
-cargo test -q --release --offline -p lambda-bench --features alloc-stats --test alloc_per_op
+./target/release/lfsfig fig08d_million_scale --smoke
 
 echo "== benchmark smoke (four workloads at 1/20 size) + its own tests =="
 bash benchmark/run.sh --smoke
