@@ -1,12 +1,13 @@
 //! Store-engine microbenchmark: the arena-backed B+ tree
 //! ([`lambda_store::bptree::BpTree`]) versus the std `BTreeMap` it
-//! replaced, at the fig08d row scales.
+//! replaced, and the id-addressed pages under the inode table
+//! ([`lambda_store::idrows::IdRows`]), at the fig08d row scales.
 //!
-//! The fig08d steady-state residual is almost entirely tree descents: at
-//! 10M inodes every point get walks a ~720 MB pointer graph, and each
-//! level is a DRAM + TLB miss. This bench isolates that cost from the
-//! simulator: identical keys, values, and access sequences against both
-//! engines, 64-byte values (the size of a packed
+//! The fig08d steady-state residual is almost entirely store lookups: at
+//! 10M inodes every point get of an ordered engine walks a ~720 MB
+//! structure, and each level is a DRAM + TLB miss. This bench isolates that
+//! cost from the simulator: identical keys, values, and access sequences
+//! against every engine, 64-byte values (the size of a packed
 //! [`lambda_namespace::Inode`] row), at 250k / 1M / 10M rows.
 //!
 //! Scenarios per scale:
@@ -17,18 +18,22 @@
 //!   10M-entry CDF table);
 //! * `scan48` — 48-row range scans (one directory listing in the fig08d
 //!   namespace), visitor-folded, no per-scan allocation on the B+ side;
-//! * `insert` — random insert/remove churn (splits, frees, recycling);
+//! * `churn` — random insert/remove churn (splits, frees, recycling);
 //! * `build` — dense bulk build from an ascending stream vs
 //!   `BTreeMap::from_iter`.
 //!
-//! It prints per-scale rates for both engines plus speedups; `--smoke`
-//! runs small scales for CI liveness.
+//! The id engine runs the point scenarios and the build — what the inode
+//! table asks of it; listings and churn are the ordered tables' work.
+//! It prints per-scale rates for the engines, the B+ tree's ratio to the
+//! std map (`bp:std`) and the id engine's to the B+ tree (`ids:bp`);
+//! `--smoke` runs small scales for CI liveness.
 //!
 //! Flags: `--smoke`, `--seed=N`.
 
 use lambda_bench::{fmt_ops, print_table, Args};
 use lambda_sim::SimRng;
 use lambda_store::bptree::BpTree;
+use lambda_store::idrows::IdRows;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -50,14 +55,19 @@ fn zipf_rank(rng: &mut SimRng, n: u64) -> u64 {
     ((n as f64).powf(u) as u64).min(n - 1)
 }
 
-/// One engine's measured rates at one scale, in ops/sec.
+/// One engine's point-access rates at one scale, in ops/sec.
 #[derive(Debug, Clone, Copy)]
-struct EngineRates {
+struct PointRates {
     get_uniform: f64,
     get_zipf: f64,
+    build: f64,
+}
+
+/// An ordered engine's listing and churn rates at one scale, in ops/sec.
+#[derive(Debug, Clone, Copy)]
+struct OrderedRates {
     scan48: f64,
     churn: f64,
-    build: f64,
 }
 
 /// Ops and reps per scenario, scaled down under `--smoke`.
@@ -80,10 +90,14 @@ fn measure(reps: u32, mut run: impl FnMut() -> u64) -> f64 {
     best
 }
 
-/// Minimal ordered-map surface both engines expose to the scenarios.
-trait Engine {
+/// The surface every engine is measured on: a dense build and point gets.
+trait Engine: Sized {
     fn build(rows: u64) -> Self;
     fn get(&self, k: &u64) -> Option<&Row>;
+}
+
+/// What the ordered engines are measured on besides.
+trait Ordered: Engine {
     fn insert(&mut self, k: u64, v: Row) -> Option<Row>;
     fn remove(&mut self, k: &u64) -> Option<Row>;
     /// Folds the half-open range `[lo, hi)` through `visit`.
@@ -97,6 +111,9 @@ impl Engine for BpTree<u64, Row> {
     fn get(&self, k: &u64) -> Option<&Row> {
         BpTree::get(self, k)
     }
+}
+
+impl Ordered for BpTree<u64, Row> {
     fn insert(&mut self, k: u64, v: Row) -> Option<Row> {
         BpTree::insert(self, k, v)
     }
@@ -115,6 +132,9 @@ impl Engine for BTreeMap<u64, Row> {
     fn get(&self, k: &u64) -> Option<&Row> {
         BTreeMap::get(self, k)
     }
+}
+
+impl Ordered for BTreeMap<u64, Row> {
     fn insert(&mut self, k: u64, v: Row) -> Option<Row> {
         BTreeMap::insert(self, k, v)
     }
@@ -128,8 +148,18 @@ impl Engine for BTreeMap<u64, Row> {
     }
 }
 
-fn run_engine<E: Engine>(rows: u64, seed: u64, budget: &Budget) -> EngineRates {
-    // Build once for the read scenarios (and time it).
+impl Engine for IdRows<Row> {
+    fn build(rows: u64) -> Self {
+        (0..rows).map(|k| (k, Row::new(k))).collect()
+    }
+    fn get(&self, k: &u64) -> Option<&Row> {
+        IdRows::get(self, *k)
+    }
+}
+
+/// Builds `E` at `rows` (timed) and measures its point gets; returns the
+/// built table for the ordered scenarios.
+fn point_rates<E: Engine>(rows: u64, seed: u64, budget: &Budget) -> (E, PointRates) {
     let mut built: Option<E> = None;
     let build = measure(budget.reps.min(2), || {
         built = Some(E::build(rows));
@@ -163,6 +193,10 @@ fn run_engine<E: Engine>(rows: u64, seed: u64, budget: &Budget) -> EngineRates {
         budget.gets
     });
 
+    (table, PointRates { get_uniform, get_zipf, build })
+}
+
+fn ordered_rates<E: Ordered>(table: E, rows: u64, seed: u64, budget: &Budget) -> OrderedRates {
     // 48-row listings: one simulated directory per scan, zipf-hot.
     let dirs = rows / 48;
     let scan48 = measure(budget.reps, || {
@@ -203,7 +237,12 @@ fn run_engine<E: Engine>(rows: u64, seed: u64, budget: &Budget) -> EngineRates {
         best
     };
 
-    EngineRates { get_uniform, get_zipf, scan48, churn, build }
+    OrderedRates { scan48, churn }
+}
+
+fn ordered_engine<E: Ordered>(rows: u64, seed: u64, budget: &Budget) -> (PointRates, OrderedRates) {
+    let (table, points) = point_rates::<E>(rows, seed, budget);
+    (points, ordered_rates(table, rows, seed, budget))
 }
 
 pub fn run(args: &Args) {
@@ -222,29 +261,35 @@ pub fn run(args: &Args) {
 
     let mut rows_out: Vec<Vec<String>> = Vec::new();
     for &rows in scales {
-        let bp = run_engine::<BpTree<u64, Row>>(rows, seed, &budget);
-        let std = run_engine::<BTreeMap<u64, Row>>(rows, seed, &budget);
-        for (name, b, s) in [
-            ("get/uni", bp.get_uniform, std.get_uniform),
-            ("get/zipf", bp.get_zipf, std.get_zipf),
-            ("scan48", bp.scan48, std.scan48),
-            ("churn", bp.churn, std.churn),
-            ("build", bp.build, std.build),
+        let (bp, bp_ordered) = ordered_engine::<BpTree<u64, Row>>(rows, seed, &budget);
+        let (std, std_ordered) = ordered_engine::<BTreeMap<u64, Row>>(rows, seed, &budget);
+        let ids = point_rates::<IdRows<Row>>(rows, seed, &budget).1;
+        for (name, b, s, i) in [
+            ("get/uni", bp.get_uniform, std.get_uniform, Some(ids.get_uniform)),
+            ("get/zipf", bp.get_zipf, std.get_zipf, Some(ids.get_zipf)),
+            ("scan48", bp_ordered.scan48, std_ordered.scan48, None),
+            ("churn", bp_ordered.churn, std_ordered.churn, None),
+            ("build", bp.build, std.build, Some(ids.build)),
         ] {
+            let dash = || "-".to_string();
             rows_out.push(vec![
                 rows.to_string(),
                 name.to_string(),
                 fmt_ops(b),
                 fmt_ops(s),
                 format!("{:.2}x", b / s),
+                i.map_or_else(dash, fmt_ops),
+                i.map_or_else(dash, |i| format!("{:.2}x", i / b)),
             ]);
         }
     }
 
     print_table(
-        &format!("Store engine: arena B+ tree vs std BTreeMap (seed {seed}{})",
-            if smoke { ", smoke" } else { "" }),
-        &["rows", "scenario", "bptree/s", "btreemap/s", "speedup"],
+        &format!(
+            "Store engines: arena B+ tree vs std BTreeMap, and id-addressed pages (seed {seed}{})",
+            if smoke { ", smoke" } else { "" }
+        ),
+        &["rows", "scenario", "bptree/s", "btreemap/s", "bp:std", "idrows/s", "ids:bp"],
         &rows_out,
     );
 }

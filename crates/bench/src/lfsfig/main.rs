@@ -58,7 +58,7 @@ figures! {
     fig15c_durability: "beyond-paper: flush interval x crash rate on the durable backend", ["smoke"];
     fig16_indexfs: "Fig. 16", [];
     ablation_knobs: "beyond-paper: design-choice ablations", [];
-    bench_store: "beyond-paper: arena B+ tree vs std BTreeMap", ["smoke"];
+    bench_store: "beyond-paper: store engines (arena B+ tree, std BTreeMap, id-addressed pages)", ["smoke"];
 }
 
 fn main() {

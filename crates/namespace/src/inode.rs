@@ -243,6 +243,9 @@ mod tests {
         assert_eq!(std::mem::size_of::<Inode>(), 64);
         assert_eq!(std::mem::size_of::<BlockList>(), 16);
         assert_eq!(std::mem::size_of::<InodeName>(), 4);
+        // The inode table stores `Option<Inode>` slots by id: a niche keeps
+        // the tag out of the row, so a hole costs one row and no tag word.
+        assert_eq!(std::mem::size_of::<Option<Inode>>(), 64);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Tables (mirroring HopsFS's NDB schema at the granularity the
 //! reproduction needs):
 //!
-//! * `inodes`: inode id → [`Inode`];
+//! * `inodes`: inode id → [`Inode`], addressed by id
+//!   ([`Db::create_id_table`]: ids come from [`MetadataSchema::next_id`]);
 //! * `children`: `(parent id, name)` → child inode id (the lookup index
 //!   used for path resolution and `ls` range scans);
 //! * `blocks`: block id → [`BlockInfo`];
@@ -63,7 +64,7 @@ impl MetadataSchema {
     #[must_use]
     pub fn install(db: &Db) -> Self {
         let schema = MetadataSchema {
-            inodes: db.create_table("inodes"),
+            inodes: db.create_id_table("inodes"),
             children: db.create_table("children"),
             blocks: db.create_table("blocks"),
             datanodes: db.create_table("datanodes"),
@@ -293,12 +294,7 @@ impl MetadataSchema {
                 }),
             )
         });
-        // `flat_map` erases the stream length; both lengths are known
-        // arithmetically, and an exact hint lets the bulk build reserve
-        // its arenas in one allocation (single huge-page-advised fault-in
-        // instead of doubling reallocs — see BpTree::from_ascending).
-        let rows = dir_names.len() * (file_names.len() + 1);
-        db.bootstrap_bulk_load(self.inodes, KnownLen { inner: inode_rows, remaining: rows });
+        db.bootstrap_bulk_load(self.inodes, inode_rows);
 
         // The children stream must ascend by (parent id, name). Generation
         // order is not name order once numbered names grow a digit
@@ -318,6 +314,11 @@ impl MetadataSchema {
                 .iter()
                 .map(move |&f| ((did, file_names[f as usize].1), did + 1 + u64::from(f)))
         });
+        // `flat_map` erases the stream length; it is known arithmetically,
+        // and an exact hint lets the B+ tree's bulk build reserve its
+        // arenas in one allocation (single huge-page-advised fault-in
+        // instead of doubling reallocs — see BpTree::from_ascending).
+        let rows = dir_names.len() * (file_names.len() + 1);
         db.bootstrap_bulk_load(
             self.children,
             KnownLen { inner: root_block.chain(file_blocks), remaining: rows },

@@ -1,4 +1,8 @@
-//! Arena-backed B+ tree — the cache-conscious engine under [`TypedTable`].
+//! Arena-backed B+ tree — the ordered engine under every [`TypedTable`]
+//! whose keys are not sequence ids (the children index, blocks,
+//! DataNodes, subtree locks). The inode table is id-addressed instead
+//! ([`IdRows`](crate::idrows::IdRows)): its keys come from a sequence, so
+//! a get needs no search at all.
 //!
 //! `std::collections::BTreeMap` spends the store's entire steady-state
 //! budget at the fig08d scales on pointer-chasing: a 10M-inode table is
@@ -82,6 +86,22 @@ const NONE: u32 = u32::MAX;
 /// levels unreachable (2^24 leaves ≫ any table here); descent scratch
 /// lives in a fixed array of this size so no walk ever allocates.
 const MAX_HEIGHT: usize = 24;
+
+/// Panics on a range `BTreeMap::range` panics on: start above end, or
+/// both ends excluded at one key. Both engines check ranges here.
+pub(crate) fn check_range<K: Ord, R: RangeBounds<K>>(range: &R) {
+    match (range.start_bound(), range.end_bound()) {
+        (Bound::Included(s) | Bound::Excluded(s), Bound::Included(e) | Bound::Excluded(e))
+            if s > e =>
+        {
+            panic!("range start is greater than range end")
+        }
+        (Bound::Excluded(s), Bound::Excluded(e)) if s == e => {
+            panic!("range start and end are equal and sides are excluded")
+        }
+        _ => {}
+    }
+}
 
 /// Per-leaf header: live entry count plus doubly-linked sibling indices.
 /// 12 bytes — the header array stays cache-resident while the key/value
@@ -523,20 +543,6 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
         }
     }
 
-    fn check_range<R: RangeBounds<K>>(range: &R) {
-        match (range.start_bound(), range.end_bound()) {
-            (Bound::Included(s) | Bound::Excluded(s), Bound::Included(e) | Bound::Excluded(e))
-                if s > e =>
-            {
-                panic!("range start is greater than range end in BpTree")
-            }
-            (Bound::Excluded(s), Bound::Excluded(e)) if s == e => {
-                panic!("range start and end are equal and sides are excluded in BpTree")
-            }
-            _ => {}
-        }
-    }
-
     /// Positions *within one leaf's key run* where the end bound cuts off:
     /// the in-range suffix is `[pos, hi)` and `done` says whether the walk
     /// stops at this leaf. One last-key compare decides "whole leaf in
@@ -568,7 +574,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
     /// Panics on an inverted or empty-excluded range, like
     /// `BTreeMap::range`.
     pub fn scan_with<R: RangeBounds<K>>(&self, range: &R, mut visit: impl FnMut(&K, &V)) {
-        Self::check_range(range);
+        check_range(range);
         let (mut leaf, mut pos) = self.seek(range.start_bound());
         let end = range.end_bound();
         loop {
@@ -595,7 +601,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
     /// `BTreeMap::range(..).count()` touching every entry.
     #[must_use]
     pub fn count_range<R: RangeBounds<K>>(&self, range: &R) -> usize {
-        Self::check_range(range);
+        check_range(range);
         let (mut leaf, mut pos) = self.seek(range.start_bound());
         let end = range.end_bound();
         let mut count = 0usize;
@@ -622,7 +628,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
     /// Panics on an inverted or empty-excluded range, like
     /// `BTreeMap::range`.
     pub fn range<'a, R: RangeBounds<K>>(&'a self, range: &'a R) -> RangeIter<'a, K, V> {
-        Self::check_range(range);
+        check_range(range);
         let (leaf, pos) = self.seek(range.start_bound());
         let end = range.end_bound();
         RangeIter::start(self, leaf, pos, end)

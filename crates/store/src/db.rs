@@ -393,14 +393,34 @@ impl Db {
         self.inner.borrow().backend.violations().to_vec()
     }
 
-    /// Registers a new, empty table.
+    /// Registers a new, empty table, ordered by key (a B+ tree).
     pub fn create_table<K: KeyCodec, V: Clone + 'static>(
         &self,
         name: impl Into<String>,
     ) -> TableHandle<K, V> {
+        self.register(TypedTable::<K, V>::new(name))
+    }
+
+    /// Registers a new, empty table whose keys are ids from a sequence
+    /// (the inode table's `next_id`). Its rows live in id-indexed pages
+    /// ([`IdRows`](crate::idrows::IdRows)), so a primary-key get is one
+    /// row load — NDB's hash-index read — where an ordered table descends
+    /// a tree. Range reads still see rows in id order. Memory follows the
+    /// highest id inserted, so keys must be dense, not arbitrary.
+    pub fn create_id_table<V: Clone + 'static>(
+        &self,
+        name: impl Into<String>,
+    ) -> TableHandle<u64, V> {
+        self.register(TypedTable::<u64, V>::new_id(name))
+    }
+
+    fn register<K: KeyCodec, V: Clone + 'static>(
+        &self,
+        table: TypedTable<K, V>,
+    ) -> TableHandle<K, V> {
         let mut inner = self.inner.borrow_mut();
         let id = TableId::new(inner.tables.len() as u32);
-        inner.tables.push(Box::new(TypedTable::<K, V>::new(name)));
+        inner.tables.push(Box::new(table));
         TableHandle::new(id)
     }
 
@@ -427,7 +447,7 @@ impl Db {
     /// reporting aid).
     #[must_use]
     pub fn table_len<K: KeyCodec, V: Clone + 'static>(&self, table: TableHandle<K, V>) -> usize {
-        self.with_table(table, |t| t.rows.len())
+        self.with_table(table, TypedTable::len)
     }
 
     /// Builds the canonical lock key for a row.

@@ -27,11 +27,35 @@ pub trait KeyCodec: Ord + Clone + 'static {
         self.encode_into(&mut out);
         out
     }
+
+    /// This key as a row id — its address in a table created by
+    /// [`Db::create_id_table`](crate::Db::create_id_table). Only `u64`
+    /// keys are ids.
+    #[inline]
+    fn row_id(&self) -> Option<u64> {
+        None
+    }
+
+    /// The key whose [`row_id`](KeyCodec::row_id) is `id`.
+    #[inline]
+    fn from_row_id(_id: u64) -> Option<Self> {
+        None
+    }
 }
 
 impl KeyCodec for u64 {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_be_bytes());
+    }
+
+    #[inline]
+    fn row_id(&self) -> Option<u64> {
+        Some(*self)
+    }
+
+    #[inline]
+    fn from_row_id(id: u64) -> Option<Self> {
+        Some(id)
     }
 }
 

@@ -26,6 +26,7 @@ pub mod backend;
 pub mod bptree;
 mod db;
 mod error;
+pub mod idrows;
 mod key;
 mod lock;
 mod table;

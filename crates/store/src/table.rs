@@ -1,24 +1,28 @@
 //! Typed tables behind a type-erased registry.
 //!
 //! The [`Db`](crate::Db) owns a heterogeneous set of tables (inodes,
-//! children index, blocks, leases, …). Each table is an arena-backed
-//! [`BpTree`] wrapped in a [`TypedTable`]; the registry stores them as
+//! children index, blocks, leases, …). Each is a [`TypedTable`] over one
+//! of two engines, fixed when the table is created: an arena-backed
+//! [`BpTree`] for [`Db::create_table`](crate::Db::create_table), or
+//! id-addressed pages ([`IdRows`]) for
+//! [`Db::create_id_table`](crate::Db::create_id_table), whose `u64` keys
+//! come from a sequence (the inode table). The registry stores tables as
 //! `dyn AnyTable` and hands callers a typed, copyable
 //! [`TableHandle<K, V>`] that restores the concrete type on access.
 //!
-//! The engine swap (std `BTreeMap` → [`BpTree`], see the
-//! [`bptree`](crate::bptree) module docs) is invisible at this layer:
-//! `TypedTable` keeps the exact same surface and semantics, and
-//! `tests/engine_differential.rs` pins the equivalence against the std
+//! Which engine is underneath is invisible at this layer: `TypedTable`
+//! keeps one surface and the semantics of a `BTreeMap<K, V>` on either,
+//! and `tests/engine_differential.rs` pins both engines against the std
 //! map.
 
 use std::any::Any;
 use std::fmt;
 use std::marker::PhantomData;
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 use std::rc::Rc;
 
 use crate::bptree::BpTree;
+use crate::idrows::IdRows;
 use crate::key::KeyCodec;
 
 /// Identifies a table within one [`Db`](crate::Db).
@@ -93,39 +97,90 @@ pub(crate) trait AnyTable {
 #[derive(Debug)]
 pub(crate) struct TypedTable<K, V> {
     name: Rc<str>,
-    pub(crate) rows: BpTree<K, V>,
+    rows: Rows<K, V>,
+}
+
+/// The engine under a table, chosen once when the table is created.
+#[derive(Debug)]
+enum Rows<K, V> {
+    /// Ordered by key.
+    Tree(BpTree<K, V>),
+    /// Addressed by sequence id; `K` is `u64`.
+    Ids(IdRows<V>),
+}
+
+/// The id of a key in an id-addressed table.
+#[inline]
+fn id_of<K: KeyCodec>(key: &K) -> u64 {
+    key.row_id().expect("id-addressed tables are keyed by u64")
+}
+
+/// The key of an id in an id-addressed table.
+#[inline]
+fn key_of<K: KeyCodec>(id: u64) -> K {
+    K::from_row_id(id).expect("id-addressed tables are keyed by u64")
+}
+
+/// `range` with its bounds mapped to ids.
+fn id_range<K: KeyCodec, R: RangeBounds<K>>(range: &R) -> (Bound<u64>, Bound<u64>) {
+    (range.start_bound().map(id_of), range.end_bound().map(id_of))
 }
 
 impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
+    /// A table over the B+ tree.
     pub(crate) fn new(name: impl Into<String>) -> Self {
-        TypedTable { name: name.into().into(), rows: BpTree::new() }
+        TypedTable { name: name.into().into(), rows: Rows::Tree(BpTree::new()) }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match &self.rows {
+            Rows::Tree(t) => t.len(),
+            Rows::Ids(t) => t.len(),
+        }
     }
 
     pub(crate) fn get(&self, key: &K) -> Option<&V> {
-        self.rows.get(key)
+        match &self.rows {
+            Rows::Tree(t) => t.get(key),
+            Rows::Ids(t) => t.get(id_of(key)),
+        }
     }
 
     pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.rows.insert(key, value)
+        match &mut self.rows {
+            Rows::Tree(t) => t.insert(key, value),
+            Rows::Ids(t) => t.insert(id_of(&key), value),
+        }
     }
 
     pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
-        self.rows.remove(key)
+        match &mut self.rows {
+            Rows::Tree(t) => t.remove(key),
+            Rows::Ids(t) => t.remove(id_of(key)),
+        }
     }
 
     pub(crate) fn scan<R: RangeBounds<K>>(&self, range: R) -> Vec<(K, V)> {
-        self.rows.range(&range).map(|(k, v)| (k.clone(), v.clone())).collect()
+        let mut rows = Vec::new();
+        self.scan_with(range, |k, v| rows.push((k.clone(), v.clone())));
+        rows
     }
 
     /// Visits every row in `range` in ascending key order without
     /// materializing anything — the allocation-free sibling of
     /// [`scan`](TypedTable::scan) for the hot listing/read paths.
-    pub(crate) fn scan_with<R: RangeBounds<K>>(&self, range: R, visit: impl FnMut(&K, &V)) {
-        self.rows.scan_with(&range, visit);
+    pub(crate) fn scan_with<R: RangeBounds<K>>(&self, range: R, mut visit: impl FnMut(&K, &V)) {
+        match &self.rows {
+            Rows::Tree(t) => t.scan_with(&range, visit),
+            Rows::Ids(t) => t.scan_with(&id_range(&range), |id, v| visit(&key_of(*id), v)),
+        }
     }
 
     pub(crate) fn count_range<R: RangeBounds<K>>(&self, range: R) -> usize {
-        self.rows.count_range(&range)
+        match &self.rows {
+            Rows::Tree(t) => t.count_range(&range),
+            Rows::Ids(t) => t.count_range(&id_range(&range)),
+        }
     }
 
     /// Rebuilds the backing B+ tree from its own (already sorted) contents.
@@ -135,9 +190,12 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
     /// memory it needs. The rebuild streams the sorted contents through the
     /// engine's dense bulk build ([`BpTree::from_ascending`]), packing
     /// every node 100% full. Purely a memory/locality transform: iteration
-    /// order, lookups, and every observable behavior are unchanged.
+    /// order, lookups, and every observable behavior are unchanged. An
+    /// id-addressed table has no nodes to pack.
     fn repack(&mut self) {
-        self.rows.repack();
+        if let Rows::Tree(t) = &mut self.rows {
+            t.repack();
+        }
     }
 
     /// Builds the table directly from a strictly ascending stream of fresh
@@ -149,7 +207,8 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
     /// straight into the engine's dense bulk build. The resulting table is
     /// logically identical to inserting the same rows and repacking — same
     /// contents, same iteration order, same node occupancy — which
-    /// `tests/bulk_build.rs` pins differentially.
+    /// `tests/bulk_build.rs` pins differentially. An id-addressed table
+    /// takes the rows into their slots one by one.
     ///
     /// [`repack`]: TypedTable::repack
     ///
@@ -171,17 +230,35 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
             }
             last = Some(k.clone());
         });
-        let old = std::mem::take(&mut self.rows);
-        if old.is_empty() {
-            self.rows = BpTree::from_ascending(rows);
-            return;
-        }
         let name = Rc::clone(&self.name);
-        self.rows = BpTree::from_ascending(MergeAscending {
-            old: old.into_entries().peekable(),
-            new: rows.peekable(),
-            name,
-        });
+        let tree = match &mut self.rows {
+            Rows::Tree(t) => t,
+            Rows::Ids(t) => {
+                for (k, v) in rows {
+                    if t.insert(id_of(&k), v).is_some() {
+                        panic!("bulk_build key collision in table {name}");
+                    }
+                }
+                return;
+            }
+        };
+        let old = std::mem::take(tree);
+        *tree = if old.is_empty() {
+            BpTree::from_ascending(rows)
+        } else {
+            BpTree::from_ascending(MergeAscending {
+                old: old.into_entries().peekable(),
+                new: rows.peekable(),
+                name,
+            })
+        };
+    }
+}
+
+impl<V: Clone + 'static> TypedTable<u64, V> {
+    /// A table over id-addressed pages.
+    pub(crate) fn new_id(name: impl Into<String>) -> Self {
+        TypedTable { name: name.into().into(), rows: Rows::Ids(IdRows::new()) }
     }
 }
 
@@ -234,7 +311,7 @@ impl<K: KeyCodec, V: Clone + 'static> AnyTable for TypedTable<K, V> {
     }
     fn for_each_encoded_key(&self, visit: &mut dyn FnMut(&[u8])) {
         let mut buf = Vec::new();
-        self.rows.scan_with(&(..), |k: &K, _| {
+        self.scan_with(.., |k: &K, _| {
             buf.clear();
             k.encode_into(&mut buf);
             visit(&buf);
@@ -253,7 +330,7 @@ mod tests {
         assert_eq!(t.insert(1, "b".into()), Some("a".into()));
         assert_eq!(t.get(&1), Some(&"b".to_string()));
         assert_eq!(t.remove(&1), Some("b".into()));
-        assert_eq!(t.rows.len(), 0);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
@@ -267,6 +344,24 @@ mod tests {
         let names: Vec<&str> = rows.iter().map(|((_, n), _)| n.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
         assert_eq!(t.count_range((1, String::new())..(2, String::new())), 3);
+    }
+
+    #[test]
+    fn encoded_keys_come_in_ascending_order_on_both_engines() {
+        let keys = [9u64, 0, 4_097, 3, 70_000];
+        let mut tree: TypedTable<u64, u64> = TypedTable::new("tree");
+        let mut ids: TypedTable<u64, u64> = TypedTable::new_id("ids");
+        for k in keys {
+            tree.insert(k, k);
+            ids.insert(k, k);
+        }
+        let mut want: Vec<Vec<u8>> = keys.iter().map(KeyCodec::encode).collect();
+        want.sort();
+        for t in [&tree as &dyn AnyTable, &ids] {
+            let mut got = Vec::new();
+            t.for_each_encoded_key(&mut |k| got.push(k.to_vec()));
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Differential property tests: the arena-backed B+ tree engine
-//! ([`lambda_store::bptree::BpTree`]) against a `std::collections::BTreeMap`
-//! oracle.
+//! Differential property tests: the store's two engines — the arena-backed
+//! B+ tree ([`lambda_store::bptree::BpTree`]) and the id-addressed pages
+//! under the inode table ([`lambda_store::idrows::IdRows`]) — against a
+//! `std::collections::BTreeMap` oracle.
 //!
-//! The engine swap under [`TypedTable`] is only sound if the two maps are
+//! The engines under [`TypedTable`] are only sound if each map is
 //! observationally identical — same insert/remove return values, same
 //! sorted iteration order, same range contents under every bound shape,
 //! same counts — under *arbitrary interleavings*, not just the clean
@@ -18,13 +19,25 @@
 //! (≈100% full leaves) and a churned-then-repacked tree must return to
 //! density without changing contents.
 //!
+//! The id engine is held to the same oracle on ids drawn around its page
+//! boundaries — the key 0, holes, whole unallocated pages, ids past the
+//! last page — under every bound shape, and through the [`Db`] surface the
+//! inode table uses: bulk loads merged with existing rows, unbounded scans
+//! of a table whose last id is past 2^20, and the encoded-key walk the
+//! durable backend checks after a crash.
+//!
+//! [`Db`]: lambda_store::Db
 //! [`TypedTable`]: lambda_store::Db
 
+use lambda_sim::params::StoreParams;
+use lambda_sim::{Sim, SimDuration};
 use lambda_store::bptree::{BpTree, LEAF_CAP};
-use lambda_store::{NameEntry, NameKey};
+use lambda_store::idrows::{IdRows, PAGE_ROWS};
+use lambda_store::{Db, DurabilityConfig, NameEntry, NameKey};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One scripted engine operation. Keys are drawn from a small space so
 /// scripts revisit keys (exercising replace, remove-hit, and remove-miss).
@@ -274,4 +287,191 @@ fn drain_orders_collapse_cleanly() {
         assert_eq!(t.get(&7), Some(&7));
         t.check_invariants();
     }
+}
+
+const PAGE: u64 = PAGE_ROWS as u64;
+
+/// One scripted id-engine operation.
+#[derive(Debug, Clone)]
+enum IdOp {
+    Insert(u64, u64),
+    Remove(u64),
+    Get(u64),
+    /// Compare `range`, `scan_with` and `count_range` over these bounds
+    /// (inverted and excluded-empty ones included: both sides must panic).
+    Range(Bound<u64>, Bound<u64>),
+}
+
+/// Ids that stress the page arithmetic: clustered at 0 and around the
+/// first page boundary so scripts revisit them, sparse in page 3 (pages 1
+/// and 2 stay unallocated unless the boundary cluster reaches them), and
+/// past every page a script inserts into.
+fn page_id() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1 => Just(0u64),
+        4 => 0..48u64,
+        4 => PAGE - 24..PAGE + 24,
+        2 => 3 * PAGE..3 * PAGE + 16,
+        1 => 5 * PAGE..6 * PAGE,
+    ]
+}
+
+fn id_bound() -> impl Strategy<Value = Bound<u64>> {
+    prop_oneof![
+        1 => Just(Bound::Unbounded),
+        3 => page_id().prop_map(Bound::Included),
+        3 => page_id().prop_map(Bound::Excluded),
+    ]
+}
+
+fn id_op() -> impl Strategy<Value = IdOp> {
+    prop_oneof![
+        4 => (page_id(), any::<u64>()).prop_map(|(k, v)| IdOp::Insert(k, v)),
+        2 => page_id().prop_map(IdOp::Remove),
+        2 => prop_oneof![3 => page_id(), 1 => 6 * PAGE..1 << 21].prop_map(IdOp::Get),
+        1 => (id_bound(), id_bound()).prop_map(|(lo, hi)| IdOp::Range(lo, hi)),
+    ]
+}
+
+/// Whether `BTreeMap::range` panics on these bounds. It is asked with one
+/// row in the map: an empty `BTreeMap` returns before it looks at the
+/// bounds, where both engines check them on every call.
+fn range_panics(r: &(Bound<u64>, Bound<u64>)) -> bool {
+    catch_unwind(|| BTreeMap::from([(0u64, 0u64)]).range(*r).count()).is_err()
+}
+
+fn assert_same_ids(rows: &IdRows<u64>, model: &BTreeMap<u64, u64>) {
+    assert_eq!(rows.len(), model.len(), "len diverged");
+    let got: Vec<(u64, u64)> = rows.iter().map(|(k, v)| (k, *v)).collect();
+    let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(got, want, "iteration order diverged");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary insert/remove/get/range interleavings on the id engine:
+    /// every return value and every range view — bounded, open,
+    /// unbounded, empty — matches the oracle, and the ranges the oracle
+    /// refuses panic on both sides.
+    #[test]
+    fn id_scripts_match_btreemap(ops in proptest::collection::vec(id_op(), 1..300)) {
+        let mut rows: IdRows<u64> = IdRows::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for op in &ops {
+            match *op {
+                IdOp::Insert(k, v) => {
+                    prop_assert_eq!(rows.insert(k, v), model.insert(k, v), "insert({})", k);
+                }
+                IdOp::Remove(k) => {
+                    prop_assert_eq!(rows.remove(k), model.remove(&k), "remove({})", k);
+                    prop_assert_eq!(rows.get(k), None);
+                }
+                IdOp::Get(k) => prop_assert_eq!(rows.get(k), model.get(&k), "get({})", k),
+                IdOp::Range(lo, hi) => {
+                    let r = (lo, hi);
+                    if range_panics(&r) {
+                        prop_assert!(catch_unwind(AssertUnwindSafe(|| rows.range(&r).count())).is_err());
+                        prop_assert!(catch_unwind(AssertUnwindSafe(|| rows.count_range(&r))).is_err());
+                        prop_assert!(catch_unwind(AssertUnwindSafe(|| rows.scan_with(&r, |_, _| {}))).is_err());
+                        continue;
+                    }
+                    let want: Vec<(u64, u64)> = model.range(r).map(|(k, v)| (*k, *v)).collect();
+                    let got: Vec<(u64, u64)> = rows.range(&r).map(|(k, v)| (k, *v)).collect();
+                    prop_assert_eq!(&got, &want, "range {:?}", r);
+                    let mut visited = Vec::new();
+                    rows.scan_with(&r, |k, v| visited.push((*k, *v)));
+                    prop_assert_eq!(&visited, &want, "scan_with {:?}", r);
+                    prop_assert_eq!(rows.count_range(&r), want.len(), "count {:?}", r);
+                }
+            }
+        }
+        assert_same_ids(&rows, &model);
+    }
+
+    /// Through the `Db` surface the inode table uses: a bulk load merged
+    /// with rows already present gives the B+ tree table's contents and
+    /// order, and both equal the oracle.
+    #[test]
+    fn id_table_bulk_load_merges_like_the_tree_table(
+        existing in proptest::collection::btree_set(page_id(), 0..40),
+        streamed in proptest::collection::btree_set(page_id(), 1..80),
+    ) {
+        let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+        let ids = db.create_id_table::<u64>("ids");
+        let tree = db.create_table::<u64, u64>("tree");
+        let mut model = BTreeMap::new();
+        for &k in &existing {
+            db.bootstrap_insert(ids, k, k ^ 1);
+            db.bootstrap_insert(tree, k, k ^ 1);
+            model.insert(k, k ^ 1);
+        }
+        let fresh: Vec<u64> = streamed.difference(&existing).copied().collect();
+        db.bootstrap_bulk_load(ids, fresh.iter().map(|&k| (k, k * 7)));
+        db.bootstrap_bulk_load(tree, fresh.iter().map(|&k| (k, k * 7)));
+        model.extend(fresh.iter().map(|&k| (k, k * 7)));
+        let want: Vec<(u64, u64)> = model.into_iter().collect();
+        prop_assert_eq!(&db.peek_range(ids, ..), &want);
+        prop_assert_eq!(&db.peek_range(tree, ..), &want);
+        prop_assert_eq!(db.table_len(ids), want.len());
+    }
+}
+
+#[test]
+#[should_panic(expected = "range start is greater than range end")]
+fn id_engine_inverted_range_panics() {
+    let _ = IdRows::<u64>::new().count_range(&(Bound::Included(10u64), Bound::Excluded(5u64)));
+}
+
+#[test]
+#[should_panic(expected = "equal and sides are excluded")]
+fn id_engine_excluded_empty_range_panics() {
+    let _ = IdRows::<u64>::new().count_range(&(Bound::Excluded(7u64), Bound::Excluded(7u64)));
+}
+
+#[test]
+#[should_panic(expected = "bulk_build key collision in table ids")]
+fn id_table_bulk_load_rejects_keys_already_present() {
+    let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+    let ids = db.create_id_table::<u64>("ids");
+    db.bootstrap_insert(ids, 3, 0);
+    db.bootstrap_bulk_load(ids, [(1, 1), (3, 3), (4, 4)].into_iter());
+}
+
+/// `peek_range(inodes, ..)` — what the audit and the benchmark's checks
+/// call — on a table whose last id is past 2^20: every row, in order, and
+/// the walk stops at the last page instead of at `u64::MAX`.
+#[test]
+fn unbounded_scan_of_a_sparse_id_table_returns_every_row() {
+    let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+    let ids = db.create_id_table::<u64>("inodes");
+    let keys = [0, 1, PAGE - 1, PAGE, (1 << 20) + 5];
+    for k in keys {
+        db.bootstrap_insert(ids, k, k + 1);
+    }
+    let want: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k + 1)).collect();
+    assert_eq!(db.peek_range(ids, ..), want);
+    assert_eq!(db.peek_range(ids, (1 << 20)..), want[4..]);
+    assert_eq!(db.peek_count_range(ids, ..), keys.len());
+    assert_eq!(db.peek(ids, &(1 << 20)), None);
+}
+
+/// The durable backend's post-crash check compares every table's encoded
+/// keys (`for_each_encoded_key`) with what WAL replay recovered: an id
+/// table with holes, whole empty pages and a key at 0 must come back
+/// clean, as a B+ tree table with the same rows does.
+#[test]
+fn id_table_keys_survive_the_post_crash_check() {
+    let mut sim = Sim::new(41);
+    let params = StoreParams { shards: 1, ..StoreParams::default() };
+    let db = Db::new_durable(&params, SimDuration::from_secs(5), DurabilityConfig::default());
+    let ids = db.create_id_table::<u64>("ids");
+    let tree = db.create_table::<u64, u64>("tree");
+    let keys: Vec<u64> = [0, 2, 5, PAGE + 1, 3 * PAGE + 7].into();
+    db.bootstrap_bulk_load(ids, keys.iter().map(|&k| (k, k)));
+    db.bootstrap_bulk_load(tree, keys.iter().map(|&k| (k, k)));
+    db.crash_shard(&mut sim, 0, SimDuration::from_millis(1));
+    sim.run();
+    assert_eq!(db.durability_violations(), Vec::<String>::new());
+    assert_eq!(db.durability_stats().unwrap().replayed_records, 2 * keys.len() as u64);
 }

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Symbolizes sigprof.c captures: self and inclusive tables, and a top-down tree.
 
-    symbolize.py [--root NAME] capture.<pid> ...
+    symbolize.py [--root NAME] [--by-module] capture.<pid> ...
 
 Addresses in the executable are resolved through `addr2line -f -C -i`
 (inlined frames count as frames). Shared objects carry no debug info here,
 so theirs are named from `nm -D` (exported symbols with sizes), from where
 the capture says libc's IFUNC'd string functions resolved to, or else as
-`[object+page]`. A sample whose instruction pointer is outside the
+`[object+page, before NAME]`, NAME being the next exported function. A
+sample whose instruction pointer is outside the
 executable takes the word at its stack pointer as its caller when that
 word points into code: libc's leaf routines keep no frame, and the
 frame-pointer chain alone would skip the function that called them.
@@ -15,6 +16,14 @@ frame-pointer chain alone would skip the function that called them.
 Shares are of all samples given; with `--root NAME` a call tree is printed
 below the outermost frame whose function name contains NAME, with shares
 of the samples that reach it; nodes below MIN_SHARE percent are pruned.
+
+With `--by-module` it also prints every sample's owner, split into set-up
+(any frame in `lfsbench::workloads::setup`) and the measured window. The
+owner is the innermost frame naming a crate of this repository, as
+`crate::module` (generic std code inlined into the store counts as the
+store); libc's allocator and string routines get rows of their own; the
+rows cover every sample. With `--root NAME` too, the table is repeated for
+the samples that reach NAME.
 """
 import argparse
 import bisect
@@ -113,7 +122,12 @@ def symbolize(addresses, ifuncs, exe, maps):
                     names = "/".join(n for a, n in ifuncs if a == ifuncs[j][0])
                     frames[addr] = [f"{names} [{short}]"]
                 else:
-                    frames[addr] = [f"[{short}+{vaddr & ~0xfff:#x}]"]
+                    # Unexported code sits in its file's text, ahead of the
+                    # public function that follows it: name that one.
+                    nxt = list(dict.fromkeys(
+                        n for a, _, n in syms[i + 1:i + 9] if a == syms[i + 1][0]))
+                    after = f", before {'/'.join(nxt)}" if nxt else ""
+                    frames[addr] = [f"[{short}+{vaddr & ~0xfff:#x}{after}]"]
             continue
         out = subprocess.run(["addr2line", "-a", "-f", "-C", "-i", "-e", obj],
                              input="\n".join(hex(v) for _, v in pairs), text=True,
@@ -131,10 +145,71 @@ def symbolize(addresses, ifuncs, exe, maps):
     return frames
 
 
+OURS = re.compile(r"\b(lambda_\w+|lfsbench)::(\w+)")
+LIBC_ALLOC = {"malloc", "free", "realloc", "calloc", "cfree", "posix_memalign", "aligned_alloc",
+              "memalign", "malloc_usable_size", "__default_morecore"}
+LIBC_STRING = re.compile(r"^(__)?(mem|str|bcmp|wmem|wcs)\w*")
+LIBC_NAMES = re.compile(r"^([\w/.@]+) \[libc|, before ([\w/.@]+)\]$")
+SETUP = "lfsbench::workloads::setup"
+
+
+def libc_names(frame):
+    """The functions a libc frame names: its own, or the export it precedes."""
+    m = LIBC_NAMES.search(frame)
+    if not m or "libc" not in frame:
+        return []
+    return [n.split("@")[0] for n in (m.group(1) or m.group(2)).split("/")]
+
+
+def owner(stack):
+    """The row a sample (frames outermost first) is charged to in --by-module."""
+    leaf = stack[-1]
+    if "[libc" in leaf:
+        # Allocator internals keep no frame: a sample in one is known by
+        # the allocator function it precedes or was called from.
+        if any(LIBC_ALLOC.intersection(libc_names(f)) for f in stack):
+            return "libc allocator"
+        if any(LIBC_STRING.match(n) for n in libc_names(leaf)):
+            return "libc string"
+        return "libc (other)"
+    for frame in reversed(stack):
+        m = OURS.search(frame)
+        if m:
+            crate, item = m.groups()
+            # A lowercase second segment is a module; otherwise the item is
+            # at the crate root.
+            return f"{crate}::{item}" if item[0].islower() else crate
+    if leaf.startswith("["):
+        return "unresolved"
+    return "std / runtime"
+
+
+def by_module(stacks, title):
+    setup = collections.Counter()
+    window = collections.Counter()
+    for s in stacks:
+        (setup if any(SETUP in f for f in s) else window)[owner(s)] += 1
+    n_setup, n_window = sum(setup.values()), sum(window.values())
+    total = n_setup + n_window
+    if not total:
+        return
+    print(f"\n== self by module{title}: {total} samples, set-up {n_setup} "
+          f"({100 * n_setup / total:.2f}%), measured window {n_window} ==")
+    print(f"{'window %':>9} {'window':>7} {'set-up %':>9} {'set-up':>7}  module")
+    pct = lambda n, of: 100 * n / of if of else 0.0
+    rows = sorted(set(setup) | set(window), key=lambda r: (-window[r], -setup[r], r))
+    for r in rows:
+        print(f"{pct(window[r], n_window):8.2f}% {window[r]:7d} "
+              f"{pct(setup[r], n_setup):8.2f}% {setup[r]:7d}  {r}")
+    print(f"{100.0:8.2f}% {n_window:7d} {100.0 if n_setup else 0.0:8.2f}% {n_setup:7d}  total")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("captures", nargs="+")
     ap.add_argument("--root", help="print a call tree below the frame containing this text")
+    ap.add_argument("--by-module", action="store_true",
+                    help="print self samples by crate and module, set-up and measured window apart")
     args = ap.parse_args()
 
     stacks = []  # outermost first, function names
@@ -161,6 +236,11 @@ def main():
         print(f"\n== {title}: top {TOP} of {total} samples ==")
         for name, n in table.most_common(TOP):
             print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
+
+    if args.by_module:
+        by_module(stacks, "")
+        if args.root:
+            by_module([s for s in stacks if any(args.root in f for f in s)], f" below {args.root!r}")
 
     if args.root:
         tree = lambda: {"n": 0, "kids": collections.defaultdict(tree)}

@@ -29,11 +29,13 @@
 #      threads must still match the golden capture byte-for-byte —
 #      sweep-level parallelism (whole independent simulations per
 #      thread, the only kind there is) must never reach the results.
-#   7. store engine bench smoke: bench_store --smoke runs the arena B+
-#      tree vs std-BTreeMap microbench at small scales (liveness; the
-#      full-scale numbers are results/bench_store.txt). The engine's
-#      observational equivalence is pinned by the differential proptests
-#      in crates/store/tests/engine_differential.rs, which step 1 runs.
+#   7. store engine bench smoke: bench_store --smoke runs the engine
+#      microbench — arena B+ tree vs std BTreeMap, and the id-addressed
+#      pages under the inode table — at small scales (liveness; the
+#      full-scale numbers are results/bench_store.txt). Both engines'
+#      observational equivalence to the std map is pinned by the
+#      differential proptests in crates/store/tests/engine_differential.rs,
+#      which step 1 runs.
 #   8. durable chaos smoke: fig15b_chaos --smoke --durable re-runs every
 #      fault class on the WAL-backed durable store backend — shard
 #      failovers recover by WAL replay, and the audit adds the
@@ -114,7 +116,7 @@ echo "== chaos smoke (fault classes + invariant audits) =="
 echo "== fig10 golden check at --threads=4 =="
 golden_check fig10_latency_cdfs --threads=4
 
-echo "== store engine bench smoke (arena B+ tree vs std BTreeMap) =="
+echo "== store engine bench smoke (B+ tree, std BTreeMap, id-addressed pages) =="
 ./target/release/lfsfig bench_store --smoke
 
 echo "== durable chaos smoke (WAL replay recovery + shadow check) =="
