@@ -271,7 +271,7 @@ fn advise_huge(ptr: *mut u8, len: usize) {
 fn advise_huge(_ptr: *mut u8, _len: usize) {}
 
 /// The counting allocator: [`System`] plus [`GLOBAL`] accounting, plus
-/// huge-page advice for arena-scale blocks (see [`advise_huge`]). Register
+/// huge-page advice for arena-scale blocks (see `advise_huge`). Register
 /// it with `#[global_allocator]` in a binary to activate both.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingAlloc;

@@ -11,101 +11,27 @@
 //!
 //! # Queue internals
 //!
+//! The kernel schedules exactly one kind of event: a boxed `FnOnce`
+//! ([`Event`]) parked in a slab (`Vec<Option<Event>>` plus a free list).
 //! The pending-event store is a hierarchical timing wheel (see
-//! [`wheel`](crate::wheel)) ordering 24-byte plain-old-data [`Entry`]
-//! records — `(at, seq, packed action)` — rather than boxed closures:
-//! O(1) pushes and near-O(1) pops in place of heap sifts. The [`Action`]
-//! payload, bit-packed into one `u64`, is one of three variants:
+//! [`wheel`](crate::wheel)) ordering small `Copy` [`Entry`] records —
+//! `(at, seq, slot)` — so pushes are O(1), pops near-O(1), and bucket
+//! moves never run destructors. A slot is recycled the moment its event
+//! fires, so a steady-state workload touches the same few slab cells.
 //!
-//! * **`Closure(slot)`** — a one-shot `FnOnce` parked in a slab
-//!   (`Vec<Option<Event>>` plus a free list). The slot index is recycled the
-//!   moment the event fires, so a steady-state workload touches the same few
-//!   cache-hot slab cells instead of fresh heap allocations.
-//! * **`Timer(slot)`** — a periodic `FnMut` tick (see [`every`]). The
-//!   closure is boxed **once** at registration; every subsequent tick is
-//!   re-armed by pushing a heap entry, with no allocation at all.
-//! * **`Station { station, slot }`** — a queueing-station job completion
-//!   (see [`crate::Station`]). The station is named by its index in the
-//!   engine's station registry, so entries stay `Copy` — no `Rc`, no drop
-//!   glue anywhere in the heap, and the sift loops compile to straight
-//!   word moves. Firing is two slab lookups; no allocation on the
-//!   completion path.
-//!
-//! The closure slab still boxes each one-shot closure (they are
-//! heterogeneous types and this crate forbids `unsafe`), but the two hot
-//! paths of a metadata-service simulation — station job completions and
-//! periodic timers — never allocate per event.
+//! Everything else is built on [`Sim::schedule`]: [`every`] re-arms a
+//! periodic tick by scheduling the next one as an ordinary event, and a
+//! [`Station`](crate::Station) job's completion is an ordinary event that
+//! owns the station handle, the service time and the caller's callback.
 
 use std::fmt;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::rng::SimRng;
-use crate::station::{Station, StationRef};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{Entry, EventWheel};
 
 /// A scheduled one-shot action.
 pub type Event = Box<dyn FnOnce(&mut Sim)>;
-
-/// Process-wide counter handing each [`Sim`] a distinct identity, so a
-/// station can tell whether its cached registry index belongs to the engine
-/// it is being scheduled on (see [`Sim::register_station`]).
-static SIM_IDS: AtomicU64 = AtomicU64::new(0);
-
-/// What to do when an [`Entry`] fires. Bit-packed into a single `u64` (see
-/// [`Action::pack`]) so heap entries stay 24 bytes of `Copy` data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Action {
-    /// Run and free the one-shot closure parked in this slab slot.
-    Closure(u32),
-    /// Tick the periodic timer parked in this slab slot; re-arm if it
-    /// returns `true`.
-    Timer(u32),
-    /// Complete the job in `slot` of the job slab of the station at
-    /// `station` in the engine's registry.
-    Station { station: u32, slot: u32 },
-}
-
-const TAG_CLOSURE: u64 = 0;
-const TAG_TIMER: u64 = 1;
-const TAG_STATION: u64 = 2;
-
-impl Action {
-    /// Packs the action into one word: a 2-bit tag, then the payload.
-    /// Station entries carry two 31-bit indices, which bounds one engine at
-    /// ~2 billion registered stations and in-flight jobs per station — far
-    /// beyond anything a single-process simulation can hold anyway.
-    #[inline]
-    fn pack(self) -> u64 {
-        match self {
-            Action::Closure(slot) => TAG_CLOSURE | u64::from(slot) << 2,
-            Action::Timer(slot) => TAG_TIMER | u64::from(slot) << 2,
-            Action::Station { station, slot } => {
-                debug_assert!(station < (1 << 31) && slot < (1 << 31));
-                TAG_STATION | u64::from(station) << 2 | u64::from(slot) << 33
-            }
-        }
-    }
-
-    #[inline]
-    fn unpack(word: u64) -> Self {
-        match word & 0b11 {
-            TAG_CLOSURE => Action::Closure((word >> 2) as u32),
-            TAG_TIMER => Action::Timer((word >> 2) as u32),
-            _ => Action::Station {
-                station: (word >> 2 & ((1 << 31) - 1)) as u32,
-                slot: (word >> 33) as u32,
-            },
-        }
-    }
-}
-
-/// A registered periodic event (see [`every`]).
-struct Timer {
-    period: SimDuration,
-    tick: Box<dyn FnMut(&mut Sim) -> bool>,
-}
 
 /// The discrete-event simulation engine: a virtual clock, an event queue,
 /// and the run's random-number generator.
@@ -133,17 +59,10 @@ pub struct Sim {
     next_seq: u64,
     rng: SimRng,
     executed: u64,
-    /// Distinct per-engine identity (see [`SIM_IDS`]).
-    id: u64,
-    /// One-shot closure slab; indices are recycled through `free_closures`.
-    closures: Vec<Option<Event>>,
-    free_closures: Vec<u32>,
-    /// Periodic-timer slab; indices are recycled through `free_timers`.
-    timers: Vec<Option<Timer>>,
-    free_timers: Vec<u32>,
-    /// Stations that have scheduled completions on this engine; heap
-    /// entries name them by index here so they stay `Copy`.
-    stations: Vec<StationRef>,
+    /// Pending events, named by slot from the wheel's entries; indices are
+    /// recycled through `free_slots`.
+    events: Vec<Option<Event>>,
+    free_slots: Vec<u32>,
 }
 
 impl fmt::Debug for Sim {
@@ -167,29 +86,9 @@ impl Sim {
             next_seq: 0,
             rng: SimRng::new(seed),
             executed: 0,
-            id: SIM_IDS.fetch_add(1, AtomicOrdering::Relaxed),
-            closures: Vec::new(),
-            free_closures: Vec::new(),
-            timers: Vec::new(),
-            free_timers: Vec::new(),
-            stations: Vec::new(),
+            events: Vec::new(),
+            free_slots: Vec::new(),
         }
-    }
-
-    /// This engine's process-unique identity; stations use it to detect a
-    /// stale cached registry index when reused across engines.
-    pub(crate) fn instance_id(&self) -> u64 {
-        self.id
-    }
-
-    /// Adds `station` to the registry and returns its index, which the
-    /// station caches (keyed by [`Self::instance_id`]) and passes to
-    /// [`Self::schedule_station`]. Registration is not an event: it consumes
-    /// no sequence number and cannot perturb firing order.
-    pub(crate) fn register_station(&mut self, station: StationRef) -> u32 {
-        let id = u32::try_from(self.stations.len()).expect("station registry overflow");
-        self.stations.push(station);
-        id
     }
 
     /// The current virtual time.
@@ -215,47 +114,26 @@ impl Sim {
         self.queue.len()
     }
 
-    /// Pushes a heap entry at `at` (clamped to now), consuming one sequence
-    /// number. All scheduling funnels through here so same-instant FIFO
-    /// order is exactly the order of scheduling calls, whatever the variant.
+    /// Parks `event` in the slab and queues it at `at` (clamped to now),
+    /// consuming one sequence number. All scheduling funnels through here,
+    /// so same-instant FIFO order is exactly the order of scheduling calls.
     #[inline]
-    fn push_entry(&mut self, at: SimTime, action: Action) {
-        let at = at.max(self.now);
+    pub(crate) fn schedule_event(&mut self, at: SimTime, event: Event) {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                debug_assert!(self.events[slot as usize].is_none());
+                self.events[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.events.len()).expect("event slab overflow");
+                self.events.push(Some(event));
+                slot
+            }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Entry { at, seq, action: action.pack() });
-    }
-
-    /// Parks a one-shot closure in the slab and returns its slot.
-    fn park_closure(&mut self, event: Event) -> u32 {
-        match self.free_closures.pop() {
-            Some(slot) => {
-                debug_assert!(self.closures[slot as usize].is_none());
-                self.closures[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.closures.len()).expect("closure slab overflow");
-                self.closures.push(Some(event));
-                slot
-            }
-        }
-    }
-
-    /// Parks a periodic timer in the slab and returns its slot.
-    fn park_timer(&mut self, timer: Timer) -> u32 {
-        match self.free_timers.pop() {
-            Some(slot) => {
-                debug_assert!(self.timers[slot as usize].is_none());
-                self.timers[slot as usize] = Some(timer);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.timers.len()).expect("timer slab overflow");
-                self.timers.push(Some(timer));
-                slot
-            }
-        }
+        self.queue.push(Entry { at: at.max(self.now), seq, slot });
     }
 
     /// Schedules `event` to fire at the absolute instant `at`.
@@ -266,8 +144,7 @@ impl Sim {
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        let slot = self.park_closure(Box::new(event));
-        self.push_entry(at, Action::Closure(slot));
+        self.schedule_event(at, Box::new(event));
     }
 
     /// Schedules `event` to fire `after` from now.
@@ -276,14 +153,6 @@ impl Sim {
         F: FnOnce(&mut Sim) + 'static,
     {
         self.schedule_at(self.now + after, event);
-    }
-
-    /// Schedules completion of the job in `slot` of the registered station
-    /// `station` after `service`. The allocation-free fast path used by
-    /// [`Station::submit`](crate::Station::submit).
-    #[inline]
-    pub(crate) fn schedule_station(&mut self, service: SimDuration, station: u32, slot: u32) {
-        self.push_entry(self.now + service, Action::Station { station, slot });
     }
 
     /// Executes the next pending event, advancing the clock to its instant.
@@ -296,32 +165,9 @@ impl Sim {
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
         self.executed += 1;
-        match Action::unpack(entry.action) {
-            Action::Closure(slot) => {
-                let event = self.closures[slot as usize]
-                    .take()
-                    .expect("closure slot fired twice");
-                self.free_closures.push(slot);
-                event(self);
-            }
-            Action::Timer(slot) => {
-                // Move the timer out while it runs so the tick can freely
-                // register new timers without aliasing its own slot.
-                let mut timer =
-                    self.timers[slot as usize].take().expect("timer slot fired twice");
-                if (timer.tick)(self) {
-                    let next = self.now + timer.period;
-                    self.timers[slot as usize] = Some(timer);
-                    self.push_entry(next, Action::Timer(slot));
-                } else {
-                    self.free_timers.push(slot);
-                }
-            }
-            Action::Station { station, slot } => {
-                let station = Rc::clone(&self.stations[station as usize]);
-                Station::complete(&station, self, slot);
-            }
-        }
+        let event = self.events[entry.slot as usize].take().expect("event slot fired twice");
+        self.free_slots.push(entry.slot);
+        event(self);
         true
     }
 
@@ -355,8 +201,8 @@ impl Sim {
 /// returns `false` or the simulation ends.
 ///
 /// This is the idiom for heartbeats, block reports, and workload-rate
-/// resampling. The closure is boxed once at registration; each tick re-arms
-/// by pushing a small heap entry with no further allocation.
+/// resampling. Each tick is an ordinary event; a tick that returns `true`
+/// schedules the next one `period` later.
 ///
 /// # Examples
 ///
@@ -380,8 +226,18 @@ where
     F: FnMut(&mut Sim) -> bool + 'static,
 {
     assert!(!period.is_zero(), "periodic event with zero period would not advance time");
-    let slot = sim.park_timer(Timer { period, tick: Box::new(tick) });
-    sim.push_entry(first, Action::Timer(slot));
+    fn arm<F>(sim: &mut Sim, at: SimTime, period: SimDuration, mut tick: F)
+    where
+        F: FnMut(&mut Sim) -> bool + 'static,
+    {
+        sim.schedule_at(at, move |sim| {
+            if tick(sim) {
+                let next = sim.now() + period;
+                arm(sim, next, period, tick);
+            }
+        });
+    }
+    arm(sim, first, period, tick);
 }
 
 #[cfg(test)]
@@ -511,7 +367,7 @@ mod tests {
         chain(&mut sim, 1000);
         sim.run();
         assert_eq!(sim.events_executed(), 1000);
-        assert_eq!(sim.closures.len(), 1, "chained one-shot events should reuse one slot");
+        assert_eq!(sim.events.len(), 1, "chained one-shot events should reuse one slot");
     }
 
     #[test]
@@ -530,7 +386,7 @@ mod tests {
             );
             sim.run();
         }
-        assert_eq!(sim.timers.len(), 1, "sequential timers should reuse one slot");
+        assert_eq!(sim.events.len(), 1, "sequential timers' ticks should reuse one slot");
     }
 
     #[test]

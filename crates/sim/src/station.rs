@@ -7,13 +7,16 @@
 //! queueing delay, and throughput ceilings in the reproduced experiments all
 //! emerge from these stations.
 //!
-//! # Completion fast path
+//! # Completions
 //!
-//! Jobs live in a slab (`Vec<Option<Job>>` plus a free list) inside the
-//! station; the engine's queue holds only `(station, slot)` completion
-//! entries (see the [`engine`](crate::engine) docs). Submitting boxes the
-//! caller's `done` callback once; starting, completing, and dequeueing a job
-//! move slot indices around and never allocate.
+//! Submitting boxes one completion [`Event`] that owns a handle to the
+//! station, the service time and the caller's `done` callback. A job that
+//! starts at once hands it straight to [`Sim`]; a job that must wait parks
+//! it in the station's FIFO until a completion frees a server. The engine
+//! keeps no record of stations: an in-flight completion is what keeps its
+//! station alive, so a station whose other handles are gone is freed when
+//! its last job ends. A waiting job's completion holds the station too, so
+//! a `Sim` dropped while jobs still wait leaves their station allocated.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -26,15 +29,17 @@ use crate::time::{SimDuration, SimTime};
 /// A shared handle to a station.
 pub type StationRef = Rc<RefCell<Station>>;
 
-struct Job {
+/// A job waiting for a server, with the completion to schedule once it
+/// starts.
+struct Waiting {
     service: SimDuration,
     enqueued_at: SimTime,
-    done: Event,
+    completion: Event,
 }
 
-impl fmt::Debug for Job {
+impl fmt::Debug for Waiting {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Job").field("service", &self.service).finish()
+        f.debug_struct("Waiting").field("service", &self.service).finish()
     }
 }
 
@@ -102,17 +107,9 @@ pub struct Station {
     name: String,
     servers: u32,
     busy: u32,
-    /// FIFO of slab slots waiting for a server.
-    waiting: VecDeque<u32>,
-    /// Job slab; indices are recycled through `free`.
-    jobs: Vec<Option<Job>>,
-    free: Vec<u32>,
+    /// Jobs waiting for a server, in arrival order.
+    waiting: VecDeque<Waiting>,
     stats: StationStats,
-    /// Cached `(engine identity, registry index)` from the last engine this
-    /// station scheduled on; lets completion entries stay `Copy` (see the
-    /// [`engine`](crate::engine) docs). Re-registers if the station is
-    /// reused on a different engine.
-    kernel_id: Option<(u64, u32)>,
 }
 
 impl Station {
@@ -129,10 +126,7 @@ impl Station {
             servers,
             busy: 0,
             waiting: VecDeque::new(),
-            jobs: Vec::new(),
-            free: Vec::new(),
             stats: StationStats::default(),
-            kernel_id: None,
         }))
     }
 
@@ -183,96 +177,51 @@ impl Station {
         self.servers = servers;
     }
 
-    /// Parks a job in the slab and returns its slot.
-    fn park(&mut self, job: Job) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.jobs[slot as usize].is_none());
-                self.jobs[slot as usize] = Some(job);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.jobs.len()).expect("job slab overflow");
-                self.jobs.push(Some(job));
-                slot
-            }
-        }
-    }
-
-    /// Resolves this station's registry index on `sim`, registering on
-    /// first use (or again if the station moved to a different engine).
-    #[inline]
-    fn registry_id(st: &mut Station, this: &StationRef, sim: &mut Sim) -> u32 {
-        match st.kernel_id {
-            Some((engine, id)) if engine == sim.instance_id() => id,
-            _ => {
-                let id = sim.register_station(Rc::clone(this));
-                st.kernel_id = Some((sim.instance_id(), id));
-                id
-            }
-        }
-    }
-
     /// Submits a job requiring `service` time; `done` fires at completion.
     pub fn submit<F>(this: &StationRef, sim: &mut Sim, service: SimDuration, done: F)
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        let job = Job { service, enqueued_at: sim.now(), done: Box::new(done) };
+        let station = Rc::clone(this);
+        let completion: Event =
+            Box::new(move |sim| Station::complete(&station, sim, service, done));
         let mut st = this.borrow_mut();
-        let slot = st.park(job);
         st.stats.arrivals += 1;
         if st.busy < st.servers {
             // Immediate start: the job never waits, so the wait-time
             // accounting a queued start needs is skipped entirely.
             st.busy += 1;
-            let id = Self::registry_id(&mut st, this, sim);
             drop(st);
-            sim.schedule_station(service, id, slot);
+            sim.schedule_event(sim.now() + service, completion);
         } else {
-            st.waiting.push_back(slot);
+            st.waiting.push_back(Waiting { service, enqueued_at: sim.now(), completion });
         }
     }
 
-    /// Starts the queued job in `slot` on a server already accounted as
-    /// busy, charging the time it waited.
-    fn start(this: &StationRef, sim: &mut Sim, slot: u32) {
-        let mut st = this.borrow_mut();
-        let job = st.jobs[slot as usize].as_ref().expect("started job is parked");
-        let wait = sim.now().saturating_since(job.enqueued_at);
-        let service = job.service;
-        st.stats.wait_time += wait;
-        let id = Self::registry_id(&mut st, this, sim);
-        drop(st);
-        sim.schedule_station(service, id, slot);
-    }
-
-    /// Completes the job in `slot`: accounting, the `done` callback, then
-    /// starting the next queued job (in that order — callbacks observe the
-    /// free server, and the next job's completion is scheduled after any
-    /// events the callback itself schedules at this instant).
-    pub(crate) fn complete(this: &StationRef, sim: &mut Sim, slot: u32) {
-        let (job, next) = {
+    /// Completes a job of `service`: accounting, the `done` callback, then
+    /// starting the next queued job with the time it waited charged (in
+    /// that order — callbacks observe the free server, and the next job's
+    /// completion is scheduled after any events the callback itself
+    /// schedules at this instant).
+    fn complete<F>(this: &StationRef, sim: &mut Sim, service: SimDuration, done: F)
+    where
+        F: FnOnce(&mut Sim),
+    {
+        let next = {
             let mut st = this.borrow_mut();
-            let job = st.jobs[slot as usize].take().expect("completed job is parked");
-            st.free.push(slot);
             st.stats.completions += 1;
-            st.stats.busy_time += job.service;
+            st.stats.busy_time += service;
             st.busy -= 1;
-            let next = if st.busy < st.servers {
-                let next = st.waiting.pop_front();
-                if next.is_some() {
-                    st.busy += 1;
-                }
-                next
-            } else {
-                None
-            };
-            (job, next)
+            let next = if st.busy < st.servers { st.waiting.pop_front() } else { None };
+            if next.is_some() {
+                st.busy += 1;
+            }
+            next
         };
-        (job.done)(sim);
-        if let Some(next) = next {
-            Self::start(this, sim, next);
+        done(sim);
+        if let Some(job) = next {
+            this.borrow_mut().stats.wait_time += sim.now().saturating_since(job.enqueued_at);
+            sim.schedule_event(sim.now() + job.service, job.completion);
         }
     }
 }
@@ -385,24 +334,21 @@ mod tests {
     }
 
     #[test]
-    fn job_slots_are_recycled_under_steady_load() {
+    fn in_flight_jobs_keep_a_dropped_station_alive_until_the_last_ends() {
         let mut sim = Sim::new(0);
         let station = Station::new("s", 1);
-        // A closed loop of one job at a time: the slab never needs more
-        // than one slot no matter how many jobs flow through.
-        fn resubmit(station: &StationRef, sim: &mut Sim, left: u32) {
-            if left == 0 {
-                return;
-            }
-            let again = Rc::clone(station);
-            Station::submit(station, sim, SimDuration::from_millis(1), move |sim| {
-                resubmit(&again, sim, left - 1);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..3u32 {
+            let order = Rc::clone(&order);
+            Station::submit(&station, &mut sim, SimDuration::from_millis(10), move |sim| {
+                order.borrow_mut().push((i, sim.now().as_millis_f64() as u64));
             });
         }
-        resubmit(&station, &mut sim, 500);
+        // One job runs and two wait; the last outside handle goes away.
+        let weak = Rc::downgrade(&station);
+        drop(station);
         sim.run();
-        let st = station.borrow();
-        assert_eq!(st.stats().completions, 500);
-        assert_eq!(st.jobs.len(), 1, "steady single-job load should reuse one slot");
+        assert_eq!(*order.borrow(), vec![(0, 10), (1, 20), (2, 30)]);
+        assert!(weak.upgrade().is_none(), "the engine must not keep a finished station alive");
     }
 }

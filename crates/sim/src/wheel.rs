@@ -47,14 +47,14 @@ const BUCKETS: usize = 256;
 const SPAN: [u64; 3] = [1 << (SHIFT[0] + 8), 1 << (SHIFT[1] + 8), 1 << (SHIFT[2] + 8)];
 
 /// A pending event: all `Copy`, 24 bytes, no drop glue — bucket moves and
-/// sorts shuffle plain words and never run destructors or panic paths. The
-/// `action` word is the engine's packed action payload; the wheel never
+/// sorts shuffle plain words and never run destructors or panic paths.
+/// `slot` names the event's closure in the engine's slab; the wheel never
 /// interprets it.
 #[derive(Clone, Copy)]
 pub(crate) struct Entry {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
-    pub(crate) action: u64,
+    pub(crate) slot: u32,
 }
 
 impl Entry {
@@ -310,7 +310,7 @@ mod tests {
     use super::*;
 
     fn entry(at_ns: u64, seq: u64) -> Entry {
-        Entry { at: SimTime::from_nanos(at_ns), seq, action: seq }
+        Entry { at: SimTime::from_nanos(at_ns), seq, slot: seq as u32 }
     }
 
     /// Deterministic pseudo-random u64 stream (SplitMix64).

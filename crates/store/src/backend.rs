@@ -1,22 +1,20 @@
-//! Store persistence backends.
+//! The durable store backend.
 //!
-//! The [`Db`](crate::Db) routes every durability-relevant event — bulk
-//! loads, commit write sets, shard crashes — through a [`StoreBackend`].
-//! Two implementations exist:
+//! A [`Db`](crate::Db) built by [`Db::new_durable`](crate::Db::new_durable)
+//! routes every durability-relevant event — bulk loads, commit write sets,
+//! shard crashes — through a `DurableBackend`; one built by
+//! [`Db::new`](crate::Db::new) has none, keeps volatile tables, and models a
+//! shard crash as a fixed takeover window with no event, charge, or RNG
+//! draw added anywhere.
 //!
-//! * [`InMemoryBackend`] (the default): pure no-ops. A shard crash is
-//!   modeled as a fixed takeover window, exactly the pre-existing fault
-//!   semantics; no event, charge, or RNG draw is added anywhere, so
-//!   simulation traces are bit-identical to a build without the trait
-//!   seam.
-//! * [`DurableBackend`]: every committed transaction's writes are appended
-//!   to a per-shard `lambda-lsm` write-ahead log *before* the commit
-//!   completes (WAL-ordered commit), made durable by group-commit syncs on
-//!   a tunable flush interval, and a shard crash triggers deterministic
-//!   WAL replay into rebuilt memtable/SSTable state instead of waiting
-//!   out a modeled takeover constant. Commits whose WAL records were still
-//!   in the lost window abort through the undo log, mirroring what a real
-//!   redo-log store loses on power failure.
+//! Under the durable backend every committed transaction's writes are
+//! appended to a per-shard `lambda-lsm` write-ahead log *before* the commit
+//! completes (WAL-ordered commit), made durable by group-commit syncs on a
+//! tunable flush interval, and a shard crash triggers deterministic WAL
+//! replay into rebuilt memtable/SSTable state instead of waiting out a
+//! modeled takeover constant. Commits whose WAL records were still in the
+//! lost window abort through the undo log, mirroring what a real redo-log
+//! store loses on power failure.
 //!
 //! ## The shadow model
 //!
@@ -38,15 +36,6 @@ use crate::db::shard_of;
 use crate::key::EncodedKey;
 use crate::table::{AnyTable, TableId};
 use crate::txn::TxnId;
-
-/// Which persistence backend a [`Db`](crate::Db) runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Volatile tables; crashes cost a fixed takeover window (default).
-    InMemory,
-    /// WAL-backed shadow persistence with crash recovery by replay.
-    Durable,
-}
 
 /// Tuning for the durable backend.
 #[derive(Debug, Clone)]
@@ -111,123 +100,6 @@ pub(crate) struct ShadowWrite {
     /// Whether the row existed before this write — what compensation must
     /// restore if the commit is lost to a crash.
     pub(crate) prior_exists: bool,
-}
-
-/// What a shard crash means for the caller.
-pub(crate) enum CrashOutcome {
-    /// In-memory semantics: wait out the caller-provided takeover window.
-    Takeover,
-    /// Durable semantics: the shard is down while WAL replay runs.
-    Recovered {
-        /// Deterministically costed recovery downtime.
-        down_for: SimDuration,
-        /// Mid-commit transactions whose WAL records on the crashed shard
-        /// were still in the lost window; the caller must abort them
-        /// through their undo logs.
-        lost_txns: Vec<TxnId>,
-    },
-}
-
-/// Outcome of a commit as far as durability is concerned.
-pub(crate) enum CommitFate {
-    /// The backend was not tracking this commit (in-memory backend, or a
-    /// read-only transaction).
-    Untracked,
-    /// The commit's WAL records survived; the commit stands.
-    Durable,
-    /// A crash on `shard` lost the commit's WAL records; the transaction
-    /// was already rolled back and the commit must report failure.
-    Lost {
-        /// The shard whose crash lost the records.
-        shard: u32,
-    },
-}
-
-/// The seam between the transactional store and its persistence model.
-pub(crate) trait StoreBackend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Records one pre-run bootstrap row (already durable by definition).
-    fn bootstrap_row(&mut self, table: TableId, shard: u32, enc: &[u8], val_len: usize);
-
-    /// Appends a committing transaction's writes to the WAL (commit order =
-    /// log order). Returns the sim-time instant at which the records become
-    /// durable (the next group-commit boundary), or `None` if the backend
-    /// does not log (in-memory).
-    fn begin_commit(
-        &mut self,
-        now: SimTime,
-        txn: TxnId,
-        writes: Vec<ShadowWrite>,
-    ) -> Option<SimTime>;
-
-    /// Group-commit boundary reached: everything appended so far becomes
-    /// durable.
-    fn sync_boundary(&mut self, txn: TxnId);
-
-    /// Resolves a finishing commit against any crash that happened since
-    /// [`StoreBackend::begin_commit`].
-    fn finish_commit(&mut self, txn: TxnId) -> CommitFate;
-
-    /// Crashes `shard`: volatile state is lost, recovery runs.
-    fn crash_shard(&mut self, shard: u32) -> CrashOutcome;
-
-    /// After the caller has aborted every crash victim: checks the
-    /// recovered shadow state against the authoritative tables, recording
-    /// divergence as violations.
-    fn post_crash_check(&mut self, shard: u32, shard_count: usize, tables: &[Box<dyn AnyTable>]);
-
-    /// Accumulated consistency violations (auditor feed; empty = healthy).
-    fn violations(&self) -> &[String];
-
-    /// Durability counters, if this backend keeps them.
-    fn durability_stats(&self) -> Option<DurabilityStats>;
-
-    /// Aggregated shadow-LSM counters, if this backend keeps them.
-    fn lsm_stats(&self) -> Option<LsmStats>;
-}
-
-/// The default backend: volatile tables, fixed-takeover crash model, zero
-/// added events.
-pub(crate) struct InMemoryBackend;
-
-impl StoreBackend for InMemoryBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::InMemory
-    }
-    fn bootstrap_row(&mut self, _table: TableId, _shard: u32, _enc: &[u8], _val_len: usize) {}
-    fn begin_commit(
-        &mut self,
-        _now: SimTime,
-        _txn: TxnId,
-        _writes: Vec<ShadowWrite>,
-    ) -> Option<SimTime> {
-        None
-    }
-    fn sync_boundary(&mut self, _txn: TxnId) {}
-    fn finish_commit(&mut self, _txn: TxnId) -> CommitFate {
-        CommitFate::Untracked
-    }
-    fn crash_shard(&mut self, _shard: u32) -> CrashOutcome {
-        CrashOutcome::Takeover
-    }
-    fn post_crash_check(
-        &mut self,
-        _shard: u32,
-        _shard_count: usize,
-        _tables: &[Box<dyn AnyTable>],
-    ) {
-    }
-    fn violations(&self) -> &[String] {
-        &[]
-    }
-    fn durability_stats(&self) -> Option<DurabilityStats> {
-        None
-    }
-    fn lsm_stats(&self) -> Option<LsmStats> {
-        None
-    }
 }
 
 /// A commit whose WAL records are appended but whose completion callback
@@ -326,14 +198,9 @@ impl DurableBackend {
             }
         }
     }
-}
 
-impl StoreBackend for DurableBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Durable
-    }
-
-    fn bootstrap_row(&mut self, table: TableId, shard: u32, enc: &[u8], val_len: usize) {
+    /// Records one pre-run bootstrap row (already durable by definition).
+    pub(crate) fn bootstrap_row(&mut self, table: TableId, shard: u32, enc: &[u8], val_len: usize) {
         let key = Self::shadow_key(&mut self.key_scratch, table, enc);
         let tree = &mut self.shards[shard as usize];
         self.val_scratch.clear();
@@ -344,7 +211,11 @@ impl StoreBackend for DurableBackend {
         self.stats.wal_appends += 1;
     }
 
-    fn begin_commit(
+    /// Appends a committing transaction's writes to the WAL (commit order =
+    /// log order). Returns the sim-time instant at which the records become
+    /// durable (the next group-commit boundary), or `None` if there are no
+    /// writes to log.
+    pub(crate) fn begin_commit(
         &mut self,
         now: SimTime,
         txn: TxnId,
@@ -367,7 +238,9 @@ impl StoreBackend for DurableBackend {
         Some(SimTime::from_nanos((now.as_nanos() / interval + 1) * interval))
     }
 
-    fn sync_boundary(&mut self, _txn: TxnId) {
+    /// Group-commit boundary reached: everything appended so far becomes
+    /// durable.
+    pub(crate) fn sync_boundary(&mut self) {
         let mut any = false;
         for tree in &mut self.shards {
             if tree.last_seq() > tree.durable_seq() {
@@ -380,23 +253,27 @@ impl StoreBackend for DurableBackend {
         }
     }
 
-    fn finish_commit(&mut self, txn: TxnId) -> CommitFate {
-        let Some(pos) = self.pending.iter().position(|p| p.txn == txn) else {
-            return CommitFate::Untracked;
-        };
+    /// Resolves a finishing commit against any crash that happened since
+    /// [`Self::begin_commit`]: the shard whose crash lost the commit's WAL
+    /// records, if any. A lost commit was already rolled back and must
+    /// report failure; a commit that logged nothing is never lost.
+    pub(crate) fn finish_commit(&mut self, txn: TxnId) -> Option<u32> {
+        let pos = self.pending.iter().position(|p| p.txn == txn)?;
         // `remove`, not `swap_remove`: pending order is log order and must
         // stay deterministic for crash processing.
-        let p = self.pending.remove(pos);
-        match p.lost {
-            Some(shard) => {
-                self.stats.lost_window_aborts += 1;
-                CommitFate::Lost { shard }
-            }
-            None => CommitFate::Durable,
+        let lost = self.pending.remove(pos).lost;
+        if lost.is_some() {
+            self.stats.lost_window_aborts += 1;
         }
+        lost
     }
 
-    fn crash_shard(&mut self, shard: u32) -> CrashOutcome {
+    /// Crashes `shard`: volatile state is lost and the surviving WAL prefix
+    /// replays. Returns the deterministically costed recovery downtime and
+    /// the mid-commit transactions whose WAL records on the shard were
+    /// still in the lost window, sorted; the caller must abort them through
+    /// their undo logs.
+    pub(crate) fn crash_shard(&mut self, shard: u32) -> (SimDuration, Vec<TxnId>) {
         // A commit is lost iff any of its records on the crashed shard sits
         // above the durable horizon. Group commits sync whole WAL prefixes,
         // so a commit's records there are all-durable or all-lost — except
@@ -429,10 +306,18 @@ impl StoreBackend for DurableBackend {
         self.stats.recovery_nanos_total += down_for.as_nanos();
         self.stats.recovery_nanos_max = self.stats.recovery_nanos_max.max(down_for.as_nanos());
         lost_txns.sort_unstable();
-        CrashOutcome::Recovered { down_for, lost_txns }
+        (down_for, lost_txns)
     }
 
-    fn post_crash_check(&mut self, shard: u32, shard_count: usize, tables: &[Box<dyn AnyTable>]) {
+    /// After the caller has aborted every crash victim: checks the
+    /// recovered shadow state against the authoritative tables, recording
+    /// divergence as violations.
+    pub(crate) fn post_crash_check(
+        &mut self,
+        shard: u32,
+        shard_count: usize,
+        tables: &[Box<dyn AnyTable>],
+    ) {
         // Authoritative key set of the crashed shard, shadow-key encoded.
         let mut expect: Vec<Vec<u8>> = Vec::new();
         for (tid, table) in tables.iter().enumerate() {
@@ -464,15 +349,18 @@ impl StoreBackend for DurableBackend {
         }
     }
 
-    fn violations(&self) -> &[String] {
+    /// Accumulated consistency violations (auditor feed; empty = healthy).
+    pub(crate) fn violations(&self) -> &[String] {
         &self.violations
     }
 
-    fn durability_stats(&self) -> Option<DurabilityStats> {
-        Some(self.stats)
+    /// Durability counters.
+    pub(crate) fn stats(&self) -> DurabilityStats {
+        self.stats
     }
 
-    fn lsm_stats(&self) -> Option<LsmStats> {
+    /// Shadow-LSM counters summed over the shards.
+    pub(crate) fn lsm_stats(&self) -> LsmStats {
         let mut total = LsmStats::default();
         for tree in &self.shards {
             let s = tree.stats();
@@ -485,6 +373,6 @@ impl StoreBackend for DurableBackend {
             total.bloom_skips += s.bloom_skips;
             total.tables_probed += s.tables_probed;
         }
-        Some(total)
+        total
     }
 }

@@ -1,4 +1,4 @@
-//! Arena-backed B+ tree — the ordered engine under every [`TypedTable`]
+//! Arena-backed B+ tree — the ordered engine under every `TypedTable`
 //! whose keys are not sequence ids (the children index, blocks,
 //! DataNodes, subtree locks). The inode table is id-addressed instead
 //! ([`IdRows`](crate::idrows::IdRows)): its keys come from a sequence, so
@@ -62,8 +62,6 @@
 //!   node was materialized) rather than nothing. They are never observable
 //!   — every read is bounded by `len` — and hold at most one row's memory
 //!   per slot, the same order as the buffer slack any B-tree carries.
-//!
-//! [`TypedTable`]: crate::table
 
 use std::fmt;
 use std::ops::{Bound, RangeBounds};

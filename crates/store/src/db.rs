@@ -32,10 +32,9 @@
 //!   as [`EncodedKey`]s (inline up to 23 bytes), so handing keys to the
 //!   lock manager and the shard router copies bytes, not heap blocks.
 //! * Pending lock sequences live in a slab (`Vec<Option<PendingSeq>>` plus
-//!   a free list) mirroring the station job slab in `lambda-sim`; slots are
-//!   generation-tagged so a stale timeout event for a recycled slot is
-//!   recognized and ignored. The `Vec<LockKey>` batches of finished
-//!   sequences are recycled through a pool.
+//!   a free list); slots are generation-tagged so a stale timeout event for
+//!   a recycled slot is recognized and ignored. The `Vec<LockKey>` batches
+//!   of finished sequences are recycled through a pool.
 //! * Batched reads pre-compute a per-shard `(shard, rows)` charge plan in
 //!   a pooled buffer instead of cloning every encoded key into a
 //!   `Vec<Vec<u8>>` and re-hashing it at charge time.
@@ -50,10 +49,7 @@ use lambda_sim::fault::ShardOutage;
 use lambda_sim::params::StoreParams;
 use lambda_sim::{Sim, SimDuration, SimTime, Station, StationRef};
 
-use crate::backend::{
-    BackendKind, CommitFate, CrashOutcome, DurabilityConfig, DurabilityStats, DurableBackend,
-    InMemoryBackend, ShadowWrite, StoreBackend,
-};
+use crate::backend::{DurabilityConfig, DurabilityStats, DurableBackend, ShadowWrite};
 use crate::error::{StoreError, StoreResult};
 use crate::key::{EncodedKey, KeyCodec};
 use crate::lock::{Acquire, LockKey, LockManager, LockMode, WaiterToken};
@@ -152,12 +148,10 @@ struct DbInner {
     /// injection). All-`None` in a healthy run.
     down_until: Vec<Option<SimTime>>,
     stats: DbStats,
-    /// Persistence model (WAL/commit-order/crash-recovery seam).
-    backend: Box<dyn StoreBackend>,
-    /// Whether writes must be captured into the transaction's shadow log
-    /// for the backend (`false` for the in-memory backend, keeping the
-    /// write path allocation behavior unchanged).
-    log_writes: bool,
+    /// The WAL-backed persistence model, if the store is durable. `None`
+    /// keeps volatile tables: no shadow log is captured, commits wait for
+    /// no sync, and a shard crash costs the caller's takeover window.
+    durable: Option<DurableBackend>,
 }
 
 impl DbInner {
@@ -305,16 +299,16 @@ impl Db {
     /// Creates a store with the capacity model in `params`; lock waits
     /// longer than `lock_timeout` abort the waiting transaction.
     ///
-    /// The store runs on the volatile [`BackendKind::InMemory`] backend;
-    /// see [`Db::new_durable`] for the WAL-backed alternative.
+    /// The store keeps volatile tables; see [`Db::new_durable`] for the
+    /// WAL-backed alternative.
     #[must_use]
     pub fn new(params: &StoreParams, lock_timeout: SimDuration) -> Self {
-        Self::with_backend(params, lock_timeout, Box::new(InMemoryBackend), false)
+        Self::with_durability(params, lock_timeout, None)
     }
 
-    /// Creates a store on the WAL-backed [`BackendKind::Durable`] backend:
-    /// committed writes are appended to per-shard write-ahead logs before
-    /// the commit completes, made durable at `durability.flush_interval`
+    /// Creates a store on the WAL-backed durable backend: committed writes
+    /// are appended to per-shard write-ahead logs before the commit
+    /// completes, made durable at `durability.flush_interval`
     /// group-commit boundaries, and a [`Db::crash_shard`] triggers WAL
     /// replay recovery (costed deterministically from replay volume)
     /// instead of a fixed takeover window.
@@ -325,19 +319,14 @@ impl Db {
         durability: DurabilityConfig,
     ) -> Self {
         let shard_count = params.shards.max(1) as usize;
-        Self::with_backend(
-            params,
-            lock_timeout,
-            Box::new(DurableBackend::new(durability, shard_count)),
-            true,
-        )
+        let durable = DurableBackend::new(durability, shard_count);
+        Self::with_durability(params, lock_timeout, Some(durable))
     }
 
-    fn with_backend(
+    fn with_durability(
         params: &StoreParams,
         lock_timeout: SimDuration,
-        backend: Box<dyn StoreBackend>,
-        log_writes: bool,
+        durable: Option<DurableBackend>,
     ) -> Self {
         let shards: Rc<[StationRef]> = (0..params.shards.max(1))
             .map(|i| Station::new(format!("ndb-shard-{i}"), params.workers_per_shard.max(1)))
@@ -361,36 +350,29 @@ impl Db {
                 enc_scratch: Vec::new(),
                 down_until: vec![None; shard_count],
                 stats: DbStats::default(),
-                backend,
-                log_writes,
+                durable,
             })),
         }
-    }
-
-    /// Which persistence backend this store runs on.
-    #[must_use]
-    pub fn backend_kind(&self) -> BackendKind {
-        self.inner.borrow().backend.kind()
     }
 
     /// Durability counters, if the store runs on the durable backend.
     #[must_use]
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.inner.borrow().backend.durability_stats()
+        self.inner.borrow().durable.as_ref().map(DurableBackend::stats)
     }
 
     /// Aggregated shadow-LSM counters (WAL/flush/compaction volume), if the
     /// store runs on the durable backend.
     #[must_use]
     pub fn lsm_stats(&self) -> Option<LsmStats> {
-        self.inner.borrow().backend.lsm_stats()
+        self.inner.borrow().durable.as_ref().map(DurableBackend::lsm_stats)
     }
 
     /// Durable-backend consistency violations found by post-crash checks
     /// (auditor feed; empty = healthy, always empty in-memory).
     #[must_use]
     pub fn durability_violations(&self) -> Vec<String> {
-        self.inner.borrow().backend.violations().to_vec()
+        self.inner.borrow().durable.as_ref().map_or_else(Vec::new, |d| d.violations().to_vec())
     }
 
     /// Registers a new, empty table, ordered by key (a B+ tree).
@@ -662,13 +644,14 @@ impl Db {
     /// Crashes `shard` (fault injection), discarding the node's volatile
     /// state.
     ///
-    /// How long the shard stays unavailable depends on the backend: under
-    /// [`BackendKind::InMemory`] a node-group replica takes over after the
-    /// modeled `takeover` window; under [`BackendKind::Durable`] the
-    /// `takeover` argument is ignored and the shard is down while WAL
-    /// replay rebuilds its state (a deterministic cost derived from the
-    /// surviving log volume), after which a post-crash consistency check
-    /// compares the recovered shadow state against the tables.
+    /// How long the shard stays unavailable depends on the backend: with
+    /// volatile tables ([`Db::new`]) a node-group replica takes over after
+    /// the modeled `takeover` window; on the durable backend
+    /// ([`Db::new_durable`]) the `takeover` argument is ignored and the
+    /// shard is down while WAL replay rebuilds its state (a deterministic
+    /// cost derived from the surviving log volume), after which a
+    /// post-crash consistency check compares the recovered shadow state
+    /// against the tables.
     ///
     /// Every in-flight transaction that has written the shard is aborted
     /// through its undo log (it would lose those writes with the node), as
@@ -687,9 +670,9 @@ impl Db {
             let mut inner = self.inner.borrow_mut();
             assert!((shard as usize) < inner.down_until.len(), "shard {shard} out of range");
             inner.stats.shard_crashes += 1;
-            let (down_for, lost_txns) = match inner.backend.crash_shard(shard) {
-                CrashOutcome::Takeover => (takeover, Vec::new()),
-                CrashOutcome::Recovered { down_for, lost_txns } => (down_for, lost_txns),
+            let (down_for, lost_txns) = match inner.durable.as_mut() {
+                Some(durable) => durable.crash_shard(shard),
+                None => (takeover, Vec::new()),
             };
             inner.down_until[shard as usize] = Some(sim.now() + down_for);
             let mut granted = Vec::new();
@@ -719,7 +702,9 @@ impl Db {
             // With every victim rolled back, recovered shadow state and
             // authoritative tables must agree on the crashed shard.
             let inner = &mut *inner;
-            inner.backend.post_crash_check(shard, inner.shards.len(), &inner.tables);
+            if let Some(durable) = inner.durable.as_mut() {
+                durable.post_crash_check(shard, inner.shards.len(), &inner.tables);
+            }
             (granted, conts)
         };
         self.dispatch_grants(sim, granted);
@@ -799,15 +784,10 @@ impl Db {
             inner.txns.is_empty(),
             "bootstrap_insert is only allowed before any transaction starts"
         );
-        if inner.log_writes {
+        if let Some(durable) = inner.durable.as_mut() {
             let enc = EncodedKey::encode(&key, &mut inner.enc_scratch);
             let shard = shard_of(inner.shards.len(), enc.as_slice()) as u32;
-            inner.backend.bootstrap_row(
-                table.id(),
-                shard,
-                enc.as_slice(),
-                std::mem::size_of::<V>(),
-            );
+            durable.bootstrap_row(table.id(), shard, enc.as_slice(), std::mem::size_of::<V>());
         }
         let t = inner.tables[table.id().raw() as usize]
             .as_any_mut()
@@ -844,22 +824,21 @@ impl Db {
             inner.txns.is_empty(),
             "bootstrap_bulk_load is only allowed before any transaction starts"
         );
-        let DbInner { tables, backend, shards, log_writes, .. } = inner;
+        let DbInner { tables, durable, shards, .. } = inner;
         let t = tables[table.id().raw() as usize]
             .as_any_mut()
             .downcast_mut::<TypedTable<K, V>>()
             .expect("table handle type mismatch");
-        if *log_writes {
+        if let Some(durable) = durable.as_mut() {
             // Mirror every streamed row into the backend without breaking
             // the stream (the table build stays single-pass).
             let shard_count = shards.len();
-            let backend = &mut *backend;
             let mut scratch = Vec::new();
             t.bulk_build(rows.inspect(move |(k, _)| {
                 scratch.clear();
                 k.encode_into(&mut scratch);
                 let shard = shard_of(shard_count, &scratch) as u32;
-                backend.bootstrap_row(table.id(), shard, &scratch, std::mem::size_of::<V>());
+                durable.bootstrap_row(table.id(), shard, &scratch, std::mem::size_of::<V>());
             }));
         } else {
             t.bulk_build(rows);
@@ -1278,7 +1257,7 @@ impl Db {
             t.insert(key.clone(), value)
         };
         inner.stats.rows_written += 1;
-        let log_writes = inner.log_writes;
+        let log_writes = inner.durable.is_some();
         let state = inner.txns.get_mut(&txn).expect("checked above");
         *state.writes_per_shard.entry(shard).or_default() += 1;
         if log_writes {
@@ -1343,7 +1322,7 @@ impl Db {
             t.remove(&key)
         };
         inner.stats.rows_written += 1;
-        let log_writes = inner.log_writes;
+        let log_writes = inner.durable.is_some();
         let state = inner.txns.get_mut(&txn).expect("checked above");
         *state.writes_per_shard.entry(shard).or_default() += 1;
         if log_writes {
@@ -1405,13 +1384,13 @@ impl Db {
                                 Err(StoreError::ShardUnavailable { shard })
                             }
                             None => {
-                                if !writes.is_empty() {
-                                    // WAL-ordered commit: the redo records
-                                    // go to the log now; they become
-                                    // durable at the group-commit boundary
-                                    // returned here.
-                                    sync_at = inner.backend.begin_commit(now, txn, shadow);
-                                }
+                                // WAL-ordered commit: the redo records go
+                                // to the log now; they become durable at
+                                // the group-commit boundary returned here.
+                                sync_at = inner
+                                    .durable
+                                    .as_mut()
+                                    .and_then(|d| d.begin_commit(now, txn, shadow));
                                 Ok(writes)
                             }
                         }
@@ -1429,33 +1408,26 @@ impl Db {
         };
         let db = self.clone();
         let finish = move |sim: &mut Sim| {
-            let (granted, fate) = {
+            let (granted, lost) = {
                 let mut inner = db.inner.borrow_mut();
-                let fate = inner.backend.finish_commit(txn);
-                match fate {
-                    CommitFate::Lost { .. } => {
-                        // A crash lost this commit's WAL records while the
-                        // capacity charge was in flight; the crash path
-                        // already rolled the transaction back through its
-                        // undo log, so only the error delivery is left.
-                        inner.stats.unavailable_errors += 1;
-                    }
-                    CommitFate::Untracked | CommitFate::Durable => {
-                        if inner.txns.remove(&txn).is_some() {
-                            // Undo log dropped with the state: the writes
-                            // are durable.
-                            inner.stats.commits += 1;
-                        }
-                    }
+                let lost = inner.durable.as_mut().and_then(|d| d.finish_commit(txn));
+                if lost.is_some() {
+                    // A crash lost this commit's WAL records while the
+                    // capacity charge was in flight; the crash path already
+                    // rolled the transaction back through its undo log, so
+                    // only the error delivery is left.
+                    inner.stats.unavailable_errors += 1;
+                } else if inner.txns.remove(&txn).is_some() {
+                    // Undo log dropped with the state: the writes are
+                    // durable.
+                    inner.stats.commits += 1;
                 }
-                (inner.locks.release_all(txn), fate)
+                (inner.locks.release_all(txn), lost)
             };
             db.dispatch_grants(sim, granted);
-            match fate {
-                CommitFate::Lost { shard } => {
-                    cont(sim, Err(StoreError::ShardUnavailable { shard }));
-                }
-                CommitFate::Untracked | CommitFate::Durable => cont(sim, Ok(())),
+            match lost {
+                Some(shard) => cont(sim, Err(StoreError::ShardUnavailable { shard })),
+                None => cont(sim, Ok(())),
             }
         };
         if writes.is_empty() {
@@ -1499,7 +1471,12 @@ impl Db {
             let remaining = Rc::clone(&remaining);
             let finish = Rc::clone(&finish);
             sim.schedule_at(at, move |sim| {
-                db.inner.borrow_mut().backend.sync_boundary(txn);
+                db.inner
+                    .borrow_mut()
+                    .durable
+                    .as_mut()
+                    .expect("only a durable store syncs")
+                    .sync_boundary();
                 remaining.set(remaining.get() - 1);
                 if remaining.get() == 0 {
                     if let Some(finish) = finish.borrow_mut().take() {

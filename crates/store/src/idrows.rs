@@ -95,7 +95,7 @@ impl<V> IdRows<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is [`MAX_ID`] or more.
+    /// Panics if `id` is 2^36 or more.
     pub fn insert(&mut self, id: u64, value: V) -> Option<V> {
         let old = self.slot_mut(id).replace(value);
         self.len += usize::from(old.is_none());
