@@ -2,7 +2,7 @@
 //! set of NameNode servers, a simple always-TCP client, per-second VM
 //! billing, and fixed-membership cache coherence.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use lambda_fs::{CoherenceHook, InvalidationSet, OpDone, RunMetrics};
@@ -44,7 +44,11 @@ pub struct ServerfulCluster {
     clients: u32,
     max_retries: u32,
     next_rr: Rc<RefCell<usize>>,
-    billing_on: Rc<std::cell::Cell<bool>>,
+    /// Billing generation, odd while billing. Starting and stopping each
+    /// advance it, and a tick keeps running only while the generation it
+    /// was armed in is current — so start → stop → start before the next
+    /// tick never leaves the first tick running beside the second.
+    billing: Rc<Cell<u64>>,
 }
 
 impl std::fmt::Debug for ServerfulCluster {
@@ -82,7 +86,7 @@ impl ServerfulCluster {
             clients: clients.max(1),
             max_retries,
             next_rr: Rc::new(RefCell::new(0)),
-            billing_on: Rc::new(std::cell::Cell::new(false)),
+            billing: Rc::new(Cell::new(0)),
         }
     }
 
@@ -119,15 +123,17 @@ impl ServerfulCluster {
     /// Starts per-second VM billing: the whole provisioned cluster is
     /// billed every second, idle or not (§5.2.5). Idempotent.
     pub fn start_billing(&self, sim: &mut Sim) {
-        if self.billing_on.replace(true) {
-            return;
+        let epoch = self.billing.get() + 1;
+        if epoch.is_multiple_of(2) {
+            return; // already billing
         }
+        self.billing.set(epoch);
         let meter = Rc::clone(&self.meter);
         let pricing = self.pricing;
         let vcpus = f64::from(self.vcpus_total);
-        let on = Rc::clone(&self.billing_on);
+        let billing = Rc::clone(&self.billing);
         every(sim, sim.now() + SimDuration::from_secs(1), SimDuration::from_secs(1), move |sim| {
-            if !on.get() {
+            if billing.get() != epoch {
                 return false;
             }
             meter.borrow_mut().charge_vm(sim.now(), &pricing, vcpus, SimDuration::from_secs(1));
@@ -137,7 +143,8 @@ impl ServerfulCluster {
 
     /// Stops billing at its next tick.
     pub fn stop_billing(&self) {
-        self.billing_on.set(false);
+        let epoch = self.billing.get();
+        self.billing.set(epoch + epoch % 2);
     }
 
     fn pick_node(&self, client: usize, op: &FsOp) -> usize {
@@ -234,7 +241,7 @@ impl ServerfulCluster {
             clients: self.clients,
             max_retries: self.max_retries,
             next_rr: Rc::clone(&self.next_rr),
-            billing_on: Rc::clone(&self.billing_on),
+            billing: Rc::clone(&self.billing),
         }
     }
 }
@@ -269,7 +276,7 @@ impl CoherenceHook for PeerCoherence {
             sim.schedule(SimDuration::ZERO, done);
             return;
         }
-        let remaining = Rc::new(std::cell::Cell::new(targets.len()));
+        let remaining = Rc::new(Cell::new(targets.len()));
         let done = Rc::new(RefCell::new(Some(done)));
         for cache in targets {
             // One round trip per peer: INV there, ACK back.
@@ -302,5 +309,40 @@ impl CoherenceHook for PeerCoherence {
                 }
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lambda_sim::SimTime;
+
+    #[test]
+    fn billing_restarted_before_its_next_tick_bills_once() {
+        // VM cost of 10 s, billing started once or by start → stop → start
+        // in one instant: the first start's tick must stop, not bill
+        // beside the second's.
+        let billed = |restart: bool| -> u64 {
+            let mut sim = Sim::new(1);
+            let cluster = ServerfulCluster::new(
+                Vec::new(),
+                Routing::RoundRobin,
+                Rc::new(Partitioner::new(1)),
+                NetParams::default(),
+                16,
+                1,
+                0,
+            );
+            cluster.start_billing(&mut sim);
+            if restart {
+                cluster.stop_billing();
+                cluster.start_billing(&mut sim);
+            }
+            sim.run_until(SimTime::from_secs(10));
+            cluster.stop_billing();
+            cluster.cost_total().to_bits()
+        };
+        assert_ne!(billed(false), 0.0f64.to_bits());
+        assert_eq!(billed(true), billed(false));
     }
 }

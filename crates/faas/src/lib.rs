@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 mod platform;
 
 pub use platform::{
@@ -73,22 +72,34 @@ mod tests {
         terminated: Rc<RefCell<Vec<bool>>>,
     }
 
-    fn harness(cluster_vcpus: u32, concurrency: u32, max_instances: u32) -> Harness {
+    fn echo_config(concurrency: u32, max_instances: u32, min_instances: u32) -> FunctionConfig {
+        FunctionConfig { vcpus: 4, mem_gb: 6.0, concurrency, max_instances, min_instances }
+    }
+
+    /// An Echo factory whose instances count into `started` / `terminated`.
+    fn echo(
+        started: &Rc<RefCell<u32>>,
+        terminated: &Rc<RefCell<Vec<bool>>>,
+    ) -> Box<dyn Fn(&InstanceCtx) -> Echo> {
+        let (started, terminated) = (Rc::clone(started), Rc::clone(terminated));
+        Box::new(move |_ctx| Echo {
+            work: SimDuration::from_millis(1),
+            started: Rc::clone(&started),
+            terminated: Rc::clone(&terminated),
+        })
+    }
+
+    fn harness_with(cluster_vcpus: u32, config: FunctionConfig) -> Harness {
         let cfg = PlatformConfig { cluster_vcpus, ..PlatformConfig::default() };
         let platform = Platform::new(&cfg);
         let started = Rc::new(RefCell::new(0));
         let terminated = Rc::new(RefCell::new(Vec::new()));
-        let (s2, t2) = (Rc::clone(&started), Rc::clone(&terminated));
-        let deployment = platform.register_deployment(
-            "echo",
-            FunctionConfig { vcpus: 4, mem_gb: 6.0, concurrency, max_instances, min_instances: 0 },
-            Box::new(move |_ctx| Echo {
-                work: SimDuration::from_millis(1),
-                started: Rc::clone(&s2),
-                terminated: Rc::clone(&t2),
-            }),
-        );
+        let deployment = platform.register_deployment("echo", config, echo(&started, &terminated));
         Harness { platform, deployment, started, terminated }
+    }
+
+    fn harness(cluster_vcpus: u32, concurrency: u32, max_instances: u32) -> Harness {
+        harness_with(cluster_vcpus, echo_config(concurrency, max_instances, 0))
     }
 
     #[test]
@@ -258,7 +269,7 @@ mod tests {
         assert_eq!(h.platform.stats().kills, 1);
         assert!(h.platform.warm_instances(h.deployment).is_empty());
         assert_eq!(h.platform.queued_requests(), 1);
-        assert_eq!(h.platform.instance_slab(), (1, 1), "slot must return to the freelist");
+        assert_eq!(h.platform.total_instances(), 0, "the starting instance must leave the table");
         assert!(!*responded.borrow());
         // The maintenance rescue pass restarts capacity and drains the
         // queued request — the platform-side half of timeout recovery.
@@ -268,7 +279,8 @@ mod tests {
         assert!(*responded.borrow(), "queued request never completed after the kill");
         assert_eq!(*h.started.borrow(), 1);
         assert_eq!(h.platform.queued_requests(), 0);
-        assert_eq!(h.platform.instance_slab(), (1, 0), "replacement must reuse the freed slot");
+        assert_eq!(h.platform.total_instances(), 1, "one replacement instance");
+        assert_eq!(h.platform.pending_invocations(), 0);
     }
 
     /// A function that kills its own instance from `on_start` — the
@@ -328,7 +340,8 @@ mod tests {
         assert_eq!(*started.borrow(), 1);
         assert_eq!(platform.stats().kills, 1);
         assert!(platform.warm_instances(deployment).is_empty());
-        assert_eq!(platform.instance_slab(), (1, 1));
+        assert_eq!(platform.total_instances(), 0);
+        assert_eq!(platform.pending_invocations(), 0);
         assert!(!*responded.borrow(), "request to a never-warm instance cannot complete");
         *handle.borrow_mut() = None; // break the Rc cycle
     }
@@ -340,7 +353,7 @@ mod tests {
         h.platform.invoke_http(&mut sim, h.deployment, 1, Responder::new(|_s, _r| {}));
         sim.run();
         let instance = h.platform.warm_instances(h.deployment)[0];
-        // Three in-flight TCP calls park three pooled responders.
+        // Three in-flight TCP calls hold three dispatched responders.
         let responded = Rc::new(RefCell::new(0u32));
         for i in 0..3 {
             let out = Rc::clone(&responded);
@@ -350,15 +363,16 @@ mod tests {
         }
         assert_eq!(h.platform.pending_invocations(), 3);
         h.platform.kill_instance(&mut sim, instance);
-        assert_eq!(h.platform.instance_slab(), (1, 1));
+        assert_eq!(h.platform.total_instances(), 0);
+        assert_eq!(h.platform.pending_invocations(), 3, "the CPU still holds the three calls");
         sim.run();
         assert_eq!(*responded.borrow(), 0, "dead instance must not respond");
-        // Each in-flight responder hit the dead instance and abandoned its
-        // invocation record — none may leak.
+        // Each in-flight responder hit the dead instance and was released
+        // without calling back — none may leak.
         assert_eq!(h.platform.pending_invocations(), 0);
         assert_eq!(h.platform.stats().kills, 1);
         // The caller's timeout path retries over HTTP: the platform cold
-        // starts a replacement in the freed slot and serves it.
+        // starts a replacement and serves it.
         let recovered = Rc::new(RefCell::new(false));
         let out = Rc::clone(&recovered);
         h.platform.invoke_http(&mut sim, h.deployment, 9, Responder::new(move |_s, _r| {
@@ -366,7 +380,8 @@ mod tests {
         }));
         sim.run();
         assert!(*recovered.borrow());
-        assert_eq!(h.platform.instance_slab(), (1, 0), "replacement reused the freed slot");
+        assert_eq!(h.platform.total_instances(), 1, "one replacement instance");
+        assert_eq!(h.platform.pending_invocations(), 0);
         assert_eq!(*h.started.borrow(), 2);
     }
 
@@ -435,35 +450,91 @@ mod tests {
         h.platform.run_maintenance(&mut sim);
         h.platform.invoke_http(&mut sim, h.deployment, 1, Responder::new(|_s, _r| {}));
         sim.run_until(SimTime::from_secs(20));
-        let pay = h.platform.pay_per_use_cost();
-        let prov = h.platform.provisioned_cost();
+        let pay = h.platform.pay_meter().total();
+        let prov = h.platform.prov_meter().total();
         assert!(pay > 0.0);
         assert!(prov > pay, "provisioned {prov} <= pay-per-use {pay}");
     }
 
     #[test]
+    fn maintenance_restarted_before_its_next_tick_runs_once() {
+        // Provisioned cost of one warm instance over 10 s of maintenance,
+        // armed once or re-armed by start → stop → start in one instant:
+        // the first arming's ticks must stop, not run beside the second's.
+        let provisioned = |restart: bool| -> u64 {
+            let mut sim = Sim::new(20);
+            let h = harness(64, 4, u32::MAX);
+            h.platform.invoke_http(&mut sim, h.deployment, 1, Responder::new(|_s, _r| {}));
+            sim.run();
+            h.platform.run_maintenance(&mut sim);
+            if restart {
+                h.platform.stop_maintenance();
+                h.platform.run_maintenance(&mut sim);
+            }
+            let until = sim.now() + SimDuration::from_secs(10);
+            sim.run_until(until);
+            h.platform.stop_maintenance();
+            assert_eq!(h.platform.total_instances(), 1);
+            h.platform.prov_meter().total().to_bits()
+        };
+        assert_ne!(provisioned(false), 0.0f64.to_bits());
+        assert_eq!(provisioned(true), provisioned(false));
+    }
+
+    /// Forwards each request, responder included, to deployment `.1` over
+    /// HTTP, or answers `req + 1` when there is none.
+    struct Relay(Rc<RefCell<Option<Platform<Relay>>>>, Option<DeploymentId>);
+
+    impl Function for Relay {
+        type Req = u64;
+        type Resp = u64;
+
+        fn on_start(&mut self, _sim: &mut Sim, _ctx: &InstanceCtx) {}
+
+        fn on_request(&mut self, sim: &mut Sim, _: &InstanceCtx, req: u64, reply: Responder<u64>) {
+            match (self.0.borrow().clone(), self.1) {
+                (Some(platform), Some(next)) => platform.invoke_http(sim, next, req + 1, reply),
+                _ => reply.send(sim, req + 1),
+            }
+        }
+
+        fn on_terminate(&mut self, _sim: &mut Sim, _ctx: &InstanceCtx, _graceful: bool) {}
+    }
+
+    #[test]
+    fn forwarded_responder_releases_both_slots() {
+        let mut sim = Sim::new(21);
+        let platform = Platform::new(&PlatformConfig::default());
+        let handle = Rc::new(RefCell::new(None));
+        let config = FunctionConfig { concurrency: 1, ..FunctionConfig::default() };
+        let relay = |next| {
+            let handle = Rc::clone(&handle);
+            Box::new(move |_: &InstanceCtx| Relay(Rc::clone(&handle), next))
+        };
+        let back = platform.register_deployment("back", config.clone(), relay(None));
+        let front = platform.register_deployment("front", config, relay(Some(back)));
+        *handle.borrow_mut() = Some(platform.clone());
+        let got = Rc::new(RefCell::new(Vec::new()));
+        for req in [10, 20] {
+            let out = Rc::clone(&got);
+            platform.invoke_http(&mut sim, front, req, Responder::new(move |_s, resp| {
+                out.borrow_mut().push(resp);
+            }));
+            sim.run();
+        }
+        // Both hops answered, and the second request found each
+        // deployment's one instance free again (concurrency 1): both slots
+        // were released. No dispatched responder is left.
+        assert_eq!(*got.borrow(), vec![12, 22]);
+        assert_eq!(platform.stats().cold_starts, 2);
+        assert_eq!(platform.pending_invocations(), 0);
+        *handle.borrow_mut() = None; // break the Rc cycle
+    }
+
+    #[test]
     fn min_instances_floor_survives_reclamation() {
         let mut sim = Sim::new(11);
-        let cfg = PlatformConfig { cluster_vcpus: 64, ..PlatformConfig::default() };
-        let platform = Platform::new(&cfg);
-        let started = Rc::new(RefCell::new(0));
-        let terminated = Rc::new(RefCell::new(Vec::new()));
-        let (s2, t2) = (Rc::clone(&started), Rc::clone(&terminated));
-        let deployment = platform.register_deployment(
-            "floored",
-            FunctionConfig {
-                vcpus: 4,
-                mem_gb: 6.0,
-                concurrency: 1,
-                max_instances: u32::MAX,
-                min_instances: 2,
-            },
-            Box::new(move |_ctx| Echo {
-                work: SimDuration::from_millis(1),
-                started: Rc::clone(&s2),
-                terminated: Rc::clone(&t2),
-            }),
-        );
+        let Harness { platform, deployment, .. } = harness_with(64, echo_config(1, u32::MAX, 2));
         platform.run_maintenance(&mut sim);
         // Scale out to 4 instances with a burst of concurrent requests.
         for _ in 0..4 {
@@ -482,30 +553,17 @@ mod tests {
 
     /// Registers `n` Echo deployments on one platform.
     fn multi_harness(cluster_vcpus: u32, n: usize) -> (Platform<Echo>, Vec<DeploymentId>) {
-        let cfg = PlatformConfig { cluster_vcpus, ..PlatformConfig::default() };
-        let platform = Platform::new(&cfg);
-        let deployments = (0..n)
-            .map(|i| {
-                let started = Rc::new(RefCell::new(0));
-                let terminated = Rc::new(RefCell::new(Vec::new()));
-                platform.register_deployment(
-                    format!("echo{i}"),
-                    FunctionConfig {
-                        vcpus: 4,
-                        mem_gb: 6.0,
-                        concurrency: 1,
-                        max_instances: u32::MAX,
-                        min_instances: 0,
-                    },
-                    Box::new(move |_ctx| Echo {
-                        work: SimDuration::from_millis(1),
-                        started: Rc::clone(&started),
-                        terminated: Rc::clone(&terminated),
-                    }),
-                )
-            })
-            .collect();
-        (platform, deployments)
+        let h = harness_with(cluster_vcpus, echo_config(1, u32::MAX, 0));
+        let mut deployments = vec![h.deployment];
+        for i in 1..n {
+            let factory = echo(&h.started, &h.terminated);
+            deployments.push(h.platform.register_deployment(
+                format!("echo{i}"),
+                echo_config(1, u32::MAX, 0),
+                factory,
+            ));
+        }
+        (h.platform, deployments)
     }
 
     #[test]

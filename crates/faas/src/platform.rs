@@ -1,54 +1,23 @@
 //! Platform implementation: deployments, instances, routing, billing.
 //!
-//! # Hot-path layout
-//!
-//! This is the overhauled control plane (the pre-overhaul version lives in
-//! [`crate::baseline`] and must stay observably identical — see
-//! `tests/platform_differential.rs`):
-//!
-//! * **Slab instance table.** Instances live in `slots: Vec<Option<..>>`
-//!   recycled through a freelist; `id_to_slot` maps the stable, public
-//!   [`InstanceId`] (still allocated 1, 2, 3, … exactly as before) to its
-//!   current slot in O(1). `live_ids` keeps the live ids sorted ascending so
-//!   every place the old `BTreeMap` iteration order was observable — billing
-//!   flush (floating-point summation order!), eviction scans, diagnostics —
-//!   walks instances in the identical order.
-//! * **Per-deployment ready heaps.** Routing an HTTP request no longer scans
-//!   the deployment's instances: a lazy min-heap of `(active_http, id)` keys
-//!   is maintained on every slot-count change, and stale entries are popped
-//!   on inspection. The first entry that matches the instance's *current*
-//!   state is exactly the `min_by_key((active_http, id))` the old scan chose.
-//! * **Per-deployment idle lists.** Warm instances with no in-flight work
-//!   sit on an intrusive doubly-linked list ordered by `last_activity`
-//!   (insertion at the tail keeps it sorted because simulation time is
-//!   monotone), so a reclamation scan touches only the idle prefix instead
-//!   of the whole table. The scan *cadence* deliberately stays on the
-//!   periodic `every()` tick: moving each instance onto its own timing-wheel
-//!   timer would reclaim at different instants and change the seeded figure
-//!   outputs.
-//! * **Pooled invocation records.** Dispatch used to box a wrapper closure
-//!   per request; now the caller's [`Responder`] is parked in a slab of
-//!   invocation records and the function receives a pooled responder — two
-//!   words plus an `Rc` bump, no allocation — that completes or abandons the
-//!   record by index.
-//! * **Config snapshot.** The per-request constants (gateway overhead
-//!   distribution, pricing, TTL) are copied into a `Copy` snapshot at
-//!   construction so the invoke path never clones config.
+//! The state is one `BTreeMap` of instances keyed by their sequential ids,
+//! plus each deployment's roster and gateway queue. Routing, reclamation,
+//! eviction, kill bursts and billing are plain scans in ascending id order.
+//! The vCPU cap bounds the table (20 NameNodes at most on every benchmark
+//! workload), so a scan is cheaper than an index kept up to date on every
+//! request. The order is part of the contract: billing sums in it, because
+//! floating-point summation order is observable, and reclamation spends
+//! `min_instances` budgets in it.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::mem;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 use lambda_sim::params::{FaasParams, NetParams};
 use lambda_sim::{
-    CostMeter, Dist, GaugeSeries, LambdaPricing, Sim, SimDuration, SimTime, Station, StationRef,
+    CostMeter, GaugeSeries, LambdaPricing, Sim, SimDuration, SimTime, Station, StationRef,
 };
-
-/// Sentinel slot index for "not linked" (idle list) / "not live" (id map).
-const NIL: u32 = u32::MAX;
 
 /// Identifies a function deployment registered with the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,12 +28,6 @@ impl DeploymentId {
     #[must_use]
     pub const fn raw(self) -> u32 {
         self.0
-    }
-
-    /// Builds a deployment id from its raw index.
-    #[must_use]
-    pub const fn from_raw(raw: u32) -> Self {
-        DeploymentId(raw)
     }
 }
 
@@ -78,44 +41,14 @@ impl fmt::Display for DeploymentId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(u64);
 
-impl InstanceId {
-    pub(crate) const fn from_raw(raw: u64) -> Self {
-        InstanceId(raw)
-    }
-
-    pub(crate) const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for InstanceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "instance#{}", self.0)
     }
 }
 
-/// Where a pooled responder delivers its response: the platform core, which
-/// owns the parked invocation record. Object-safe so `Responder` need not be
-/// generic over the function type.
-trait CompletionSink<Resp> {
-    /// Deliver `resp` for the invocation parked in `slot`.
-    fn complete(&self, sim: &mut Sim, slot: u32, resp: Resp);
-    /// Free the record without completing (the function dropped the
-    /// responder; the caller's wait leaks, as with a real crash).
-    fn abandon(&self, slot: u32);
-}
-
 /// A boxed caller-supplied completion closure.
 type CompletionFn<Resp> = Box<dyn FnOnce(&mut Sim, Resp)>;
-
-enum ResponderInner<Resp> {
-    /// A caller-supplied completion closure.
-    Fn(CompletionFn<Resp>),
-    /// A platform-pooled invocation record (no per-dispatch allocation).
-    Pooled { sink: Rc<dyn CompletionSink<Resp>>, slot: u32 },
-    /// Already sent (or abandoned).
-    Consumed,
-}
 
 /// The completion callback handed to [`Function::on_request`]; calling
 /// [`Responder::send`] delivers the response (unless the instance has died
@@ -123,48 +56,87 @@ enum ResponderInner<Resp> {
 /// responder without sending leaks the caller's wait (the client-side
 /// timeout handles that, as it does for real crashes).
 pub struct Responder<Resp> {
-    inner: ResponderInner<Resp>,
+    f: CompletionFn<Resp>,
+    /// Set when the platform dispatches the responder to an instance: the
+    /// request slot `send` releases before `f` runs.
+    slot: Option<Slot>,
 }
 
 impl<Resp> Responder<Resp> {
     /// Wraps a completion closure into a responder.
     pub fn new(f: impl FnOnce(&mut Sim, Resp) + 'static) -> Self {
-        Responder { inner: ResponderInner::Fn(Box::new(f)) }
+        Responder { f: Box::new(f), slot: None }
     }
 
-    fn pooled(sink: Rc<dyn CompletionSink<Resp>>, slot: u32) -> Self {
-        Responder { inner: ResponderInner::Pooled { sink, slot } }
-    }
-
-    /// Delivers the response. Consumes the responder; each responder must
-    /// be sent at most once.
-    pub fn send(mut self, sim: &mut Sim, resp: Resp) {
-        match mem::replace(&mut self.inner, ResponderInner::Consumed) {
-            ResponderInner::Fn(f) => f(sim, resp),
-            ResponderInner::Pooled { sink, slot } => sink.complete(sim, slot, resp),
-            ResponderInner::Consumed => {}
+    /// Delivers the response. Consumes the responder, so it is sent at
+    /// most once.
+    pub fn send(self, sim: &mut Sim, resp: Resp) {
+        if let Some(slot) = self.slot {
+            let live = Rc::clone(&slot.platform).release(sim, slot.instance, slot.is_http);
+            if !live {
+                return; // a dead instance's response is suppressed
+            }
         }
+        (self.f)(sim, resp);
     }
 }
 
-impl<Resp> Drop for Responder<Resp> {
-    fn drop(&mut self) {
-        if let ResponderInner::Pooled { sink, slot } =
-            mem::replace(&mut self.inner, ResponderInner::Consumed)
-        {
-            sink.abandon(slot);
-        }
+impl<Resp: 'static> Responder<Resp> {
+    /// Ties the responder to `instance`'s request slot. One already tied to
+    /// a slot (a function forwarding its own responder into another
+    /// invocation) is wrapped, so `send` releases both, outer first.
+    fn dispatched(self, platform: Rc<dyn Release>, instance: InstanceId, is_http: bool) -> Self {
+        let mut tagged = match self.slot {
+            Some(_) => Responder::new(move |sim, resp| self.send(sim, resp)),
+            None => self,
+        };
+        let pending = platform.pending();
+        pending.set(pending.get() + 1);
+        tagged.slot = Some(Slot { platform, instance, is_http });
+        tagged
     }
 }
 
 impl<Resp> fmt::Debug for Responder<Resp> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match &self.inner {
-            ResponderInner::Fn(_) => "fn",
-            ResponderInner::Pooled { .. } => "pooled",
-            ResponderInner::Consumed => "consumed",
-        };
-        f.debug_struct("Responder").field("kind", &kind).finish()
+        let instance = self.slot.as_ref().map(|slot| slot.instance);
+        f.debug_struct("Responder").field("instance", &instance).finish()
+    }
+}
+
+/// The request slot a dispatched responder holds. Dropping it (sent or
+/// not) only decrements the platform's pending count, which lives outside
+/// the platform's `RefCell`: a responder's `Drop` never borrows the
+/// platform, so functions and queues may drop responders anywhere.
+struct Slot {
+    platform: Rc<dyn Release>,
+    instance: InstanceId,
+    is_http: bool,
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let pending = self.platform.pending();
+        pending.set(pending.get() - 1);
+    }
+}
+
+/// The platform as a dispatched responder sees it, whatever its function
+/// type.
+trait Release {
+    /// Responders dispatched and not yet sent or dropped.
+    fn pending(&self) -> &Cell<usize>;
+    /// Releases `instance`'s request slot; whether the instance is alive.
+    fn release(self: Rc<Self>, sim: &mut Sim, instance: InstanceId, is_http: bool) -> bool;
+}
+
+impl<F: Function> Release for Core<F> {
+    fn pending(&self) -> &Cell<usize> {
+        &self.pending
+    }
+
+    fn release(self: Rc<Self>, sim: &mut Sim, instance: InstanceId, is_http: bool) -> bool {
+        Platform { core: self }.finish_request(sim, instance, is_http)
     }
 }
 
@@ -303,33 +275,6 @@ pub struct PlatformStats {
     pub evictions: u64,
 }
 
-/// The `Copy` subset of [`PlatformConfig`] read on every request, hoisted
-/// out so the hot path never touches (or clones from) the full config.
-#[derive(Clone, Copy)]
-struct ConfigSnapshot {
-    cluster_vcpus: u32,
-    pricing: LambdaPricing,
-    request_ttl: SimDuration,
-    http_overhead: Dist,
-    cold_start: Dist,
-    idle_after: SimDuration,
-    scan_every: SimDuration,
-}
-
-impl ConfigSnapshot {
-    fn of(cfg: &PlatformConfig) -> Self {
-        ConfigSnapshot {
-            cluster_vcpus: cfg.cluster_vcpus,
-            pricing: cfg.pricing,
-            request_ttl: cfg.request_ttl,
-            http_overhead: cfg.net.http_overhead,
-            cold_start: cfg.faas.cold_start,
-            idle_after: cfg.faas.idle_reclaim_after,
-            scan_every: cfg.faas.reclaim_scan_every,
-        }
-    }
-}
-
 struct Queued<F: Function> {
     req: F::Req,
     respond: Responder<F::Resp>,
@@ -337,21 +282,12 @@ struct Queued<F: Function> {
 }
 
 struct DeploymentState<F: Function> {
-    name: Rc<str>,
+    name: String,
     config: FunctionConfig,
     factory: Box<dyn Fn(&InstanceCtx) -> F>,
-    /// Starting + warm instances, in creation order.
+    /// Starting + warm instances, in creation (= ascending id) order.
     instances: Vec<InstanceId>,
     queue: VecDeque<Queued<F>>,
-    /// Instances currently cold-starting (O(1) scale-out governor).
-    starting: u32,
-    /// Lazy min-heap of `(active_http, instance id)` over possibly-ready
-    /// warm instances; stale entries are discarded when inspected.
-    ready: BinaryHeap<Reverse<(u32, u64)>>,
-    /// Intrusive list (slot indices) of warm instances with no in-flight
-    /// work, ordered by `last_activity` ascending: head is the coldest.
-    idle_head: u32,
-    idle_tail: u32,
 }
 
 struct InstanceState<F: Function> {
@@ -362,39 +298,19 @@ struct InstanceState<F: Function> {
     warm: bool,
     active_http: u32,
     active_total: u32,
+    /// Start of the open billed interval; `Some` exactly while
+    /// `active_total > 0`.
     active_since: Option<SimTime>,
     last_activity: SimTime,
     /// When the cold start began; protects young instances from
     /// capacity-pressure eviction.
     created: SimTime,
-    idle_prev: u32,
-    idle_next: u32,
-    in_idle: bool,
-}
-
-/// A dispatched-but-uncompleted request parked in the invocation slab.
-struct Invocation<F: Function> {
-    instance: InstanceId,
-    is_http: bool,
-    respond: Responder<F::Resp>,
 }
 
 struct Inner<F: Function> {
-    snap: ConfigSnapshot,
+    cfg: PlatformConfig,
     deployments: Vec<DeploymentState<F>>,
-    /// Slab of instance states; `free_slots` recycles vacancies.
-    slots: Vec<Option<InstanceState<F>>>,
-    free_slots: Vec<u32>,
-    /// Raw instance id → slot (`NIL` once dead). Ids are sequential, so
-    /// this grows by one u32 per instance ever created.
-    id_to_slot: Vec<u32>,
-    /// Live instance ids, ascending — the replacement for the old
-    /// `BTreeMap` iteration order everywhere that order is observable.
-    live_ids: Vec<InstanceId>,
-    /// Invocation-record slab + freelist: dispatch/completion recycle
-    /// records instead of boxing a wrapper closure per request.
-    invocations: Vec<Option<Invocation<F>>>,
-    free_invocations: Vec<u32>,
+    instances: BTreeMap<InstanceId, InstanceState<F>>,
     next_instance: u64,
     used_vcpus: u32,
     peak_vcpus: u32,
@@ -402,10 +318,12 @@ struct Inner<F: Function> {
     prov_meter: CostMeter,
     gauge: GaugeSeries,
     stats: PlatformStats,
-    maintenance_running: bool,
-    maintenance_stopped: bool,
-    victims_scratch: Vec<InstanceId>,
-    remaining_scratch: Vec<usize>,
+    /// Maintenance generation, odd while the ticks run. Starting and
+    /// stopping each advance it, and a tick keeps running only while the
+    /// generation it was armed in is current — so start → stop → start
+    /// before the next tick never leaves the first ticks running beside
+    /// the second.
+    maintenance: u64,
     /// Cold-start latency multiplier (fault injection). Exactly `1.0`
     /// outside storm windows, in which case the sampled delay is used
     /// untouched — so an idle injector cannot perturb the event trace.
@@ -413,176 +331,52 @@ struct Inner<F: Function> {
 }
 
 impl<F: Function> Inner<F> {
-    fn slot_of(&self, id: InstanceId) -> Option<u32> {
-        match self.id_to_slot.get(id.raw() as usize).copied() {
-            Some(slot) if slot != NIL => Some(slot),
-            _ => None,
-        }
-    }
-
-    fn state(&self, slot: u32) -> &InstanceState<F> {
-        self.slots[slot as usize].as_ref().expect("live slot")
-    }
-
-    fn state_mut(&mut self, slot: u32) -> &mut InstanceState<F> {
-        self.slots[slot as usize].as_mut().expect("live slot")
-    }
-
-    fn alloc_slot(&mut self, state: InstanceState<F>) -> u32 {
-        match self.free_slots.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(state);
-                slot
-            }
-            None => {
-                self.slots.push(Some(state));
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    fn alloc_invocation(&mut self, inv: Invocation<F>) -> u32 {
-        match self.free_invocations.pop() {
-            Some(slot) => {
-                self.invocations[slot as usize] = Some(inv);
-                slot
-            }
-            None => {
-                self.invocations.push(Some(inv));
-                (self.invocations.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Adds a ready-heap entry for the instance's current state if it can
-    /// accept another HTTP request.
-    fn push_ready(&mut self, slot: u32) {
-        let st = self.state(slot);
-        let dep = st.ctx.deployment.raw() as usize;
-        if st.warm && st.active_http < self.deployments[dep].config.concurrency {
-            let key = Reverse((st.active_http, st.ctx.instance.raw()));
-            self.deployments[dep].ready.push(key);
-        }
-    }
-
-    /// Appends `slot` to its deployment's idle list. `last_activity` was
-    /// just set to the current simulation time, which is ≥ every entry
-    /// already on the list, so tail insertion keeps the list sorted.
-    fn idle_push_back(&mut self, slot: u32) {
-        let dep_idx;
-        {
-            let st = self.state_mut(slot);
-            debug_assert!(!st.in_idle);
-            st.in_idle = true;
-            st.idle_next = NIL;
-            dep_idx = st.ctx.deployment.raw() as usize;
-        }
-        let tail = self.deployments[dep_idx].idle_tail;
-        self.state_mut(slot).idle_prev = tail;
-        if tail != NIL {
-            self.state_mut(tail).idle_next = slot;
-        } else {
-            self.deployments[dep_idx].idle_head = slot;
-        }
-        self.deployments[dep_idx].idle_tail = slot;
-    }
-
-    fn idle_unlink(&mut self, slot: u32) {
-        let (prev, next, dep_idx);
-        {
-            let st = self.state_mut(slot);
-            if !st.in_idle {
-                return;
-            }
-            st.in_idle = false;
-            prev = st.idle_prev;
-            next = st.idle_next;
-            st.idle_prev = NIL;
-            st.idle_next = NIL;
-            dep_idx = st.ctx.deployment.raw() as usize;
-        }
-        if prev != NIL {
-            self.state_mut(prev).idle_next = next;
-        } else {
-            self.deployments[dep_idx].idle_head = next;
-        }
-        if next != NIL {
-            self.state_mut(next).idle_prev = prev;
-        } else {
-            self.deployments[dep_idx].idle_tail = prev;
-        }
-    }
-
-    /// Removes an instance from every index (slab, id map, live list, idle
-    /// list, deployment roster) and returns its state. The caller applies
-    /// the removal-specific accounting and **must drop the returned state
-    /// outside the `RefCell` borrow**: the function inside may hold pooled
-    /// responders whose `Drop` re-enters the platform.
-    fn detach(&mut self, slot: u32) -> InstanceState<F> {
-        self.idle_unlink(slot);
-        let state = self.slots[slot as usize].take().expect("live slot");
-        self.free_slots.push(slot);
-        let id = state.ctx.instance;
-        self.id_to_slot[id.raw() as usize] = NIL;
-        if let Ok(pos) = self.live_ids.binary_search(&id) {
-            self.live_ids.remove(pos);
-        }
+    /// Takes `id` out of the table, bills its open active interval and
+    /// records the new instance count. The caller counts the removal and
+    /// drops (or terminates) the returned state outside the borrow: the
+    /// function inside is user code.
+    fn remove(&mut self, now: SimTime, id: InstanceId) -> Option<InstanceState<F>> {
+        let state = self.instances.remove(&id)?;
         state.ctx.alive.set(false);
+        if let Some(since) = state.active_since {
+            let (span, mem) = (now.saturating_since(since), state.ctx.mem_gb);
+            self.pay_meter.charge_lambda_execution(now, &self.cfg.pricing, span, mem);
+        }
         self.used_vcpus = self.used_vcpus.saturating_sub(state.ctx.vcpus);
-        let dep = state.ctx.deployment.raw() as usize;
+        let dep = state.ctx.deployment.0 as usize;
         self.deployments[dep].instances.retain(|i| *i != id);
-        if !state.warm {
-            self.deployments[dep].starting -= 1;
-        }
-        state
+        self.gauge.observe(now, self.instances.len() as f64);
+        Some(state)
+    }
+
+    /// The warm instance of `deployment` with a free HTTP slot and the
+    /// least load (lowest id among equals), if any.
+    fn pick_free_instance(&self, deployment: DeploymentId) -> Option<InstanceId> {
+        let conc = self.deployments[deployment.0 as usize].config.concurrency;
+        self.roster(deployment, |st| st.warm && st.active_http < conc)
+            .min_by_key(|(id, st)| (st.active_http, *id))
+            .map(|(id, _)| id)
+    }
+
+    /// `deployment`'s instances that pass `keep`, in ascending id order.
+    fn roster(
+        &self,
+        deployment: DeploymentId,
+        keep: impl Fn(&InstanceState<F>) -> bool,
+    ) -> impl Iterator<Item = (InstanceId, &InstanceState<F>)> {
+        self.deployments[deployment.0 as usize]
+            .instances
+            .iter()
+            .filter_map(|id| self.instances.get(id).map(|st| (*id, st)))
+            .filter(move |(_, st)| keep(st))
     }
 }
 
-/// The shared platform state plus a self-reference so pooled responders
-/// (which hold `Rc<dyn CompletionSink>` pointing here) can rebuild a
-/// [`Platform`] handle when they complete.
+/// The shared platform state and the count of dispatched responders,
+/// which is kept outside the `RefCell` (see [`Slot`]).
 struct Core<F: Function> {
-    weak: Weak<Core<F>>,
+    pending: Cell<usize>,
     inner: RefCell<Inner<F>>,
-}
-
-impl<F: Function> Core<F> {
-    fn platform(&self) -> Platform<F> {
-        Platform { core: self.weak.upgrade().expect("platform core alive") }
-    }
-}
-
-impl<F: Function> CompletionSink<F::Resp> for Core<F> {
-    fn complete(&self, sim: &mut Sim, slot: u32, resp: F::Resp) {
-        let inv = {
-            let mut inner = self.inner.borrow_mut();
-            let inv = inner.invocations[slot as usize].take();
-            if inv.is_some() {
-                inner.free_invocations.push(slot);
-            }
-            inv
-        };
-        let Some(inv) = inv else { return };
-        let this = self.platform();
-        if this.finish_request(sim, inv.instance, inv.is_http) {
-            inv.respond.send(sim, resp);
-        }
-    }
-
-    fn abandon(&self, slot: u32) {
-        let inv = {
-            let mut inner = self.inner.borrow_mut();
-            let inv = inner.invocations[slot as usize].take();
-            if inv.is_some() {
-                inner.free_invocations.push(slot);
-            }
-            inv
-        };
-        // Dropped here, outside the borrow: the parked responder may itself
-        // be pooled (a function can forward its responder into another
-        // invocation), and its Drop re-enters `abandon`.
-        drop(inv);
-    }
 }
 
 /// A shared handle to the serverless platform hosting instances of `F`.
@@ -604,7 +398,7 @@ impl<F: Function> fmt::Debug for Platform<F> {
         let inner = self.core.inner.borrow();
         f.debug_struct("Platform")
             .field("deployments", &inner.deployments.len())
-            .field("instances", &inner.live_ids.len())
+            .field("instances", &inner.instances.len())
             .field("used_vcpus", &inner.used_vcpus)
             .finish()
     }
@@ -614,32 +408,21 @@ impl<F: Function> Platform<F> {
     /// Creates a platform with no deployments.
     #[must_use]
     pub fn new(cfg: &PlatformConfig) -> Self {
-        let core = Rc::new_cyclic(|weak| Core {
-            weak: weak.clone(),
-            inner: RefCell::new(Inner {
-                snap: ConfigSnapshot::of(cfg),
-                deployments: Vec::new(),
-                slots: Vec::new(),
-                free_slots: Vec::new(),
-                id_to_slot: Vec::new(),
-                live_ids: Vec::new(),
-                invocations: Vec::new(),
-                free_invocations: Vec::new(),
-                next_instance: 0,
-                used_vcpus: 0,
-                peak_vcpus: 0,
-                pay_meter: CostMeter::new(),
-                prov_meter: CostMeter::new(),
-                gauge: GaugeSeries::new(),
-                stats: PlatformStats::default(),
-                maintenance_running: false,
-                maintenance_stopped: false,
-                victims_scratch: Vec::new(),
-                remaining_scratch: Vec::new(),
-                cold_start_factor: 1.0,
-            }),
-        });
-        Platform { core }
+        let inner = Inner {
+            cfg: cfg.clone(),
+            deployments: Vec::new(),
+            instances: BTreeMap::new(),
+            next_instance: 0,
+            used_vcpus: 0,
+            peak_vcpus: 0,
+            pay_meter: CostMeter::new(),
+            prov_meter: CostMeter::new(),
+            gauge: GaugeSeries::new(),
+            stats: PlatformStats::default(),
+            maintenance: 0,
+            cold_start_factor: 1.0,
+        };
+        Platform { core: Rc::new(Core { pending: Cell::new(0), inner: RefCell::new(inner) }) }
     }
 
     /// Registers a uniquely named function deployment; `factory` builds
@@ -653,24 +436,13 @@ impl<F: Function> Platform<F> {
         let mut inner = self.core.inner.borrow_mut();
         let id = DeploymentId(inner.deployments.len() as u32);
         inner.deployments.push(DeploymentState {
-            name: Rc::from(name.into()),
+            name: name.into(),
             config,
             factory,
             instances: Vec::new(),
             queue: VecDeque::new(),
-            starting: 0,
-            ready: BinaryHeap::new(),
-            idle_head: NIL,
-            idle_tail: NIL,
         });
         id
-    }
-
-    /// The name a deployment was registered under. Cheap: a shared handle,
-    /// not a fresh `String`.
-    #[must_use]
-    pub fn deployment_name(&self, deployment: DeploymentId) -> Rc<str> {
-        Rc::clone(&self.core.inner.borrow().deployments[deployment.0 as usize].name)
     }
 
     /// Cumulative statistics.
@@ -685,33 +457,16 @@ impl<F: Function> Platform<F> {
         self.core.inner.borrow().peak_vcpus
     }
 
-    /// vCPUs currently allocated.
-    #[must_use]
-    pub fn vcpus_used(&self) -> u32 {
-        self.core.inner.borrow().used_vcpus
-    }
-
-    /// Total pay-per-use (AWS-Lambda-model) cost so far.
-    #[must_use]
-    pub fn pay_per_use_cost(&self) -> f64 {
-        self.core.inner.borrow().pay_meter.total()
-    }
-
-    /// Total cost under the "simplified" model (instances billed while
-    /// provisioned; Fig. 9's `λFS (Simplified)` curve). Only accumulates
-    /// while maintenance is running (it is sampled by the billing tick).
-    #[must_use]
-    pub fn provisioned_cost(&self) -> f64 {
-        self.core.inner.borrow().prov_meter.total()
-    }
-
-    /// Snapshot of the pay-per-use cost meter (per-second series).
+    /// Snapshot of the pay-per-use (AWS-Lambda-model) cost meter
+    /// (per-second series).
     #[must_use]
     pub fn pay_meter(&self) -> CostMeter {
         self.core.inner.borrow().pay_meter.clone()
     }
 
-    /// Snapshot of the provisioned-cost meter.
+    /// Snapshot of the provisioned-cost meter: instances billed while
+    /// provisioned (Fig. 9's `λFS (Simplified)` curve). It accumulates only
+    /// while maintenance runs, because the billing tick samples it.
     #[must_use]
     pub fn prov_meter(&self) -> CostMeter {
         self.core.inner.borrow().prov_meter.clone()
@@ -726,32 +481,19 @@ impl<F: Function> Platform<F> {
     /// Warm instances of `deployment`, in creation order.
     #[must_use]
     pub fn warm_instances(&self, deployment: DeploymentId) -> Vec<InstanceId> {
-        let inner = self.core.inner.borrow();
-        inner.deployments[deployment.0 as usize]
-            .instances
-            .iter()
-            .copied()
-            .filter(|id| inner.slot_of(*id).is_some_and(|slot| inner.state(slot).warm))
-            .collect()
+        self.core.inner.borrow().roster(deployment, |st| st.warm).map(|(id, _)| id).collect()
     }
 
-    /// The earliest-created warm instance of `deployment`, if any — the
-    /// O(1)-ish replacement for `warm_instances(d).first()` (it stops at
-    /// the first warm instance instead of materializing the whole list).
+    /// The earliest-created warm instance of `deployment`, if any.
     #[must_use]
     pub fn first_warm_instance(&self, deployment: DeploymentId) -> Option<InstanceId> {
-        let inner = self.core.inner.borrow();
-        inner.deployments[deployment.0 as usize]
-            .instances
-            .iter()
-            .copied()
-            .find(|id| inner.slot_of(*id).is_some_and(|slot| inner.state(slot).warm))
+        self.core.inner.borrow().roster(deployment, |st| st.warm).next().map(|(id, _)| id)
     }
 
     /// Total provisioned instances (starting + warm) across deployments.
     #[must_use]
     pub fn total_instances(&self) -> usize {
-        self.core.inner.borrow().live_ids.len()
+        self.core.inner.borrow().instances.len()
     }
 
     /// Per-instance request-slot occupancy (diagnostics): `(instance,
@@ -761,45 +503,27 @@ impl<F: Function> Platform<F> {
     pub fn instance_slots(&self) -> Vec<(InstanceId, DeploymentId, u32, u32, bool)> {
         let inner = self.core.inner.borrow();
         inner
-            .live_ids
-            .iter()
-            .map(|id| {
-                let st = inner.state(inner.slot_of(*id).expect("live id"));
-                (*id, st.ctx.deployment, st.active_http, st.active_total, st.warm)
-            })
-            .collect()
-    }
-
-    /// HTTP load (active requests + queue depth) of a deployment.
-    #[must_use]
-    pub fn deployment_load(&self, deployment: DeploymentId) -> usize {
-        let inner = self.core.inner.borrow();
-        let dep = &inner.deployments[deployment.0 as usize];
-        let active: u32 = dep
             .instances
             .iter()
-            .filter_map(|id| inner.slot_of(*id))
-            .map(|slot| inner.state(slot).active_http)
-            .sum();
-        active as usize + dep.queue.len()
+            .map(|(id, st)| (*id, st.ctx.deployment, st.active_http, st.active_total, st.warm))
+            .collect()
     }
 
     /// Starts the periodic reclamation + billing ticks. Idempotent. The
     /// ticks run until [`Platform::stop_maintenance`]; drive the simulation
     /// with `run_until`/`run_for` while they are armed.
     pub fn run_maintenance(&self, sim: &mut Sim) {
-        {
+        let (generation, scan) = {
             let mut inner = self.core.inner.borrow_mut();
-            if inner.maintenance_running {
+            if inner.maintenance % 2 == 1 {
                 return;
             }
-            inner.maintenance_running = true;
-            inner.maintenance_stopped = false;
-        }
-        let scan = self.core.inner.borrow().snap.scan_every;
+            inner.maintenance += 1;
+            (inner.maintenance, inner.cfg.faas.reclaim_scan_every)
+        };
         let this = self.clone();
         lambda_sim::every(sim, sim.now() + scan, scan, move |sim| {
-            if this.core.inner.borrow().maintenance_stopped {
+            if this.core.inner.borrow().maintenance != generation {
                 return false;
             }
             this.reclaim_idle(sim);
@@ -808,7 +532,7 @@ impl<F: Function> Platform<F> {
         let this = self.clone();
         let tick = SimDuration::from_secs(1);
         lambda_sim::every(sim, sim.now() + tick, tick, move |sim| {
-            if this.core.inner.borrow().maintenance_stopped {
+            if this.core.inner.borrow().maintenance != generation {
                 return false;
             }
             this.billing_tick(sim, tick);
@@ -831,8 +555,7 @@ impl<F: Function> Platform<F> {
     /// Stops the maintenance ticks at their next firing.
     pub fn stop_maintenance(&self) {
         let mut inner = self.core.inner.borrow_mut();
-        inner.maintenance_running = false;
-        inner.maintenance_stopped = true;
+        inner.maintenance += inner.maintenance % 2;
     }
 
     /// Submits an HTTP invocation through the API gateway. This is the
@@ -844,13 +567,13 @@ impl<F: Function> Platform<F> {
         req: F::Req,
         respond: Responder<F::Resp>,
     ) {
-        let (overhead, pricing) = {
-            let mut inner = self.core.inner.borrow_mut();
+        let overhead = {
+            let mut guard = self.core.inner.borrow_mut();
+            let inner = &mut *guard;
             inner.stats.http_invocations += 1;
-            (inner.snap.http_overhead, inner.snap.pricing)
+            inner.pay_meter.charge_lambda_request(sim.now(), &inner.cfg.pricing);
+            inner.cfg.net.http_overhead
         };
-        let now = sim.now();
-        self.core.inner.borrow_mut().pay_meter.charge_lambda_request(now, &pricing);
         let delay = sim.rng().sample_duration(&overhead);
         let this = self.clone();
         sim.schedule(delay, move |sim| this.route_http(sim, deployment, req, respond));
@@ -893,11 +616,11 @@ impl<F: Function> Platform<F> {
             if queue_len == 0 {
                 (false, false, false)
             } else {
+                let starting = inner.roster(deployment, |st| !st.warm).count() as u32;
                 let dep_count = dep.instances.len() as u32;
                 let wants = dep_count < dep.config.max_instances
-                    && queue_len > dep.starting * dep.config.concurrency.max(1);
-                let capacity =
-                    inner.used_vcpus + dep.config.vcpus <= inner.snap.cluster_vcpus;
+                    && queue_len > starting * dep.config.concurrency.max(1);
+                let capacity = inner.used_vcpus + dep.config.vcpus <= inner.cfg.cluster_vcpus;
                 (wants, capacity, dep_count == 0)
             }
         };
@@ -909,7 +632,7 @@ impl<F: Function> Platform<F> {
             let fits = {
                 let inner = self.core.inner.borrow();
                 let dep = &inner.deployments[deployment.0 as usize];
-                inner.used_vcpus + dep.config.vcpus <= inner.snap.cluster_vcpus
+                inner.used_vcpus + dep.config.vcpus <= inner.cfg.cluster_vcpus
             };
             if fits {
                 self.begin_cold_start(sim, deployment);
@@ -926,19 +649,14 @@ impl<F: Function> Platform<F> {
     /// protected, which bounds the churn rate when many starved
     /// deployments must time-share too few slots: each slot changes hands
     /// at most once per grace period instead of on every request.
-    ///
-    /// Cold path (only runs when a deployment is starving at the cap), so
-    /// it keeps the straightforward full scan — over `live_ids`, which
-    /// matches the old `BTreeMap` iteration order exactly.
     fn evict_for(&self, sim: &mut Sim, deployment: DeploymentId) -> bool {
         const EVICTION_GRACE: SimDuration = SimDuration::from_millis(2_000);
-        let victim = {
-            let inner = self.core.inner.borrow();
-            let now = sim.now();
-            inner
-                .live_ids
+        let now = sim.now();
+        let removed = {
+            let mut inner = self.core.inner.borrow_mut();
+            let victim = inner
+                .instances
                 .iter()
-                .map(|id| (*id, inner.state(inner.slot_of(*id).expect("live id"))))
                 .filter(|(_, st)| {
                     st.warm
                         && st.ctx.deployment != deployment
@@ -946,30 +664,12 @@ impl<F: Function> Platform<F> {
                         && now.saturating_since(st.created) >= EVICTION_GRACE
                 })
                 .max_by_key(|(id, st)| {
-                    let dep_size =
-                        inner.deployments[st.ctx.deployment.0 as usize].instances.len();
-                    (dep_size, std::cmp::Reverse(st.last_activity), std::cmp::Reverse(*id))
+                    let dep_size = inner.deployments[st.ctx.deployment.0 as usize].instances.len();
+                    (dep_size, std::cmp::Reverse(st.last_activity), std::cmp::Reverse(**id))
                 })
-                .map(|(id, _)| id)
-        };
-        let Some(victim) = victim else { return false };
-        let removed = {
-            let mut inner = self.core.inner.borrow_mut();
-            let Some(slot) = inner.slot_of(victim) else { return false };
-            let state = inner.detach(slot);
-            if let Some(since) = state.active_since {
-                let (pricing, now) = (inner.snap.pricing, sim.now());
-                inner.pay_meter.charge_lambda_execution(
-                    now,
-                    &pricing,
-                    now.saturating_since(since),
-                    state.ctx.mem_gb,
-                );
-            }
+                .map(|(id, _)| *id);
+            let Some(state) = victim.and_then(|id| inner.remove(now, id)) else { return false };
             inner.stats.evictions += 1;
-            let count = inner.live_ids.len() as f64;
-            let now = sim.now();
-            inner.gauge.observe(now, count);
             state
         };
         let InstanceState { mut function, ctx, .. } = removed;
@@ -979,32 +679,6 @@ impl<F: Function> Platform<F> {
         true
     }
 
-    /// The warm instance of `deployment` with a free HTTP slot and the
-    /// least load, if any: the first ready-heap entry that still matches
-    /// its instance's current `(active_http, id)` — stale entries are
-    /// popped on the way. Matching entries were pushed while eligible, so
-    /// a match is exactly the old scan's `min_by_key((active_http, id))`.
-    fn pick_free_instance(&self, deployment: DeploymentId) -> Option<InstanceId> {
-        let mut guard = self.core.inner.borrow_mut();
-        let inner = &mut *guard;
-        let d = deployment.0 as usize;
-        let conc = inner.deployments[d].config.concurrency;
-        loop {
-            let Reverse((h, raw)) = *inner.deployments[d].ready.peek()?;
-            let valid = match inner.slot_of(InstanceId(raw)) {
-                Some(slot) => {
-                    let st = inner.state(slot);
-                    st.warm && st.active_http == h && h < conc
-                }
-                None => false,
-            };
-            if valid {
-                return Some(InstanceId(raw));
-            }
-            inner.deployments[d].ready.pop();
-        }
-    }
-
     fn begin_cold_start(&self, sim: &mut Sim, deployment: DeploymentId) {
         let (instance, cold_start, factor) = {
             let mut guard = self.core.inner.borrow_mut();
@@ -1012,17 +686,17 @@ impl<F: Function> Platform<F> {
             inner.next_instance += 1;
             let id = InstanceId(inner.next_instance);
             let dep = &mut inner.deployments[deployment.0 as usize];
-            let config = dep.config.clone();
             dep.instances.push(id);
-            dep.starting += 1;
+            let vcpus = dep.config.vcpus;
             let ctx = Rc::new(InstanceCtx {
                 instance: id,
                 deployment,
-                cpu: Station::new(format!("{}-{}", dep.name, id.0), config.vcpus.max(1)),
-                vcpus: config.vcpus,
-                mem_gb: config.mem_gb,
+                cpu: Station::new(format!("{}-{}", dep.name, id.0), vcpus.max(1)),
+                vcpus,
+                mem_gb: dep.config.mem_gb,
                 alive: Rc::new(Cell::new(true)),
             });
+            let now = sim.now();
             let state = InstanceState {
                 ctx,
                 function: None,
@@ -1030,26 +704,15 @@ impl<F: Function> Platform<F> {
                 active_http: 0,
                 active_total: 0,
                 active_since: None,
-                last_activity: sim.now(),
-                created: sim.now(),
-                idle_prev: NIL,
-                idle_next: NIL,
-                in_idle: false,
+                last_activity: now,
+                created: now,
             };
-            let slot = inner.alloc_slot(state);
-            let raw = id.raw() as usize;
-            if inner.id_to_slot.len() <= raw {
-                inner.id_to_slot.resize(raw + 1, NIL);
-            }
-            inner.id_to_slot[raw] = slot;
-            inner.live_ids.push(id); // new id is the max: stays sorted
-            inner.used_vcpus += config.vcpus;
+            inner.instances.insert(id, state);
+            inner.used_vcpus += vcpus;
             inner.peak_vcpus = inner.peak_vcpus.max(inner.used_vcpus);
             inner.stats.cold_starts += 1;
-            let count = inner.live_ids.len() as f64;
-            let now = sim.now();
-            inner.gauge.observe(now, count);
-            (id, inner.snap.cold_start, inner.cold_start_factor)
+            inner.gauge.observe(now, inner.instances.len() as f64);
+            (id, inner.cfg.faas.cold_start, inner.cold_start_factor)
         };
         let mut delay = sim.rng().sample_duration(&cold_start);
         if factor != 1.0 {
@@ -1063,78 +726,44 @@ impl<F: Function> Platform<F> {
     }
 
     fn finish_cold_start(&self, sim: &mut Sim, deployment: DeploymentId, instance: InstanceId) {
-        let built = {
+        let (mut function, ctx) = {
             let inner = self.core.inner.borrow();
-            let Some(slot) = inner.slot_of(instance) else {
+            let Some(state) = inner.instances.get(&instance) else {
                 return; // killed while starting
             };
-            let dep = &inner.deployments[deployment.0 as usize];
-            let ctx = Rc::clone(&inner.state(slot).ctx);
-            let function = (dep.factory)(&ctx);
-            (function, ctx)
+            let ctx = Rc::clone(&state.ctx);
+            ((inner.deployments[deployment.0 as usize].factory)(&ctx), ctx)
         };
-        let (mut function, ctx) = built;
         function.on_start(sim, &ctx);
-        let leftover = {
-            let mut guard = self.core.inner.borrow_mut();
-            let inner = &mut *guard;
-            match inner.slot_of(instance) {
-                Some(slot) => {
-                    {
-                        let st = inner.state_mut(slot);
-                        st.function = Some(function);
-                        st.warm = true;
-                        st.last_activity = sim.now();
-                    }
-                    inner.deployments[deployment.0 as usize].starting -= 1;
-                    inner.idle_push_back(slot); // just warmed: no in-flight work
-                    inner.push_ready(slot);
-                    None
-                }
-                None => Some(function), // killed during on_start
-            }
-        };
-        if leftover.is_some() {
-            drop(leftover); // outside the borrow
-            return;
+        {
+            let mut inner = self.core.inner.borrow_mut();
+            // Killed during `on_start`: the function drops after the borrow.
+            let Some(state) = inner.instances.get_mut(&instance) else { return };
+            state.function = Some(function);
+            state.warm = true;
+            state.last_activity = sim.now();
         }
         self.drain_queue(sim, deployment);
     }
 
     fn drain_queue(&self, sim: &mut Sim, deployment: DeploymentId) {
-        // Expired requests are popped under the borrow but dropped outside
-        // it (their responders may be pooled and re-enter on Drop). The
-        // vec allocates only when something actually expired.
-        let mut expired: Vec<Queued<F>> = Vec::new();
         loop {
-            let has_work = {
-                let mut inner = self.core.inner.borrow_mut();
-                let ttl = inner.snap.request_ttl;
-                let now = sim.now();
-                let dep = &mut inner.deployments[deployment.0 as usize];
-                // Drop expired invocations first.
-                let mut n = 0;
-                while dep
-                    .queue
-                    .front()
-                    .is_some_and(|q| now.saturating_since(q.enqueued) > ttl)
-                {
-                    expired.push(dep.queue.pop_front().expect("front exists"));
-                    n += 1;
-                }
-                inner.stats.expired_requests += n;
-                !inner.deployments[deployment.0 as usize].queue.is_empty()
-            };
-            expired.clear();
-            if !has_work {
+            let mut guard = self.core.inner.borrow_mut();
+            let inner = &mut *guard;
+            let (ttl, now) = (inner.cfg.request_ttl, sim.now());
+            let queue = &mut inner.deployments[deployment.0 as usize].queue;
+            // Drop expired invocations first.
+            while queue.front().is_some_and(|q| now.saturating_since(q.enqueued) > ttl) {
+                queue.pop_front();
+                inner.stats.expired_requests += 1;
+            }
+            if queue.is_empty() {
                 return;
             }
-            let Some(instance) = self.pick_free_instance(deployment) else { return };
-            let queued = {
-                let mut inner = self.core.inner.borrow_mut();
-                inner.deployments[deployment.0 as usize].queue.pop_front()
-            };
-            let Some(queued) = queued else { return };
+            let Some(instance) = inner.pick_free_instance(deployment) else { return };
+            let queue = &mut inner.deployments[deployment.0 as usize].queue;
+            let queued = queue.pop_front().expect("queue checked non-empty");
+            drop(guard);
             self.start_request(sim, instance, queued.req, queued.respond, true);
         }
     }
@@ -1150,18 +779,12 @@ impl<F: Function> Platform<F> {
         req: F::Req,
         respond: Responder<F::Resp>,
     ) -> bool {
-        let ok = {
-            let inner = self.core.inner.borrow();
-            inner.slot_of(instance).is_some_and(|slot| inner.state(slot).warm)
-        };
-        if !ok {
-            return false;
-        }
-        self.core.inner.borrow_mut().stats.tcp_deliveries += 1;
-        self.start_request(sim, instance, req, respond, false);
-        true
+        self.start_request(sim, instance, req, respond, false)
     }
 
+    /// Occupies a request slot on a warm `instance` and hands the request
+    /// to its function, with `respond` tied to the slot. Returns `false`,
+    /// dispatching nothing, if the instance is gone or still starting.
     fn start_request(
         &self,
         sim: &mut Sim,
@@ -1169,69 +792,38 @@ impl<F: Function> Platform<F> {
         req: F::Req,
         respond: Responder<F::Resp>,
         is_http: bool,
-    ) {
-        let mut respond = Some(respond);
-        let prepared = {
+    ) -> bool {
+        let taken = {
             let mut guard = self.core.inner.borrow_mut();
             let inner = &mut *guard;
-            match inner.slot_of(instance) {
-                None => None,
-                Some(slot) => {
-                    {
-                        let st = inner.state_mut(slot);
-                        if is_http {
-                            st.active_http += 1;
-                        }
-                        st.active_total += 1;
-                        if st.active_total == 1 {
-                            st.active_since = Some(sim.now());
-                        }
-                        st.last_activity = sim.now();
-                    }
-                    inner.idle_unlink(slot); // no longer idle (no-op if it wasn't)
-                    if is_http {
-                        inner.push_ready(slot); // re-key under the new active_http
-                    }
-                    match inner.state_mut(slot).function.take() {
-                        Some(function) => {
-                            let ctx = Rc::clone(&inner.state(slot).ctx);
-                            let inv = Invocation {
-                                instance,
-                                is_http,
-                                respond: respond.take().expect("unconsumed"),
-                            };
-                            let inv_slot = inner.alloc_invocation(inv);
-                            Some((function, ctx, inv_slot))
-                        }
-                        None => None,
-                    }
-                }
+            let Some(st) = inner.instances.get_mut(&instance).filter(|st| st.warm) else {
+                return false;
+            };
+            if is_http {
+                st.active_http += 1;
+            } else {
+                inner.stats.tcp_deliveries += 1;
             }
-        };
-        let Some((mut function, ctx, inv_slot)) = prepared else {
-            // Instance dead (drop the request; the client times out), or the
-            // function is mid-call (re-entrant dispatch) — the latter cannot
-            // happen because dispatch always returns the function before
-            // yielding to the event loop. `respond`/`req` drop here, outside
-            // the borrow.
-            return;
-        };
-        let sink: Rc<dyn CompletionSink<F::Resp>> = Rc::clone(&self.core) as _;
-        let wrapped = Responder::pooled(sink, inv_slot);
-        function.on_request(sim, &ctx, req, wrapped);
-        let leftover = {
-            let mut inner = self.core.inner.borrow_mut();
-            match inner.slot_of(instance) {
-                Some(slot) => {
-                    inner.state_mut(slot).function = Some(function);
-                    None
-                }
-                // Killed during the call; the function is dropped below,
-                // outside the borrow.
-                None => Some(function),
+            st.active_total += 1;
+            if st.active_total == 1 {
+                st.active_since = Some(sim.now());
             }
+            st.last_activity = sim.now();
+            st.function.take().map(|f| (f, Rc::clone(&st.ctx)))
         };
-        drop(leftover);
+        // `None`: the function is mid-call (re-entrant dispatch), which
+        // cannot happen because dispatch always returns the function
+        // before yielding to the event loop.
+        let Some((mut function, ctx)) = taken else { return true };
+        let platform: Rc<dyn Release> = Rc::clone(&self.core) as _;
+        let respond = respond.dispatched(platform, instance, is_http);
+        function.on_request(sim, &ctx, req, respond);
+        let mut inner = self.core.inner.borrow_mut();
+        if let Some(state) = inner.instances.get_mut(&instance) {
+            state.function = Some(function);
+        }
+        // else: killed during the call; the function drops after the borrow.
+        true
     }
 
     /// Releases a request slot. Returns whether the instance is still
@@ -1240,77 +832,35 @@ impl<F: Function> Platform<F> {
         let deployment = {
             let mut guard = self.core.inner.borrow_mut();
             let inner = &mut *guard;
-            let pricing = inner.snap.pricing;
-            let Some(slot) = inner.slot_of(instance) else { return false };
-            let (charge, deployment, now_idle);
-            {
-                let st = inner.state_mut(slot);
-                if is_http {
-                    st.active_http = st.active_http.saturating_sub(1);
-                }
-                st.active_total = st.active_total.saturating_sub(1);
-                st.last_activity = sim.now();
-                charge = if st.active_total == 0 {
-                    st.active_since
-                        .take()
-                        .map(|since| (sim.now().saturating_since(since), st.ctx.mem_gb))
-                } else {
-                    None
-                };
-                deployment = st.ctx.deployment;
-                now_idle = st.warm && st.active_total == 0;
-            }
-            if now_idle {
-                inner.idle_push_back(slot);
-            }
+            let Some(st) = inner.instances.get_mut(&instance) else { return false };
+            let now = sim.now();
             if is_http {
-                inner.push_ready(slot); // a slot freed up: re-key
+                st.active_http = st.active_http.saturating_sub(1);
             }
-            if let Some((active, mem)) = charge {
-                let now = sim.now();
-                inner.pay_meter.charge_lambda_execution(now, &pricing, active, mem);
-            }
-            Some(deployment)
-        };
-        match deployment {
-            Some(dep) => {
-                if is_http {
-                    self.drain_queue(sim, dep);
+            st.active_total = st.active_total.saturating_sub(1);
+            st.last_activity = now;
+            if st.active_total == 0 {
+                if let Some(since) = st.active_since.take() {
+                    let (span, mem) = (now.saturating_since(since), st.ctx.mem_gb);
+                    inner.pay_meter.charge_lambda_execution(now, &inner.cfg.pricing, span, mem);
                 }
-                true
             }
-            None => false,
+            st.ctx.deployment
+        };
+        if is_http {
+            self.drain_queue(sim, deployment);
         }
+        true
     }
 
     /// Forcefully kills an instance (fault injection, §5.6). No graceful
     /// cleanup runs: in-flight responses are dropped and the function's
     /// coordinator session is left to expire on its own.
     pub fn kill_instance(&self, sim: &mut Sim, instance: InstanceId) {
-        let removed = {
-            let mut guard = self.core.inner.borrow_mut();
-            let inner = &mut *guard;
-            let Some(slot) = inner.slot_of(instance) else { return };
-            let state = inner.detach(slot);
-            let pricing = inner.snap.pricing;
-            if let Some(since) = state.active_since {
-                let now = sim.now();
-                inner.pay_meter.charge_lambda_execution(
-                    now,
-                    &pricing,
-                    now.saturating_since(since),
-                    state.ctx.mem_gb,
-                );
-            }
-            inner.stats.kills += 1;
-            let count = inner.live_ids.len() as f64;
-            let now = sim.now();
-            inner.gauge.observe(now, count);
-            state
-        };
-        // The killed function may hold pooled responders whose Drop
-        // re-enters the platform: drop it outside the borrow.
-        drop(removed);
+        let mut inner = self.core.inner.borrow_mut();
+        let Some(_state) = inner.remove(sim.now(), instance) else { return };
+        inner.stats.kills += 1;
+        drop(inner); // the function in `_state` is user code: it drops unborrowed
     }
 
     /// Kills up to `count` warm instances at once (correlated failure /
@@ -1323,39 +873,34 @@ impl<F: Function> Platform<F> {
         deployment: Option<DeploymentId>,
         count: u32,
     ) -> u32 {
-        let victims: Vec<InstanceId> = {
-            let inner = self.core.inner.borrow();
-            inner
-                .live_ids
-                .iter()
-                .filter(|id| {
-                    let slot = inner.slot_of(**id).expect("live id has a slot");
-                    let st = inner.state(slot);
-                    st.warm && deployment.is_none_or(|d| st.ctx.deployment == d)
-                })
-                .take(count as usize)
-                .copied()
-                .collect()
-        };
+        let victims: Vec<InstanceId> = self
+            .core
+            .inner
+            .borrow()
+            .instances
+            .iter()
+            .filter(|(_, st)| st.warm && deployment.is_none_or(|d| st.ctx.deployment == d))
+            .take(count as usize)
+            .map(|(id, _)| *id)
+            .collect();
         for &id in &victims {
             self.kill_instance(sim, id);
         }
         victims.len() as u32
     }
 
-    /// Sets the cold-start latency multiplier (fault injection). `1.0`
-    /// restores normal behavior.
+    /// Sets the cold-start latency multiplier; `1.0` restores normal
+    /// behavior.
+    fn set_cold_start_factor(&self, factor: f64) {
+        self.core.inner.borrow_mut().cold_start_factor = factor;
+    }
+
+    /// Schedules a cold-start storm (fault injection): from `from` to
+    /// `until` every cold start takes `factor`× its sampled latency.
     ///
     /// # Panics
     ///
     /// Panics if `factor` is not positive and finite.
-    pub fn set_cold_start_factor(&self, factor: f64) {
-        assert!(factor.is_finite() && factor > 0.0, "cold-start factor must be positive");
-        self.core.inner.borrow_mut().cold_start_factor = factor;
-    }
-
-    /// Schedules a cold-start storm: from `from` to `until` every cold
-    /// start takes `factor`× its sampled latency.
     pub fn cold_start_storm(&self, sim: &mut Sim, from: SimTime, until: SimTime, factor: f64) {
         assert!(factor.is_finite() && factor > 0.0, "cold-start factor must be positive");
         let this = self.clone();
@@ -1364,11 +909,11 @@ impl<F: Function> Platform<F> {
         sim.schedule_at(until, move |_sim| this.set_cold_start_factor(1.0));
     }
 
-    /// Number of dispatched-but-uncompleted invocations parked in the
-    /// platform (auditor aid: must be zero after a run drains).
+    /// Number of dispatched responders neither sent nor dropped yet
+    /// (auditor aid: must be zero after a run drains).
     #[must_use]
     pub fn pending_invocations(&self) -> usize {
-        self.core.inner.borrow().invocations.iter().filter(|i| i.is_some()).count()
+        self.core.pending.get()
     }
 
     /// Number of HTTP requests still queued at deployment gateways
@@ -1378,72 +923,41 @@ impl<F: Function> Platform<F> {
         self.core.inner.borrow().deployments.iter().map(|d| d.queue.len()).sum()
     }
 
-    /// Instance-slab occupancy as `(total slots, free slots)` — a killed
-    /// instance's slot must return to the freelist and be reused by the
-    /// next cold start.
-    #[must_use]
-    pub fn instance_slab(&self) -> (usize, usize) {
-        let inner = self.core.inner.borrow();
-        (inner.slots.len(), inner.free_slots.len())
-    }
-
     /// Scale-in: terminate warm instances idle past the threshold, never
-    /// shrinking a deployment below its floor. Walks only the per-
-    /// deployment idle lists (candidates), then replays the old full-scan
-    /// selection exactly: candidates sorted ascending by id, floors applied
-    /// in that order, victims terminated one by one.
+    /// shrinking a deployment below its floor. Candidates are taken in
+    /// ascending id order, so a floor keeps the newest idle instances.
     fn reclaim_idle(&self, sim: &mut Sim) {
-        let victims = {
-            let mut guard = self.core.inner.borrow_mut();
-            let inner = &mut *guard;
-            let mut victims = mem::take(&mut inner.victims_scratch);
-            victims.clear();
-            let idle_after = inner.snap.idle_after;
-            let now = sim.now();
-            // Candidates: the idle-past-threshold prefix of each list
-            // (sorted by last_activity, so the walk stops at the first
-            // still-fresh instance).
-            for d in 0..inner.deployments.len() {
-                let mut slot = inner.deployments[d].idle_head;
-                while slot != NIL {
-                    let st = inner.state(slot);
-                    if now.saturating_since(st.last_activity) < idle_after {
-                        break;
+        let now = sim.now();
+        let victims: Vec<InstanceId> = {
+            let inner = self.core.inner.borrow();
+            let idle_after = inner.cfg.faas.idle_reclaim_after;
+            let mut remaining: Vec<usize> =
+                inner.deployments.iter().map(|d| d.instances.len()).collect();
+            inner
+                .instances
+                .iter()
+                .filter(|(_, st)| {
+                    st.warm
+                        && st.active_total == 0
+                        && now.saturating_since(st.last_activity) >= idle_after
+                })
+                .filter_map(|(id, st)| {
+                    let dep = st.ctx.deployment.0 as usize;
+                    let floor = inner.deployments[dep].config.min_instances as usize;
+                    if remaining[dep] > floor {
+                        remaining[dep] -= 1;
+                        Some(*id)
+                    } else {
+                        None
                     }
-                    victims.push(st.ctx.instance);
-                    slot = st.idle_next;
-                }
-            }
-            victims.sort_unstable();
-            // Per-deployment floors, applied in ascending-id order as the
-            // old whole-table scan did.
-            let mut remaining = mem::take(&mut inner.remaining_scratch);
-            remaining.clear();
-            remaining.extend(inner.deployments.iter().map(|d| d.instances.len()));
-            victims.retain(|id| {
-                let slot = inner.slot_of(*id).expect("idle candidate is live");
-                let dep = inner.state(slot).ctx.deployment.0 as usize;
-                let floor = inner.deployments[dep].config.min_instances as usize;
-                if remaining[dep] > floor {
-                    remaining[dep] -= 1;
-                    true
-                } else {
-                    false
-                }
-            });
-            inner.remaining_scratch = remaining;
-            victims
+                })
+                .collect()
         };
-        for &instance in &victims {
+        for instance in victims {
             let removed = {
-                let mut guard = self.core.inner.borrow_mut();
-                let inner = &mut *guard;
-                let Some(slot) = inner.slot_of(instance) else { continue };
-                let state = inner.detach(slot);
+                let mut inner = self.core.inner.borrow_mut();
+                let Some(state) = inner.remove(now, instance) else { continue };
                 inner.stats.reclaims += 1;
-                let count = inner.live_ids.len() as f64;
-                let now = sim.now();
-                inner.gauge.observe(now, count);
                 state
             };
             let InstanceState { mut function, ctx, .. } = removed;
@@ -1451,37 +965,25 @@ impl<F: Function> Platform<F> {
                 f.on_terminate(sim, &ctx, true);
             }
         }
-        let mut victims = victims;
-        victims.clear();
-        self.core.inner.borrow_mut().victims_scratch = victims;
     }
 
     fn billing_tick(&self, sim: &mut Sim, tick: SimDuration) {
         let mut guard = self.core.inner.borrow_mut();
         let inner = &mut *guard;
-        let pricing = inner.snap.pricing;
+        let pricing = inner.cfg.pricing;
         let now = sim.now();
         // Provisioned model: every live instance pays for the whole tick.
-        // Both sums run in ascending-id order — the old `BTreeMap` order —
-        // because floating-point accumulation order is observable.
-        let mut provisioned_gb = 0.0f64;
-        for id in &inner.live_ids {
-            let slot = inner.id_to_slot[id.raw() as usize];
-            provisioned_gb += inner.slots[slot as usize].as_ref().expect("live slot").ctx.mem_gb;
-        }
+        let provisioned_gb: f64 = inner.instances.values().map(|st| st.ctx.mem_gb).sum();
         if provisioned_gb > 0.0 {
             inner.prov_meter.charge_lambda_execution(now, &pricing, tick, provisioned_gb);
         }
         // Pay-per-use model: flush open active intervals so the per-second
         // cost series stays smooth.
         let mut flush = 0.0f64;
-        for i in 0..inner.live_ids.len() {
-            let slot = inner.id_to_slot[inner.live_ids[i].raw() as usize];
-            let state = inner.slots[slot as usize].as_mut().expect("live slot");
-            if let Some(since) = state.active_since {
-                let span = now.saturating_since(since);
-                flush += pricing.execution_cost(span, state.ctx.mem_gb);
-                state.active_since = Some(now);
+        for st in inner.instances.values_mut() {
+            if let Some(since) = st.active_since {
+                flush += pricing.execution_cost(now.saturating_since(since), st.ctx.mem_gb);
+                st.active_since = Some(now);
             }
         }
         if flush > 0.0 {

@@ -25,7 +25,11 @@ pub struct DataNodeFleet {
     schema: MetadataSchema,
     ids: Vec<DataNodeId>,
     interval: SimDuration,
-    running: Rc<Cell<bool>>,
+    /// Reporting generation, odd while reporting. Starting and stopping
+    /// each advance it, and a tick keeps running only while the generation
+    /// it was armed in is current — so start → stop → start before the next
+    /// tick never leaves the first ticks running beside the second.
+    epoch: Rc<Cell<u64>>,
 }
 
 impl DataNodeFleet {
@@ -52,7 +56,7 @@ impl DataNodeFleet {
             schema: schema.clone(),
             ids,
             interval,
-            running: Rc::new(Cell::new(false)),
+            epoch: Rc::new(Cell::new(0)),
         }
     }
 
@@ -65,14 +69,16 @@ impl DataNodeFleet {
     /// Starts periodic reporting, staggered across the interval so the
     /// fleet does not thunder against the store. Idempotent.
     pub fn start(&self, sim: &mut Sim) {
-        if self.running.replace(true) {
-            return;
+        let epoch = self.epoch.get() + 1;
+        if epoch.is_multiple_of(2) {
+            return; // already reporting
         }
+        self.epoch.set(epoch);
         for (i, &id) in self.ids.iter().enumerate() {
             let offset = self.interval.div_u64(self.ids.len() as u64) * i as u64;
             let fleet = self.clone();
             every(sim, sim.now() + offset, self.interval, move |sim| {
-                if !fleet.running.get() {
+                if fleet.epoch.get() != epoch {
                     return false;
                 }
                 fleet.publish_report(sim, id);
@@ -83,7 +89,8 @@ impl DataNodeFleet {
 
     /// Stops reporting at each DataNode's next tick.
     pub fn stop(&self) {
-        self.running.set(false);
+        let epoch = self.epoch.get();
+        self.epoch.set(epoch + epoch % 2);
     }
 
     /// Writes one heartbeat/block-report row through a real store
@@ -186,5 +193,31 @@ mod tests {
         // One report per node per tick — not doubled.
         let info = db.peek(schema.datanodes, &1).unwrap();
         assert!(info.reported_blocks <= 2);
+    }
+
+    #[test]
+    fn restart_before_the_next_tick_reports_once() {
+        // Reports after 12 s, started once or by start → stop → start in
+        // one instant: the first start's ticks must stop, not run beside
+        // the second's.
+        let reports = |restart: bool| -> Vec<u64> {
+            let mut sim = Sim::new(4);
+            let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+            let schema = MetadataSchema::install(&db);
+            let fleet = DataNodeFleet::new(&db, &schema, 2, SimDuration::from_secs(5));
+            fleet.start(&mut sim);
+            if restart {
+                fleet.stop();
+                fleet.start(&mut sim);
+            }
+            sim.run_until(SimTime::from_secs(12));
+            fleet.stop();
+            sim.run_until(SimTime::from_secs(20));
+            let report = |id| db.peek(schema.datanodes, id).unwrap().reported_blocks;
+            fleet.ids().iter().map(report).collect()
+        };
+        // Node 1 ticks at 0, 5 and 10 s; node 2, staggered, at 2.5 and 7.5 s.
+        assert_eq!(reports(false), vec![3, 2]);
+        assert_eq!(reports(true), reports(false));
     }
 }
