@@ -3,8 +3,7 @@
 //! The Coordinator service — the reproduction's stand-in for ZooKeeper
 //! (λFS's default "pluggable Coordinator", paper §3.5): sessions with
 //! liveness timeouts, ephemeral group membership, persistent watches,
-//! leader election, a small key-value namespace, and member-to-member
-//! message delivery.
+//! leader election, and member-to-member message delivery.
 //!
 //! The λFS coherence protocol uses exactly these primitives: the leader
 //! NameNode discovers which instances of a deployment are alive
@@ -14,8 +13,11 @@
 //! NameNodes that terminate mid-protocol" (Algorithm 1, step 1).
 //!
 //! Sessions expire when not heartbeated within their timeout, which is how
-//! crashed NameNodes are detected and their locks/memberships cleaned up
-//! (paper §3.6).
+//! crashed NameNodes are detected and their memberships dropped. Their
+//! subtree locks (paper §3.6) are rows of the metadata store's
+//! `subtree_locks` table tagged with the holder's session; the NameNode
+//! that [`Coordinator::leader`] elects sweeps the rows whose holder is no
+//! longer alive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -176,23 +178,6 @@ mod tests {
         assert_eq!(coord.leader("nn"), None);
     }
 
-    #[test]
-    fn kv_nodes_and_ephemeral_cleanup() {
-        let mut sim = Sim::new(8);
-        let coord = new_coord();
-        let a = coord.create_session(&mut sim);
-        coord.set_data(&mut sim, "/config/batch-size", b"512".to_vec(), None);
-        coord.set_data(&mut sim, "/locks/subtree/foo", b"held".to_vec(), Some(a));
-        assert_eq!(coord.get_data("/config/batch-size"), Some(b"512".to_vec()));
-        assert_eq!(coord.get_data("/locks/subtree/foo"), Some(b"held".to_vec()));
-        // Ephemeral node vanishes with its owner (crash-safe lock cleanup,
-        // paper §3.6).
-        sim.run_until(lambda_sim::SimTime::from_secs(10));
-        assert!(!coord.is_alive(a));
-        assert_eq!(coord.get_data("/locks/subtree/foo"), None);
-        assert_eq!(coord.get_data("/config/batch-size"), Some(b"512".to_vec()));
-    }
-
     // ----------------------------------------------------------------
     // NDB event-API transport (paper §3.5: "λFS currently supports both
     // ZooKeeper and MySQL Cluster NDB")
@@ -243,11 +228,9 @@ mod tests {
         assert_eq!(coord.store_ops(), 0);
         coord.heartbeat(&mut sim, a);
         coord.send(&mut sim, a, b, "inv".into());
-        coord.set_data(&mut sim, "/locks/x", b"1".to_vec(), Some(a));
-        coord.delete_data(&mut sim, "/locks/x");
         sim.run();
-        // heartbeat(1) + send(write leg + read leg, 2) + set(1) + delete(1).
-        assert_eq!(coord.store_ops(), 5);
+        // heartbeat(1) + send(write leg + read leg, 2).
+        assert_eq!(coord.store_ops(), 3);
     }
 
     #[test]
@@ -256,7 +239,6 @@ mod tests {
         let coord = new_coord();
         let a = coord.create_session(&mut sim);
         coord.heartbeat(&mut sim, a);
-        coord.set_data(&mut sim, "/k", b"v".to_vec(), None);
         sim.run();
         assert_eq!(coord.store_ops(), 0);
     }

@@ -1,4 +1,4 @@
-//! Coordinator implementation: sessions, groups, watches, messaging, KV.
+//! Coordinator implementation: sessions, groups, watches, messaging.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -66,7 +66,6 @@ pub type Inbox<M> = Box<dyn FnMut(&mut Sim, M)>;
 struct SessionState {
     expires_at: SimTime,
     groups: Vec<String>,
-    ephemeral_keys: Vec<String>,
 }
 
 /// How coordinator traffic reaches its recipients.
@@ -95,7 +94,6 @@ struct CoordInner<M> {
     groups: BTreeMap<String, Vec<SessionId>>,
     watches: HashMap<String, Vec<GroupWatch>>,
     inboxes: HashMap<SessionId, Inbox<M>>,
-    kv: BTreeMap<String, (Vec<u8>, Option<SessionId>)>,
     messages_delivered: u64,
     messages_dropped: u64,
     /// Store operations charged by the NDB transport (0 for ZooKeeper).
@@ -176,7 +174,6 @@ impl<M: Clone + 'static> Coordinator<M> {
                 groups: BTreeMap::new(),
                 watches: HashMap::new(),
                 inboxes: HashMap::new(),
-                kv: BTreeMap::new(),
                 messages_delivered: 0,
                 messages_dropped: 0,
                 store_ops: 0,
@@ -235,7 +232,6 @@ impl<M: Clone + 'static> Coordinator<M> {
                 SessionState {
                     expires_at: sim.now() + timeout,
                     groups: Vec::new(),
-                    ephemeral_keys: Vec::new(),
                 },
             );
             (id, timeout)
@@ -283,8 +279,7 @@ impl<M: Clone + 'static> Coordinator<M> {
         self.inner.borrow().sessions.contains_key(&id)
     }
 
-    /// Gracefully closes a session, leaving its groups and deleting its
-    /// ephemeral keys. Idempotent.
+    /// Gracefully closes a session, leaving its groups. Idempotent.
     pub fn close_session(&self, sim: &mut Sim, id: SessionId) {
         self.expire(sim, id);
     }
@@ -294,14 +289,6 @@ impl<M: Clone + 'static> Coordinator<M> {
             let mut inner = self.inner.borrow_mut();
             let Some(state) = inner.sessions.remove(&id) else { return };
             inner.inboxes.remove(&id);
-            for key in &state.ephemeral_keys {
-                // The key may have been re-written as persistent or under
-                // another owner since this session touched it; only nodes
-                // this session still owns die with it.
-                if inner.kv.get(key).is_some_and(|(_, owner)| *owner == Some(id)) {
-                    inner.kv.remove(key);
-                }
-            }
             for group in &state.groups {
                 if let Some(members) = inner.groups.get_mut(group) {
                     members.retain(|m| *m != id);
@@ -486,73 +473,4 @@ impl<M: Clone + 'static> Coordinator<M> {
             }
         }
     }
-
-    /// Writes a key-value node; `ephemeral_owner` ties the node's lifetime
-    /// to a session (crash-safe locks, paper §3.6).
-    pub fn set_data(
-        &self,
-        sim: &mut Sim,
-        key: &str,
-        value: Vec<u8>,
-        ephemeral_owner: Option<SessionId>,
-    ) {
-        let charge = {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(owner) = ephemeral_owner {
-                if !inner.sessions.contains_key(&owner) {
-                    return;
-                }
-                inner
-                    .sessions
-                    .get_mut(&owner)
-                    .expect("checked")
-                    .ephemeral_keys
-                    .push(key.to_string());
-            }
-            inner.kv.insert(key.to_string(), (value, ephemeral_owner));
-            match &inner.transport {
-                Transport::InMemory { .. } => None,
-                Transport::Ndb { row_write, .. } => Some(*row_write),
-            }
-        };
-        if let Some(row_write) = charge {
-            let service = sim.rng().sample_duration(&row_write);
-            self.charge_shard(sim, fnv(key), service, |_sim| {});
-        }
-    }
-
-    /// Reads a key-value node.
-    #[must_use]
-    pub fn get_data(&self, key: &str) -> Option<Vec<u8>> {
-        self.inner.borrow().kv.get(key).map(|(v, _)| v.clone())
-    }
-
-    /// Deletes a key-value node, returning whether it existed.
-    pub fn delete_data(&self, sim: &mut Sim, key: &str) -> bool {
-        let (existed, charge) = {
-            let mut inner = self.inner.borrow_mut();
-            let existed = inner.kv.remove(key).is_some();
-            let charge = match &inner.transport {
-                Transport::InMemory { .. } => None,
-                Transport::Ndb { row_write, .. } if existed => Some(*row_write),
-                Transport::Ndb { .. } => None,
-            };
-            (existed, charge)
-        };
-        if let Some(row_write) = charge {
-            let service = sim.rng().sample_duration(&row_write);
-            self.charge_shard(sim, fnv(key), service, |_sim| {});
-        }
-        existed
-    }
-}
-
-/// FNV-1a of a KV key, for shard placement of coordinator rows.
-fn fnv(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

@@ -1,4 +1,4 @@
-//! Model-based property test: the Coordinator's session/group/KV state
+//! Model-based property test: the Coordinator's session/group state
 //! machine against a flat reference model, driven by random operation
 //! sequences over both transports (ZooKeeper-style and NDB event API).
 
@@ -10,7 +10,6 @@ use lambda_sim::{Sim, SimDuration, Station};
 use proptest::prelude::*;
 
 const GROUPS: [&str; 3] = ["nn-deployment-0", "nn-deployment-1", "nn-all"];
-const KEYS: [&str; 3] = ["/locks/a", "/locks/b", "/config/x"];
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -18,9 +17,6 @@ enum Op {
     Close(usize),
     Join(usize, usize),
     Leave(usize, usize),
-    SetEphemeral(usize, usize),
-    SetPersistent(usize),
-    Delete(usize),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -30,21 +26,16 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             (0..8usize).prop_map(Op::Close),
             (0..8usize, 0..GROUPS.len()).prop_map(|(s, g)| Op::Join(s, g)),
             (0..8usize, 0..GROUPS.len()).prop_map(|(s, g)| Op::Leave(s, g)),
-            (0..8usize, 0..KEYS.len()).prop_map(|(s, k)| Op::SetEphemeral(s, k)),
-            (0..KEYS.len()).prop_map(Op::SetPersistent),
-            (0..KEYS.len()).prop_map(Op::Delete),
         ],
         1..60,
     )
 }
 
-/// Reference model: sessions with their groups and ephemeral keys.
+/// Reference model: sessions with their groups.
 #[derive(Default)]
 struct Model {
     alive: BTreeSet<SessionId>,
     groups: BTreeMap<&'static str, Vec<SessionId>>,
-    /// key → ephemeral owner (None = persistent).
-    kv: BTreeMap<&'static str, Option<SessionId>>,
 }
 
 impl Model {
@@ -53,7 +44,6 @@ impl Model {
         for members in self.groups.values_mut() {
             members.retain(|m| *m != s);
         }
-        self.kv.retain(|_, owner| *owner != Some(s));
     }
 }
 
@@ -64,13 +54,6 @@ fn check_model<M: Clone + 'static>(coord: &Coordinator<M>, model: &Model) {
         assert_eq!(members, expect, "membership of {group} diverged");
         // The leader is the longest-lived (minimum-id) member.
         assert_eq!(coord.leader(group), expect.iter().min().copied());
-    }
-    for key in KEYS {
-        assert_eq!(
-            coord.get_data(key).is_some(),
-            model.kv.contains_key(key),
-            "presence of {key} diverged"
-        );
     }
 }
 
@@ -106,21 +89,6 @@ fn drive<M: Clone + 'static>(coord: Coordinator<M>, ops: Vec<Op>) {
                 if let Some(members) = model.groups.get_mut(GROUPS[g]) {
                     members.retain(|m| *m != s);
                 }
-            }
-            Op::SetEphemeral(i, k) if !sessions.is_empty() => {
-                let s = sessions[i % sessions.len()];
-                coord.set_data(&mut sim, KEYS[k], b"v".to_vec(), Some(s));
-                if model.alive.contains(&s) {
-                    model.kv.insert(KEYS[k], Some(s));
-                }
-            }
-            Op::SetPersistent(k) => {
-                coord.set_data(&mut sim, KEYS[k], b"v".to_vec(), None);
-                model.kv.insert(KEYS[k], None);
-            }
-            Op::Delete(k) => {
-                coord.delete_data(&mut sim, KEYS[k]);
-                model.kv.remove(KEYS[k]);
             }
             _ => {} // op on an empty session list
         }

@@ -29,9 +29,9 @@
 //! invalidated stay in the trie (they still route lookups) but cost no LRU
 //! bookkeeping.
 //!
-//! The pre-overhaul implementation is preserved in
-//! [`crate::cache_baseline`]; `tests/cache_differential.rs` holds the two
-//! observationally equal.
+//! `tests/cache_model.rs` states what the cache must do as a path-keyed
+//! model (a `HashMap` of entries, a `VecDeque` LRU) and holds the trie to
+//! it under random operation sequences at random capacities.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

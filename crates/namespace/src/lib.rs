@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-pub mod cache_baseline;
 mod datanode;
 mod inode;
 mod ops;

@@ -48,10 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The reference engine's docs are kept as written, including their link to
-// the private `engine` module they were compared against.
-#[allow(rustdoc::private_intra_doc_links)]
-pub mod baseline;
 mod cost;
 mod engine;
 pub mod fault;

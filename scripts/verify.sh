@@ -11,11 +11,7 @@
 #      allocation gates of step 11, in a debug build).
 #   2. lint: clippy across the workspace, warnings denied; rustdoc across
 #      the workspace, warnings denied (a doc link to a deleted or private
-#      item fails here); and the retained baseline engines
-#      (lambda_sim::baseline, lambda_namespace::cache_baseline) must be
-#      named by no .rs file outside their crates' tests/ — they are the
-#      references the differential proptests compare against, nothing
-#      else.
+#      item fails here).
 #   3. fig10 golden check: the seeded latency-CDF figure must be
 #      byte-identical to results/golden/fig10_latency_cdfs.txt (modulo
 #      the wall-clock line) — the end-to-end determinism contract the
@@ -99,13 +95,6 @@ cargo test -q --offline
 echo "== lint: cargo clippy + cargo doc (deny warnings) =="
 cargo clippy --workspace --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
-if grep -rnE --include='*.rs' \
-        'lambda_sim::baseline|lambda_namespace::cache_baseline' \
-        crates src tests examples benchmark/src stubs \
-        | grep -vE '^crates/[^/]+/tests/|^crates/namespace/src/cache_baseline\.rs:'; then
-    echo "a retained baseline engine is named outside its crate's tests (it is a test reference only)"
-    exit 1
-fi
 
 echo "== fig10 golden check (byte-identical modulo wall-clock) =="
 golden_check fig10_latency_cdfs
