@@ -276,4 +276,37 @@ mod tests {
             vec![GroupEvent::Joined(a), GroupEvent::Joined(b), GroupEvent::Left(a)]
         );
     }
+
+    #[test]
+    fn tear_down_drops_the_handlers_that_hold_the_coordinator() {
+        let mut sim = Sim::new(9);
+        let coord = new_coord();
+        let a = coord.create_session(&mut sim);
+        let b = coord.create_session(&mut sim);
+        // Handlers that answer through the coordinator hold a handle to
+        // it; `held` counts the handlers still alive.
+        let held = Rc::new(());
+        let (inbox_coord, inbox_held) = (coord.clone(), Rc::clone(&held));
+        coord.register_inbox(
+            b,
+            Box::new(move |sim: &mut Sim, msg: String| {
+                let _ = &inbox_held;
+                inbox_coord.send(sim, b, a, msg);
+            }),
+        );
+        let (watch_coord, watch_held) = (coord.clone(), Rc::clone(&held));
+        coord.watch_group(
+            "g",
+            Rc::new(move |_sim: &mut Sim, _ev: GroupEvent| {
+                let _ = (&watch_held, watch_coord.members("g"));
+            }),
+        );
+        assert_eq!(Rc::strong_count(&held), 3);
+        coord.send(&mut sim, a, b, "in flight".to_string());
+        coord.tear_down();
+        assert_eq!(Rc::strong_count(&held), 1, "every handler is dropped");
+        coord.join_group(&mut sim, a, "g");
+        sim.run_until(lambda_sim::SimTime::from_secs(1));
+        assert_eq!(coord.message_stats(), (0, 1), "the in-flight message finds no inbox");
+    }
 }

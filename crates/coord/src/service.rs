@@ -394,6 +394,20 @@ impl<M: Clone + 'static> Coordinator<M> {
         }
     }
 
+    /// Drops every inbox and watch, for the `Drop` of the system that owns
+    /// the coordinator. Handlers usually hold a handle to the coordinator,
+    /// so without this it would keep itself alive. Sessions and groups stay
+    /// as they are; a message or membership event still in flight finds no
+    /// handler and is dropped. Schedules nothing and draws no random number.
+    pub fn tear_down(&self) {
+        let (inboxes, watches) = {
+            let mut inner = self.inner.borrow_mut();
+            (std::mem::take(&mut inner.inboxes), std::mem::take(&mut inner.watches))
+        };
+        // Handlers are user code: they drop unborrowed.
+        drop((inboxes, watches));
+    }
+
     /// Installs the message handler for `id`, replacing any previous one.
     pub fn register_inbox(&self, id: SessionId, inbox: Inbox<M>) {
         self.inner.borrow_mut().inboxes.insert(id, inbox);

@@ -101,6 +101,20 @@ impl CoordCoherence {
         }
     }
 
+    /// The NameNode's metadata cache this endpoint invalidates.
+    #[must_use]
+    pub(crate) fn cache(&self) -> &Rc<RefCell<MetadataCache>> {
+        &self.cache
+    }
+
+    /// Drops every open round without completing it, for the teardown of
+    /// the system: a round's continuation holds the writer's engine, which
+    /// holds this endpoint, so an open round keeps itself alive.
+    pub(crate) fn tear_down(&self) {
+        let rounds = std::mem::take(&mut self.inner.borrow_mut().rounds);
+        drop(rounds);
+    }
+
     /// `(INVs sent, ACKs received)` so far — protocol-overhead reporting.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {

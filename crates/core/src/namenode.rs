@@ -57,9 +57,11 @@ pub struct NnServices {
     pub platform: Rc<RefCell<Option<Platform<NameNode>>>>,
     /// All NameNode deployments, by partition index (late-bound).
     pub deployments: Rc<RefCell<Vec<DeploymentId>>>,
-    /// Every cache ever created by a NameNode of this system (for
-    /// aggregate hit-ratio reporting; includes dead instances' caches).
-    pub cache_registry: Rc<RefCell<Vec<Rc<RefCell<MetadataCache>>>>>,
+    /// Every coherence endpoint a NameNode of this system ever opened,
+    /// dead instances' included, each with its cache: for aggregate cache
+    /// statistics, and so that teardown reaches the rounds a killed
+    /// instance left open.
+    pub endpoints: Rc<RefCell<Vec<CoordCoherence>>>,
 }
 
 impl std::fmt::Debug for NnServices {
@@ -183,13 +185,13 @@ impl Function for NameNode {
             config.cache_capacity,
             LISTING_CACHE_CAPACITY,
         )));
-        services.cache_registry.borrow_mut().push(Rc::clone(&cache));
         let coherence = CoordCoherence::new(
             services.coord.clone(),
             session,
             Rc::clone(&services.partitioner),
             Rc::clone(&cache),
         );
+        services.endpoints.borrow_mut().push(coherence.clone());
         // Incoming INV/ACK traffic.
         let inbox_coherence = coherence.clone();
         services.coord.register_inbox(

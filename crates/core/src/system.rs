@@ -14,6 +14,7 @@ use lambda_store::Db;
 
 use crate::audit::AuditReport;
 use crate::client::ClientLib;
+use crate::coherence::CoordCoherence;
 use crate::config::LambdaFsConfig;
 use crate::fsops::OpDone;
 use crate::messages::CoherenceMsg;
@@ -64,7 +65,7 @@ const LOCK_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// fs.stop(&mut sim);
 /// ```
 pub struct LambdaFs {
-    cache_registry: Rc<RefCell<Vec<Rc<RefCell<lambda_namespace::MetadataCache>>>>>,
+    endpoints: Rc<RefCell<Vec<CoordCoherence>>>,
     config: Rc<LambdaFsConfig>,
     db: Db,
     schema: MetadataSchema,
@@ -125,7 +126,7 @@ impl LambdaFs {
             config: Rc::clone(&config),
             platform: Rc::new(RefCell::new(None)),
             deployments: Rc::new(RefCell::new(Vec::new())),
-            cache_registry: Rc::new(RefCell::new(Vec::new())),
+            endpoints: Rc::new(RefCell::new(Vec::new())),
         };
         let deployments: Vec<DeploymentId> = (0..config.deployments)
             .map(|d| {
@@ -158,7 +159,7 @@ impl LambdaFs {
             Rc::clone(&metrics),
         );
         LambdaFs {
-            cache_registry: Rc::clone(&services.cache_registry),
+            endpoints: Rc::clone(&services.endpoints),
             config,
             db,
             schema,
@@ -180,7 +181,16 @@ impl LambdaFs {
         self.fleet.start(sim);
     }
 
-    /// Stops background activity so the event queue can drain.
+    /// Stops platform maintenance (reclamation and billing) and DataNode
+    /// reporting at their next tick.
+    ///
+    /// It does not stop the loops a warm NameNode runs — heartbeat every
+    /// 1 s, subtree-lock sweep every 20 s, DataNode discovery every 30 s.
+    /// They end with their instance, and with maintenance stopped no idle
+    /// instance is reclaimed, so `stop` followed by [`Sim::run`] does not
+    /// return while a NameNode is warm. To drain a run, run past the idle
+    /// reclaim (30 s by default) before `stop`, as the benchmark's drain
+    /// does. Dropping the system ends every loop at its next tick.
     pub fn stop(&self, _sim: &mut Sim) {
         self.platform.stop_maintenance();
         self.fleet.stop();
@@ -291,8 +301,8 @@ impl LambdaFs {
     #[must_use]
     pub fn cache_stats(&self) -> lambda_namespace::CacheStats {
         let mut total = lambda_namespace::CacheStats::default();
-        for cache in self.cache_registry.borrow().iter() {
-            let s = cache.borrow().stats();
+        for endpoint in self.endpoints.borrow().iter() {
+            let s = endpoint.cache().borrow().stats();
             total.hits += s.hits;
             total.misses += s.misses;
             total.insertions += s.insertions;
@@ -417,6 +427,26 @@ impl LambdaFs {
             )
         });
         report
+    }
+}
+
+/// The last owner of a system tears down what [`LambdaFs::build`] wired
+/// together. The platform's instances and factories, the coordinator's
+/// inboxes and watches, and the work parked in coherence rounds, station
+/// queues and lock queues hold handles back to their owners, so without
+/// this a dropped system would never be freed (DESIGN.md §3.10). Nothing
+/// here schedules an event, draws a random number or bills; operations in
+/// flight never complete, and loops still queued in the simulation end at
+/// their next tick.
+impl Drop for LambdaFs {
+    fn drop(&mut self) {
+        self.fleet.stop();
+        self.platform.tear_down();
+        self.coord.tear_down();
+        for endpoint in self.endpoints.borrow().iter() {
+            endpoint.tear_down();
+        }
+        self.db.tear_down();
     }
 }
 

@@ -695,4 +695,33 @@ mod tests {
         // After reclamation the gauge returns to zero.
         assert_eq!(gauge.points().last().map(|(_, v)| *v), Some(0.0));
     }
+
+    #[test]
+    fn a_torn_down_platform_ends_its_instances_and_refuses_work() {
+        let mut sim = Sim::new(11);
+        let h = harness(64, 1, u32::MAX);
+        h.platform.run_maintenance(&mut sim);
+        let replies = Rc::new(RefCell::new(0));
+        for _ in 0..3 {
+            let replies = Rc::clone(&replies);
+            h.platform.invoke_http(&mut sim, h.deployment, 1, Responder::new(move |_s, _r| {
+                *replies.borrow_mut() += 1;
+            }));
+        }
+        sim.run_until(SimTime::from_secs(5));
+        let instance = h.platform.warm_instances(h.deployment)[0];
+        assert!(h.platform.total_instances() > 0);
+        // One request still on its way to the gateway when the platform goes.
+        h.platform.invoke_http(&mut sim, h.deployment, 1, Responder::new(|_s, _r| {}));
+        h.platform.tear_down();
+        assert_eq!(h.platform.total_instances(), 0);
+        assert!(h.platform.warm_instances(h.deployment).is_empty());
+        assert!(!h.platform.deliver_tcp(&mut sim, instance, 1, Responder::new(|_s, _r| {})));
+        sim.run();
+        assert_eq!(*replies.borrow(), 3);
+        assert_eq!(h.platform.queued_requests(), 0);
+        assert_eq!(h.platform.pending_invocations(), 0);
+        assert!(h.terminated.borrow().is_empty(), "teardown runs no on_terminate");
+        assert_eq!(h.platform.stats().reclaims, 0, "maintenance stopped with the platform");
+    }
 }

@@ -364,9 +364,9 @@ impl<F: Function> Inner<F> {
         deployment: DeploymentId,
         keep: impl Fn(&InstanceState<F>) -> bool,
     ) -> impl Iterator<Item = (InstanceId, &InstanceState<F>)> {
-        self.deployments[deployment.0 as usize]
-            .instances
-            .iter()
+        // No deployment at all once the platform is torn down.
+        let ids = self.deployments.get(deployment.0 as usize).map_or(&[][..], |d| &d.instances);
+        ids.iter()
             .filter_map(|id| self.instances.get(id).map(|st| (*id, st)))
             .filter(move |(_, st)| keep(st))
     }
@@ -558,6 +558,34 @@ impl<F: Function> Platform<F> {
         inner.maintenance += inner.maintenance % 2;
     }
 
+    /// Ends the platform's life, for the `Drop` of the system that owns
+    /// it: stops maintenance, marks every instance dead (so the loops its
+    /// function armed end at their next tick) and drops the instance table,
+    /// the jobs waiting for each instance's CPU, the deployments' factories
+    /// and their queued invocations. Functions and factories usually hold
+    /// a handle to the platform, so without this the platform would keep
+    /// itself alive.
+    ///
+    /// It schedules nothing, draws no random number, calls no
+    /// [`Function::on_terminate`] and bills nothing. Afterwards the platform
+    /// has no deployments: an invocation still on its way to a gateway is
+    /// dropped, a TCP delivery is refused, and the meters and counters keep
+    /// their final values.
+    pub fn tear_down(&self) {
+        let (instances, deployments) = {
+            let mut inner = self.core.inner.borrow_mut();
+            inner.maintenance += inner.maintenance % 2;
+            (std::mem::take(&mut inner.instances), std::mem::take(&mut inner.deployments))
+        };
+        // Functions, factories and the jobs waiting for an instance's CPU
+        // are user code: they drop unborrowed.
+        for st in instances.values() {
+            st.ctx.alive.set(false);
+            Station::abandon_waiting(&st.ctx.cpu);
+        }
+        drop((instances, deployments));
+    }
+
     /// Submits an HTTP invocation through the API gateway. This is the
     /// path that can trigger auto-scaling.
     pub fn invoke_http(
@@ -593,9 +621,10 @@ impl<F: Function> Platform<F> {
         {
             let mut inner = self.core.inner.borrow_mut();
             let enqueued = sim.now();
-            inner.deployments[deployment.0 as usize]
-                .queue
-                .push_back(Queued { req, respond, enqueued });
+            let Some(dep) = inner.deployments.get_mut(deployment.0 as usize) else {
+                return; // the platform was torn down while the request travelled
+            };
+            dep.queue.push_back(Queued { req, respond, enqueued });
         }
         self.drain_queue(sim, deployment);
         self.maybe_scale_out(sim, deployment);

@@ -16,7 +16,8 @@
 //! keeps no record of stations: an in-flight completion is what keeps its
 //! station alive, so a station whose other handles are gone is freed when
 //! its last job ends. A waiting job's completion holds the station too, so
-//! a `Sim` dropped while jobs still wait leaves their station allocated.
+//! a `Sim` dropped while jobs still wait leaves their station allocated
+//! unless its owner drops them with [`Station::abandon_waiting`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -175,6 +176,14 @@ impl Station {
     pub fn set_servers(&mut self, servers: u32) {
         assert!(servers > 0, "a station needs at least one server");
         self.servers = servers;
+    }
+
+    /// Drops every waiting job, completion and `done` callback included,
+    /// without running it; jobs already in service are untouched. For the
+    /// teardown of a system whose simulation will not run them.
+    pub fn abandon_waiting(this: &StationRef) {
+        let waiting = std::mem::take(&mut this.borrow_mut().waiting);
+        drop(waiting);
     }
 
     /// Submits a job requiring `service` time; `done` fires at completion.
@@ -350,5 +359,35 @@ mod tests {
         sim.run();
         assert_eq!(*order.borrow(), vec![(0, 10), (1, 20), (2, 30)]);
         assert!(weak.upgrade().is_none(), "the engine must not keep a finished station alive");
+    }
+
+    #[test]
+    fn abandoned_waiting_jobs_never_run_and_free_their_station() {
+        let station = Station::new("s", 1);
+        let weak = Rc::downgrade(&station);
+        let done = {
+            let mut sim = Sim::new(0);
+            let done = count_jobs(&station, &mut sim, 3, 10);
+            Station::abandon_waiting(&station);
+            assert_eq!(station.borrow().queue_len(), 0);
+            sim.run();
+            done
+        };
+        assert_eq!(done.get(), 1, "only the job in service completes");
+        drop(station);
+        assert!(weak.upgrade().is_none(), "no abandoned job keeps the station alive");
+
+        // Without abandoning, a simulation dropped while two jobs wait
+        // leaves the station alive through their completions.
+        let station = Station::new("s", 1);
+        let weak = Rc::downgrade(&station);
+        let mut sim = Sim::new(0);
+        let _ = count_jobs(&station, &mut sim, 3, 10);
+        drop(sim);
+        drop(station);
+        let leaked = weak.upgrade().expect("waiting jobs hold their station");
+        Station::abandon_waiting(&leaked);
+        drop(leaked);
+        assert!(weak.upgrade().is_none());
     }
 }

@@ -412,6 +412,25 @@ impl Db {
         self.inner.borrow().stats
     }
 
+    /// Drops every parked lock sequence and every job waiting for a shard,
+    /// continuations included, without running them — for the `Drop` of
+    /// the system that owns the store. A continuation usually holds a
+    /// handle to the store, so a store dropped with work parked would keep
+    /// itself alive. Schedules nothing; the transactions and row locks of
+    /// the dropped work stay as they are.
+    pub fn tear_down(&self) {
+        let (seqs, shards) = {
+            let mut inner = self.inner.borrow_mut();
+            let seqs: Vec<PendingSeq> =
+                inner.pending.iter_mut().filter_map(|slot| slot.seq.take()).collect();
+            (seqs, Rc::clone(&inner.shards))
+        };
+        drop(seqs);
+        for shard in shards.iter() {
+            Station::abandon_waiting(shard);
+        }
+    }
+
     /// The shard stations (for utilization reporting).
     #[must_use]
     pub fn shards(&self) -> Vec<StationRef> {
