@@ -345,14 +345,24 @@ impl<M: Clone + 'static> Coordinator<M> {
     /// Current live members of `group`, in join order.
     #[must_use]
     pub fn members(&self, group: &str) -> Vec<SessionId> {
-        self.inner.borrow().groups.get(group).cloned().unwrap_or_default()
+        let mut members = Vec::new();
+        self.extend_members(group, &mut members);
+        members
+    }
+
+    /// Appends the current live members of `group`, in join order, to
+    /// `out` (a caller gathering several groups builds one vector).
+    pub fn extend_members(&self, group: &str, out: &mut Vec<SessionId>) {
+        if let Some(members) = self.inner.borrow().groups.get(group) {
+            out.extend_from_slice(members);
+        }
     }
 
     /// The group's leader: its longest-lived member (ZooKeeper-style
     /// lowest-sequence election), or `None` for an empty group.
     #[must_use]
     pub fn leader(&self, group: &str) -> Option<SessionId> {
-        self.members(group).into_iter().min()
+        self.inner.borrow().groups.get(group)?.iter().min().copied()
     }
 
     /// Registers a persistent watch on `group` membership changes.

@@ -21,7 +21,7 @@
 //! between INV and commit.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use lambda_coord::{Coordinator, SessionId};
@@ -41,13 +41,19 @@ pub fn deployment_group(deployment: u32) -> String {
 type RoundDone = Box<dyn FnOnce(&mut Sim)>;
 
 struct Round {
-    waiting: HashSet<SessionId>,
+    /// Members whose ACK is outstanding, in send order.
+    waiting: Vec<SessionId>,
     done: Option<RoundDone>,
 }
 
 struct CoherenceInner {
     next_round: u64,
-    rounds: HashMap<u64, Round>,
+    /// Open rounds in id order: rounds that drain together (one member
+    /// leaving) fire in the order they were opened, on every run.
+    rounds: BTreeMap<u64, Round>,
+    /// The deployment set `D` of the round being opened; empty between
+    /// rounds, kept for its buffer.
+    deployments: Vec<u32>,
     invs_sent: u64,
     acks_received: u64,
 }
@@ -94,7 +100,8 @@ impl CoordCoherence {
             cache,
             inner: Rc::new(RefCell::new(CoherenceInner {
                 next_round: 0,
-                rounds: HashMap::new(),
+                rounds: BTreeMap::new(),
+                deployments: Vec::new(),
                 invs_sent: 0,
                 acks_received: 0,
             })),
@@ -126,20 +133,20 @@ impl CoordCoherence {
     /// Coordinator inbox).
     pub fn handle(&self, sim: &mut Sim, msg: CoherenceMsg) {
         match msg {
-            CoherenceMsg::Inv { round, from, inodes, listings, listing_updates, prefix } => {
+            CoherenceMsg::Inv { round, from, inv } => {
                 {
                     let mut cache = self.cache.borrow_mut();
-                    for id in inodes {
+                    for &id in &inv.inodes {
                         cache.invalidate_inode(id);
                     }
-                    for dir in listings {
+                    for &dir in &inv.listings {
                         cache.invalidate_listing(dir);
                     }
-                    for (dir, name, present) in listing_updates {
+                    for &(dir, name, present) in &inv.listing_updates {
                         cache.update_listing(dir, name, present);
                     }
-                    if let Some(prefix) = prefix {
-                        cache.invalidate_prefix(&prefix);
+                    if let Some(prefix) = &inv.prefix {
+                        cache.invalidate_prefix(prefix);
                     }
                 }
                 // ACK after invalidating (Algorithm 1, step 2).
@@ -160,7 +167,7 @@ impl CoordCoherence {
             inner.acks_received += 1;
             match inner.rounds.get_mut(&round) {
                 Some(r) => {
-                    r.waiting.remove(&from);
+                    r.waiting.retain(|m| *m != from);
                     if r.waiting.is_empty() {
                         inner.rounds.remove(&round).and_then(|r| r.done)
                     } else {
@@ -176,7 +183,8 @@ impl CoordCoherence {
     }
 
     /// Removes a dead member from every outstanding round (wired to the
-    /// NameNode's membership watches). Completed rounds fire.
+    /// NameNode's membership watches). Completed rounds fire, in round
+    /// order.
     pub fn on_member_left(&self, sim: &mut Sim, member: SessionId) {
         let fired: Vec<RoundDone> = {
             let mut inner = self.inner.borrow_mut();
@@ -184,7 +192,7 @@ impl CoordCoherence {
                 .rounds
                 .iter_mut()
                 .filter_map(|(id, r)| {
-                    r.waiting.remove(&member);
+                    r.waiting.retain(|m| *m != member);
                     r.waiting.is_empty().then_some(*id)
                 })
                 .collect();
@@ -201,19 +209,27 @@ impl CoordCoherence {
 
 impl CoherenceHook for CoordCoherence {
     fn invalidate(&self, sim: &mut Sim, inv: InvalidationSet, done: Box<dyn FnOnce(&mut Sim)>) {
-        // Step 1: the deployment set D.
-        let deployments: BTreeSet<u32> = if inv.prefix.is_some() {
-            (0..self.partitioner.deployments()).collect()
-        } else {
-            inv.paths.iter().map(|p| self.partitioner.deployment_for_path(p)).collect()
-        };
-        // Snapshot live members, excluding ourselves (the leader's own
-        // cache is updated inline by the write path).
-        let members: Vec<SessionId> = deployments
-            .iter()
-            .flat_map(|d| self.coord.members(&self.groups[*d as usize]))
-            .filter(|m| *m != self.session)
-            .collect();
+        // Step 1: the deployment set D, ascending. Then snapshot its live
+        // members, excluding ourselves (the leader's own cache is updated
+        // inline by the write path).
+        let mut members = Vec::new();
+        {
+            let mut inner = self.inner.borrow_mut();
+            let deployments = &mut inner.deployments;
+            if inv.prefix.is_some() {
+                deployments.extend(0..self.partitioner.deployments());
+            } else {
+                deployments
+                    .extend(inv.paths.iter().map(|p| self.partitioner.deployment_for_path(p)));
+                deployments.sort_unstable();
+                deployments.dedup();
+            }
+            for &d in deployments.iter() {
+                self.coord.extend_members(&self.groups[d as usize], &mut members);
+            }
+            deployments.clear();
+        }
+        members.retain(|m| *m != self.session);
         if members.is_empty() {
             sim.schedule(SimDuration::ZERO, done);
             return;
@@ -221,51 +237,67 @@ impl CoherenceHook for CoordCoherence {
         let round = {
             let mut inner = self.inner.borrow_mut();
             inner.next_round += 1;
-            let id = inner.next_round;
-            inner.rounds.insert(
-                id,
-                Round { waiting: members.iter().copied().collect(), done: Some(done) },
-            );
-            id
+            inner.next_round
         };
-        let mut delivered_none = true;
-        for member in members {
-            let sent = self.coord.send(
-                sim,
-                self.session,
-                member,
-                CoherenceMsg::Inv {
-                    round,
-                    from: self.session,
-                    inodes: inv.inodes.clone(),
-                    listings: inv.listings.clone(),
-                    listing_updates: inv.listing_updates.clone(),
-                    prefix: inv.prefix.clone(),
-                },
-            );
-            let mut inner = self.inner.borrow_mut();
-            if sent {
-                inner.invs_sent += 1;
-                delivered_none = false;
-            } else {
-                // Already dead: no ACK required.
-                if let Some(r) = inner.rounds.get_mut(&round) {
-                    r.waiting.remove(&member);
-                }
-            }
-        }
-        // All targets were dead: complete immediately.
-        let fire = {
-            let mut inner = self.inner.borrow_mut();
-            let empty = inner.rounds.get(&round).is_some_and(|r| r.waiting.is_empty());
-            if empty || delivered_none {
-                inner.rounds.remove(&round).and_then(|r| r.done)
-            } else {
-                None
-            }
-        };
-        if let Some(done) = fire {
+        // Step 2: one payload for the whole round. A member already dead
+        // is sent nothing and owes no ACK.
+        let inv = Rc::new(inv);
+        members.retain(|&member| {
+            let msg = CoherenceMsg::Inv { round, from: self.session, inv: Rc::clone(&inv) };
+            self.coord.send(sim, self.session, member, msg)
+        });
+        self.inner.borrow_mut().invs_sent += members.len() as u64;
+        if members.is_empty() {
+            // All targets were dead: complete immediately.
             sim.schedule(SimDuration::ZERO, done);
+        } else {
+            let round_state = Round { waiting: members, done: Some(done) };
+            self.inner.borrow_mut().rounds.insert(round, round_state);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lambda_namespace::DfsPath;
+    use lambda_sim::params::NetParams;
+
+    /// Opens two rounds towards one follower, then lets the follower leave
+    /// before any INV lands: both rounds drain in the same call.
+    fn drained_round_order() -> Vec<u32> {
+        let mut sim = Sim::new(1);
+        let coord: Coordinator<CoherenceMsg> =
+            Coordinator::new(&NetParams::default(), SimDuration::from_secs(60));
+        let (leader, follower) = (coord.create_session(&mut sim), coord.create_session(&mut sim));
+        coord.join_group(&mut sim, follower, &deployment_group(0));
+        let endpoint = CoordCoherence::new(
+            coord,
+            leader,
+            Rc::new(Partitioner::new(1)),
+            Rc::new(RefCell::new(MetadataCache::new(16))),
+        );
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        for round in 1..=2 {
+            let fired = Rc::clone(&fired);
+            let inv = InvalidationSet {
+                inodes: vec![7],
+                paths: vec![DfsPath::root()],
+                ..InvalidationSet::default()
+            };
+            endpoint.invalidate(&mut sim, inv, Box::new(move |_| fired.borrow_mut().push(round)));
+        }
+        endpoint.on_member_left(&mut sim, follower);
+        let order = fired.borrow().clone();
+        order
+    }
+
+    #[test]
+    fn rounds_drained_by_one_leaving_member_fire_in_round_order() {
+        // Each endpoint's round table is built afresh: an order that came
+        // from a per-map hash seed would differ between them.
+        for endpoint in 0..64 {
+            assert_eq!(drained_round_order(), vec![1, 2], "endpoint {endpoint}");
         }
     }
 }

@@ -42,7 +42,7 @@ pub type OpDone = Box<dyn FnOnce(&mut Sim, OpResult)>;
 /// Everything a write must invalidate before it commits, plus the paths
 /// that determine which deployments must be told (§3.5: `D` is the set of
 /// deployments caching at least one piece of affected metadata).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvalidationSet {
     /// Inodes whose cached copies must be dropped.
     pub inodes: Vec<InodeId>,
@@ -51,8 +51,9 @@ pub struct InvalidationSet {
     pub listings: Vec<InodeId>,
     /// In-place listing deltas `(dir, child name, present-after-write)` —
     /// an INV that names the changed child lets caches patch their
-    /// listing instead of dropping it. Names are interned `&'static str`
-    /// so fan-out clones never allocate.
+    /// listing instead of dropping it. Names are interned `&'static str`,
+    /// so building the set copies no string; the round shares one set
+    /// among all its recipients.
     pub listing_updates: Vec<(InodeId, &'static str, bool)>,
     /// Subtree prefix invalidation (Appendix D), if any.
     pub prefix: Option<DfsPath>,
@@ -436,12 +437,11 @@ impl OpEngine {
                 // tuple is built once and reused for the post-lock
                 // revalidation probe below.
                 let child_key = (parent.id, name.key());
-                let mut keys = vec![
+                let keys = [
                     this2.db.lock_key(this2.schema.inodes, &parent.id),
                     this2.db.lock_key(this2.schema.inodes, &new_id),
                     this2.db.lock_key(this2.schema.children, &child_key),
                 ];
-                keys.sort();
                 let txn = this2.db.begin();
                 let this3 = this2.clone();
                 let path2 = path.clone();
@@ -576,12 +576,11 @@ impl OpEngine {
         let parent_path = path.parent().expect("non-root");
         let name = target.name.as_str();
         let child_key = (target.parent, target.name.key());
-        let mut keys = vec![
+        let keys = [
             self.db.lock_key(self.schema.inodes, &target.parent),
             self.db.lock_key(self.schema.inodes, &target.id),
             self.db.lock_key(self.schema.children, &child_key),
         ];
-        keys.sort();
         let txn = self.db.begin();
         let this = self.clone();
         self.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {
@@ -692,17 +691,15 @@ impl OpEngine {
             if !dst_parent.is_dir() {
                 return done(sim, Err(FsError::NotADirectory(dst_parent_path.to_string())));
             }
-            let mut keys = vec![
+            // The store takes each key once: a rename within one
+            // directory locks its parent row once.
+            let keys = [
                 this.db.lock_key(this.schema.inodes, &target.parent),
                 this.db.lock_key(this.schema.inodes, &target.id),
                 this.db.lock_key(this.schema.children, &(target.parent, target.name.key())),
                 this.db.lock_key(this.schema.children, &(dst_parent.id, dst_name.key())),
+                this.db.lock_key(this.schema.inodes, &dst_parent.id),
             ];
-            if dst_parent.id != target.parent {
-                keys.push(this.db.lock_key(this.schema.inodes, &dst_parent.id));
-            }
-            keys.sort();
-            keys.dedup();
             let txn = this.db.begin();
             let this2 = this.clone();
             this.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {

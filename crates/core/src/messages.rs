@@ -1,10 +1,14 @@
 //! Wire types: client↔NameNode RPC payloads and the coherence-protocol
 //! messages exchanged through the Coordinator.
 
+use std::rc::Rc;
+
 use lambda_coord::SessionId;
 use lambda_faas::InstanceId;
-use lambda_namespace::{DfsPath, FsOp, InodeId, OpResult};
+use lambda_namespace::{FsOp, InodeId, OpResult};
 use lambda_store::NameKey;
+
+use crate::fsops::InvalidationSet;
 
 /// Identifies one client process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,16 +127,10 @@ pub enum CoherenceMsg {
         round: u64,
         /// The leader's session (ACK destination).
         from: SessionId,
-        /// Individual inodes to invalidate.
-        inodes: Vec<InodeId>,
-        /// Directories whose cached listings must be dropped wholesale.
-        listings: Vec<InodeId>,
-        /// In-place listing deltas `(dir, child, present-after-write)`;
-        /// child names are interned, so cloning an INV for each broadcast
-        /// recipient copies plain words.
-        listing_updates: Vec<(InodeId, &'static str, bool)>,
-        /// Subtree prefix invalidation (Appendix D), if any.
-        prefix: Option<DfsPath>,
+        /// What to invalidate: built once per round and shared by every
+        /// recipient, so a broadcast to n members allocates one payload,
+        /// not n copies of its vectors.
+        inv: Rc<InvalidationSet>,
     },
     /// Acknowledgement of an `Inv`.
     Ack {

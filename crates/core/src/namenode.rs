@@ -266,7 +266,7 @@ impl Function for NameNode {
                             db.lock(
                                 sim,
                                 txn,
-                                vec![key],
+                                [key],
                                 lambda_store::LockMode::Exclusive,
                                 move |sim, r| {
                                     if r.is_err() {

@@ -204,7 +204,7 @@ impl SubtreeExecutor {
             let lock_key = engine.db.lock_key(engine.schema.subtree_locks, &root.id);
             let this2 = this.clone();
             let path2 = path.clone();
-            engine.db.lock(sim, txn, vec![lock_key], LockMode::Exclusive, move |sim, res| {
+            engine.db.lock(sim, txn, [lock_key], LockMode::Exclusive, move |sim, res| {
                 if res.is_err() {
                     this2.engine.db.abort(sim, txn);
                     return done(sim, Err(FsError::Retryable("subtree lock wait".into())));
@@ -279,7 +279,7 @@ impl SubtreeExecutor {
         let txn = engine.db.begin();
         let key = engine.db.lock_key(engine.schema.subtree_locks, &root_id);
         let engine2 = engine.clone();
-        engine.db.lock(sim, txn, vec![key], LockMode::Exclusive, move |sim, res| {
+        engine.db.lock(sim, txn, [key], LockMode::Exclusive, move |sim, res| {
             if res.is_err() {
                 engine2.db.abort(sim, txn);
                 return done(sim);
@@ -479,8 +479,6 @@ impl SubtreeExecutor {
                     let child_key = (item.parent, item.name);
                     keys.push(engine.db.lock_key(engine.schema.children, &child_key));
                 }
-                keys.sort();
-                keys.dedup();
                 let engine2 = engine.clone();
                 engine.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {
                     if res.is_err() {
@@ -510,12 +508,11 @@ impl OpEngine {
     fn delete_root_for_subtree(&self, sim: &mut Sim, path: DfsPath, root: lambda_namespace::Inode, done: OpDone) {
         // delete_single is private to fsops; replicate the minimal txn
         // here via the same locking discipline.
-        let mut keys = vec![
+        let keys = [
             self.db.lock_key(self.schema.inodes, &root.parent),
             self.db.lock_key(self.schema.inodes, &root.id),
             self.db.lock_key(self.schema.children, &(root.parent, root.name.key())),
         ];
-        keys.sort();
         let txn = self.db.begin();
         let this = self.clone();
         self.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {

@@ -34,8 +34,9 @@
 //! it under random operation sequences at random capacities.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
+
+use lambda_store::MixBuild;
 
 use crate::inode::{Inode, InodeId};
 use crate::ops::Listing;
@@ -79,42 +80,6 @@ impl CacheStats {
 const NIL: u32 = u32::MAX;
 /// The root's slab slot (never freed).
 const ROOT: u32 = 0;
-
-/// Integer-keyed hasher: splitmix64 finalizer over the raw key. The child
-/// map's `(parent, symbol)` keys and `by_id`'s inode ids are single `u64`
-/// writes, so this avoids SipHash entirely on the descent path. Not
-/// collision-resistant: only for keys the program itself assigns.
-#[derive(Debug, Default, Clone)]
-pub struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-integer keys (unused on the hot path).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let mut x = x ^ self.0;
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = x ^ (x >> 31);
-    }
-}
-
-/// `BuildHasher` for maps keyed by program-assigned integers (inode ids,
-/// trie slots, request ids).
-pub type MixBuild = BuildHasherDefault<MixHasher>;
 
 fn child_key(parent: u32, sym: Sym) -> u64 {
     (u64::from(parent) << 32) | u64::from(sym.0)

@@ -101,7 +101,7 @@ impl DataNodeFleet {
         let txn = db.begin();
         let lock = db.lock_key(schema.datanodes, &id);
         let db2 = db.clone();
-        db.lock(sim, txn, vec![lock], LockMode::Exclusive, move |sim, res| {
+        db.lock(sim, txn, [lock], LockMode::Exclusive, move |sim, res| {
             if res.is_err() {
                 // Contention on a heartbeat row: skip this round.
                 db2.abort(sim, txn);

@@ -27,8 +27,9 @@ mod partition;
 mod path;
 mod schema;
 
-pub use cache::{CacheStats, MetadataCache, MixBuild};
+pub use cache::{CacheStats, MetadataCache};
 pub use datanode::DataNodeFleet;
+pub use lambda_store::MixBuild;
 pub use inode::{
     BlockId, BlockInfo, BlockList, DataNodeId, DataNodeInfo, Inode, InodeId, InodeKind,
     ROOT_INODE_ID,

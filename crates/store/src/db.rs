@@ -33,14 +33,23 @@
 //!   lock manager and the shard router copies bytes, not heap blocks.
 //! * Pending lock sequences live in a slab (`Vec<Option<PendingSeq>>` plus
 //!   a free list); slots are generation-tagged so a stale timeout event for
-//!   a recycled slot is recognized and ignored. The `Vec<LockKey>` batches
-//!   of finished sequences are recycled through a pool.
-//! * Batched reads pre-compute a per-shard `(shard, rows)` charge plan in
-//!   a pooled buffer instead of cloning every encoded key into a
-//!   `Vec<Vec<u8>>` and re-hashing it at charge time.
+//!   a recycled slot is recognized and ignored.
+//! * The store owns every lock batch: [`Db::lock`] copies the caller's
+//!   keys (an array, usually) into a `Vec<LockKey>` taken from the store's
+//!   pool, and the batch goes back to that pool when its sequence ends.
+//!   Batches enter the pool only from the pool, so it never holds more
+//!   than the most sequences that were ever in flight at once.
+//! * Batched reads and commits pre-compute a per-shard `(shard, rows)`
+//!   charge plan in a buffer from a second pool of the same kind, instead
+//!   of cloning every encoded key into a `Vec<Vec<u8>>` and re-hashing it
+//!   at charge time.
+//! * A finished transaction's state (undo log, per-shard write counts) is
+//!   cleared and kept for the next [`Db::begin`], and the lock manager
+//!   does the same with each transaction's list of held rows; a row with
+//!   one holder keeps it inline.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::RangeBounds;
 use std::rc::Rc;
 
@@ -51,7 +60,7 @@ use lambda_sim::{Sim, SimDuration, SimTime, Station, StationRef};
 
 use crate::backend::{DurabilityConfig, DurabilityStats, DurableBackend, ShadowWrite};
 use crate::error::{StoreError, StoreResult};
-use crate::key::{EncodedKey, KeyCodec};
+use crate::key::{EncodedKey, KeyCodec, MixBuild};
 use crate::lock::{Acquire, LockKey, LockManager, LockMode, WaiterToken};
 use crate::table::{AnyTable, TableHandle, TableId, TypedTable};
 use crate::txn::{TxnId, TxnPhase, TxnState};
@@ -84,8 +93,8 @@ pub struct DbStats {
 /// Continuation receiving the outcome of a lock acquisition.
 type LockCont = Box<dyn FnOnce(&mut Sim, StoreResult<()>)>;
 
-/// A per-shard batched-read charge plan: `(shard, rows)` pairs in ascending
-/// shard order. Buffers are recycled through `DbInner::plan_pool`.
+/// A per-shard charge plan: `(shard, rows)` pairs in ascending shard
+/// order. Buffers are recycled through `DbInner::plan_pool`.
 type ChargePlan = Vec<(u32, u32)>;
 
 struct PendingSeq {
@@ -125,7 +134,9 @@ fn handle_gen(handle: SeqHandle) -> u32 {
 struct DbInner {
     tables: Vec<Box<dyn AnyTable>>,
     locks: LockManager,
-    txns: HashMap<TxnId, TxnState>,
+    txns: HashMap<TxnId, TxnState, MixBuild>,
+    /// Cleared states of finished transactions, for [`Db::begin`].
+    txn_pool: Vec<TxnState>,
     next_txn: u64,
     shards: Rc<[StationRef]>,
     params: Rc<StoreParams>,
@@ -133,10 +144,11 @@ struct DbInner {
     /// Pending lock-sequence slab; slots are recycled through `seq_free`.
     pending: Vec<SeqSlot>,
     seq_free: Vec<u32>,
-    token_to_seq: HashMap<WaiterToken, SeqHandle>,
-    /// Recycled (cleared) `Vec<LockKey>` batches.
+    token_to_seq: HashMap<WaiterToken, SeqHandle, MixBuild>,
+    /// Cleared lock batches. Only batches taken from here come back, so
+    /// it holds at most as many as were ever in flight at once.
     key_pool: Vec<Vec<LockKey>>,
-    /// Recycled (cleared) charge-plan buffers.
+    /// Cleared charge-plan buffers, bounded the same way.
     plan_pool: Vec<ChargePlan>,
     /// Per-shard row counters used while building a plan; all-zero between
     /// operations.
@@ -206,10 +218,45 @@ impl DbInner {
             .is_some_and(|s| s.gen == handle_gen(handle) && s.seq.is_some())
     }
 
-    /// Recycles a finished sequence's key batch.
+    /// Returns a finished sequence's key batch to the pool it came from.
     fn recycle_keys(&mut self, mut keys: Vec<LockKey>) {
         keys.clear();
         self.key_pool.push(keys);
+    }
+
+    /// Returns a charge plan to the pool it came from.
+    fn recycle_plan(&mut self, mut plan: ChargePlan) {
+        plan.clear();
+        self.plan_pool.push(plan);
+    }
+
+    /// Keeps a finished transaction's state for a later [`Db::begin`].
+    fn retire(&mut self, mut state: TxnState) {
+        state.clear();
+        self.txn_pool.push(state);
+    }
+}
+
+/// Runs a continuation once a fixed number of parallel parts (shard
+/// charges, a sync leg) have completed.
+struct Join<F> {
+    remaining: Cell<usize>,
+    done: Cell<Option<F>>,
+}
+
+impl<F: FnOnce(&mut Sim)> Join<F> {
+    fn new(parts: usize, done: F) -> Rc<Self> {
+        Rc::new(Join { remaining: Cell::new(parts), done: Cell::new(Some(done)) })
+    }
+
+    /// One part completed; the last one runs the continuation.
+    fn arrive(&self, sim: &mut Sim) {
+        self.remaining.set(self.remaining.get() - 1);
+        if self.remaining.get() == 0 {
+            if let Some(done) = self.done.take() {
+                done(sim);
+            }
+        }
     }
 }
 
@@ -260,7 +307,7 @@ fn plan_seal(shard_rows: &mut [u32], plan: &mut ChargePlan) {
 /// let result = Rc::new(RefCell::new(None));
 /// let out = Rc::clone(&result);
 /// let db2 = db.clone();
-/// db.lock(&mut sim, txn, vec![db.lock_key(inodes, &7u64)], LockMode::Exclusive, move |sim, r| {
+/// db.lock(&mut sim, txn, [db.lock_key(inodes, &7u64)], LockMode::Exclusive, move |sim, r| {
 ///     r.unwrap();
 ///     db2.upsert(txn, inodes, 7, "hello".to_string()).unwrap();
 ///     let out = Rc::clone(&out);
@@ -336,14 +383,15 @@ impl Db {
             inner: Rc::new(RefCell::new(DbInner {
                 tables: Vec::new(),
                 locks: LockManager::new(),
-                txns: HashMap::new(),
+                txns: HashMap::default(),
+                txn_pool: Vec::new(),
                 next_txn: 0,
                 shards,
                 params: Rc::new(params.clone()),
                 lock_timeout,
                 pending: Vec::new(),
                 seq_free: Vec::new(),
-                token_to_seq: HashMap::new(),
+                token_to_seq: HashMap::default(),
                 key_pool: Vec::new(),
                 plan_pool: Vec::new(),
                 shard_rows: vec![0; shard_count],
@@ -465,7 +513,8 @@ impl Db {
         let mut inner = self.inner.borrow_mut();
         inner.next_txn += 1;
         let id = TxnId::new(inner.next_txn);
-        inner.txns.insert(id, TxnState::new());
+        let state = inner.txn_pool.pop().unwrap_or_else(TxnState::new);
+        inner.txns.insert(id, state);
         id
     }
 
@@ -485,23 +534,42 @@ impl Db {
         }
     }
 
-    /// Acquires `keys` (which must be sorted and deduplicated) in `mode`
-    /// for `txn`, then calls `cont`.
+    /// Acquires `keys` in `mode` for `txn`, then calls `cont`.
+    ///
+    /// The keys may come in any order and repeat: the store copies them
+    /// into a batch of its own and takes them in sorted [`LockKey`] order,
+    /// each once (the lock-order discipline). Callers pass an array.
     ///
     /// `cont` receives `Err(StoreError::LockTimeout)` if the wait exceeded
     /// the store's lock timeout, in which case the transaction has been
     /// aborted (all its locks released, all its writes undone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` is not sorted/deduplicated (lock-order discipline).
-    pub fn lock<F>(&self, sim: &mut Sim, txn: TxnId, keys: Vec<LockKey>, mode: LockMode, cont: F)
+    pub fn lock<F>(
+        &self,
+        sim: &mut Sim,
+        txn: TxnId,
+        keys: impl IntoIterator<Item = LockKey>,
+        mode: LockMode,
+        cont: F,
+    ) where
+        F: FnOnce(&mut Sim, StoreResult<()>) + 'static,
+    {
+        // The borrow ends before `keys` runs: it may build keys with
+        // `Db::lock_key`.
+        let mut batch = self.inner.borrow_mut().key_pool.pop().unwrap_or_default();
+        batch.extend(keys);
+        batch.sort_unstable();
+        batch.dedup();
+        self.lock_batch(sim, txn, batch, mode, cont);
+    }
+
+    /// [`Db::lock`] for a sorted, deduplicated batch from `key_pool`.
+    fn lock_batch<F>(&self, sim: &mut Sim, txn: TxnId, keys: Vec<LockKey>, mode: LockMode, cont: F)
     where
         F: FnOnce(&mut Sim, StoreResult<()>) + 'static,
     {
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "lock keys must be sorted and unique");
         let check = Self::check_txn(&self.inner.borrow(), txn);
         if let TxnCheck::Fail(e) = check {
+            self.inner.borrow_mut().recycle_keys(keys);
             sim.schedule(SimDuration::ZERO, move |sim| cont(sim, Err(e)));
             return;
         }
@@ -613,6 +681,7 @@ impl Db {
             for undo in state.undo.drain(..).rev() {
                 undo(&mut inner.tables);
             }
+            inner.retire(state);
         }
         granted.extend(inner.locks.release_all(txn));
     }
@@ -709,7 +778,7 @@ impl Db {
             let mut victims: Vec<TxnId> = inner
                 .txns
                 .iter()
-                .filter(|(_, s)| s.writes_per_shard.contains_key(&shard))
+                .filter(|(_, s)| s.wrote(shard))
                 .map(|(id, _)| *id)
                 .collect();
             victims.sort_unstable();
@@ -759,6 +828,13 @@ impl Db {
     #[must_use]
     pub fn pending_seq_count(&self) -> usize {
         self.inner.borrow().pending.iter().filter(|s| s.seq.is_some()).count()
+    }
+
+    /// `(lock batches, charge plans)` held in the store's pools.
+    #[cfg(test)]
+    pub(crate) fn pool_lens(&self) -> (usize, usize) {
+        let inner = self.inner.borrow();
+        (inner.key_pool.len(), inner.plan_pool.len())
     }
 
     /// Number of shards in the store.
@@ -938,9 +1014,8 @@ impl Db {
         self.with_table(table, |t| t.count_range(range))
     }
 
-    fn recycle_plan(&self, mut plan: ChargePlan) {
-        plan.clear();
-        self.inner.borrow_mut().plan_pool.push(plan);
+    fn recycle_plan(&self, plan: ChargePlan) {
+        self.inner.borrow_mut().recycle_plan(plan);
     }
 
     /// Charges one batched read according to `plan` (ascending shard
@@ -968,21 +1043,14 @@ impl Db {
                 Station::submit(&shards[shard as usize], sim, service, done);
             }
             n => {
-                let remaining = Rc::new(Cell::new(n));
-                let done = Rc::new(RefCell::new(Some(done)));
+                let join = Join::new(n, done);
                 for &(shard, rows) in &plan {
                     let service = sim.rng().sample_duration(&params.batch_read)
                         + sim.rng().sample_duration(&params.batch_row_extra)
                             * u64::from(rows.saturating_sub(1));
-                    let remaining = Rc::clone(&remaining);
-                    let done = Rc::clone(&done);
+                    let join = Rc::clone(&join);
                     Station::submit(&shards[shard as usize], sim, service, move |sim| {
-                        remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            if let Some(done) = done.borrow_mut().take() {
-                                done(sim);
-                            }
-                        }
+                        join.arrive(sim);
                     });
                 }
                 self.recycle_plan(plan);
@@ -1010,20 +1078,11 @@ impl Db {
             return;
         }
         let per_shard = rows.div_ceil(shards.len() as u64);
-        let remaining = Rc::new(Cell::new(shards.len()));
-        let done = Rc::new(RefCell::new(Some(done)));
+        let join = Join::new(shards.len(), done);
         for station in shards.iter() {
             let service = sim.rng().sample_duration(&params.lock_round) * per_shard;
-            let remaining = Rc::clone(&remaining);
-            let done = Rc::clone(&done);
-            Station::submit(station, sim, service, move |sim| {
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    if let Some(done) = done.borrow_mut().take() {
-                        done(sim);
-                    }
-                }
-            });
+            let join = Rc::clone(&join);
+            Station::submit(station, sim, service, move |sim| join.arrive(sim));
         }
     }
 
@@ -1074,8 +1133,7 @@ impl Db {
                 // transaction, as an NDB client does after a data-node loss.
                 inner.stats.unavailable_errors += 1;
                 inner.recycle_keys(lock_keys);
-                plan.clear();
-                inner.plan_pool.push(plan);
+                inner.recycle_plan(plan);
                 let mut granted = Vec::new();
                 Self::abort_in(&mut inner, txn, &mut granted);
                 drop(inner);
@@ -1088,7 +1146,7 @@ impl Db {
             (lock_keys, plan)
         };
         let db = self.clone();
-        self.lock(sim, txn, lock_keys, mode, move |sim, res| match res {
+        self.lock_batch(sim, txn, lock_keys, mode, move |sim, res| match res {
             Err(e) => {
                 db.recycle_plan(plan);
                 cont(sim, Err(e));
@@ -1217,21 +1275,12 @@ impl Db {
             (Rc::clone(&inner.shards), Rc::clone(&inner.params))
         };
         let per_shard_rows = (rows as u64).div_ceil(shards.len() as u64);
-        let remaining = Rc::new(Cell::new(shards.len()));
-        let finish = Rc::new(RefCell::new(Some(finish)));
+        let join = Join::new(shards.len(), finish);
         for station in shards.iter() {
             let service = sim.rng().sample_duration(&params.batch_read)
                 + sim.rng().sample_duration(&params.batch_row_extra) * per_shard_rows;
-            let remaining = Rc::clone(&remaining);
-            let finish = Rc::clone(&finish);
-            Station::submit(station, sim, service, move |sim| {
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    if let Some(finish) = finish.borrow_mut().take() {
-                        finish(sim);
-                    }
-                }
-            });
+            let join = Rc::clone(&join);
+            Station::submit(station, sim, service, move |sim| join.arrive(sim));
         }
     }
 
@@ -1278,7 +1327,7 @@ impl Db {
         inner.stats.rows_written += 1;
         let log_writes = inner.durable.is_some();
         let state = inner.txns.get_mut(&txn).expect("checked above");
-        *state.writes_per_shard.entry(shard).or_default() += 1;
+        state.note_write(shard);
         if log_writes {
             state.shadow_log.push(ShadowWrite {
                 table: table.id(),
@@ -1343,7 +1392,7 @@ impl Db {
         inner.stats.rows_written += 1;
         let log_writes = inner.durable.is_some();
         let state = inner.txns.get_mut(&txn).expect("checked above");
-        *state.writes_per_shard.entry(shard).or_default() += 1;
+        state.note_write(shard);
         if log_writes {
             state.shadow_log.push(ShadowWrite {
                 table: table.id(),
@@ -1375,46 +1424,48 @@ impl Db {
     where
         F: FnOnce(&mut Sim, StoreResult<()>) + 'static,
     {
-        // Claim the write set without cloning it; the undo log stays in
+        // Claim the write set into a pooled plan; the undo log stays in
         // place until `finish`, so a concurrent abort still rolls back.
         let (writes, sync_at, granted) = {
             let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
             let now = sim.now();
             let mut granted = Vec::new();
             let mut sync_at = None;
-            let writes: Result<BTreeMap<u32, u32>, StoreError> =
-                match Self::check_txn(&inner, txn) {
-                    TxnCheck::Fail(e) => Err(e),
-                    TxnCheck::Ok => {
-                        let state = inner.txns.get_mut(&txn).expect("checked");
-                        let writes = std::mem::take(&mut state.writes_per_shard);
-                        let shadow = std::mem::take(&mut state.shadow_log);
-                        match writes
-                            .keys()
-                            .copied()
-                            .find(|&s| Self::shard_is_down(&inner, now, s as usize))
-                        {
-                            Some(shard) => {
-                                // The coordinator cannot reach a written
-                                // shard: the commit fails and the undo log
-                                // rolls the transaction back.
-                                inner.stats.unavailable_errors += 1;
-                                Self::abort_in(&mut inner, txn, &mut granted);
-                                Err(StoreError::ShardUnavailable { shard })
-                            }
-                            None => {
-                                // WAL-ordered commit: the redo records go
-                                // to the log now; they become durable at
-                                // the group-commit boundary returned here.
-                                sync_at = inner
-                                    .durable
-                                    .as_mut()
-                                    .and_then(|d| d.begin_commit(now, txn, shadow));
-                                Ok(writes)
-                            }
+            let writes: Result<ChargePlan, StoreError> = match Self::check_txn(inner, txn) {
+                TxnCheck::Fail(e) => Err(e),
+                TxnCheck::Ok => {
+                    let state = inner.txns.get_mut(&txn).expect("checked");
+                    let mut writes = inner.plan_pool.pop().unwrap_or_default();
+                    writes.append(&mut state.writes_per_shard);
+                    let shadow = std::mem::take(&mut state.shadow_log);
+                    match writes
+                        .iter()
+                        .map(|&(s, _)| s)
+                        .find(|&s| Self::shard_is_down(inner, now, s as usize))
+                    {
+                        Some(shard) => {
+                            // The coordinator cannot reach a written
+                            // shard: the commit fails and the undo log
+                            // rolls the transaction back.
+                            inner.stats.unavailable_errors += 1;
+                            inner.recycle_plan(writes);
+                            Self::abort_in(inner, txn, &mut granted);
+                            Err(StoreError::ShardUnavailable { shard })
+                        }
+                        None => {
+                            // WAL-ordered commit: the redo records go
+                            // to the log now; they become durable at
+                            // the group-commit boundary returned here.
+                            sync_at = inner
+                                .durable
+                                .as_mut()
+                                .and_then(|d| d.begin_commit(now, txn, shadow));
+                            Ok(writes)
                         }
                     }
-                };
+                }
+            };
             (writes, sync_at, granted)
         };
         self.dispatch_grants(sim, granted);
@@ -1436,10 +1487,11 @@ impl Db {
                     // rolled the transaction back through its undo log, so
                     // only the error delivery is left.
                     inner.stats.unavailable_errors += 1;
-                } else if inner.txns.remove(&txn).is_some() {
+                } else if let Some(state) = inner.txns.remove(&txn) {
                     // Undo log dropped with the state: the writes are
                     // durable.
                     inner.stats.commits += 1;
+                    inner.retire(state);
                 }
                 (inner.locks.release_all(txn), lost)
             };
@@ -1450,6 +1502,7 @@ impl Db {
             }
         };
         if writes.is_empty() {
+            self.recycle_plan(writes);
             finish(sim);
             return;
         }
@@ -1463,32 +1516,19 @@ impl Db {
             let inner = self.inner.borrow();
             (Rc::clone(&inner.shards), Rc::clone(&inner.params))
         };
-        let coordinator = *writes
-            .keys()
-            .nth((txn.raw() % writes.len() as u64) as usize)
-            .expect("non-empty write set");
-        let remaining = Rc::new(Cell::new(writes.len() + usize::from(sync_at.is_some())));
-        let finish = Rc::new(RefCell::new(Some(finish)));
-        for (&shard, &rows) in &writes {
+        let coordinator = writes[(txn.raw() % writes.len() as u64) as usize].0;
+        let join = Join::new(writes.len() + usize::from(sync_at.is_some()), finish);
+        for &(shard, rows) in &writes {
             let mut service = sim.rng().sample_duration(&params.row_write) * u64::from(rows);
             if shard == coordinator {
                 service += sim.rng().sample_duration(&params.commit);
             }
-            let remaining = Rc::clone(&remaining);
-            let finish = Rc::clone(&finish);
-            Station::submit(&shards[shard as usize], sim, service, move |sim| {
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    if let Some(finish) = finish.borrow_mut().take() {
-                        finish(sim);
-                    }
-                }
-            });
+            let join = Rc::clone(&join);
+            Station::submit(&shards[shard as usize], sim, service, move |sim| join.arrive(sim));
         }
+        self.recycle_plan(writes);
         if let Some(at) = sync_at {
             let db = self.clone();
-            let remaining = Rc::clone(&remaining);
-            let finish = Rc::clone(&finish);
             sim.schedule_at(at, move |sim| {
                 db.inner
                     .borrow_mut()
@@ -1496,12 +1536,7 @@ impl Db {
                     .as_mut()
                     .expect("only a durable store syncs")
                     .sync_boundary();
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    if let Some(finish) = finish.borrow_mut().take() {
-                        finish(sim);
-                    }
-                }
+                join.arrive(sim);
             });
         }
     }

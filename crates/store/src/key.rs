@@ -10,7 +10,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A type usable as a table primary key.
 ///
@@ -295,10 +295,60 @@ impl PartialOrd for EncodedKey {
 }
 
 impl Hash for EncodedKey {
+    /// The length, then the bytes a little-endian word at a time (the last
+    /// word zero-padded): a [`MixHasher`] mixes every word it is given.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        let bytes = self.as_slice();
+        state.write_u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            state.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            state.write_u64(u64::from_le_bytes(word));
+        }
     }
 }
+
+/// Integer-keyed hasher: a splitmix64 round per word written. The cache's
+/// child map hashes one packed `u64` per trie step, inode ids and request
+/// ids one or two words, the lock table's [`EncodedKey`]s a few words, so
+/// no SipHash runs on those paths. Not collision-resistant: only for keys
+/// the program itself builds.
+#[derive(Debug, Default, Clone)]
+pub struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Fallback for keys that are not words (unused on the hot paths).
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let mut x = x ^ self.0;
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = x ^ (x >> 31);
+    }
+}
+
+/// `BuildHasher` for maps keyed by program-built integers and keys (inode
+/// ids, trie slots, request ids, transaction ids, waiter tokens, row locks).
+pub type MixBuild = BuildHasherDefault<MixHasher>;
 
 impl fmt::Debug for EncodedKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -36,7 +36,7 @@ pub use backend::{DurabilityConfig, DurabilityStats};
 pub use db::{Db, DbStats};
 pub use lambda_lsm::{LsmConfig, LsmStats};
 pub use error::{StoreError, StoreResult};
-pub use key::{EncodedKey, KeyCodec, NameEntry, NameKey};
+pub use key::{EncodedKey, KeyCodec, MixBuild, MixHasher, NameEntry, NameKey};
 pub use lock::{LockKey, LockMode};
 pub use table::{TableHandle, TableId};
 pub use txn::TxnId;
@@ -654,5 +654,41 @@ mod tests {
         }
         sim.run();
         assert_eq!(db.peek(t, &0), Some(2));
+    }
+
+    #[test]
+    fn lock_and_plan_pools_hold_no_more_buffers_than_were_in_flight() {
+        // 10 000 one-row write transactions and 1 000 locked reads, one at
+        // a time: at most one lock batch and one charge plan are ever in
+        // use, so neither pool may hold more. The writers hand the store
+        // vectors of their own; the store must not keep those.
+        let mut sim = Sim::new(9);
+        let db = new_db();
+        let t = db.create_table::<u64, u64>("t");
+        let mut most = (0, 0);
+        for i in 0..10_000u64 {
+            let txn = db.begin();
+            let db2 = db.clone();
+            let key = i % 64;
+            db.lock(&mut sim, txn, vec![db.lock_key(t, &key)], LockMode::Exclusive, move |sim, r| {
+                r.unwrap();
+                db2.upsert(txn, t, key, i).unwrap();
+                db2.commit(sim, txn, |_s, r| r.unwrap());
+            });
+            sim.run();
+            if i % 10 == 0 {
+                let reader = db.begin();
+                let db2 = db.clone();
+                db.read_locked(&mut sim, reader, t, vec![key], LockMode::Shared, move |sim, r| {
+                    assert_eq!(r.unwrap(), vec![Some(i)]);
+                    db2.commit(sim, reader, |_s, r| r.unwrap());
+                });
+                sim.run();
+            }
+            let (keys, plans) = db.pool_lens();
+            most = (most.0.max(keys), most.1.max(plans));
+        }
+        assert!(most.0 <= 1 && most.1 <= 1, "pools reached {most:?} (lock batches, plans)");
+        assert_eq!(db.stats().commits, 11_000);
     }
 }

@@ -16,7 +16,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use crate::key::EncodedKey;
+use crate::key::{EncodedKey, MixBuild};
 use crate::table::TableId;
 use crate::txn::TxnId;
 
@@ -65,11 +65,53 @@ struct Waiter {
     token: WaiterToken,
 }
 
+/// The holders of one row. Invariant: either any number of `Shared`
+/// entries or exactly one `Exclusive` entry. The first holder sits inline,
+/// so a row with one holder — every exclusive lock — allocates nothing.
+#[derive(Debug, Default)]
+struct Holders {
+    first: Option<(TxnId, LockMode)>,
+    /// Co-holders of a shared lock; empty while `first` is `None`.
+    rest: Vec<(TxnId, LockMode)>,
+}
+
+impl Holders {
+    fn iter(&self) -> impl Iterator<Item = &(TxnId, LockMode)> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// Whether nobody but `txn` holds the row.
+    fn none_but(&self, txn: TxnId) -> bool {
+        self.rest.is_empty() && self.first.is_none_or(|(t, _)| t == txn)
+    }
+
+    /// Makes `txn` a holder in at least `mode`.
+    fn grant(&mut self, txn: TxnId, mode: LockMode) {
+        match self.first.iter_mut().chain(&mut self.rest).find(|(t, _)| *t == txn) {
+            Some(entry) => entry.1 = entry.1.max(mode),
+            None => match self.first {
+                None => self.first = Some((txn, mode)),
+                Some(_) => self.rest.push((txn, mode)),
+            },
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) {
+        if self.first.is_some_and(|(t, _)| t == txn) {
+            self.first = self.rest.pop();
+        } else {
+            self.rest.retain(|(t, _)| *t != txn);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct LockState {
-    /// Current holders. Invariant: either any number of `Shared` entries or
-    /// exactly one `Exclusive` entry.
-    holders: Vec<(TxnId, LockMode)>,
+    holders: Holders,
     waiters: VecDeque<Waiter>,
 }
 
@@ -82,19 +124,14 @@ impl LockState {
     /// This is the test for the waiter at the *front* of the queue.
     fn compatible_with_holders(&self, txn: TxnId, mode: LockMode) -> bool {
         match mode {
-            LockMode::Exclusive => {
-                self.holders.is_empty() || (self.holders.len() == 1 && self.holders[0].0 == txn)
-            }
+            LockMode::Exclusive => self.holders.none_but(txn),
             LockMode::Shared => self.holders.iter().all(|(_, m)| *m == LockMode::Shared),
         }
     }
 
     fn grantable(&self, txn: TxnId, mode: LockMode) -> bool {
         match mode {
-            LockMode::Exclusive => {
-                self.holders.is_empty()
-                    || (self.holders.len() == 1 && self.holders[0].0 == txn)
-            }
+            LockMode::Exclusive => self.holders.none_but(txn),
             LockMode::Shared => {
                 let no_x_holder =
                     self.holders.iter().all(|(_, m)| *m == LockMode::Shared);
@@ -109,20 +146,29 @@ impl LockState {
             }
         }
     }
+}
 
-    fn grant(&mut self, txn: TxnId, mode: LockMode) {
-        match self.holders.iter_mut().find(|(t, _)| *t == txn) {
-            Some(entry) => entry.1 = entry.1.max(mode),
-            None => self.holders.push((txn, mode)),
-        }
+/// Which rows each transaction holds, for [`LockManager::release_all`].
+#[derive(Debug, Default)]
+struct HeldBy {
+    rows: HashMap<TxnId, Vec<LockKey>, MixBuild>,
+    /// Cleared row lists of finished transactions, handed to the next
+    /// ones: never more lists than transactions ever held locks at once.
+    spare: Vec<Vec<LockKey>>,
+}
+
+impl HeldBy {
+    fn note(&mut self, txn: TxnId, key: &LockKey) {
+        let spare = &mut self.spare;
+        self.rows.entry(txn).or_insert_with(|| spare.pop().unwrap_or_default()).push(key.clone());
     }
 }
 
 /// Tracks all row locks and waiter queues.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    locks: HashMap<LockKey, LockState>,
-    held_by: HashMap<TxnId, Vec<LockKey>>,
+    locks: HashMap<LockKey, LockState, MixBuild>,
+    held_by: HeldBy,
     next_token: WaiterToken,
 }
 
@@ -161,9 +207,9 @@ impl LockManager {
         }
         if state.grantable(txn, mode) {
             let newly = state.holder_mode(txn).is_none();
-            state.grant(txn, mode);
+            state.holders.grant(txn, mode);
             if newly {
-                self.held_by.entry(txn).or_default().push(key.clone());
+                self.held_by.note(txn, key);
             }
             (Acquire::Granted, 0)
         } else {
@@ -202,23 +248,24 @@ impl LockManager {
     /// that are granted as a result (in grant order).
     pub fn release_all(&mut self, txn: TxnId) -> Vec<WaiterToken> {
         let mut granted = Vec::new();
-        let keys = self.held_by.remove(&txn).unwrap_or_default();
-        for key in keys {
+        let Some(mut keys) = self.held_by.rows.remove(&txn) else { return granted };
+        for key in keys.drain(..) {
             if let Some(state) = self.locks.get_mut(&key) {
-                state.holders.retain(|(t, _)| *t != txn);
+                state.holders.remove(txn);
                 Self::pump(state, &mut self.held_by, &key, &mut granted);
                 if state.holders.is_empty() && state.waiters.is_empty() {
                     self.locks.remove(&key);
                 }
             }
         }
+        self.held_by.spare.push(keys);
         granted
     }
 
     /// Grants as many queued waiters as compatibility allows.
     fn pump(
         state: &mut LockState,
-        held_by: &mut HashMap<TxnId, Vec<LockKey>>,
+        held_by: &mut HeldBy,
         key: &LockKey,
         granted: &mut Vec<WaiterToken>,
     ) {
@@ -231,9 +278,9 @@ impl LockManager {
             }
             let w = state.waiters.pop_front().expect("front exists");
             let newly = state.holder_mode(w.txn).is_none();
-            state.grant(w.txn, w.mode);
+            state.holders.grant(w.txn, w.mode);
             if newly {
-                held_by.entry(w.txn).or_default().push(key.clone());
+                held_by.note(w.txn, key);
             }
             granted.push(w.token);
         }

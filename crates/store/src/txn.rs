@@ -1,6 +1,5 @@
 //! Transaction identity and per-transaction bookkeeping.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies one transaction within a [`Db`](crate::Db).
@@ -37,13 +36,16 @@ pub(crate) enum TxnPhase {
     Aborted,
 }
 
-/// Per-transaction state tracked by the [`Db`](crate::Db).
+/// Per-transaction state tracked by the [`Db`](crate::Db). A finished
+/// transaction's state is cleared and handed to a later one, so its
+/// buffers are allocated once, not per transaction.
 pub(crate) struct TxnState {
     pub(crate) phase: TxnPhase,
     /// Undo log, applied in reverse on abort.
     pub(crate) undo: Vec<UndoOp>,
-    /// Rows written per shard (drives the commit capacity charge).
-    pub(crate) writes_per_shard: BTreeMap<u32, u32>,
+    /// Rows written per shard, `(shard, rows)` in ascending shard order
+    /// (drives the commit capacity charge).
+    pub(crate) writes_per_shard: Vec<(u32, u32)>,
     /// Write set in program order, handed to the durable backend's WAL at
     /// commit time. Stays empty under the in-memory backend.
     pub(crate) shadow_log: Vec<crate::backend::ShadowWrite>,
@@ -54,9 +56,32 @@ impl TxnState {
         TxnState {
             phase: TxnPhase::Active,
             undo: Vec::new(),
-            writes_per_shard: BTreeMap::new(),
+            writes_per_shard: Vec::new(),
             shadow_log: Vec::new(),
         }
+    }
+
+    /// Counts one row written on `shard`.
+    pub(crate) fn note_write(&mut self, shard: u32) {
+        match self.writes_per_shard.binary_search_by_key(&shard, |&(s, _)| s) {
+            Ok(i) => self.writes_per_shard[i].1 += 1,
+            Err(i) => self.writes_per_shard.insert(i, (shard, 1)),
+        }
+    }
+
+    /// Whether the transaction has written `shard` (and not yet started
+    /// to commit).
+    pub(crate) fn wrote(&self, shard: u32) -> bool {
+        self.writes_per_shard.binary_search_by_key(&shard, |&(s, _)| s).is_ok()
+    }
+
+    /// Empties the state for a later transaction, keeping its buffers.
+    /// Undo entries still present are dropped unrun: the writes stand.
+    pub(crate) fn clear(&mut self) {
+        self.phase = TxnPhase::Active;
+        self.undo.clear();
+        self.writes_per_shard.clear();
+        self.shadow_log.clear();
     }
 }
 
@@ -84,9 +109,13 @@ mod tests {
     #[test]
     fn txn_state_counts_writes() {
         let mut st = TxnState::new();
-        *st.writes_per_shard.entry(0).or_default() += 2;
-        *st.writes_per_shard.entry(3).or_default() += 1;
-        assert_eq!(st.writes_per_shard.values().sum::<u32>(), 3);
+        for shard in [3, 0, 0] {
+            st.note_write(shard);
+        }
+        assert_eq!(st.writes_per_shard, vec![(0, 2), (3, 1)]);
+        assert!(st.wrote(3) && !st.wrote(1));
         assert_eq!(st.phase, TxnPhase::Active);
+        st.clear();
+        assert!(st.writes_per_shard.is_empty() && !st.wrote(0));
     }
 }

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Symbolizes sigprof.c captures: self and inclusive tables, and a top-down tree.
+"""Symbolizes sigprof.c and allocsample.c captures: self and inclusive tables, and a top-down tree.
 
     symbolize.py [--root NAME] [--by-module] capture.<pid> ...
+
+A capture line is one sample. A line may start with `=N`: it then stands
+for N samples (allocsample.c writes one line per distinct stack, weighted
+by its sampled allocations or by its bytes live at the heap's peak; its
+`UNIT` line names what the weights count, and its `NOTE` line is printed).
 
 Addresses in the executable are resolved through `addr2line -f -C -i`
 (inlined frames count as frames). Shared objects carry no debug info here,
@@ -48,12 +53,14 @@ def clean(name):
 
 
 def read_capture(path):
-    """Returns (samples, ifuncs, exe, maps).
+    """Returns (samples, ifuncs, exe, maps, unit, notes).
 
-    A sample is [ip, word at sp, return addresses innermost first]; ifuncs is
-    sorted (address, name); maps is sorted (start, end, load bias, file).
+    A sample is (weight, [ip, word at sp, return addresses innermost first]);
+    ifuncs is sorted (address, name); maps is sorted (start, end, load bias,
+    file); unit names what a weight counts.
     """
     samples, ifuncs, exe, maps, bases = [], [], "", [], {}
+    unit, notes = "samples", []
     with open(path) as f:
         lines = iter(f)
         for line in lines:
@@ -64,8 +71,15 @@ def read_capture(path):
                 ifuncs.append((int(fields[2], 16), fields[1]))
             elif fields[:1] == ["EXE"]:
                 exe = line[4:].rstrip("\n")
+            elif fields[:1] == ["UNIT"]:
+                unit = line[5:].strip()
+            elif fields[:1] == ["NOTE"]:
+                notes.append(line[5:].strip())
             elif fields:
-                samples.append([int(a, 16) for a in fields])
+                weight = 1
+                if fields[0].startswith("="):
+                    weight = int(fields.pop(0)[1:])
+                samples.append((weight, [int(a, 16) for a in fields]))
         for line in lines:
             fields = line.split()
             if len(fields) < 6 or not fields[5].startswith("/"):
@@ -75,7 +89,7 @@ def read_capture(path):
             base = bases.setdefault(fields[5], start - int(fields[2], 16))
             if "x" in fields[1]:
                 maps.append((start, end, base, fields[5]))
-    return samples, sorted(ifuncs), exe, sorted(maps)
+    return samples, sorted(ifuncs), exe, sorted(maps), unit, notes
 
 
 def object_of(addr, maps, starts):
@@ -184,16 +198,16 @@ def owner(stack):
     return "std / runtime"
 
 
-def by_module(stacks, title):
+def by_module(stacks, title, unit):
     setup = collections.Counter()
     window = collections.Counter()
-    for s in stacks:
-        (setup if any(SETUP in f for f in s) else window)[owner(s)] += 1
+    for s, w in stacks:
+        (setup if any(SETUP in f for f in s) else window)[owner(s)] += w
     n_setup, n_window = sum(setup.values()), sum(window.values())
     total = n_setup + n_window
     if not total:
         return
-    print(f"\n== self by module{title}: {total} samples, set-up {n_setup} "
+    print(f"\n== self by module{title}: {total} {unit}, set-up {n_setup} "
           f"({100 * n_setup / total:.2f}%), measured window {n_window} ==")
     print(f"{'window %':>9} {'window':>7} {'set-up %':>9} {'set-up':>7}  module")
     pct = lambda n, of: 100 * n / of if of else 0.0
@@ -212,49 +226,56 @@ def main():
                     help="print self samples by crate and module, set-up and measured window apart")
     args = ap.parse_args()
 
-    stacks = []  # outermost first, function names
+    stacks = []  # (function names outermost first, weight)
+    unit = "samples"
     for path in args.captures:
-        samples, ifuncs, exe, maps = read_capture(path)
+        samples, ifuncs, exe, maps, unit, notes = read_capture(path)
+        for note in notes:
+            print(f"{path}: {note}")
         starts = [m[0] for m in maps]
         chains = []
-        for ip, at_sp, *returns in samples:
+        for weight, (ip, at_sp, *returns) in samples:
             leaf, caller = object_of(ip, maps, starts), object_of(at_sp, maps, starts)
             if leaf and leaf[3] != exe and caller and at_sp not in returns[:1]:
                 returns.insert(0, at_sp)
             # A return address points past its call: step back into it.
-            chains.append([ip] + [a - 1 for a in returns])
-        frames = symbolize({a for c in chains for a in c}, ifuncs, exe, maps)
-        for c in chains:
-            stacks.append([f for a in c for f in frames[a]][::-1])
-    total = len(stacks)
+            chains.append((weight, [ip] + [a - 1 for a in returns]))
+        frames = symbolize({a for _, c in chains for a in c}, ifuncs, exe, maps)
+        for weight, c in chains:
+            stacks.append(([f for a in c for f in frames[a]][::-1], weight))
+    total = sum(w for _, w in stacks)
     if not total:
         sys.exit("no samples")
 
-    self_count = collections.Counter(s[-1] for s in stacks)
-    incl_count = collections.Counter(f for s in stacks for f in set(s))
+    self_count, incl_count = collections.Counter(), collections.Counter()
+    for s, w in stacks:
+        self_count[s[-1]] += w
+        for f in set(s):
+            incl_count[f] += w
     for title, table in (("self", self_count), ("inclusive", incl_count)):
-        print(f"\n== {title}: top {TOP} of {total} samples ==")
+        print(f"\n== {title}: top {TOP} of {total} {unit} ==")
         for name, n in table.most_common(TOP):
             print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
 
     if args.by_module:
-        by_module(stacks, "")
+        by_module(stacks, "", unit)
         if args.root:
-            by_module([s for s in stacks if any(args.root in f for f in s)], f" below {args.root!r}")
+            by_module([(s, w) for s, w in stacks if any(args.root in f for f in s)],
+                      f" below {args.root!r}", unit)
 
     if args.root:
         tree = lambda: {"n": 0, "kids": collections.defaultdict(tree)}
         root, reached = tree(), 0
-        for s in stacks:
+        for s, w in stacks:
             at = next((i for i, f in enumerate(s) if args.root in f), None)
             if at is None:
                 continue
-            reached += 1
+            reached += w
             node = root
             for f in s[at:]:
                 node = node["kids"][f]
-                node["n"] += 1
-        print(f"\n== below {args.root!r}: {reached} of {total} samples "
+                node["n"] += w
+        print(f"\n== below {args.root!r}: {reached} of {total} {unit} "
               f"({100 * reached / total:.1f}%) ==")
 
         def show(node, depth):

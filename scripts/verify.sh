@@ -54,10 +54,14 @@
 #      visitor scans) against a 250k-inode tree with zero heap
 #      allocations, a cached ls of 8 and of 512 children allocating
 #      equally often, a warmed Stat/ReadFile/Ls mix at most 16 times per
-#      op and a first-touch Stat/ReadFile at most 21 (alloc_per_op.rs);
-#      a dropped system — never started, driven and drained, or dropped
-#      with work in flight — and every baseline leave < 1 KB live each
-#      over 200 systems, and a dropped system's loops end (teardown.rs).
+#      op, a first-touch Stat/ReadFile at most 21 and a warmed
+#      create/delete mix with INV rounds to peers at most 36
+#      (alloc_per_op.rs); a dropped system — never started, driven and
+#      drained, or dropped with work in flight — and every baseline leave
+#      < 1 KB live each over 200 systems, and a dropped system's loops end
+#      (teardown.rs); and the store's lock-batch and charge-plan pools
+#      never hold more buffers than were in flight (a lambda-store unit
+#      test).
 #  12. alloc-stats build: `lfsfig` rebuilt with the counting allocator
 #      registered. The feature is off by default, so only this step
 #      catches its bit-rot; step 13 needs it.
@@ -123,8 +127,9 @@ echo "== durability sweep smoke (flush interval x crash rate) =="
 echo "== LSM crash/replay differential proptests =="
 cargo test -q --release --offline -p lambda-lsm --test crash_replay
 
-echo "== allocation gates in release (bytes/inode, bootstrap floor + density, allocs per op, teardown) =="
+echo "== allocation gates in release (bytes/inode, bootstrap floor + density, allocs per op, teardown, store pools) =="
 cargo test -q --release --offline -p lambda-bench --test mem_budget --test bootstrap_budget --test alloc_per_op --test teardown
+cargo test -q --release --offline -p lambda-store --lib lock_and_plan_pools_hold_no_more_buffers_than_were_in_flight
 
 echo "== alloc-stats build (lfsfig with the counting allocator) =="
 cargo build --release --offline -p lambda-bench --features alloc-stats
