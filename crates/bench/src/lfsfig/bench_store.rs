@@ -7,8 +7,9 @@
 //! 10M inodes every point get of an ordered engine walks a ~720 MB
 //! structure, and each level is a DRAM + TLB miss. This bench isolates that
 //! cost from the simulator: identical keys, values, and access sequences
-//! against every engine, 64-byte values (the size of a packed
-//! [`lambda_namespace::Inode`] row), at 250k / 1M / 10M rows.
+//! against every engine, 64-byte values (the packed
+//! [`lambda_namespace::Inode`] row when the engines were chosen; it is 48
+//! bytes now), at 250k / 1M / 10M rows.
 //!
 //! Scenarios per scale:
 //!
@@ -37,8 +38,8 @@ use lambda_store::idrows::IdRows;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// A 64-byte row, the size of the packed inode row the store actually
-/// holds at the fig08d scales.
+/// A 64-byte row, the size the packed inode row had when the recorded
+/// engine comparison was taken.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Row([u64; 8]);
 

@@ -23,7 +23,9 @@ static COUNTING_ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 /// footprint. Measures 37.3 since the inode table became id-addressed:
 /// its first 4 096-row page is allocated with the root inode, before this
 /// scope opens, and holds every inode of this tree, so what is counted
-/// here is the children index and the rest of the per-inode state.
+/// here is the children index and the rest of the per-inode state. The
+/// row itself is gated on a tree that spans many pages, in
+/// `bootstrap_budget.rs`.
 const BYTES_PER_INODE_BUDGET: f64 = 150.0;
 
 #[test]

@@ -640,6 +640,14 @@ mod tests {
     }
 
     #[test]
+    fn trie_node_stays_compact() {
+        // Every cached inode is one node: seven u32 links and the 48-byte
+        // row of `inode_row_stays_compact`. A row that regrows shows up
+        // here once per cache, not only in the store.
+        assert_eq!(std::mem::size_of::<Node>(), 80);
+    }
+
+    #[test]
     fn hit_after_insert_miss_before() {
         let mut cache = MetadataCache::new(100);
         let (path, chain) = chain_for("/a/b", &[1, 2, 3]);

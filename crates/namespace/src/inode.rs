@@ -1,11 +1,14 @@
-//! INodes, blocks, and DataNode descriptors — the row types of the
-//! persistent metadata store.
+//! INodes and DataNode descriptors — the row types of the persistent
+//! metadata store.
 //!
-//! The [`Inode`] row is deliberately compact (64 bytes, down from 104 with
-//! an owned `String` name and `Vec` block list): the store keeps every row
-//! resident and clones rows on every read, so at the 10M-inode scale of
-//! `fig08d_million_scale` each row byte is ~10MB of resident memory and
-//! each per-clone allocation is measurable wall-clock.
+//! The [`Inode`] row is deliberately compact (48 bytes, down from 104 with
+//! an owned `String` name and a `Vec` block list): the store and every
+//! NameNode's cache keep rows resident and clone them on every read, so at
+//! the 10M-inode scale of `fig08d_million_scale` each row byte is ~10MB of
+//! resident memory and each per-clone allocation is measurable wall-clock.
+//! No operation reads or writes data blocks, so the row carries none; the
+//! bytes the simulated WAL logs per row are the schema's modeled size,
+//! not this layout (see `MetadataSchema::install`).
 
 use crate::path::InodeName;
 
@@ -25,81 +28,10 @@ pub enum InodeKind {
     Directory,
 }
 
-/// An inode's ordered data-block ids, inline up to one block.
-///
-/// Directories and empty files — the overwhelming majority of rows in the
-/// simulated namespaces — pay 0 heap bytes; a `Vec<u64>` spent 24 bytes of
-/// row plus an allocation per non-empty list. The canonical form is
-/// maintained by [`BlockList::push`]: `Many` always holds ≥ 2 blocks, so
-/// derived equality agrees with slice equality.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum BlockList {
-    /// No blocks (directories, empty files).
-    #[default]
-    Empty,
-    /// Exactly one block, stored inline.
-    One(BlockId),
-    /// Two or more blocks (boxed twice-indirect: the spill case is rare
-    /// enough that keeping the enum at 16 bytes wins).
-    Many(Box<Vec<BlockId>>),
-}
-
-impl BlockList {
-    /// Whether the list is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        matches!(self, BlockList::Empty)
-    }
-
-    /// Number of blocks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            BlockList::Empty => 0,
-            BlockList::One(_) => 1,
-            BlockList::Many(v) => v.len(),
-        }
-    }
-
-    /// The blocks, in order.
-    #[must_use]
-    pub fn as_slice(&self) -> &[BlockId] {
-        match self {
-            BlockList::Empty => &[],
-            BlockList::One(b) => std::slice::from_ref(b),
-            BlockList::Many(v) => v,
-        }
-    }
-
-    /// Appends a block id.
-    pub fn push(&mut self, block: BlockId) {
-        match self {
-            BlockList::Empty => *self = BlockList::One(block),
-            BlockList::One(first) => *self = BlockList::Many(Box::new(vec![*first, block])),
-            BlockList::Many(v) => v.push(block),
-        }
-    }
-
-    /// Iterates over the block ids.
-    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.as_slice().iter().copied()
-    }
-}
-
-impl FromIterator<BlockId> for BlockList {
-    fn from_iter<I: IntoIterator<Item = BlockId>>(iter: I) -> BlockList {
-        let mut list = BlockList::Empty;
-        for b in iter {
-            list.push(b);
-        }
-        list
-    }
-}
-
 /// File-system metadata for one file or directory.
 ///
-/// This mirrors the HopsFS `INode` row: identity, tree position,
-/// permissions, and (for files) the block list.
+/// This mirrors the HopsFS `INode` row: identity, tree position and
+/// permissions. (HopsFS keeps block locations in tables of their own.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inode {
     /// This inode's id.
@@ -121,8 +53,6 @@ pub struct Inode {
     pub size: u64,
     /// Modification time, nanoseconds of simulated time.
     pub mtime_nanos: u64,
-    /// Ids of the file's data blocks, in order.
-    pub blocks: BlockList,
 }
 
 impl Inode {
@@ -139,7 +69,6 @@ impl Inode {
             group: 0,
             size: 0,
             mtime_nanos: 0,
-            blocks: BlockList::Empty,
         }
     }
 
@@ -156,7 +85,6 @@ impl Inode {
             group: 0,
             size: 0,
             mtime_nanos: 0,
-            blocks: BlockList::Empty,
         }
     }
 
@@ -171,24 +99,6 @@ impl Inode {
     pub fn is_dir(&self) -> bool {
         self.kind == InodeKind::Directory
     }
-}
-
-/// Identifier of a data block.
-pub type BlockId = u64;
-
-/// Location and length of one data block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockInfo {
-    /// This block's id.
-    pub id: BlockId,
-    /// Owning file inode.
-    pub inode: InodeId,
-    /// Generation stamp (bumped on re-replication).
-    pub generation: u64,
-    /// Bytes in the block.
-    pub len: u64,
-    /// DataNodes currently holding replicas.
-    pub locations: Vec<DataNodeId>,
 }
 
 /// Identifier of a DataNode.
@@ -223,7 +133,6 @@ mod tests {
         let f = Inode::file(6, 5, "x.bin");
         assert!(!f.is_dir());
         assert_eq!(f.perm, 0o644);
-        assert!(f.blocks.is_empty());
     }
 
     #[test]
@@ -237,31 +146,14 @@ mod tests {
 
     #[test]
     fn inode_row_stays_compact() {
-        // The point of the interned name + inline block list: the resident
-        // row is 64 bytes. A change that grows it shows up here, not as a
-        // silent regression in the fig08d memory sweep.
-        assert_eq!(std::mem::size_of::<Inode>(), 64);
-        assert_eq!(std::mem::size_of::<BlockList>(), 16);
+        // The point of the interned name and the absent block list: the
+        // resident row is 48 bytes. A change that grows it shows up here,
+        // not as a silent regression in the fig08d memory sweep.
+        assert_eq!(std::mem::size_of::<Inode>(), 48);
         assert_eq!(std::mem::size_of::<InodeName>(), 4);
         // The inode table stores `Option<Inode>` slots by id: a niche keeps
         // the tag out of the row, so a hole costs one row and no tag word.
-        assert_eq!(std::mem::size_of::<Option<Inode>>(), 64);
-    }
-
-    #[test]
-    fn block_list_keeps_canonical_form() {
-        let mut b = BlockList::Empty;
-        assert_eq!(b.len(), 0);
-        assert_eq!(b.as_slice(), &[] as &[u64]);
-        b.push(7);
-        assert_eq!(b, BlockList::One(7));
-        b.push(9);
-        assert_eq!(b.as_slice(), &[7, 9]);
-        assert_eq!(b.len(), 2);
-        b.push(11);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![7, 9, 11]);
-        let again: BlockList = b.iter().collect();
-        assert_eq!(again, b);
+        assert_eq!(std::mem::size_of::<Option<Inode>>(), 48);
     }
 
     #[test]

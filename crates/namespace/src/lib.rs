@@ -4,10 +4,10 @@
 //! ASPLOS '23 reproduction:
 //!
 //! * [`DfsPath`] — validated absolute paths;
-//! * [`Inode`], [`BlockInfo`], [`DataNodeInfo`] — the metadata row types;
+//! * [`Inode`], [`DataNodeInfo`] — the metadata row types;
 //! * [`FsOp`] / [`OpOutcome`] / [`FsError`] — the seven operation types of
 //!   the evaluation (Table 2) and their results;
-//! * [`MetadataSchema`] — the store schema (inodes, children index, blocks,
+//! * [`MetadataSchema`] — the store schema (inodes, children index,
 //!   DataNodes, subtree locks) plus bulk loading and a consistency checker;
 //! * [`Partitioner`] — consistent hashing of parents onto function
 //!   deployments (paper §3.1/§3.3);
@@ -30,10 +30,7 @@ mod schema;
 pub use cache::{CacheStats, MetadataCache};
 pub use datanode::DataNodeFleet;
 pub use lambda_store::MixBuild;
-pub use inode::{
-    BlockId, BlockInfo, BlockList, DataNodeId, DataNodeInfo, Inode, InodeId, InodeKind,
-    ROOT_INODE_ID,
-};
+pub use inode::{DataNodeId, DataNodeInfo, Inode, InodeId, InodeKind, ROOT_INODE_ID};
 pub use ops::{FsError, FsOp, Listing, OpClass, OpOutcome, OpResult};
 pub use partition::Partitioner;
 pub use path::{interned, Ancestors, DfsPath, InodeName, ParsePathError};

@@ -8,18 +8,28 @@
 //!   ([`Db::create_id_table`]: ids come from [`MetadataSchema::next_id`]);
 //! * `children`: `(parent id, name)` → child inode id (the lookup index
 //!   used for path resolution and `ls` range scans);
-//! * `blocks`: block id → [`BlockInfo`];
 //! * `datanodes`: DataNode id → [`DataNodeInfo`] (heartbeats/reports);
 //! * `subtree_locks`: subtree-root inode id → [`SubtreeLockRow`] (the
 //!   application-level subtree locking protocol of Appendix D).
+//!
+//! Each table declares the bytes the durable backend's WAL logs per row
+//! (`*_ROW_BYTES`), so a row type's layout never moves a simulated byte.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use lambda_store::{Db, NameKey, TableHandle};
 
-use crate::inode::{BlockId, BlockInfo, DataNodeId, DataNodeInfo, Inode, InodeId, ROOT_INODE_ID};
+use crate::inode::{DataNodeId, DataNodeInfo, Inode, InodeId, ROOT_INODE_ID};
 use crate::path::{DfsPath, InodeName};
+
+/// Bytes the WAL logs per inode row: the 64-byte row the durable backend
+/// was calibrated with, a block-list reference included ([`Inode`] is 48).
+const INODE_ROW_BYTES: u32 = 64;
+/// Bytes the WAL logs per `datanodes` row: five 8-byte counters.
+const DATANODE_ROW_BYTES: u32 = 40;
+/// Bytes the WAL logs per `subtree_locks` row: two words, two `&str`s.
+const SUBTREE_LOCK_ROW_BYTES: u32 = 48;
 
 /// The subtree-lock flag persisted on a subtree root (Appendix D, Phase 1).
 ///
@@ -50,8 +60,6 @@ pub struct MetadataSchema {
     /// byte-identical to the `(u64, String)` key it replaced, so shard
     /// routing and lock ordering are unchanged.
     pub children: TableHandle<(InodeId, NameKey), InodeId>,
-    /// block id → block info.
-    pub blocks: TableHandle<BlockId, BlockInfo>,
     /// DataNode id → liveness/capacity record.
     pub datanodes: TableHandle<DataNodeId, DataNodeInfo>,
     /// subtree-root inode id → subtree lock flag.
@@ -60,15 +68,15 @@ pub struct MetadataSchema {
 }
 
 impl MetadataSchema {
-    /// Creates the tables in `db` and installs the root inode.
+    /// Creates the tables in `db`, each with its modeled WAL row size,
+    /// and installs the root inode.
     #[must_use]
     pub fn install(db: &Db) -> Self {
         let schema = MetadataSchema {
-            inodes: db.create_id_table("inodes"),
+            inodes: db.create_id_table("inodes", INODE_ROW_BYTES),
             children: db.create_table("children"),
-            blocks: db.create_table("blocks"),
-            datanodes: db.create_table("datanodes"),
-            subtree_locks: db.create_table("subtree_locks"),
+            datanodes: db.create_sized_table("datanodes", DATANODE_ROW_BYTES),
+            subtree_locks: db.create_sized_table("subtree_locks", SUBTREE_LOCK_ROW_BYTES),
             next_id: Rc::new(Cell::new(ROOT_INODE_ID + 1)),
         };
         db.bootstrap_insert(schema.inodes, ROOT_INODE_ID, Inode::root());
@@ -494,6 +502,44 @@ mod tests {
                 format!("children row ({a},ghost) -> dangling inode 4242"),
             ]
         );
+    }
+
+    /// The simulated WAL logs the schema's modeled inode row, 64 bytes,
+    /// whatever `size_of::<Inode>()` is: bootstrap rows, a transactional
+    /// upsert and a remove (a tombstone: key only) all count against it.
+    #[test]
+    fn wal_logs_the_modeled_inode_row_not_the_host_layout() {
+        use lambda_sim::Sim;
+        use lambda_store::{DurabilityConfig, LockMode};
+        const N: u64 = 100;
+        // Table id (4 bytes) + big-endian inode id (8 bytes).
+        const KEY_BYTES: u64 = 12;
+        let mut sim = Sim::new(3);
+        let db = Db::new_durable(
+            &StoreParams::default(),
+            SimDuration::from_secs(5),
+            DurabilityConfig::default(),
+        );
+        let schema = MetadataSchema::install(&db);
+        for id in 2..=N {
+            db.bootstrap_insert(schema.inodes, id, Inode::file(id, ROOT_INODE_ID, "f"));
+        }
+        let txn = db.begin();
+        let keys = [db.lock_key(schema.inodes, &2), db.lock_key(schema.inodes, &3)];
+        let (db2, inodes) = (db.clone(), schema.inodes);
+        db.lock(&mut sim, txn, keys, LockMode::Exclusive, move |sim, locked| {
+            locked.unwrap();
+            let mut grown = db2.peek(inodes, &2).unwrap();
+            grown.size = 4096;
+            db2.upsert(txn, inodes, 2, grown).unwrap();
+            db2.remove(txn, inodes, 3).unwrap().unwrap();
+            db2.commit(sim, txn, |_sim, committed| committed.unwrap());
+        });
+        sim.run();
+        assert_eq!(db.durability_stats().unwrap().wal_appends, N + 2);
+        let ingested = db.lsm_stats().unwrap().bytes_ingested;
+        let value_bytes = ingested - (N + 2) * KEY_BYTES;
+        assert_eq!(value_bytes, N * 64 + 64, "N bootstrap rows plus one upsert and a tombstone");
     }
 
     #[test]

@@ -200,11 +200,11 @@ impl DurableBackend {
     }
 
     /// Records one pre-run bootstrap row (already durable by definition).
-    pub(crate) fn bootstrap_row(&mut self, table: TableId, shard: u32, enc: &[u8], val_len: usize) {
+    pub(crate) fn bootstrap_row(&mut self, table: TableId, shard: u32, enc: &[u8], val_len: u32) {
         let key = Self::shadow_key(&mut self.key_scratch, table, enc);
         let tree = &mut self.shards[shard as usize];
         self.val_scratch.clear();
-        self.val_scratch.resize(val_len.max(8), 0);
+        self.val_scratch.resize((val_len as usize).max(8), 0);
         tree.put(key, &self.val_scratch);
         // Bulk loads land durable: the loader syncs before the run starts.
         tree.sync_wal();

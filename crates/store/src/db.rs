@@ -343,6 +343,10 @@ enum TxnCheck {
 }
 
 impl Db {
+    /// Bytes the durable backend logs per row of a [`Db::create_table`]
+    /// table: one word (an id, a counter).
+    pub const WORD_ROW_BYTES: u32 = 8;
+
     /// Creates a store with the capacity model in `params`; lock waits
     /// longer than `lock_timeout` abort the waiting transaction.
     ///
@@ -423,16 +427,29 @@ impl Db {
         self.inner.borrow().durable.as_ref().map_or_else(Vec::new, |d| d.violations().to_vec())
     }
 
-    /// Registers a new, empty table, ordered by key (a B+ tree).
+    /// Registers a new, empty table, ordered by key (a B+ tree), logged
+    /// as [`Db::WORD_ROW_BYTES`] per row.
     pub fn create_table<K: KeyCodec, V: Clone + 'static>(
         &self,
         name: impl Into<String>,
     ) -> TableHandle<K, V> {
-        self.register(TypedTable::<K, V>::new(name))
+        self.create_sized_table(name, Self::WORD_ROW_BYTES)
+    }
+
+    /// Like [`Db::create_table`], but the durable backend logs each row as
+    /// `row_bytes`: the schema's modeled row size, which the WAL, flushes
+    /// and replays count, never the host layout of `V`.
+    pub fn create_sized_table<K: KeyCodec, V: Clone + 'static>(
+        &self,
+        name: impl Into<String>,
+        row_bytes: u32,
+    ) -> TableHandle<K, V> {
+        self.register(TypedTable::<K, V>::new(name, row_bytes))
     }
 
     /// Registers a new, empty table whose keys are ids from a sequence
-    /// (the inode table's `next_id`). Its rows live in id-indexed pages
+    /// (the inode table's `next_id`), logged like
+    /// [`Db::create_sized_table`]'s. Its rows live in id-indexed pages
     /// ([`IdRows`](crate::idrows::IdRows)), so a primary-key get is one
     /// row load — NDB's hash-index read — where an ordered table descends
     /// a tree. Range reads still see rows in id order. Memory follows the
@@ -440,8 +457,9 @@ impl Db {
     pub fn create_id_table<V: Clone + 'static>(
         &self,
         name: impl Into<String>,
+        row_bytes: u32,
     ) -> TableHandle<u64, V> {
-        self.register(TypedTable::<u64, V>::new_id(name))
+        self.register(TypedTable::<u64, V>::new_id(name, row_bytes))
     }
 
     fn register<K: KeyCodec, V: Clone + 'static>(
@@ -879,15 +897,15 @@ impl Db {
             inner.txns.is_empty(),
             "bootstrap_insert is only allowed before any transaction starts"
         );
-        if let Some(durable) = inner.durable.as_mut() {
-            let enc = EncodedKey::encode(&key, &mut inner.enc_scratch);
-            let shard = shard_of(inner.shards.len(), enc.as_slice()) as u32;
-            durable.bootstrap_row(table.id(), shard, enc.as_slice(), std::mem::size_of::<V>());
-        }
         let t = inner.tables[table.id().raw() as usize]
             .as_any_mut()
             .downcast_mut::<TypedTable<K, V>>()
             .expect("table handle type mismatch");
+        if let Some(durable) = inner.durable.as_mut() {
+            let enc = EncodedKey::encode(&key, &mut inner.enc_scratch);
+            let shard = shard_of(inner.shards.len(), enc.as_slice()) as u32;
+            durable.bootstrap_row(table.id(), shard, enc.as_slice(), t.row_bytes());
+        }
         t.insert(key, value);
     }
 
@@ -927,13 +945,13 @@ impl Db {
         if let Some(durable) = durable.as_mut() {
             // Mirror every streamed row into the backend without breaking
             // the stream (the table build stays single-pass).
-            let shard_count = shards.len();
+            let (shard_count, row_bytes) = (shards.len(), t.row_bytes());
             let mut scratch = Vec::new();
             t.bulk_build(rows.inspect(move |(k, _)| {
                 scratch.clear();
                 k.encode_into(&mut scratch);
                 let shard = shard_of(shard_count, &scratch) as u32;
-                durable.bootstrap_row(table.id(), shard, &scratch, std::mem::size_of::<V>());
+                durable.bootstrap_row(table.id(), shard, &scratch, row_bytes);
             }));
         } else {
             t.bulk_build(rows);
@@ -1317,12 +1335,12 @@ impl Db {
             return Err(StoreError::LockNotHeld { txn, row: lk.to_string() });
         }
         let shard = shard_of(inner.shards.len(), lk.key.as_slice()) as u32;
-        let old = {
+        let (old, row_bytes) = {
             let t = inner.tables[table.id().raw() as usize]
                 .as_any_mut()
                 .downcast_mut::<TypedTable<K, V>>()
                 .expect("table handle type mismatch");
-            t.insert(key.clone(), value)
+            (t.insert(key.clone(), value), t.row_bytes())
         };
         inner.stats.rows_written += 1;
         let log_writes = inner.durable.is_some();
@@ -1333,7 +1351,7 @@ impl Db {
                 table: table.id(),
                 shard,
                 key: lk.key.clone(),
-                val_len: std::mem::size_of::<V>() as u32,
+                val_len: row_bytes,
                 tombstone: false,
                 prior_exists: old.is_some(),
             });
@@ -1382,12 +1400,12 @@ impl Db {
             return Err(StoreError::LockNotHeld { txn, row: lk.to_string() });
         }
         let shard = shard_of(inner.shards.len(), lk.key.as_slice()) as u32;
-        let old = {
+        let (old, row_bytes) = {
             let t = inner.tables[table.id().raw() as usize]
                 .as_any_mut()
                 .downcast_mut::<TypedTable<K, V>>()
                 .expect("table handle type mismatch");
-            t.remove(&key)
+            (t.remove(&key), t.row_bytes())
         };
         inner.stats.rows_written += 1;
         let log_writes = inner.durable.is_some();
@@ -1398,7 +1416,7 @@ impl Db {
                 table: table.id(),
                 shard,
                 key: lk.key.clone(),
-                val_len: std::mem::size_of::<V>() as u32,
+                val_len: row_bytes,
                 tombstone: true,
                 prior_exists: old.is_some(),
             });

@@ -16,7 +16,7 @@
 //!   tree keeps beside the rows are gone.
 //! * **Growth never moves a row.** A page is allocated by the first insert
 //!   into it and never reallocated; only the directory grows. (A flat
-//!   doubling `Vec` would copy a 640 MB table on the first insert after a
+//!   doubling `Vec` would copy a 480 MB table on the first insert after a
 //!   10M-row bulk load.)
 //! * **Removal leaves a hole.** The slot empties and the page stays.
 //!   Sequence ids are not reused, so memory follows the highest id ever
@@ -36,7 +36,7 @@ use std::ops::{Bound, RangeBounds};
 
 use crate::bptree::check_range;
 
-/// Rows per page. A page of 64-byte inode rows is 256 KiB, and a
+/// Rows per page. A page of 48-byte inode rows is 192 KiB, and a
 /// 10M-row table needs 2 442 of them.
 pub const PAGE_ROWS: usize = 4096;
 

@@ -1,9 +1,11 @@
 //! Typed tables behind a type-erased registry.
 //!
 //! The [`Db`](crate::Db) owns a heterogeneous set of tables (inodes,
-//! children index, blocks, leases, …). Each is a [`TypedTable`] over one
-//! of two engines, fixed when the table is created: an arena-backed
-//! [`BpTree`] for [`Db::create_table`](crate::Db::create_table), or
+//! children index, DataNodes, subtree locks, …). Each is a
+//! [`TypedTable`] over one of two engines, fixed when the table is
+//! created: an arena-backed [`BpTree`] for
+//! [`Db::create_table`](crate::Db::create_table) and
+//! [`Db::create_sized_table`](crate::Db::create_sized_table), or
 //! id-addressed pages ([`IdRows`]) for
 //! [`Db::create_id_table`](crate::Db::create_id_table), whose `u64` keys
 //! come from a sequence (the inode table). The registry stores tables as
@@ -97,6 +99,9 @@ pub(crate) trait AnyTable {
 #[derive(Debug)]
 pub(crate) struct TypedTable<K, V> {
     name: Rc<str>,
+    /// Bytes the durable backend logs per row value: the modeled row size
+    /// the table was created with, never the host layout of `V`.
+    row_bytes: u32,
     rows: Rows<K, V>,
 }
 
@@ -128,8 +133,13 @@ fn id_range<K: KeyCodec, R: RangeBounds<K>>(range: &R) -> (Bound<u64>, Bound<u64
 
 impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
     /// A table over the B+ tree.
-    pub(crate) fn new(name: impl Into<String>) -> Self {
-        TypedTable { name: name.into().into(), rows: Rows::Tree(BpTree::new()) }
+    pub(crate) fn new(name: impl Into<String>, row_bytes: u32) -> Self {
+        TypedTable { name: name.into().into(), row_bytes, rows: Rows::Tree(BpTree::new()) }
+    }
+
+    /// Bytes the durable backend logs per row value.
+    pub(crate) fn row_bytes(&self) -> u32 {
+        self.row_bytes
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -257,8 +267,8 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
 
 impl<V: Clone + 'static> TypedTable<u64, V> {
     /// A table over id-addressed pages.
-    pub(crate) fn new_id(name: impl Into<String>) -> Self {
-        TypedTable { name: name.into().into(), rows: Rows::Ids(IdRows::new()) }
+    pub(crate) fn new_id(name: impl Into<String>, row_bytes: u32) -> Self {
+        TypedTable { name: name.into().into(), row_bytes, rows: Rows::Ids(IdRows::new()) }
     }
 }
 
@@ -325,7 +335,7 @@ mod tests {
 
     #[test]
     fn typed_table_basic_crud() {
-        let mut t: TypedTable<u64, String> = TypedTable::new("t");
+        let mut t: TypedTable<u64, String> = TypedTable::new("t", 8);
         assert_eq!(t.insert(1, "a".into()), None);
         assert_eq!(t.insert(1, "b".into()), Some("a".into()));
         assert_eq!(t.get(&1), Some(&"b".to_string()));
@@ -335,7 +345,7 @@ mod tests {
 
     #[test]
     fn scan_returns_ordered_range() {
-        let mut t: TypedTable<(u64, String), u64> = TypedTable::new("children");
+        let mut t: TypedTable<(u64, String), u64> = TypedTable::new("children", 8);
         t.insert((1, "c".into()), 10);
         t.insert((1, "a".into()), 11);
         t.insert((2, "b".into()), 12);
@@ -349,8 +359,8 @@ mod tests {
     #[test]
     fn encoded_keys_come_in_ascending_order_on_both_engines() {
         let keys = [9u64, 0, 4_097, 3, 70_000];
-        let mut tree: TypedTable<u64, u64> = TypedTable::new("tree");
-        let mut ids: TypedTable<u64, u64> = TypedTable::new_id("ids");
+        let mut tree: TypedTable<u64, u64> = TypedTable::new("tree", 8);
+        let mut ids: TypedTable<u64, u64> = TypedTable::new_id("ids", 8);
         for k in keys {
             tree.insert(k, k);
             ids.insert(k, k);
@@ -366,7 +376,7 @@ mod tests {
 
     #[test]
     fn any_table_round_trips_through_registry_types() {
-        let t: Box<dyn AnyTable> = Box::new(TypedTable::<u64, u64>::new("x"));
+        let t: Box<dyn AnyTable> = Box::new(TypedTable::<u64, u64>::new("x", 8));
         assert!(t.as_any().downcast_ref::<TypedTable<u64, u64>>().is_some());
         assert!(t.as_any().downcast_ref::<TypedTable<u64, String>>().is_none());
     }

@@ -398,7 +398,7 @@ proptest! {
         streamed in proptest::collection::btree_set(page_id(), 1..80),
     ) {
         let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
-        let ids = db.create_id_table::<u64>("ids");
+        let ids = db.create_id_table::<u64>("ids", Db::WORD_ROW_BYTES);
         let tree = db.create_table::<u64, u64>("tree");
         let mut model = BTreeMap::new();
         for &k in &existing {
@@ -433,7 +433,7 @@ fn id_engine_excluded_empty_range_panics() {
 #[should_panic(expected = "bulk_build key collision in table ids")]
 fn id_table_bulk_load_rejects_keys_already_present() {
     let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
-    let ids = db.create_id_table::<u64>("ids");
+    let ids = db.create_id_table::<u64>("ids", Db::WORD_ROW_BYTES);
     db.bootstrap_insert(ids, 3, 0);
     db.bootstrap_bulk_load(ids, [(1, 1), (3, 3), (4, 4)].into_iter());
 }
@@ -444,7 +444,7 @@ fn id_table_bulk_load_rejects_keys_already_present() {
 #[test]
 fn unbounded_scan_of_a_sparse_id_table_returns_every_row() {
     let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
-    let ids = db.create_id_table::<u64>("inodes");
+    let ids = db.create_id_table::<u64>("inodes", Db::WORD_ROW_BYTES);
     let keys = [0, 1, PAGE - 1, PAGE, (1 << 20) + 5];
     for k in keys {
         db.bootstrap_insert(ids, k, k + 1);
@@ -465,7 +465,7 @@ fn id_table_keys_survive_the_post_crash_check() {
     let mut sim = Sim::new(41);
     let params = StoreParams { shards: 1, ..StoreParams::default() };
     let db = Db::new_durable(&params, SimDuration::from_secs(5), DurabilityConfig::default());
-    let ids = db.create_id_table::<u64>("ids");
+    let ids = db.create_id_table::<u64>("ids", Db::WORD_ROW_BYTES);
     let tree = db.create_table::<u64, u64>("tree");
     let keys: Vec<u64> = [0, 2, 5, PAGE + 1, 3 * PAGE + 7].into();
     db.bootstrap_bulk_load(ids, keys.iter().map(|&k| (k, k)));

@@ -38,21 +38,26 @@
 #      fault class on the WAL-backed durable store backend — shard
 #      failovers recover by WAL replay, and the audit adds the
 #      post-crash shadow↔table consistency check.
-#   9. durability sweep smoke: fig15c_durability --smoke runs the
+#   9. fig15c smoke golden check: fig15c_durability --smoke runs the
 #      flush-interval x crash-rate grid (recovery time, write
-#      amplification, lost-window aborts) and exits nonzero on any
-#      audit failure. Full-scale numbers: results/fig15c_durability.txt.
+#      amplification, lost-window aborts), exits nonzero on any audit
+#      failure, and must be byte-identical to
+#      results/golden/fig15c_durability.txt (modulo the wall-clock
+#      lines). It is the one figure check that sees the simulated WAL
+#      bytes, so a row type whose host layout leaks into the logged row
+#      size fails here. Full-scale numbers: results/fig15c_durability.txt.
 #  10. LSM crash/replay differential: the lambda-lsm proptests (random
 #      put/delete/flush interleavings crashed at arbitrary points; WAL
 #      replay must reconstruct the exact pre-crash visible state) run
 #      explicitly in release mode.
 #  11. allocation gates in release (each test file registers the counting
-#      allocator itself): bytes/inode of the fig08a λFS tree at scale 25
-#      under budget (mem_budget.rs); the streaming tree loader at
-#      >=500k inodes/sec — release only — and at least as dense per inode
-#      as insert+repack (bootstrap_budget.rs); lean reads (point gets +
-#      visitor scans) against a 250k-inode tree with zero heap
-#      allocations, a cached ls of 8 and of 512 children allocating
+#      allocator itself): bytes/inode (rows excluded) of the fig08a λFS
+#      tree at scale 25 under budget (mem_budget.rs); the streaming tree
+#      loader at >=500k inodes/sec — release only — under a bytes/inode
+#      budget on a 98k-inode tree whose rows span 24 inode-table pages,
+#      and at least as dense per inode as insert+repack
+#      (bootstrap_budget.rs); lean reads (point gets + visitor scans)
+#      against a 250k-inode tree with zero heap allocations, a cached ls of 8 and of 512 children allocating
 #      equally often, a warmed Stat/ReadFile/Ls mix at most 16 times per
 #      op, a first-touch Stat/ReadFile at most 21 and a warmed
 #      create/delete mix with INV rounds to peers at most 36
@@ -121,8 +126,8 @@ echo "== store engine bench smoke (B+ tree, std BTreeMap, id-addressed pages) ==
 echo "== durable chaos smoke (WAL replay recovery + shadow check) =="
 ./target/release/lfsfig fig15b_chaos --smoke --durable
 
-echo "== durability sweep smoke (flush interval x crash rate) =="
-./target/release/lfsfig fig15c_durability --smoke
+echo "== durability sweep smoke golden check (flush interval x crash rate) =="
+golden_check fig15c_durability --smoke
 
 echo "== LSM crash/replay differential proptests =="
 cargo test -q --release --offline -p lambda-lsm --test crash_replay
