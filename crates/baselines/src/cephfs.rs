@@ -176,7 +176,7 @@ impl MemNamespace {
 
     fn mv(&mut self, src: &DfsPath, dst: &DfsPath) -> Result<(OpOutcome, u64), FsError> {
         if src.is_root() || dst.starts_with(src) {
-            return Err(FsError::Retryable("invalid mv".into()));
+            return Err(FsError::InvalidArgument("mv into its own subtree".into()));
         }
         let target = self.resolve(src)?;
         let dst_parent_path = dst.parent().ok_or_else(|| FsError::AlreadyExists("/".into()))?;

@@ -20,7 +20,10 @@
 //! 2. Write operations then take **exclusive** locks on their write set in
 //!    one sorted batch (never upgrading a held shared lock — resolution
 //!    and write-set locking use separate transactions), re-validate under
-//!    the locks, run the coherence hook, apply, and commit.
+//!    the locks, run the coherence hook, apply, and commit. One skeleton,
+//!    [`OpEngine::write`], runs these steps for every exclusive-lock write
+//!    — the single-inode operations here and the subtree protocol's flag
+//!    and root steps — so each write supplies only its data.
 //! 3. Any residual cross-operation ordering violation is caught by the
 //!    store's lock-wait timeout and surfaces as a retryable error, which
 //!    the client library resubmits — exactly HopsFS's deadlock-victim
@@ -33,8 +36,8 @@ use lambda_namespace::{
     DfsPath, FsError, FsOp, Inode, InodeId, MetadataCache, MetadataSchema, OpOutcome, OpResult,
 };
 use lambda_sim::params::CpuParams;
-use lambda_sim::{Sim, SimDuration, Station, StationRef};
-use lambda_store::{Db, LockMode, NameKey, StoreError};
+use lambda_sim::{Sim, SimDuration, SimTime, Station, StationRef};
+use lambda_store::{Db, LockKey, LockMode, NameKey, StoreError, StoreResult, TxnId};
 
 /// Completion callback for one operation.
 pub type OpDone = Box<dyn FnOnce(&mut Sim, OpResult)>;
@@ -161,6 +164,26 @@ impl std::fmt::Debug for OpEngine {
             .field("cached", &self.cache.is_some())
             .field("coherent", &self.coherence.is_some())
             .finish()
+    }
+}
+
+/// Which write a single-inode delete or move is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// An operation of its own, caching what it learns when allowed.
+    Op {
+        /// False when a foreign deployment serves it (see
+        /// [`OpEngine::execute`]).
+        allow_cache: bool,
+    },
+    /// The last step of a subtree operation, on the subtree root: the
+    /// prefix INV round already ran, and nothing it learns is cached.
+    SubtreeRoot,
+}
+
+impl Scope {
+    fn allow_cache(self) -> bool {
+        self == Scope::Op { allow_cache: true }
     }
 }
 
@@ -308,11 +331,7 @@ impl OpEngine {
                         }
                         match (chain, valid) {
                             (Some(chain), true) => {
-                                if allow_cache {
-                                    if let Some(cache) = &this2.cache {
-                                        cache.borrow_mut().insert_chain(&path, &chain);
-                                    }
-                                }
+                                this2.update_cache(allow_cache, |c| c.insert_chain(&path, &chain));
                                 done(sim, Ok(chain));
                             }
                             // The path changed between hint and lock
@@ -392,11 +411,9 @@ impl OpEngine {
                             },
                             move |sim, names| {
                                 let names = Rc::new(names);
-                                if allow_cache {
-                                    if let Some(cache) = &this4.cache {
-                                        cache.borrow_mut().cache_listing(dir, Rc::clone(&names));
-                                    }
-                                }
+                                this4.update_cache(allow_cache, |c| {
+                                    c.cache_listing(dir, Rc::clone(&names));
+                                });
                                 done(sim, Ok(OpOutcome::Listing(names)));
                             },
                         );
@@ -433,46 +450,24 @@ impl OpEngine {
                 }
                 let new_id = this2.schema.next_id();
                 // Exclusive write set: parent row, the (parent, name)
-                // children slot, and the new inode row. The children key
-                // tuple is built once and reused for the post-lock
-                // revalidation probe below.
+                // children slot, and the new inode row.
                 let child_key = (parent.id, name.key());
                 let keys = [
                     this2.db.lock_key(this2.schema.inodes, &parent.id),
                     this2.db.lock_key(this2.schema.inodes, &new_id),
                     this2.db.lock_key(this2.schema.children, &child_key),
                 ];
-                let txn = this2.db.begin();
-                let this3 = this2.clone();
-                let path2 = path.clone();
-                let parent_path2 = parent_path.clone();
-                this2.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {
-                    if let Err(e) = res {
-                        this3.db.abort(sim, txn);
-                        return done(sim, Err(store_error(&e)));
+                let validate = move |e: &OpEngine| {
+                    let parent_now = match e.db.peek(e.schema.inodes, &parent.id) {
+                        None => return Err(FsError::Retryable("parent vanished".into())),
+                        Some(p) if !p.is_dir() => {
+                            return Err(FsError::NotADirectory(parent_path.to_string()));
+                        }
+                        Some(p) => p,
+                    };
+                    if e.db.peek(e.schema.children, &child_key).is_some() {
+                        return Err(FsError::AlreadyExists(path.to_string()));
                     }
-                    // Re-validate under the exclusive locks.
-                    let parent_now = this3.db.peek(this3.schema.inodes, &parent.id);
-                    let slot = this3.db.peek(this3.schema.children, &child_key);
-                    match (&parent_now, &slot) {
-                        (None, _) => {
-                            this3.db.abort(sim, txn);
-                            return done(sim, Err(FsError::Retryable("parent vanished".into())));
-                        }
-                        (Some(p), _) if !p.is_dir() => {
-                            this3.db.abort(sim, txn);
-                            return done(
-                                sim,
-                                Err(FsError::NotADirectory(parent_path2.to_string())),
-                            );
-                        }
-                        (_, Some(_)) => {
-                            this3.db.abort(sim, txn);
-                            return done(sim, Err(FsError::AlreadyExists(path2.to_string())));
-                        }
-                        _ => {}
-                    }
-                    let mut parent_now = parent_now.expect("checked");
                     // Structural change: the parent's *listing* gains a
                     // name. The parent inode row is rewritten too (mtime),
                     // but attribute-only updates deliberately do not
@@ -483,60 +478,44 @@ impl OpEngine {
                     // at-most-briefly stale; namespace *structure* stays
                     // strongly consistent.
                     let inv = InvalidationSet {
-                        inodes: Vec::new(),
-                        listings: Vec::new(),
                         listing_updates: vec![(parent.id, name.as_str(), true)],
-                        prefix: None,
-                        paths: vec![path2.clone(), parent_path2.clone()],
+                        paths: vec![path.clone(), parent_path],
+                        ..InvalidationSet::default()
                     };
-                    let this4 = this3.clone();
-                    this3.with_coherence(sim, inv, move |sim| {
-                        parent_now.mtime_nanos = sim.now().as_nanos();
-                        let inode = if dir {
-                            Inode::directory(new_id, parent.id, name)
-                        } else {
-                            Inode::file(new_id, parent.id, name)
-                        };
-                        let writes = this4
-                            .db
-                            .upsert(txn, this4.schema.inodes, parent.id, parent_now)
-                            .and_then(|()| {
-                                this4.db.upsert(txn, this4.schema.inodes, new_id, inode.clone())
-                            })
-                            .and_then(|()| {
-                                this4.db.upsert(txn, this4.schema.children, child_key, new_id)
-                            });
-                        if writes.is_err() {
-                            this4.db.abort(sim, txn);
-                            return done(sim, Err(FsError::Retryable("write failed".into())));
-                        }
-                        let this5 = this4.clone();
-                        this4.db.commit(sim, txn, move |sim, r| {
-                            if r.is_err() {
-                                return done(sim, Err(FsError::Retryable("commit failed".into())));
-                            }
-                            if allow_cache {
-                                if let Some(cache) = &this5.cache {
-                                    let mut cache = cache.borrow_mut();
-                                    let mut chain = chain;
-                                    chain.push(inode.clone());
-                                    cache.insert_chain(&path2, &chain);
-                                    cache.update_listing(parent.id, name.as_str(), true);
-                                }
-                            }
-                            done(sim, Ok(OpOutcome::Created(Box::new(inode))));
-                        });
+                    Ok(((parent_now, path), Some(inv)))
+                };
+                let apply = move |e: &OpEngine, txn, state: (Inode, DfsPath), now: SimTime| {
+                    let (mut parent_now, path) = state;
+                    parent_now.mtime_nanos = now.as_nanos();
+                    let inode = if dir {
+                        Inode::directory(new_id, parent.id, name)
+                    } else {
+                        Inode::file(new_id, parent.id, name)
+                    };
+                    e.db.upsert(txn, e.schema.inodes, parent.id, parent_now)?;
+                    e.db.upsert(txn, e.schema.inodes, new_id, inode.clone())?;
+                    e.db.upsert(txn, e.schema.children, child_key, new_id)?;
+                    Ok((inode, path))
+                };
+                let committed = move |e: &OpEngine, (inode, path): (Inode, DfsPath)| {
+                    e.update_cache(allow_cache, |cache| {
+                        let mut chain = chain;
+                        chain.push(inode.clone());
+                        cache.insert_chain(&path, &chain);
+                        cache.update_listing(parent.id, name.as_str(), true);
                     });
-                });
+                    OpOutcome::Created(Box::new(inode))
+                };
+                this2.write(sim, keys, validate, apply, committed, done);
             });
         });
     }
 
     /// `delete file/dir`. Non-empty directories take the subtree path
-    /// (Appendix D), handled by the caller via [`OpEngine::classify_delete`].
+    /// (Appendix D).
     fn execute_delete(&self, sim: &mut Sim, path: DfsPath, allow_cache: bool, done: OpDone) {
         if path.is_root() {
-            return done(sim, Err(FsError::Retryable("cannot delete root".into())));
+            return done(sim, Err(FsError::InvalidArgument("cannot delete /".into())));
         }
         let this = self.clone();
         self.check_subtree_locks(sim, path.clone(), move |sim, blocked| {
@@ -549,31 +528,25 @@ impl OpEngine {
                     Err(e) => return done(sim, Err(e)),
                     Ok(t) => t,
                 };
-                if target.is_dir()
-                    && this2.db.peek_count_range(
-                        this2.schema.children,
-                        (target.id, NameKey::MIN)..(target.id + 1, NameKey::MIN),
-                    ) > 0
-                {
-                    // Non-empty directory: subtree operation.
-                    let sub = crate::subtree::SubtreeExecutor::new(this2.clone());
-                    return sub.delete(sim, path.clone(), done);
+                if target.is_dir() && this2.has_children(target.id) {
+                    return this2.delete_subtree(sim, path, done);
                 }
-                this2.delete_single(sim, path, target, allow_cache, done);
+                this2.delete_single(sim, path, target, Scope::Op { allow_cache }, done);
             });
         });
     }
 
-    /// Deletes one file or empty directory under exclusive locks.
-    fn delete_single(
+    /// Deletes one file or empty directory under exclusive locks. On a
+    /// subtree root it runs no INV round and drops the whole prefix from
+    /// the local cache.
+    pub(crate) fn delete_single(
         &self,
         sim: &mut Sim,
         path: DfsPath,
         target: Inode,
-        allow_cache: bool,
+        scope: Scope,
         done: OpDone,
     ) {
-        let parent_path = path.parent().expect("non-root");
         let name = target.name.as_str();
         let child_key = (target.parent, target.name.key());
         let keys = [
@@ -581,69 +554,51 @@ impl OpEngine {
             self.db.lock_key(self.schema.inodes, &target.id),
             self.db.lock_key(self.schema.children, &child_key),
         ];
-        let txn = self.db.begin();
-        let this = self.clone();
-        self.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {
-            if let Err(e) = res {
-                this.db.abort(sim, txn);
-                return done(sim, Err(store_error(&e)));
-            }
+        let validate = move |e: &OpEngine| {
             // Re-validate: target still present, still leaf.
-            let target_now = this.db.peek(this.schema.inodes, &target.id);
-            let parent_now = this.db.peek(this.schema.inodes, &target.parent);
-            let still_leaf = this.db.peek_count_range(
-                this.schema.children,
-                (target.id, NameKey::MIN)..(target.id + 1, NameKey::MIN),
-            ) == 0;
-            if target_now.is_none() || parent_now.is_none() || !still_leaf {
-                this.db.abort(sim, txn);
-                return done(sim, Err(FsError::Retryable("delete target changed".into())));
-            }
-            let inv = InvalidationSet {
-                inodes: vec![target.id],
-                listings: Vec::new(),
-                listing_updates: vec![(target.parent, name, false)],
-                prefix: None,
-                paths: vec![path.clone(), parent_path.clone()],
+            let parent_now = e.db.peek(e.schema.inodes, &target.parent);
+            let leaf = e.db.peek(e.schema.inodes, &target.id).is_some() && !e.has_children(target.id);
+            let Some(parent_now) = parent_now.filter(|_| leaf) else {
+                return Err(FsError::Retryable("delete target changed".into()));
             };
-            let this2 = this.clone();
-            this.with_coherence(sim, inv, move |sim| {
-                let mut parent_now = parent_now.expect("checked");
-                parent_now.mtime_nanos = sim.now().as_nanos();
-                let writes = this2
-                    .db
-                    .remove(txn, this2.schema.children, child_key)
-                    .map(|_| ())
-                    .and_then(|()| this2.db.remove(txn, this2.schema.inodes, target.id).map(|_| ()))
-                    .and_then(|()| {
-                        this2.db.upsert(txn, this2.schema.inodes, target.parent, parent_now)
-                    });
-                if writes.is_err() {
-                    this2.db.abort(sim, txn);
-                    return done(sim, Err(FsError::Retryable("write failed".into())));
-                }
-                let this3 = this2.clone();
-                this2.db.commit(sim, txn, move |sim, r| {
-                    if r.is_err() {
-                        return done(sim, Err(FsError::Retryable("commit failed".into())));
-                    }
-                    if allow_cache {
-                        if let Some(cache) = &this3.cache {
-                            let mut cache = cache.borrow_mut();
-                            cache.invalidate_inode(target.id);
-                            cache.update_listing(target.parent, name, false);
-                        }
-                    }
-                    done(sim, Ok(OpOutcome::Deleted(1)));
-                });
+            let inv = (scope != Scope::SubtreeRoot).then(|| InvalidationSet {
+                inodes: vec![target.id],
+                listing_updates: vec![(target.parent, name, false)],
+                paths: vec![path.clone(), path.parent().expect("non-root")],
+                ..InvalidationSet::default()
             });
-        });
+            Ok(((parent_now, path), inv))
+        };
+        let apply = move |e: &OpEngine, txn, state: (Inode, DfsPath), now: SimTime| {
+            let (mut parent_now, path) = state;
+            parent_now.mtime_nanos = now.as_nanos();
+            e.db.remove(txn, e.schema.children, child_key)?;
+            e.db.remove(txn, e.schema.inodes, target.id)?;
+            e.db.upsert(txn, e.schema.inodes, target.parent, parent_now)?;
+            Ok(path)
+        };
+        let committed = move |e: &OpEngine, path: DfsPath| {
+            if scope == Scope::SubtreeRoot {
+                e.update_cache(true, |cache| {
+                    cache.invalidate_prefix(&path);
+                    cache.invalidate_inode(target.parent);
+                    cache.invalidate_listing(target.parent);
+                });
+            } else {
+                e.update_cache(scope.allow_cache(), |cache| {
+                    cache.invalidate_inode(target.id);
+                    cache.update_listing(target.parent, name, false);
+                });
+            }
+            OpOutcome::Deleted(1)
+        };
+        self.write(sim, keys, validate, apply, committed, done);
     }
 
     /// `mv file/dir`. Directories take the subtree path.
     fn execute_mv(&self, sim: &mut Sim, src: DfsPath, dst: DfsPath, allow_cache: bool, done: OpDone) {
-        if src.is_root() || dst.starts_with(&src) {
-            return done(sim, Err(FsError::Retryable("invalid mv".into())));
+        if dst.starts_with(&src) {
+            return done(sim, Err(FsError::InvalidArgument("mv into its own subtree".into())));
         }
         let this = self.clone();
         self.check_subtree_locks(sim, src.clone(), move |sim, blocked| {
@@ -651,37 +606,35 @@ impl OpEngine {
                 return done(sim, Err(FsError::SubtreeLocked(p)));
             }
             let this2 = this.clone();
-            let src2 = src.clone();
-            let dst2 = dst.clone();
             this.resolve_target(sim, src.clone(), allow_cache, move |sim, target| {
                 let target = match target {
                     Err(e) => return done(sim, Err(e)),
                     Ok(t) => t,
                 };
                 if target.is_dir() {
-                    let sub = crate::subtree::SubtreeExecutor::new(this2.clone());
-                    return sub.mv(sim, src2, dst2, done);
+                    return this2.mv_subtree(sim, src, dst, done);
                 }
-                this2.mv_single(sim, src2, dst2, target, allow_cache, done);
+                this2.mv_single(sim, src, dst, target, Scope::Op { allow_cache }, done);
             });
         });
     }
 
-    /// Moves one file under exclusive locks.
+    /// Moves one file under exclusive locks. On a subtree root its INV
+    /// set is empty, which still yields once to the event queue.
     pub(crate) fn mv_single(
         &self,
         sim: &mut Sim,
         src: DfsPath,
         dst: DfsPath,
         target: Inode,
-        allow_cache: bool,
+        scope: Scope,
         done: OpDone,
     ) {
+        let allow_cache = scope.allow_cache();
         let Some(dst_parent_path) = dst.parent() else {
             return done(sim, Err(FsError::AlreadyExists("/".into())));
         };
         let dst_name = dst.file_name_interned().expect("non-root");
-        let src_parent_path = src.parent().expect("non-root");
         let this = self.clone();
         self.resolve_target(sim, dst_parent_path.clone(), allow_cache, move |sim, dst_parent| {
             let dst_parent = match dst_parent {
@@ -691,101 +644,136 @@ impl OpEngine {
             if !dst_parent.is_dir() {
                 return done(sim, Err(FsError::NotADirectory(dst_parent_path.to_string())));
             }
+            let src_key = (target.parent, target.name.key());
+            let dst_key = (dst_parent.id, dst_name.key());
             // The store takes each key once: a rename within one
             // directory locks its parent row once.
             let keys = [
                 this.db.lock_key(this.schema.inodes, &target.parent),
                 this.db.lock_key(this.schema.inodes, &target.id),
-                this.db.lock_key(this.schema.children, &(target.parent, target.name.key())),
-                this.db.lock_key(this.schema.children, &(dst_parent.id, dst_name.key())),
+                this.db.lock_key(this.schema.children, &src_key),
+                this.db.lock_key(this.schema.children, &dst_key),
                 this.db.lock_key(this.schema.inodes, &dst_parent.id),
             ];
-            let txn = this.db.begin();
-            let this2 = this.clone();
-            this.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {
-                if let Err(e) = res {
-                    this2.db.abort(sim, txn);
-                    return done(sim, Err(store_error(&e)));
+            let validate = move |e: &OpEngine| {
+                let still_there = e.db.peek(e.schema.children, &src_key) == Some(target.id);
+                let dst_parent_now = e.db.peek(e.schema.inodes, &dst_parent.id);
+                if !still_there || dst_parent_now.is_none_or(|p| !p.is_dir()) {
+                    return Err(FsError::Retryable("mv source/dest changed".into()));
                 }
-                // Re-validate.
-                let still_there = this2
-                    .db
-                    .peek(this2.schema.children, &(target.parent, target.name.key()))
-                    == Some(target.id);
-                let dst_key = (dst_parent.id, dst_name.key());
-                let dst_free = this2.db.peek(this2.schema.children, &dst_key).is_none();
-                let dst_parent_now = this2.db.peek(this2.schema.inodes, &dst_parent.id);
-                if !still_there || dst_parent_now.as_ref().is_none_or(|p| !p.is_dir()) {
-                    this2.db.abort(sim, txn);
-                    return done(sim, Err(FsError::Retryable("mv source/dest changed".into())));
+                if e.db.peek(e.schema.children, &dst_key).is_some() {
+                    return Err(FsError::AlreadyExists(dst.to_string()));
                 }
-                if !dst_free {
-                    this2.db.abort(sim, txn);
-                    return done(sim, Err(FsError::AlreadyExists(dst.to_string())));
-                }
-                let inv = InvalidationSet {
-                    inodes: vec![target.id],
-                    listings: Vec::new(),
-                    listing_updates: vec![
-                        (target.parent, target.name.as_str(), false),
-                        (dst_parent.id, dst_name.as_str(), true),
-                    ],
-                    prefix: None,
-                    paths: vec![
-                        src.clone(),
-                        dst.clone(),
-                        src_parent_path.clone(),
-                        dst_parent_path.clone(),
-                    ],
-                };
-                let this3 = this2.clone();
-                this2.with_coherence(sim, inv, move |sim| {
-                    let mut moved = target.clone();
-                    moved.parent = dst_parent.id;
-                    moved.name = dst_name;
-                    moved.mtime_nanos = sim.now().as_nanos();
-                    let writes = this3
-                        .db
-                        .remove(txn, this3.schema.children, (target.parent, target.name.key()))
-                        .map(|_| ())
-                        .and_then(|()| {
-                            this3.db.upsert(
-                                txn,
-                                this3.schema.children,
-                                (dst_parent.id, dst_name.key()),
-                                target.id,
-                            )
-                        })
-                        .and_then(|()| {
-                            this3.db.upsert(txn, this3.schema.inodes, target.id, moved.clone())
-                        });
-                    if writes.is_err() {
-                        this3.db.abort(sim, txn);
-                        return done(sim, Err(FsError::Retryable("write failed".into())));
+                let inv = if scope == Scope::SubtreeRoot {
+                    InvalidationSet::default()
+                } else {
+                    let src_parent = src.parent().expect("non-root");
+                    InvalidationSet {
+                        inodes: vec![target.id],
+                        listing_updates: vec![
+                            (target.parent, target.name.as_str(), false),
+                            (dst_parent.id, dst_name.as_str(), true),
+                        ],
+                        paths: vec![src, dst, src_parent, dst_parent_path],
+                        ..InvalidationSet::default()
                     }
-                    let this4 = this3.clone();
-                    this3.db.commit(sim, txn, move |sim, r| {
-                        if r.is_err() {
-                            return done(sim, Err(FsError::Retryable("commit failed".into())));
-                        }
-                        if allow_cache {
-                            if let Some(cache) = &this4.cache {
-                                let mut cache = cache.borrow_mut();
-                                cache.invalidate_inode(target.id);
-                                cache.update_listing(target.parent, target.name.as_str(), false);
-                                cache.update_listing(dst_parent.id, dst_name.as_str(), true);
-                            }
-                        }
-                        done(sim, Ok(OpOutcome::Moved(1)));
-                    });
+                };
+                Ok(((), Some(inv)))
+            };
+            let (id, src_parent, src_name) = (target.id, target.parent, target.name.as_str());
+            let apply = move |e: &OpEngine, txn, (), now: SimTime| {
+                let mut moved = target;
+                moved.parent = dst_parent.id;
+                moved.name = dst_name;
+                moved.mtime_nanos = now.as_nanos();
+                e.db.remove(txn, e.schema.children, src_key)?;
+                e.db.upsert(txn, e.schema.children, dst_key, id)?;
+                e.db.upsert(txn, e.schema.inodes, id, moved)
+            };
+            let committed = move |e: &OpEngine, ()| {
+                e.update_cache(allow_cache, |cache| {
+                    cache.invalidate_inode(id);
+                    cache.update_listing(src_parent, src_name, false);
+                    cache.update_listing(dst_parent.id, dst_name.as_str(), true);
                 });
-            });
+                OpOutcome::Moved(1)
+            };
+            this.write(sim, keys, validate, apply, committed, done);
         });
     }
 
     // ------------------------------------------------------------------
     // Shared machinery
     // ------------------------------------------------------------------
+
+    /// The one write transaction: every exclusive-lock write of the engine
+    /// runs Alg. 1's order here (§3.5), each supplying only its data.
+    ///
+    /// 1. Begin and take `keys` exclusively; a lock failure has aborted
+    ///    the transaction and answers retryable.
+    /// 2. `validate` re-reads under the locks; an error aborts. It returns
+    ///    the state `apply` needs and the INV round to run: `None` runs
+    ///    none, a set runs [`OpEngine::with_coherence`] (an empty set only
+    ///    yields to the event queue).
+    /// 3. `apply` writes the rows; a failed write aborts.
+    /// 4. Commit; then `committed` applies the local cache effect and
+    ///    makes the outcome, and `done` receives it.
+    pub(crate) fn write<S, T, R, V, A, C, D>(
+        &self,
+        sim: &mut Sim,
+        keys: impl IntoIterator<Item = LockKey>,
+        validate: V,
+        apply: A,
+        committed: C,
+        done: D,
+    ) where
+        S: 'static,
+        T: 'static,
+        V: FnOnce(&OpEngine) -> Result<(S, Option<InvalidationSet>), FsError> + 'static,
+        A: FnOnce(&OpEngine, TxnId, S, SimTime) -> StoreResult<T> + 'static,
+        C: FnOnce(&OpEngine, T) -> R + 'static,
+        D: FnOnce(&mut Sim, Result<R, FsError>) + 'static,
+    {
+        let this = self.clone();
+        self.db.begin_exclusive(sim, keys, move |sim, txn| {
+            let txn = match txn {
+                Ok(txn) => txn,
+                Err(e) => return done(sim, Err(store_error(&e))),
+            };
+            let (state, inv) = match validate(&this) {
+                Ok(checked) => checked,
+                Err(e) => {
+                    this.db.abort(sim, txn);
+                    return done(sim, Err(e));
+                }
+            };
+            let engine = this.clone();
+            let write = move |sim: &mut Sim| {
+                let written = apply(&this, txn, state, sim.now());
+                let db = this.db.clone();
+                db.commit_after(sim, txn, written, move |sim, r| {
+                    done(sim, r.map(|out| committed(&this, out)).map_err(|e| store_error(&e)));
+                });
+            };
+            match inv {
+                Some(inv) => engine.with_coherence(sim, inv, write),
+                None => write(sim),
+            }
+        });
+    }
+
+    /// Runs `effect` on the local cache, if there is one and `allow` holds.
+    fn update_cache(&self, allow: bool, effect: impl FnOnce(&mut MetadataCache)) {
+        if let (true, Some(cache)) = (allow, &self.cache) {
+            effect(&mut cache.borrow_mut());
+        }
+    }
+
+    /// Whether directory `dir` has at least one child row (a free peek).
+    fn has_children(&self, dir: InodeId) -> bool {
+        let children = (dir, NameKey::MIN)..(dir + 1, NameKey::MIN);
+        self.db.peek_count_range(self.schema.children, children) > 0
+    }
 
     /// Runs the coherence hook if configured, else proceeds immediately.
     pub(crate) fn with_coherence<F>(&self, sim: &mut Sim, inv: InvalidationSet, done: F)
@@ -810,25 +798,17 @@ impl OpEngine {
             done(sim, None);
             return;
         }
-        let this = self.clone();
         self.db.scan_with(
             sim,
             self.schema.subtree_locks,
             ..,
             || None,
             move |blocked: &mut Option<String>, _, row| {
-                if blocked.is_some() {
-                    return;
-                }
-                let Ok(locked) = row.path.parse::<DfsPath>() else { return };
-                if path.starts_with(&locked) || locked.starts_with(&path) {
-                    *blocked = Some(locked.to_string());
+                if blocked.is_none() && row.overlaps(&path) {
+                    *blocked = Some(row.path.to_string());
                 }
             },
-            move |sim, blocked| {
-                let _ = &this;
-                done(sim, blocked);
-            },
+            done,
         );
     }
 }

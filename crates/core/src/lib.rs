@@ -77,5 +77,4 @@ pub use metrics::RunMetrics;
 pub use namenode::{NameNode, NnServices};
 pub use result_cache::ResultCache;
 pub use service::DfsService;
-pub use subtree::SubtreeExecutor;
 pub use system::LambdaFs;

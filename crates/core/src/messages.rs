@@ -87,8 +87,6 @@ pub enum NnRequest {
     },
     /// A subtree batch offloaded by a leader NameNode (Appendix D).
     Offload {
-        /// Batch identity (for the leader's bookkeeping).
-        batch_id: u64,
         /// The work.
         batch: SubtreeBatch,
     },
@@ -111,10 +109,7 @@ pub enum NnResponse {
         deployment: u32,
     },
     /// Reply to [`NnRequest::Offload`].
-    OffloadDone {
-        /// Echoed batch identity.
-        batch_id: u64,
-    },
+    OffloadDone,
 }
 
 /// Coherence-protocol traffic, delivered by the Coordinator (§3.5,

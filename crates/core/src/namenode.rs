@@ -27,7 +27,6 @@ use crate::config::LambdaFsConfig;
 use crate::fsops::{OpEngine, Offloader, SubtreeSettings};
 use crate::messages::{CoherenceMsg, NnRequest, NnResponse, RequestId, SubtreeBatch};
 use crate::result_cache::ResultCache;
-use crate::subtree::SubtreeExecutor;
 
 /// How many recent results a NameNode retains for retry deduplication.
 const RESULT_CACHE_CAPACITY: usize = 4096;
@@ -152,21 +151,11 @@ impl NameNode {
         );
     }
 
-    fn handle_offload(
-        &self,
-        sim: &mut Sim,
-        batch_id: u64,
-        batch: SubtreeBatch,
-        respond: Responder<NnResponse>,
-    ) {
+    fn handle_offload(&self, sim: &mut Sim, batch: SubtreeBatch, respond: Responder<NnResponse>) {
         let engine = self.state.borrow().engine.clone();
         let Some(engine) = engine else { return };
-        let executor = SubtreeExecutor::new(engine);
-        executor.run_batch_local(
-            sim,
-            batch,
-            Box::new(move |sim| respond.send(sim, NnResponse::OffloadDone { batch_id })),
-        );
+        let done = Box::new(move |sim: &mut Sim| respond.send(sim, NnResponse::OffloadDone));
+        engine.run_batch_local(sim, batch, done);
     }
 }
 
@@ -245,7 +234,7 @@ impl Function for NameNode {
                     return true;
                 }
                 let db = sweep_db.clone();
-                let schema = sweep_schema.clone();
+                let table = sweep_schema.subtree_locks;
                 let coord = sweep_coord.clone();
                 sweep_db.scan_with(
                     sim,
@@ -259,24 +248,10 @@ impl Function for NameNode {
                     },
                     move |sim, dead| {
                         for root in dead {
-                            let txn = db.begin();
-                            let key = db.lock_key(schema.subtree_locks, &root);
+                            let key = db.lock_key(table, &root);
                             let db2 = db.clone();
-                            let schema2 = schema.clone();
-                            db.lock(
-                                sim,
-                                txn,
-                                [key],
-                                lambda_store::LockMode::Exclusive,
-                                move |sim, r| {
-                                    if r.is_err() {
-                                        db2.abort(sim, txn);
-                                        return;
-                                    }
-                                    let _ = db2.remove(txn, schema2.subtree_locks, root);
-                                    db2.commit(sim, txn, |_sim, _r| {});
-                                },
-                            );
+                            let reclaim = move |txn, _| db2.remove(txn, table, root).map(drop);
+                            db.write(sim, [key], reclaim, |_sim, _r| {});
                         }
                     },
                 );
@@ -357,9 +332,7 @@ impl Function for NameNode {
                     self.handle_op(sim, ctx, id, op, owned, respond);
                 }
             }
-            NnRequest::Offload { batch_id, batch } => {
-                self.handle_offload(sim, batch_id, batch, respond);
-            }
+            NnRequest::Offload { batch } => self.handle_offload(sim, batch, respond),
         }
     }
 
@@ -421,7 +394,7 @@ impl Offloader for NnOffloader {
             let accepted = platform.deliver_tcp(
                 sim,
                 instance,
-                NnRequest::Offload { batch_id: 0, batch: batch.clone() },
+                NnRequest::Offload { batch: batch.clone() },
                 Responder::new(move |sim, _resp| {
                     if let Some(d) = done2.borrow_mut().take() {
                         d(sim);

@@ -1,13 +1,15 @@
 //! Subtree operations (recursive `delete` and `mv`) — the three-phase
 //! HopsFS protocol augmented with λFS's subtree coherence and serverless
-//! offloading (paper §3.5 "subtree coherence protocol" and Appendix D).
+//! offloading (paper §3.5 "subtree coherence protocol" and Appendix D),
+//! as a block of [`OpEngine`] methods.
 //!
 //! Phases:
 //!
 //! 1. **Lock**: persist a subtree-lock flag on the subtree root after
 //!    checking that no overlapping subtree operation is active (subtree
-//!    isolation). Stale flags left by crashed holders are reclaimed using
-//!    the Coordinator's liveness oracle.
+//!    isolation): every overlapping flag counts, a live holder refuses,
+//!    and the flags of crashed holders (the Coordinator's liveness oracle
+//!    tells) are reclaimed in the same write.
 //! 2. **Quiesce + collect**: walk the subtree through the children index,
 //!    building the in-memory item list, then take-and-release write locks
 //!    on every INode in batches (charged against the store — this is what
@@ -17,19 +19,24 @@
 //! 3. **Execute**: a single **prefix invalidation** replaces per-INode
 //!    coherence rounds; then the actual mutation runs — for `mv`, one
 //!    transaction relinking the subtree root; for `delete`, leaf-first
-//!    batched row removals (so a crash mid-way never orphans an inode).
+//!    batched row removals (so a crash mid-way never orphans an inode),
+//!    then the emptied root.
 //!
+//! The flag's acquire and the root's relink or delete are ordinary
+//! [`OpEngine::write`]s (the root's are the single-inode `mv` and `delete`
+//! of `fsops`, told that the prefix round already ran); the flag's release
+//! and the row batches are the store's [`Db::write`](lambda_store::Db::write).
 //! Cleanup removes the subtree-lock flag even on failure paths.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use lambda_namespace::{DfsPath, FsError, InodeId, OpOutcome, SubtreeLockRow};
-use lambda_sim::{Sim, SimDuration};
-use lambda_store::{LockMode, NameKey};
+use lambda_namespace::{DfsPath, FsError, Inode, InodeId, OpOutcome, SubtreeLockRow};
+use lambda_sim::{Sim, SimDuration, SimTime};
+use lambda_store::NameKey;
 
-use crate::fsops::{InvalidationSet, OpDone, OpEngine};
+use crate::fsops::{InvalidationSet, OpDone, OpEngine, Scope};
 use crate::messages::{SubtreeBatch, SubtreeBatchKind, SubtreeItem};
 
 /// Continuation fired when a batch (or batch set) completes.
@@ -37,79 +44,32 @@ type BatchDone = Box<dyn FnOnce(&mut Sim)>;
 /// Continuation receiving the collected subtree items.
 type CollectDone = Box<dyn FnOnce(&mut Sim, Vec<SubtreeItem>)>;
 
-/// Executes subtree operations on top of an [`OpEngine`].
-#[derive(Clone)]
-pub struct SubtreeExecutor {
-    engine: OpEngine,
-}
-
-impl SubtreeExecutor {
-    /// Wraps an engine.
-    #[must_use]
-    pub fn new(engine: OpEngine) -> Self {
-        SubtreeExecutor { engine }
-    }
-
+impl OpEngine {
     /// Recursive delete of the directory at `path`.
-    pub fn delete(&self, sim: &mut Sim, path: DfsPath, done: OpDone) {
+    pub(crate) fn delete_subtree(&self, sim: &mut Sim, path: DfsPath, done: OpDone) {
         let this = self.clone();
         self.with_subtree_lock(sim, path.clone(), "delete", move |sim, root_id, finish| {
+            let inv = InvalidationSet {
+                inodes: vec![root_id],
+                listings: vec![root_id],
+                prefix: Some(path.clone()),
+                paths: vec![path.clone(), path.parent().expect("subtree root is not /")],
+                ..InvalidationSet::default()
+            };
             let this2 = this.clone();
-            let path2 = path.clone();
-            this.collect_subtree(sim, root_id, move |sim, mut items| {
+            this.quiesce_and_invalidate(sim, root_id, inv, move |sim, mut items| {
                 // Leaf-first: reverse the BFS (parents-before-children)
                 // order so partial execution keeps the tree well-formed.
                 items.reverse();
-                let count = items.len() as u64;
-                let quiesce = make_batches(&items, this2.engine.subtree.batch_size, SubtreeBatchKind::Quiesce);
+                let deleted = OpOutcome::Deleted(items.len() as u64 + 1);
+                let batch_size = this2.subtree.batch_size;
+                let deletes = make_batches(&items, batch_size, SubtreeBatchKind::DeleteRows);
                 let this3 = this2.clone();
-                let path3 = path2.clone();
-                this2.run_batches(sim, quiesce, move |sim| {
-                    // Subtree coherence: one prefix INV for the whole tree
-                    // (instead of thousands of per-INode rounds).
-                    let parent_path = path3.parent().expect("subtree root is not /");
-                    let inv = InvalidationSet {
-                        inodes: vec![root_id],
-                        listings: vec![root_id],
-                        listing_updates: Vec::new(),
-                        prefix: Some(path3.clone()),
-                        paths: vec![path3.clone(), parent_path],
-                    };
-                    let this4 = this3.clone();
-                    let path4 = path3.clone();
-                    this3.engine.with_coherence(sim, inv, move |sim| {
-                        let deletes = make_batches(
-                            &items,
-                            this4.engine.subtree.batch_size,
-                            SubtreeBatchKind::DeleteRows,
-                        );
-                        let this5 = this4.clone();
-                        this4.run_batches(sim, deletes, move |sim| {
-                            // Finally remove the (now empty) root itself,
-                            // without a second coherence round.
-                            let mut engine = this5.engine.clone();
-                            engine.coherence = None;
-                            let root_now = engine.db.peek(engine.schema.inodes, &root_id);
-                            match root_now {
-                                None => finish(
-                                    sim,
-                                    Err(FsError::Retryable("subtree root vanished".into())),
-                                ),
-                                Some(root) => {
-                                    engine.delete_root_for_subtree(
-                                        sim,
-                                        path4.clone(),
-                                        root,
-                                        Box::new(move |sim, r| match r {
-                                            Ok(_) => {
-                                                finish(sim, Ok(OpOutcome::Deleted(count + 1)));
-                                            }
-                                            Err(e) => finish(sim, Err(e)),
-                                        }),
-                                    );
-                                }
-                            }
-                        });
+                this2.run_batches(sim, deletes, move |sim| {
+                    // Finally the (now empty) root itself: an ordinary
+                    // single delete whose INV the prefix round covered.
+                    this3.on_root(sim, root_id, deleted, finish, |sim, root, done| {
+                        this3.delete_single(sim, path, root, Scope::SubtreeRoot, done);
                     });
                 });
             });
@@ -117,58 +77,61 @@ impl SubtreeExecutor {
     }
 
     /// Recursive move of the directory at `src` to `dst`.
-    pub fn mv(&self, sim: &mut Sim, src: DfsPath, dst: DfsPath, done: OpDone) {
+    pub(crate) fn mv_subtree(&self, sim: &mut Sim, src: DfsPath, dst: DfsPath, done: OpDone) {
         let this = self.clone();
-        let dst2 = dst.clone();
         self.with_subtree_lock(sim, src.clone(), "mv", move |sim, root_id, finish| {
+            let inv = InvalidationSet {
+                inodes: vec![root_id],
+                listings: vec![root_id],
+                prefix: Some(src.clone()),
+                paths: vec![
+                    src.clone(),
+                    dst.clone(),
+                    src.parent().expect("subtree root is not /"),
+                    dst.parent().unwrap_or_else(DfsPath::root),
+                ],
+                ..InvalidationSet::default()
+            };
             let this2 = this.clone();
-            let src2 = src.clone();
-            let dst3 = dst2.clone();
-            this.collect_subtree(sim, root_id, move |sim, items| {
-                let count = items.len() as u64;
-                let quiesce =
-                    make_batches(&items, this2.engine.subtree.batch_size, SubtreeBatchKind::Quiesce);
-                let this3 = this2.clone();
-                this2.run_batches(sim, quiesce, move |sim| {
-                    let src_parent = src2.parent().expect("subtree root is not /");
-                    let dst_parent = dst3.parent().unwrap_or_else(DfsPath::root);
-                    let inv = InvalidationSet {
-                        inodes: vec![root_id],
-                        listings: vec![root_id],
-                        listing_updates: Vec::new(),
-                        prefix: Some(src2.clone()),
-                        paths: vec![src2.clone(), dst3.clone(), src_parent, dst_parent],
-                    };
-                    let this4 = this3.clone();
-                    let (src3, dst4) = (src2.clone(), dst3.clone());
-                    this3.engine.with_coherence(sim, inv, move |sim| {
-                        // The actual relink is a single small transaction:
-                        // descendants key off the root's id and need no
-                        // rewriting.
-                        let mut engine = this4.engine.clone();
-                        engine.coherence = None;
-                        let root_now = engine.db.peek(engine.schema.inodes, &root_id);
-                        match root_now {
-                            None => finish(
-                                sim,
-                                Err(FsError::Retryable("subtree root vanished".into())),
-                            ),
-                            Some(root) => engine.mv_single(
-                                sim,
-                                src3,
-                                dst4,
-                                root,
-                                false,
-                                Box::new(move |sim, r| match r {
-                                    Ok(_) => finish(sim, Ok(OpOutcome::Moved(count + 1))),
-                                    Err(e) => finish(sim, Err(e)),
-                                }),
-                            ),
-                        }
-                    });
+            this.quiesce_and_invalidate(sim, root_id, inv, move |sim, items| {
+                // The actual relink is a single small transaction:
+                // descendants key off the root's id and need no rewriting.
+                let moved = OpOutcome::Moved(items.len() as u64 + 1);
+                this2.on_root(sim, root_id, moved, finish, |sim, root, done| {
+                    this2.mv_single(sim, src, dst, root, Scope::SubtreeRoot, done);
                 });
             });
         }, done);
+    }
+
+    /// Phases 2 and 3's common start: collects the subtree under `root`,
+    /// quiesces it in batches, then runs the one prefix INV
+    /// round (instead of thousands of per-INode rounds) before `then`.
+    fn quiesce_and_invalidate<F>(&self, sim: &mut Sim, root: InodeId, inv: InvalidationSet, then: F)
+    where
+        F: FnOnce(&mut Sim, Vec<SubtreeItem>) + 'static,
+    {
+        let this = self.clone();
+        self.collect_subtree(sim, root, move |sim, items| {
+            let quiesce = make_batches(&items, this.subtree.batch_size, SubtreeBatchKind::Quiesce);
+            let this2 = this.clone();
+            this.run_batches(sim, quiesce, move |sim| {
+                this2.with_coherence(sim, inv, move |sim| then(sim, items));
+            });
+        });
+    }
+
+    /// Phase 3's last step, on the subtree root as the store holds it now:
+    /// `step` runs the single-inode write, and `finish` receives `outcome`
+    /// (every inode the operation covered) for its success.
+    fn on_root<S>(&self, sim: &mut Sim, root: InodeId, outcome: OpOutcome, finish: OpDone, step: S)
+    where
+        S: FnOnce(&mut Sim, Inode, OpDone),
+    {
+        let Some(root) = self.db.peek(self.schema.inodes, &root) else {
+            return finish(sim, Err(FsError::Retryable("subtree root vanished".into())));
+        };
+        step(sim, root, Box::new(move |sim, r| finish(sim, r.map(|_| outcome))));
     }
 
     // ------------------------------------------------------------------
@@ -179,6 +142,12 @@ impl SubtreeExecutor {
     /// runs `body`, and guarantees the flag is released before `done`
     /// fires. `body` receives a `finish` continuation it must call exactly
     /// once.
+    ///
+    /// Subtree isolation: every flag overlapping `path` counts. One whose
+    /// holder is alive answers [`FsError::SubtreeLocked`]; the stale ones
+    /// left by crashed holders are locked and reclaimed with the flag's
+    /// write (paper §3.6 — the Coordinator detects crashes, "enabling the
+    /// easy removal of locks held by crashed NameNodes").
     fn with_subtree_lock<B>(
         &self,
         sim: &mut Sim,
@@ -190,103 +159,66 @@ impl SubtreeExecutor {
         B: FnOnce(&mut Sim, InodeId, OpDone) + 'static,
     {
         let this = self.clone();
-        self.engine.resolve_chain(sim, path.clone(), false, move |sim, chain| {
-            let chain = match chain {
+        self.resolve_chain(sim, path.clone(), false, move |sim, chain| {
+            let root = match chain {
                 Err(e) => return done(sim, Err(e)),
-                Ok(c) => c,
+                Ok(mut chain) => chain.pop().expect("non-empty"),
             };
-            let root = chain.last().expect("non-empty").clone();
             if !root.is_dir() {
                 return done(sim, Err(FsError::NotADirectory(path.to_string())));
             }
-            let engine = this.engine.clone();
-            let txn = engine.db.begin();
-            let lock_key = engine.db.lock_key(engine.schema.subtree_locks, &root.id);
-            let this2 = this.clone();
-            let path2 = path.clone();
-            engine.db.lock(sim, txn, [lock_key], LockMode::Exclusive, move |sim, res| {
-                if res.is_err() {
-                    this2.engine.db.abort(sim, txn);
-                    return done(sim, Err(FsError::Retryable("subtree lock wait".into())));
-                }
-                // Subtree isolation: no overlapping active subtree op.
-                let mut overlap = None;
-                this2.engine.db.peek_range_with(
-                    this2.engine.schema.subtree_locks,
-                    ..,
-                    |locked_root, row| {
-                        if overlap.is_none()
-                            && row
-                                .path
-                                .parse::<DfsPath>()
-                                .map(|p| p.starts_with(&path2) || path2.starts_with(&p))
-                                .unwrap_or(false)
-                        {
-                            overlap = Some((*locked_root, *row));
-                        }
-                    },
-                );
-                if let Some((locked_root, row)) = overlap {
-                    let holder_alive = this2
-                        .engine
-                        .subtree
-                        .holder_alive
-                        .as_ref()
-                        .is_none_or(|alive| alive(row.holder));
-                    if holder_alive {
-                        this2.engine.db.abort(sim, txn);
-                        return done(sim, Err(FsError::SubtreeLocked(row.path.to_string())));
-                    }
-                    // Stale flag from a crashed NameNode: reclaim it
-                    // (paper §3.6 — the Coordinator detects crashes,
-                    // "enabling the easy removal of locks held by crashed
-                    // NameNodes").
-                    let _ = this2.engine.db.remove(txn, this2.engine.schema.subtree_locks, locked_root);
+            let table = this.schema.subtree_locks;
+            let stale = this.overlapping_flags(&path, false);
+            let keys: Vec<_> = std::iter::once(root.id)
+                .chain(stale.iter().map(|&(flag, _)| flag))
+                .map(|flag| this.db.lock_key(table, &flag))
+                .collect();
+            let validate = move |e: &OpEngine| match e.overlapping_flags(&path, true).first() {
+                Some((_, live)) => Err(FsError::SubtreeLocked(live.path.to_string())),
+                None => Ok(((stale, path), None)),
+            };
+            let apply = move |e: &OpEngine, txn, (stale, path): (Vec<_>, DfsPath), now: SimTime| {
+                for (flag, _) in stale {
+                    e.db.remove(txn, table, flag)?;
                 }
                 let row = SubtreeLockRow {
-                    holder: this2.engine.subtree.holder_tag,
-                    acquired_nanos: sim.now().as_nanos(),
-                    path: path2.as_str(),
+                    holder: e.subtree.holder_tag,
+                    acquired_nanos: now.as_nanos(),
+                    path: path.as_str(),
                     op: op_name,
                 };
-                if this2.engine.db.upsert(txn, this2.engine.schema.subtree_locks, root.id, row).is_err() {
-                    this2.engine.db.abort(sim, txn);
-                    return done(sim, Err(FsError::Retryable("subtree flag write".into())));
+                e.db.upsert(txn, table, root.id, row)
+            };
+            let this2 = this.clone();
+            this.write(sim, keys, validate, apply, |_, ()| (), move |sim, r| {
+                if let Err(e) = r {
+                    return done(sim, Err(e));
                 }
-                let this3 = this2.clone();
-                this2.engine.db.commit(sim, txn, move |sim, r| {
-                    if r.is_err() {
-                        return done(sim, Err(FsError::Retryable("subtree flag commit".into())));
-                    }
-                    // Wrap `done` so the flag is always released first.
-                    let this4 = this3.clone();
-                    let finish: OpDone = Box::new(move |sim, result| {
-                        this4.release_subtree_lock(sim, root.id, move |sim: &mut Sim| {
-                            done(sim, result);
-                        });
-                    });
-                    body(sim, root.id, finish);
+                // Wrap `done` so the flag is always released first.
+                let finish: OpDone = Box::new(move |sim, result| {
+                    let db = this2.db.clone();
+                    let release = move |txn, _| db.remove(txn, table, root.id).map(drop);
+                    let key = this2.db.lock_key(table, &root.id);
+                    this2.db.write(sim, [key], release, move |sim, _| done(sim, result));
                 });
+                body(sim, root.id, finish);
             });
         });
     }
 
-    fn release_subtree_lock<F>(&self, sim: &mut Sim, root_id: InodeId, done: F)
-    where
-        F: FnOnce(&mut Sim) + 'static,
-    {
-        let engine = self.engine.clone();
-        let txn = engine.db.begin();
-        let key = engine.db.lock_key(engine.schema.subtree_locks, &root_id);
-        let engine2 = engine.clone();
-        engine.db.lock(sim, txn, [key], LockMode::Exclusive, move |sim, res| {
-            if res.is_err() {
-                engine2.db.abort(sim, txn);
-                return done(sim);
+    /// The subtree-lock flags overlapping `path` whose holders are alive
+    /// (`alive`) or dead, by root id. Without a liveness oracle every
+    /// holder is alive.
+    fn overlapping_flags(&self, path: &DfsPath, alive: bool) -> Vec<(InodeId, SubtreeLockRow)> {
+        let mut flags = Vec::new();
+        self.db.peek_range_with(self.schema.subtree_locks, .., |&root, row| {
+            if row.overlaps(path)
+                && self.subtree.holder_alive.as_ref().is_none_or(|f| f(row.holder)) == alive
+            {
+                flags.push((root, *row));
             }
-            let _ = engine2.db.remove(txn, engine2.schema.subtree_locks, root_id);
-            engine2.db.commit(sim, txn, move |sim, _r| done(sim));
         });
+        flags
     }
 
     // ------------------------------------------------------------------
@@ -312,23 +244,17 @@ impl SubtreeExecutor {
         done: CollectDone,
     ) {
         let Some(dir) = queue.pop_front() else {
-            if std::env::var_os("LFS_SUBTREE_TRACE").is_some() {
-                eprintln!("[subtree] t={} collected {} items", sim.now(), acc.len());
-            }
             return done(sim, acc);
         };
         let this = self.clone();
         let walker = self.clone();
-        self.engine.db.scan_with(
+        self.db.scan_with(
             sim,
-            self.engine.schema.children,
+            self.schema.children,
             (dir, NameKey::MIN)..(dir + 1, NameKey::MIN),
             move || (queue, acc),
             move |(queue, acc), &(parent, name), &id| {
-                let is_dir = walker
-                    .engine
-                    .db
-                    .peek(walker.engine.schema.inodes, &id)
+                let is_dir = walker.db.peek(walker.schema.inodes, &id)
                     .is_some_and(|i| i.is_dir());
                 if is_dir {
                     queue.push_back(id);
@@ -361,13 +287,13 @@ impl SubtreeExecutor {
             in_flight: 0,
             done: Some(Box::new(done)),
         }));
-        let parallelism = self.engine.subtree.parallelism.max(1);
+        let parallelism = self.subtree.parallelism.max(1);
         enum Next {
             Run(SubtreeBatch),
             Done(BatchDone),
             Wait,
         }
-        fn pump(this: &SubtreeExecutor, sim: &mut Sim, pool: &Rc<RefCell<Pool>>, parallelism: usize) {
+        fn pump(this: &OpEngine, sim: &mut Sim, pool: &Rc<RefCell<Pool>>, parallelism: usize) {
             loop {
                 let next = {
                     let mut p = pool.borrow_mut();
@@ -406,150 +332,66 @@ impl SubtreeExecutor {
                 }
             }
         }
-        if std::env::var_os("LFS_SUBTREE_TRACE").is_some() {
-            eprintln!(
-                "[subtree] t={} run_batches: {} batches, parallelism {}",
-                sim.now(),
-                pool.borrow().queue.len(),
-                parallelism
-            );
-        }
         pump(self, sim, &pool, parallelism);
     }
 
     /// Executes one batch: offloaded if a helper accepts it, locally
     /// otherwise.
-    pub(crate) fn run_one_batch(
-        &self,
-        sim: &mut Sim,
-        batch: SubtreeBatch,
-        done: Box<dyn FnOnce(&mut Sim)>,
-    ) {
-        if let Some(offloader) = self.engine.subtree.offloader.clone() {
+    fn run_one_batch(&self, sim: &mut Sim, batch: SubtreeBatch, done: BatchDone) {
+        let Some(offloader) = self.subtree.offloader.clone() else {
+            return self.run_batch_local(sim, batch, done);
+        };
+        let local_copy = batch.clone();
+        // Whichever of the helper's reply and the guard below comes first
+        // takes `done`: a helper dying mid-batch leaves the batch to be
+        // re-run locally (batches are idempotent).
+        let done = Rc::new(RefCell::new(Some(done)));
+        let done2 = Rc::clone(&done);
+        let replied: BatchDone = Box::new(move |sim| {
+            if let Some(d) = done2.borrow_mut().take() {
+                d(sim);
+            }
+        });
+        if offloader.offload(sim, batch, replied) {
             let this = self.clone();
-            let local_copy = batch.clone();
-            // Guard against a helper dying mid-batch: if the offload never
-            // completes, re-run locally (batches are idempotent).
-            let fired = Rc::new(std::cell::Cell::new(false));
-            let fired2 = Rc::clone(&fired);
-            let done = Rc::new(RefCell::new(Some(done)));
-            let done2 = Rc::clone(&done);
-            let wrapped: Box<dyn FnOnce(&mut Sim)> = Box::new(move |sim| {
-                fired2.set(true);
-                if let Some(d) = done2.borrow_mut().take() {
-                    d(sim);
+            sim.schedule(SimDuration::from_secs(10), move |sim| {
+                if let Some(d) = done.borrow_mut().take() {
+                    this.run_batch_local(sim, local_copy, d);
                 }
             });
-            if offloader.offload(sim, batch, wrapped) {
-                let this2 = this.clone();
-                sim.schedule(SimDuration::from_secs(10), move |sim| {
-                    if !fired.get() {
-                        if let Some(d) = done.borrow_mut().take() {
-                            this2.run_batch_local(sim, local_copy, d);
-                        }
-                    }
-                });
-                return;
-            }
-            // Offload refused: run locally with the original callback.
-            let d = done.borrow_mut().take().expect("unused");
-            self.run_batch_local(sim, local_copy, d);
             return;
         }
-        self.run_batch_local(sim, batch, done);
+        // Offload refused: run locally with the original callback.
+        let d = done.borrow_mut().take().expect("unused");
+        self.run_batch_local(sim, local_copy, d);
     }
 
-    /// Executes one batch against the local engine's store handle.
-    pub(crate) fn run_batch_local(
-        &self,
-        sim: &mut Sim,
-        batch: SubtreeBatch,
-        done: Box<dyn FnOnce(&mut Sim)>,
-    ) {
+    /// Executes one batch against this engine's store handle.
+    pub(crate) fn run_batch_local(&self, sim: &mut Sim, batch: SubtreeBatch, done: BatchDone) {
         match batch.kind {
             SubtreeBatchKind::Quiesce => {
-                self.engine.db.charge_quiesce(sim, batch.items.len() as u64, done);
+                self.db.charge_quiesce(sim, batch.items.len() as u64, done);
             }
             SubtreeBatchKind::DeleteRows => {
-                let engine = self.engine.clone();
-                let txn = engine.db.begin();
+                let (inodes, children) = (self.schema.inodes, self.schema.children);
                 let mut keys = Vec::with_capacity(batch.items.len() * 2);
                 for item in &batch.items {
-                    keys.push(engine.db.lock_key(engine.schema.inodes, &item.id));
-                    let child_key = (item.parent, item.name);
-                    keys.push(engine.db.lock_key(engine.schema.children, &child_key));
+                    keys.push(self.db.lock_key(inodes, &item.id));
+                    keys.push(self.db.lock_key(children, &(item.parent, item.name)));
                 }
-                let engine2 = engine.clone();
-                engine.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {
-                    if res.is_err() {
-                        engine2.db.abort(sim, txn);
-                        // Retried by the leader's timeout guard; charge
-                        // nothing more here.
-                        return done(sim);
-                    }
+                let db = self.db.clone();
+                let rows = move |txn, _| {
                     for item in &batch.items {
-                        let _ = engine2.db.remove(txn, engine2.schema.inodes, item.id);
-                        let _ = engine2.db.remove(
-                            txn,
-                            engine2.schema.children,
-                            (item.parent, item.name),
-                        );
+                        db.remove(txn, inodes, item.id)?;
+                        db.remove(txn, children, (item.parent, item.name))?;
                     }
-                    engine2.db.commit(sim, txn, move |sim, _r| done(sim));
-                });
+                    Ok(())
+                };
+                // A failed batch charges nothing more here; the leader's
+                // timeout guard re-runs offloaded ones.
+                self.db.write(sim, keys, rows, move |sim, _| done(sim));
             }
         }
-    }
-}
-
-impl OpEngine {
-    /// Deletes the emptied subtree root (no coherence — the prefix INV
-    /// already covered it).
-    fn delete_root_for_subtree(&self, sim: &mut Sim, path: DfsPath, root: lambda_namespace::Inode, done: OpDone) {
-        // delete_single is private to fsops; replicate the minimal txn
-        // here via the same locking discipline.
-        let keys = [
-            self.db.lock_key(self.schema.inodes, &root.parent),
-            self.db.lock_key(self.schema.inodes, &root.id),
-            self.db.lock_key(self.schema.children, &(root.parent, root.name.key())),
-        ];
-        let txn = self.db.begin();
-        let this = self.clone();
-        self.db.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| {
-            if res.is_err() {
-                this.db.abort(sim, txn);
-                return done(sim, Err(FsError::Retryable("subtree root delete lock".into())));
-            }
-            let parent_now = this.db.peek(this.schema.inodes, &root.parent);
-            let Some(mut parent_now) = parent_now else {
-                this.db.abort(sim, txn);
-                return done(sim, Err(FsError::Retryable("subtree parent vanished".into())));
-            };
-            parent_now.mtime_nanos = sim.now().as_nanos();
-            let writes = this
-                .db
-                .remove(txn, this.schema.children, (root.parent, root.name.key()))
-                .map(|_| ())
-                .and_then(|()| this.db.remove(txn, this.schema.inodes, root.id).map(|_| ()))
-                .and_then(|()| this.db.upsert(txn, this.schema.inodes, root.parent, parent_now));
-            if writes.is_err() {
-                this.db.abort(sim, txn);
-                return done(sim, Err(FsError::Retryable("subtree root delete".into())));
-            }
-            let this2 = this.clone();
-            this.db.commit(sim, txn, move |sim, r| {
-                if r.is_err() {
-                    return done(sim, Err(FsError::Retryable("subtree root commit".into())));
-                }
-                if let Some(cache) = &this2.cache {
-                    let mut cache = cache.borrow_mut();
-                    cache.invalidate_prefix(&path);
-                    cache.invalidate_inode(root.parent);
-                    cache.invalidate_listing(root.parent);
-                }
-                done(sim, Ok(OpOutcome::Deleted(1)));
-            });
-        });
     }
 }
 

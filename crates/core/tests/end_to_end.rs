@@ -221,6 +221,28 @@ fn subtree_delete_removes_everything_atomically() {
 }
 
 #[test]
+fn impossible_operations_fail_on_the_first_attempt() {
+    let mut sim = Sim::new(29);
+    let fs = LambdaFs::build(&mut sim, small_config());
+    fs.start(&mut sim);
+    run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/a"))).unwrap();
+    run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/a/b"))).unwrap();
+    let retries_before = fs.metrics().borrow().retries;
+    for op in [
+        FsOp::Mv(p("/a"), p("/a/b/c")),
+        FsOp::Mv(p("/a"), p("/a")),
+        FsOp::Mv(p("/"), p("/x")),
+        FsOp::Delete(p("/")),
+    ] {
+        let result = run_op(&mut sim, &fs, 1, op.clone());
+        assert!(matches!(result, Err(FsError::InvalidArgument(_))), "{op:?}: {result:?}");
+    }
+    assert_eq!(fs.metrics().borrow().retries, retries_before, "a final error was retried");
+    assert!(fs.check_consistency().is_empty());
+    fs.stop(&mut sim);
+}
+
+#[test]
 fn subtree_mv_relocates_the_whole_tree() {
     let mut sim = Sim::new(19);
     let fs = LambdaFs::build(&mut sim, small_config());

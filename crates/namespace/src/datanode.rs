@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use lambda_sim::{every, Sim, SimDuration, SimTime};
-use lambda_store::{Db, LockMode};
+use lambda_store::Db;
 
 use crate::inode::{DataNodeId, DataNodeInfo};
 use crate::schema::MetadataSchema;
@@ -94,32 +94,19 @@ impl DataNodeFleet {
     }
 
     /// Writes one heartbeat/block-report row through a real store
-    /// transaction (exclusive row lock, commit charge).
+    /// transaction (exclusive row lock, commit charge). Contention on the
+    /// row skips this round.
     fn publish_report(&self, sim: &mut Sim, id: DataNodeId) {
         let db = self.db.clone();
-        let schema = self.schema.clone();
-        let txn = db.begin();
-        let lock = db.lock_key(schema.datanodes, &id);
-        let db2 = db.clone();
-        db.lock(sim, txn, [lock], LockMode::Exclusive, move |sim, res| {
-            if res.is_err() {
-                // Contention on a heartbeat row: skip this round.
-                db2.abort(sim, txn);
-                return;
-            }
-            let now = sim.now();
-            let current = db2.peek(schema.datanodes, &id);
-            if let Some(mut info) = current {
-                info.last_heartbeat_nanos = now.as_nanos();
-                info.reported_blocks += 1;
-                info.used = info.used.saturating_add(64 * 1024 * 1024);
-                if db2.upsert(txn, schema.datanodes, id, info).is_err() {
-                    db2.abort(sim, txn);
-                    return;
-                }
-            }
-            db2.commit(sim, txn, |_sim, _res| {});
-        });
+        let table = self.schema.datanodes;
+        let report = move |txn, now: SimTime| {
+            let Some(mut info) = db.peek(table, &id) else { return Ok(()) };
+            info.last_heartbeat_nanos = now.as_nanos();
+            info.reported_blocks += 1;
+            info.used = info.used.saturating_add(64 * 1024 * 1024);
+            db.upsert(txn, table, id, info)
+        };
+        self.db.write(sim, [self.db.lock_key(table, &id)], report, |_sim, _res| {});
     }
 
     /// DataNodes whose last heartbeat is within `staleness` of `now`

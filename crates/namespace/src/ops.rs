@@ -169,6 +169,10 @@ pub enum FsError {
     RetriesExhausted,
     /// A concurrent subtree operation owns this part of the namespace.
     SubtreeLocked(String),
+    /// The operation can never succeed as asked (moving a directory into
+    /// its own subtree, moving or deleting `/`). Final: the client library
+    /// does not retry it.
+    InvalidArgument(String),
 }
 
 impl fmt::Display for FsError {
@@ -181,6 +185,7 @@ impl fmt::Display for FsError {
             FsError::Timeout => write!(f, "request timed out"),
             FsError::RetriesExhausted => write!(f, "retry budget exhausted"),
             FsError::SubtreeLocked(p) => write!(f, "subtree operation in progress on {p}"),
+            FsError::InvalidArgument(why) => write!(f, "invalid argument: {why}"),
         }
     }
 }

@@ -49,6 +49,17 @@ pub struct SubtreeLockRow {
     pub op: &'static str,
 }
 
+impl SubtreeLockRow {
+    /// Whether the locked subtree and `path` overlap: one contains the
+    /// other. Subtree isolation and the write guard share this test.
+    #[must_use]
+    pub fn overlaps(&self, path: &DfsPath) -> bool {
+        self.path
+            .parse::<DfsPath>()
+            .is_ok_and(|locked| path.starts_with(&locked) || locked.starts_with(path))
+    }
+}
+
 /// Typed handles to every table, plus the inode-id allocator.
 #[derive(Debug, Clone)]
 pub struct MetadataSchema {
@@ -429,6 +440,17 @@ mod tests {
 
     fn p(s: &str) -> DfsPath {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn subtree_lock_rows_overlap_their_ancestors_and_descendants_only() {
+        let row = SubtreeLockRow { holder: 1, acquired_nanos: 0, path: "/p/a", op: "mv" };
+        for path in ["/", "/p", "/p/a", "/p/a/x/y"] {
+            assert!(row.overlaps(&p(path)), "{path}");
+        }
+        for path in ["/p/b", "/p/ab", "/q/a"] {
+            assert!(!row.overlaps(&p(path)), "{path}");
+        }
     }
 
     #[test]

@@ -536,6 +536,58 @@ impl Db {
         id
     }
 
+    /// Begins a transaction holding `keys` exclusively: the first step of
+    /// every write. `cont` receives the transaction, or the lock error once
+    /// the transaction has been aborted.
+    pub fn begin_exclusive<K, F>(&self, sim: &mut Sim, keys: K, cont: F)
+    where
+        K: IntoIterator<Item = LockKey>,
+        F: FnOnce(&mut Sim, StoreResult<TxnId>) + 'static,
+    {
+        let txn = self.begin();
+        let db = self.clone();
+        self.lock(sim, txn, keys, LockMode::Exclusive, move |sim, res| match res {
+            Ok(()) => cont(sim, Ok(txn)),
+            Err(e) => {
+                db.abort(sim, txn);
+                cont(sim, Err(e));
+            }
+        });
+    }
+
+    /// The last step of every write: commits `txn` if its writes succeeded,
+    /// else aborts it. `cont` receives `written`'s value once committed, or
+    /// the first error.
+    pub fn commit_after<T, F>(&self, sim: &mut Sim, txn: TxnId, written: StoreResult<T>, cont: F)
+    where
+        T: 'static,
+        F: FnOnce(&mut Sim, StoreResult<T>) + 'static,
+    {
+        match written {
+            Ok(value) => self.commit(sim, txn, move |sim, r| cont(sim, r.map(|()| value))),
+            Err(e) => {
+                self.abort(sim, txn);
+                cont(sim, Err(e));
+            }
+        }
+    }
+
+    /// A write with nothing to wait for between its locks and its rows:
+    /// [`Db::begin_exclusive`], `writes` (given the transaction and the
+    /// time the locks were granted), then [`Db::commit_after`].
+    pub fn write<K, W, F>(&self, sim: &mut Sim, keys: K, writes: W, cont: F)
+    where
+        K: IntoIterator<Item = LockKey>,
+        W: FnOnce(TxnId, SimTime) -> StoreResult<()> + 'static,
+        F: FnOnce(&mut Sim, StoreResult<()>) + 'static,
+    {
+        let db = self.clone();
+        self.begin_exclusive(sim, keys, move |sim, txn| match txn {
+            Ok(txn) => db.commit_after(sim, txn, writes(txn, sim.now()), cont),
+            Err(e) => cont(sim, Err(e)),
+        });
+    }
+
     /// Whether `txn` currently holds `key` at `mode` or stronger.
     #[must_use]
     pub fn holds(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> bool {

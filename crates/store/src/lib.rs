@@ -99,6 +99,36 @@ mod tests {
     }
 
     #[test]
+    fn a_write_commits_its_rows_or_aborts_on_the_first_failed_one() {
+        let mut sim = Sim::new(1);
+        let db = new_db();
+        let t = db.create_table::<u64, u64>("t");
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
+        // Writes row 1, then fails on row 2, which it did not lock: the
+        // whole write aborts and row 1 is undone.
+        let (db2, out) = (db.clone(), Rc::clone(&outcomes));
+        let rows = move |txn, _| {
+            db2.upsert(txn, t, 1, 10)?;
+            db2.upsert(txn, t, 2, 20)
+        };
+        db.write(&mut sim, [db.lock_key(t, &1)], rows, move |_sim, r| out.borrow_mut().push(r));
+        sim.run();
+        let (db2, out) = (db.clone(), Rc::clone(&outcomes));
+        let rows = move |txn, _| db2.upsert(txn, t, 1, 11);
+        db.write(&mut sim, [db.lock_key(t, &1)], rows, move |_sim, r| out.borrow_mut().push(r));
+        sim.run();
+        let outcomes = outcomes.borrow();
+        assert!(matches!(outcomes[0], Err(StoreError::LockNotHeld { .. })));
+        assert_eq!(outcomes[1], Ok(()));
+        assert_eq!(db.peek(t, &1), Some(11));
+        assert_eq!(db.peek(t, &2), None);
+        let stats = db.stats();
+        assert_eq!((stats.commits, stats.aborts), (1, 1));
+        assert_eq!(db.active_txn_count(), 0);
+        assert_eq!(db.locked_rows(), 0);
+    }
+
+    #[test]
     fn write_without_lock_is_rejected() {
         let db = new_db();
         let t = db.create_table::<u64, u64>("t");

@@ -16,9 +16,13 @@
 #      byte-identical to results/golden/fig10_latency_cdfs.txt (modulo
 #      the wall-clock line) — the end-to-end determinism contract the
 #      hot-path overhauls must not break.
-#   4. fig15 golden check: same contract for the fault-tolerance figure —
-#      with no fault plan installed, the fault plane must not perturb a
-#      single event (results/golden/fig15_fault_tolerance.txt).
+#   4. fig15 and tab03 golden checks: same contract for the
+#      fault-tolerance figure — with no fault plan installed, the fault
+#      plane must not perturb a single event
+#      (results/golden/fig15_fault_tolerance.txt) — and for Table 3, the
+#      one golden whose runs go through the subtree protocol (flag, batched
+#      quiesce with offloading, prefix INV, relink;
+#      results/golden/tab03_subtree_mv.txt, ~0.5 s).
 #   5. chaos smoke: fig15b_chaos --smoke runs every fault class against a
 #      small system and exits nonzero if any post-run invariant audit
 #      (leaked locks/txns/invocations, namespace↔store divergence,
@@ -113,6 +117,9 @@ golden_check fig10_latency_cdfs
 
 echo "== fig15 golden check (fault plane off => byte-identical) =="
 golden_check fig15_fault_tolerance
+
+echo "== tab03 golden check (subtree mv protocol => byte-identical) =="
+golden_check tab03_subtree_mv
 
 echo "== chaos smoke (fault classes + invariant audits) =="
 ./target/release/lfsfig fig15b_chaos --smoke
