@@ -81,22 +81,39 @@ fn scripts_and_goldens_name_registered_figures() {
         list.split_whitespace().filter(|w| *w != "\\").map(str::to_owned).collect();
     assert!(used.len() >= 14, "run_figs.sh default list not found: {used:?}");
 
-    // verify.sh: the word after `lfsfig` or `golden_check` on a command line.
+    // verify.sh: the word after `lfsfig` or `golden_check` on a command line,
+    // and the two after `golden_check_as`: a golden, then its figure.
     let verify = read("scripts/verify.sh");
-    let runs = verify
-        .lines()
-        .filter(|l| !l.trim_start().starts_with('#'))
-        .flat_map(|l| ["target/release/lfsfig ", "golden_check "].map(|m| l.split_once(m)))
-        .filter_map(|found| found?.1.split_whitespace().next())
-        .filter(|word| word.starts_with(|c: char| c.is_ascii_alphabetic()));
+    let words_after = |marker: &'static str| {
+        verify
+            .lines()
+            .filter(|l| !l.trim_start().starts_with('#'))
+            .filter_map(move |l| l.split_once(marker))
+            .map(|(_, rest)| rest.split_whitespace().collect::<Vec<_>>())
+            .filter(|words| words[0].starts_with(|c: char| c.is_ascii_alphabetic()))
+    };
     let before = used.len();
-    used.extend(runs.map(str::to_owned));
+    for marker in ["target/release/lfsfig ", "golden_check "] {
+        used.extend(words_after(marker).map(|words| words[0].to_owned()));
+    }
+    let mut goldens_of_variants = Vec::new();
+    for words in words_after("golden_check_as ") {
+        goldens_of_variants.push(words[0].to_owned());
+        used.push(words[1].to_owned());
+    }
     assert!(used.len() >= before + 8, "verify.sh figure runs not found: {:?}", &used[before..]);
 
+    // A golden is named after its figure, or is the golden of a variant
+    // run that verify.sh checks.
+    let mut stems = Vec::new();
     for entry in std::fs::read_dir(root.join("results/golden")).expect("results/golden") {
         let path = entry.expect("dir entry").path();
-        used.push(path.file_stem().expect("stem").to_string_lossy().into_owned());
+        stems.push(path.file_stem().expect("stem").to_string_lossy().into_owned());
     }
+    for golden in &goldens_of_variants {
+        assert!(stems.contains(golden), "verify.sh checks a missing golden {golden}");
+    }
+    used.extend(stems.into_iter().filter(|stem| !goldens_of_variants.contains(stem)));
     let names = registered();
     for name in used {
         assert!(names.contains(&name), "{name} is not a figure `lfsfig list` prints");

@@ -25,6 +25,16 @@
 //!   issuing HTTP invocations entirely, reusing any live TCP connection
 //!   (even to a foreign deployment, which then serves without caching).
 //!
+//! # One request's lifecycle
+//!
+//! `submit` parks the request in the slab and calls `try_send`, which
+//! routes it (TCP or HTTP) and arms its timer. Every network leg — request
+//! and reply, on either transport — crosses the fault plane through one
+//! [`NetDecision::carry`]. A retryable answer, or a timer that fires before
+//! any answer, goes to `resubmit`: the one place a try is counted and then
+//! given up, shed, or resent after backoff. A final answer goes to
+//! `complete`.
+//!
 //! # Memory layout
 //!
 //! The library is sized for the `fig08d_million_scale` sweep: a million
@@ -35,10 +45,9 @@
 //! with the samples it holds up to [`LATENCY_WINDOW`], where it becomes a
 //! ring: at that scale the average client completes less than one read,
 //! so neither an eager `VecDeque` nor a zeroed full-size ring per client
-//! is affordable. In-flight requests live in a generation-tagged
-//! slab: completion frees the record immediately (the old
-//! `Rc<RefCell<Attempt>>` lived until its last retry timer fired), and the
-//! timers hold a 12-byte `Copy` key instead of refcounted pointers.
+//! is affordable. In-flight requests live in a [`Slab`]: completion frees
+//! the record at once, and timers and responders hold a 12-byte `Copy` key
+//! that goes stale with it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -46,7 +55,7 @@ use std::rc::Rc;
 use lambda_faas::{DeploymentId, InstanceId, Platform, Responder};
 use lambda_namespace::{FsError, FsOp, Partitioner};
 use lambda_sim::fault::{FaultInjector, NetDecision};
-use lambda_sim::{Sim, SimDuration, SimTime};
+use lambda_sim::{Sim, SimDuration, SimTime, Slab, SlabKey};
 
 use crate::config::LambdaFsConfig;
 use crate::fsops::OpDone;
@@ -139,9 +148,9 @@ struct Vm {
     servers: Vec<TcpServer>,
 }
 
-/// Ring of the most recent read latencies (seconds), summing
-/// oldest-to-newest — float-for-float the order the `VecDeque` it replaced
-/// summed in, so moving averages are bit-identical.
+/// Ring of the most recent read latencies (seconds), summed
+/// oldest-to-newest whichever way the ring has wrapped, so the moving
+/// average is one well-defined float.
 ///
 /// The buffer grows by pushing until it holds `cap` samples and only then
 /// wraps: most clients of a million-client run finish a handful of reads,
@@ -164,8 +173,7 @@ impl LatencyWindow {
         self.buf.len()
     }
 
-    /// Appends a sample, dropping the oldest once full — the
-    /// `push_back` + `pop_front` discipline of the old deque.
+    /// Appends a sample, dropping the oldest once full.
     fn push(&mut self, v: f64) {
         if self.buf.len() < self.cap {
             self.buf.push(v);
@@ -254,75 +262,15 @@ struct Attempt {
     done: Option<OpDone>,
 }
 
-/// `Copy` handle to a slab slot: stale once the slot's generation moves on
-/// (i.e. the request completed), so timers and duplicate responses check
-/// liveness with one compare. Carries the issuing client's index so
-/// connection registration works even after completion — a duplicate
-/// response's connection-back is still worth recording.
+/// `Copy` handle to an in-flight request: its slab key, stale once the
+/// request completed, so timers and duplicate responses check liveness
+/// with one compare. Carries the issuing client's index so connection
+/// registration works even after completion — a duplicate response's
+/// connection-back is still worth recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct AttemptKey {
-    slot: u32,
-    gen: u32,
+    slot: SlabKey,
     client: u32,
-}
-
-/// Generation-tagged slab of in-flight [`Attempt`]s (same idiom as the
-/// FaaS platform's invocation-record slab).
-#[derive(Default)]
-struct AttemptSlab {
-    slots: Vec<(u32, Option<Attempt>)>,
-    free: Vec<u32>,
-}
-
-impl AttemptSlab {
-    fn insert(&mut self, client: u32, rec: Attempt) -> AttemptKey {
-        match self.free.pop() {
-            Some(slot) => {
-                let (gen, cell) = &mut self.slots[slot as usize];
-                debug_assert!(cell.is_none());
-                *cell = Some(rec);
-                AttemptKey { slot, gen: *gen, client }
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("attempt slab overflow");
-                self.slots.push((0, Some(rec)));
-                AttemptKey { slot, gen: 0, client }
-            }
-        }
-    }
-
-    fn get(&self, key: AttemptKey) -> Option<&Attempt> {
-        let (gen, rec) = self.slots.get(key.slot as usize)?;
-        if *gen != key.gen {
-            return None;
-        }
-        rec.as_ref()
-    }
-
-    fn get_mut(&mut self, key: AttemptKey) -> Option<&mut Attempt> {
-        let (gen, rec) = self.slots.get_mut(key.slot as usize)?;
-        if *gen != key.gen {
-            return None;
-        }
-        rec.as_mut()
-    }
-
-    /// Removes the record, bumping the slot's generation so every
-    /// outstanding key to it goes stale.
-    fn take(&mut self, key: AttemptKey) -> Option<Attempt> {
-        let (gen, rec) = self.slots.get_mut(key.slot as usize)?;
-        if *gen != key.gen {
-            return None;
-        }
-        let rec = rec.take()?;
-        *gen = gen.wrapping_add(1);
-        self.free.push(key.slot);
-        Some(rec)
-    }
-
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
 }
 
 struct LibInner {
@@ -335,11 +283,11 @@ struct LibInner {
     /// Client-placement constants (see [`LibInner::placement`]).
     vm_count: usize,
     per_server: usize,
-    attempts: AttemptSlab,
+    attempts: Slab<Attempt>,
     metrics: Rc<RefCell<RunMetrics>>,
     /// Network fault injector, when a fault plan is installed. `None`
-    /// keeps every hop on the exact pre-fault-plane code path (and RNG
-    /// stream), so fault-free runs replay bit-identically.
+    /// delivers every hop without a draw, so fault-free runs replay
+    /// bit-identically.
     injector: Option<FaultInjector>,
 }
 
@@ -367,7 +315,7 @@ impl std::fmt::Debug for ClientLib {
         f.debug_struct("ClientLib")
             .field("clients", &inner.clients.len())
             .field("vms", &inner.vms.len())
-            .field("in_flight", &inner.attempts.live())
+            .field("in_flight", &inner.attempts.len())
             .finish()
     }
 }
@@ -405,7 +353,7 @@ impl ClientLib {
                 clients,
                 vm_count,
                 per_server,
-                attempts: AttemptSlab::default(),
+                attempts: Slab::default(),
                 metrics,
                 injector: None,
             })),
@@ -419,9 +367,8 @@ impl ClientLib {
     }
 
     /// Installs a network fault injector; every client↔NameNode hop
-    /// consults it from now on. Without one (the default) the transport
-    /// draws exactly the RNG stream it drew before the fault plane
-    /// existed, so fault-free goldens stay byte-identical.
+    /// consults it from now on. Without one (the default) every hop is
+    /// delivered without a draw, so fault-free goldens stay byte-identical.
     pub fn install_fault_injector(&self, injector: FaultInjector) {
         self.inner.borrow_mut().injector = Some(injector);
     }
@@ -461,95 +408,65 @@ impl ClientLib {
             state.next_seq += 1;
             let id = RequestId { client: ClientId(client as u32), seq: state.next_seq };
             let rec = Attempt { op, id, started: sim.now(), tries: 0, done: Some(done) };
-            inner.attempts.insert(client as u32, rec)
+            AttemptKey { slot: inner.attempts.insert(rec), client: client as u32 }
         };
         self.try_send(sim, key);
     }
 
     /// Routing decision + dispatch for one (re)try.
     fn try_send(&self, sim: &mut Sim, key: AttemptKey) {
-        enum Route {
-            Tcp { deployment: u32, instance: InstanceId, owned: bool, shared: bool },
-            Http { deployment: u32 },
-        }
-        let sim_now = sim.now();
         let client = key.client as usize;
-        // Probabilistic HTTP replacement keeps auto-scaling alive (§3.4);
-        // suspended in anti-thrashing mode (Appendix C).
-        let replace = {
+        // `tcp` is the connection to use and whether it was borrowed;
+        // `None` sends through the HTTP gateway.
+        let (deployment, tcp, request, timeout, src, tries_at_send) = {
             let inner = self.inner.borrow();
-            if inner.attempts.get(key).is_none() {
+            let Some(a) = inner.attempts.get(key.slot) else {
                 return; // completed while a timer was in flight
-            }
-            let anti_thrash = inner.clients[client].anti_thrash;
-            let p = inner.config.http_replace_prob;
-            drop(inner);
-            !anti_thrash && sim.rng().gen_bool(p)
-        };
-        let (route, request, timeout, src, tries_at_send) = {
-            let inner = self.inner.borrow();
-            let Some(a) = inner.attempts.get(key) else { return };
-            let target = inner.partitioner.deployment_for_path(a.op.primary_path());
+            };
             let state = &inner.clients[client];
+            // Probabilistic HTTP replacement keeps auto-scaling alive (§3.4);
+            // suspended in anti-thrashing mode (Appendix C).
+            let replace = !state.anti_thrash && sim.rng().gen_bool(inner.config.http_replace_prob);
+            let target = inner.partitioner.deployment_for_path(a.op.primary_path());
             let (vm_idx, server) = inner.placement(client);
-            let vm = &inner.vms[vm_idx];
-            // 1) A connection from the client's own TCP server.
-            let own = vm.servers[server].connection_to(target);
-            // 2) Connection sharing: borrow from a sibling server (Fig. 4).
-            let borrowed = own.is_none().then(|| {
-                vm.servers
+            let servers = &inner.vms[vm_idx].servers;
+            // A connection from the client's own TCP server, else one
+            // borrowed from a sibling server (connection sharing, Fig. 4).
+            let conn = servers[server].connection_to(target).map(|i| (i, false)).or_else(|| {
+                servers
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| *i != server)
                     .find_map(|(_, s)| s.connection_to(target))
-            }).flatten();
-            let conn = own.or(borrowed);
-            let route = match conn {
-                Some(instance) if !replace => Route::Tcp {
-                    deployment: target,
-                    instance,
-                    owned: true,
-                    shared: own.is_none(),
-                },
-                Some(_) /* replaced */ => {
+                    .map(|i| (i, true))
+            });
+            let (deployment, tcp) = match conn {
+                Some(conn) if !replace => (target, Some(conn)),
+                Some(_) => {
                     inner.metrics.borrow_mut().http_replaced += 1;
-                    Route::Http { deployment: target }
+                    (target, None)
                 }
-                None if state.anti_thrash => {
-                    // TCP-only mode: reuse *any* live connection rather
-                    // than invoking HTTP (which would add containers).
-                    match vm.servers.iter().find_map(|s| s.any_connection()) {
-                        Some((dep, instance)) => Route::Tcp {
-                            deployment: dep,
-                            instance,
-                            owned: dep == target,
-                            shared: true,
-                        },
-                        None => {
-                            let mut m = inner.metrics.borrow_mut();
-                            m.http_no_connection += 1;
-                            m.no_conn_timeline.add(sim_now, 1.0);
-                            Route::Http { deployment: target } // bootstrap
-                        }
+                // TCP-only mode: reuse *any* live connection rather than
+                // invoking HTTP (which would add containers).
+                None => match state
+                    .anti_thrash
+                    .then(|| servers.iter().find_map(TcpServer::any_connection))
+                    .flatten()
+                {
+                    Some((dep, instance)) => (dep, Some((instance, true))),
+                    None => {
+                        let mut m = inner.metrics.borrow_mut();
+                        m.http_no_connection += 1;
+                        m.no_conn_timeline.add(sim.now(), 1.0);
+                        (target, None) // bootstrap
                     }
-                }
-                None => {
-                    let mut m = inner.metrics.borrow_mut();
-                    m.http_no_connection += 1;
-                    m.no_conn_timeline.add(sim_now, 1.0);
-                    Route::Http { deployment: target }
-                }
+                },
             };
-            let via_http = matches!(route, Route::Http { .. });
             let request = NnRequest::Op {
                 id: a.id,
                 op: a.op.clone(),
-                via_http,
-                client_vm: vm_idx as u32,
-                owned: match &route {
-                    Route::Tcp { owned, .. } => *owned,
-                    Route::Http { .. } => true,
-                },
+                via_http: tcp.is_none(),
+                owned: deployment == target,
             };
             // Straggler mitigation (Appendix B): resubmit early when the
             // request outlives threshold × the moving average. The moving
@@ -567,11 +484,13 @@ impl ClientLib {
             };
             let full = inner.config.client_timeout;
             let timeout = straggler.map_or(full, |s| s.min(full));
-            (route, request, timeout, vm_idx as u32, a.tries)
+            (deployment, tcp, request, timeout, vm_idx as u32, a.tries)
         };
-        // Dispatch.
-        match route {
-            Route::Tcp { deployment, instance, shared, .. } => {
+        // Dispatch: the request leg.
+        let this = self.clone();
+        let verdict = self.net_decide(sim.now(), src, NN_ENDPOINT_BASE + deployment);
+        match tcp {
+            Some((instance, shared)) => {
                 {
                     let inner = self.inner.borrow();
                     let mut m = inner.metrics.borrow_mut();
@@ -580,146 +499,62 @@ impl ClientLib {
                         m.connection_shares += 1;
                     }
                 }
-                // One network hop to the NameNode, one back — charged
-                // around the delivery. The hop is sampled *before* the
-                // fault-plane decision so fault-free runs draw exactly the
-                // pre-fault-plane RNG stream.
+                // One network hop to the NameNode (and one back, charged in
+                // `arrive_tcp`).
                 let hop = {
                     let dist = self.inner.borrow().config.net.tcp_one_way;
                     sim.rng().sample_duration(&dist)
                 };
-                match self.net_decide(sim_now, src, NN_ENDPOINT_BASE + deployment) {
-                    NetDecision::Drop => {} // lost; the retry timer recovers
-                    NetDecision::Duplicate => {
-                        self.send_tcp(sim, hop, deployment, instance, request.clone(), key, src);
-                        self.send_tcp(sim, hop, deployment, instance, request, key, src);
-                    }
-                    NetDecision::Delay(extra) => {
-                        self.send_tcp(sim, hop + extra, deployment, instance, request, key, src);
-                    }
-                    NetDecision::Deliver => {
-                        self.send_tcp(sim, hop, deployment, instance, request, key, src);
-                    }
-                }
+                verdict.carry(sim, Some(hop), request, move |sim, request| {
+                    this.arrive_tcp(sim, deployment, instance, request, key, src);
+                });
             }
-            Route::Http { deployment } => {
+            None => {
                 self.inner.borrow().metrics.borrow_mut().http_rpcs += 1;
-                match self.net_decide(sim_now, src, NN_ENDPOINT_BASE + deployment) {
-                    NetDecision::Drop => {} // the gateway never sees it
-                    NetDecision::Duplicate => {
-                        self.send_http(sim, deployment, request.clone(), key, src);
-                        self.send_http(sim, deployment, request, key, src);
-                    }
-                    NetDecision::Delay(extra) => {
-                        let this = self.clone();
-                        sim.schedule(extra, move |sim| {
-                            this.send_http(sim, deployment, request, key, src);
-                        });
-                    }
-                    NetDecision::Deliver => self.send_http(sim, deployment, request, key, src),
-                }
+                verdict.carry(sim, None, request, move |sim, request| {
+                    this.send_http(sim, deployment, request, key, src);
+                });
             }
         }
         // Arm the (re)submission timer.
         let this = self.clone();
-        let is_straggler_deadline = timeout < self.inner.borrow().config.client_timeout;
+        let straggler = timeout < self.inner.borrow().config.client_timeout;
         sim.schedule(timeout, move |sim| {
-            let should_retry = {
-                let inner = this.inner.borrow();
-                inner.attempts.get(key).is_some_and(|a| a.tries == tries_at_send)
-            };
-            if !should_retry {
-                return;
+            let tries = this.inner.borrow().attempts.get(key.slot).map(|a| a.tries);
+            if tries == Some(tries_at_send) {
+                // Every attempt so far died on the wire: a true timeout.
+                this.resubmit(sim, key, FsError::Timeout, straggler);
             }
-            let exhausted = {
-                let mut inner = this.inner.borrow_mut();
-                let max_retries = inner.config.max_retries;
-                let metrics = Rc::clone(&inner.metrics);
-                let a = inner.attempts.get_mut(key).expect("liveness checked above");
-                a.tries += 1;
-                let mut m = metrics.borrow_mut();
-                m.retries += 1;
-                if is_straggler_deadline {
-                    m.straggler_resubmits += 1;
-                }
-                a.tries > max_retries
-            };
-            if exhausted {
-                // Every attempt died on the wire: a true timeout.
-                this.complete(sim, key, Err(FsError::Timeout));
-                return;
-            }
-            if !this.spend_retry_token(sim, key) {
-                return; // breaker open: shed instead of storming
-            }
-            // Exponential backoff with jitter (anti-request-storm, §3.2).
-            let tries =
-                this.inner.borrow().attempts.get(key).map_or(0, |a| a.tries);
-            let factor = (1u64 << tries.min(6)) as f64 * sim.rng().gen_range(0.5..1.5);
-            let delay = BACKOFF_BASE.mul_f64(factor);
-            let this2 = this.clone();
-            sim.schedule(delay, move |sim| this2.try_send(sim, key));
         });
     }
 
-    /// Ships one TCP copy of `request`: request hop, delivery, and (fault
-    /// plane permitting) the response hop back to `on_response`.
-    #[allow(clippy::too_many_arguments)]
-    fn send_tcp(
+    /// A TCP request arriving at `instance`: delivery, with the reply leg
+    /// one sampled hop long.
+    fn arrive_tcp(
         &self,
         sim: &mut Sim,
-        hop: SimDuration,
         deployment: u32,
         instance: InstanceId,
         request: NnRequest,
         key: AttemptKey,
         src: u32,
     ) {
-        let this2 = self.clone();
-        let platform = self.inner.borrow().platform.clone();
-        sim.schedule(hop, move |sim| {
-            let back = {
-                let dist = this2.inner.borrow().config.net.tcp_one_way;
-                sim.rng().sample_duration(&dist)
-            };
-            let this3 = this2.clone();
-            let ok = platform.deliver_tcp(
-                sim,
-                instance,
-                request,
-                Responder::new(move |sim, resp: NnResponse| {
-                    let decision =
-                        this3.net_decide(sim.now(), NN_ENDPOINT_BASE + deployment, src);
-                    if matches!(decision, NetDecision::Drop) {
-                        return; // response lost; the retry timer recovers
-                    }
-                    let back = match decision {
-                        NetDecision::Delay(extra) => back + extra,
-                        _ => back,
-                    };
-                    if matches!(decision, NetDecision::Duplicate) {
-                        let this4 = this3.clone();
-                        let resp2 = resp.clone();
-                        sim.schedule(back, move |sim| {
-                            this4.on_response(sim, key, resp2);
-                        });
-                    }
-                    let this4 = this3.clone();
-                    sim.schedule(back, move |sim| {
-                        this4.on_response(sim, key, resp);
-                    });
-                }),
-            );
-            if !ok {
-                // Dead connection: forget it and reroute now
-                // (§3.2's transparent TCP-failure handling).
-                this2.remove_connection(deployment, instance);
-                this2.try_send(sim, key);
-            }
-        });
+        let (platform, dist) = {
+            let inner = self.inner.borrow();
+            (inner.platform.clone(), inner.config.net.tcp_one_way)
+        };
+        let back = sim.rng().sample_duration(&dist);
+        let reply = self.reply(Some(back), deployment, key, src);
+        if !platform.deliver_tcp(sim, instance, request, reply) {
+            // Dead connection: forget it and reroute now
+            // (§3.2's transparent TCP-failure handling).
+            self.remove_connection(deployment, instance);
+            self.try_send(sim, key);
+        }
     }
 
-    /// Ships one HTTP copy of `request` through the FaaS gateway.
+    /// Ships `request` through the FaaS gateway, which charges both legs'
+    /// latency itself.
     fn send_http(
         &self,
         sim: &mut Sim,
@@ -732,26 +567,23 @@ impl ClientLib {
             let inner = self.inner.borrow();
             (inner.platform.clone(), inner.deployments[deployment as usize])
         };
+        platform.invoke_http(sim, dep_id, request, self.reply(None, deployment, key, src));
+    }
+
+    /// The reply leg from `deployment` back to `on_response`, `base` long
+    /// (see [`NetDecision::carry`]).
+    fn reply(
+        &self,
+        base: Option<SimDuration>,
+        deployment: u32,
+        key: AttemptKey,
+        src: u32,
+    ) -> Responder<NnResponse> {
         let this = self.clone();
-        platform.invoke_http(
-            sim,
-            dep_id,
-            request,
-            Responder::new(move |sim, resp| {
-                match this.net_decide(sim.now(), NN_ENDPOINT_BASE + deployment, src) {
-                    NetDecision::Drop => {} // response lost; the timer recovers
-                    NetDecision::Delay(extra) => {
-                        let this2 = this.clone();
-                        sim.schedule(extra, move |sim| this2.on_response(sim, key, resp));
-                    }
-                    NetDecision::Duplicate => {
-                        this.on_response(sim, key, resp.clone());
-                        this.on_response(sim, key, resp);
-                    }
-                    NetDecision::Deliver => this.on_response(sim, key, resp),
-                }
-            }),
-        );
+        Responder::new(move |sim, resp| {
+            let verdict = this.net_decide(sim.now(), NN_ENDPOINT_BASE + deployment, src);
+            verdict.carry(sim, base, resp, move |sim, resp| this.on_response(sim, key, resp));
+        })
     }
 
     fn on_response(&self, sim: &mut Sim, key: AttemptKey, resp: NnResponse) {
@@ -766,65 +598,60 @@ impl ClientLib {
             let (vm, server) = inner.placement(key.client as usize);
             inner.vms[vm].servers[server].register(deployment, served_by);
         }
-        if self.inner.borrow().attempts.get(key).is_none() {
-            return; // duplicate (straggler resubmission raced the original)
-        }
         match result {
-            Err(FsError::Retryable(_)) | Err(FsError::SubtreeLocked(_)) => {
-                let exhausted = {
-                    let mut inner = self.inner.borrow_mut();
-                    let max_retries = inner.config.max_retries;
-                    let metrics = Rc::clone(&inner.metrics);
-                    let a = inner.attempts.get_mut(key).expect("liveness checked above");
-                    a.tries += 1;
-                    metrics.borrow_mut().retries += 1;
-                    a.tries > max_retries
-                };
-                if exhausted {
-                    // The service answered every time, just never with a
-                    // final result — not a timeout.
-                    self.complete(sim, key, Err(FsError::RetriesExhausted));
-                } else if !self.spend_retry_token(sim, key) {
-                    // breaker open: shed instead of storming
-                } else {
-                    let tries =
-                        self.inner.borrow().attempts.get(key).map_or(0, |a| a.tries);
-                    let factor = (1u64 << tries.min(6)) as f64 * sim.rng().gen_range(0.5..1.5);
-                    let delay = BACKOFF_BASE.mul_f64(factor);
-                    let this = self.clone();
-                    sim.schedule(delay, move |sim| this.try_send(sim, key));
-                }
+            // The service answered, just not with a final result: running
+            // out of retries this way is not a timeout.
+            Err(FsError::Retryable(_) | FsError::SubtreeLocked(_)) => {
+                self.resubmit(sim, key, FsError::RetriesExhausted, false);
             }
             other => self.complete(sim, key, other),
         }
     }
 
-    /// Charges the client's retry-budget circuit breaker for one retry.
-    /// On an empty budget the attempt is completed with
-    /// [`FsError::RetriesExhausted`] (and a load-shed is recorded) and
-    /// `false` comes back — the caller must not resend.
-    fn spend_retry_token(&self, sim: &mut Sim, key: AttemptKey) -> bool {
-        let ok = {
-            let mut inner = self.inner.borrow_mut();
-            let now = sim.now();
-            let ok = inner.clients[key.client as usize].take_retry_token(now);
-            if !ok {
-                inner.metrics.borrow_mut().load_sheds += 1;
+    /// One failed try of a live request: counts it, then gives up with
+    /// `exhausted` once past `max_retries`, or spends a retry-budget token
+    /// and resends after jittered exponential backoff (anti-request-storm,
+    /// §3.2). An empty budget sheds the request as
+    /// [`FsError::RetriesExhausted`] instead (the circuit breaker).
+    /// `straggler` marks an early resubmission (Appendix B). A completed
+    /// request (a duplicate response) is left alone.
+    fn resubmit(&self, sim: &mut Sim, key: AttemptKey, exhausted: FsError, straggler: bool) {
+        let verdict = {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let Some(a) = inner.attempts.get_mut(key.slot) else { return };
+            a.tries += 1;
+            let tries = a.tries;
+            let mut m = inner.metrics.borrow_mut();
+            m.retries += 1;
+            if straggler {
+                m.straggler_resubmits += 1;
             }
-            ok
+            if tries > inner.config.max_retries {
+                Err(exhausted)
+            } else if inner.clients[key.client as usize].take_retry_token(sim.now()) {
+                Ok(tries)
+            } else {
+                m.load_sheds += 1;
+                Err(FsError::RetriesExhausted)
+            }
         };
-        if !ok {
-            self.complete(sim, key, Err(FsError::RetriesExhausted));
+        match verdict {
+            Err(e) => self.complete(sim, key, Err(e)),
+            Ok(tries) => {
+                let factor = (1u64 << tries.min(6)) as f64 * sim.rng().gen_range(0.5..1.5);
+                let this = self.clone();
+                sim.schedule(BACKOFF_BASE.mul_f64(factor), move |sim| this.try_send(sim, key));
+            }
         }
-        ok
     }
 
     fn complete(&self, sim: &mut Sim, key: AttemptKey, result: lambda_namespace::OpResult) {
         let done = {
             let mut inner = self.inner.borrow_mut();
-            // Taking the record frees the slot now and stales every
-            // outstanding key (the old code's `completed` flag).
-            let Some(mut a) = inner.attempts.take(key) else {
+            // Removing the record frees the slot now and stales every
+            // outstanding key.
+            let Some(mut a) = inner.attempts.remove(key.slot) else {
                 return;
             };
             let latency = sim.now().saturating_since(a.started);
@@ -946,29 +773,6 @@ mod tests {
                 assert_eq!(ring.avg().map(f64::to_bits), avg_by_modulo(&ring).map(f64::to_bits));
             }
         }
-    }
-
-    #[test]
-    fn attempt_slab_recycles_slots_and_stales_keys() {
-        let mut slab = AttemptSlab::default();
-        let rec = || Attempt {
-            op: FsOp::Stat("/x".parse().unwrap()),
-            id: RequestId { client: ClientId(0), seq: 1 },
-            started: SimTime::ZERO,
-            tries: 0,
-            done: None,
-        };
-        let k1 = slab.insert(0, rec());
-        assert!(slab.get(k1).is_some());
-        assert_eq!(slab.live(), 1);
-        assert!(slab.take(k1).is_some());
-        assert!(slab.get(k1).is_none(), "taken key must go stale");
-        assert!(slab.take(k1).is_none(), "double-take must fail");
-        let k2 = slab.insert(3, rec());
-        assert_eq!(k2.slot, k1.slot, "slot must be recycled");
-        assert_ne!(k2.gen, k1.gen, "generation must move on");
-        assert!(slab.get(k1).is_none());
-        assert!(slab.get(k2).is_some());
     }
 
     #[test]

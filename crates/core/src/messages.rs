@@ -78,8 +78,6 @@ pub enum NnRequest {
         /// Whether this arrived through the API gateway (HTTP) rather
         /// than a direct TCP connection.
         via_http: bool,
-        /// The client's VM (for TCP connection registration).
-        client_vm: u32,
         /// Whether the client believes this NameNode's deployment owns
         /// the metadata (false when anti-thrashing routed the request to a
         /// foreign deployment, which must then skip caching).

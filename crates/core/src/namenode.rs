@@ -72,7 +72,6 @@ impl std::fmt::Debug for NnServices {
 struct NnState {
     session: Option<SessionId>,
     engine: Option<OpEngine>,
-    coherence: Option<CoordCoherence>,
     results: ResultCache<OpResult>,
 }
 
@@ -101,7 +100,6 @@ impl NameNode {
             state: Rc::new(RefCell::new(NnState {
                 session: None,
                 engine: None,
-                coherence: None,
                 results: ResultCache::new(RESULT_CACHE_CAPACITY),
             })),
         }
@@ -293,7 +291,7 @@ impl Function for NameNode {
             cache: Some(Rc::clone(&cache)),
             coherence: config
                 .coherence_enabled
-                .then(|| Rc::new(coherence.clone()) as Rc<dyn crate::fsops::CoherenceHook>),
+                .then(|| Rc::new(coherence) as Rc<dyn crate::fsops::CoherenceHook>),
             subtree: SubtreeSettings {
                 batch_size: SUBTREE_BATCH_SIZE,
                 parallelism: config.subtree_parallelism,
@@ -306,7 +304,6 @@ impl Function for NameNode {
         };
         let mut st = self.state.borrow_mut();
         st.session = Some(session);
-        st.coherence = Some(coherence);
         st.engine = Some(engine);
     }
 
@@ -318,7 +315,7 @@ impl Function for NameNode {
         respond: Responder<NnResponse>,
     ) {
         match req {
-            NnRequest::Op { id, op, via_http, client_vm: _, owned } => {
+            NnRequest::Op { id, op, via_http, owned } => {
                 if via_http {
                     // HTTP (de)serialization burns extra NameNode CPU.
                     let handling =

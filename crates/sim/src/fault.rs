@@ -20,6 +20,7 @@
 //! Endpoints are small integer ids chosen by the embedding system (λFS uses
 //! client VM ids and `1000 + deployment` for NameNode deployments).
 
+use crate::engine::Sim;
 use crate::rng::{Dist, SimRng};
 use crate::time::{SimDuration, SimTime};
 
@@ -225,7 +226,10 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed clause.
+    /// Returns a description of the first malformed clause: one with a key
+    /// its kind does not take, a value that does not parse as its key's
+    /// type (`p=30%`, `dep=x`), or a value out of range (`p` outside
+    /// `[0, 1]`, a negative or non-finite `ms`).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
@@ -245,57 +249,59 @@ impl FaultPlan {
                 }
                 Ok(FaultWindow { from, until })
             };
+            let kind = kind.trim();
             let kv = parse_params(params, clause)?;
-            match kind.trim() {
+            let need = |key: &str| format!("clause `{clause}`: {kind} needs {key}=");
+            match kind {
                 "drop" | "delay" | "dup" => {
-                    let prob = kv.f64("p").unwrap_or(1.0);
-                    if !(0.0..=1.0).contains(&prob) {
-                        return Err(format!("clause `{clause}`: p must be in [0,1]"));
-                    }
-                    let net_kind = match kind.trim() {
+                    let keys: &[&str] = match kind {
+                        "delay" => &["p", "ms", "src", "dst"],
+                        _ => &["p", "src", "dst"],
+                    };
+                    kv.only(keys)?;
+                    let net_kind = match kind {
                         "drop" => NetFaultKind::Drop,
                         "dup" => NetFaultKind::Duplicate,
                         _ => {
-                            let ms = kv
-                                .f64("ms")
-                                .ok_or_else(|| format!("clause `{clause}`: delay needs ms="))?;
+                            let ms: f64 = kv.get("ms")?.ok_or_else(|| need("ms"))?;
+                            if !(ms.is_finite() && ms >= 0.0) {
+                                return Err(format!("clause `{clause}`: ms must be non-negative"));
+                            }
                             NetFaultKind::Delay(Dist::constant_ms(ms))
                         }
                     };
+                    let prob = kv.get("p")?.unwrap_or(1.0);
+                    if !(0.0..=1.0).contains(&prob) {
+                        return Err(format!("clause `{clause}`: p must be in [0,1]"));
+                    }
                     plan.net.push(NetFault {
                         kind: net_kind,
                         prob,
                         window: window()?,
-                        src: kv.u32("src"),
-                        dst: kv.u32("dst"),
+                        src: kv.get("src")?,
+                        dst: kv.get("dst")?,
                     });
                 }
                 "part" => {
-                    let a = kv
-                        .u32("a")
-                        .ok_or_else(|| format!("clause `{clause}`: part needs a="))?;
-                    let b = kv
-                        .u32("b")
-                        .ok_or_else(|| format!("clause `{clause}`: part needs b="))?;
+                    kv.only(&["a", "b"])?;
+                    let a = kv.get("a")?.ok_or_else(|| need("a"))?;
+                    let b = kv.get("b")?.ok_or_else(|| need("b"))?;
                     plan.partitions.push(Partition { a, b, window: window()? });
                 }
                 "shard" => {
-                    let shard = kv
-                        .u32("shard")
-                        .ok_or_else(|| format!("clause `{clause}`: shard needs shard="))?;
-                    let down = kv
-                        .duration("down")
-                        .ok_or_else(|| format!("clause `{clause}`: shard needs down="))??;
+                    kv.only(&["shard", "down"])?;
+                    let shard = kv.get("shard")?.ok_or_else(|| need("shard"))?;
+                    let down = kv.duration("down")?.ok_or_else(|| need("down"))?;
                     plan.shards.push(ShardOutage { shard, at: from, takeover: down });
                 }
                 "kill" => {
-                    let count = kv.u32("count").unwrap_or(1);
-                    plan.kills.push(KillBurst { at: from, deployment: kv.u32("dep"), count });
+                    kv.only(&["count", "dep"])?;
+                    let count = kv.get("count")?.unwrap_or(1);
+                    plan.kills.push(KillBurst { at: from, deployment: kv.get("dep")?, count });
                 }
                 "storm" => {
-                    let factor = kv
-                        .f64("x")
-                        .ok_or_else(|| format!("clause `{clause}`: storm needs x="))?;
+                    kv.only(&["x"])?;
+                    let factor: f64 = kv.get("x")?.ok_or_else(|| need("x"))?;
                     if !(factor.is_finite() && factor > 0.0) {
                         return Err(format!("clause `{clause}`: x must be positive"));
                     }
@@ -334,33 +340,45 @@ fn parse_time(s: &str) -> Result<SimDuration, String> {
     Ok(SimDuration::from_secs_f64(v * scale))
 }
 
-/// Parsed `key=value` clause parameters.
-struct Params<'a>(Vec<(&'a str, &'a str)>);
+/// Parsed `key=value` parameters of one clause.
+struct Params<'a> {
+    clause: &'a str,
+    pairs: Vec<(&'a str, &'a str)>,
+}
 
-impl<'a> Params<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+impl Params<'_> {
+    fn raw(&self, key: &str) -> Option<&str> {
+        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
-    fn f64(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(|v| v.parse().ok())
+
+    /// `key`'s value, if given; an error if it does not parse as a `T`.
+    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let bad = |v| format!("clause `{}`: bad value `{v}` for {key}=", self.clause);
+        self.raw(key).map(|v| v.parse().map_err(|_| bad(v))).transpose()
     }
-    fn u32(&self, key: &str) -> Option<u32> {
-        self.get(key).and_then(|v| v.parse().ok())
+
+    fn duration(&self, key: &str) -> Result<Option<SimDuration>, String> {
+        self.raw(key).map(parse_time).transpose()
     }
-    fn duration(&self, key: &str) -> Option<Result<SimDuration, String>> {
-        self.get(key).map(parse_time)
+
+    /// An error naming the first key not in `allowed`.
+    fn only(&self, allowed: &[&str]) -> Result<(), String> {
+        match self.pairs.iter().find(|(k, _)| !allowed.contains(k)) {
+            Some((k, _)) => Err(format!("clause `{}`: unknown param `{k}=`", self.clause)),
+            None => Ok(()),
+        }
     }
 }
 
-fn parse_params<'a>(params: &'a str, clause: &str) -> Result<Params<'a>, String> {
-    let mut out = Vec::new();
+fn parse_params<'a>(params: &'a str, clause: &'a str) -> Result<Params<'a>, String> {
+    let mut pairs = Vec::new();
     for pair in params.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let (k, v) = pair
             .split_once('=')
             .ok_or_else(|| format!("clause `{clause}`: bad param `{pair}`"))?;
-        out.push((k.trim(), v.trim()));
+        pairs.push((k.trim(), v.trim()));
     }
-    Ok(Params(out))
+    Ok(Params { clause, pairs })
 }
 
 /// The injector's verdict for one message hop.
@@ -374,6 +392,36 @@ pub enum NetDecision {
     Duplicate,
     /// Deliver after the given extra delay.
     Delay(SimDuration),
+}
+
+impl NetDecision {
+    /// Carries `msg` across one network leg under this verdict: `deliver`
+    /// runs after the leg's `base` latency, or at once when `base` is
+    /// `None` (a leg whose latency the receiver charges itself).
+    ///
+    /// `Drop` delivers nothing, `Delay(extra)` delivers after
+    /// `base + extra`, and `Duplicate` delivers twice, the copy first.
+    pub fn carry<M, F>(self, sim: &mut Sim, base: Option<SimDuration>, msg: M, deliver: F)
+    where
+        M: Clone + 'static,
+        F: FnOnce(&mut Sim, M) + Clone + 'static,
+    {
+        match (self, base) {
+            (NetDecision::Drop, _) => {}
+            (NetDecision::Deliver, None) => deliver(sim, msg),
+            (NetDecision::Deliver, Some(after)) => {
+                sim.schedule(after, move |sim| deliver(sim, msg));
+            }
+            (NetDecision::Delay(extra), _) => {
+                let after = base.map_or(extra, |b| b + extra);
+                sim.schedule(after, move |sim| deliver(sim, msg));
+            }
+            (NetDecision::Duplicate, _) => {
+                NetDecision::Deliver.carry(sim, base, msg.clone(), deliver.clone());
+                NetDecision::Deliver.carry(sim, base, msg, deliver);
+            }
+        }
+    }
 }
 
 /// Adjudicates per-message network faults for a [`FaultPlan`].
@@ -467,6 +515,9 @@ impl FaultInjector {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
 
     fn secs(s: u64) -> SimTime {
@@ -560,6 +611,61 @@ mod tests {
         assert_eq!(inj.decide(secs(1), 5, 1000), NetDecision::Deliver);
     }
 
+    /// A message that knows whether it is a copy.
+    #[derive(Debug, PartialEq)]
+    struct Msg(&'static str);
+
+    impl Clone for Msg {
+        fn clone(&self) -> Self {
+            Msg("copy")
+        }
+    }
+
+    /// Carries `Msg("original")` under `verdict` from t = 1 s. Returns the
+    /// log in order: each delivery as `(ms after 1 s, message)`, and
+    /// `"returned"` when `carry` itself returned.
+    fn carried(verdict: NetDecision, base: Option<SimDuration>) -> Vec<(u64, &'static str)> {
+        let mut sim = Sim::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let at = |sim: &Sim| sim.now().saturating_since(secs(1)).as_nanos() / 1_000_000;
+        let out = Rc::clone(&log);
+        sim.schedule_at(secs(1), move |sim| {
+            let deliveries = Rc::clone(&out);
+            verdict.carry(sim, base, Msg("original"), move |sim, msg| {
+                deliveries.borrow_mut().push((at(sim), msg.0));
+            });
+            out.borrow_mut().push((at(sim), "returned"));
+        });
+        sim.run();
+        let log = log.borrow().clone();
+        log
+    }
+
+    #[test]
+    fn carry_delivers_each_verdict_at_once_without_a_base() {
+        assert_eq!(carried(NetDecision::Drop, None), vec![(0, "returned")]);
+        assert_eq!(carried(NetDecision::Deliver, None), vec![(0, "original"), (0, "returned")]);
+        let delay = NetDecision::Delay(SimDuration::from_millis(7));
+        assert_eq!(carried(delay, None), vec![(0, "returned"), (7, "original")]);
+        assert_eq!(
+            carried(NetDecision::Duplicate, None),
+            vec![(0, "copy"), (0, "original"), (0, "returned")]
+        );
+    }
+
+    #[test]
+    fn carry_delivers_each_verdict_after_its_base() {
+        let base = Some(SimDuration::from_millis(3));
+        assert_eq!(carried(NetDecision::Drop, base), vec![(0, "returned")]);
+        assert_eq!(carried(NetDecision::Deliver, base), vec![(0, "returned"), (3, "original")]);
+        let delay = NetDecision::Delay(SimDuration::from_millis(7));
+        assert_eq!(carried(delay, base), vec![(0, "returned"), (10, "original")]);
+        assert_eq!(
+            carried(NetDecision::Duplicate, base),
+            vec![(0, "returned"), (3, "copy"), (3, "original")]
+        );
+    }
+
     #[test]
     fn parse_covers_every_clause_kind() {
         let plan = FaultPlan::parse(
@@ -609,6 +715,28 @@ mod tests {
         assert!(FaultPlan::parse("shard@0s:shard=1").is_err()); // missing down
         assert!(FaultPlan::parse("storm@0s-1s:x=-2").is_err()); // bad factor
         assert!(FaultPlan::parse("quake@0s-1s").is_err()); // unknown kind
+    }
+
+    #[test]
+    fn parse_rejects_bad_values_and_foreign_keys() {
+        for spec in [
+            "drop@0s-10s:p=30%",           // not a number: was p = 1.0
+            "drop@0s-10s:prob=0.3",        // not a drop key: was p = 1.0
+            "kill@1s:count=2,dep=x",       // not a deployment: was every one
+            "drop@0s-10s:p=0.5,src=vm1",   // not an endpoint: was every source
+            "dup@0s-10s:p=0.5,dst=-1",     // not an endpoint
+            "delay@0s-10s:p=0.5,ms=-5",    // negative delay
+            "delay@0s-10s:p=0.5,ms=inf",   // non-finite delay
+            "delay@0s-10s:p=0.5,ms=NaN",   // non-finite delay
+            "drop@0s-10s:p=0.5,ms=5",      // ms belongs to delay only
+            "part@0s-1s:a=0,b=1000,c=2",   // unknown key
+            "shard@1s:shard=1,down=2s,p=1", // unknown key
+            "shard@1s:shard=one,down=2s",  // not a shard
+            "kill@1s:count=two",           // not a count
+            "storm@0s-1s:x=4,dep=1",       // unknown key
+        ] {
+            assert!(FaultPlan::parse(spec).is_err(), "`{spec}` must not parse");
+        }
     }
 
     #[test]

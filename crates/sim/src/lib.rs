@@ -22,6 +22,8 @@
 //!   models of §5.2.5 / Fig. 9.
 //! * [`params`] — every shared calibration constant, in one auditable
 //!   place.
+//! * [`Slab`] — generation-tagged records behind `Copy` [`SlabKey`]s, for
+//!   state that scheduled callbacks refer to after it may be gone.
 //!
 //! ## Example
 //!
@@ -54,6 +56,7 @@ pub mod fault;
 mod metrics;
 pub mod params;
 mod rng;
+mod slab;
 mod station;
 mod time;
 mod wheel;
@@ -66,5 +69,6 @@ pub use fault::{
 };
 pub use metrics::{GaugeSeries, LatencyRecorder, Timeline};
 pub use rng::{Dist, SimRng};
+pub use slab::{Slab, SlabKey};
 pub use station::{Station, StationRef, StationStats};
 pub use time::{SimDuration, SimTime};

@@ -31,9 +31,10 @@
 //! * Row keys are encoded once into a reusable scratch buffer and carried
 //!   as [`EncodedKey`]s (inline up to 23 bytes), so handing keys to the
 //!   lock manager and the shard router copies bytes, not heap blocks.
-//! * Pending lock sequences live in a slab (`Vec<Option<PendingSeq>>` plus
-//!   a free list); slots are generation-tagged so a stale timeout event for
-//!   a recycled slot is recognized and ignored.
+//! * Pending lock sequences live in a [`Slab`]. A sequence's [`SlabKey`]
+//!   is everything that refers to it: its timeout event, and the waiter
+//!   token the lock manager queues and later grants. Once the sequence
+//!   ends the key goes stale, so a late timeout or grant is a no-op.
 //! * The store owns every lock batch: [`Db::lock`] copies the caller's
 //!   keys (an array, usually) into a `Vec<LockKey>` taken from the store's
 //!   pool, and the batch goes back to that pool when its sequence ends.
@@ -56,12 +57,12 @@ use std::rc::Rc;
 use lambda_lsm::LsmStats;
 use lambda_sim::fault::ShardOutage;
 use lambda_sim::params::StoreParams;
-use lambda_sim::{Sim, SimDuration, SimTime, Station, StationRef};
+use lambda_sim::{Sim, SimDuration, SimTime, Slab, SlabKey, Station, StationRef};
 
 use crate::backend::{DurabilityConfig, DurabilityStats, DurableBackend, ShadowWrite};
 use crate::error::{StoreError, StoreResult};
 use crate::key::{EncodedKey, KeyCodec, MixBuild};
-use crate::lock::{Acquire, LockKey, LockManager, LockMode, WaiterToken};
+use crate::lock::{Acquire, LockKey, LockManager, LockMode};
 use crate::table::{AnyTable, TableHandle, TableId, TypedTable};
 use crate::txn::{TxnId, TxnPhase, TxnState};
 
@@ -97,38 +98,15 @@ type LockCont = Box<dyn FnOnce(&mut Sim, StoreResult<()>)>;
 /// order. Buffers are recycled through `DbInner::plan_pool`.
 type ChargePlan = Vec<(u32, u32)>;
 
+/// A lock acquisition in progress: `keys` taken in order, one at a time.
+/// Between events a sequence in the slab is always queued in the lock
+/// manager for `keys[next_idx]`, under its own slab key.
 struct PendingSeq {
     txn: TxnId,
     keys: Vec<LockKey>,
     next_idx: usize,
     mode: LockMode,
-    /// The waiter token currently queued in the lock manager; the queued
-    /// key is `keys[next_idx]`.
-    current: Option<WaiterToken>,
     cont: LockCont,
-}
-
-/// One slab slot for a pending lock sequence. `gen` increments every time
-/// the slot is freed, so a handle embedding the generation can tell a live
-/// sequence from a recycled slot (a stale timeout becomes a no-op).
-struct SeqSlot {
-    gen: u32,
-    seq: Option<PendingSeq>,
-}
-
-/// Handle to a pending sequence: `(generation << 32) | slot`.
-type SeqHandle = u64;
-
-fn seq_handle(slot: u32, gen: u32) -> SeqHandle {
-    (u64::from(gen) << 32) | u64::from(slot)
-}
-
-fn handle_slot(handle: SeqHandle) -> usize {
-    (handle & 0xffff_ffff) as usize
-}
-
-fn handle_gen(handle: SeqHandle) -> u32 {
-    (handle >> 32) as u32
 }
 
 struct DbInner {
@@ -141,10 +119,8 @@ struct DbInner {
     shards: Rc<[StationRef]>,
     params: Rc<StoreParams>,
     lock_timeout: SimDuration,
-    /// Pending lock-sequence slab; slots are recycled through `seq_free`.
-    pending: Vec<SeqSlot>,
-    seq_free: Vec<u32>,
-    token_to_seq: HashMap<WaiterToken, SeqHandle, MixBuild>,
+    /// Pending lock sequences.
+    pending: Slab<PendingSeq>,
     /// Cleared lock batches. Only batches taken from here come back, so
     /// it holds at most as many as were ever in flight at once.
     key_pool: Vec<Vec<LockKey>>,
@@ -167,57 +143,6 @@ struct DbInner {
 }
 
 impl DbInner {
-    /// Parks `seq` in a slab slot and returns its handle.
-    fn park_seq(&mut self, seq: PendingSeq) -> SeqHandle {
-        match self.seq_free.pop() {
-            Some(slot) => {
-                let s = &mut self.pending[slot as usize];
-                debug_assert!(s.seq.is_none());
-                s.seq = Some(seq);
-                seq_handle(slot, s.gen)
-            }
-            None => {
-                let slot = u32::try_from(self.pending.len()).expect("pending slab overflow");
-                self.pending.push(SeqSlot { gen: 0, seq: Some(seq) });
-                seq_handle(slot, 0)
-            }
-        }
-    }
-
-    /// Takes the sequence out of `handle`'s slot if the handle is still
-    /// current (same generation, slot occupied).
-    fn take_seq(&mut self, handle: SeqHandle) -> Option<PendingSeq> {
-        let slot = self.pending.get_mut(handle_slot(handle))?;
-        if slot.gen != handle_gen(handle) {
-            return None;
-        }
-        slot.seq.take()
-    }
-
-    /// Returns a sequence to its (still-reserved) slot.
-    fn restore_seq(&mut self, handle: SeqHandle, seq: PendingSeq) {
-        let slot = &mut self.pending[handle_slot(handle)];
-        debug_assert_eq!(slot.gen, handle_gen(handle));
-        debug_assert!(slot.seq.is_none());
-        slot.seq = Some(seq);
-    }
-
-    /// Frees `handle`'s slot, invalidating outstanding handles to it.
-    fn free_seq_slot(&mut self, handle: SeqHandle) {
-        let idx = handle_slot(handle);
-        let slot = &mut self.pending[idx];
-        debug_assert!(slot.seq.is_none());
-        slot.gen = slot.gen.wrapping_add(1);
-        self.seq_free.push(idx as u32);
-    }
-
-    /// Whether `handle` still refers to a live (waiting) sequence.
-    fn seq_alive(&self, handle: SeqHandle) -> bool {
-        self.pending
-            .get(handle_slot(handle))
-            .is_some_and(|s| s.gen == handle_gen(handle) && s.seq.is_some())
-    }
-
     /// Returns a finished sequence's key batch to the pool it came from.
     fn recycle_keys(&mut self, mut keys: Vec<LockKey>) {
         keys.clear();
@@ -393,9 +318,7 @@ impl Db {
                 shards,
                 params: Rc::new(params.clone()),
                 lock_timeout,
-                pending: Vec::new(),
-                seq_free: Vec::new(),
-                token_to_seq: HashMap::default(),
+                pending: Slab::default(),
                 key_pool: Vec::new(),
                 plan_pool: Vec::new(),
                 shard_rows: vec![0; shard_count],
@@ -487,9 +410,7 @@ impl Db {
     pub fn tear_down(&self) {
         let (seqs, shards) = {
             let mut inner = self.inner.borrow_mut();
-            let seqs: Vec<PendingSeq> =
-                inner.pending.iter_mut().filter_map(|slot| slot.seq.take()).collect();
-            (seqs, Rc::clone(&inner.shards))
+            (std::mem::take(&mut inner.pending), Rc::clone(&inner.shards))
         };
         drop(seqs);
         for shard in shards.iter() {
@@ -643,87 +564,64 @@ impl Db {
             sim.schedule(SimDuration::ZERO, move |sim| cont(sim, Err(e)));
             return;
         }
-        let handle = self.inner.borrow_mut().park_seq(PendingSeq {
+        let seq = self.inner.borrow_mut().pending.insert(PendingSeq {
             txn,
             keys,
             next_idx: 0,
             mode,
-            current: None,
             cont: Box::new(cont),
         });
-        self.drive_seq(sim, handle);
+        self.drive_seq(sim, seq);
         // Arm the timeout for the whole sequence; it is a no-op if the
-        // sequence finished by then (the slot's generation has moved on).
-        if self.inner.borrow().seq_alive(handle) {
+        // sequence finished by then (its key has gone stale).
+        if self.inner.borrow().pending.get(seq).is_some() {
             let timeout = self.inner.borrow().lock_timeout;
             let db = self.clone();
-            sim.schedule(timeout, move |sim| db.timeout_seq(sim, handle));
+            sim.schedule(timeout, move |sim| db.timeout_seq(sim, seq));
         }
     }
 
-    /// Advances a pending acquisition sequence as far as possible.
-    fn drive_seq(&self, sim: &mut Sim, handle: SeqHandle) {
-        let finished = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(mut seq) = inner.take_seq(handle) else { return };
-            seq.current = None;
-            let mut waiting = false;
+    /// Advances a pending acquisition sequence as far as possible, queueing
+    /// its key as the waiter token where it has to wait.
+    fn drive_seq(&self, sim: &mut Sim, key: SlabKey) {
+        let cont = {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let Some(seq) = inner.pending.get_mut(key) else { return };
             while seq.next_idx < seq.keys.len() {
-                match inner.locks.acquire(seq.txn, &seq.keys[seq.next_idx], seq.mode) {
-                    (Acquire::Granted, _) => seq.next_idx += 1,
-                    (Acquire::Wait, token) => {
-                        seq.current = Some(token);
-                        inner.token_to_seq.insert(token, handle);
-                        waiting = true;
-                        break;
-                    }
+                let row = &seq.keys[seq.next_idx];
+                if inner.locks.acquire(seq.txn, row, seq.mode, key) == Acquire::Wait {
+                    return; // `on_grant` resumes it
                 }
+                seq.next_idx += 1;
             }
-            if waiting {
-                inner.restore_seq(handle, seq);
-                None
-            } else {
-                inner.free_seq_slot(handle);
-                inner.recycle_keys(seq.keys);
-                Some(seq.cont)
-            }
+            let seq = inner.pending.remove(key).expect("driven above");
+            inner.recycle_keys(seq.keys);
+            seq.cont
         };
-        if let Some(cont) = finished {
-            sim.schedule(SimDuration::ZERO, move |sim| cont(sim, Ok(())));
-        }
+        sim.schedule(SimDuration::ZERO, move |sim| cont(sim, Ok(())));
     }
 
-    /// Called when a queued waiter token is granted.
-    fn on_grant(&self, sim: &mut Sim, token: WaiterToken) {
-        let handle = self.inner.borrow_mut().token_to_seq.remove(&token);
-        let Some(handle) = handle else {
-            // The sequence was cancelled (timeout) after this grant was
-            // decided; the abort path already released everything.
-            return;
-        };
+    /// Called when the lock a sequence waited for is granted. A sequence
+    /// cancelled after the grant was decided has a stale key: its abort
+    /// already released everything.
+    fn on_grant(&self, sim: &mut Sim, key: SlabKey) {
         {
             let mut inner = self.inner.borrow_mut();
-            if let Some(mut seq) = inner.take_seq(handle) {
-                seq.next_idx += 1;
-                seq.current = None;
-                inner.restore_seq(handle, seq);
-            }
+            let Some(seq) = inner.pending.get_mut(key) else { return };
+            seq.next_idx += 1;
         }
-        self.drive_seq(sim, handle);
+        self.drive_seq(sim, key);
     }
 
     /// Fires when a lock sequence's timeout elapses.
-    fn timeout_seq(&self, sim: &mut Sim, handle: SeqHandle) {
+    fn timeout_seq(&self, sim: &mut Sim, key: SlabKey) {
         let victim = {
             let mut inner = self.inner.borrow_mut();
-            let Some(seq) = inner.take_seq(handle) else { return };
-            inner.free_seq_slot(handle);
+            let Some(seq) = inner.pending.remove(key) else { return };
             inner.stats.lock_timeouts += 1;
             let mut granted = Vec::new();
-            if let Some(token) = seq.current {
-                inner.token_to_seq.remove(&token);
-                inner.locks.cancel_waiter(&seq.keys[seq.next_idx], token, &mut granted);
-            }
+            inner.locks.cancel_waiter(&seq.keys[seq.next_idx], key, &mut granted);
             // Abort the victim: undo its writes, release all its locks.
             Self::abort_in(&mut inner, seq.txn, &mut granted);
             inner.recycle_keys(seq.keys);
@@ -736,16 +634,16 @@ impl Db {
         });
     }
 
-    fn dispatch_grants(&self, sim: &mut Sim, granted: Vec<WaiterToken>) {
-        for token in granted {
+    fn dispatch_grants(&self, sim: &mut Sim, granted: Vec<SlabKey>) {
+        for key in granted {
             let db = self.clone();
-            sim.schedule(SimDuration::ZERO, move |sim| db.on_grant(sim, token));
+            sim.schedule(SimDuration::ZERO, move |sim| db.on_grant(sim, key));
         }
     }
 
     /// Rolls back and deregisters `txn`; newly grantable waiters are
     /// appended to `granted`.
-    fn abort_in(inner: &mut DbInner, txn: TxnId, granted: &mut Vec<WaiterToken>) {
+    fn abort_in(inner: &mut DbInner, txn: TxnId, granted: &mut Vec<SlabKey>) {
         if let Some(mut state) = inner.txns.remove(&txn) {
             inner.stats.aborts += 1;
             for undo in state.undo.drain(..).rev() {
@@ -779,21 +677,15 @@ impl Db {
     fn cancel_seqs_of(
         inner: &mut DbInner,
         txn: TxnId,
-        granted: &mut Vec<WaiterToken>,
+        granted: &mut Vec<SlabKey>,
         conts: &mut Vec<LockCont>,
     ) {
-        for slot in 0..inner.pending.len() {
-            let owns = inner.pending[slot].seq.as_ref().is_some_and(|s| s.txn == txn);
-            if !owns {
-                continue;
-            }
-            let gen = inner.pending[slot].gen;
-            let Some(seq) = inner.take_seq(seq_handle(slot as u32, gen)) else { continue };
-            inner.free_seq_slot(seq_handle(slot as u32, gen));
-            if let Some(token) = seq.current {
-                inner.token_to_seq.remove(&token);
-                inner.locks.cancel_waiter(&seq.keys[seq.next_idx], token, granted);
-            }
+        // In slot order, as the schedule of the failed continuations must
+        // not depend on anything else.
+        loop {
+            let Some((key, _)) = inner.pending.iter().find(|(_, s)| s.txn == txn) else { break };
+            let seq = inner.pending.remove(key).expect("found above");
+            inner.locks.cancel_waiter(&seq.keys[seq.next_idx], key, granted);
             inner.recycle_keys(seq.keys);
             conts.push(seq.cont);
         }
@@ -897,7 +789,7 @@ impl Db {
     /// Number of parked lock-acquisition sequences (auditor aid).
     #[must_use]
     pub fn pending_seq_count(&self) -> usize {
-        self.inner.borrow().pending.iter().filter(|s| s.seq.is_some()).count()
+        self.inner.borrow().pending.len()
     }
 
     /// `(lock batches, charge plans)` held in the store's pools.

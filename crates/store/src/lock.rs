@@ -6,8 +6,10 @@
 //! other NameNode can read-and-cache the row until the new value commits.
 //!
 //! This module is a pure data structure: it decides grants and returns the
-//! tokens of waiters that become runnable; the [`Db`](crate::Db) layer maps
-//! tokens back to scheduled continuations.
+//! tokens of waiters that become runnable. A waiter's token is the
+//! [`SlabKey`] of the [`Db`](crate::Db)'s pending lock sequence it belongs
+//! to, so a granted token leads straight back to its continuation — and a
+//! token whose sequence was cancelled meanwhile no longer resolves.
 //!
 //! Grant policy: readers share; writers are exclusive; queued writers block
 //! later readers (no writer starvation); lock requests are re-entrant; a
@@ -15,6 +17,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+
+use lambda_sim::SlabKey;
 
 use crate::key::{EncodedKey, MixBuild};
 use crate::table::TableId;
@@ -45,15 +49,12 @@ impl fmt::Display for LockKey {
     }
 }
 
-/// Opaque identity of a queued acquisition, used to resume or cancel it.
-pub type WaiterToken = u64;
-
 /// Result of an acquisition attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Acquire {
     /// The lock is held by `txn` on return.
     Granted,
-    /// The request was queued; the token will be reported by a later
+    /// The request was queued; its token will be reported by a later
     /// [`LockManager::release_all`].
     Wait,
 }
@@ -62,7 +63,7 @@ pub enum Acquire {
 struct Waiter {
     txn: TxnId,
     mode: LockMode,
-    token: WaiterToken,
+    token: SlabKey,
 }
 
 /// The holders of one row. Invariant: either any number of `Shared`
@@ -169,7 +170,6 @@ impl HeldBy {
 pub struct LockManager {
     locks: HashMap<LockKey, LockState, MixBuild>,
     held_by: HeldBy,
-    next_token: WaiterToken,
 }
 
 impl LockManager {
@@ -194,16 +194,23 @@ impl LockManager {
         self.locks.len()
     }
 
-    /// Attempts to acquire `key` in `mode` for `txn`.
+    /// Attempts to acquire `key` in `mode` for `txn`, queueing `token` if
+    /// it has to wait.
     ///
     /// Re-entrant: if `txn` already holds the lock at `mode` or stronger,
     /// the call is a no-op returning [`Acquire::Granted`]. A sole shared
     /// holder requesting exclusive is upgraded in place; a non-sole holder
     /// queues an upgrade waiter at the *front* of the queue.
-    pub fn acquire(&mut self, txn: TxnId, key: &LockKey, mode: LockMode) -> (Acquire, WaiterToken) {
+    pub fn acquire(
+        &mut self,
+        txn: TxnId,
+        key: &LockKey,
+        mode: LockMode,
+        token: SlabKey,
+    ) -> Acquire {
         let state = self.locks.entry(key.clone()).or_default();
         if state.holder_mode(txn).is_some_and(|held| held >= mode) {
-            return (Acquire::Granted, 0);
+            return Acquire::Granted;
         }
         if state.grantable(txn, mode) {
             let newly = state.holder_mode(txn).is_none();
@@ -211,10 +218,8 @@ impl LockManager {
             if newly {
                 self.held_by.note(txn, key);
             }
-            (Acquire::Granted, 0)
+            Acquire::Granted
         } else {
-            self.next_token += 1;
-            let token = self.next_token;
             let waiter = Waiter { txn, mode, token };
             if state.holder_mode(txn).is_some() {
                 // Upgrade request: jump the queue so a sole-holder upgrade
@@ -223,14 +228,19 @@ impl LockManager {
             } else {
                 state.waiters.push_back(waiter);
             }
-            (Acquire::Wait, token)
+            Acquire::Wait
         }
     }
 
     /// Removes a queued waiter (e.g. its transaction timed out). Returns
     /// `true` if the token was found; grants that become possible are
     /// reported like a release.
-    pub fn cancel_waiter(&mut self, key: &LockKey, token: WaiterToken, granted: &mut Vec<WaiterToken>) -> bool {
+    pub fn cancel_waiter(
+        &mut self,
+        key: &LockKey,
+        token: SlabKey,
+        granted: &mut Vec<SlabKey>,
+    ) -> bool {
         let Some(state) = self.locks.get_mut(key) else { return false };
         let before = state.waiters.len();
         state.waiters.retain(|w| w.token != token);
@@ -246,7 +256,7 @@ impl LockManager {
 
     /// Releases every lock held by `txn`, returning the tokens of waiters
     /// that are granted as a result (in grant order).
-    pub fn release_all(&mut self, txn: TxnId) -> Vec<WaiterToken> {
+    pub fn release_all(&mut self, txn: TxnId) -> Vec<SlabKey> {
         let mut granted = Vec::new();
         let Some(mut keys) = self.held_by.rows.remove(&txn) else { return granted };
         for key in keys.drain(..) {
@@ -267,7 +277,7 @@ impl LockManager {
         state: &mut LockState,
         held_by: &mut HeldBy,
         key: &LockKey,
-        granted: &mut Vec<WaiterToken>,
+        granted: &mut Vec<SlabKey>,
     ) {
         while let Some(front) = state.waiters.front() {
             // The front of the queue only needs holder compatibility; the
@@ -290,7 +300,13 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lambda_sim::Slab;
 
+    /// Eight distinct waiter tokens; the tests give txn `n` token `n`.
+    fn tokens() -> Vec<SlabKey> {
+        let mut slab = Slab::default();
+        (0..8).map(|_| slab.insert(())).collect()
+    }
     fn key(n: u8) -> LockKey {
         LockKey { table: TableId::new(0), key: EncodedKey::from_slice(&[n]) }
     }
@@ -300,56 +316,56 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let mut lm = LockManager::new();
-        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Shared).0, Acquire::Granted);
-        assert_eq!(lm.acquire(txn(2), &key(1), LockMode::Shared).0, Acquire::Granted);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]), Acquire::Granted);
+        assert_eq!(lm.acquire(txn(2), &key(1), LockMode::Shared, t[2]), Acquire::Granted);
         assert!(lm.holds(txn(1), &key(1), LockMode::Shared));
         assert!(lm.holds(txn(2), &key(1), LockMode::Shared));
     }
 
     #[test]
     fn exclusive_excludes_everyone() {
-        let mut lm = LockManager::new();
-        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Exclusive).0, Acquire::Granted);
-        assert_eq!(lm.acquire(txn(2), &key(1), LockMode::Shared).0, Acquire::Wait);
-        assert_eq!(lm.acquire(txn(3), &key(1), LockMode::Exclusive).0, Acquire::Wait);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Exclusive, t[1]), Acquire::Granted);
+        assert_eq!(lm.acquire(txn(2), &key(1), LockMode::Shared, t[2]), Acquire::Wait);
+        assert_eq!(lm.acquire(txn(3), &key(1), LockMode::Exclusive, t[3]), Acquire::Wait);
         assert!(!lm.holds(txn(2), &key(1), LockMode::Shared));
     }
 
     #[test]
     fn release_grants_fifo_with_shared_batching() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Exclusive);
-        let (_, s2) = lm.acquire(txn(2), &key(1), LockMode::Shared);
-        let (_, s3) = lm.acquire(txn(3), &key(1), LockMode::Shared);
-        let (_, x4) = lm.acquire(txn(4), &key(1), LockMode::Exclusive);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Exclusive, t[1]);
+        lm.acquire(txn(2), &key(1), LockMode::Shared, t[2]);
+        lm.acquire(txn(3), &key(1), LockMode::Shared, t[3]);
+        lm.acquire(txn(4), &key(1), LockMode::Exclusive, t[4]);
         let granted = lm.release_all(txn(1));
         // Both shared waiters are granted together; the writer still waits.
-        assert_eq!(granted, vec![s2, s3]);
+        assert_eq!(granted, vec![t[2], t[3]]);
         let granted = lm.release_all(txn(2));
         assert!(granted.is_empty());
         let granted = lm.release_all(txn(3));
-        assert_eq!(granted, vec![x4]);
+        assert_eq!(granted, vec![t[4]]);
         assert!(lm.holds(txn(4), &key(1), LockMode::Exclusive));
     }
 
     #[test]
     fn queued_writer_blocks_later_readers() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Shared);
-        let (_, xw) = lm.acquire(txn(2), &key(1), LockMode::Exclusive);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]);
+        lm.acquire(txn(2), &key(1), LockMode::Exclusive, t[2]);
         // Reader arriving after a queued writer must wait (no starvation).
-        assert_eq!(lm.acquire(txn(3), &key(1), LockMode::Shared).0, Acquire::Wait);
+        assert_eq!(lm.acquire(txn(3), &key(1), LockMode::Shared, t[3]), Acquire::Wait);
         let granted = lm.release_all(txn(1));
-        assert_eq!(granted, vec![xw]);
+        assert_eq!(granted, vec![t[2]]);
     }
 
     #[test]
     fn reentrant_acquire_is_a_noop() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Exclusive);
-        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Exclusive).0, Acquire::Granted);
-        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Shared).0, Acquire::Granted);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Exclusive, t[1]);
+        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Exclusive, t[1]), Acquire::Granted);
+        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]), Acquire::Granted);
         // Still a single release.
         assert!(lm.release_all(txn(1)).is_empty());
         assert_eq!(lm.active_rows(), 0);
@@ -357,66 +373,62 @@ mod tests {
 
     #[test]
     fn reentrant_shared_ignores_queued_writer() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Shared);
-        lm.acquire(txn(2), &key(1), LockMode::Exclusive);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]);
+        lm.acquire(txn(2), &key(1), LockMode::Exclusive, t[2]);
         // txn 1 already holds S; re-acquiring S must not self-deadlock.
-        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Shared).0, Acquire::Granted);
+        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]), Acquire::Granted);
     }
 
     #[test]
     fn sole_holder_upgrades_in_place() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Shared);
-        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Exclusive).0, Acquire::Granted);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]);
+        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Exclusive, t[1]), Acquire::Granted);
         assert!(lm.holds(txn(1), &key(1), LockMode::Exclusive));
     }
 
     #[test]
     fn non_sole_upgrade_waits_then_wins() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Shared);
-        lm.acquire(txn(2), &key(1), LockMode::Shared);
-        let (res, tok) = lm.acquire(txn(1), &key(1), LockMode::Exclusive);
-        assert_eq!(res, Acquire::Wait);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]);
+        lm.acquire(txn(2), &key(1), LockMode::Shared, t[2]);
+        assert_eq!(lm.acquire(txn(1), &key(1), LockMode::Exclusive, t[1]), Acquire::Wait);
         let granted = lm.release_all(txn(2));
-        assert_eq!(granted, vec![tok]);
+        assert_eq!(granted, vec![t[1]]);
         assert!(lm.holds(txn(1), &key(1), LockMode::Exclusive));
     }
 
     #[test]
     fn cancel_waiter_unblocks_queue() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Shared);
-        let (_, xw) = lm.acquire(txn(2), &key(1), LockMode::Exclusive);
-        let (_, _sw) = lm.acquire(txn(3), &key(1), LockMode::Shared);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Shared, t[1]);
+        lm.acquire(txn(2), &key(1), LockMode::Exclusive, t[2]);
+        lm.acquire(txn(3), &key(1), LockMode::Shared, t[3]);
         let mut granted = Vec::new();
-        assert!(lm.cancel_waiter(&key(1), xw, &mut granted));
+        assert!(lm.cancel_waiter(&key(1), t[2], &mut granted));
         // With the writer gone, the shared waiter is compatible with the
         // shared holder and is granted immediately.
-        assert_eq!(granted.len(), 1);
+        assert_eq!(granted, vec![t[3]]);
         assert!(lm.holds(txn(3), &key(1), LockMode::Shared));
-        assert!(!lm.cancel_waiter(&key(1), xw, &mut granted));
+        assert!(!lm.cancel_waiter(&key(1), t[2], &mut granted));
     }
 
     #[test]
     fn release_all_spans_multiple_rows() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(1), LockMode::Exclusive);
-        lm.acquire(txn(1), &key(2), LockMode::Exclusive);
-        let (_, w1) = lm.acquire(txn(2), &key(1), LockMode::Shared);
-        let (_, w2) = lm.acquire(txn(2), &key(2), LockMode::Shared);
-        let mut granted = lm.release_all(txn(1));
-        granted.sort_unstable();
-        let mut expect = vec![w1, w2];
-        expect.sort_unstable();
-        assert_eq!(granted, expect);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(1), LockMode::Exclusive, t[1]);
+        lm.acquire(txn(1), &key(2), LockMode::Exclusive, t[1]);
+        lm.acquire(txn(2), &key(1), LockMode::Shared, t[2]);
+        lm.acquire(txn(3), &key(2), LockMode::Shared, t[3]);
+        // Rows are released in the order txn 1 took them.
+        assert_eq!(lm.release_all(txn(1)), vec![t[2], t[3]]);
     }
 
     #[test]
     fn lock_table_garbage_collects_idle_rows() {
-        let mut lm = LockManager::new();
-        lm.acquire(txn(1), &key(7), LockMode::Exclusive);
+        let (mut lm, t) = (LockManager::new(), tokens());
+        lm.acquire(txn(1), &key(7), LockMode::Exclusive, t[1]);
         assert_eq!(lm.active_rows(), 1);
         lm.release_all(txn(1));
         assert_eq!(lm.active_rows(), 0);

@@ -23,10 +23,14 @@
 #      one golden whose runs go through the subtree protocol (flag, batched
 #      quiesce with offloading, prefix INV, relink;
 #      results/golden/tab03_subtree_mv.txt, ~0.5 s).
-#   5. chaos smoke: fig15b_chaos --smoke runs every fault class against a
-#      small system and exits nonzero if any post-run invariant audit
-#      (leaked locks/txns/invocations, namespace↔store divergence,
-#      op-count conservation) fails.
+#   5. chaos golden check: fig15b_chaos --smoke runs every fault class
+#      against a small system, exits nonzero if any post-run invariant
+#      audit (leaked locks/txns/invocations, namespace↔store divergence,
+#      op-count conservation) fails, and must be byte-identical to
+#      results/golden/fig15b_chaos.txt — the one golden whose runs drop,
+#      duplicate and delay messages on every client↔NameNode leg and
+#      partition them, so it pins the client's fault paths (retries,
+#      backoff, timeouts).
 #   6. fig10 at --threads=4: the figure sweep re-run on four worker
 #      threads must still match the golden capture byte-for-byte —
 #      sweep-level parallelism (whole independent simulations per
@@ -38,10 +42,11 @@
 #      observational equivalence to the std map is pinned by the
 #      differential proptests in crates/store/tests/engine_differential.rs,
 #      which step 1 runs.
-#   8. durable chaos smoke: fig15b_chaos --smoke --durable re-runs every
-#      fault class on the WAL-backed durable store backend — shard
+#   8. durable chaos golden check: fig15b_chaos --smoke --durable re-runs
+#      every fault class on the WAL-backed durable store backend — shard
 #      failovers recover by WAL replay, and the audit adds the
-#      post-crash shadow↔table consistency check.
+#      post-crash shadow↔table consistency check — and must be
+#      byte-identical to results/golden/fig15b_chaos_durable.txt.
 #   9. fig15c smoke golden check: fig15c_durability --smoke runs the
 #      flush-interval x crash-rate grid (recovery time, write
 #      amplification, lost-window aborts), exits nonzero on any audit
@@ -92,11 +97,16 @@ cd "$(dirname "$0")/.."
 # golden_check <figure> [args…]: the figure's output must equal
 # results/golden/<figure>.txt except for the [wall-clock] lines. Captured
 # to a temp file so a passing run leaves the tracked results/ untouched.
-golden_check() {
-    local out
+golden_check() { golden_check_as "$1" "$@"; }
+
+# golden_check_as <golden> <figure> [args…]: the same against
+# results/golden/<golden>.txt, for a second run of one figure.
+golden_check_as() {
+    local golden="$1" out
+    shift
     out="$(mktemp)"
     ./target/release/lfsfig "$@" > "$out"
-    diff <(grep -v wall-clock "results/golden/$1.txt") <(grep -v wall-clock "$out") \
+    diff <(grep -v wall-clock "results/golden/$golden.txt") <(grep -v wall-clock "$out") \
         || { echo "$* differs from the golden capture (output kept in $out)"; return 1; }
     rm -f "$out"
     echo "$* matches the golden capture"
@@ -121,8 +131,8 @@ golden_check fig15_fault_tolerance
 echo "== tab03 golden check (subtree mv protocol => byte-identical) =="
 golden_check tab03_subtree_mv
 
-echo "== chaos smoke (fault classes + invariant audits) =="
-./target/release/lfsfig fig15b_chaos --smoke
+echo "== chaos golden check (fault classes + invariant audits => byte-identical) =="
+golden_check fig15b_chaos --smoke
 
 echo "== fig10 golden check at --threads=4 =="
 golden_check fig10_latency_cdfs --threads=4
@@ -130,8 +140,8 @@ golden_check fig10_latency_cdfs --threads=4
 echo "== store engine bench smoke (B+ tree, std BTreeMap, id-addressed pages) =="
 ./target/release/lfsfig bench_store --smoke
 
-echo "== durable chaos smoke (WAL replay recovery + shadow check) =="
-./target/release/lfsfig fig15b_chaos --smoke --durable
+echo "== durable chaos golden check (WAL replay recovery + shadow check => byte-identical) =="
+golden_check_as fig15b_chaos_durable fig15b_chaos --smoke --durable
 
 echo "== durability sweep smoke golden check (flush interval x crash rate) =="
 golden_check fig15c_durability --smoke
