@@ -15,8 +15,9 @@
 //! ## Locking discipline (deadlock-free by construction + timeout net)
 //!
 //! 1. Path resolution takes **shared** locks on the existing chain, in one
-//!    sorted batch, and releases them at the end of the read (the
-//!    single-batch resolution that HopsFS's INode-hint cache enables).
+//!    sorted batch, and releases them at the end of the read: one
+//!    [`Db::read`] (the single-batch resolution that HopsFS's INode-hint
+//!    cache enables). `ls` checks its directory the same way.
 //! 2. Write operations then take **exclusive** locks on their write set in
 //!    one sorted batch (never upgrading a held shared lock — resolution
 //!    and write-set locking use separate transactions), re-validate under
@@ -37,7 +38,7 @@ use lambda_namespace::{
 };
 use lambda_sim::params::CpuParams;
 use lambda_sim::{Sim, SimDuration, SimTime, Station, StationRef};
-use lambda_store::{Db, LockKey, LockMode, NameKey, StoreError, StoreResult, TxnId};
+use lambda_store::{Db, LockKey, NameKey, StoreResult, TxnId};
 
 /// Completion callback for one operation.
 pub type OpDone = Box<dyn FnOnce(&mut Sim, OpResult)>;
@@ -301,48 +302,27 @@ impl OpEngine {
         let mut missing_ids = hinted;
         missing_ids.drain(..prefix.len());
         debug_assert!(!missing_ids.is_empty(), "full hits are handled above");
-        let txn = self.db.begin();
         let this = self.clone();
-        self.db.read_locked(
-            sim,
-            txn,
-            self.schema.inodes,
-            missing_ids,
-            LockMode::Shared,
-            move |sim, rows| match rows {
-                Err(e) => {
-                    this.db.abort(sim, txn);
-                    done(sim, Err(store_error(&e)));
+        self.db.read(sim, self.schema.inodes, missing_ids, move |sim, rows| {
+            let rows = match rows {
+                Ok(rows) => rows,
+                Err(e) => return done(sim, Err(e.into())),
+            };
+            let chain = rows.into_iter().collect::<Option<Vec<Inode>>>().map(|suffix| {
+                let mut chain = prefix;
+                chain.extend(suffix);
+                chain
+            });
+            match chain {
+                Some(chain) if chain_matches(&chain, &path) => {
+                    this.update_cache(allow_cache, |c| c.insert_chain(&path, &chain));
+                    done(sim, Ok(chain));
                 }
-                Ok(rows) => {
-                    let suffix: Option<Vec<Inode>> = rows.into_iter().collect();
-                    let chain: Option<Vec<Inode>> = suffix.map(|suffix| {
-                        let mut chain = prefix;
-                        chain.extend(suffix);
-                        chain
-                    });
-                    let valid =
-                        chain.as_ref().is_some_and(|chain| chain_matches(chain, &path));
-                    let this2 = this.clone();
-                    this.db.commit(sim, txn, move |sim, r| {
-                        if r.is_err() {
-                            done(sim, Err(FsError::Retryable("commit failed".into())));
-                            return;
-                        }
-                        match (chain, valid) {
-                            (Some(chain), true) => {
-                                this2.update_cache(allow_cache, |c| c.insert_chain(&path, &chain));
-                                done(sim, Ok(chain));
-                            }
-                            // The path changed between hint and lock
-                            // (concurrent mv/delete): retry with fresh
-                            // hints.
-                            _ => done(sim, Err(FsError::Retryable("stale path hint".into()))),
-                        }
-                    });
-                }
-            },
-        );
+                // The path changed between hint and lock (concurrent
+                // mv/delete): retry with fresh hints.
+                _ => done(sim, Err(FsError::Retryable("stale path hint".into()))),
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -381,45 +361,28 @@ impl OpEngine {
             // listings; HDFS's relaxed (non-POSIX) semantics permit a
             // listing concurrent with inserts (§2: "POSIX semantics are
             // relaxed").
-            let txn = this.db.begin();
             let this2 = this.clone();
-            this.db.read_locked(
-                sim,
-                txn,
-                this.schema.inodes,
-                vec![target.id],
-                LockMode::Shared,
-                move |sim, rows| {
-                    if rows.is_err() {
-                        this2.db.abort(sim, txn);
-                        return done(sim, Err(FsError::Retryable("ls lock timeout".into())));
-                    }
-                    let dir = target.id;
-                    let this3 = this2.clone();
-                    this2.db.commit(sim, txn, move |sim, r| {
-                        if r.is_err() {
-                            return done(sim, Err(FsError::Retryable("ls commit".into())));
-                        }
-                        let this4 = this3.clone();
-                        this3.db.scan_with(
-                            sim,
-                            this3.schema.children,
-                            (dir, NameKey::MIN)..(dir + 1, NameKey::MIN),
-                            Vec::new,
-                            |names: &mut Vec<&'static str>, (_, name), _| {
-                                names.push(name.as_str());
-                            },
-                            move |sim, names| {
-                                let names = Rc::new(names);
-                                this4.update_cache(allow_cache, |c| {
-                                    c.cache_listing(dir, Rc::clone(&names));
-                                });
-                                done(sim, Ok(OpOutcome::Listing(names)));
-                            },
-                        );
-                    });
-                },
-            );
+            let dir = target.id;
+            this.db.read(sim, this.schema.inodes, vec![dir], move |sim, rows| {
+                if rows.is_err() {
+                    return done(sim, Err(FsError::Retryable("ls lock timeout".into())));
+                }
+                let this3 = this2.clone();
+                this2.db.scan_with(
+                    sim,
+                    this2.schema.children,
+                    (dir, NameKey::MIN)..(dir + 1, NameKey::MIN),
+                    Vec::new,
+                    |names: &mut Vec<&'static str>, (_, name), _| names.push(name.as_str()),
+                    move |sim, names| {
+                        let names = Rc::new(names);
+                        this3.update_cache(allow_cache, |c| {
+                            c.cache_listing(dir, Rc::clone(&names));
+                        });
+                        done(sim, Ok(OpOutcome::Listing(names)));
+                    },
+                );
+            });
         });
     }
 
@@ -738,21 +701,20 @@ impl OpEngine {
         self.db.begin_exclusive(sim, keys, move |sim, txn| {
             let txn = match txn {
                 Ok(txn) => txn,
-                Err(e) => return done(sim, Err(store_error(&e))),
+                Err(e) => return done(sim, Err(e.into())),
             };
+            // A failed validation runs no INV round and aborts at commit.
             let (state, inv) = match validate(&this) {
-                Ok(checked) => checked,
-                Err(e) => {
-                    this.db.abort(sim, txn);
-                    return done(sim, Err(e));
-                }
+                Ok((state, inv)) => (Ok(state), inv),
+                Err(e) => (Err(e), None),
             };
             let engine = this.clone();
             let write = move |sim: &mut Sim| {
-                let written = apply(&this, txn, state, sim.now());
+                let written = state
+                    .and_then(|state| apply(&this, txn, state, sim.now()).map_err(FsError::from));
                 let db = this.db.clone();
                 db.commit_after(sim, txn, written, move |sim, r| {
-                    done(sim, r.map(|out| committed(&this, out)).map_err(|e| store_error(&e)));
+                    done(sim, r.map(|out| committed(&this, out)));
                 });
             };
             match inv {
@@ -830,11 +792,6 @@ fn chain_matches(chain: &[Inode], path: &DfsPath) -> bool {
     }
     // Every non-terminal component must be a directory.
     chain[..chain.len() - 1].iter().all(Inode::is_dir)
-}
-
-/// Maps store-level failures onto client-visible retryable errors.
-fn store_error(e: &StoreError) -> FsError {
-    FsError::Retryable(e.to_string())
 }
 
 #[cfg(test)]

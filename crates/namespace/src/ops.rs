@@ -9,6 +9,8 @@ use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
 
+use lambda_store::StoreError;
+
 use crate::inode::Inode;
 use crate::path::DfsPath;
 
@@ -191,6 +193,14 @@ impl fmt::Display for FsError {
 }
 
 impl Error for FsError {}
+
+/// A store failure (lock timeout, crashed shard) is transient: the client
+/// library retries the operation.
+impl From<StoreError> for FsError {
+    fn from(e: StoreError) -> Self {
+        FsError::Retryable(e.to_string())
+    }
+}
 
 /// Result alias for metadata operations.
 pub type OpResult = Result<OpOutcome, FsError>;

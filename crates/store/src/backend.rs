@@ -14,7 +14,9 @@
 //! replay into rebuilt memtable/SSTable state instead of waiting out a
 //! modeled takeover constant. Commits whose WAL records were still in the
 //! lost window abort through the undo log, mirroring what a real redo-log
-//! store loses on power failure.
+//! store loses on power failure. The backend keeps no copy of a commit's
+//! rows: its WAL records are written from the transaction's own write log,
+//! and so is the compensation that undoes a lost commit's durable traces.
 //!
 //! ## The shadow model
 //!
@@ -35,7 +37,7 @@ use lambda_sim::{SimDuration, SimTime};
 use crate::db::shard_of;
 use crate::key::EncodedKey;
 use crate::table::{AnyTable, TableId};
-use crate::txn::TxnId;
+use crate::txn::{RowWrite, TxnId};
 
 /// Tuning for the durable backend.
 #[derive(Debug, Clone)]
@@ -89,24 +91,10 @@ pub struct DurabilityStats {
     pub recovery_nanos_max: u64,
 }
 
-/// One row write captured from a transaction, replayed into the shadow WAL
-/// at commit time.
-pub(crate) struct ShadowWrite {
-    pub(crate) table: TableId,
-    pub(crate) shard: u32,
-    pub(crate) key: EncodedKey,
-    pub(crate) val_len: u32,
-    pub(crate) tombstone: bool,
-    /// Whether the row existed before this write — what compensation must
-    /// restore if the commit is lost to a crash.
-    pub(crate) prior_exists: bool,
-}
-
 /// A commit whose WAL records are appended but whose completion callback
 /// has not run yet — the window in which a crash can lose it.
 struct PendingCommit {
     txn: TxnId,
-    writes: Vec<ShadowWrite>,
     /// Highest WAL sequence number this commit appended per shard.
     marks: Vec<(u32, u64)>,
     /// Set when a crash lost the commit's records on that shard.
@@ -146,55 +134,42 @@ impl DurableBackend {
         scratch
     }
 
-    /// Appends one shadow write to its shard's WAL, returning the record's
-    /// sequence number.
-    fn append_write(&mut self, txn: TxnId, w: &ShadowWrite) -> u64 {
-        let key = Self::shadow_key(&mut self.key_scratch, w.table, w.key.as_slice());
-        let tree = &mut self.shards[w.shard as usize];
-        self.stats.wal_appends += 1;
-        if w.tombstone {
-            tree.delete(key)
-        } else {
-            let val = {
-                self.val_scratch.clear();
-                self.val_scratch.extend_from_slice(&txn.raw().to_le_bytes());
-                self.val_scratch.resize((w.val_len as usize).max(8), 0);
-                &self.val_scratch
-            };
-            tree.put(key, val)
-        }
+    /// Appends one row write to its shard's WAL (a put of the modeled row
+    /// size, or a tombstone), returning the record's sequence number.
+    fn append(
+        &mut self,
+        txn: TxnId,
+        table: TableId,
+        shard: u32,
+        key: &EncodedKey,
+        put: Option<u32>,
+    ) -> u64 {
+        let key = Self::shadow_key(&mut self.key_scratch, table, key.as_slice());
+        let tree = &mut self.shards[shard as usize];
+        let Some(row_bytes) = put else {
+            return tree.delete(key);
+        };
+        self.val_scratch.clear();
+        self.val_scratch.extend_from_slice(&txn.raw().to_le_bytes());
+        self.val_scratch.resize((row_bytes as usize).max(8), 0);
+        tree.put(key, &self.val_scratch)
     }
 
-    /// Undoes the shadow effect of a lost commit's writes: each key's
-    /// first write (log order) carries the pre-transaction existence, so
-    /// restoring it mirrors what the undo log does to the authoritative
-    /// tables. New compensation records are synced immediately — the
-    /// failover coordinator durably records the abort.
-    fn compensate_lost(&mut self, lost: &[usize]) {
-        for &pi in lost {
-            let writes = std::mem::take(&mut self.pending[pi].writes);
-            let txn = self.pending[pi].txn;
-            for (i, w) in writes.iter().enumerate() {
-                let first_for_key = writes[..i]
-                    .iter()
-                    .all(|p| !(p.table == w.table && p.key == w.key && p.shard == w.shard));
-                if !first_for_key {
-                    continue;
-                }
-                let key = Self::shadow_key(&mut self.key_scratch, w.table, w.key.as_slice());
-                let tree = &mut self.shards[w.shard as usize];
-                if w.prior_exists {
-                    let val = {
-                        self.val_scratch.clear();
-                        self.val_scratch.extend_from_slice(&txn.raw().to_le_bytes());
-                        self.val_scratch.resize((w.val_len as usize).max(8), 0);
-                        &self.val_scratch
-                    };
-                    tree.put(key, val);
-                } else {
-                    tree.delete(key);
-                }
-                tree.sync_wal();
+    /// Undoes the shadow effect of a lost commit's writes (`writes`, the
+    /// transaction's own log): each key's first write carries the
+    /// pre-transaction existence, so restoring it mirrors what the undo log
+    /// does to the authoritative tables. New compensation records are
+    /// synced immediately — the failover coordinator durably records the
+    /// abort.
+    pub(crate) fn compensate_lost(&mut self, txn: TxnId, writes: &[RowWrite]) {
+        for (i, w) in writes.iter().enumerate() {
+            let first_for_key = writes[..i]
+                .iter()
+                .all(|p| !(p.table == w.table && p.key == w.key && p.shard == w.shard));
+            if first_for_key {
+                let put = w.prior_exists.then_some(w.row_bytes);
+                self.append(txn, w.table, w.shard, &w.key, put);
+                self.shards[w.shard as usize].sync_wal();
             }
         }
     }
@@ -219,21 +194,22 @@ impl DurableBackend {
         &mut self,
         now: SimTime,
         txn: TxnId,
-        writes: Vec<ShadowWrite>,
+        writes: &[RowWrite],
     ) -> Option<SimTime> {
         if writes.is_empty() {
             return None;
         }
         let mut marks: Vec<(u32, u64)> = Vec::new();
-        for w in &writes {
-            let seq = self.append_write(txn, w);
-            let shard = w.shard;
-            match marks.iter_mut().find(|(s, _)| *s == shard) {
+        for w in writes {
+            self.stats.wal_appends += 1;
+            let seq =
+                self.append(txn, w.table, w.shard, &w.key, (!w.tombstone).then_some(w.row_bytes));
+            match marks.iter_mut().find(|(s, _)| *s == w.shard) {
                 Some(m) => m.1 = seq,
-                None => marks.push((shard, seq)),
+                None => marks.push((w.shard, seq)),
             }
         }
-        self.pending.push(PendingCommit { txn, writes, marks, lost: None });
+        self.pending.push(PendingCommit { txn, marks, lost: None });
         let interval = self.config.flush_interval.as_nanos().max(1);
         Some(SimTime::from_nanos((now.as_nanos() / interval + 1) * interval))
     }
@@ -271,32 +247,29 @@ impl DurableBackend {
     /// Crashes `shard`: volatile state is lost and the surviving WAL prefix
     /// replays. Returns the deterministically costed recovery downtime and
     /// the mid-commit transactions whose WAL records on the shard were
-    /// still in the lost window, sorted; the caller must abort them through
-    /// their undo logs.
+    /// still in the lost window, in log order. The caller passes each one's
+    /// write log to [`Self::compensate_lost`] (on this shard a flush may
+    /// have checkpointed a prefix of the commit's records; on other shards
+    /// they may be fully durable), then aborts them through their undo
+    /// logs.
     pub(crate) fn crash_shard(&mut self, shard: u32) -> (SimDuration, Vec<TxnId>) {
         // A commit is lost iff any of its records on the crashed shard sits
         // above the durable horizon. Group commits sync whole WAL prefixes,
         // so a commit's records there are all-durable or all-lost — except
         // when a flush checkpointed part of the run, which compensation
-        // below repairs.
+        // repairs.
         let durable = self.shards[shard as usize].durable_seq();
-        let mut lost_idx = Vec::new();
         let mut lost_txns = Vec::new();
-        for (i, p) in self.pending.iter_mut().enumerate() {
+        for p in &mut self.pending {
             let lost_here =
                 p.lost.is_none() && p.marks.iter().any(|&(s, seq)| s == shard && seq > durable);
             if lost_here {
                 p.lost = Some(shard);
-                lost_idx.push(i);
                 lost_txns.push(p.txn);
             }
         }
         // Discard volatile state and replay the surviving WAL prefix.
         let report = self.shards[shard as usize].crash_and_recover();
-        // Undo lost commits' already-durable traces (on this shard a flush
-        // may have checkpointed a prefix of the commit's records; on other
-        // shards the records may be fully durable).
-        self.compensate_lost(&lost_idx);
         let down_for = self.config.detect_restart
             + self.config.replay_per_record * report.replayed_records
             + self.config.replay_per_byte * (report.replayed_bytes + report.bytes_compacted);
@@ -305,7 +278,6 @@ impl DurableBackend {
         self.stats.lost_records += report.lost_records;
         self.stats.recovery_nanos_total += down_for.as_nanos();
         self.stats.recovery_nanos_max = self.stats.recovery_nanos_max.max(down_for.as_nanos());
-        lost_txns.sort_unstable();
         (down_for, lost_txns)
     }
 

@@ -13,15 +13,18 @@
 //!   [`Db::lock`] first. Locks are held until commit/abort.
 //! * To stay deadlock-free, callers acquire lock sets in sorted
 //!   [`LockKey`] order — the same "predefined total ordering" HopsFS uses
-//!   (paper, Appendix D). [`Db::lock`] enforces sortedness of each batch;
-//!   cross-batch ordering is the caller's contract, backed by a lock-wait
-//!   timeout that aborts the victim so a violation degrades to a retry
-//!   rather than a hang.
-//! * Writes apply immediately under their exclusive lock with an undo log;
-//!   abort rolls back. Locked readers can never observe uncommitted state
-//!   because the writer still holds the exclusive lock. (Unlocked
-//!   [`Db::read_committed`]/[`Db::scan`] reads are dirty-read "monitoring"
-//!   reads used only for maintenance paths, as documented there.)
+//!   (paper, Appendix D). [`Db::lock`] sorts and deduplicates each batch
+//!   itself; cross-batch ordering is the caller's contract, backed by a
+//!   lock-wait timeout that aborts the victim so a violation degrades to a
+//!   retry rather than a hang.
+//! * Writes apply immediately under their exclusive lock. Each row written
+//!   is logged once in the transaction's write log: its undo (abort rolls
+//!   back), the commit's per-shard charge, its WAL record on the durable
+//!   backend, and crash-victim selection all read that one log. Locked
+//!   readers can never observe uncommitted state because the writer still
+//!   holds the exclusive lock. (Unlocked [`Db::read_committed`] reads and
+//!   [`Db::scan_with`] scans are dirty-read "monitoring" reads used only
+//!   for maintenance paths, as documented there.)
 //!
 //! ## Hot-path allocation discipline
 //!
@@ -44,10 +47,10 @@
 //!   charge plan in a buffer from a second pool of the same kind, instead
 //!   of cloning every encoded key into a `Vec<Vec<u8>>` and re-hashing it
 //!   at charge time.
-//! * A finished transaction's state (undo log, per-shard write counts) is
-//!   cleared and kept for the next [`Db::begin`], and the lock manager
-//!   does the same with each transaction's list of held rows; a row with
-//!   one holder keeps it inline.
+//! * A finished transaction's state (its write log) is cleared and kept
+//!   for the next [`Db::begin`], and the lock manager does the same with
+//!   each transaction's list of held rows; a row with one holder keeps it
+//!   inline.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -59,12 +62,12 @@ use lambda_sim::fault::ShardOutage;
 use lambda_sim::params::StoreParams;
 use lambda_sim::{Sim, SimDuration, SimTime, Slab, SlabKey, Station, StationRef};
 
-use crate::backend::{DurabilityConfig, DurabilityStats, DurableBackend, ShadowWrite};
+use crate::backend::{DurabilityConfig, DurabilityStats, DurableBackend};
 use crate::error::{StoreError, StoreResult};
 use crate::key::{EncodedKey, KeyCodec, MixBuild};
 use crate::lock::{Acquire, LockKey, LockManager, LockMode};
 use crate::table::{AnyTable, TableHandle, TableId, TypedTable};
-use crate::txn::{TxnId, TxnPhase, TxnState};
+use crate::txn::{RowWrite, TxnId, TxnState, UndoOp};
 
 /// Cumulative operation counters for a [`Db`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,6 +162,34 @@ impl DbInner {
     fn retire(&mut self, mut state: TxnState) {
         state.clear();
         self.txn_pool.push(state);
+    }
+
+    /// Fails with [`StoreError::UnknownTxn`] once `txn` has finished.
+    fn live(&self, txn: TxnId) -> StoreResult<()> {
+        if self.txns.contains_key(&txn) {
+            Ok(())
+        } else {
+            Err(StoreError::UnknownTxn { txn })
+        }
+    }
+
+    /// Fails if a shard of `plan` is down (failover in progress) and aborts
+    /// `txn`, as an NDB client does after a data-node loss.
+    fn fail_if_down(
+        &mut self,
+        now: SimTime,
+        txn: TxnId,
+        plan: &ChargePlan,
+        granted: &mut Vec<SlabKey>,
+    ) -> StoreResult<()> {
+        let down = plan
+            .iter()
+            .map(|&(s, _)| s)
+            .find(|&s| matches!(self.down_until[s as usize], Some(t) if now < t));
+        let Some(shard) = down else { return Ok(()) };
+        self.stats.unavailable_errors += 1;
+        Db::abort_in(self, txn, granted);
+        Err(StoreError::ShardUnavailable { shard })
     }
 }
 
@@ -259,12 +290,6 @@ impl std::fmt::Debug for Db {
             .field("active_txns", &inner.txns.len())
             .finish()
     }
-}
-
-/// Status snapshot of a transaction, used internally before fallible calls.
-enum TxnCheck {
-    Ok,
-    Fail(StoreError),
 }
 
 impl Db {
@@ -452,7 +477,7 @@ impl Db {
         let mut inner = self.inner.borrow_mut();
         inner.next_txn += 1;
         let id = TxnId::new(inner.next_txn);
-        let state = inner.txn_pool.pop().unwrap_or_else(TxnState::new);
+        let state = inner.txn_pool.pop().unwrap_or_default();
         inner.txns.insert(id, state);
         id
     }
@@ -478,14 +503,17 @@ impl Db {
 
     /// The last step of every write: commits `txn` if its writes succeeded,
     /// else aborts it. `cont` receives `written`'s value once committed, or
-    /// the first error.
-    pub fn commit_after<T, F>(&self, sim: &mut Sim, txn: TxnId, written: StoreResult<T>, cont: F)
+    /// the first error — the caller's own, or the commit's converted.
+    pub fn commit_after<T, E, F>(&self, sim: &mut Sim, txn: TxnId, written: Result<T, E>, cont: F)
     where
         T: 'static,
-        F: FnOnce(&mut Sim, StoreResult<T>) + 'static,
+        E: From<StoreError> + 'static,
+        F: FnOnce(&mut Sim, Result<T, E>) + 'static,
     {
         match written {
-            Ok(value) => self.commit(sim, txn, move |sim, r| cont(sim, r.map(|()| value))),
+            Ok(value) => {
+                self.commit(sim, txn, move |sim, r| cont(sim, r.map(|()| value).map_err(E::from)));
+            }
             Err(e) => {
                 self.abort(sim, txn);
                 cont(sim, Err(e));
@@ -513,16 +541,6 @@ impl Db {
     #[must_use]
     pub fn holds(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> bool {
         self.inner.borrow().locks.holds(txn, key, mode)
-    }
-
-    fn check_txn(inner: &DbInner, txn: TxnId) -> TxnCheck {
-        match inner.txns.get(&txn) {
-            None => TxnCheck::Fail(StoreError::UnknownTxn { txn }),
-            Some(state) if state.phase == TxnPhase::Aborted => {
-                TxnCheck::Fail(StoreError::Aborted { txn })
-            }
-            Some(_) => TxnCheck::Ok,
-        }
     }
 
     /// Acquires `keys` in `mode` for `txn`, then calls `cont`.
@@ -558,8 +576,8 @@ impl Db {
     where
         F: FnOnce(&mut Sim, StoreResult<()>) + 'static,
     {
-        let check = Self::check_txn(&self.inner.borrow(), txn);
-        if let TxnCheck::Fail(e) = check {
+        let live = self.inner.borrow().live(txn);
+        if let Err(e) = live {
             self.inner.borrow_mut().recycle_keys(keys);
             sim.schedule(SimDuration::ZERO, move |sim| cont(sim, Err(e)));
             return;
@@ -646,8 +664,8 @@ impl Db {
     fn abort_in(inner: &mut DbInner, txn: TxnId, granted: &mut Vec<SlabKey>) {
         if let Some(mut state) = inner.txns.remove(&txn) {
             inner.stats.aborts += 1;
-            for undo in state.undo.drain(..).rev() {
-                undo(&mut inner.tables);
+            for w in state.writes.drain(..).rev() {
+                (w.undo)(&mut inner.tables);
             }
             inner.retire(state);
         }
@@ -665,11 +683,6 @@ impl Db {
             granted
         };
         self.dispatch_grants(sim, granted);
-    }
-
-    /// Whether `shard` is currently down (failover still in progress).
-    fn shard_is_down(inner: &DbInner, now: SimTime, shard: usize) -> bool {
-        matches!(inner.down_until.get(shard), Some(Some(t)) if now < *t)
     }
 
     /// Cancels every pending lock sequence owned by `txn`, collecting the
@@ -720,7 +733,7 @@ impl Db {
             let mut inner = self.inner.borrow_mut();
             assert!((shard as usize) < inner.down_until.len(), "shard {shard} out of range");
             inner.stats.shard_crashes += 1;
-            let (down_for, lost_txns) = match inner.durable.as_mut() {
+            let (down_for, mut lost_txns) = match inner.durable.as_mut() {
                 Some(durable) => durable.crash_shard(shard),
                 None => (takeover, Vec::new()),
             };
@@ -728,8 +741,18 @@ impl Db {
             let mut granted = Vec::new();
             let mut conts = Vec::new();
             // Mid-commit transactions whose redo records the crash lost:
-            // their commits can no longer stand, so they roll back through
-            // their (still intact) undo logs before the victim scan below.
+            // their commits can no longer stand. Their own write logs undo
+            // the records' durable traces (in log order), then roll them
+            // back before the victim scan below.
+            let DbInner { durable, txns, .. } = &mut *inner;
+            if let Some(durable) = durable.as_mut() {
+                for txn in &lost_txns {
+                    if let Some(state) = txns.get(txn) {
+                        durable.compensate_lost(*txn, &state.writes);
+                    }
+                }
+            }
+            lost_txns.sort_unstable();
             for txn in lost_txns {
                 inner.stats.failover_aborts += 1;
                 Self::abort_in(&mut inner, txn, &mut granted);
@@ -924,8 +947,8 @@ impl Db {
     }
 
     /// Reads a row with **no** lock and **no** capacity charge. This is the
-    /// test/reporting peephole; protocol code paths must use
-    /// [`Db::read_locked`] or [`Db::read_committed`].
+    /// test/reporting peephole; protocol code paths must use [`Db::read`]
+    /// or [`Db::read_committed`].
     #[must_use]
     pub fn peek<K: KeyCodec, V: Clone + 'static>(
         &self,
@@ -980,15 +1003,35 @@ impl Db {
         self.inner.borrow_mut().recycle_plan(plan);
     }
 
+    /// Submits one capacity charge per `(shard, rows)` part, in part
+    /// order, its service time drawn by `service`; each completion arrives
+    /// at `join`. Every multi-shard charge of the store runs through here.
+    fn charge<F, P, S>(&self, sim: &mut Sim, parts: P, mut service: S, join: &Rc<Join<F>>)
+    where
+        F: FnOnce(&mut Sim) + 'static,
+        P: IntoIterator<Item = (u32, u64)>,
+        S: FnMut(&mut Sim, &StoreParams, u32, u64) -> SimDuration,
+    {
+        let (shards, params) = {
+            let inner = self.inner.borrow();
+            (Rc::clone(&inner.shards), Rc::clone(&inner.params))
+        };
+        for (shard, rows) in parts {
+            let service = service(sim, &params, shard, rows);
+            let join = Rc::clone(join);
+            Station::submit(&shards[shard as usize], sim, service, move |sim| join.arrive(sim));
+        }
+    }
+
     /// Charges one batched read according to `plan` (ascending shard
     /// order), then calls `done`. The plan buffer returns to the pool.
     fn charge_batch_read<F>(&self, sim: &mut Sim, plan: ChargePlan, done: F)
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        let (shards, params) = {
-            let inner = self.inner.borrow();
-            (Rc::clone(&inner.shards), Rc::clone(&inner.params))
+        let service = |sim: &mut Sim, params: &StoreParams, _: u32, rows: u64| {
+            sim.rng().sample_duration(&params.batch_read)
+                + sim.rng().sample_duration(&params.batch_row_extra) * rows.saturating_sub(1)
         };
         match plan.len() {
             0 => {
@@ -999,22 +1042,16 @@ impl Db {
                 // Single-shard fast path: no join bookkeeping at all.
                 let (shard, rows) = plan[0];
                 self.recycle_plan(plan);
-                let service = sim.rng().sample_duration(&params.batch_read)
-                    + sim.rng().sample_duration(&params.batch_row_extra)
-                        * u64::from(rows.saturating_sub(1));
-                Station::submit(&shards[shard as usize], sim, service, done);
+                let (station, params) = {
+                    let inner = self.inner.borrow();
+                    (Rc::clone(&inner.shards[shard as usize]), Rc::clone(&inner.params))
+                };
+                let service = service(sim, &params, shard, u64::from(rows));
+                Station::submit(&station, sim, service, done);
             }
             n => {
-                let join = Join::new(n, done);
-                for &(shard, rows) in &plan {
-                    let service = sim.rng().sample_duration(&params.batch_read)
-                        + sim.rng().sample_duration(&params.batch_row_extra)
-                            * u64::from(rows.saturating_sub(1));
-                    let join = Rc::clone(&join);
-                    Station::submit(&shards[shard as usize], sim, service, move |sim| {
-                        join.arrive(sim);
-                    });
-                }
+                let parts = plan.iter().map(|&(shard, rows)| (shard, u64::from(rows)));
+                self.charge(sim, parts, service, &Join::new(n, done));
                 self.recycle_plan(plan);
             }
         }
@@ -1031,21 +1068,16 @@ impl Db {
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        let (shards, params) = {
-            let inner = self.inner.borrow();
-            (Rc::clone(&inner.shards), Rc::clone(&inner.params))
-        };
         if rows == 0 {
             sim.schedule(SimDuration::ZERO, done);
             return;
         }
-        let per_shard = rows.div_ceil(shards.len() as u64);
-        let join = Join::new(shards.len(), done);
-        for station in shards.iter() {
-            let service = sim.rng().sample_duration(&params.lock_round) * per_shard;
-            let join = Rc::clone(&join);
-            Station::submit(station, sim, service, move |sim| join.arrive(sim));
-        }
+        let n = self.shard_count() as u32;
+        let parts = (0..n).map(|shard| (shard, rows.div_ceil(u64::from(n))));
+        let service = |sim: &mut Sim, p: &StoreParams, _, rows| {
+            sim.rng().sample_duration(&p.lock_round) * rows
+        };
+        self.charge(sim, parts, service, &Join::new(n as usize, done));
     }
 
     /// Acquires `mode` locks on `keys` (sorted and deduplicated
@@ -1085,24 +1117,14 @@ impl Db {
                 plan_note(&mut inner.shard_rows, &mut plan, shard);
             }
             plan_seal(&mut inner.shard_rows, &mut plan);
-            let now = sim.now();
-            let down = plan
-                .iter()
-                .map(|&(s, _)| s)
-                .find(|&s| Self::shard_is_down(&inner, now, s as usize));
-            if let Some(shard) = down {
-                // A primary we need is mid-failover: fail fast and abort the
-                // transaction, as an NDB client does after a data-node loss.
-                inner.stats.unavailable_errors += 1;
+            // A primary we need is mid-failover: fail fast.
+            let mut granted = Vec::new();
+            if let Err(e) = inner.fail_if_down(sim.now(), txn, &plan, &mut granted) {
                 inner.recycle_keys(lock_keys);
                 inner.recycle_plan(plan);
-                let mut granted = Vec::new();
-                Self::abort_in(&mut inner, txn, &mut granted);
                 drop(inner);
                 self.dispatch_grants(sim, granted);
-                sim.schedule(SimDuration::ZERO, move |sim| {
-                    cont(sim, Err(StoreError::ShardUnavailable { shard }));
-                });
+                sim.schedule(SimDuration::ZERO, move |sim| cont(sim, Err(e)));
                 return;
             }
             (lock_keys, plan)
@@ -1124,10 +1146,28 @@ impl Db {
         });
     }
 
+    /// A read-only transaction, the read-side twin of [`Db::write`]: begins,
+    /// reads `keys` under shared locks ([`Db::read_locked`]), commits, then
+    /// hands `cont` the values. On an error the transaction has already
+    /// been aborted.
+    pub fn read<K, V, F>(&self, sim: &mut Sim, table: TableHandle<K, V>, keys: Vec<K>, cont: F)
+    where
+        K: KeyCodec,
+        V: Clone + 'static,
+        F: FnOnce(&mut Sim, StoreResult<Vec<Option<V>>>) + 'static,
+    {
+        let (txn, db) = (self.begin(), self.clone());
+        let read = move |sim: &mut Sim, values: StoreResult<Vec<Option<V>>>| match values {
+            Ok(values) => db.commit(sim, txn, move |sim, r| cont(sim, r.map(|()| values))),
+            Err(e) => cont(sim, Err(e)),
+        };
+        self.read_locked(sim, txn, table, keys, LockMode::Shared, read);
+    }
+
     /// Reads rows **without locks** (read-committed-at-best: a concurrent
     /// uncommitted write *is* visible). Used only for maintenance paths
     /// (DataNode reports, liveness polling) where staleness/dirtiness is
-    /// acceptable; protocol-critical reads use [`Db::read_locked`].
+    /// acceptable; protocol-critical reads use [`Db::read`].
     pub fn read_committed<K, V, F>(
         &self,
         sim: &mut Sim,
@@ -1162,34 +1202,20 @@ impl Db {
         });
     }
 
-    /// Range-scans `table` without row locks, charging capacity in
-    /// proportion to the result size (the rows of a range are spread over
-    /// all shards by hash, so every shard pays a share).
+    /// Range-scans `table` without row locks, folding the rows through a
+    /// visitor instead of materializing a `Vec<(K, V)>` of clones.
+    ///
+    /// Capacity is charged in proportion to the result size: the rows of a
+    /// range are spread over all shards by hash, so every shard pays one
+    /// batch read plus its share of the rows. `init` builds the accumulator
+    /// once that charge has drained, `step` is called per row in ascending
+    /// key order under the table borrow, and `cont` receives the finished
+    /// accumulator.
     ///
     /// Isolation contract: callers serialize scans against writers via a
     /// coarser lock (e.g. `ls` holds a shared lock on the directory inode
     /// while writers to that directory hold it exclusively), mirroring
     /// HopsFS's parent-lock discipline.
-    pub fn scan<K, V, R, F>(&self, sim: &mut Sim, table: TableHandle<K, V>, range: R, cont: F)
-    where
-        K: KeyCodec,
-        V: Clone + 'static,
-        R: RangeBounds<K> + 'static,
-        F: FnOnce(&mut Sim, Vec<(K, V)>) + 'static,
-    {
-        self.scan_with(sim, table, range, Vec::new, |rows, k, v| rows.push((k.clone(), v.clone())), cont);
-    }
-
-    /// Range-scans `table` like [`Db::scan`], but folds the rows through a
-    /// visitor instead of materializing a `Vec<(K, V)>` of clones.
-    ///
-    /// `init` builds the accumulator once the scan's capacity charge has
-    /// drained, `step` is called per row in ascending key order under the
-    /// table borrow, and `cont` receives the finished accumulator. The
-    /// capacity charge (per-shard batch read + per-row share) is computed
-    /// and sampled identically to [`Db::scan`], so swapping one for the
-    /// other cannot perturb a simulation trace. Same isolation contract as
-    /// [`Db::scan`].
     pub fn scan_with<K, V, R, T, I, S, F>(
         &self,
         sim: &mut Sim,
@@ -1220,30 +1246,13 @@ impl Db {
             });
             cont(sim, acc);
         };
-        self.charge_scan(sim, n, finish);
-    }
-
-    /// Charges the per-shard capacity of a range scan touching `rows` rows
-    /// (ascending shard order, one batch-read sample plus a per-row share
-    /// per shard), then runs `finish`. Both [`Db::scan`] and
-    /// [`Db::scan_with`] funnel through here so their rng sample streams
-    /// are identical by construction.
-    fn charge_scan<F>(&self, sim: &mut Sim, rows: usize, finish: F)
-    where
-        F: FnOnce(&mut Sim) + 'static,
-    {
-        let (shards, params) = {
-            let inner = self.inner.borrow();
-            (Rc::clone(&inner.shards), Rc::clone(&inner.params))
+        let shards = self.shard_count() as u32;
+        let parts = (0..shards).map(|shard| (shard, (n as u64).div_ceil(u64::from(shards))));
+        let service = |sim: &mut Sim, p: &StoreParams, _, rows| {
+            sim.rng().sample_duration(&p.batch_read)
+                + sim.rng().sample_duration(&p.batch_row_extra) * rows
         };
-        let per_shard_rows = (rows as u64).div_ceil(shards.len() as u64);
-        let join = Join::new(shards.len(), finish);
-        for station in shards.iter() {
-            let service = sim.rng().sample_duration(&params.batch_read)
-                + sim.rng().sample_duration(&params.batch_row_extra) * per_shard_rows;
-            let join = Rc::clone(&join);
-            Station::submit(station, sim, service, move |sim| join.arrive(sim));
-        }
+        self.charge(sim, parts, service, &Join::new(shards as usize, finish));
     }
 
     /// Inserts or replaces a row. Requires `txn` to hold the row's
@@ -1255,8 +1264,7 @@ impl Db {
     /// # Errors
     ///
     /// [`StoreError::LockNotHeld`] if the exclusive lock is missing;
-    /// [`StoreError::UnknownTxn`] / [`StoreError::Aborted`] for dead
-    /// transactions.
+    /// [`StoreError::UnknownTxn`] for a finished transaction.
     pub fn upsert<K, V>(
         &self,
         txn: TxnId,
@@ -1268,53 +1276,7 @@ impl Db {
         K: KeyCodec,
         V: Clone + 'static,
     {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        if let TxnCheck::Fail(e) = Self::check_txn(inner, txn) {
-            return Err(e);
-        }
-        let lk =
-            LockKey { table: table.id(), key: EncodedKey::encode(&key, &mut inner.enc_scratch) };
-        if !inner.locks.holds(txn, &lk, LockMode::Exclusive) {
-            return Err(StoreError::LockNotHeld { txn, row: lk.to_string() });
-        }
-        let shard = shard_of(inner.shards.len(), lk.key.as_slice()) as u32;
-        let (old, row_bytes) = {
-            let t = inner.tables[table.id().raw() as usize]
-                .as_any_mut()
-                .downcast_mut::<TypedTable<K, V>>()
-                .expect("table handle type mismatch");
-            (t.insert(key.clone(), value), t.row_bytes())
-        };
-        inner.stats.rows_written += 1;
-        let log_writes = inner.durable.is_some();
-        let state = inner.txns.get_mut(&txn).expect("checked above");
-        state.note_write(shard);
-        if log_writes {
-            state.shadow_log.push(ShadowWrite {
-                table: table.id(),
-                shard,
-                key: lk.key.clone(),
-                val_len: row_bytes,
-                tombstone: false,
-                prior_exists: old.is_some(),
-            });
-        }
-        state.undo.push(Box::new(move |tables| {
-            let t = tables[table.id().raw() as usize]
-                .as_any_mut()
-                .downcast_mut::<TypedTable<K, V>>()
-                .expect("table handle type mismatch");
-            match old {
-                Some(old) => {
-                    t.insert(key, old);
-                }
-                None => {
-                    t.remove(&key);
-                }
-            }
-        }));
-        Ok(())
+        self.write_row(txn, table, key, Some(value)).map(drop)
     }
 
     /// Deletes a row, returning the previous value. Requires the exclusive
@@ -1333,110 +1295,114 @@ impl Db {
         K: KeyCodec,
         V: Clone + 'static,
     {
+        self.write_row(txn, table, key, None)
+    }
+
+    /// Writes `value` to a row (`None` deletes it) and logs the write in
+    /// `txn`'s write log. Returns the removed row of a delete.
+    fn write_row<K, V>(
+        &self,
+        txn: TxnId,
+        table: TableHandle<K, V>,
+        key: K,
+        value: Option<V>,
+    ) -> StoreResult<Option<V>>
+    where
+        K: KeyCodec,
+        V: Clone + 'static,
+    {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        if let TxnCheck::Fail(e) = Self::check_txn(inner, txn) {
-            return Err(e);
-        }
+        inner.live(txn)?;
         let lk =
             LockKey { table: table.id(), key: EncodedKey::encode(&key, &mut inner.enc_scratch) };
         if !inner.locks.holds(txn, &lk, LockMode::Exclusive) {
             return Err(StoreError::LockNotHeld { txn, row: lk.to_string() });
         }
-        let shard = shard_of(inner.shards.len(), lk.key.as_slice()) as u32;
+        let tombstone = value.is_none();
         let (old, row_bytes) = {
             let t = inner.tables[table.id().raw() as usize]
                 .as_any_mut()
                 .downcast_mut::<TypedTable<K, V>>()
                 .expect("table handle type mismatch");
-            (t.remove(&key), t.row_bytes())
+            let old = match value {
+                Some(value) => t.insert(key.clone(), value),
+                None => t.remove(&key),
+            };
+            (old, t.row_bytes())
         };
         inner.stats.rows_written += 1;
-        let log_writes = inner.durable.is_some();
-        let state = inner.txns.get_mut(&txn).expect("checked above");
-        state.note_write(shard);
-        if log_writes {
-            state.shadow_log.push(ShadowWrite {
-                table: table.id(),
-                shard,
-                key: lk.key.clone(),
-                val_len: row_bytes,
-                tombstone: true,
-                prior_exists: old.is_some(),
-            });
-        }
-        let undo_old = old.clone();
-        state.undo.push(Box::new(move |tables| {
-            if let Some(v) = undo_old {
-                let t = tables[table.id().raw() as usize]
-                    .as_any_mut()
-                    .downcast_mut::<TypedTable<K, V>>()
-                    .expect("table handle type mismatch");
-                t.insert(key, v);
-            }
-        }));
-        Ok(old)
+        let removed = if tombstone { old.clone() } else { None };
+        let prior_exists = old.is_some();
+        let undo: UndoOp = Box::new(move |tables| {
+            let t = tables[table.id().raw() as usize]
+                .as_any_mut()
+                .downcast_mut::<TypedTable<K, V>>()
+                .expect("table handle type mismatch");
+            match old {
+                Some(old) => t.insert(key, old),
+                None => t.remove(&key),
+            };
+        });
+        inner.txns.get_mut(&txn).expect("live").writes.push(RowWrite {
+            table: table.id(),
+            shard: shard_of(inner.shards.len(), lk.key.as_slice()) as u32,
+            key: lk.key,
+            row_bytes,
+            tombstone,
+            prior_exists,
+            undo,
+        });
+        Ok(removed)
     }
 
     /// Commits `txn`: charges write + commit service on the written shards,
-    /// then discards the undo log and releases all locks.
+    /// then discards the write log and releases all locks.
     ///
     /// Read-only transactions release their locks with no capacity charge.
     pub fn commit<F>(&self, sim: &mut Sim, txn: TxnId, cont: F)
     where
         F: FnOnce(&mut Sim, StoreResult<()>) + 'static,
     {
-        // Claim the write set into a pooled plan; the undo log stays in
-        // place until `finish`, so a concurrent abort still rolls back.
-        let (writes, sync_at, granted) = {
+        // Plan the charge from the write log; the log stays in place until
+        // `finish`, so a lost commit can still be compensated and rolled
+        // back.
+        let (plan, sync_at, granted) = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
             let now = sim.now();
             let mut granted = Vec::new();
             let mut sync_at = None;
-            let writes: Result<ChargePlan, StoreError> = match Self::check_txn(inner, txn) {
-                TxnCheck::Fail(e) => Err(e),
-                TxnCheck::Ok => {
-                    let state = inner.txns.get_mut(&txn).expect("checked");
-                    let mut writes = inner.plan_pool.pop().unwrap_or_default();
-                    writes.append(&mut state.writes_per_shard);
-                    let shadow = std::mem::take(&mut state.shadow_log);
-                    match writes
-                        .iter()
-                        .map(|&(s, _)| s)
-                        .find(|&s| Self::shard_is_down(inner, now, s as usize))
-                    {
-                        Some(shard) => {
-                            // The coordinator cannot reach a written
-                            // shard: the commit fails and the undo log
-                            // rolls the transaction back.
-                            inner.stats.unavailable_errors += 1;
-                            inner.recycle_plan(writes);
-                            Self::abort_in(inner, txn, &mut granted);
-                            Err(StoreError::ShardUnavailable { shard })
-                        }
-                        None => {
-                            // WAL-ordered commit: the redo records go
-                            // to the log now; they become durable at
-                            // the group-commit boundary returned here.
-                            sync_at = inner
-                                .durable
-                                .as_mut()
-                                .and_then(|d| d.begin_commit(now, txn, shadow));
-                            Ok(writes)
-                        }
-                    }
+            let plan = inner.live(txn).and_then(|()| {
+                let mut plan = inner.plan_pool.pop().unwrap_or_default();
+                for w in &inner.txns[&txn].writes {
+                    plan_note(&mut inner.shard_rows, &mut plan, w.shard as usize);
                 }
-            };
-            (writes, sync_at, granted)
+                plan_seal(&mut inner.shard_rows, &mut plan);
+                // A written shard the coordinator cannot reach fails the
+                // commit, and the write log rolls the transaction back.
+                if let Err(e) = inner.fail_if_down(now, txn, &plan, &mut granted) {
+                    inner.recycle_plan(plan);
+                    return Err(e);
+                }
+                // WAL-ordered commit: the redo records go to the log now;
+                // they become durable at the group-commit boundary returned
+                // here.
+                let state = inner.txns.get_mut(&txn).expect("live");
+                state.committing = true;
+                sync_at =
+                    inner.durable.as_mut().and_then(|d| d.begin_commit(now, txn, &state.writes));
+                Ok(plan)
+            });
+            (plan, sync_at, granted)
         };
         self.dispatch_grants(sim, granted);
-        let writes = match writes {
+        let plan = match plan {
             Err(e) => {
                 sim.schedule(SimDuration::ZERO, move |sim| cont(sim, Err(e)));
                 return;
             }
-            Ok(w) => w,
+            Ok(plan) => plan,
         };
         let db = self.clone();
         let finish = move |sim: &mut Sim| {
@@ -1446,11 +1412,11 @@ impl Db {
                 if lost.is_some() {
                     // A crash lost this commit's WAL records while the
                     // capacity charge was in flight; the crash path already
-                    // rolled the transaction back through its undo log, so
+                    // rolled the transaction back through its write log, so
                     // only the error delivery is left.
                     inner.stats.unavailable_errors += 1;
                 } else if let Some(state) = inner.txns.remove(&txn) {
-                    // Undo log dropped with the state: the writes are
+                    // Write log dropped with the state: the writes are
                     // durable.
                     inner.stats.commits += 1;
                     inner.retire(state);
@@ -1463,8 +1429,8 @@ impl Db {
                 None => cont(sim, Ok(())),
             }
         };
-        if writes.is_empty() {
-            self.recycle_plan(writes);
+        if plan.is_empty() {
+            self.recycle_plan(plan);
             finish(sim);
             return;
         }
@@ -1474,21 +1440,18 @@ impl Db {
         // round-robin transaction coordinators do). Under the durable
         // backend the commit additionally waits for its group-commit sync
         // leg, so completion implies the redo records are durable.
-        let (shards, params) = {
-            let inner = self.inner.borrow();
-            (Rc::clone(&inner.shards), Rc::clone(&inner.params))
-        };
-        let coordinator = writes[(txn.raw() % writes.len() as u64) as usize].0;
-        let join = Join::new(writes.len() + usize::from(sync_at.is_some()), finish);
-        for &(shard, rows) in &writes {
-            let mut service = sim.rng().sample_duration(&params.row_write) * u64::from(rows);
+        let coordinator = plan[(txn.raw() % plan.len() as u64) as usize].0;
+        let join = Join::new(plan.len() + usize::from(sync_at.is_some()), finish);
+        let parts = plan.iter().map(|&(shard, rows)| (shard, u64::from(rows)));
+        let service = |sim: &mut Sim, p: &StoreParams, shard, rows| {
+            let mut service = sim.rng().sample_duration(&p.row_write) * rows;
             if shard == coordinator {
-                service += sim.rng().sample_duration(&params.commit);
+                service += sim.rng().sample_duration(&p.commit);
             }
-            let join = Rc::clone(&join);
-            Station::submit(&shards[shard as usize], sim, service, move |sim| join.arrive(sim));
-        }
-        self.recycle_plan(writes);
+            service
+        };
+        self.charge(sim, parts, service, &join);
+        self.recycle_plan(plan);
         if let Some(at) = sync_at {
             let db = self.clone();
             sim.schedule_at(at, move |sim| {

@@ -31,12 +31,6 @@ pub enum StoreError {
         /// Human-readable description of the row.
         row: String,
     },
-    /// The transaction was aborted (e.g. chosen as a timeout victim) and
-    /// can no longer be used.
-    Aborted {
-        /// The aborted transaction.
-        txn: TxnId,
-    },
     /// The operation touched a shard that is down and waiting for its
     /// node-group replica to finish taking over (fault injection).
     ///
@@ -58,7 +52,6 @@ impl fmt::Display for StoreError {
             StoreError::LockNotHeld { txn, row } => {
                 write!(f, "transaction {txn} wrote row {row} without an exclusive lock")
             }
-            StoreError::Aborted { txn } => write!(f, "transaction {txn} was aborted"),
             StoreError::ShardUnavailable { shard } => {
                 write!(f, "shard {shard} is unavailable (failover in progress)")
             }

@@ -260,8 +260,12 @@ mod tests {
         sim.run();
         let rows = Rc::new(RefCell::new(Vec::new()));
         let out = Rc::clone(&rows);
-        db.scan(&mut sim, t, (7u64, String::new())..(8u64, String::new()), move |_s, r| {
-            *out.borrow_mut() = r.into_iter().map(|((_, n), _)| n).collect::<Vec<String>>();
+        let range = (7u64, String::new())..(8u64, String::new());
+        let names = |names: &mut Vec<String>, (_, n): &(u64, String), _: &u64| {
+            names.push(n.clone());
+        };
+        db.scan_with(&mut sim, t, range, Vec::new, names, move |_s, names| {
+            *out.borrow_mut() = names;
         });
         sim.run();
         assert_eq!(*rows.borrow(), vec!["a", "b", "c"]);
@@ -652,6 +656,96 @@ mod tests {
         assert_eq!(db.stats().failover_aborts, 1);
         assert_eq!(db.active_txn_count(), 0);
         assert_eq!(db.locked_rows(), 0);
+    }
+
+    #[test]
+    fn a_lost_commit_is_compensated_on_every_shard_it_wrote() {
+        let mut sim = Sim::new(34);
+        let params = StoreParams { shards: 2, ..StoreParams::default() };
+        let flush = DurabilityConfig {
+            flush_interval: SimDuration::from_secs(10),
+            ..DurabilityConfig::default()
+        };
+        let db = Db::new_durable(&params, SimDuration::from_secs(5), flush);
+        let t = db.create_table::<u64, u64>("t");
+        let shard = |k: &u64| db::shard_of(2, db.lock_key(t, k).key.as_slice());
+        let a = (0u64..).find(|k| shard(k) == 0).unwrap();
+        let b = (0u64..).find(|k| shard(k) == 1).unwrap();
+        db.bootstrap_insert(t, a, 1);
+        // One commit overwrites `a` on shard 0 and creates `b` on shard 1;
+        // its records sit in the 10 s group-commit window.
+        let result = Rc::new(RefCell::new(None));
+        let out = Rc::clone(&result);
+        let db2 = db.clone();
+        let txn = db.begin();
+        let keys = vec![db.lock_key(t, &a), db.lock_key(t, &b)];
+        db.lock(&mut sim, txn, keys, LockMode::Exclusive, move |sim, r| {
+            r.unwrap();
+            db2.upsert(txn, t, a, 2).unwrap();
+            db2.upsert(txn, t, b, 2).unwrap();
+            db2.commit(sim, txn, move |_s, r| *out.borrow_mut() = Some(r));
+        });
+        // Shard 0 loses the commit's record on it; shard 1 crashes after
+        // the commit's sync leg made its record durable, so only the
+        // compensation written at the first crash keeps `b` out of its
+        // replay.
+        for (shard, at) in [(0, SimDuration::from_millis(5)), (1, SimDuration::from_secs(11))] {
+            let db3 = db.clone();
+            sim.schedule(at, move |sim| db3.crash_shard(sim, shard, SimDuration::ZERO));
+        }
+        sim.run();
+        assert_eq!(*result.borrow(), Some(Err(StoreError::ShardUnavailable { shard: 0 })));
+        assert_eq!((db.peek(t, &a), db.peek(t, &b)), (Some(1), None));
+        let ds = db.durability_stats().unwrap();
+        assert_eq!((ds.recoveries, ds.lost_window_aborts), (2, 1));
+        assert_eq!(db.durability_violations(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_crash_during_the_commit_charge_spares_the_committing_transaction() {
+        let mut sim = Sim::new(35);
+        let db = one_shard_db(SimDuration::from_secs(5));
+        let t = db.create_table::<u64, u64>("t");
+        let result = Rc::new(RefCell::new(None));
+        let out = Rc::clone(&result);
+        let db2 = db.clone();
+        let txn = db.begin();
+        db.lock(&mut sim, txn, [db.lock_key(t, &1)], LockMode::Exclusive, move |sim, r| {
+            r.unwrap();
+            db2.upsert(txn, t, 1, 7).unwrap();
+            db2.commit(sim, txn, move |_s, r| *out.borrow_mut() = Some(r));
+            // The commit's charge is in flight: its writes are no longer
+            // the crash's to roll back.
+            db2.crash_shard(sim, 0, SimDuration::from_millis(50));
+        });
+        sim.run();
+        assert_eq!(*result.borrow(), Some(Ok(())));
+        assert_eq!(db.peek(t, &1), Some(7));
+        let stats = db.stats();
+        assert_eq!((stats.commits, stats.failover_aborts, stats.aborts), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_shard_crash_spares_writers_that_wrote_only_other_shards() {
+        let mut sim = Sim::new(36);
+        let params = StoreParams { shards: 2, ..StoreParams::default() };
+        let db = Db::new(&params, SimDuration::from_secs(5));
+        let t = db.create_table::<u64, u64>("t");
+        let k = (0u64..).find(|k| db::shard_of(2, db.lock_key(t, k).key.as_slice()) == 1).unwrap();
+        let result = Rc::new(RefCell::new(None));
+        let out = Rc::clone(&result);
+        let db2 = db.clone();
+        let txn = db.begin();
+        db.lock(&mut sim, txn, [db.lock_key(t, &k)], LockMode::Exclusive, move |sim, r| {
+            r.unwrap();
+            db2.upsert(txn, t, k, 7).unwrap();
+            db2.crash_shard(sim, 0, SimDuration::from_millis(50));
+            db2.commit(sim, txn, move |_s, r| *out.borrow_mut() = Some(r));
+        });
+        sim.run();
+        assert_eq!(*result.borrow(), Some(Ok(())));
+        assert_eq!(db.peek(t, &k), Some(7));
+        assert_eq!(db.stats().failover_aborts, 0);
     }
 
     #[test]

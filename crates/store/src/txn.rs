@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use crate::key::EncodedKey;
+use crate::table::TableId;
+
 /// Identifies one transaction within a [`Db`](crate::Db).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(u64);
@@ -29,69 +32,47 @@ impl fmt::Display for TxnId {
 /// An undo action restoring one row to its pre-transaction state.
 pub(crate) type UndoOp = Box<dyn FnOnce(&mut Vec<Box<dyn crate::table::AnyTable>>)>;
 
-/// Lifecycle of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TxnPhase {
-    Active,
-    Aborted,
+/// One row a transaction wrote: the only per-row record the store keeps.
+/// The commit's capacity charge, its WAL records, crash-victim selection
+/// and lost-commit compensation are all read from the transaction's log of
+/// these; abort runs the undo closures in reverse.
+pub(crate) struct RowWrite {
+    pub(crate) table: TableId,
+    pub(crate) shard: u32,
+    pub(crate) key: EncodedKey,
+    /// The table's modeled row size, as the WAL logs it.
+    pub(crate) row_bytes: u32,
+    pub(crate) tombstone: bool,
+    /// Whether the row existed before this write — what compensation must
+    /// restore if the commit is lost to a crash.
+    pub(crate) prior_exists: bool,
+    pub(crate) undo: UndoOp,
 }
 
 /// Per-transaction state tracked by the [`Db`](crate::Db). A finished
 /// transaction's state is cleared and handed to a later one, so its
 /// buffers are allocated once, not per transaction.
+#[derive(Default)]
 pub(crate) struct TxnState {
-    pub(crate) phase: TxnPhase,
-    /// Undo log, applied in reverse on abort.
-    pub(crate) undo: Vec<UndoOp>,
-    /// Rows written per shard, `(shard, rows)` in ascending shard order
-    /// (drives the commit capacity charge).
-    pub(crate) writes_per_shard: Vec<(u32, u32)>,
-    /// Write set in program order, handed to the durable backend's WAL at
-    /// commit time. Stays empty under the in-memory backend.
-    pub(crate) shadow_log: Vec<crate::backend::ShadowWrite>,
+    /// Set once the commit has logged the writes; a committing
+    /// transaction is no longer a crash victim.
+    pub(crate) committing: bool,
+    /// The rows written, in program order.
+    pub(crate) writes: Vec<RowWrite>,
 }
 
 impl TxnState {
-    pub(crate) fn new() -> Self {
-        TxnState {
-            phase: TxnPhase::Active,
-            undo: Vec::new(),
-            writes_per_shard: Vec::new(),
-            shadow_log: Vec::new(),
-        }
-    }
-
-    /// Counts one row written on `shard`.
-    pub(crate) fn note_write(&mut self, shard: u32) {
-        match self.writes_per_shard.binary_search_by_key(&shard, |&(s, _)| s) {
-            Ok(i) => self.writes_per_shard[i].1 += 1,
-            Err(i) => self.writes_per_shard.insert(i, (shard, 1)),
-        }
-    }
-
-    /// Whether the transaction has written `shard` (and not yet started
-    /// to commit).
+    /// Whether the transaction has written `shard` and not yet started to
+    /// commit.
     pub(crate) fn wrote(&self, shard: u32) -> bool {
-        self.writes_per_shard.binary_search_by_key(&shard, |&(s, _)| s).is_ok()
+        !self.committing && self.writes.iter().any(|w| w.shard == shard)
     }
 
-    /// Empties the state for a later transaction, keeping its buffers.
+    /// Empties the state for a later transaction, keeping its buffer.
     /// Undo entries still present are dropped unrun: the writes stand.
     pub(crate) fn clear(&mut self) {
-        self.phase = TxnPhase::Active;
-        self.undo.clear();
-        self.writes_per_shard.clear();
-        self.shadow_log.clear();
-    }
-}
-
-impl fmt::Debug for TxnState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TxnState")
-            .field("phase", &self.phase)
-            .field("undo_entries", &self.undo.len())
-            .field("writes_per_shard", &self.writes_per_shard)
-            .finish()
+        self.committing = false;
+        self.writes.clear();
     }
 }
 
@@ -104,18 +85,5 @@ mod tests {
         assert!(TxnId::new(1) < TxnId::new(2));
         assert_eq!(TxnId::new(7).raw(), 7);
         assert_eq!(TxnId::new(7).to_string(), "txn#7");
-    }
-
-    #[test]
-    fn txn_state_counts_writes() {
-        let mut st = TxnState::new();
-        for shard in [3, 0, 0] {
-            st.note_write(shard);
-        }
-        assert_eq!(st.writes_per_shard, vec![(0, 2), (3, 1)]);
-        assert!(st.wrote(3) && !st.wrote(1));
-        assert_eq!(st.phase, TxnPhase::Active);
-        st.clear();
-        assert!(st.writes_per_shard.is_empty() && !st.wrote(0));
     }
 }

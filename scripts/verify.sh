@@ -4,11 +4,12 @@
 # plain build come first, because step 12 rebuilds that one binary with the
 # counting allocator for the step after it.
 #   1. tier-1: release build + full test suite (quiet). The root manifest
-#      lists the root package and every crate as default members, so this
-#      builds `lfsfig` and runs the ~400 crate-level tests too
-#      (crates/bench/tests/driver.rs among them: figure lookup, flag
-#      rejection, and that every figure named below is registered; and the
-#      allocation gates of step 11, in a debug build).
+#      lists the root package, every crate and the stub crates (stubs/*)
+#      as default members, so this builds `lfsfig` and runs the ~400
+#      crate-level tests too (crates/bench/tests/driver.rs among them:
+#      figure lookup, flag rejection, and that every figure named below is
+#      registered; the allocation gates of step 11, in a debug build; and
+#      the stubs' own unit tests).
 #   2. lint: clippy across the workspace, warnings denied; rustdoc across
 #      the workspace, warnings denied (a doc link to a deleted or private
 #      item fails here).
