@@ -9,7 +9,11 @@
 //! cost from the simulator: identical keys, values, and access sequences
 //! against every engine, 64-byte values (the packed
 //! [`lambda_namespace::Inode`] row when the engines were chosen; it is 48
-//! bytes now), at 250k / 1M / 10M rows.
+//! bytes now, and 40 in the inode table's id-addressed slots), at 250k /
+//! 1M / 10M rows. Every engine's get hands out an owned row, as the
+//! store's tables do since the id engine rebuilds rows from their slots;
+//! the 64-byte row is `Copy` and stores itself whole, so the recorded
+//! rates measure the same lookups as when gets returned references.
 //!
 //! Scenarios per scale:
 //!
@@ -35,6 +39,7 @@ use lambda_bench::{fmt_ops, print_table, Args};
 use lambda_sim::SimRng;
 use lambda_store::bptree::BpTree;
 use lambda_store::idrows::IdRows;
+use lambda_store::IdRow;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -46,6 +51,19 @@ struct Row([u64; 8]);
 impl Row {
     fn new(k: u64) -> Self {
         Row([k; 8])
+    }
+}
+
+/// The id engine keeps the row whole: the measured slot is 64 bytes.
+impl IdRow for Row {
+    type Stored = Row;
+
+    fn store(self, _id: u64) -> Result<Row, Row> {
+        Ok(self)
+    }
+
+    fn load(_id: u64, stored: &Row) -> Row {
+        *stored
     }
 }
 
@@ -91,10 +109,11 @@ fn measure(reps: u32, mut run: impl FnMut() -> u64) -> f64 {
     best
 }
 
-/// The surface every engine is measured on: a dense build and point gets.
+/// The surface every engine is measured on: a dense build and point gets,
+/// each handing out an owned row, as the store's tables do.
 trait Engine: Sized {
     fn build(rows: u64) -> Self;
-    fn get(&self, k: &u64) -> Option<&Row>;
+    fn get(&self, k: &u64) -> Option<Row>;
 }
 
 /// What the ordered engines are measured on besides.
@@ -109,8 +128,8 @@ impl Engine for BpTree<u64, Row> {
     fn build(rows: u64) -> Self {
         BpTree::from_ascending((0..rows).map(|k| (k, Row::new(k))))
     }
-    fn get(&self, k: &u64) -> Option<&Row> {
-        BpTree::get(self, k)
+    fn get(&self, k: &u64) -> Option<Row> {
+        BpTree::get(self, k).copied()
     }
 }
 
@@ -130,8 +149,8 @@ impl Engine for BTreeMap<u64, Row> {
     fn build(rows: u64) -> Self {
         (0..rows).map(|k| (k, Row::new(k))).collect()
     }
-    fn get(&self, k: &u64) -> Option<&Row> {
-        BTreeMap::get(self, k)
+    fn get(&self, k: &u64) -> Option<Row> {
+        BTreeMap::get(self, k).copied()
     }
 }
 
@@ -153,7 +172,7 @@ impl Engine for IdRows<Row> {
     fn build(rows: u64) -> Self {
         (0..rows).map(|k| (k, Row::new(k))).collect()
     }
-    fn get(&self, k: &u64) -> Option<&Row> {
+    fn get(&self, k: &u64) -> Option<Row> {
         IdRows::get(self, *k)
     }
 }

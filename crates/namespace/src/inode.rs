@@ -9,6 +9,13 @@
 //! No operation reads or writes data blocks, so the row carries none; the
 //! bytes the simulated WAL logs per row are the schema's modeled size,
 //! not this layout (see `MetadataSchema::install`).
+//!
+//! The store holds 40 bytes per row: the inode table is id-addressed, so
+//! its slots keep a [`StoredInode`], every field but the id that the
+//! slot's position gives, and rebuild the `Inode` on each read
+//! ([`IdRow`]).
+
+use lambda_store::IdRow;
 
 use crate::path::InodeName;
 
@@ -101,6 +108,48 @@ impl Inode {
     }
 }
 
+/// An [`Inode`] as the id-addressed inode table's slot holds it: every
+/// field but the id, which is the slot's position. 40 bytes, and an empty
+/// slot costs no more (the kind byte's niche holds the `None`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoredInode {
+    parent: InodeId,
+    name: InodeName,
+    kind: InodeKind,
+    perm: u16,
+    owner: u32,
+    group: u32,
+    size: u64,
+    mtime_nanos: u64,
+}
+
+impl IdRow for Inode {
+    type Stored = StoredInode;
+
+    /// Drops the id, unless the row names another one than its slot's.
+    fn store(self, id: u64) -> Result<StoredInode, Inode> {
+        if self.id != id {
+            return Err(self);
+        }
+        let Inode { id: _, parent, name, kind, perm, owner, group, size, mtime_nanos } = self;
+        Ok(StoredInode { parent, name, kind, perm, owner, group, size, mtime_nanos })
+    }
+
+    fn load(id: u64, s: &StoredInode) -> Inode {
+        Inode {
+            id,
+            parent: s.parent,
+            name: s.name,
+            kind: s.kind,
+            perm: s.perm,
+            owner: s.owner,
+            group: s.group,
+            size: s.size,
+            mtime_nanos: s.mtime_nanos,
+        }
+    }
+}
+
 /// Identifier of a DataNode.
 pub type DataNodeId = u64;
 
@@ -147,13 +196,27 @@ mod tests {
     #[test]
     fn inode_row_stays_compact() {
         // The point of the interned name and the absent block list: the
-        // resident row is 48 bytes. A change that grows it shows up here,
-        // not as a silent regression in the fig08d memory sweep.
+        // row is 48 bytes, and 40 in the store. A change that grows it
+        // shows up here, not as a silent regression in the fig08d memory
+        // sweep.
         assert_eq!(std::mem::size_of::<Inode>(), 48);
         assert_eq!(std::mem::size_of::<InodeName>(), 4);
-        // The inode table stores `Option<Inode>` slots by id: a niche keeps
+        // The inode table stores `Option<StoredInode>` slots by id: the
+        // slot's position is the id, so the row drops it, and a niche keeps
         // the tag out of the row, so a hole costs one row and no tag word.
-        assert_eq!(std::mem::size_of::<Option<Inode>>(), 48);
+        assert_eq!(std::mem::size_of::<StoredInode>(), 40);
+        assert_eq!(std::mem::size_of::<Option<StoredInode>>(), 40);
+    }
+
+    #[test]
+    fn stored_inode_round_trips_and_refuses_another_id() {
+        let mut f = Inode::file(6, 5, "x.bin");
+        f.size = 4096;
+        f.mtime_nanos = 77;
+        f.owner = 3;
+        let stored = f.clone().store(6).unwrap();
+        assert_eq!(Inode::load(6, &stored), f);
+        assert_eq!(f.clone().store(7), Err(f));
     }
 
     #[test]

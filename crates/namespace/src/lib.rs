@@ -30,7 +30,7 @@ mod schema;
 pub use cache::{CacheStats, MetadataCache};
 pub use datanode::DataNodeFleet;
 pub use lambda_store::MixBuild;
-pub use inode::{DataNodeId, DataNodeInfo, Inode, InodeId, InodeKind, ROOT_INODE_ID};
+pub use inode::{DataNodeId, DataNodeInfo, Inode, InodeId, InodeKind, StoredInode, ROOT_INODE_ID};
 pub use ops::{FsError, FsOp, Listing, OpClass, OpOutcome, OpResult};
 pub use partition::Partitioner;
 pub use path::{interned, Ancestors, DfsPath, InodeName, ParsePathError};

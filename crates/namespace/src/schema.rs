@@ -24,7 +24,9 @@ use crate::inode::{DataNodeId, DataNodeInfo, Inode, InodeId, ROOT_INODE_ID};
 use crate::path::{DfsPath, InodeName};
 
 /// Bytes the WAL logs per inode row: the 64-byte row the durable backend
-/// was calibrated with, a block-list reference included ([`Inode`] is 48).
+/// was calibrated with, a block-list reference included. The host holds
+/// less: [`Inode`] is 48 bytes, and the id-addressed table's slot 40
+/// ([`StoredInode`](crate::StoredInode)).
 const INODE_ROW_BYTES: u32 = 64;
 /// Bytes the WAL logs per `datanodes` row: five 8-byte counters.
 const DATANODE_ROW_BYTES: u32 = 40;
@@ -361,21 +363,17 @@ impl MetadataSchema {
     #[must_use]
     pub fn check_consistency(&self, db: &Db) -> Vec<String> {
         let mut problems = Vec::new();
-        // Both tables come back in ascending key order, so every cross
-        // reference below is a binary search, not a scan.
-        let inodes = db.peek_range(self.inodes, ..);
-        let children = db.peek_range(self.children, ..);
-        let inode_at = |id: InodeId| {
-            inodes.binary_search_by_key(&id, |(key, _)| *key).ok().map(|at| &inodes[at].1)
-        };
-        for (id, inode) in &inodes {
-            if *id != inode.id {
+        // Both tables are walked in ascending key order without a copy;
+        // every cross reference is a point get (one load for an inode, a
+        // tree descent for a children row).
+        db.peek_range_with(self.inodes, .., |&id, inode| {
+            if id != inode.id {
                 problems.push(format!("inode {} stored under key {}", inode.id, id));
             }
-            if *id == ROOT_INODE_ID {
-                continue;
+            if id == ROOT_INODE_ID {
+                return;
             }
-            match inode_at(inode.parent) {
+            match db.peek(self.inodes, &inode.parent) {
                 None => problems.push(format!("inode {} has dangling parent {}", id, inode.parent)),
                 Some(parent) => {
                     if !parent.is_dir() {
@@ -383,19 +381,15 @@ impl MetadataSchema {
                     }
                 }
             }
-            let slot = (inode.parent, inode.name.key());
-            let indexed = children
-                .binary_search_by(|(key, _)| key.cmp(&slot))
-                .is_ok_and(|at| children[at].1 == *id);
-            if !indexed {
+            if db.peek(self.children, &(inode.parent, inode.name.key())) != Some(id) {
                 problems.push(format!("inode {id} missing from children index"));
             }
-        }
-        for ((pid, name), cid) in &children {
-            if inode_at(*cid).is_none() {
+        });
+        db.peek_range_with(self.children, .., |(pid, name), cid| {
+            if db.peek(self.inodes, cid).is_none() {
                 problems.push(format!("children row ({pid},{name}) -> dangling inode {cid}"));
             }
-        }
+        });
         problems
     }
 }

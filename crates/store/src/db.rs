@@ -64,6 +64,7 @@ use lambda_sim::{Sim, SimDuration, SimTime, Slab, SlabKey, Station, StationRef};
 
 use crate::backend::{DurabilityConfig, DurabilityStats, DurableBackend};
 use crate::error::{StoreError, StoreResult};
+use crate::idrows::IdRow;
 use crate::key::{EncodedKey, KeyCodec, MixBuild};
 use crate::lock::{Acquire, LockKey, LockManager, LockMode};
 use crate::table::{AnyTable, TableHandle, TableId, TypedTable};
@@ -401,8 +402,10 @@ impl Db {
     /// ([`IdRows`](crate::idrows::IdRows)), so a primary-key get is one
     /// row load — NDB's hash-index read — where an ordered table descends
     /// a tree. Range reads still see rows in id order. Memory follows the
-    /// highest id inserted, so keys must be dense, not arbitrary.
-    pub fn create_id_table<V: Clone + 'static>(
+    /// highest id inserted, so keys must be dense, not arbitrary. A slot
+    /// holds the row's [`IdRow::Stored`] form, without the id its position
+    /// gives, and every read rebuilds the row.
+    pub fn create_id_table<V: IdRow>(
         &self,
         name: impl Into<String>,
         row_bytes: u32,
@@ -955,7 +958,7 @@ impl Db {
         table: TableHandle<K, V>,
         key: &K,
     ) -> Option<V> {
-        self.with_table(table, |t| t.get(key).cloned())
+        self.with_table(table, |t| t.get(key))
     }
 
     /// Scans a range with no lock and no capacity charge (test/reporting
@@ -1139,7 +1142,7 @@ impl Db {
                 let db2 = db.clone();
                 db.charge_batch_read(sim, plan, move |sim| {
                     let values =
-                        db2.with_table(table, |t| keys.iter().map(|k| t.get(k).cloned()).collect());
+                        db2.with_table(table, |t| keys.iter().map(|k| t.get(k)).collect());
                     cont(sim, Ok(values));
                 });
             }
@@ -1197,7 +1200,7 @@ impl Db {
         };
         let db = self.clone();
         self.charge_batch_read(sim, plan, move |sim| {
-            let values = db.with_table(table, |t| keys.iter().map(|k| t.get(k).cloned()).collect());
+            let values = db.with_table(table, |t| keys.iter().map(|k| t.get(k)).collect());
             cont(sim, values);
         });
     }

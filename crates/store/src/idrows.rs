@@ -10,13 +10,22 @@
 //!
 //! * **A get is two loads.** The page directory entry (16 bytes per page:
 //!   39 KB for a 10M-row table, cache-resident) and the row itself.
-//! * **No keys are stored.** A slot's position is its id, so a row costs
-//!   `size_of::<Option<V>>()` — no more than `V` when `V` has a niche, as
-//!   the inode row does. The 8-byte leaf keys and the branch arenas a B+
-//!   tree keeps beside the rows are gone.
+//! * **No keys are stored, in the slot or in the row.** A slot's position
+//!   is its id, so a row costs `size_of::<Option<V::Stored>>()`: the row's
+//!   [`IdRow::Stored`] form leaves out the id the position gives, and a
+//!   niche keeps the `Option` tag out of it. The inode row is 48 bytes as
+//!   `Inode` and 40 in its slot. Reads rebuild the row from the slot's id
+//!   and hand it out owned. The 8-byte leaf keys and the branch arenas a
+//!   B+ tree keeps beside the rows are gone too.
+//! * **A mis-keyed row is kept whole.** A row that names another id than
+//!   its slot's cannot drop its id, so [`IdRow::store`] hands it back and
+//!   the table keeps it in a side map, which a get consults only when the
+//!   slot is empty and the map is not. The table stays an exact map, so a
+//!   consistency check still sees an inode stored under the wrong key.
+//!   Only corruption tests write such rows.
 //! * **Growth never moves a row.** A page is allocated by the first insert
 //!   into it and never reallocated; only the directory grows. (A flat
-//!   doubling `Vec` would copy a 480 MB table on the first insert after a
+//!   doubling `Vec` would copy a 400 MB table on the first insert after a
 //!   10M-row bulk load.)
 //! * **Removal leaves a hole.** The slot empties and the page stays.
 //!   Sequence ids are not reused, so memory follows the highest id ever
@@ -28,15 +37,17 @@
 //! unbounded range ends at the last page, not at `u64::MAX`. Observable
 //! behaviour — insert/remove results, iteration order, range contents and
 //! counts, the panics on inverted ranges — is a `BTreeMap<u64, V>`'s,
-//! pinned by `crates/store/tests/engine_differential.rs`.
+//! mis-keyed rows included, pinned by
+//! `crates/store/tests/engine_differential.rs`.
 //!
 //! [`BpTree`]: crate::bptree::BpTree
 
+use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
 
 use crate::bptree::check_range;
 
-/// Rows per page. A page of 48-byte inode rows is 192 KiB, and a
+/// Rows per page. A page of 40-byte stored inode rows is 160 KiB, and a
 /// 10M-row table needs 2 442 of them.
 pub const PAGE_ROWS: usize = 4096;
 
@@ -46,29 +57,68 @@ const PAGE_BITS: u32 = PAGE_ROWS.trailing_zeros();
 /// page, so one stray huge id would allocate all of it.
 const MAX_ID: u64 = 1 << 36;
 
+/// A row type an id-addressed table can hold without the id its slot
+/// position already gives.
+///
+/// [`IdRows`] keeps each row as [`Stored`](IdRow::Stored) and rebuilds
+/// the row from its slot's id on every read, so `load(id, &stored)` must
+/// give back the row that `store(id)` took. A row that drops nothing
+/// (`u64`, a payload with no id in it) stores itself.
+pub trait IdRow: Clone + 'static {
+    /// The row as a slot holds it.
+    type Stored;
+
+    /// The stored form of a row kept in slot `id`, or the row itself when
+    /// it names another id and so cannot drop its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns the row unchanged when it cannot be rebuilt from `id`.
+    fn store(self, id: u64) -> Result<Self::Stored, Self>;
+
+    /// The row slot `id` holds as `stored`.
+    fn load(id: u64, stored: &Self::Stored) -> Self;
+}
+
+impl IdRow for u64 {
+    type Stored = u64;
+
+    fn store(self, _id: u64) -> Result<u64, u64> {
+        Ok(self)
+    }
+
+    fn load(_id: u64, stored: &u64) -> u64 {
+        *stored
+    }
+}
+
 /// A map from `u64` ids to `V`, stored by id in fixed pages.
 ///
 /// See the [module docs](self). The API mirrors the slice of
-/// [`BpTree`](crate::bptree::BpTree)'s the store uses, with ids by value.
+/// [`BpTree`](crate::bptree::BpTree)'s the store uses, with ids by value
+/// and rows handed out owned, rebuilt from their slots.
 #[derive(Debug)]
-pub struct IdRows<V> {
+pub struct IdRows<V: IdRow> {
     /// Page `p` holds ids `p * PAGE_ROWS ..`; a page no insert has reached
     /// is an empty slice, which owns no heap.
-    pages: Vec<Box<[Option<V>]>>,
+    pages: Vec<Box<[Option<V::Stored>]>>,
+    /// Rows whose [`IdRow::store`] refused their slot, kept whole. An id
+    /// is in its slot or here, never both, and its page is allocated.
+    spilled: BTreeMap<u64, V>,
     len: usize,
 }
 
-impl<V> Default for IdRows<V> {
+impl<V: IdRow> Default for IdRows<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V> IdRows<V> {
+impl<V: IdRow> IdRows<V> {
     /// An empty table (no pages).
     #[must_use]
     pub fn new() -> Self {
-        IdRows { pages: Vec::new(), len: 0 }
+        IdRows { pages: Vec::new(), spilled: BTreeMap::new(), len: 0 }
     }
 
     /// Number of rows.
@@ -86,9 +136,12 @@ impl<V> IdRows<V> {
     /// Looks up `id`.
     #[inline]
     #[must_use]
-    pub fn get(&self, id: u64) -> Option<&V> {
-        let page = self.pages.get((id >> PAGE_BITS) as usize)?;
-        page.get(id as usize % PAGE_ROWS)?.as_ref()
+    pub fn get(&self, id: u64) -> Option<V> {
+        match self.slot(id) {
+            Some(stored) => Some(V::load(id, stored)),
+            None if self.spilled.is_empty() => None,
+            None => self.spilled.get(&id).cloned(),
+        }
     }
 
     /// Inserts `id → value`, returning the value it replaced, if any.
@@ -97,7 +150,17 @@ impl<V> IdRows<V> {
     ///
     /// Panics if `id` is 2^36 or more.
     pub fn insert(&mut self, id: u64, value: V) -> Option<V> {
-        let old = self.slot_mut(id).replace(value);
+        let old = match value.store(id) {
+            Ok(stored) => {
+                let old = self.slot_mut(id).replace(stored);
+                old.map(|s| V::load(id, &s)).or_else(|| self.spilled.remove(&id))
+            }
+            Err(value) => {
+                let old = self.slot_mut(id).take();
+                let spilled = self.spilled.insert(id, value);
+                old.map(|s| V::load(id, &s)).or(spilled)
+            }
+        };
         self.len += usize::from(old.is_none());
         old
     }
@@ -106,14 +169,24 @@ impl<V> IdRows<V> {
     /// hole; its page stays allocated.
     pub fn remove(&mut self, id: u64) -> Option<V> {
         let page = self.pages.get_mut((id >> PAGE_BITS) as usize)?;
-        let old = page.get_mut(id as usize % PAGE_ROWS)?.take();
+        let old = match page.get_mut(id as usize % PAGE_ROWS)?.take() {
+            Some(stored) => Some(V::load(id, &stored)),
+            None => self.spilled.remove(&id),
+        };
         self.len -= usize::from(old.is_some());
         old
     }
 
+    /// The stored row in the slot of `id`, if any.
+    #[inline]
+    fn slot(&self, id: u64) -> Option<&V::Stored> {
+        let page = self.pages.get((id >> PAGE_BITS) as usize)?;
+        page.get(id as usize % PAGE_ROWS)?.as_ref()
+    }
+
     /// The slot of `id`, allocating its page (and growing the directory to
     /// reach it) on first use.
-    fn slot_mut(&mut self, id: u64) -> &mut Option<V> {
+    fn slot_mut(&mut self, id: u64) -> &mut Option<V::Stored> {
         assert!(id < MAX_ID, "id {id} is past the id engine's range (ids < 2^36)");
         let p = (id >> PAGE_BITS) as usize;
         if p >= self.pages.len() {
@@ -126,16 +199,16 @@ impl<V> IdRows<V> {
         &mut page[id as usize % PAGE_ROWS]
     }
 
-    /// Iterates the rows with ids in `range`, ascending.
+    /// The ids `range` names, as a half-open span clamped to the allocated
+    /// pages, so `..` walks the ids this table can hold rather than the
+    /// whole `u64` space. Every spilled id lies inside the clamp.
     ///
     /// # Panics
     ///
     /// Panics on an inverted or empty-excluded range, like
     /// `BTreeMap::range`.
-    pub fn range<R: RangeBounds<u64>>(&self, range: &R) -> impl Iterator<Item = (u64, &V)> + '_ {
+    fn span<R: RangeBounds<u64>>(&self, range: &R) -> std::ops::Range<u64> {
         check_range(range);
-        // Both ends clamp to the allocated pages, so `..` walks the ids
-        // this table can hold rather than the whole `u64` space.
         let limit = (self.pages.len() as u64) << PAGE_BITS;
         let lo = match range.start_bound() {
             Bound::Unbounded => 0,
@@ -147,7 +220,17 @@ impl<V> IdRows<V> {
             Bound::Included(&e) => e.saturating_add(1).min(limit),
             Bound::Excluded(&e) => e.min(limit),
         };
-        (lo..hi).filter_map(move |id| Some((id, self.get(id)?)))
+        lo..hi.max(lo)
+    }
+
+    /// Iterates the rows with ids in `range`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inverted or empty-excluded range, like
+    /// `BTreeMap::range`.
+    pub fn range<R: RangeBounds<u64>>(&self, range: &R) -> impl Iterator<Item = (u64, V)> + '_ {
+        self.span(range).filter_map(move |id| Some((id, self.get(id)?)))
     }
 
     /// Visits every row in `range` in ascending id order.
@@ -158,11 +241,12 @@ impl<V> IdRows<V> {
     /// `BTreeMap::range`.
     pub fn scan_with<R: RangeBounds<u64>>(&self, range: &R, mut visit: impl FnMut(&u64, &V)) {
         for (id, v) in self.range(range) {
-            visit(&id, v);
+            visit(&id, &v);
         }
     }
 
-    /// Number of rows in `range`.
+    /// Number of rows in `range`: occupied slots and spilled ids, with no
+    /// row rebuilt.
     ///
     /// # Panics
     ///
@@ -170,18 +254,20 @@ impl<V> IdRows<V> {
     /// `BTreeMap::range`.
     #[must_use]
     pub fn count_range<R: RangeBounds<u64>>(&self, range: &R) -> usize {
-        self.range(range).count()
+        let span = self.span(range);
+        let spilled = self.spilled.range(span.clone()).count();
+        spilled + span.filter(|&id| self.slot(id).is_some()).count()
     }
 
     /// Iterates all rows in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
         self.range(&(..))
     }
 }
 
 /// Builds a table from rows in any order; a repeated id keeps its last
 /// value, as inserting them one by one would.
-impl<V> FromIterator<(u64, V)> for IdRows<V> {
+impl<V: IdRow> FromIterator<(u64, V)> for IdRows<V> {
     fn from_iter<I: IntoIterator<Item = (u64, V)>>(rows: I) -> Self {
         let mut t = IdRows::new();
         for (id, v) in rows {
@@ -200,7 +286,7 @@ mod tests {
         let mut t = IdRows::new();
         assert_eq!(t.insert(5, 50u64), None);
         assert_eq!(t.insert(5, 51), Some(50));
-        assert_eq!(t.get(5), Some(&51));
+        assert_eq!(t.get(5), Some(51));
         assert_eq!(t.remove(5), Some(51));
         assert_eq!(t.remove(5), None);
         assert_eq!(t.get(5), None);
@@ -213,11 +299,11 @@ mod tests {
         t.insert(3 * PAGE_ROWS as u64 + 7, 1u64);
         assert_eq!(t.pages.len(), 4);
         assert_eq!(t.pages.iter().filter(|p| !p.is_empty()).count(), 1, "only the touched page");
-        let row = t.get(3 * PAGE_ROWS as u64 + 7).unwrap() as *const u64;
+        let row = t.slot(3 * PAGE_ROWS as u64 + 7).unwrap() as *const u64;
         for id in 0..10 * PAGE_ROWS as u64 {
             t.insert(id, id);
         }
-        let moved = t.get(3 * PAGE_ROWS as u64 + 7).unwrap() as *const u64;
+        let moved = t.slot(3 * PAGE_ROWS as u64 + 7).unwrap() as *const u64;
         assert_eq!(row, moved, "growth moved a row");
         // Ids past the last page, and in an unallocated page's span, miss.
         assert_eq!(t.get(10 * PAGE_ROWS as u64), None);
@@ -239,6 +325,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "past the id engine's range")]
     fn huge_ids_are_refused() {
-        IdRows::new().insert(MAX_ID, 0u8);
+        IdRows::new().insert(MAX_ID, 0u64);
     }
 }

@@ -36,6 +36,7 @@ pub use backend::{DurabilityConfig, DurabilityStats};
 pub use db::{Db, DbStats};
 pub use lambda_lsm::{LsmConfig, LsmStats};
 pub use error::{StoreError, StoreResult};
+pub use idrows::IdRow;
 pub use key::{EncodedKey, KeyCodec, MixBuild, MixHasher, NameEntry, NameKey};
 pub use lock::{LockKey, LockMode};
 pub use table::{TableHandle, TableId};

@@ -15,7 +15,12 @@
 //! Which engine is underneath is invisible at this layer: `TypedTable`
 //! keeps one surface and the semantics of a `BTreeMap<K, V>` on either,
 //! and `tests/engine_differential.rs` pins both engines against the std
-//! map.
+//! map. Reads hand out owned rows on both engines, because the id engine
+//! rebuilds each row from its slot ([`IdRow`]); it sits behind the
+//! object-safe `IdEngine`, so only [`Db::create_id_table`] names a row's
+//! stored form and the rest of the store needs no `IdRow` bound.
+//!
+//! [`Db::create_id_table`]: crate::Db::create_id_table
 
 use std::any::Any;
 use std::fmt;
@@ -24,7 +29,7 @@ use std::ops::{Bound, RangeBounds};
 use std::rc::Rc;
 
 use crate::bptree::BpTree;
-use crate::idrows::IdRows;
+use crate::idrows::{IdRow, IdRows};
 use crate::key::KeyCodec;
 
 /// Identifies a table within one [`Db`](crate::Db).
@@ -96,7 +101,6 @@ pub(crate) trait AnyTable {
 }
 
 /// A concrete table: an ordered map from `K` to `V`.
-#[derive(Debug)]
 pub(crate) struct TypedTable<K, V> {
     name: Rc<str>,
     /// Bytes the durable backend logs per row value: the modeled row size
@@ -106,12 +110,42 @@ pub(crate) struct TypedTable<K, V> {
 }
 
 /// The engine under a table, chosen once when the table is created.
-#[derive(Debug)]
 enum Rows<K, V> {
     /// Ordered by key.
     Tree(BpTree<K, V>),
     /// Addressed by sequence id; `K` is `u64`.
-    Ids(IdRows<V>),
+    Ids(Box<dyn IdEngine<V>>),
+}
+
+/// What a table asks of its id engine, with rows by value.
+trait IdEngine<V> {
+    fn len(&self) -> usize;
+    fn get(&self, id: u64) -> Option<V>;
+    fn insert(&mut self, id: u64, value: V) -> Option<V>;
+    fn remove(&mut self, id: u64) -> Option<V>;
+    fn scan_with(&self, range: (Bound<u64>, Bound<u64>), visit: &mut dyn FnMut(u64, &V));
+    fn count_range(&self, range: (Bound<u64>, Bound<u64>)) -> usize;
+}
+
+impl<V: IdRow> IdEngine<V> for IdRows<V> {
+    fn len(&self) -> usize {
+        IdRows::len(self)
+    }
+    fn get(&self, id: u64) -> Option<V> {
+        IdRows::get(self, id)
+    }
+    fn insert(&mut self, id: u64, value: V) -> Option<V> {
+        IdRows::insert(self, id, value)
+    }
+    fn remove(&mut self, id: u64) -> Option<V> {
+        IdRows::remove(self, id)
+    }
+    fn scan_with(&self, range: (Bound<u64>, Bound<u64>), visit: &mut dyn FnMut(u64, &V)) {
+        IdRows::scan_with(self, &range, |id, v| visit(*id, v));
+    }
+    fn count_range(&self, range: (Bound<u64>, Bound<u64>)) -> usize {
+        IdRows::count_range(self, &range)
+    }
 }
 
 /// The id of a key in an id-addressed table.
@@ -149,9 +183,9 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
         }
     }
 
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         match &self.rows {
-            Rows::Tree(t) => t.get(key),
+            Rows::Tree(t) => t.get(key).cloned(),
             Rows::Ids(t) => t.get(id_of(key)),
         }
     }
@@ -182,14 +216,14 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
     pub(crate) fn scan_with<R: RangeBounds<K>>(&self, range: R, mut visit: impl FnMut(&K, &V)) {
         match &self.rows {
             Rows::Tree(t) => t.scan_with(&range, visit),
-            Rows::Ids(t) => t.scan_with(&id_range(&range), |id, v| visit(&key_of(*id), v)),
+            Rows::Ids(t) => t.scan_with(id_range(&range), &mut |id, v| visit(&key_of(id), v)),
         }
     }
 
     pub(crate) fn count_range<R: RangeBounds<K>>(&self, range: R) -> usize {
         match &self.rows {
             Rows::Tree(t) => t.count_range(&range),
-            Rows::Ids(t) => t.count_range(&id_range(&range)),
+            Rows::Ids(t) => t.count_range(id_range(&range)),
         }
     }
 
@@ -265,10 +299,11 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
     }
 }
 
-impl<V: Clone + 'static> TypedTable<u64, V> {
+impl<V: IdRow> TypedTable<u64, V> {
     /// A table over id-addressed pages.
     pub(crate) fn new_id(name: impl Into<String>, row_bytes: u32) -> Self {
-        TypedTable { name: name.into().into(), row_bytes, rows: Rows::Ids(IdRows::new()) }
+        let rows = Rows::Ids(Box::new(IdRows::<V>::new()));
+        TypedTable { name: name.into().into(), row_bytes, rows }
     }
 }
 
@@ -338,7 +373,7 @@ mod tests {
         let mut t: TypedTable<u64, String> = TypedTable::new("t", 8);
         assert_eq!(t.insert(1, "a".into()), None);
         assert_eq!(t.insert(1, "b".into()), Some("a".into()));
-        assert_eq!(t.get(&1), Some(&"b".to_string()));
+        assert_eq!(t.get(&1), Some("b".to_string()));
         assert_eq!(t.remove(&1), Some("b".into()));
         assert_eq!(t.len(), 0);
     }

@@ -24,7 +24,10 @@
 //! last page — under every bound shape, and through the [`Db`] surface the
 //! inode table uses: bulk loads merged with existing rows, unbounded scans
 //! of a table whose last id is past 2^20, and the encoded-key walk the
-//! durable backend checks after a crash.
+//! durable backend checks after a crash. It runs on `u64` rows, which
+//! store themselves, and on [`Keyed`] rows, which drop their id in the
+//! slot the way the inode row does: a row that names another id than its
+//! slot's is kept whole beside the pages, and the map must not notice.
 //!
 //! [`Db`]: lambda_store::Db
 //! [`TypedTable`]: lambda_store::Db
@@ -33,9 +36,10 @@ use lambda_sim::params::StoreParams;
 use lambda_sim::{Sim, SimDuration};
 use lambda_store::bptree::{BpTree, LEAF_CAP};
 use lambda_store::idrows::{IdRows, PAGE_ROWS};
-use lambda_store::{Db, DurabilityConfig, NameEntry, NameKey};
+use lambda_store::{Db, DurabilityConfig, IdRow, NameEntry, NameKey};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::ops::Bound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -340,53 +344,105 @@ fn range_panics(r: &(Bound<u64>, Bound<u64>)) -> bool {
     catch_unwind(|| BTreeMap::from([(0u64, 0u64)]).range(*r).count()).is_err()
 }
 
-fn assert_same_ids(rows: &IdRows<u64>, model: &BTreeMap<u64, u64>) {
+/// A row that names its own id, as the inode row does. Its slot form is
+/// the payload alone; a row naming another id than its slot's cannot drop
+/// its id, so `store` hands it back and the engine spills it whole.
+#[derive(Debug, Clone, PartialEq)]
+struct Keyed {
+    id: u64,
+    payload: u64,
+}
+
+impl IdRow for Keyed {
+    type Stored = u64;
+
+    fn store(self, id: u64) -> Result<u64, Keyed> {
+        if self.id == id {
+            Ok(self.payload)
+        } else {
+            Err(self)
+        }
+    }
+
+    fn load(id: u64, payload: &u64) -> Keyed {
+        Keyed { id, payload: *payload }
+    }
+}
+
+/// The `Keyed` row an `Insert(k, v)` writes: one in three names the id
+/// after its slot's, so scripts that revisit an id move it between its
+/// slot and the spill in both directions.
+fn keyed(k: u64, v: u64) -> Keyed {
+    Keyed { id: if v.is_multiple_of(3) { k + 1 } else { k }, payload: v }
+}
+
+fn assert_same_ids<V: IdRow + PartialEq + Debug>(rows: &IdRows<V>, model: &BTreeMap<u64, V>) {
     assert_eq!(rows.len(), model.len(), "len diverged");
-    let got: Vec<(u64, u64)> = rows.iter().map(|(k, v)| (k, *v)).collect();
-    let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+    let got: Vec<(u64, V)> = rows.iter().collect();
+    let want: Vec<(u64, V)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
     assert_eq!(got, want, "iteration order diverged");
+    assert_eq!(rows.count_range(&(..)), model.len(), "count of every row diverged");
+}
+
+/// Runs `ops` on the id engine and on the oracle, with `row(k, v)` as the
+/// value an `Insert(k, v)` writes: every return value and every range
+/// view — bounded, open, unbounded, empty — matches, and the ranges the
+/// oracle refuses panic on both sides.
+fn id_script_matches_btreemap<V: IdRow + PartialEq + Debug>(
+    ops: &[IdOp],
+    row: impl Fn(u64, u64) -> V,
+) {
+    let mut rows: IdRows<V> = IdRows::new();
+    let mut model: BTreeMap<u64, V> = BTreeMap::new();
+    for op in ops {
+        match *op {
+            IdOp::Insert(k, v) => {
+                let v = row(k, v);
+                assert_eq!(rows.insert(k, v.clone()), model.insert(k, v), "insert({k})");
+            }
+            IdOp::Remove(k) => {
+                assert_eq!(rows.remove(k), model.remove(&k), "remove({k})");
+                assert_eq!(rows.get(k), None);
+            }
+            IdOp::Get(k) => assert_eq!(rows.get(k), model.get(&k).cloned(), "get({k})"),
+            IdOp::Range(lo, hi) => {
+                let r = (lo, hi);
+                if range_panics(&r) {
+                    assert!(catch_unwind(AssertUnwindSafe(|| rows.range(&r).count())).is_err());
+                    assert!(catch_unwind(AssertUnwindSafe(|| rows.count_range(&r))).is_err());
+                    assert!(catch_unwind(AssertUnwindSafe(|| rows.scan_with(&r, |_, _| {}))).is_err());
+                    continue;
+                }
+                let want: Vec<(u64, V)> = model.range(r).map(|(k, v)| (*k, v.clone())).collect();
+                let got: Vec<(u64, V)> = rows.range(&r).collect();
+                assert_eq!(&got, &want, "range {r:?}");
+                let mut visited = Vec::new();
+                rows.scan_with(&r, |k, v| visited.push((*k, v.clone())));
+                assert_eq!(&visited, &want, "scan_with {r:?}");
+                assert_eq!(rows.count_range(&r), want.len(), "count {r:?}");
+            }
+        }
+    }
+    assert_same_ids(&rows, &model);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary insert/remove/get/range interleavings on the id engine:
-    /// every return value and every range view — bounded, open,
-    /// unbounded, empty — matches the oracle, and the ranges the oracle
-    /// refuses panic on both sides.
+    /// Arbitrary insert/remove/get/range interleavings on `u64` rows,
+    /// which store themselves.
     #[test]
     fn id_scripts_match_btreemap(ops in proptest::collection::vec(id_op(), 1..300)) {
-        let mut rows: IdRows<u64> = IdRows::new();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for op in &ops {
-            match *op {
-                IdOp::Insert(k, v) => {
-                    prop_assert_eq!(rows.insert(k, v), model.insert(k, v), "insert({})", k);
-                }
-                IdOp::Remove(k) => {
-                    prop_assert_eq!(rows.remove(k), model.remove(&k), "remove({})", k);
-                    prop_assert_eq!(rows.get(k), None);
-                }
-                IdOp::Get(k) => prop_assert_eq!(rows.get(k), model.get(&k), "get({})", k),
-                IdOp::Range(lo, hi) => {
-                    let r = (lo, hi);
-                    if range_panics(&r) {
-                        prop_assert!(catch_unwind(AssertUnwindSafe(|| rows.range(&r).count())).is_err());
-                        prop_assert!(catch_unwind(AssertUnwindSafe(|| rows.count_range(&r))).is_err());
-                        prop_assert!(catch_unwind(AssertUnwindSafe(|| rows.scan_with(&r, |_, _| {}))).is_err());
-                        continue;
-                    }
-                    let want: Vec<(u64, u64)> = model.range(r).map(|(k, v)| (*k, *v)).collect();
-                    let got: Vec<(u64, u64)> = rows.range(&r).map(|(k, v)| (k, *v)).collect();
-                    prop_assert_eq!(&got, &want, "range {:?}", r);
-                    let mut visited = Vec::new();
-                    rows.scan_with(&r, |k, v| visited.push((*k, *v)));
-                    prop_assert_eq!(&visited, &want, "scan_with {:?}", r);
-                    prop_assert_eq!(rows.count_range(&r), want.len(), "count {:?}", r);
-                }
-            }
-        }
-        assert_same_ids(&rows, &model);
+        id_script_matches_btreemap(&ops, |_, v| v);
+    }
+
+    /// The same scripts on rows that drop their id in the slot, with a
+    /// third of them mis-keyed: the spill keeps the engine an exact map.
+    #[test]
+    fn id_scripts_of_rows_that_drop_their_id_match_btreemap(
+        ops in proptest::collection::vec(id_op(), 1..300),
+    ) {
+        id_script_matches_btreemap(&ops, keyed);
     }
 
     /// Through the `Db` surface the inode table uses: a bulk load merged
@@ -474,4 +530,66 @@ fn id_table_keys_survive_the_post_crash_check() {
     sim.run();
     assert_eq!(db.durability_violations(), Vec::<String>::new());
     assert_eq!(db.durability_stats().unwrap().replayed_records, 2 * keys.len() as u64);
+}
+
+/// A row moves from its slot to the spill and back as overwrites change
+/// whether it names its slot's id; gets, ranges, counts and removes see
+/// exactly the last row written, wherever it lives. The spilled ids sit
+/// in an allocated page, a hole and a page of their own.
+#[test]
+fn overwrites_move_a_row_between_its_slot_and_the_spill() {
+    let mut rows: IdRows<Keyed> = IdRows::new();
+    let mut model: BTreeMap<u64, Keyed> = BTreeMap::new();
+    let mut put = |rows: &mut IdRows<Keyed>, k: u64, id: u64, payload: u64| {
+        let v = Keyed { id, payload };
+        assert_eq!(rows.insert(k, v.clone()), model.insert(k, v), "insert({k})");
+        assert_same_ids(rows, &model);
+    };
+    put(&mut rows, 5, 5, 1); // slot
+    put(&mut rows, 5, 6, 2); // slot -> spill
+    assert_eq!(rows.get(5), Some(Keyed { id: 6, payload: 2 }));
+    put(&mut rows, 5, 7, 3); // spill -> spill
+    put(&mut rows, 5, 5, 4); // spill -> slot
+    put(&mut rows, 9, 1, 5); // fresh id straight into the spill
+    put(&mut rows, 3 * PAGE, 0, 6); // in a page only the spill reaches
+    assert_eq!(rows.count_range(&(6..=9)), 1);
+    assert_eq!(rows.count_range(&(PAGE..)), 1);
+    let tail: Vec<u64> = rows.range(&(6..)).map(|(k, _)| k).collect();
+    assert_eq!(tail, vec![9, 3 * PAGE]);
+    assert_eq!(rows.remove(9), Some(Keyed { id: 1, payload: 5 }));
+    assert_eq!(rows.remove(9), None);
+    assert_eq!(rows.get(9), None);
+    assert_eq!(rows.remove(5), Some(Keyed { id: 5, payload: 4 }));
+    assert_eq!(rows.len(), 1);
+}
+
+/// Through the `Db` surface, on rows shaped like the inode row: a
+/// mis-keyed bootstrap row reads back exactly as written, and an aborted
+/// transactional overwrite restores the row its slot rebuilt and the row
+/// the spill kept whole, through the undo log.
+#[test]
+fn id_table_undo_restores_rebuilt_and_spilled_rows() {
+    use lambda_store::LockMode;
+    let mut sim = Sim::new(5);
+    let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+    let ids = db.create_id_table::<Keyed>("ids", Db::WORD_ROW_BYTES);
+    let (good, bad) = (Keyed { id: 2, payload: 20 }, Keyed { id: 30, payload: 3 });
+    db.bootstrap_insert(ids, 2, good.clone());
+    db.bootstrap_insert(ids, 3, bad.clone());
+    assert_eq!(db.peek(ids, &3), Some(bad.clone()));
+    assert_eq!(db.peek_range(ids, ..), vec![(2, good.clone()), (3, bad.clone())]);
+    let txn = db.begin();
+    let keys = [db.lock_key(ids, &2), db.lock_key(ids, &3)];
+    let db2 = db.clone();
+    db.lock(&mut sim, txn, keys, LockMode::Exclusive, move |sim, locked| {
+        locked.unwrap();
+        db2.upsert(txn, ids, 2, Keyed { id: 9, payload: 21 }).unwrap();
+        db2.upsert(txn, ids, 3, Keyed { id: 3, payload: 4 }).unwrap();
+        assert_eq!(db2.peek(ids, &2), Some(Keyed { id: 9, payload: 21 }));
+        assert_eq!(db2.peek(ids, &3), Some(Keyed { id: 3, payload: 4 }));
+        db2.abort(sim, txn);
+    });
+    sim.run();
+    assert_eq!(db.peek_range(ids, ..), vec![(2, good), (3, bad)]);
+    assert_eq!(db.table_len(ids), 2);
 }

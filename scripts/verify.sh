@@ -83,7 +83,8 @@
 #  13. memory sweep smoke: fig08d_million_scale --smoke exercises the
 #      footprint instrumentation and the per-phase wall-clock breakdown
 #      end-to-end (small scales, exact bytes/inode + bytes/client
-#      accounting via the counting allocator).
+#      accounting via the counting allocator), and exits nonzero if the
+#      post-run audit of either point finds a violation.
 #  14. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
 #      the standalone package and runs all four workloads at 1/20 size
 #      with every correctness check; then the package's own tests.
