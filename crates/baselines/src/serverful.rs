@@ -31,9 +31,11 @@ pub struct ServerNode {
 }
 
 /// A fixed cluster of metadata servers with a TCP client library and VM
-/// billing — the substrate for the HopsFS-family baselines.
+/// billing — the substrate for the HopsFS-family baselines. Cloning is
+/// cheap; clones share the nodes, meters and metrics.
+#[derive(Clone)]
 pub struct ServerfulCluster {
-    nodes: Vec<ServerNode>,
+    nodes: Rc<[ServerNode]>,
     routing: Routing,
     partitioner: Rc<Partitioner>,
     net: NetParams,
@@ -75,7 +77,7 @@ impl ServerfulCluster {
         max_retries: u32,
     ) -> Self {
         ServerfulCluster {
-            nodes,
+            nodes: nodes.into(),
             routing,
             partitioner,
             net,
@@ -182,7 +184,7 @@ impl ServerfulCluster {
         let net = self.net.clone();
         let metrics = Rc::clone(&self.metrics);
         metrics.borrow_mut().tcp_rpcs += 1;
-        let this = self.clone_handle();
+        let this = self.clone();
         let max_retries = self.max_retries;
         sim.schedule(hop, move |sim| {
             let op2 = op.clone();
@@ -199,7 +201,7 @@ impl ServerfulCluster {
                             metrics.borrow_mut().retries += 1;
                             let delay =
                                 SimDuration::from_millis(20).mul_f64((1 << tries.min(6)) as f64);
-                            let this2 = this.clone_handle();
+                            let this2 = this.clone();
                             sim.schedule(delay, move |sim| {
                                 this2.attempt(sim, client, op2, tries + 1, started, done);
                             });
@@ -223,27 +225,6 @@ impl ServerfulCluster {
             );
         });
     }
-
-    fn clone_handle(&self) -> ServerfulCluster {
-        ServerfulCluster {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| ServerNode { cpu: Rc::clone(&n.cpu), engine: n.engine.clone() })
-                .collect(),
-            routing: self.routing,
-            partitioner: Rc::clone(&self.partitioner),
-            net: self.net.clone(),
-            vcpus_total: self.vcpus_total,
-            pricing: self.pricing,
-            meter: Rc::clone(&self.meter),
-            metrics: Rc::clone(&self.metrics),
-            clients: self.clients,
-            max_retries: self.max_retries,
-            next_rr: Rc::clone(&self.next_rr),
-            billing: Rc::clone(&self.billing),
-        }
-    }
 }
 
 /// Fixed-membership cache coherence for a serverful caching cluster
@@ -264,7 +245,7 @@ impl PeerCoherence {
 }
 
 impl CoherenceHook for PeerCoherence {
-    fn invalidate(&self, sim: &mut Sim, inv: InvalidationSet, done: Box<dyn FnOnce(&mut Sim)>) {
+    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: Box<dyn FnOnce(&mut Sim)>) {
         let targets: Vec<Rc<RefCell<MetadataCache>>> = self
             .peers
             .iter()
@@ -279,28 +260,15 @@ impl CoherenceHook for PeerCoherence {
         let remaining = Rc::new(Cell::new(targets.len()));
         let done = Rc::new(RefCell::new(Some(done)));
         for cache in targets {
-            // One round trip per peer: INV there, ACK back.
+            // One round trip per peer: INV there, ACK back. The peers share
+            // the writer's one set.
             let rtt = sim.rng().sample_duration(&self.net.tcp_one_way)
                 + sim.rng().sample_duration(&self.net.tcp_one_way);
-            let inv = inv.clone();
+            let inv = Rc::clone(&inv);
             let remaining = Rc::clone(&remaining);
             let done = Rc::clone(&done);
             sim.schedule(rtt, move |sim| {
-                {
-                    let mut cache = cache.borrow_mut();
-                    for id in &inv.inodes {
-                        cache.invalidate_inode(*id);
-                    }
-                    for dir in &inv.listings {
-                        cache.invalidate_listing(*dir);
-                    }
-                    for (dir, name, present) in &inv.listing_updates {
-                        cache.update_listing(*dir, name, *present);
-                    }
-                    if let Some(prefix) = &inv.prefix {
-                        cache.invalidate_prefix(prefix);
-                    }
-                }
+                inv.apply(&mut cache.borrow_mut());
                 remaining.set(remaining.get() - 1);
                 if remaining.get() == 0 {
                     if let Some(d) = done.borrow_mut().take() {

@@ -134,21 +134,7 @@ impl CoordCoherence {
     pub fn handle(&self, sim: &mut Sim, msg: CoherenceMsg) {
         match msg {
             CoherenceMsg::Inv { round, from, inv } => {
-                {
-                    let mut cache = self.cache.borrow_mut();
-                    for &id in &inv.inodes {
-                        cache.invalidate_inode(id);
-                    }
-                    for &dir in &inv.listings {
-                        cache.invalidate_listing(dir);
-                    }
-                    for &(dir, name, present) in &inv.listing_updates {
-                        cache.update_listing(dir, name, present);
-                    }
-                    if let Some(prefix) = &inv.prefix {
-                        cache.invalidate_prefix(prefix);
-                    }
-                }
+                inv.apply(&mut self.cache.borrow_mut());
                 // ACK after invalidating (Algorithm 1, step 2).
                 self.coord.send(
                     sim,
@@ -208,10 +194,10 @@ impl CoordCoherence {
 }
 
 impl CoherenceHook for CoordCoherence {
-    fn invalidate(&self, sim: &mut Sim, inv: InvalidationSet, done: Box<dyn FnOnce(&mut Sim)>) {
+    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: Box<dyn FnOnce(&mut Sim)>) {
         // Step 1: the deployment set D, ascending. Then snapshot its live
-        // members, excluding ourselves (the leader's own cache is updated
-        // inline by the write path).
+        // members, excluding ourselves (the leader's own cache applies the
+        // same set once the write commits).
         let mut members = Vec::new();
         {
             let mut inner = self.inner.borrow_mut();
@@ -239,9 +225,8 @@ impl CoherenceHook for CoordCoherence {
             inner.next_round += 1;
             inner.next_round
         };
-        // Step 2: one payload for the whole round. A member already dead
-        // is sent nothing and owes no ACK.
-        let inv = Rc::new(inv);
+        // Step 2: one payload for the whole round, shared with the writer.
+        // A member already dead is sent nothing and owes no ACK.
         members.retain(|&member| {
             let msg = CoherenceMsg::Inv { round, from: self.session, inv: Rc::clone(&inv) };
             self.coord.send(sim, self.session, member, msg)
@@ -280,11 +265,11 @@ mod tests {
         let fired = Rc::new(RefCell::new(Vec::new()));
         for round in 1..=2 {
             let fired = Rc::clone(&fired);
-            let inv = InvalidationSet {
+            let inv = Rc::new(InvalidationSet {
                 inodes: vec![7],
                 paths: vec![DfsPath::root()],
                 ..InvalidationSet::default()
-            };
+            });
             endpoint.invalidate(&mut sim, inv, Box::new(move |_| fired.borrow_mut().push(round)));
         }
         endpoint.on_member_left(&mut sim, follower);

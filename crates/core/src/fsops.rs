@@ -43,15 +43,19 @@ use lambda_store::{Db, LockKey, NameKey, StoreResult, TxnId};
 /// Completion callback for one operation.
 pub type OpDone = Box<dyn FnOnce(&mut Sim, OpResult)>;
 
-/// Everything a write must invalidate before it commits, plus the paths
-/// that determine which deployments must be told (§3.5: `D` is the set of
-/// deployments caching at least one piece of affected metadata).
+/// A write's whole cache effect: what every cache the write reaches —
+/// its peers' before it commits, the writer's own after — drops or
+/// patches, plus the paths that determine which deployments must be told
+/// (§3.5: `D` is the set of deployments caching at least one piece of
+/// affected metadata).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvalidationSet {
     /// Inodes whose cached copies must be dropped.
     pub inodes: Vec<InodeId>,
-    /// Directories whose cached listings must be dropped wholesale
-    /// (subtree operations; single-child changes use `listing_updates`).
+    /// Directories whose cached listings must be dropped wholesale: those a
+    /// subtree operation touches (its root, whose descendants the prefix
+    /// drops too, and the root's parents). A single-inode write patches
+    /// its parents' listings through `listing_updates` instead.
     pub listings: Vec<InodeId>,
     /// In-place listing deltas `(dir, child name, present-after-write)` —
     /// an INV that names the changed child lets caches patch their
@@ -74,14 +78,70 @@ impl InvalidationSet {
             && self.listing_updates.is_empty()
             && self.prefix.is_none()
     }
+
+    /// A delete's set: `target`'s inode, and its name leaving its parent's
+    /// listing.
+    pub(crate) fn delete(target: &Inode, path: DfsPath) -> Self {
+        InvalidationSet {
+            inodes: vec![target.id],
+            listing_updates: vec![(target.parent, target.name.as_str(), false)],
+            paths: vec![path.parent().expect("non-root"), path],
+            ..InvalidationSet::default()
+        }
+    }
+
+    /// A move's set: `target`'s inode, and its name leaving the source
+    /// parent's listing and joining `dst_parent`'s.
+    pub(crate) fn mv(target: &Inode, src: DfsPath, dst: DfsPath, dst_parent: InodeId) -> Self {
+        InvalidationSet {
+            inodes: vec![target.id],
+            listing_updates: vec![
+                (target.parent, target.name.as_str(), false),
+                (dst_parent, dst.file_name().expect("non-root"), true),
+            ],
+            paths: vec![src.parent().expect("non-root"), dst.parent().expect("non-root"), src, dst],
+            ..InvalidationSet::default()
+        }
+    }
+
+    /// The same write on a subtree root (Appendix D), made safe to apply
+    /// before it is known to commit: peers apply it in the prefix round,
+    /// ahead of the root step's validation, so every listing the write
+    /// touches — the root's own and its parents' — is dropped rather than
+    /// patched, with everything cached at or under `prefix`.
+    pub(crate) fn subtree(mut self, prefix: DfsPath) -> Self {
+        let parents = self.listing_updates.drain(..).map(|(dir, _, _)| dir);
+        self.listings = self.inodes.iter().copied().chain(parents).collect();
+        self.prefix = Some(prefix);
+        self
+    }
+
+    /// Applies the set to one cache, in the order every cache uses:
+    /// inodes, listings, listing deltas, then the prefix.
+    pub fn apply(&self, cache: &mut MetadataCache) {
+        for &id in &self.inodes {
+            cache.invalidate_inode(id);
+        }
+        for &dir in &self.listings {
+            cache.invalidate_listing(dir);
+        }
+        for &(dir, name, present) in &self.listing_updates {
+            cache.update_listing(dir, name, present);
+        }
+        if let Some(prefix) = &self.prefix {
+            cache.invalidate_prefix(prefix);
+        }
+    }
 }
 
 /// The coherence protocol entry point a write calls **after** taking its
 /// exclusive store locks and **before** persisting anything (§3.5,
-/// Algorithm 1). `done` fires once every required ACK arrived.
+/// Algorithm 1). `done` fires once every required ACK arrived. The round
+/// reaches every cache but the writer's, which applies the same set once
+/// the write commits.
 pub trait CoherenceHook {
     /// Runs one invalidation round.
-    fn invalidate(&self, sim: &mut Sim, inv: InvalidationSet, done: Box<dyn FnOnce(&mut Sim)>);
+    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: Box<dyn FnOnce(&mut Sim)>);
 }
 
 /// Subtree-operation settings (Appendix D).
@@ -168,26 +228,6 @@ impl std::fmt::Debug for OpEngine {
     }
 }
 
-/// Which write a single-inode delete or move is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Scope {
-    /// An operation of its own, caching what it learns when allowed.
-    Op {
-        /// False when a foreign deployment serves it (see
-        /// [`OpEngine::execute`]).
-        allow_cache: bool,
-    },
-    /// The last step of a subtree operation, on the subtree root: the
-    /// prefix INV round already ran, and nothing it learns is cached.
-    SubtreeRoot,
-}
-
-impl Scope {
-    fn allow_cache(self) -> bool {
-        self == Scope::Op { allow_cache: true }
-    }
-}
-
 /// Outcome of path resolution: the inode chain root→target.
 type ChainResult = Result<Vec<Inode>, FsError>;
 
@@ -210,7 +250,8 @@ impl OpEngine {
     /// Executes `op`, charging NameNode CPU, store capacity, and (for
     /// writes) the coherence protocol. `allow_cache` is false when a
     /// foreign deployment serves the request under anti-thrashing
-    /// (Appendix C) — it must not cache metadata it does not own.
+    /// (Appendix C) — it must not cache metadata it does not own. It gates
+    /// fills only: a write's invalidations reach this cache regardless.
     pub fn execute(&self, sim: &mut Sim, op: FsOp, allow_cache: bool, done: OpDone) {
         let overhead = sim.rng().sample_duration(&self.cpu_params.op_overhead);
         let this = self.clone();
@@ -465,7 +506,6 @@ impl OpEngine {
                         let mut chain = chain;
                         chain.push(inode.clone());
                         cache.insert_chain(&path, &chain);
-                        cache.update_listing(parent.id, name.as_str(), true);
                     });
                     OpOutcome::Created(Box::new(inode))
                 };
@@ -494,23 +534,22 @@ impl OpEngine {
                 if target.is_dir() && this2.has_children(target.id) {
                     return this2.delete_subtree(sim, path, done);
                 }
-                this2.delete_single(sim, path, target, Scope::Op { allow_cache }, done);
+                let inv = InvalidationSet::delete(&target, path);
+                this2.delete_single(sim, target, Some(inv), done);
             });
         });
     }
 
-    /// Deletes one file or empty directory under exclusive locks. On a
-    /// subtree root it runs no INV round and drops the whole prefix from
-    /// the local cache.
+    /// Deletes one file or empty directory under exclusive locks, with
+    /// `inv` as its cache effect. A subtree root has none of its own: the
+    /// subtree operation's prefix set covers it.
     pub(crate) fn delete_single(
         &self,
         sim: &mut Sim,
-        path: DfsPath,
         target: Inode,
-        scope: Scope,
+        inv: Option<InvalidationSet>,
         done: OpDone,
     ) {
-        let name = target.name.as_str();
         let child_key = (target.parent, target.name.key());
         let keys = [
             self.db.lock_key(self.schema.inodes, &target.parent),
@@ -524,38 +563,15 @@ impl OpEngine {
             let Some(parent_now) = parent_now.filter(|_| leaf) else {
                 return Err(FsError::Retryable("delete target changed".into()));
             };
-            let inv = (scope != Scope::SubtreeRoot).then(|| InvalidationSet {
-                inodes: vec![target.id],
-                listing_updates: vec![(target.parent, name, false)],
-                paths: vec![path.clone(), path.parent().expect("non-root")],
-                ..InvalidationSet::default()
-            });
-            Ok(((parent_now, path), inv))
+            Ok((parent_now, inv))
         };
-        let apply = move |e: &OpEngine, txn, state: (Inode, DfsPath), now: SimTime| {
-            let (mut parent_now, path) = state;
+        let apply = move |e: &OpEngine, txn, mut parent_now: Inode, now: SimTime| {
             parent_now.mtime_nanos = now.as_nanos();
             e.db.remove(txn, e.schema.children, child_key)?;
             e.db.remove(txn, e.schema.inodes, target.id)?;
-            e.db.upsert(txn, e.schema.inodes, target.parent, parent_now)?;
-            Ok(path)
+            e.db.upsert(txn, e.schema.inodes, target.parent, parent_now)
         };
-        let committed = move |e: &OpEngine, path: DfsPath| {
-            if scope == Scope::SubtreeRoot {
-                e.update_cache(true, |cache| {
-                    cache.invalidate_prefix(&path);
-                    cache.invalidate_inode(target.parent);
-                    cache.invalidate_listing(target.parent);
-                });
-            } else {
-                e.update_cache(scope.allow_cache(), |cache| {
-                    cache.invalidate_inode(target.id);
-                    cache.update_listing(target.parent, name, false);
-                });
-            }
-            OpOutcome::Deleted(1)
-        };
-        self.write(sim, keys, validate, apply, committed, done);
+        self.write(sim, keys, validate, apply, |_, ()| OpOutcome::Deleted(1), done);
     }
 
     /// `mv file/dir`. Directories take the subtree path.
@@ -577,92 +593,85 @@ impl OpEngine {
                 if target.is_dir() {
                     return this2.mv_subtree(sim, src, dst, done);
                 }
-                this2.mv_single(sim, src, dst, target, Scope::Op { allow_cache }, done);
+                let this3 = this2.clone();
+                this2.resolve_dst_parent(sim, dst.parent(), allow_cache, move |sim, dst_parent| {
+                    match dst_parent {
+                        Ok(dst_parent) => {
+                            let inv = InvalidationSet::mv(&target, src, dst.clone(), dst_parent.id);
+                            this3.mv_single(sim, dst, target, dst_parent, Some(inv), done);
+                        }
+                        Err(e) => done(sim, Err(e)),
+                    }
+                });
             });
         });
     }
 
-    /// Moves one file under exclusive locks. On a subtree root its INV
-    /// set is empty, which still yields once to the event queue.
+    /// Resolves `parent_path`, the parent of a move's destination, to the
+    /// directory the move lands in (`None`: the destination is `/`).
+    pub(crate) fn resolve_dst_parent<F>(
+        &self,
+        sim: &mut Sim,
+        parent_path: Option<DfsPath>,
+        allow_cache: bool,
+        done: F,
+    ) where
+        F: FnOnce(&mut Sim, Result<Inode, FsError>) + 'static,
+    {
+        let Some(parent_path) = parent_path else {
+            return done(sim, Err(FsError::AlreadyExists("/".into())));
+        };
+        self.resolve_target(sim, parent_path.clone(), allow_cache, move |sim, parent| {
+            let not_dir = || FsError::NotADirectory(parent_path.to_string());
+            done(sim, parent.and_then(|p| if p.is_dir() { Ok(p) } else { Err(not_dir()) }));
+        });
+    }
+
+    /// Moves one inode to `dst`, in the resolved `dst_parent`, under
+    /// exclusive locks, re-validating the parent there; `inv` is the
+    /// move's cache effect, as for [`OpEngine::delete_single`].
     pub(crate) fn mv_single(
         &self,
         sim: &mut Sim,
-        src: DfsPath,
         dst: DfsPath,
         target: Inode,
-        scope: Scope,
+        dst_parent: Inode,
+        inv: Option<InvalidationSet>,
         done: OpDone,
     ) {
-        let allow_cache = scope.allow_cache();
-        let Some(dst_parent_path) = dst.parent() else {
-            return done(sim, Err(FsError::AlreadyExists("/".into())));
-        };
         let dst_name = dst.file_name_interned().expect("non-root");
-        let this = self.clone();
-        self.resolve_target(sim, dst_parent_path.clone(), allow_cache, move |sim, dst_parent| {
-            let dst_parent = match dst_parent {
-                Err(e) => return done(sim, Err(e)),
-                Ok(p) => p,
-            };
-            if !dst_parent.is_dir() {
-                return done(sim, Err(FsError::NotADirectory(dst_parent_path.to_string())));
+        let src_key = (target.parent, target.name.key());
+        let dst_key = (dst_parent.id, dst_name.key());
+        // The store takes each key once: a rename within one directory
+        // locks its parent row once.
+        let keys = [
+            self.db.lock_key(self.schema.inodes, &target.parent),
+            self.db.lock_key(self.schema.inodes, &target.id),
+            self.db.lock_key(self.schema.children, &src_key),
+            self.db.lock_key(self.schema.children, &dst_key),
+            self.db.lock_key(self.schema.inodes, &dst_parent.id),
+        ];
+        let validate = move |e: &OpEngine| {
+            let still_there = e.db.peek(e.schema.children, &src_key) == Some(target.id);
+            let dst_parent_now = e.db.peek(e.schema.inodes, &dst_parent.id);
+            if !still_there || dst_parent_now.is_none_or(|p| !p.is_dir()) {
+                return Err(FsError::Retryable("mv source/dest changed".into()));
             }
-            let src_key = (target.parent, target.name.key());
-            let dst_key = (dst_parent.id, dst_name.key());
-            // The store takes each key once: a rename within one
-            // directory locks its parent row once.
-            let keys = [
-                this.db.lock_key(this.schema.inodes, &target.parent),
-                this.db.lock_key(this.schema.inodes, &target.id),
-                this.db.lock_key(this.schema.children, &src_key),
-                this.db.lock_key(this.schema.children, &dst_key),
-                this.db.lock_key(this.schema.inodes, &dst_parent.id),
-            ];
-            let validate = move |e: &OpEngine| {
-                let still_there = e.db.peek(e.schema.children, &src_key) == Some(target.id);
-                let dst_parent_now = e.db.peek(e.schema.inodes, &dst_parent.id);
-                if !still_there || dst_parent_now.is_none_or(|p| !p.is_dir()) {
-                    return Err(FsError::Retryable("mv source/dest changed".into()));
-                }
-                if e.db.peek(e.schema.children, &dst_key).is_some() {
-                    return Err(FsError::AlreadyExists(dst.to_string()));
-                }
-                let inv = if scope == Scope::SubtreeRoot {
-                    InvalidationSet::default()
-                } else {
-                    let src_parent = src.parent().expect("non-root");
-                    InvalidationSet {
-                        inodes: vec![target.id],
-                        listing_updates: vec![
-                            (target.parent, target.name.as_str(), false),
-                            (dst_parent.id, dst_name.as_str(), true),
-                        ],
-                        paths: vec![src, dst, src_parent, dst_parent_path],
-                        ..InvalidationSet::default()
-                    }
-                };
-                Ok(((), Some(inv)))
-            };
-            let (id, src_parent, src_name) = (target.id, target.parent, target.name.as_str());
-            let apply = move |e: &OpEngine, txn, (), now: SimTime| {
-                let mut moved = target;
-                moved.parent = dst_parent.id;
-                moved.name = dst_name;
-                moved.mtime_nanos = now.as_nanos();
-                e.db.remove(txn, e.schema.children, src_key)?;
-                e.db.upsert(txn, e.schema.children, dst_key, id)?;
-                e.db.upsert(txn, e.schema.inodes, id, moved)
-            };
-            let committed = move |e: &OpEngine, ()| {
-                e.update_cache(allow_cache, |cache| {
-                    cache.invalidate_inode(id);
-                    cache.update_listing(src_parent, src_name, false);
-                    cache.update_listing(dst_parent.id, dst_name.as_str(), true);
-                });
-                OpOutcome::Moved(1)
-            };
-            this.write(sim, keys, validate, apply, committed, done);
-        });
+            if e.db.peek(e.schema.children, &dst_key).is_some() {
+                return Err(FsError::AlreadyExists(dst.to_string()));
+            }
+            Ok(((), inv))
+        };
+        let apply = move |e: &OpEngine, txn, (), now: SimTime| {
+            let mut moved = target;
+            moved.parent = dst_parent.id;
+            moved.name = dst_name;
+            moved.mtime_nanos = now.as_nanos();
+            e.db.remove(txn, e.schema.children, src_key)?;
+            e.db.upsert(txn, e.schema.children, dst_key, moved.id)?;
+            e.db.upsert(txn, e.schema.inodes, moved.id, moved)
+        };
+        self.write(sim, keys, validate, apply, |_, ()| OpOutcome::Moved(1), done);
     }
 
     // ------------------------------------------------------------------
@@ -675,12 +684,13 @@ impl OpEngine {
     /// 1. Begin and take `keys` exclusively; a lock failure has aborted
     ///    the transaction and answers retryable.
     /// 2. `validate` re-reads under the locks; an error aborts. It returns
-    ///    the state `apply` needs and the INV round to run: `None` runs
-    ///    none, a set runs [`OpEngine::with_coherence`] (an empty set only
-    ///    yields to the event queue).
+    ///    the state `apply` needs and the write's cache effect: `None` has
+    ///    none, a set runs [`OpEngine::with_coherence`] for every other
+    ///    cache.
     /// 3. `apply` writes the rows; a failed write aborts.
-    /// 4. Commit; then `committed` applies the local cache effect and
-    ///    makes the outcome, and `done` receives it.
+    /// 4. Commit; then the writer's own cache applies the same set,
+    ///    whatever `allow_cache` says, and `committed` makes the outcome
+    ///    (and fills the cache, where allowed); `done` receives it.
     pub(crate) fn write<S, T, R, V, A, C, D>(
         &self,
         sim: &mut Sim,
@@ -705,15 +715,19 @@ impl OpEngine {
             };
             // A failed validation runs no INV round and aborts at commit.
             let (state, inv) = match validate(&this) {
-                Ok((state, inv)) => (Ok(state), inv),
+                Ok((state, inv)) => (Ok(state), inv.map(Rc::new)),
                 Err(e) => (Err(e), None),
             };
             let engine = this.clone();
+            let own = inv.clone();
             let write = move |sim: &mut Sim| {
                 let written = state
                     .and_then(|state| apply(&this, txn, state, sim.now()).map_err(FsError::from));
                 let db = this.db.clone();
                 db.commit_after(sim, txn, written, move |sim, r| {
+                    if let (Ok(_), Some(inv)) = (&r, own) {
+                        this.update_cache(true, |cache| inv.apply(cache));
+                    }
                     done(sim, r.map(|out| committed(&this, out)));
                 });
             };
@@ -725,7 +739,7 @@ impl OpEngine {
     }
 
     /// Runs `effect` on the local cache, if there is one and `allow` holds.
-    fn update_cache(&self, allow: bool, effect: impl FnOnce(&mut MetadataCache)) {
+    pub(crate) fn update_cache(&self, allow: bool, effect: impl FnOnce(&mut MetadataCache)) {
         if let (true, Some(cache)) = (allow, &self.cache) {
             effect(&mut cache.borrow_mut());
         }
@@ -738,7 +752,7 @@ impl OpEngine {
     }
 
     /// Runs the coherence hook if configured, else proceeds immediately.
-    pub(crate) fn with_coherence<F>(&self, sim: &mut Sim, inv: InvalidationSet, done: F)
+    pub(crate) fn with_coherence<F>(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: F)
     where
         F: FnOnce(&mut Sim) + 'static,
     {
@@ -833,5 +847,21 @@ mod tests {
             ..Default::default()
         };
         assert!(!inv.is_empty());
+    }
+
+    #[test]
+    fn a_subtree_set_drops_the_listings_it_touches_and_patches_none() {
+        // Peers apply a subtree set before its root step validates, so it
+        // must stay safe if that step fails: drops only, no deltas.
+        let p = |s: &str| -> DfsPath { s.parse().unwrap() };
+        let root = Inode::directory(5, 2, "m");
+        let inv = InvalidationSet::mv(&root, p("/p/m"), p("/q/x"), 3).subtree(p("/p/m"));
+        assert_eq!(inv.inodes, [5]);
+        assert_eq!(inv.listings, [5, 2, 3]);
+        assert!(inv.listing_updates.is_empty());
+        assert_eq!(inv.prefix, Some(p("/p/m")));
+        let inv = InvalidationSet::delete(&root, p("/p/m")).subtree(p("/p/m"));
+        assert_eq!(inv.listings, [5, 2]);
+        assert!(inv.listing_updates.is_empty());
     }
 }

@@ -22,6 +22,12 @@
 //!    batched row removals (so a crash mid-way never orphans an inode),
 //!    then the emptied root.
 //!
+//! The prefix set is the operation's whole cache effect: it drops the
+//! subtree, the root's listing and its parents' listings. Peers apply it
+//! in the prefix round, before the root step validates, so it patches
+//! nothing a failed step would leave wrong; the writer applies it once the
+//! root step ends.
+//!
 //! The flag's acquire and the root's relink or delete are ordinary
 //! [`OpEngine::write`]s (the root's are the single-inode `mv` and `delete`
 //! of `fsops`, told that the prefix round already ran); the flag's release
@@ -36,7 +42,7 @@ use lambda_namespace::{DfsPath, FsError, Inode, InodeId, OpOutcome, SubtreeLockR
 use lambda_sim::{Sim, SimDuration, SimTime};
 use lambda_store::NameKey;
 
-use crate::fsops::{InvalidationSet, OpDone, OpEngine, Scope};
+use crate::fsops::{InvalidationSet, OpDone, OpEngine};
 use crate::messages::{SubtreeBatch, SubtreeBatchKind, SubtreeItem};
 
 /// Continuation fired when a batch (or batch set) completes.
@@ -48,16 +54,11 @@ impl OpEngine {
     /// Recursive delete of the directory at `path`.
     pub(crate) fn delete_subtree(&self, sim: &mut Sim, path: DfsPath, done: OpDone) {
         let this = self.clone();
-        self.with_subtree_lock(sim, path.clone(), "delete", move |sim, root_id, finish| {
-            let inv = InvalidationSet {
-                inodes: vec![root_id],
-                listings: vec![root_id],
-                prefix: Some(path.clone()),
-                paths: vec![path.clone(), path.parent().expect("subtree root is not /")],
-                ..InvalidationSet::default()
-            };
+        self.with_subtree_lock(sim, path.clone(), "delete", move |sim, root, finish| {
+            let inv = Rc::new(InvalidationSet::delete(&root, path.clone()).subtree(path));
             let this2 = this.clone();
-            this.quiesce_and_invalidate(sim, root_id, inv, move |sim, mut items| {
+            let root_id = root.id;
+            this.quiesce_and_invalidate(sim, root_id, Rc::clone(&inv), move |sim, mut items| {
                 // Leaf-first: reverse the BFS (parents-before-children)
                 // order so partial execution keeps the tree well-formed.
                 items.reverse();
@@ -68,47 +69,57 @@ impl OpEngine {
                 this2.run_batches(sim, deletes, move |sim| {
                     // Finally the (now empty) root itself: an ordinary
                     // single delete whose INV the prefix round covered.
-                    this3.on_root(sim, root_id, deleted, finish, |sim, root, done| {
-                        this3.delete_single(sim, path, root, Scope::SubtreeRoot, done);
+                    this3.on_root(sim, root_id, inv, deleted, finish, |sim, root, done| {
+                        this3.delete_single(sim, root, None, done);
                     });
                 });
             });
         }, done);
     }
 
-    /// Recursive move of the directory at `src` to `dst`.
+    /// Recursive move of the directory at `src` to `dst`. The destination
+    /// parent is resolved and the name checked free once, before the flag,
+    /// so the prefix set can name its listing; the root step re-validates
+    /// both under its locks.
     pub(crate) fn mv_subtree(&self, sim: &mut Sim, src: DfsPath, dst: DfsPath, done: OpDone) {
         let this = self.clone();
-        self.with_subtree_lock(sim, src.clone(), "mv", move |sim, root_id, finish| {
-            let inv = InvalidationSet {
-                inodes: vec![root_id],
-                listings: vec![root_id],
-                prefix: Some(src.clone()),
-                paths: vec![
-                    src.clone(),
-                    dst.clone(),
-                    src.parent().expect("subtree root is not /"),
-                    dst.parent().unwrap_or_else(DfsPath::root),
-                ],
-                ..InvalidationSet::default()
+        self.resolve_dst_parent(sim, dst.parent(), false, move |sim, dst_parent| {
+            let dst_parent = match dst_parent {
+                Err(e) => return done(sim, Err(e)),
+                Ok(p) => p,
             };
+            let dst_name = dst.file_name_interned().expect("non-root");
+            if this.db.peek(this.schema.children, &(dst_parent.id, dst_name.key())).is_some() {
+                return done(sim, Err(FsError::AlreadyExists(dst.to_string())));
+            }
             let this2 = this.clone();
-            this.quiesce_and_invalidate(sim, root_id, inv, move |sim, items| {
-                // The actual relink is a single small transaction:
-                // descendants key off the root's id and need no rewriting.
-                let moved = OpOutcome::Moved(items.len() as u64 + 1);
-                this2.on_root(sim, root_id, moved, finish, |sim, root, done| {
-                    this2.mv_single(sim, src, dst, root, Scope::SubtreeRoot, done);
+            this.with_subtree_lock(sim, src.clone(), "mv", move |sim, root, finish| {
+                let inv = InvalidationSet::mv(&root, src.clone(), dst.clone(), dst_parent.id);
+                let inv = Rc::new(inv.subtree(src));
+                let this3 = this2.clone();
+                let root_id = root.id;
+                this2.quiesce_and_invalidate(sim, root_id, Rc::clone(&inv), move |sim, items| {
+                    // The actual relink is a single small transaction:
+                    // descendants key off the root's id and need no rewriting.
+                    let moved = OpOutcome::Moved(items.len() as u64 + 1);
+                    this3.on_root(sim, root_id, inv, moved, finish, |sim, root, done| {
+                        this3.mv_single(sim, dst, root, dst_parent, None, done);
+                    });
                 });
-            });
-        }, done);
+            }, done);
+        });
     }
 
     /// Phases 2 and 3's common start: collects the subtree under `root`,
     /// quiesces it in batches, then runs the one prefix INV
     /// round (instead of thousands of per-INode rounds) before `then`.
-    fn quiesce_and_invalidate<F>(&self, sim: &mut Sim, root: InodeId, inv: InvalidationSet, then: F)
-    where
+    fn quiesce_and_invalidate<F>(
+        &self,
+        sim: &mut Sim,
+        root: InodeId,
+        inv: Rc<InvalidationSet>,
+        then: F,
+    ) where
         F: FnOnce(&mut Sim, Vec<SubtreeItem>) + 'static,
     {
         let this = self.clone();
@@ -122,16 +133,31 @@ impl OpEngine {
     }
 
     /// Phase 3's last step, on the subtree root as the store holds it now:
-    /// `step` runs the single-inode write, and `finish` receives `outcome`
-    /// (every inode the operation covered) for its success.
-    fn on_root<S>(&self, sim: &mut Sim, root: InodeId, outcome: OpOutcome, finish: OpDone, step: S)
-    where
+    /// `step` runs the single-inode write. Once it ends, the writer's cache
+    /// applies the prefix set `inv` — whatever the outcome, as the peers
+    /// did: it only drops, and a failed delete may have removed
+    /// descendants already — and `finish` receives `outcome` (every inode
+    /// the operation covered).
+    fn on_root<S>(
+        &self,
+        sim: &mut Sim,
+        root: InodeId,
+        inv: Rc<InvalidationSet>,
+        outcome: OpOutcome,
+        finish: OpDone,
+        step: S,
+    ) where
         S: FnOnce(&mut Sim, Inode, OpDone),
     {
+        let this = self.clone();
+        let finish: OpDone = Box::new(move |sim, r| {
+            this.update_cache(true, |cache| inv.apply(cache));
+            finish(sim, r.map(|_| outcome));
+        });
         let Some(root) = self.db.peek(self.schema.inodes, &root) else {
             return finish(sim, Err(FsError::Retryable("subtree root vanished".into())));
         };
-        step(sim, root, Box::new(move |sim, r| finish(sim, r.map(|_| outcome))));
+        step(sim, root, finish);
     }
 
     // ------------------------------------------------------------------
@@ -139,9 +165,9 @@ impl OpEngine {
     // ------------------------------------------------------------------
 
     /// Resolves the subtree root, takes the persistent subtree-lock flag,
-    /// runs `body`, and guarantees the flag is released before `done`
-    /// fires. `body` receives a `finish` continuation it must call exactly
-    /// once.
+    /// runs `body` on the root, and guarantees the flag is released before
+    /// `done` fires. `body` receives a `finish` continuation it must call
+    /// exactly once.
     ///
     /// Subtree isolation: every flag overlapping `path` counts. One whose
     /// holder is alive answers [`FsError::SubtreeLocked`]; the stale ones
@@ -156,7 +182,7 @@ impl OpEngine {
         body: B,
         done: OpDone,
     ) where
-        B: FnOnce(&mut Sim, InodeId, OpDone) + 'static,
+        B: FnOnce(&mut Sim, Inode, OpDone) + 'static,
     {
         let this = self.clone();
         self.resolve_chain(sim, path.clone(), false, move |sim, chain| {
@@ -201,7 +227,7 @@ impl OpEngine {
                     let key = this2.db.lock_key(table, &root.id);
                     this2.db.write(sim, [key], release, move |sim, _| done(sim, result));
                 });
-                body(sim, root.id, finish);
+                body(sim, root, finish);
             });
         });
     }

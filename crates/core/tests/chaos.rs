@@ -154,7 +154,7 @@ proptest! {
         let plan = random_plan(&mut rng);
         let ops = 24;
         let durable = case_seed & 1 == 1;
-        let (trace, report) = run_case(case_seed ^ 0xC4A0_5, &plan, ops, durable);
+        let (trace, report) = run_case(case_seed ^ 0xC_4A05, &plan, ops, durable);
         prop_assert_eq!(trace.len(), ops, "non-terminating ops under plan {:?}", plan);
         prop_assert!(
             report.is_clean(),

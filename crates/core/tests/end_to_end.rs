@@ -5,9 +5,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig};
-use lambda_namespace::{DfsPath, FsError, FsOp, OpOutcome, OpResult};
-use lambda_sim::{Sim, SimDuration, SimTime};
+use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig, OpEngine};
+use lambda_namespace::{DfsPath, FsError, FsOp, MetadataCache, MetadataSchema, OpOutcome, OpResult};
+use lambda_sim::params::{CpuParams, StoreParams};
+use lambda_sim::{Sim, SimDuration, SimTime, Station};
+use lambda_store::Db;
 
 fn p(s: &str) -> DfsPath {
     s.parse().unwrap()
@@ -270,6 +272,129 @@ fn subtree_mv_relocates_the_whole_tree() {
     assert!(fs.check_consistency().is_empty());
     assert_eq!(fs.db().table_len(fs.schema().subtree_locks), 0);
     fs.stop(&mut sim);
+}
+
+/// The names `ls` answers, sorted.
+fn listing(result: OpResult) -> Vec<&'static str> {
+    let OpOutcome::Listing(names) = result.unwrap() else { panic!("expected Listing") };
+    let mut names = names.to_vec();
+    names.sort_unstable();
+    names
+}
+
+#[test]
+fn subtree_writes_leave_no_stale_cache_at_one_instance_per_deployment() {
+    // One instance per deployment: the instance that ran a subtree write
+    // is the one that serves its deployment's next reads, so its own
+    // cache must forget the subtree just as its peers' do.
+    for deployments in [1, 4, 8] {
+        let mut sim = Sim::new(31);
+        let config =
+            LambdaFsConfig { deployments, max_instances_per_deployment: 1, ..small_config() };
+        let fs = LambdaFs::build(&mut sim, config);
+        fs.start(&mut sim);
+        for dir in ["/p", "/p/d", "/p/m", "/q"] {
+            run_op(&mut sim, &fs, 0, FsOp::Mkdir(p(dir))).unwrap();
+        }
+        for file in ["/p/d/f", "/p/m/g"] {
+            run_op(&mut sim, &fs, 0, FsOp::CreateFile(p(file))).unwrap();
+        }
+        let old = ["/p/d", "/p/d/f", "/p/m", "/p/m/g"];
+        for c in 0..8 {
+            for path in old {
+                run_op(&mut sim, &fs, c, FsOp::Stat(p(path))).unwrap();
+            }
+            assert_eq!(listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/p")))), ["d", "m"]);
+            assert!(listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/q")))).is_empty());
+        }
+        let deleted = run_op(&mut sim, &fs, 1, FsOp::Delete(p("/p/d"))).unwrap();
+        assert!(matches!(deleted, OpOutcome::Deleted(2)), "d={deployments}: {deleted:?}");
+        let moved = run_op(&mut sim, &fs, 2, FsOp::Mv(p("/p/m"), p("/q/m"))).unwrap();
+        assert!(matches!(moved, OpOutcome::Moved(2)), "d={deployments}: {moved:?}");
+        for c in 0..8 {
+            for path in old {
+                let stat = run_op(&mut sim, &fs, c, FsOp::Stat(p(path)));
+                assert!(
+                    matches!(stat, Err(FsError::NotFound(_))),
+                    "d={deployments}, client {c}: stat {path} answered {stat:?}"
+                );
+            }
+            let moved = run_op(&mut sim, &fs, c, FsOp::Stat(p("/q/m/g"))).unwrap();
+            assert!(matches!(moved, OpOutcome::Meta(_)), "d={deployments}, client {c}");
+            let ls_p = listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/p"))));
+            assert!(ls_p.is_empty(), "d={deployments}, client {c}: ls /p answered {ls_p:?}");
+            let ls_q = listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/q"))));
+            assert_eq!(ls_q, ["m"], "d={deployments}, client {c}");
+        }
+        assert!(fs.check_consistency().is_empty());
+        fs.stop(&mut sim);
+    }
+}
+
+#[test]
+fn a_subtree_mv_onto_a_taken_name_leaves_every_cached_listing_intact() {
+    // A plain user error: the move fails and the store is unchanged, so
+    // every client — whichever deployment serves it — must still list
+    // both parents as they were.
+    for deployments in [1, 4, 8] {
+        let mut sim = Sim::new(41);
+        let config =
+            LambdaFsConfig { deployments, max_instances_per_deployment: 1, ..small_config() };
+        let fs = LambdaFs::build(&mut sim, config);
+        fs.start(&mut sim);
+        for dir in ["/p", "/p/m", "/q", "/q/x"] {
+            run_op(&mut sim, &fs, 0, FsOp::Mkdir(p(dir))).unwrap();
+        }
+        run_op(&mut sim, &fs, 0, FsOp::CreateFile(p("/p/m/g"))).unwrap();
+        for c in 0..8 {
+            run_op(&mut sim, &fs, c, FsOp::Stat(p("/p/m/g"))).unwrap();
+            assert_eq!(listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/p")))), ["m"]);
+            assert_eq!(listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/q")))), ["x"]);
+        }
+        let moved = run_op(&mut sim, &fs, 2, FsOp::Mv(p("/p/m"), p("/q/x")));
+        assert!(matches!(moved, Err(FsError::AlreadyExists(_))), "d={deployments}: {moved:?}");
+        for c in 0..8 {
+            let ls_p = listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/p"))));
+            assert_eq!(ls_p, ["m"], "d={deployments}, client {c}");
+            let ls_q = listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/q"))));
+            assert_eq!(ls_q, ["x"], "d={deployments}, client {c}");
+            let stat = run_op(&mut sim, &fs, c, FsOp::Stat(p("/p/m/g"))).unwrap();
+            assert!(matches!(stat, OpOutcome::Meta(_)), "d={deployments}, client {c}");
+        }
+        assert!(fs.check_consistency().is_empty());
+        fs.stop(&mut sim);
+    }
+}
+
+#[test]
+fn a_write_served_without_caching_still_patches_the_writers_listing() {
+    // `allow_cache = false` (a foreign deployment serving under
+    // anti-thrashing) forbids fills, not invalidations: the writer's own
+    // cached listing of the parent loses the deleted name.
+    let mut sim = Sim::new(37);
+    let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+    let schema = MetadataSchema::install(&db);
+    let mut engine = OpEngine::stateless(db, schema, Station::new("nn", 4), CpuParams::default());
+    let cache = Rc::new(RefCell::new(MetadataCache::new(1024)));
+    engine.cache = Some(Rc::clone(&cache));
+    let dir = engine.schema.bootstrap_mkdir(&engine.db, &p("/dir"));
+    for file in ["/dir/a", "/dir/b"] {
+        engine.schema.bootstrap_create(&engine.db, &p(file));
+    }
+    let mut run = |op: FsOp, allow_cache: bool| -> OpResult {
+        let slot = Rc::new(RefCell::new(None));
+        let out = Rc::clone(&slot);
+        let done = Box::new(move |_sim: &mut Sim, r| *out.borrow_mut() = Some(r));
+        engine.execute(&mut sim, op, allow_cache, done);
+        sim.run();
+        let result = slot.borrow_mut().take();
+        result.expect("the operation completed")
+    };
+    assert_eq!(listing(run(FsOp::Ls(p("/dir")), true)), ["a", "b"]);
+    assert!(matches!(run(FsOp::Delete(p("/dir/a")), false).unwrap(), OpOutcome::Deleted(1)));
+    let cached = cache.borrow_mut().listing(dir).expect("the listing stays cached");
+    assert_eq!(*cached, ["b"]);
+    assert_eq!(listing(run(FsOp::Ls(p("/dir")), true)), ["b"]);
 }
 
 #[test]

@@ -287,14 +287,16 @@ proptest! {
     ) {
         let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
         let schema = MetadataSchema::install(&db);
-        let mut ids: HashMap<DfsPath, InodeId> = HashMap::from([(DfsPath::root(), ROOT_INODE_ID)]);
+        let root = DfsPath::root().as_str();
+        let mut ids: HashMap<&str, InodeId> = HashMap::from([(root, ROOT_INODE_ID)]);
         for p in &created {
             for dir in lineage(p) {
-                ids.entry(dir.clone()).or_insert_with(|| schema.bootstrap_mkdir(&db, &dir));
+                ids.entry(dir.as_str()).or_insert_with(|| schema.bootstrap_mkdir(&db, &dir));
             }
         }
         for p in created.iter().chain(&probes) {
-            let want: Option<Vec<InodeId>> = lineage(p).map(|a| ids.get(&a).copied()).collect();
+            let want: Option<Vec<InodeId>> =
+                lineage(p).map(|a| ids.get(a.as_str()).copied()).collect();
             prop_assert_eq!(&schema.peek_chain_ids(&db, p), &want, "ids of {}", p);
             let chain = schema.peek_chain(&db, p);
             let chain_ids = chain.as_ref().map(|c| c.iter().map(|i| i.id).collect::<Vec<_>>());

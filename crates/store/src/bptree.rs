@@ -963,6 +963,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "range start is greater than range end")]
+    #[allow(clippy::reversed_empty_ranges, reason = "the inverted range is what this test is for")]
     fn inverted_range_panics() {
         let t: BpTree<u64, u64> = BpTree::new();
         let _ = t.count_range(&(10..5));

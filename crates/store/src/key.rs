@@ -419,7 +419,7 @@ mod tests {
         assert_eq!(long.as_slice(), (9u64, long_name).encode().as_slice());
 
         // Ordering and equality are representation-independent.
-        let mut keys = vec![long.clone(), short.clone(), EncodedKey::from_slice(b"")];
+        let mut keys = [long.clone(), short.clone(), EncodedKey::from_slice(b"")];
         keys.sort();
         assert_eq!(keys[0].as_slice(), b"");
         assert_eq!(short, EncodedKey::from_slice(&7u64.encode()));

@@ -10,9 +10,10 @@
 #      figure lookup, flag rejection, and that every figure named below is
 #      registered; the allocation gates of step 11, in a debug build; and
 #      the stubs' own unit tests).
-#   2. lint: clippy across the workspace, warnings denied; rustdoc across
-#      the workspace, warnings denied (a doc link to a deleted or private
-#      item fails here).
+#   2. lint: clippy across the workspace, every target (tests, benches,
+#      examples) included, warnings denied; rustdoc across the workspace,
+#      warnings denied (a doc link to a deleted or private item fails
+#      here).
 #   3. fig10 golden check: the seeded latency-CDF figure must be
 #      byte-identical to results/golden/fig10_latency_cdfs.txt (modulo
 #      the wall-clock line) — the end-to-end determinism contract the
@@ -121,7 +122,7 @@ echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
 echo "== lint: cargo clippy + cargo doc (deny warnings) =="
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 echo "== fig10 golden check (byte-identical modulo wall-clock) =="
