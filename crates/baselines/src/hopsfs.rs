@@ -43,7 +43,7 @@ pub struct HopsFsConfig {
     /// Subtree sub-operation batch size.
     pub subtree_batch_size: usize,
     /// Concurrent in-flight subtree batches (HopsFS runs sub-operations
-    /// in parallel on the coordinating NameNode; no offloading).
+    /// in parallel on the coordinating NameNode).
     pub subtree_parallelism: usize,
     /// Number of DataNodes publishing reports.
     pub datanodes: u32,
@@ -139,7 +139,6 @@ impl HopsFs {
                     subtree: SubtreeSettings {
                         batch_size: config.subtree_batch_size,
                         parallelism: config.subtree_parallelism,
-                        offloader: None,
                         holder_tag: i as u64 + 1,
                         holder_alive: None,
                     },

@@ -428,11 +428,13 @@ impl Default for LambdaIndexFsConfig {
 }
 
 /// λIndexFS: IndexFS's metadata handling repackaged into auto-scaling
-/// serverless functions over LevelDB.
+/// serverless functions over LevelDB. Cloning is cheap; clones share the
+/// system.
+#[derive(Clone)]
 pub struct LambdaIndexFs {
-    config: LambdaIndexFsConfig,
+    config: Rc<LambdaIndexFsConfig>,
     platform: Platform<IndexFn>,
-    deployments: Vec<DeploymentId>,
+    deployments: Rc<[DeploymentId]>,
     metrics: Rc<RefCell<RunMetrics>>,
     /// client → (deployment → connected instance).
     connections: Rc<RefCell<Vec<HashMap<u32, InstanceId>>>>,
@@ -456,7 +458,7 @@ impl LambdaIndexFs {
             pricing: lambda_sim::LambdaPricing::default(),
             request_ttl: config.timeout * 2,
         });
-        let deployments: Vec<DeploymentId> = (0..config.deployments)
+        let deployments: Rc<[DeploymentId]> = (0..config.deployments)
             .map(|d| {
                 let backend = LevelDbBackend::new(
                     &format!("leveldb-{d}"),
@@ -489,7 +491,7 @@ impl LambdaIndexFs {
         let connections =
             Rc::new(RefCell::new(vec![HashMap::new(); config.clients.max(1) as usize]));
         LambdaIndexFs {
-            config,
+            config: Rc::new(config),
             platform,
             deployments,
             metrics: Rc::new(RefCell::new(RunMetrics::new())),
@@ -547,7 +549,6 @@ impl LambdaIndexFs {
         let dep = (dir_hash(op.path()) % u64::from(self.config.deployments)) as u32;
         let conn = self.connections.borrow()[client].get(&dep).copied();
         let replace = sim.rng().gen_bool(self.config.http_replace_prob);
-        let this = self.clone_handle();
         let class = op.class();
         let metrics = Rc::clone(&self.metrics);
         let respond: Responder<TreeResp> = {
@@ -584,30 +585,20 @@ impl LambdaIndexFs {
         }
         // Timeout + retry.
         let timeout = self.config.timeout;
-        let this2 = this.clone_handle();
+        let this = self.clone();
         sim.schedule(timeout, move |sim| {
             if done.borrow().is_none() {
                 return;
             }
             if tries >= 4 {
                 if let Some(d) = done.borrow_mut().take() {
-                    this2.metrics.borrow_mut().record_failure(true);
+                    this.metrics.borrow_mut().record_failure(true);
                     d(sim, false);
                 }
                 return;
             }
-            this2.metrics.borrow_mut().retries += 1;
-            this2.attempt(sim, client, op, tries + 1, started, done);
+            this.metrics.borrow_mut().retries += 1;
+            this.attempt(sim, client, op, tries + 1, started, done);
         });
-    }
-
-    fn clone_handle(&self) -> LambdaIndexFs {
-        LambdaIndexFs {
-            config: self.config.clone(),
-            platform: self.platform.clone(),
-            deployments: self.deployments.clone(),
-            metrics: Rc::clone(&self.metrics),
-            connections: Rc::clone(&self.connections),
-        }
     }
 }

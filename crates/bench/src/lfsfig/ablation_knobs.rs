@@ -67,7 +67,7 @@ fn run_one(label: &str, scale: f64, seed: u64, mutate: Knob) -> Ablation {
 pub fn run(args: &Args) {
     let scale = args.scale();
     let seed = args.u64("seed", 54);
-    let knobs: [(&str, Knob); 10] = [
+    let knobs: [(&str, Knob); 9] = [
         ("baseline (p=1%, CL=4, coherence on)", |_| {}),
         ("replacement p=0 (no autoscale signal)", |c| c.http_replace_prob = 0.0),
         ("replacement p=5%", |c| c.http_replace_prob = 0.05),
@@ -76,7 +76,6 @@ pub fn run(args: &Args) {
         ("ConcurrencyLevel=16", |c| c.concurrency_level = 16),
         ("reduced cache (< WSS)", |c| c.cache_capacity = 4_000),
         ("coherence OFF (unsafe)", |c| c.coherence_enabled = false),
-        ("no subtree offloading", |c| c.subtree_offload = false),
         ("NDB coordinator (10ms epochs)", |c| c.coordinator = lambda_coord::CoordinatorKind::Ndb),
     ];
     let jobs: Vec<_> =

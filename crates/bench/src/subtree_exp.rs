@@ -45,6 +45,8 @@ pub fn run_subtree_mv(kind: SystemKind, dir_size: usize, seed: u64) -> SubtreeMv
                     // timeouts by orders of magnitude.
                     client_timeout: SimDuration::from_secs(600),
                     straggler_threshold: f64::INFINITY,
+                    // Appendix D's helper NameNodes run batches beside the
+                    // leader: twice-plus HopsFS's 7 is all of λFS's lead.
                     subtree_parallelism: 16,
                     store,
                     ..Default::default()

@@ -462,7 +462,7 @@ impl ClientLib {
                     }
                 },
             };
-            let request = NnRequest::Op {
+            let request = NnRequest {
                 id: a.id,
                 op: a.op.clone(),
                 via_http: tcp.is_none(),
@@ -587,9 +587,7 @@ impl ClientLib {
     }
 
     fn on_response(&self, sim: &mut Sim, key: AttemptKey, resp: NnResponse) {
-        let NnResponse::Op { result, served_by, deployment, .. } = resp else {
-            return; // offload replies never reach clients
-        };
+        let NnResponse { result, served_by, deployment, .. } = resp;
         // Register the NameNode's connection-back even for duplicate
         // responses to a completed request — more routes is strictly
         // better (the key carries the client index precisely for this).

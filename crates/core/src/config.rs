@@ -45,9 +45,6 @@ pub struct LambdaFsConfig {
     /// latency above `T ×` the moving average puts the client in
     /// TCP-only mode.
     pub anti_thrash_threshold: f64,
-    /// Offload subtree batches to helper NameNodes (Appendix D's
-    /// "serverless offloading").
-    pub subtree_offload: bool,
     /// Maximum concurrent in-flight subtree batches per executor.
     pub subtree_parallelism: usize,
     /// Run the cache-coherence protocol on writes. Disabling this is an
@@ -101,7 +98,6 @@ impl Default for LambdaFsConfig {
             max_retries: 6,
             straggler_threshold: 10.0,
             anti_thrash_threshold: 2.5,
-            subtree_offload: true,
             subtree_parallelism: 4,
             coherence_enabled: true,
             client_vms: 8,

@@ -50,13 +50,9 @@ pub type OpDone = Box<dyn FnOnce(&mut Sim, OpResult)>;
 /// affected metadata).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvalidationSet {
-    /// Inodes whose cached copies must be dropped.
+    /// Inodes whose cached copies — and, for a directory, its cached
+    /// listing — must be dropped.
     pub inodes: Vec<InodeId>,
-    /// Directories whose cached listings must be dropped wholesale: those a
-    /// subtree operation touches (its root, whose descendants the prefix
-    /// drops too, and the root's parents). A single-inode write patches
-    /// its parents' listings through `listing_updates` instead.
-    pub listings: Vec<InodeId>,
     /// In-place listing deltas `(dir, child name, present-after-write)` —
     /// an INV that names the changed child lets caches patch their
     /// listing instead of dropping it. Names are interned `&'static str`,
@@ -73,25 +69,25 @@ impl InvalidationSet {
     /// Whether there is nothing to invalidate.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inodes.is_empty()
-            && self.listings.is_empty()
-            && self.listing_updates.is_empty()
-            && self.prefix.is_none()
+        self.inodes.is_empty() && self.listing_updates.is_empty() && self.prefix.is_none()
     }
 
-    /// A delete's set: `target`'s inode, and its name leaving its parent's
-    /// listing.
+    /// A delete's set: `target`'s inode, its name leaving its parent's
+    /// listing and, for a directory, everything cached at or under `path`
+    /// (Appendix D's prefix, which reaches every deployment: a directory
+    /// is cached as an ancestor wherever its descendants are).
     pub(crate) fn delete(target: &Inode, path: DfsPath) -> Self {
         InvalidationSet {
             inodes: vec![target.id],
             listing_updates: vec![(target.parent, target.name.as_str(), false)],
+            prefix: target.is_dir().then(|| path.clone()),
             paths: vec![path.parent().expect("non-root"), path],
-            ..InvalidationSet::default()
         }
     }
 
-    /// A move's set: `target`'s inode, and its name leaving the source
-    /// parent's listing and joining `dst_parent`'s.
+    /// A move's set: `target`'s inode, its name leaving the source
+    /// parent's listing and joining `dst_parent`'s and, for a directory,
+    /// everything cached at or under `src`.
     pub(crate) fn mv(target: &Inode, src: DfsPath, dst: DfsPath, dst_parent: InodeId) -> Self {
         InvalidationSet {
             inodes: vec![target.id],
@@ -99,31 +95,16 @@ impl InvalidationSet {
                 (target.parent, target.name.as_str(), false),
                 (dst_parent, dst.file_name().expect("non-root"), true),
             ],
+            prefix: target.is_dir().then(|| src.clone()),
             paths: vec![src.parent().expect("non-root"), dst.parent().expect("non-root"), src, dst],
-            ..InvalidationSet::default()
         }
-    }
-
-    /// The same write on a subtree root (Appendix D), made safe to apply
-    /// before it is known to commit: peers apply it in the prefix round,
-    /// ahead of the root step's validation, so every listing the write
-    /// touches — the root's own and its parents' — is dropped rather than
-    /// patched, with everything cached at or under `prefix`.
-    pub(crate) fn subtree(mut self, prefix: DfsPath) -> Self {
-        let parents = self.listing_updates.drain(..).map(|(dir, _, _)| dir);
-        self.listings = self.inodes.iter().copied().chain(parents).collect();
-        self.prefix = Some(prefix);
-        self
     }
 
     /// Applies the set to one cache, in the order every cache uses:
-    /// inodes, listings, listing deltas, then the prefix.
+    /// inodes, listing deltas, then the prefix.
     pub fn apply(&self, cache: &mut MetadataCache) {
         for &id in &self.inodes {
             cache.invalidate_inode(id);
-        }
-        for &dir in &self.listings {
-            cache.invalidate_listing(dir);
         }
         for &(dir, name, present) in &self.listing_updates {
             cache.update_listing(dir, name, present);
@@ -151,9 +132,6 @@ pub struct SubtreeSettings {
     pub batch_size: usize,
     /// Concurrent in-flight batches.
     pub parallelism: usize,
-    /// Batch offloading to helper NameNodes ("serverless offloading"), if
-    /// available.
-    pub offloader: Option<Rc<dyn Offloader>>,
     /// Tag identifying this executor as a subtree-lock holder (λFS uses
     /// the NameNode's coordinator-session id).
     pub holder_tag: u64,
@@ -168,7 +146,6 @@ impl Default for SubtreeSettings {
         SubtreeSettings {
             batch_size: 512,
             parallelism: 8,
-            offloader: None,
             holder_tag: 0,
             holder_alive: None,
         }
@@ -180,23 +157,8 @@ impl std::fmt::Debug for SubtreeSettings {
         f.debug_struct("SubtreeSettings")
             .field("batch_size", &self.batch_size)
             .field("parallelism", &self.parallelism)
-            .field("offload", &self.offloader.is_some())
             .finish()
     }
-}
-
-/// Ships a subtree batch to a helper NameNode (Appendix D's elastically
-/// offloaded batched operations). Returns `false` if no helper is
-/// available — the caller runs the batch locally.
-pub trait Offloader {
-    /// Attempts to offload; `done` fires when the helper reports
-    /// completion.
-    fn offload(
-        &self,
-        sim: &mut Sim,
-        batch: crate::messages::SubtreeBatch,
-        done: Box<dyn FnOnce(&mut Sim)>,
-    ) -> bool;
 }
 
 /// The shared metadata-operation engine. Cloning is cheap; clones share
@@ -534,22 +496,15 @@ impl OpEngine {
                 if target.is_dir() && this2.has_children(target.id) {
                     return this2.delete_subtree(sim, path, done);
                 }
-                let inv = InvalidationSet::delete(&target, path);
-                this2.delete_single(sim, target, Some(inv), done);
+                this2.delete_single(sim, target, path, done);
             });
         });
     }
 
-    /// Deletes one file or empty directory under exclusive locks, with
-    /// `inv` as its cache effect. A subtree root has none of its own: the
-    /// subtree operation's prefix set covers it.
-    pub(crate) fn delete_single(
-        &self,
-        sim: &mut Sim,
-        target: Inode,
-        inv: Option<InvalidationSet>,
-        done: OpDone,
-    ) {
+    /// Deletes one file or empty directory, the one at `path`, under
+    /// exclusive locks; a recursive delete's root step is this write too.
+    pub(crate) fn delete_single(&self, sim: &mut Sim, target: Inode, path: DfsPath, done: OpDone) {
+        let inv = InvalidationSet::delete(&target, path);
         let child_key = (target.parent, target.name.key());
         let keys = [
             self.db.lock_key(self.schema.inodes, &target.parent),
@@ -563,7 +518,7 @@ impl OpEngine {
             let Some(parent_now) = parent_now.filter(|_| leaf) else {
                 return Err(FsError::Retryable("delete target changed".into()));
             };
-            Ok((parent_now, inv))
+            Ok((parent_now, Some(inv)))
         };
         let apply = move |e: &OpEngine, txn, mut parent_now: Inode, now: SimTime| {
             parent_now.mtime_nanos = now.as_nanos();
@@ -596,10 +551,7 @@ impl OpEngine {
                 let this3 = this2.clone();
                 this2.resolve_dst_parent(sim, dst.parent(), allow_cache, move |sim, dst_parent| {
                     match dst_parent {
-                        Ok(dst_parent) => {
-                            let inv = InvalidationSet::mv(&target, src, dst.clone(), dst_parent.id);
-                            this3.mv_single(sim, dst, target, dst_parent, Some(inv), done);
-                        }
+                        Ok(dst_parent) => this3.mv_single(sim, src, dst, target, dst_parent, done),
                         Err(e) => done(sim, Err(e)),
                     }
                 });
@@ -627,18 +579,19 @@ impl OpEngine {
         });
     }
 
-    /// Moves one inode to `dst`, in the resolved `dst_parent`, under
-    /// exclusive locks, re-validating the parent there; `inv` is the
-    /// move's cache effect, as for [`OpEngine::delete_single`].
+    /// Moves the inode at `src` to `dst`, in the resolved `dst_parent`,
+    /// under exclusive locks, re-validating the parent there; a recursive
+    /// move's root step is this write too.
     pub(crate) fn mv_single(
         &self,
         sim: &mut Sim,
+        src: DfsPath,
         dst: DfsPath,
         target: Inode,
         dst_parent: Inode,
-        inv: Option<InvalidationSet>,
         done: OpDone,
     ) {
+        let inv = InvalidationSet::mv(&target, src, dst.clone(), dst_parent.id);
         let dst_name = dst.file_name_interned().expect("non-root");
         let src_key = (target.parent, target.name.key());
         let dst_key = (dst_parent.id, dst_name.key());
@@ -660,7 +613,7 @@ impl OpEngine {
             if e.db.peek(e.schema.children, &dst_key).is_some() {
                 return Err(FsError::AlreadyExists(dst.to_string()));
             }
-            Ok(((), inv))
+            Ok(((), Some(inv)))
         };
         let apply = move |e: &OpEngine, txn, (), now: SimTime| {
             let mut moved = target;
@@ -850,18 +803,21 @@ mod tests {
     }
 
     #[test]
-    fn a_subtree_set_drops_the_listings_it_touches_and_patches_none() {
-        // Peers apply a subtree set before its root step validates, so it
-        // must stay safe if that step fails: drops only, no deltas.
+    fn a_directorys_delete_and_mv_sets_carry_its_prefix_and_a_files_do_not() {
+        // A directory is cached as an ancestor by whichever deployments
+        // cache its descendants, so its writes must reach them all.
         let p = |s: &str| -> DfsPath { s.parse().unwrap() };
-        let root = Inode::directory(5, 2, "m");
-        let inv = InvalidationSet::mv(&root, p("/p/m"), p("/q/x"), 3).subtree(p("/p/m"));
-        assert_eq!(inv.inodes, [5]);
-        assert_eq!(inv.listings, [5, 2, 3]);
-        assert!(inv.listing_updates.is_empty());
-        assert_eq!(inv.prefix, Some(p("/p/m")));
-        let inv = InvalidationSet::delete(&root, p("/p/m")).subtree(p("/p/m"));
-        assert_eq!(inv.listings, [5, 2]);
-        assert!(inv.listing_updates.is_empty());
+        let dir = Inode::directory(5, 2, "m");
+        let file = Inode::file(6, 2, "m");
+        for (target, prefix) in [(&dir, Some(p("/p/m"))), (&file, None)] {
+            let inv = InvalidationSet::delete(target, p("/p/m"));
+            assert_eq!(inv.inodes, [target.id]);
+            assert_eq!(inv.listing_updates, [(2, "m", false)]);
+            assert_eq!(inv.prefix, prefix);
+            let inv = InvalidationSet::mv(target, p("/p/m"), p("/q/x"), 3);
+            assert_eq!(inv.inodes, [target.id]);
+            assert_eq!(inv.listing_updates, [(2, "m", false), (3, "x", true)]);
+            assert_eq!(inv.prefix, prefix);
+        }
     }
 }

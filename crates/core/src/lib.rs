@@ -20,7 +20,7 @@
 //!   under the store's exclusive row locks) keeps the arbitrary, dynamic
 //!   set of cached replicas strongly consistent (§3.5);
 //! * **subtree operations** run the three-phase HopsFS protocol with a
-//!   single prefix invalidation and serverless batch offloading
+//!   single prefix invalidation, sent by the root step under its locks
 //!   (Appendix D); **straggler mitigation** and **anti-thrashing** guard
 //!   the tail (Appendices B–C).
 //!
@@ -68,11 +68,8 @@ pub use audit::AuditReport;
 pub use client::ClientLib;
 pub use coherence::{deployment_group, CoordCoherence};
 pub use config::LambdaFsConfig;
-pub use fsops::{CoherenceHook, InvalidationSet, OpDone, OpEngine, Offloader, SubtreeSettings};
-pub use messages::{
-    ClientId, CoherenceMsg, NnRequest, NnResponse, RequestId, SubtreeBatch, SubtreeBatchKind,
-    SubtreeItem,
-};
+pub use fsops::{CoherenceHook, InvalidationSet, OpDone, OpEngine, SubtreeSettings};
+pub use messages::{ClientId, CoherenceMsg, NnRequest, NnResponse, RequestId};
 pub use metrics::RunMetrics;
 pub use namenode::{NameNode, NnServices};
 pub use result_cache::ResultCache;

@@ -5,8 +5,7 @@ use std::rc::Rc;
 
 use lambda_coord::SessionId;
 use lambda_faas::InstanceId;
-use lambda_namespace::{FsOp, InodeId, OpResult};
-use lambda_store::NameKey;
+use lambda_namespace::{FsOp, OpResult};
 
 use crate::fsops::InvalidationSet;
 
@@ -32,82 +31,36 @@ pub struct RequestId {
     pub seq: u64,
 }
 
-/// One item of subtree work: an inode plus its `children`-index key.
-/// `Copy`: the name is the index's own interned [`NameKey`], so batch
-/// cloning for offload fan-out is a memcpy instead of per-item `String`
-/// allocations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubtreeItem {
-    /// The inode id.
-    pub id: InodeId,
-    /// Its parent directory id.
-    pub parent: InodeId,
-    /// Its name within the parent, as the `children` index keys it.
-    pub name: NameKey,
+/// A client metadata operation delivered to a NameNode (via HTTP
+/// invocation or TCP).
+#[derive(Debug, Clone, PartialEq)]
+pub struct NnRequest {
+    /// Retry-stable request identity.
+    pub id: RequestId,
+    /// The operation.
+    pub op: FsOp,
+    /// Whether this arrived through the API gateway (HTTP) rather than a
+    /// direct TCP connection.
+    pub via_http: bool,
+    /// Whether the client believes this NameNode's deployment owns the
+    /// metadata (false when anti-thrashing routed the request to a foreign
+    /// deployment, which must then skip caching).
+    pub owned: bool,
 }
 
-/// The kind of work in an offloaded subtree batch (Appendix D).
+/// A NameNode's reply to an [`NnRequest`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SubtreeBatchKind {
-    /// Phase 2: write-lock and release each inode (quiesce).
-    Quiesce,
-    /// Phase 3 of a recursive delete: remove the rows.
-    DeleteRows,
-}
-
-/// A batch of subtree sub-operations, executable locally or on a helper
-/// NameNode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubtreeBatch {
-    /// What to do with the items.
-    pub kind: SubtreeBatchKind,
-    /// The items, leaf-first (so partial execution keeps the tree
-    /// well-formed).
-    pub items: Vec<SubtreeItem>,
-}
-
-/// A request delivered to a NameNode (via HTTP invocation or TCP).
-#[derive(Debug, Clone, PartialEq)]
-pub enum NnRequest {
-    /// A client metadata operation.
-    Op {
-        /// Retry-stable request identity.
-        id: RequestId,
-        /// The operation.
-        op: FsOp,
-        /// Whether this arrived through the API gateway (HTTP) rather
-        /// than a direct TCP connection.
-        via_http: bool,
-        /// Whether the client believes this NameNode's deployment owns
-        /// the metadata (false when anti-thrashing routed the request to a
-        /// foreign deployment, which must then skip caching).
-        owned: bool,
-    },
-    /// A subtree batch offloaded by a leader NameNode (Appendix D).
-    Offload {
-        /// The work.
-        batch: SubtreeBatch,
-    },
-}
-
-/// A NameNode's reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NnResponse {
-    /// Reply to [`NnRequest::Op`].
-    Op {
-        /// Echoed request identity.
-        id: RequestId,
-        /// The operation's result.
-        result: OpResult,
-        /// Which instance served it (lets the client register the TCP
-        /// connection the NameNode established back to it, §3.2 step 3).
-        served_by: InstanceId,
-        /// The serving instance's deployment index (so anti-thrashing
-        /// responses from foreign deployments are filed correctly).
-        deployment: u32,
-    },
-    /// Reply to [`NnRequest::Offload`].
-    OffloadDone,
+pub struct NnResponse {
+    /// Echoed request identity.
+    pub id: RequestId,
+    /// The operation's result.
+    pub result: OpResult,
+    /// Which instance served it (lets the client register the TCP
+    /// connection the NameNode established back to it, §3.2 step 3).
+    pub served_by: InstanceId,
+    /// The serving instance's deployment index (so anti-thrashing
+    /// responses from foreign deployments are filed correctly).
+    pub deployment: u32,
 }
 
 /// Coherence-protocol traffic, delivered by the Coordinator (§3.5,
@@ -137,7 +90,6 @@ pub enum CoherenceMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lambda_namespace::InodeName;
 
     #[test]
     fn request_ids_are_copyable_map_keys() {
@@ -147,18 +99,5 @@ mod tests {
         let mut set = std::collections::HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn subtree_batches_carry_leaf_first_items() {
-        let batch = SubtreeBatch {
-            kind: SubtreeBatchKind::DeleteRows,
-            items: vec![
-                SubtreeItem { id: 9, parent: 3, name: InodeName::new("leaf").key() },
-                SubtreeItem { id: 3, parent: 1, name: InodeName::new("mid").key() },
-            ],
-        };
-        assert_eq!(batch.items.len(), 2);
-        assert_eq!(batch.kind, SubtreeBatchKind::DeleteRows);
     }
 }

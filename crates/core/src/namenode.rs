@@ -13,19 +13,19 @@
 //! is what makes client retries safe for non-idempotent operations such as
 //! `create`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use lambda_coord::{Coordinator, SessionId};
-use lambda_faas::{DeploymentId, Function, InstanceCtx, Platform, Responder};
+use lambda_faas::{Function, InstanceCtx, Responder};
 use lambda_namespace::{DataNodeId, MetadataCache, MetadataSchema, OpResult, Partitioner};
 use lambda_sim::{every, Sim, SimDuration, Station};
 use lambda_store::Db;
 
 use crate::coherence::{deployment_group, CoordCoherence};
 use crate::config::LambdaFsConfig;
-use crate::fsops::{OpEngine, Offloader, SubtreeSettings};
-use crate::messages::{CoherenceMsg, NnRequest, NnResponse, RequestId, SubtreeBatch};
+use crate::fsops::{OpEngine, SubtreeSettings};
+use crate::messages::{CoherenceMsg, NnRequest, NnResponse, RequestId};
 use crate::result_cache::ResultCache;
 
 /// How many recent results a NameNode retains for retry deduplication.
@@ -36,10 +36,6 @@ const LISTING_CACHE_CAPACITY: usize = 100_000;
 pub(crate) const SUBTREE_BATCH_SIZE: usize = 512;
 
 /// Shared services a NameNode needs; cheap to clone per instance.
-///
-/// The platform and deployment list are late-bound (filled after the
-/// deployments are registered) because the factory that builds NameNodes
-/// is itself registered with the platform.
 #[derive(Clone)]
 pub struct NnServices {
     /// The persistent metadata store.
@@ -52,10 +48,6 @@ pub struct NnServices {
     pub partitioner: Rc<Partitioner>,
     /// System configuration.
     pub config: Rc<LambdaFsConfig>,
-    /// The hosting platform (late-bound).
-    pub platform: Rc<RefCell<Option<Platform<NameNode>>>>,
-    /// All NameNode deployments, by partition index (late-bound).
-    pub deployments: Rc<RefCell<Vec<DeploymentId>>>,
     /// Every coherence endpoint a NameNode of this system ever opened,
     /// dead instances' included, each with its cache: for aggregate cache
     /// statistics, and so that teardown reaches the rounds a killed
@@ -125,7 +117,7 @@ impl NameNode {
         let instance = ctx.instance;
         let deployment = self.deployment_index;
         if let Some(result) = self.state.borrow().results.get(&id).cloned() {
-            let cached = NnResponse::Op { id, result, served_by: instance, deployment };
+            let cached = NnResponse { id, result, served_by: instance, deployment };
             sim.schedule(SimDuration::ZERO, move |sim| respond.send(sim, cached));
             return;
         }
@@ -144,16 +136,9 @@ impl NameNode {
                 // The retained copy shares the reply's payload; the rest of
                 // the response is this instance's own identity.
                 state.borrow_mut().results.insert(id, result.clone());
-                respond.send(sim, NnResponse::Op { id, result, served_by: instance, deployment });
+                respond.send(sim, NnResponse { id, result, served_by: instance, deployment });
             }),
         );
-    }
-
-    fn handle_offload(&self, sim: &mut Sim, batch: SubtreeBatch, respond: Responder<NnResponse>) {
-        let engine = self.state.borrow().engine.clone();
-        let Some(engine) = engine else { return };
-        let done = Box::new(move |sim: &mut Sim| respond.send(sim, NnResponse::OffloadDone));
-        engine.run_batch_local(sim, batch, done);
     }
 }
 
@@ -276,12 +261,6 @@ impl Function for NameNode {
             },
         );
 
-        let offloader = NnOffloader {
-            platform: Rc::clone(&services.platform),
-            deployments: Rc::clone(&services.deployments),
-            own: self.deployment_index,
-            next: Cell::new(self.deployment_index as usize + 1),
-        };
         let coord_for_alive = services.coord.clone();
         let engine = OpEngine {
             db: services.db.clone(),
@@ -295,7 +274,6 @@ impl Function for NameNode {
             subtree: SubtreeSettings {
                 batch_size: SUBTREE_BATCH_SIZE,
                 parallelism: config.subtree_parallelism,
-                offloader: config.subtree_offload.then(|| Rc::new(offloader) as Rc<dyn Offloader>),
                 holder_tag: session.raw(),
                 holder_alive: Some(Rc::new(move |tag| {
                     coord_for_alive.is_alive(SessionId::from_raw(tag))
@@ -314,22 +292,17 @@ impl Function for NameNode {
         req: NnRequest,
         respond: Responder<NnResponse>,
     ) {
-        match req {
-            NnRequest::Op { id, op, via_http, owned } => {
-                if via_http {
-                    // HTTP (de)serialization burns extra NameNode CPU.
-                    let handling =
-                        sim.rng().sample_duration(&self.services.config.cpu.http_handling);
-                    let this = self.clone_handle();
-                    let ctx = ctx.clone();
-                    Station::submit(&ctx.cpu.clone(), sim, handling, move |sim| {
-                        this.handle_op(sim, &ctx, id, op, owned, respond);
-                    });
-                } else {
-                    self.handle_op(sim, ctx, id, op, owned, respond);
-                }
-            }
-            NnRequest::Offload { batch } => self.handle_offload(sim, batch, respond),
+        let NnRequest { id, op, via_http, owned } = req;
+        if via_http {
+            // HTTP (de)serialization burns extra NameNode CPU.
+            let handling = sim.rng().sample_duration(&self.services.config.cpu.http_handling);
+            let this = self.clone_handle();
+            let ctx = ctx.clone();
+            Station::submit(&ctx.cpu.clone(), sim, handling, move |sim| {
+                this.handle_op(sim, &ctx, id, op, owned, respond);
+            });
+        } else {
+            self.handle_op(sim, ctx, id, op, owned, respond);
         }
     }
 
@@ -352,56 +325,5 @@ impl NameNode {
             deployment_index: self.deployment_index,
             state: Rc::clone(&self.state),
         }
-    }
-}
-
-/// Offloads subtree batches to warm instances of other deployments,
-/// round-robin (Appendix D's serverless offloading).
-struct NnOffloader {
-    platform: Rc<RefCell<Option<Platform<NameNode>>>>,
-    deployments: Rc<RefCell<Vec<DeploymentId>>>,
-    own: u32,
-    next: Cell<usize>,
-}
-
-impl Offloader for NnOffloader {
-    fn offload(
-        &self,
-        sim: &mut Sim,
-        batch: SubtreeBatch,
-        done: Box<dyn FnOnce(&mut Sim)>,
-    ) -> bool {
-        let Some(platform) = self.platform.borrow().clone() else { return false };
-        let deployments = self.deployments.borrow();
-        if deployments.len() < 2 {
-            return false;
-        }
-        let done = Rc::new(RefCell::new(Some(done)));
-        let start = self.next.get();
-        for k in 0..deployments.len() {
-            let idx = (start + k) % deployments.len();
-            if idx == self.own as usize {
-                continue;
-            }
-            let Some(instance) = platform.first_warm_instance(deployments[idx]) else {
-                continue;
-            };
-            self.next.set(idx + 1);
-            let done2 = Rc::clone(&done);
-            let accepted = platform.deliver_tcp(
-                sim,
-                instance,
-                NnRequest::Offload { batch: batch.clone() },
-                Responder::new(move |sim, _resp| {
-                    if let Some(d) = done2.borrow_mut().take() {
-                        d(sim);
-                    }
-                }),
-            );
-            if accepted {
-                return true;
-            }
-        }
-        false
     }
 }

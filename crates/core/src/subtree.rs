@@ -1,7 +1,7 @@
 //! Subtree operations (recursive `delete` and `mv`) — the three-phase
-//! HopsFS protocol augmented with λFS's subtree coherence and serverless
-//! offloading (paper §3.5 "subtree coherence protocol" and Appendix D),
-//! as a block of [`OpEngine`] methods.
+//! HopsFS protocol augmented with λFS's subtree coherence (paper §3.5
+//! "subtree coherence protocol" and Appendix D), as a block of
+//! [`OpEngine`] methods.
 //!
 //! Phases:
 //!
@@ -13,26 +13,25 @@
 //! 2. **Quiesce + collect**: walk the subtree through the children index,
 //!    building the in-memory item list, then take-and-release write locks
 //!    on every INode in batches (charged against the store — this is what
-//!    makes Table 3's latency scale with directory size). Batches run with
-//!    bounded parallelism and are offloaded to helper NameNodes when an
-//!    [`Offloader`](crate::fsops::Offloader) is available.
-//! 3. **Execute**: a single **prefix invalidation** replaces per-INode
-//!    coherence rounds; then the actual mutation runs — for `mv`, one
-//!    transaction relinking the subtree root; for `delete`, leaf-first
-//!    batched row removals (so a crash mid-way never orphans an inode),
-//!    then the emptied root.
+//!    makes Table 3's latency scale with directory size). Batches run
+//!    `parallelism` at a time: that bound is how the model expresses the
+//!    extra concurrency Appendix D gets from helper NameNodes.
+//! 3. **Execute**: the root step is the ordinary single-inode write of
+//!    `fsops` — for `mv`, one transaction relinking the subtree root; for
+//!    `delete`, the emptied root, after leaf-first batched row removals
+//!    (so a crash mid-way never orphans an inode). Its set carries the
+//!    root's **prefix**, so its one INV round replaces per-INode rounds,
+//!    and that round runs after `validate`, under the root step's locks,
+//!    as every other write's does.
 //!
-//! The prefix set is the operation's whole cache effect: it drops the
-//! subtree, the root's listing and its parents' listings. Peers apply it
-//! in the prefix round, before the root step validates, so it patches
-//! nothing a failed step would leave wrong; the writer applies it once the
-//! root step ends.
+//! A recursive delete runs one earlier, drop-only prefix round before its
+//! row batches, because those commit outside the root step's locks; the
+//! writer applies that set itself when the round ends.
 //!
-//! The flag's acquire and the root's relink or delete are ordinary
-//! [`OpEngine::write`]s (the root's are the single-inode `mv` and `delete`
-//! of `fsops`, told that the prefix round already ran); the flag's release
-//! and the row batches are the store's [`Db::write`](lambda_store::Db::write).
-//! Cleanup removes the subtree-lock flag even on failure paths.
+//! The flag's acquire and the root step are [`OpEngine::write`]s; the
+//! flag's release and the row batches are the store's
+//! [`Db::write`](lambda_store::Db::write). Cleanup removes the
+//! subtree-lock flag even on failure paths.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -43,7 +42,35 @@ use lambda_sim::{Sim, SimDuration, SimTime};
 use lambda_store::NameKey;
 
 use crate::fsops::{InvalidationSet, OpDone, OpEngine};
-use crate::messages::{SubtreeBatch, SubtreeBatchKind, SubtreeItem};
+
+/// One item of subtree work: an inode plus its `children`-index key.
+#[derive(Clone, Copy)]
+struct SubtreeItem {
+    /// The inode id.
+    id: InodeId,
+    /// Its parent directory id.
+    parent: InodeId,
+    /// Its name within the parent, as the `children` index keys it.
+    name: NameKey,
+}
+
+/// The kind of work in a subtree batch.
+#[derive(Clone, Copy)]
+enum SubtreeBatchKind {
+    /// Phase 2: write-lock and release each inode (quiesce).
+    Quiesce,
+    /// Phase 3 of a recursive delete: remove the rows.
+    DeleteRows,
+}
+
+/// A batch of subtree sub-operations.
+struct SubtreeBatch {
+    /// What to do with the items.
+    kind: SubtreeBatchKind,
+    /// The items, leaf-first for a delete (so partial execution keeps the
+    /// tree well-formed).
+    items: Vec<SubtreeItem>,
+}
 
 /// Continuation fired when a batch (or batch set) completes.
 type BatchDone = Box<dyn FnOnce(&mut Sim)>;
@@ -55,22 +82,30 @@ impl OpEngine {
     pub(crate) fn delete_subtree(&self, sim: &mut Sim, path: DfsPath, done: OpDone) {
         let this = self.clone();
         self.with_subtree_lock(sim, path.clone(), "delete", move |sim, root, finish| {
-            let inv = Rc::new(InvalidationSet::delete(&root, path.clone()).subtree(path));
             let this2 = this.clone();
             let root_id = root.id;
-            this.quiesce_and_invalidate(sim, root_id, Rc::clone(&inv), move |sim, mut items| {
-                // Leaf-first: reverse the BFS (parents-before-children)
-                // order so partial execution keeps the tree well-formed.
-                items.reverse();
-                let deleted = OpOutcome::Deleted(items.len() as u64 + 1);
-                let batch_size = this2.subtree.batch_size;
-                let deletes = make_batches(&items, batch_size, SubtreeBatchKind::DeleteRows);
+            this.quiesce(sim, root_id, move |sim, mut items| {
+                // The row batches commit outside the root step's locks, so
+                // every cache drops the subtree before the first of them.
+                let drop = Rc::new(InvalidationSet {
+                    prefix: Some(path.clone()),
+                    ..InvalidationSet::default()
+                });
                 let this3 = this2.clone();
-                this2.run_batches(sim, deletes, move |sim| {
-                    // Finally the (now empty) root itself: an ordinary
-                    // single delete whose INV the prefix round covered.
-                    this3.on_root(sim, root_id, inv, deleted, finish, |sim, root, done| {
-                        this3.delete_single(sim, root, None, done);
+                this2.with_coherence(sim, Rc::clone(&drop), move |sim| {
+                    this3.update_cache(true, |cache| drop.apply(cache));
+                    // Leaf-first: reverse the BFS (parents-before-children)
+                    // order so partial execution keeps the tree well-formed.
+                    items.reverse();
+                    let deleted = OpOutcome::Deleted(items.len() as u64 + 1);
+                    let batch_size = this3.subtree.batch_size;
+                    let deletes = make_batches(&items, batch_size, SubtreeBatchKind::DeleteRows);
+                    let this4 = this3.clone();
+                    this3.run_batches(sim, deletes, move |sim| {
+                        // Finally the (now empty) root itself.
+                        this4.on_root(sim, root_id, deleted, finish, |sim, root, done| {
+                            this4.delete_single(sim, root, path, done);
+                        });
                     });
                 });
             });
@@ -79,8 +114,8 @@ impl OpEngine {
 
     /// Recursive move of the directory at `src` to `dst`. The destination
     /// parent is resolved and the name checked free once, before the flag,
-    /// so the prefix set can name its listing; the root step re-validates
-    /// both under its locks.
+    /// so a move onto a taken name quiesces nothing; the root step
+    /// re-validates both under its locks.
     pub(crate) fn mv_subtree(&self, sim: &mut Sim, src: DfsPath, dst: DfsPath, done: OpDone) {
         let this = self.clone();
         self.resolve_dst_parent(sim, dst.parent(), false, move |sim, dst_parent| {
@@ -94,70 +129,44 @@ impl OpEngine {
             }
             let this2 = this.clone();
             this.with_subtree_lock(sim, src.clone(), "mv", move |sim, root, finish| {
-                let inv = InvalidationSet::mv(&root, src.clone(), dst.clone(), dst_parent.id);
-                let inv = Rc::new(inv.subtree(src));
                 let this3 = this2.clone();
                 let root_id = root.id;
-                this2.quiesce_and_invalidate(sim, root_id, Rc::clone(&inv), move |sim, items| {
+                this2.quiesce(sim, root_id, move |sim, items| {
                     // The actual relink is a single small transaction:
                     // descendants key off the root's id and need no rewriting.
                     let moved = OpOutcome::Moved(items.len() as u64 + 1);
-                    this3.on_root(sim, root_id, inv, moved, finish, |sim, root, done| {
-                        this3.mv_single(sim, dst, root, dst_parent, None, done);
+                    this3.on_root(sim, root_id, moved, finish, |sim, root, done| {
+                        this3.mv_single(sim, src, dst, root, dst_parent, done);
                     });
                 });
             }, done);
         });
     }
 
-    /// Phases 2 and 3's common start: collects the subtree under `root`,
-    /// quiesces it in batches, then runs the one prefix INV
-    /// round (instead of thousands of per-INode rounds) before `then`.
-    fn quiesce_and_invalidate<F>(
-        &self,
-        sim: &mut Sim,
-        root: InodeId,
-        inv: Rc<InvalidationSet>,
-        then: F,
-    ) where
+    /// Phase 2: collects the subtree under `root`, then quiesces it in
+    /// batches before `then`.
+    fn quiesce<F>(&self, sim: &mut Sim, root: InodeId, then: F)
+    where
         F: FnOnce(&mut Sim, Vec<SubtreeItem>) + 'static,
     {
         let this = self.clone();
         self.collect_subtree(sim, root, move |sim, items| {
             let quiesce = make_batches(&items, this.subtree.batch_size, SubtreeBatchKind::Quiesce);
-            let this2 = this.clone();
-            this.run_batches(sim, quiesce, move |sim| {
-                this2.with_coherence(sim, inv, move |sim| then(sim, items));
-            });
+            this.run_batches(sim, quiesce, move |sim| then(sim, items));
         });
     }
 
     /// Phase 3's last step, on the subtree root as the store holds it now:
-    /// `step` runs the single-inode write. Once it ends, the writer's cache
-    /// applies the prefix set `inv` — whatever the outcome, as the peers
-    /// did: it only drops, and a failed delete may have removed
-    /// descendants already — and `finish` receives `outcome` (every inode
-    /// the operation covered).
-    fn on_root<S>(
-        &self,
-        sim: &mut Sim,
-        root: InodeId,
-        inv: Rc<InvalidationSet>,
-        outcome: OpOutcome,
-        finish: OpDone,
-        step: S,
-    ) where
+    /// `step` runs the single-inode write, and `finish` receives its
+    /// success as `outcome` (every inode the operation covered).
+    fn on_root<S>(&self, sim: &mut Sim, root: InodeId, outcome: OpOutcome, finish: OpDone, step: S)
+    where
         S: FnOnce(&mut Sim, Inode, OpDone),
     {
-        let this = self.clone();
-        let finish: OpDone = Box::new(move |sim, r| {
-            this.update_cache(true, |cache| inv.apply(cache));
-            finish(sim, r.map(|_| outcome));
-        });
         let Some(root) = self.db.peek(self.schema.inodes, &root) else {
             return finish(sim, Err(FsError::Retryable("subtree root vanished".into())));
         };
-        step(sim, root, finish);
+        step(sim, root, Box::new(move |sim, r| finish(sim, r.map(|_| outcome))));
     }
 
     // ------------------------------------------------------------------
@@ -293,8 +302,8 @@ impl OpEngine {
         );
     }
 
-    /// Runs batches with the configured parallelism, offloading when
-    /// possible; `done` fires when all complete.
+    /// Runs batches with the configured parallelism; `done` fires when all
+    /// complete.
     fn run_batches<F>(&self, sim: &mut Sim, batches: Vec<SubtreeBatch>, done: F)
     where
         F: FnOnce(&mut Sim) + 'static,
@@ -346,7 +355,7 @@ impl OpEngine {
                     Next::Run(batch) => {
                         let this2 = this.clone();
                         let pool2 = Rc::clone(pool);
-                        this.run_one_batch(
+                        this.run_batch(
                             sim,
                             batch,
                             Box::new(move |sim| {
@@ -361,39 +370,8 @@ impl OpEngine {
         pump(self, sim, &pool, parallelism);
     }
 
-    /// Executes one batch: offloaded if a helper accepts it, locally
-    /// otherwise.
-    fn run_one_batch(&self, sim: &mut Sim, batch: SubtreeBatch, done: BatchDone) {
-        let Some(offloader) = self.subtree.offloader.clone() else {
-            return self.run_batch_local(sim, batch, done);
-        };
-        let local_copy = batch.clone();
-        // Whichever of the helper's reply and the guard below comes first
-        // takes `done`: a helper dying mid-batch leaves the batch to be
-        // re-run locally (batches are idempotent).
-        let done = Rc::new(RefCell::new(Some(done)));
-        let done2 = Rc::clone(&done);
-        let replied: BatchDone = Box::new(move |sim| {
-            if let Some(d) = done2.borrow_mut().take() {
-                d(sim);
-            }
-        });
-        if offloader.offload(sim, batch, replied) {
-            let this = self.clone();
-            sim.schedule(SimDuration::from_secs(10), move |sim| {
-                if let Some(d) = done.borrow_mut().take() {
-                    this.run_batch_local(sim, local_copy, d);
-                }
-            });
-            return;
-        }
-        // Offload refused: run locally with the original callback.
-        let d = done.borrow_mut().take().expect("unused");
-        self.run_batch_local(sim, local_copy, d);
-    }
-
     /// Executes one batch against this engine's store handle.
-    pub(crate) fn run_batch_local(&self, sim: &mut Sim, batch: SubtreeBatch, done: BatchDone) {
+    fn run_batch(&self, sim: &mut Sim, batch: SubtreeBatch, done: BatchDone) {
         match batch.kind {
             SubtreeBatchKind::Quiesce => {
                 self.db.charge_quiesce(sim, batch.items.len() as u64, done);
@@ -413,8 +391,7 @@ impl OpEngine {
                     }
                     Ok(())
                 };
-                // A failed batch charges nothing more here; the leader's
-                // timeout guard re-runs offloaded ones.
+                // A failed batch charges nothing more here.
                 self.db.write(sim, keys, rows, move |sim, _| done(sim));
             }
         }
@@ -425,7 +402,7 @@ impl OpEngine {
 fn make_batches(items: &[SubtreeItem], batch_size: usize, kind: SubtreeBatchKind) -> Vec<SubtreeBatch> {
     items
         .chunks(batch_size.max(1))
-        .map(|chunk| SubtreeBatch { kind: kind.clone(), items: chunk.to_vec() })
+        .map(|chunk| SubtreeBatch { kind, items: chunk.to_vec() })
         .collect()
 }
 

@@ -124,8 +124,6 @@ impl LambdaFs {
             coord: coord.clone(),
             partitioner: Rc::clone(&partitioner),
             config: Rc::clone(&config),
-            platform: Rc::new(RefCell::new(None)),
-            deployments: Rc::new(RefCell::new(Vec::new())),
             endpoints: Rc::new(RefCell::new(Vec::new())),
         };
         let deployments: Vec<DeploymentId> = (0..config.deployments)
@@ -144,10 +142,6 @@ impl LambdaFs {
                 )
             })
             .collect();
-        // Close the late-bound loop: NameNodes can now reach the platform
-        // (for subtree offloading).
-        *services.platform.borrow_mut() = Some(platform.clone());
-        *services.deployments.borrow_mut() = deployments.clone();
 
         let fleet = DataNodeFleet::new(&db, &schema, config.datanodes, DATANODE_REPORT_EVERY);
         let metrics = Rc::new(RefCell::new(RunMetrics::new()));
@@ -344,7 +338,7 @@ impl LambdaFs {
     /// the §5.6 fault-injection primitive. Returns the victim.
     pub fn kill_one_namenode(&self, sim: &mut Sim, deployment: u32) -> Option<InstanceId> {
         let dep = *self.deployments.get(deployment as usize)?;
-        let victim = self.platform.first_warm_instance(dep)?;
+        let victim = *self.platform.warm_instances(dep).first()?;
         self.platform.kill_instance(sim, victim);
         Some(victim)
     }

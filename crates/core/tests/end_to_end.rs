@@ -367,6 +367,70 @@ fn a_subtree_mv_onto_a_taken_name_leaves_every_cached_listing_intact() {
 }
 
 #[test]
+fn a_parent_listed_while_a_subtree_delete_runs_loses_the_deleted_name() {
+    // The followers list the parent after the delete's first row batch
+    // committed and before its root step: they cache a listing that still
+    // names `d`, and the root step's own INV round, which runs under its
+    // locks, must take the name out of every one of them.
+    let mut sim = Sim::new(43);
+    let config = LambdaFsConfig { max_instances_per_deployment: 1, ..small_config() };
+    let fs = LambdaFs::build(&mut sim, config);
+    fs.schema().bootstrap_mkdir(fs.db(), &p("/p"));
+    fs.schema().bootstrap_mkdir(fs.db(), &p("/p/d"));
+    fs.schema().bootstrap_create(fs.db(), &p("/p/keep"));
+    for i in 0..3_000 {
+        fs.schema().bootstrap_create(fs.db(), &p(&format!("/p/d/f{i:04}")));
+    }
+    fs.start(&mut sim);
+    for c in 0..8 {
+        assert_eq!(listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/p")))), ["d", "keep"]);
+    }
+    let inodes_before = fs.schema().inode_count(fs.db());
+    let slot: Rc<RefCell<Option<OpResult>>> = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&slot);
+    fs.submit(&mut sim, 1, FsOp::Delete(p("/p/d")), Box::new(move |_, r| *out.borrow_mut() = Some(r)));
+    while fs.schema().inode_count(fs.db()) == inodes_before {
+        assert!(sim.step(), "the delete removed no row");
+    }
+    for c in 0..8 {
+        run_op(&mut sim, &fs, c, FsOp::Ls(p("/p"))).unwrap();
+    }
+    assert!(slot.borrow().is_none(), "the delete ended before the parent was listed again");
+    while slot.borrow().is_none() {
+        assert!(sim.step(), "the delete never ended");
+    }
+    let deleted = slot.borrow_mut().take().unwrap();
+    assert!(matches!(deleted, Ok(OpOutcome::Deleted(3_001))), "{deleted:?}");
+    for c in 0..8 {
+        let ls = listing(run_op(&mut sim, &fs, c, FsOp::Ls(p("/p"))));
+        assert_eq!(ls, ["keep"], "client {c}");
+    }
+    assert!(fs.check_consistency().is_empty());
+    fs.stop(&mut sim);
+}
+
+#[test]
+fn an_empty_directory_delete_reaches_every_deployment_that_cached_it() {
+    // `/e/g` is cached as an ancestor by the deployment that owns `/e/g/x`,
+    // which neither its path nor its parent names: a delete that INVs only
+    // those two deployments leaves it there, and the create below then
+    // fails its parent's validation on every retry.
+    let mut sim = Sim::new(47);
+    let config = LambdaFsConfig { max_instances_per_deployment: 1, ..small_config() };
+    let fs = LambdaFs::build(&mut sim, config);
+    fs.start(&mut sim);
+    run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/e"))).unwrap();
+    run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/e/g"))).unwrap();
+    run_op(&mut sim, &fs, 0, FsOp::CreateFile(p("/e/g/x"))).unwrap();
+    assert!(matches!(run_op(&mut sim, &fs, 0, FsOp::Delete(p("/e/g/x"))), Ok(OpOutcome::Deleted(1))));
+    assert!(matches!(run_op(&mut sim, &fs, 0, FsOp::Delete(p("/e/g"))), Ok(OpOutcome::Deleted(1))));
+    let create = run_op(&mut sim, &fs, 0, FsOp::CreateFile(p("/e/g/z")));
+    assert!(matches!(create, Err(FsError::NotFound(_))), "{create:?}");
+    assert!(fs.check_consistency().is_empty());
+    fs.stop(&mut sim);
+}
+
+#[test]
 fn a_write_served_without_caching_still_patches_the_writers_listing() {
     // `allow_cache = false` (a foreign deployment serving under
     // anti-thrashing) forbids fills, not invalidations: the writer's own

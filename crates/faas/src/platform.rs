@@ -484,12 +484,6 @@ impl<F: Function> Platform<F> {
         self.core.inner.borrow().roster(deployment, |st| st.warm).map(|(id, _)| id).collect()
     }
 
-    /// The earliest-created warm instance of `deployment`, if any.
-    #[must_use]
-    pub fn first_warm_instance(&self, deployment: DeploymentId) -> Option<InstanceId> {
-        self.core.inner.borrow().roster(deployment, |st| st.warm).next().map(|(id, _)| id)
-    }
-
     /// Total provisioned instances (starting + warm) across deployments.
     #[must_use]
     pub fn total_instances(&self) -> usize {

@@ -1,6 +1,7 @@
 //! Subtree operations: recursive `mv` and `delete` over a directory tree,
-//! exercising the three-phase subtree protocol with prefix invalidation
-//! and serverless batch offloading (paper Appendix D).
+//! exercising the three-phase subtree protocol: batched quiesce, then a
+//! root step whose one INV round carries the subtree's prefix (paper
+//! Appendix D).
 //!
 //! ```sh
 //! cargo run --release --example subtree_ops

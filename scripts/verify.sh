@@ -23,7 +23,7 @@
 #      plane must not perturb a single event
 #      (results/golden/fig15_fault_tolerance.txt) — and for Table 3, the
 #      one golden whose runs go through the subtree protocol (flag, batched
-#      quiesce with offloading, prefix INV, relink;
+#      quiesce, relink with its prefix INV under its locks;
 #      results/golden/tab03_subtree_mv.txt, ~0.5 s).
 #   5. chaos golden check: fig15b_chaos --smoke runs every fault class
 #      against a small system, exits nonzero if any post-run invariant
