@@ -31,24 +31,25 @@ use lambda_namespace::{
 use lambda_sim::params::NetParams;
 use lambda_sim::{every, CostMeter, Dist, Sim, SimDuration, Station, StationRef, VmPricing};
 
+/// vCPUs provisioned per MDS host (billed; mostly idle, reflecting the
+/// MDS's narrow dispatch).
+const VCPUS_PER_MDS: u32 = 16;
+/// Effective parallel dispatch per MDS.
+const DISPATCH_WIDTH: u32 = 2;
+/// Parallel journal writers per MDS.
+const JOURNAL_WIDTH: u32 = 1;
+/// CPU service per read-class op, in seconds (0.10–0.20 ms).
+const READ_SERVICE: Dist = Dist::Uniform { lo: 0.10 / 1e3, hi: 0.20 / 1e3 };
+/// CPU service per write-class op, excluding the journal (0.15–0.30 ms).
+const WRITE_SERVICE: Dist = Dist::Uniform { lo: 0.15 / 1e3, hi: 0.30 / 1e3 };
+/// Journal append service per write (0.9–1.4 ms).
+const JOURNAL_SERVICE: Dist = Dist::Uniform { lo: 0.9 / 1e3, hi: 1.4 / 1e3 };
+
 /// Configuration for the CephFS-style MDS cluster.
 #[derive(Debug, Clone)]
 pub struct CephFsConfig {
     /// Number of MDS daemons.
     pub mds_count: u32,
-    /// vCPUs provisioned per MDS host (billed; mostly idle, reflecting
-    /// the MDS's narrow dispatch).
-    pub vcpus_per_mds: u32,
-    /// Effective parallel dispatch per MDS.
-    pub dispatch_width: u32,
-    /// CPU service per read-class op.
-    pub read_service: Dist,
-    /// CPU service per write-class op (excluding the journal).
-    pub write_service: Dist,
-    /// Journal append service per write.
-    pub journal_service: Dist,
-    /// Parallel journal writers per MDS.
-    pub journal_width: u32,
     /// Number of clients.
     pub clients: u32,
     /// Network model.
@@ -59,12 +60,6 @@ impl Default for CephFsConfig {
     fn default() -> Self {
         CephFsConfig {
             mds_count: 32,
-            vcpus_per_mds: 16,
-            dispatch_width: 2,
-            read_service: Dist::uniform_ms(0.10, 0.20),
-            write_service: Dist::uniform_ms(0.15, 0.30),
-            journal_service: Dist::uniform_ms(0.9, 1.4),
-            journal_width: 1,
             clients: 64,
             net: NetParams::default(),
         }
@@ -75,7 +70,8 @@ impl CephFsConfig {
     /// A cluster sized from a total vCPU budget (16 vCPUs per MDS host).
     #[must_use]
     pub fn sized(total_vcpus: u32, clients: u32) -> Self {
-        CephFsConfig { mds_count: (total_vcpus / 16).max(1), clients, ..Default::default() }
+        let mds_count = (total_vcpus / VCPUS_PER_MDS).max(1);
+        CephFsConfig { mds_count, clients, ..Default::default() }
     }
 }
 
@@ -242,8 +238,8 @@ impl CephFs {
         let mds = (0..config.mds_count)
             .map(|i| {
                 Rc::new(Mds {
-                    cpu: Station::new(format!("mds-{i}"), config.dispatch_width.max(1)),
-                    journal: Station::new(format!("mds-journal-{i}"), config.journal_width.max(1)),
+                    cpu: Station::new(format!("mds-{i}"), DISPATCH_WIDTH),
+                    journal: Station::new(format!("mds-journal-{i}"), JOURNAL_WIDTH),
                 })
             })
             .collect();
@@ -264,7 +260,7 @@ impl CephFs {
             return;
         }
         let meter = Rc::clone(&self.meter);
-        let vcpus = f64::from(self.config.mds_count * self.config.vcpus_per_mds);
+        let vcpus = f64::from(self.config.mds_count * VCPUS_PER_MDS);
         let on = Rc::clone(&self.billing_on);
         every(sim, sim.now() + SimDuration::from_secs(1), SimDuration::from_secs(1), move |sim| {
             if !on.get() {
@@ -300,19 +296,15 @@ impl CephFs {
         let mds = Rc::clone(&self.mds[mds_idx]);
         let hop = sim.rng().sample_duration(&self.config.net.tcp_one_way);
         let namespace = Rc::clone(&self.namespace);
-        let config = self.config.clone();
+        let net = self.config.net.clone();
         let metrics = Rc::clone(&self.metrics);
         let started = sim.now();
         sim.schedule(hop, move |sim| {
             let is_write = op.is_write();
             let class = op.class();
-            let cpu_service = if is_write {
-                sim.rng().sample_duration(&config.write_service)
-            } else {
-                sim.rng().sample_duration(&config.read_service)
-            };
-            let net = config.net.clone();
-            let journal_service = sim.rng().sample_duration(&config.journal_service);
+            let cpu_service =
+                sim.rng().sample_duration(if is_write { &WRITE_SERVICE } else { &READ_SERVICE });
+            let journal_append = sim.rng().sample_duration(&JOURNAL_SERVICE);
             let mds2 = Rc::clone(&mds);
             Station::submit(&mds.cpu, sim, cpu_service, move |sim| {
                 let finish = move |sim: &mut Sim, result: OpResult| {
@@ -335,7 +327,7 @@ impl CephFs {
                 if is_write {
                     // Journal first (durability), then apply in memory.
                     let namespace = Rc::clone(&namespace);
-                    Station::submit(&mds2.journal, sim, journal_service, move |sim| {
+                    Station::submit(&mds2.journal, sim, journal_append, move |sim| {
                         let now_nanos = sim.now().as_nanos();
                         let result = {
                             let mut ns = namespace.borrow_mut();

@@ -25,54 +25,46 @@ use lambda_store::Db;
 
 use crate::serverful::{PeerCoherence, Routing, ServerNode, ServerfulCluster};
 
+/// vCPUs per NameNode (the evaluation used 16-vCPU r5.4xlarge).
+const VCPUS_PER_NN: u32 = 16;
+/// Cache capacity per NameNode, in inodes (HopsFS+Cache).
+const CACHE_CAPACITY: usize = 2_000_000;
+/// Subtree sub-operation batch size.
+const SUBTREE_BATCH_SIZE: usize = 512;
+/// Concurrent in-flight subtree batches (HopsFS runs sub-operations in
+/// parallel on the coordinating NameNode).
+const SUBTREE_PARALLELISM: usize = 7;
+/// Number of DataNodes publishing reports.
+const DATANODES: u32 = 8;
+/// Store lock-wait timeout.
+const LOCK_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 /// Configuration for a HopsFS-family deployment.
 #[derive(Debug, Clone)]
 pub struct HopsFsConfig {
     /// Number of NameNode servers.
     pub namenodes: u32,
-    /// vCPUs per NameNode (the evaluation used 16-vCPU r5.4xlarge).
-    pub vcpus_per_nn: u32,
     /// Whether NameNodes cache metadata (HopsFS+Cache).
     pub cache_enabled: bool,
-    /// Cache capacity per NameNode, in inodes.
-    pub cache_capacity: usize,
     /// Number of simulated clients.
     pub clients: u32,
-    /// Transparent retry budget.
-    pub max_retries: u32,
-    /// Subtree sub-operation batch size.
-    pub subtree_batch_size: usize,
-    /// Concurrent in-flight subtree batches (HopsFS runs sub-operations
-    /// in parallel on the coordinating NameNode).
-    pub subtree_parallelism: usize,
-    /// Number of DataNodes publishing reports.
-    pub datanodes: u32,
     /// Network model.
     pub net: NetParams,
     /// NameNode CPU model.
     pub cpu: CpuParams,
     /// NDB capacity model.
     pub store: StoreParams,
-    /// Store lock-wait timeout.
-    pub lock_timeout: SimDuration,
 }
 
 impl Default for HopsFsConfig {
     fn default() -> Self {
         HopsFsConfig {
             namenodes: 32,
-            vcpus_per_nn: 16,
             cache_enabled: false,
-            cache_capacity: 2_000_000,
             clients: 64,
-            max_retries: 6,
-            subtree_batch_size: 512,
-            subtree_parallelism: 7,
-            datanodes: 8,
             net: NetParams::default(),
             cpu: CpuParams::default(),
             store: StoreParams::default(),
-            lock_timeout: SimDuration::from_secs(5),
         }
     }
 }
@@ -81,7 +73,7 @@ impl HopsFsConfig {
     /// Vanilla HopsFS with `total_vcpus` split over 16-vCPU NameNodes.
     #[must_use]
     pub fn vanilla(total_vcpus: u32, clients: u32) -> Self {
-        let namenodes = (total_vcpus / 16).max(1);
+        let namenodes = (total_vcpus / VCPUS_PER_NN).max(1);
         HopsFsConfig { namenodes, clients, ..Default::default() }
     }
 
@@ -115,17 +107,17 @@ impl HopsFs {
     #[must_use]
     pub fn build(sim: &mut Sim, config: HopsFsConfig) -> Self {
         let _ = &sim;
-        let db = Db::new(&config.store, config.lock_timeout);
+        let db = Db::new(&config.store, LOCK_TIMEOUT);
         let schema = MetadataSchema::install(&db);
         let partitioner = Rc::new(Partitioner::new(config.namenodes.max(1)));
         // Build caches first so every node's coherence hook can see all
         // peers.
         let caches: Vec<Rc<RefCell<MetadataCache>>> = (0..config.namenodes)
-            .map(|_| Rc::new(RefCell::new(MetadataCache::new(config.cache_capacity))))
+            .map(|_| Rc::new(RefCell::new(MetadataCache::new(CACHE_CAPACITY))))
             .collect();
         let nodes: Vec<ServerNode> = (0..config.namenodes as usize)
             .map(|i| {
-                let cpu = Station::new(format!("hops-nn-{i}"), config.vcpus_per_nn.max(1));
+                let cpu = Station::new(format!("hops-nn-{i}"), VCPUS_PER_NN);
                 let engine = OpEngine {
                     db: db.clone(),
                     schema: schema.clone(),
@@ -137,8 +129,8 @@ impl HopsFs {
                             as Rc<dyn lambda_fs::CoherenceHook>
                     }),
                     subtree: SubtreeSettings {
-                        batch_size: config.subtree_batch_size,
-                        parallelism: config.subtree_parallelism,
+                        batch_size: SUBTREE_BATCH_SIZE,
+                        parallelism: SUBTREE_PARALLELISM,
                         holder_tag: i as u64 + 1,
                         holder_alive: None,
                     },
@@ -153,11 +145,10 @@ impl HopsFs {
             routing,
             partitioner,
             config.net.clone(),
-            config.namenodes * config.vcpus_per_nn,
+            config.namenodes * VCPUS_PER_NN,
             config.clients,
-            config.max_retries,
         );
-        let fleet = DataNodeFleet::new(&db, &schema, config.datanodes, SimDuration::from_secs(10));
+        let fleet = DataNodeFleet::new(&db, &schema, DATANODES, SimDuration::from_secs(10));
         HopsFs { config, cluster, db, schema, fleet }
     }
 

@@ -148,13 +148,14 @@ impl LevelDbBackend {
     }
 }
 
+/// Number of IndexFS servers (deployed on the 4 BeeGFS client VMs).
+const SERVERS: u32 = 4;
+/// Effective parallel width per server (shares the client VM's CPU).
+const SERVER_WIDTH: u32 = 8;
+
 /// Configuration for vanilla IndexFS.
 #[derive(Debug, Clone)]
 pub struct IndexFsConfig {
-    /// Number of IndexFS servers (deployed on the 4 BeeGFS client VMs).
-    pub servers: u32,
-    /// Effective parallel width per server (shares the client VM's CPU).
-    pub server_width: u32,
     /// Number of clients.
     pub clients: u32,
     /// LevelDB tuning.
@@ -166,8 +167,6 @@ pub struct IndexFsConfig {
 impl Default for IndexFsConfig {
     fn default() -> Self {
         IndexFsConfig {
-            servers: 4,
-            server_width: 8,
             clients: 64,
             lsm: LsmConfig::default(),
             net: NetParams::default(),
@@ -193,14 +192,8 @@ impl IndexFs {
     #[must_use]
     pub fn build(sim: &mut Sim, config: IndexFsConfig) -> Self {
         let _ = &sim;
-        let backends = (0..config.servers)
-            .map(|i| {
-                LevelDbBackend::new(
-                    &format!("indexfs-{i}"),
-                    config.server_width,
-                    config.lsm.clone(),
-                )
-            })
+        let backends = (0..SERVERS)
+            .map(|i| LevelDbBackend::new(&format!("indexfs-{i}"), SERVER_WIDTH, config.lsm.clone()))
             .collect();
         IndexFs { config, backends, metrics: Rc::new(RefCell::new(RunMetrics::new())) }
     }
@@ -259,7 +252,6 @@ pub struct IndexFn {
     backend: Rc<LevelDbBackend>,
     registry: CacheRegistry,
     cache: Rc<RefCell<HashMap<String, bool>>>,
-    cache_capacity: usize,
     coord_rtt: Dist,
     instance: Cell<Option<InstanceId>>,
 }
@@ -303,14 +295,13 @@ impl Function for IndexFn {
                     return;
                 }
                 let cache = Rc::clone(&self.cache);
-                let capacity = self.cache_capacity;
                 let key = path.as_str().to_string();
                 self.backend.get(
                     sim,
                     &path,
                     Box::new(move |sim, found| {
                         let mut c = cache.borrow_mut();
-                        if c.len() >= capacity {
+                        if c.len() >= FN_CACHE_CAPACITY {
                             c.clear();
                         }
                         c.insert(key, found);
@@ -384,24 +375,25 @@ impl Function for IndexFn {
     }
 }
 
+/// λIndexFS function deployments (one per LevelDB instance; the
+/// evaluation ran 4 LevelDB instances).
+const FN_DEPLOYMENTS: u32 = 4;
+/// vCPUs per λIndexFS function instance.
+const FN_VCPUS: u32 = 4;
+/// Per-instance HTTP concurrency.
+const FN_CONCURRENCY: u32 = 4;
+/// OpenWhisk cluster vCPUs (the evaluation used 64).
+const CLUSTER_VCPUS: u32 = 64;
+/// Per-instance cache entries.
+const FN_CACHE_CAPACITY: usize = 500_000;
+/// HTTP-TCP replacement probability.
+const HTTP_REPLACE_PROB: f64 = 0.01;
+/// Client request timeout before retry.
+const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 /// Configuration for λIndexFS.
 #[derive(Debug, Clone)]
 pub struct LambdaIndexFsConfig {
-    /// Function deployments (one per LevelDB instance; the evaluation ran
-    /// 4 LevelDB instances).
-    pub deployments: u32,
-    /// vCPUs per function instance.
-    pub fn_vcpus: u32,
-    /// Per-instance HTTP concurrency.
-    pub concurrency: u32,
-    /// OpenWhisk cluster vCPUs (the evaluation used 64).
-    pub cluster_vcpus: u32,
-    /// Per-instance cache entries.
-    pub cache_capacity: usize,
-    /// HTTP-TCP replacement probability.
-    pub http_replace_prob: f64,
-    /// Client request timeout before retry.
-    pub timeout: SimDuration,
     /// Number of clients.
     pub clients: u32,
     /// LevelDB tuning.
@@ -413,13 +405,6 @@ pub struct LambdaIndexFsConfig {
 impl Default for LambdaIndexFsConfig {
     fn default() -> Self {
         LambdaIndexFsConfig {
-            deployments: 4,
-            fn_vcpus: 4,
-            concurrency: 4,
-            cluster_vcpus: 64,
-            cache_capacity: 500_000,
-            http_replace_prob: 0.01,
-            timeout: SimDuration::from_secs(5),
             clients: 64,
             lsm: LsmConfig::default(),
             net: NetParams::default(),
@@ -452,13 +437,13 @@ impl LambdaIndexFs {
     pub fn build(sim: &mut Sim, config: LambdaIndexFsConfig) -> Self {
         let _ = &sim;
         let platform: Platform<IndexFn> = Platform::new(&PlatformConfig {
-            cluster_vcpus: config.cluster_vcpus,
+            cluster_vcpus: CLUSTER_VCPUS,
             faas: FaasParams::default(),
             net: config.net.clone(),
             pricing: lambda_sim::LambdaPricing::default(),
-            request_ttl: config.timeout * 2,
+            request_ttl: CLIENT_TIMEOUT * 2,
         });
-        let deployments: Rc<[DeploymentId]> = (0..config.deployments)
+        let deployments: Rc<[DeploymentId]> = (0..FN_DEPLOYMENTS)
             .map(|d| {
                 let backend = LevelDbBackend::new(
                     &format!("leveldb-{d}"),
@@ -466,14 +451,13 @@ impl LambdaIndexFs {
                     config.lsm.clone(),
                 );
                 let registry: CacheRegistry = Rc::new(RefCell::new(Vec::new()));
-                let capacity = config.cache_capacity;
                 let coord_rtt = config.net.coord_one_way;
                 platform.register_deployment(
                     format!("lambda-indexfs-{d}"),
                     FunctionConfig {
-                        vcpus: config.fn_vcpus,
+                        vcpus: FN_VCPUS,
                         mem_gb: 4.0,
-                        concurrency: config.concurrency,
+                        concurrency: FN_CONCURRENCY,
                         max_instances: u32::MAX,
                         min_instances: 0,
                     },
@@ -481,7 +465,6 @@ impl LambdaIndexFs {
                         backend: Rc::clone(&backend),
                         registry: Rc::clone(&registry),
                         cache: Rc::new(RefCell::new(HashMap::new())),
-                        cache_capacity: capacity,
                         coord_rtt,
                         instance: Cell::new(None),
                     }),
@@ -546,9 +529,9 @@ impl LambdaIndexFs {
         if done.borrow().is_none() {
             return;
         }
-        let dep = (dir_hash(op.path()) % u64::from(self.config.deployments)) as u32;
+        let dep = (dir_hash(op.path()) % u64::from(FN_DEPLOYMENTS)) as u32;
         let conn = self.connections.borrow()[client].get(&dep).copied();
-        let replace = sim.rng().gen_bool(self.config.http_replace_prob);
+        let replace = sim.rng().gen_bool(HTTP_REPLACE_PROB);
         let class = op.class();
         let metrics = Rc::clone(&self.metrics);
         let respond: Responder<TreeResp> = {
@@ -584,9 +567,8 @@ impl LambdaIndexFs {
             return;
         }
         // Timeout + retry.
-        let timeout = self.config.timeout;
         let this = self.clone();
-        sim.schedule(timeout, move |sim| {
+        sim.schedule(CLIENT_TIMEOUT, move |sim| {
             if done.borrow().is_none() {
                 return;
             }

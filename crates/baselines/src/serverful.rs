@@ -10,6 +10,9 @@ use lambda_namespace::{FsError, FsOp, MetadataCache, Partitioner};
 use lambda_sim::params::NetParams;
 use lambda_sim::{every, CostMeter, Sim, SimDuration, StationRef, VmPricing};
 
+/// Transparent retries of a `Retryable` or `SubtreeLocked` reply.
+const MAX_RETRIES: u32 = 6;
+
 /// How client requests are spread over the server cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routing {
@@ -44,7 +47,6 @@ pub struct ServerfulCluster {
     meter: Rc<RefCell<CostMeter>>,
     metrics: Rc<RefCell<RunMetrics>>,
     clients: u32,
-    max_retries: u32,
     next_rr: Rc<RefCell<usize>>,
     /// Billing generation, odd while billing. Starting and stopping each
     /// advance it, and a tick keeps running only while the generation it
@@ -66,7 +68,6 @@ impl std::fmt::Debug for ServerfulCluster {
 impl ServerfulCluster {
     /// Assembles a cluster from prebuilt nodes.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         nodes: Vec<ServerNode>,
         routing: Routing,
@@ -74,7 +75,6 @@ impl ServerfulCluster {
         net: NetParams,
         vcpus_total: u32,
         clients: u32,
-        max_retries: u32,
     ) -> Self {
         ServerfulCluster {
             nodes: nodes.into(),
@@ -86,7 +86,6 @@ impl ServerfulCluster {
             meter: Rc::new(RefCell::new(CostMeter::new())),
             metrics: Rc::new(RefCell::new(RunMetrics::new())),
             clients: clients.max(1),
-            max_retries,
             next_rr: Rc::new(RefCell::new(0)),
             billing: Rc::new(Cell::new(0)),
         }
@@ -185,7 +184,6 @@ impl ServerfulCluster {
         let metrics = Rc::clone(&self.metrics);
         metrics.borrow_mut().tcp_rpcs += 1;
         let this = self.clone();
-        let max_retries = self.max_retries;
         sim.schedule(hop, move |sim| {
             let op2 = op.clone();
             engine.execute(
@@ -196,7 +194,7 @@ impl ServerfulCluster {
                     let back = sim.rng().sample_duration(&net.tcp_one_way);
                     sim.schedule(back, move |sim| match result {
                         Err(FsError::Retryable(_)) | Err(FsError::SubtreeLocked(_))
-                            if tries < max_retries =>
+                            if tries < MAX_RETRIES =>
                         {
                             metrics.borrow_mut().retries += 1;
                             let delay =
@@ -299,7 +297,6 @@ mod tests {
                 NetParams::default(),
                 16,
                 1,
-                0,
             );
             cluster.start_billing(&mut sim);
             if restart {

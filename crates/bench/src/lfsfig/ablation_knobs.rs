@@ -5,13 +5,12 @@
 
 use lambda_bench::*;
 use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig};
-use lambda_sim::params::StoreParams;
 use lambda_sim::{Sim, SimDuration};
-use lambda_workload::{run_spotify, SpotifyConfig};
+use lambda_workload::run_spotify;
 use std::rc::Rc;
 
-/// One design knob moved off its default.
-type Knob = fn(&mut LambdaFsConfig);
+/// One design knob moved off its default, given the run's parameters.
+type Knob = fn(&mut LambdaFsConfig, &IndustrialParams);
 
 struct Ablation {
     label: String,
@@ -22,26 +21,13 @@ struct Ablation {
     cost: f64,
 }
 
-fn run_one(label: &str, scale: f64, seed: u64, mutate: Knob) -> Ablation {
-    let mut sim = Sim::new(seed);
-    let mut config = LambdaFsConfig {
-        deployments: 10,
-        cluster_vcpus: ((512.0 / scale) as u32).max(64),
-        clients: ((1024.0 / scale) as u32).max(16),
-        client_vms: 8,
-        store: StoreParams::default().slowed(scale),
-        ..Default::default()
-    };
-    mutate(&mut config);
+fn run_one(label: &str, params: &IndustrialParams, mutate: Knob) -> Ablation {
+    let mut sim = Sim::new(params.seed);
+    let mut config = lambda_config(params, false);
+    mutate(&mut config, params);
     let fs = Rc::new(LambdaFs::build(&mut sim, config));
     fs.start(&mut sim);
-    let spotify = SpotifyConfig {
-        base_throughput: 25_000.0 / scale,
-        duration: SimDuration::from_secs((300.0 / scale.sqrt()) as u64),
-        dirs: ((2048.0 / scale) as usize).max(64),
-        files_per_dir: 48,
-        ..Default::default()
-    };
+    let spotify = params.spotify_config();
     let dirs = fs.bootstrap_tree(&"/".parse().unwrap(), spotify.dirs, spotify.files_per_dir);
     fs.prewarm_with(&mut sim, &dirs);
     sim.run_for(SimDuration::from_secs(8));
@@ -64,22 +50,33 @@ fn run_one(label: &str, scale: f64, seed: u64, mutate: Knob) -> Ablation {
     }
 }
 
+/// The labels of the rows after the first (the baseline) that equal it in
+/// every column but the label: knobs whose row moves nothing.
+fn rows_like_the_baseline(rows: &[Vec<String>]) -> Vec<&str> {
+    let Some((baseline, knobs)) = rows.split_first() else { return Vec::new() };
+    knobs.iter().filter(|row| row[1..] == baseline[1..]).map(|row| row[0].as_str()).collect()
+}
+
 pub fn run(args: &Args) {
     let scale = args.scale();
-    let seed = args.u64("seed", 54);
-    let knobs: [(&str, Knob); 9] = [
-        ("baseline (p=1%, CL=4, coherence on)", |_| {}),
-        ("replacement p=0 (no autoscale signal)", |c| c.http_replace_prob = 0.0),
-        ("replacement p=5%", |c| c.http_replace_prob = 0.05),
-        ("replacement p=100% (per-op HTTP)", |c| c.http_replace_prob = 1.0),
-        ("ConcurrencyLevel=1", |c| c.concurrency_level = 1),
-        ("ConcurrencyLevel=16", |c| c.concurrency_level = 16),
-        ("reduced cache (< WSS)", |c| c.cache_capacity = 4_000),
-        ("coherence OFF (unsafe)", |c| c.coherence_enabled = false),
-        ("NDB coordinator (10ms epochs)", |c| c.coordinator = lambda_coord::CoordinatorKind::Ndb),
+    let params = IndustrialParams::spotify(25_000.0, scale, args.u64("seed", 54));
+    let knobs: [(&str, Knob); 8] = [
+        ("baseline (p=1%, CL=4, coherence on)", |_, _| {}),
+        ("replacement p=0 (no autoscale signal)", |c, _| c.http_replace_prob = 0.0),
+        ("replacement p=5%", |c, _| c.http_replace_prob = 0.05),
+        ("replacement p=100% (per-op HTTP)", |c, _| c.http_replace_prob = 1.0),
+        ("ConcurrencyLevel=1", |c, _| c.concurrency_level = 1),
+        ("ConcurrencyLevel=16", |c, _| c.concurrency_level = 16),
+        ("reduced cache (< WSS)", |c, p| c.cache_capacity = lambda_config(p, true).cache_capacity),
+        ("coherence OFF (unsafe)", |c, _| c.coherence_enabled = false),
     ];
-    let jobs: Vec<_> =
-        knobs.into_iter().map(|(label, mutate)| move || run_one(label, scale, seed, mutate)).collect();
+    let jobs: Vec<_> = knobs
+        .into_iter()
+        .map(|(label, mutate)| {
+            let params = params.clone();
+            move || run_one(label, &params, mutate)
+        })
+        .collect();
     let results = run_parallel(args.threads(), jobs);
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -99,4 +96,30 @@ pub fn run(args: &Args) {
         &["configuration", "avg tp (≈full)", "avg latency", "peak NNs", "create p50", "cost"],
         &rows,
     );
+    // A row equal to the baseline measures nothing: fail like a dirty audit.
+    let dead = rows_like_the_baseline(&rows);
+    if !dead.is_empty() {
+        println!("
+rows equal to the baseline in every column:");
+        dead.iter().for_each(|label| println!("  {label}"));
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rows_like_the_baseline;
+
+    fn row(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|c| (*c).to_string()).collect()
+    }
+
+    #[test]
+    fn a_row_equal_to_the_baseline_in_every_column_is_named() {
+        let baseline = row(&["baseline", "52.6k", "2.33ms", "20", "12.62ms", "$0.1101"]);
+        let same = row(&["same", "52.6k", "2.33ms", "20", "12.62ms", "$0.1101"]);
+        let cost_only = row(&["cost only", "52.6k", "2.33ms", "20", "12.62ms", "$0.1100"]);
+        assert_eq!(rows_like_the_baseline(&[baseline.clone(), same, cost_only.clone()]), ["same"]);
+        assert!(rows_like_the_baseline(&[baseline, cost_only]).is_empty());
+    }
 }

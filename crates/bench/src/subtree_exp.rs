@@ -67,12 +67,7 @@ pub fn run_subtree_mv(kind: SystemKind, dir_size: usize, seed: u64) -> SubtreeMv
         _ => {
             let fs = Rc::new(HopsFs::build(
                 &mut sim,
-                HopsFsConfig {
-                    subtree_parallelism: 7,
-                    store,
-                    clients: 8,
-                    ..HopsFsConfig::vanilla(512, 8)
-                },
+                HopsFsConfig { store, ..HopsFsConfig::vanilla(512, 8) },
             ));
             fs.start(&mut sim);
             bootstrap_flat_dir(fs.as_ref(), &src, dir_size);

@@ -1,7 +1,7 @@
 //! # lambda-coord
 //!
-//! The Coordinator service — the reproduction's stand-in for ZooKeeper
-//! (λFS's default "pluggable Coordinator", paper §3.5): sessions with
+//! The Coordinator service — the reproduction's stand-in for ZooKeeper,
+//! the Coordinator every experiment of the paper runs (§3.5): sessions with
 //! liveness timeouts, ephemeral group membership, persistent watches,
 //! leader election, and member-to-member message delivery.
 //!
@@ -24,7 +24,7 @@
 
 mod service;
 
-pub use service::{Coordinator, CoordinatorKind, GroupEvent, SessionId};
+pub use service::{Coordinator, GroupEvent, SessionId};
 
 #[cfg(test)]
 mod tests {
@@ -178,75 +178,10 @@ mod tests {
         assert_eq!(coord.leader("nn"), None);
     }
 
-    // ----------------------------------------------------------------
-    // NDB event-API transport (paper §3.5: "λFS currently supports both
-    // ZooKeeper and MySQL Cluster NDB")
-    // ----------------------------------------------------------------
-
-    fn ndb_coord(epoch_ms: u64) -> Coordinator<String> {
-        let shards: Vec<_> =
-            (0..4).map(|i| lambda_sim::Station::new(format!("ndb-{i}"), 10)).collect();
-        Coordinator::over_ndb(
-            shards,
-            &lambda_sim::params::StoreParams::default(),
-            SimDuration::from_millis(epoch_ms),
-            SimDuration::from_secs(4),
-        )
-    }
-
     #[test]
-    fn ndb_messages_arrive_no_earlier_than_half_an_epoch() {
-        let mut sim = Sim::new(20);
-        let coord = ndb_coord(10);
-        let a = coord.create_session(&mut sim);
-        let b = coord.create_session(&mut sim);
-        let arrived = Rc::new(RefCell::new(None));
-        let out = Rc::clone(&arrived);
-        coord.register_inbox(
-            b,
-            Box::new(move |sim: &mut Sim, _msg: String| {
-                *out.borrow_mut() = Some(sim.now());
-            }),
-        );
-        let t0 = sim.now();
-        assert!(coord.send(&mut sim, a, b, "inv".into()));
-        sim.run();
-        let at = arrived.borrow().expect("delivered");
-        let elapsed = at.saturating_since(t0);
-        // Write leg + ≥half-epoch flush + read leg.
-        assert!(elapsed >= SimDuration::from_millis(5), "arrived after {elapsed}");
-        assert_eq!(coord.message_stats(), (1, 0));
-    }
-
-    #[test]
-    fn ndb_transport_charges_the_metadata_store() {
-        let mut sim = Sim::new(21);
-        let coord = ndb_coord(10);
-        let a = coord.create_session(&mut sim);
-        let b = coord.create_session(&mut sim);
-        coord.register_inbox(b, Box::new(|_sim: &mut Sim, _msg: String| {}));
-        assert_eq!(coord.store_ops(), 0);
-        coord.heartbeat(&mut sim, a);
-        coord.send(&mut sim, a, b, "inv".into());
-        sim.run();
-        // heartbeat(1) + send(write leg + read leg, 2).
-        assert_eq!(coord.store_ops(), 3);
-    }
-
-    #[test]
-    fn zookeeper_transport_never_touches_the_store() {
-        let mut sim = Sim::new(22);
-        let coord = new_coord();
-        let a = coord.create_session(&mut sim);
-        coord.heartbeat(&mut sim, a);
-        sim.run();
-        assert_eq!(coord.store_ops(), 0);
-    }
-
-    #[test]
-    fn ndb_membership_watches_and_expiry_behave_like_zookeeper() {
+    fn expiry_hands_leadership_to_the_member_that_heartbeats() {
         let mut sim = Sim::new(23);
-        let coord = ndb_coord(10);
+        let coord = new_coord();
         let events = Rc::new(RefCell::new(Vec::new()));
         let out = Rc::clone(&events);
         coord.watch_group(
@@ -260,8 +195,7 @@ mod tests {
         coord.join_group(&mut sim, a, "nn");
         coord.join_group(&mut sim, b, "nn");
         assert_eq!(coord.leader("nn"), Some(a));
-        // Only b heartbeats: a expires and its Left event fires through
-        // the event API.
+        // Only b heartbeats: a expires and its Left event fires.
         for tick in 1..20 {
             let at = lambda_sim::SimTime::from_nanos(500_000_000 * tick);
             let c2 = coord.clone();

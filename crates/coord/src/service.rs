@@ -5,8 +5,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
-use lambda_sim::params::{NetParams, StoreParams};
-use lambda_sim::{Dist, Sim, SimDuration, SimTime, Station, StationRef};
+use lambda_sim::params::NetParams;
+use lambda_sim::{Dist, Sim, SimDuration, SimTime};
 
 /// Identifies one coordinator session (≈ one connected process).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,21 +33,6 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// Which Coordinator implementation a λFS deployment runs (paper §3.5:
-/// the Coordinator is pluggable, with ZooKeeper and MySQL Cluster NDB
-/// supported). Selects between [`Coordinator::new`] and
-/// [`Coordinator::over_ndb`] at system build time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoordinatorKind {
-    /// A dedicated ZooKeeper ensemble (the evaluation's configuration).
-    #[default]
-    ZooKeeper,
-    /// MySQL Cluster NDB's event API: no extra service to run, but
-    /// coordination traffic shares the metadata store's shards and pays
-    /// epoch-batched event latency.
-    Ndb,
-}
-
 /// A membership change in a watched group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupEvent {
@@ -68,27 +53,11 @@ struct SessionState {
     groups: Vec<String>,
 }
 
-/// How coordinator traffic reaches its recipients.
-///
-/// λFS's Coordinator is pluggable (paper §3.5): the default deployment
-/// runs ZooKeeper, but "λFS currently supports both ZooKeeper and MySQL
-/// Cluster NDB" — the latter implements watches and member-to-member
-/// messages over NDB's event API, so coordination traffic *shares the
-/// metadata store's capacity* and pays its epoch-batched event latency.
-enum Transport {
-    /// ZooKeeper-style dedicated ensemble: point-to-point hops sampled
-    /// from `coord_one_way`, no interaction with the metadata store.
-    InMemory { one_way: Dist },
-    /// NDB event API: a message is a row write on the recipient's shard,
-    /// delivered at the next event epoch, then read back by the
-    /// subscriber. Every leg occupies real shard capacity.
-    Ndb { shards: Vec<StationRef>, row_write: Dist, pk_read: Dist, epoch: SimDuration },
-}
-
 struct CoordInner<M> {
     next_session: u64,
     session_timeout: SimDuration,
-    transport: Transport,
+    /// One coordinator hop (a message takes two, a watch event one).
+    one_way: Dist,
     sessions: HashMap<SessionId, SessionState>,
     /// Group → members in join order.
     groups: BTreeMap<String, Vec<SessionId>>,
@@ -96,8 +65,6 @@ struct CoordInner<M> {
     inboxes: HashMap<SessionId, Inbox<M>>,
     messages_delivered: u64,
     messages_dropped: u64,
-    /// Store operations charged by the NDB transport (0 for ZooKeeper).
-    store_ops: u64,
 }
 
 /// A shared handle to the coordination service, generic over the message
@@ -132,85 +99,19 @@ impl<M: Clone + 'static> Coordinator<M> {
     /// `session_timeout` without a heartbeat.
     #[must_use]
     pub fn new(net: &NetParams, session_timeout: SimDuration) -> Self {
-        Self::with_transport(
-            Transport::InMemory { one_way: net.coord_one_way },
-            session_timeout,
-        )
-    }
-
-    /// Creates a coordinator backed by MySQL Cluster NDB's event API (the
-    /// paper's alternative Coordinator, §3.5): watches and messages ride
-    /// the metadata store's own shards (`shards`, priced by `store`) and
-    /// are batched into event epochs of `epoch`. Compared to ZooKeeper
-    /// this adds epoch latency to every coherence round *and* steals
-    /// capacity from metadata transactions — the trade the `ablation_knobs`
-    /// bench quantifies.
-    #[must_use]
-    pub fn over_ndb(
-        shards: Vec<StationRef>,
-        store: &StoreParams,
-        epoch: SimDuration,
-        session_timeout: SimDuration,
-    ) -> Self {
-        assert!(!shards.is_empty(), "NDB transport needs at least one shard");
-        Self::with_transport(
-            Transport::Ndb {
-                shards,
-                row_write: store.row_write,
-                pk_read: store.pk_read,
-                epoch,
-            },
-            session_timeout,
-        )
-    }
-
-    fn with_transport(transport: Transport, session_timeout: SimDuration) -> Self {
         Coordinator {
             inner: Rc::new(RefCell::new(CoordInner {
                 next_session: 0,
                 session_timeout,
-                transport,
+                one_way: net.coord_one_way,
                 sessions: HashMap::new(),
                 groups: BTreeMap::new(),
                 watches: HashMap::new(),
                 inboxes: HashMap::new(),
                 messages_delivered: 0,
                 messages_dropped: 0,
-                store_ops: 0,
             })),
         }
-    }
-
-    /// Store operations the NDB transport has charged against the
-    /// metadata store's shards (always 0 under ZooKeeper).
-    #[must_use]
-    pub fn store_ops(&self) -> u64 {
-        self.inner.borrow().store_ops
-    }
-
-    /// Occupies the shard that owns `salt`'s row for one store operation
-    /// of `service` length, then runs `then`.
-    fn charge_shard<F: FnOnce(&mut Sim) + 'static>(
-        &self,
-        sim: &mut Sim,
-        salt: u64,
-        service: SimDuration,
-        then: F,
-    ) {
-        let shard = {
-            let mut inner = self.inner.borrow_mut();
-            inner.store_ops += 1;
-            let Transport::Ndb { shards, .. } = &inner.transport else {
-                unreachable!("charge_shard is only called by the NDB transport")
-            };
-            Rc::clone(&shards[(salt % shards.len() as u64) as usize])
-        };
-        Station::submit(&shard, sim, service, then);
-    }
-
-    /// The delay until the next NDB event epoch flushes, jittered.
-    fn epoch_delay(sim: &mut Sim, epoch: SimDuration) -> SimDuration {
-        SimDuration::from_secs_f64(epoch.as_secs_f64() * sim.rng().gen_range(0.5..1.5))
     }
 
     /// Messages delivered and dropped so far.
@@ -253,23 +154,11 @@ impl<M: Clone + 'static> Coordinator<M> {
     }
 
     /// Extends the session's lease; a no-op for dead sessions.
-    ///
-    /// Under the NDB transport the lease is a row, so every heartbeat
-    /// also occupies its shard for one row write.
     pub fn heartbeat(&self, sim: &mut Sim, id: SessionId) {
-        let charge = {
-            let mut inner = self.inner.borrow_mut();
-            let timeout = inner.session_timeout;
-            let Some(s) = inner.sessions.get_mut(&id) else { return };
+        let mut inner = self.inner.borrow_mut();
+        let timeout = inner.session_timeout;
+        if let Some(s) = inner.sessions.get_mut(&id) {
             s.expires_at = sim.now() + timeout;
-            match &inner.transport {
-                Transport::InMemory { .. } => None,
-                Transport::Ndb { row_write, .. } => Some(*row_write),
-            }
-        };
-        if let Some(row_write) = charge {
-            let service = sim.rng().sample_duration(&row_write);
-            self.charge_shard(sim, id.0, service, |_sim| {});
         }
     }
 
@@ -384,22 +273,9 @@ impl<M: Clone + 'static> Coordinator<M> {
         if watches.is_empty() {
             return;
         }
-        enum Plan {
-            Direct(Dist),
-            Epoch(SimDuration),
-        }
-        let plan = match &self.inner.borrow().transport {
-            Transport::InMemory { one_way } => Plan::Direct(*one_way),
-            Transport::Ndb { epoch, .. } => Plan::Epoch(*epoch),
-        };
+        let one_way = self.inner.borrow().one_way;
         for watch in watches {
-            let delay = match &plan {
-                Plan::Direct(one_way) => sim.rng().sample_duration(one_way),
-                // Watch events ride the event API: visible at the next
-                // epoch flush. The membership row write itself was paid
-                // by the session operation that caused the event.
-                Plan::Epoch(epoch) => Self::epoch_delay(sim, *epoch),
-            };
+            let delay = sim.rng().sample_duration(&one_way);
             sim.schedule(delay, move |sim| watch(sim, event));
         }
     }
@@ -430,49 +306,16 @@ impl<M: Clone + 'static> Coordinator<M> {
     /// message silently, exactly the failure the coherence protocol must
     /// tolerate.
     pub fn send(&self, sim: &mut Sim, from: SessionId, to: SessionId, msg: M) -> bool {
-        enum Plan {
-            Direct(Dist),
-            Ndb { row_write: Dist, pk_read: Dist, epoch: SimDuration },
-        }
-        let plan = {
+        let one_way = {
             let inner = self.inner.borrow();
             if !inner.sessions.contains_key(&from) || !inner.sessions.contains_key(&to) {
                 return false;
             }
-            match &inner.transport {
-                Transport::InMemory { one_way } => Plan::Direct(*one_way),
-                Transport::Ndb { row_write, pk_read, epoch, .. } => Plan::Ndb {
-                    row_write: *row_write,
-                    pk_read: *pk_read,
-                    epoch: *epoch,
-                },
-            }
+            inner.one_way
         };
+        let delay = sim.rng().sample_duration(&one_way) + sim.rng().sample_duration(&one_way);
         let this = self.clone();
-        match plan {
-            Plan::Direct(one_way) => {
-                let delay =
-                    sim.rng().sample_duration(&one_way) + sim.rng().sample_duration(&one_way);
-                sim.schedule(delay, move |sim| this.deliver(sim, to, msg));
-            }
-            Plan::Ndb { row_write, pk_read, epoch } => {
-                // Three legs, each on the recipient's shard row: the
-                // sender writes the message row, the event API flushes it
-                // at the next epoch, the subscriber reads the payload.
-                let write = sim.rng().sample_duration(&row_write);
-                let this2 = self.clone();
-                self.charge_shard(sim, to.0, write, move |sim| {
-                    let flush = Self::epoch_delay(sim, epoch);
-                    sim.schedule(flush, move |sim| {
-                        let read = sim.rng().sample_duration(&pk_read);
-                        let this3 = this2.clone();
-                        this2.charge_shard(sim, to.0, read, move |sim| {
-                            this3.deliver(sim, to, msg);
-                        });
-                    });
-                });
-            }
-        }
+        sim.schedule(delay, move |sim| this.deliver(sim, to, msg));
         true
     }
 

@@ -1,12 +1,12 @@
 //! Model-based property test: the Coordinator's session/group state
 //! machine against a flat reference model, driven by random operation
-//! sequences over both transports (ZooKeeper-style and NDB event API).
+//! sequences.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use lambda_coord::{Coordinator, SessionId};
-use lambda_sim::params::{NetParams, StoreParams};
-use lambda_sim::{Sim, SimDuration, Station};
+use lambda_sim::params::NetParams;
+use lambda_sim::{Sim, SimDuration};
 use proptest::prelude::*;
 
 const GROUPS: [&str; 3] = ["nn-deployment-0", "nn-deployment-1", "nn-all"];
@@ -93,7 +93,7 @@ fn drive<M: Clone + 'static>(coord: Coordinator<M>, ops: Vec<Op>) {
             _ => {} // op on an empty session list
         }
         // Heartbeat everyone alive so timeouts never interfere, then let
-        // in-flight notifications and store charges drain — bounded, so
+        // in-flight notifications drain — bounded, so
         // the 60 s expiry timers never fire (`sim.run()` would drain all
         // the way to them).
         let live: Vec<SessionId> = model.alive.iter().copied().collect();
@@ -112,19 +112,6 @@ proptest! {
     fn zookeeper_transport_matches_the_model(ops in ops()) {
         let coord: Coordinator<String> =
             Coordinator::new(&NetParams::default(), SimDuration::from_secs(60));
-        drive(coord, ops);
-    }
-
-    #[test]
-    fn ndb_transport_matches_the_model(ops in ops()) {
-        let shards: Vec<_> =
-            (0..4).map(|i| Station::new(format!("ndb-{i}"), 10)).collect();
-        let coord: Coordinator<String> = Coordinator::over_ndb(
-            shards,
-            &StoreParams::default(),
-            SimDuration::from_millis(10),
-            SimDuration::from_secs(60),
-        );
         drive(coord, ops);
     }
 }

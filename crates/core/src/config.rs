@@ -59,10 +59,6 @@ pub struct LambdaFsConfig {
     /// each TCP server"); smaller values exercise connection sharing
     /// (Fig. 4).
     pub clients_per_tcp_server: u32,
-    /// Which Coordinator implementation to run (§3.5: ZooKeeper, the
-    /// evaluation's default, or MySQL Cluster NDB's event API — the
-    /// latter needs no extra service but rides the metadata store).
-    pub coordinator: lambda_coord::CoordinatorKind,
     /// Number of simulated DataNodes publishing reports.
     pub datanodes: u32,
     /// Network latency model.
@@ -103,7 +99,6 @@ impl Default for LambdaFsConfig {
             client_vms: 8,
             clients: 64,
             clients_per_tcp_server: 128,
-            coordinator: lambda_coord::CoordinatorKind::ZooKeeper,
             datanodes: 8,
             net: NetParams::default(),
             cpu: CpuParams::default(),

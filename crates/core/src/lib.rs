@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod audit;
-pub mod autoscale;
 mod client;
 mod coherence;
 mod config;

@@ -27,10 +27,6 @@ use crate::service::DfsService;
 const MIN_WARM_PER_DEPLOYMENT: u32 = 0;
 /// Coordinator session timeout (crash-detection latency).
 const SESSION_TIMEOUT: SimDuration = SimDuration::from_secs(4);
-/// NDB event-API flush epoch (the [`CoordinatorKind::Ndb`] coordinator).
-///
-/// [`CoordinatorKind::Ndb`]: lambda_coord::CoordinatorKind::Ndb
-const NDB_EVENT_EPOCH: SimDuration = SimDuration::from_millis(10);
 /// Interval between DataNode reports.
 const DATANODE_REPORT_EVERY: SimDuration = SimDuration::from_secs(10);
 /// Store lock-wait timeout (aborts the waiter).
@@ -99,17 +95,7 @@ impl LambdaFs {
             Some(d) => Db::new_durable(&config.store, LOCK_TIMEOUT, d.clone()),
         };
         let schema = MetadataSchema::install(&db);
-        let coord: Coordinator<CoherenceMsg> = match config.coordinator {
-            lambda_coord::CoordinatorKind::ZooKeeper => {
-                Coordinator::new(&config.net, SESSION_TIMEOUT)
-            }
-            lambda_coord::CoordinatorKind::Ndb => Coordinator::over_ndb(
-                db.shards(),
-                &config.store,
-                NDB_EVENT_EPOCH,
-                SESSION_TIMEOUT,
-            ),
-        };
+        let coord: Coordinator<CoherenceMsg> = Coordinator::new(&config.net, SESSION_TIMEOUT);
         let partitioner = Rc::new(Partitioner::new(config.deployments));
         let platform: Platform<NameNode> = Platform::new(&PlatformConfig {
             cluster_vcpus: config.cluster_vcpus,

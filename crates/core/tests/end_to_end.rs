@@ -663,54 +663,3 @@ fn result_cache_deduplicates_resubmitted_creates() {
     fs.stop(&mut sim);
 }
 
-#[test]
-fn the_ndb_coordinator_runs_the_full_system() {
-    // §3.5: the Coordinator is pluggable; run the same lifecycle over the
-    // MySQL-Cluster-NDB event-API transport, where coherence traffic
-    // shares the metadata store's shards.
-    let mut sim = Sim::new(43);
-    let fs = LambdaFs::build(
-        &mut sim,
-        LambdaFsConfig {
-            coordinator: lambda_coord::CoordinatorKind::Ndb,
-            ..small_config()
-        },
-    );
-    fs.start(&mut sim);
-
-    assert!(matches!(
-        run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/ndb"))).unwrap(),
-        OpOutcome::Created(_)
-    ));
-    for i in 0..8 {
-        let path = p(&format!("/ndb/file{i}"));
-        assert!(matches!(
-            run_op(&mut sim, &fs, i, FsOp::CreateFile(path)).unwrap(),
-            OpOutcome::Created(_)
-        ));
-    }
-    // A write from one client invalidates a sibling's cached read — the
-    // INV/ACK round now travels through the store's event API.
-    assert!(matches!(
-        run_op(&mut sim, &fs, 1, FsOp::ReadFile(p("/ndb/file0"))).unwrap(),
-        OpOutcome::Meta(_)
-    ));
-    assert!(matches!(
-        run_op(&mut sim, &fs, 2, FsOp::Delete(p("/ndb/file0"))).unwrap(),
-        OpOutcome::Deleted(_)
-    ));
-    assert!(matches!(
-        run_op(&mut sim, &fs, 1, FsOp::ReadFile(p("/ndb/file0"))).unwrap_err(),
-        FsError::NotFound(_)
-    ));
-    // Coordination traffic demonstrably hits the store: NameNode
-    // session heartbeats are lease-row writes under this transport.
-    let deadline = sim.now() + SimDuration::from_secs(10);
-    sim.run_until(deadline);
-    assert!(
-        fs.coordinator().store_ops() > 0,
-        "NDB transport never charged the store"
-    );
-    assert!(fs.check_consistency().is_empty());
-    fs.stop(&mut sim);
-}

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # One entry point for correctness + perf verification of a PR. Every figure
 # step runs `./target/release/lfsfig <figure> …`; the steps that need the
-# plain build come first, because step 12 rebuilds that one binary with the
+# plain build come first, because step 13 rebuilds that one binary with the
 # counting allocator for the step after it.
 #   1. tier-1: release build + full test suite (quiet). The root manifest
 #      lists the root package, every crate and the stub crates (stubs/*)
 #      as default members, so this builds `lfsfig` and runs the ~400
 #      crate-level tests too (crates/bench/tests/driver.rs among them:
 #      figure lookup, flag rejection, and that every figure named below is
-#      registered; the allocation gates of step 11, in a debug build; and
+#      registered; the allocation gates of step 12, in a debug build; and
 #      the stubs' own unit tests).
 #   2. lint: clippy across the workspace, every target (tests, benches,
 #      examples) included, warnings denied; rustdoc across the workspace,
@@ -57,11 +57,16 @@
 #      lines). It is the one figure check that sees the simulated WAL
 #      bytes, so a row type whose host layout leaks into the logged row
 #      size fails here. Full-scale numbers: results/fig15c_durability.txt.
-#  10. LSM crash/replay differential: the lambda-lsm proptests (random
+#  10. ablation golden check: ablation_knobs --scale=50 runs every
+#      design-knob row of the ablation figure (~2 s), exits nonzero if a
+#      row equals the baseline row in every column (a knob that moves
+#      nothing), and must be byte-identical to
+#      results/golden/ablation_knobs.txt (modulo the wall-clock line).
+#  11. LSM crash/replay differential: the lambda-lsm proptests (random
 #      put/delete/flush interleavings crashed at arbitrary points; WAL
 #      replay must reconstruct the exact pre-crash visible state) run
 #      explicitly in release mode.
-#  11. allocation gates in release (each test file registers the counting
+#  12. allocation gates in release (each test file registers the counting
 #      allocator itself): bytes/inode (rows excluded) of the fig08a λFS
 #      tree at scale 25 under budget (mem_budget.rs); the streaming tree
 #      loader at >=500k inodes/sec — release only — under a bytes/inode
@@ -78,22 +83,22 @@
 #      (teardown.rs); and the store's lock-batch and charge-plan pools
 #      never hold more buffers than were in flight (a lambda-store unit
 #      test).
-#  12. alloc-stats build: `lfsfig` rebuilt with the counting allocator
+#  13. alloc-stats build: `lfsfig` rebuilt with the counting allocator
 #      registered. The feature is off by default, so only this step
-#      catches its bit-rot; step 13 needs it.
-#  13. memory sweep smoke: fig08d_million_scale --smoke exercises the
+#      catches its bit-rot; step 14 needs it.
+#  14. memory sweep smoke: fig08d_million_scale --smoke exercises the
 #      footprint instrumentation and the per-phase wall-clock breakdown
 #      end-to-end (small scales, exact bytes/inode + bytes/client
 #      accounting via the counting allocator), and exits nonzero if the
 #      post-run audit of either point finds a violation.
-#  14. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
+#  15. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
 #      the standalone package and runs all four workloads at 1/20 size
 #      with every correctness check; then the package's own tests.
 #
 # The smoke runs print to the terminal only and are informational at that
 # scale; the recorded full-size numbers are results/<figure>.txt, which
 # scripts/run_figs.sh regenerates. Host-side cost per layer is the
-# benchmark's to measure (step 14 runs it at smoke size).
+# benchmark's to measure (step 15 runs it at smoke size).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,6 +153,9 @@ golden_check_as fig15b_chaos_durable fig15b_chaos --smoke --durable
 
 echo "== durability sweep smoke golden check (flush interval x crash rate) =="
 golden_check fig15c_durability --smoke
+
+echo "== ablation golden check (every design-knob row moves => byte-identical) =="
+golden_check ablation_knobs --scale=50
 
 echo "== LSM crash/replay differential proptests =="
 cargo test -q --release --offline -p lambda-lsm --test crash_replay
