@@ -5,7 +5,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use lambda_fs::{CoherenceHook, InvalidationSet, OpDone, RunMetrics};
+use lambda_fs::{CoherenceHook, InvalidationSet, OpDone, RoundDone, RunMetrics};
 use lambda_namespace::{FsError, FsOp, MetadataCache, Partitioner};
 use lambda_sim::params::NetParams;
 use lambda_sim::{every, CostMeter, Sim, SimDuration, StationRef, VmPricing};
@@ -193,9 +193,7 @@ impl ServerfulCluster {
                 Box::new(move |sim, result| {
                     let back = sim.rng().sample_duration(&net.tcp_one_way);
                     sim.schedule(back, move |sim| match result {
-                        Err(FsError::Retryable(_)) | Err(FsError::SubtreeLocked(_))
-                            if tries < MAX_RETRIES =>
-                        {
+                        Err(e) if e.is_transient() && tries < MAX_RETRIES => {
                             metrics.borrow_mut().retries += 1;
                             let delay =
                                 SimDuration::from_millis(20).mul_f64((1 << tries.min(6)) as f64);
@@ -243,7 +241,7 @@ impl PeerCoherence {
 }
 
 impl CoherenceHook for PeerCoherence {
-    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: Box<dyn FnOnce(&mut Sim)>) {
+    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: RoundDone) {
         let targets: Vec<Rc<RefCell<MetadataCache>>> = self
             .peers
             .iter()
@@ -252,7 +250,7 @@ impl CoherenceHook for PeerCoherence {
             .map(|(_, c)| Rc::clone(c))
             .collect();
         if targets.is_empty() {
-            sim.schedule(SimDuration::ZERO, done);
+            sim.schedule(SimDuration::ZERO, move |sim| done(sim, Ok(())));
             return;
         }
         let remaining = Rc::new(Cell::new(targets.len()));
@@ -270,7 +268,7 @@ impl CoherenceHook for PeerCoherence {
                 remaining.set(remaining.get() - 1);
                 if remaining.get() == 0 {
                     if let Some(d) = done.borrow_mut().take() {
-                        d(sim);
+                        d(sim, Ok(()));
                     }
                 }
             });

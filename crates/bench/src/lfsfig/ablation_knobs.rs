@@ -2,12 +2,18 @@
 //! DESIGN.md: the HTTP-TCP replacement probability, the per-instance
 //! `ConcurrencyLevel`, the cache capacity, and the coherence protocol
 //! itself (unsafe ablation measuring its write overhead).
+//!
+//! Every cell ends in the full post-run audit ([`LambdaFs::audit`]), taken
+//! after its row is collected and the system drained; the figure exits 1
+//! on a violation.
 
 use lambda_bench::*;
-use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig};
+use lambda_fs::{AuditReport, DfsService, LambdaFs, LambdaFsConfig};
 use lambda_sim::{Sim, SimDuration};
 use lambda_workload::run_spotify;
 use std::rc::Rc;
+
+use crate::closed_loop::{drain_and_stop, exit_on_violations};
 
 /// One design knob moved off its default, given the run's parameters.
 type Knob = fn(&mut LambdaFsConfig, &IndustrialParams);
@@ -19,6 +25,7 @@ struct Ablation {
     peak_nn: f64,
     write_p50_ms: f64,
     cost: f64,
+    audit: AuditReport,
 }
 
 fn run_one(label: &str, params: &IndustrialParams, mutate: Knob) -> Ablation {
@@ -32,21 +39,27 @@ fn run_one(label: &str, params: &IndustrialParams, mutate: Knob) -> Ablation {
     fs.prewarm_with(&mut sim, &dirs);
     sim.run_for(SimDuration::from_secs(8));
     let _run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
-    fs.stop(&mut sim);
     let metrics = fs.run_metrics();
-    let mut m = metrics.borrow_mut();
-    let write_p50 = m
-        .latency
-        .get_mut(&lambda_namespace::OpClass::Create)
-        .map(|r| r.percentile(0.5).as_millis_f64())
-        .unwrap_or(0.0);
+    let (avg_tp, avg_latency_ms, write_p50_ms) = {
+        let mut m = metrics.borrow_mut();
+        let write_p50 = m
+            .latency
+            .get_mut(&lambda_namespace::OpClass::Create)
+            .map(|r| r.percentile(0.5).as_millis_f64())
+            .unwrap_or(0.0);
+        (m.mean_throughput(), m.mean_latency().as_millis_f64(), write_p50)
+    };
+    let (peak_nn, cost) = (fs.namenode_gauge().peak(), fs.pay_meter().total());
+    // Every printed cell is taken: drain, then audit.
+    drain_and_stop(&mut sim, &fs);
     Ablation {
         label: label.to_string(),
-        avg_tp: m.mean_throughput(),
-        avg_latency_ms: m.mean_latency().as_millis_f64(),
-        peak_nn: fs.namenode_gauge().peak(),
-        write_p50_ms: write_p50,
-        cost: fs.pay_meter().total(),
+        avg_tp,
+        avg_latency_ms,
+        peak_nn,
+        write_p50_ms,
+        cost,
+        audit: fs.audit(),
     }
 }
 
@@ -96,6 +109,8 @@ pub fn run(args: &Args) {
         &["configuration", "avg tp (≈full)", "avg latency", "peak NNs", "create p50", "cost"],
         &rows,
     );
+    exit_on_violations(results.iter().map(|a| (a.label.clone(), &a.audit)));
+    println!("\nevery cell audited clean ({} checks each)", results[0].audit.checks);
     // A row equal to the baseline measures nothing: fail like a dirty audit.
     let dead = rows_like_the_baseline(&rows);
     if !dead.is_empty() {

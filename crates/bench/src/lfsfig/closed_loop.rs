@@ -1,5 +1,6 @@
 //! The closed-loop mixed workload under a fault plan that `fig15b_chaos`
-//! and `fig15c_durability` both drive before auditing the system.
+//! and `fig15c_durability` both drive before auditing the system, and the
+//! drain every audited λFS figure ends its runs with.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -81,13 +82,19 @@ pub fn run_closed_loop(
         driver.kick(&mut sim, client);
     }
     sim.run_for(SimDuration::from_secs(secs));
-    // Drain: outstanding retries/timeouts resolve within
-    // max_retries × client_timeout, and the platform's request TTL expires
-    // anything still queued — all while maintenance keeps ticking.
-    sim.run_for(SimDuration::from_secs(45));
-    fs.stop(&mut sim);
-    sim.run();
+    drain_and_stop(&mut sim, &fs);
     fs
+}
+
+/// Readies a system whose measured window has closed for its audit.
+/// Drains first: outstanding retries/timeouts resolve within
+/// max_retries × client_timeout, and the platform's request TTL expires
+/// anything still queued — all while maintenance keeps ticking. Then stops
+/// the system and runs until nothing is left to happen.
+pub fn drain_and_stop(sim: &mut Sim, fs: &LambdaFs) {
+    sim.run_for(SimDuration::from_secs(45));
+    fs.stop(sim);
+    sim.run();
 }
 
 /// The audit column of both figures' tables.

@@ -17,12 +17,13 @@
 //!
 //! The end-to-end gate drives cached `Stat` / `ReadFile` / `Ls` through a
 //! warmed, prewarmed [`LambdaFs`] — client library, TCP dispatch,
-//! NameNode, cache hit, result cache, reply — and pins the request path's
-//! two properties (DESIGN.md §3.2, "Request path"): a cached `ls` reply
-//! costs the same number of allocations whatever the directory's size (it
-//! shares the cache's interned names), and a warmed read costs one boxed
-//! continuation per simulated event plus its reply, not copies of chains,
-//! listings and retained replies.
+//! NameNode, cache hit, reply (a read never enters the NameNode's result
+//! cache, which keeps final write replies only) — and pins the request
+//! path's two properties (DESIGN.md §3.2, "Request path"): a cached `ls`
+//! reply costs the same number of allocations whatever the directory's
+//! size (it shares the cache's interned names), and a warmed read costs
+//! one boxed continuation per simulated event plus its reply, not copies
+//! of chains and listings.
 //!
 //! The first-touch gate drives `Stat` / `ReadFile` of files (and
 //! directories) no NameNode has seen: the cache-miss path — id hints from

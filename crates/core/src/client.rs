@@ -599,7 +599,7 @@ impl ClientLib {
         match result {
             // The service answered, just not with a final result: running
             // out of retries this way is not a timeout.
-            Err(FsError::Retryable(_) | FsError::SubtreeLocked(_)) => {
+            Err(e) if e.is_transient() => {
                 self.resubmit(sim, key, FsError::RetriesExhausted, false);
             }
             other => self.complete(sim, key, other),

@@ -14,6 +14,9 @@
 //!    required from members that terminate mid-protocol** — membership
 //!    watches remove dead sessions from every outstanding round.
 //! 3. When the round drains, the write proceeds to persist and commit.
+//!    If the leader's own session ends first, the ACKs address its closed
+//!    inbox and can never arrive: the round fails and the write aborts,
+//!    releasing its locks.
 //!
 //! Safety: an instance that joins after the snapshot starts with an empty
 //! cache, and any cache *fill* takes shared store locks that block on the
@@ -25,10 +28,10 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use lambda_coord::{Coordinator, SessionId};
-use lambda_namespace::{MetadataCache, Partitioner};
+use lambda_namespace::{FsError, MetadataCache, Partitioner};
 use lambda_sim::{Sim, SimDuration};
 
-use crate::fsops::{CoherenceHook, InvalidationSet};
+use crate::fsops::{CoherenceHook, InvalidationSet, RoundDone};
 use crate::messages::CoherenceMsg;
 
 /// The Coordinator group name for a deployment's NameNode instances.
@@ -36,9 +39,6 @@ use crate::messages::CoherenceMsg;
 pub fn deployment_group(deployment: u32) -> String {
     format!("nn-deployment-{deployment}")
 }
-
-/// Continuation fired when a coherence round drains.
-type RoundDone = Box<dyn FnOnce(&mut Sim)>;
 
 struct Round {
     /// Members whose ACK is outstanding, in send order.
@@ -164,14 +164,16 @@ impl CoordCoherence {
             }
         };
         if let Some(done) = fire {
-            done(sim);
+            done(sim, Ok(()));
         }
     }
 
     /// Removes a dead member from every outstanding round (wired to the
     /// NameNode's membership watches). Completed rounds fire, in round
-    /// order.
+    /// order. When the member is this endpoint's own session, every open
+    /// round fails: its ACKs can no longer be delivered.
     pub fn on_member_left(&self, sim: &mut Sim, member: SessionId) {
+        let own = member == self.session;
         let fired: Vec<RoundDone> = {
             let mut inner = self.inner.borrow_mut();
             let completed: Vec<u64> = inner
@@ -179,7 +181,7 @@ impl CoordCoherence {
                 .iter_mut()
                 .filter_map(|(id, r)| {
                     r.waiting.retain(|m| *m != member);
-                    r.waiting.is_empty().then_some(*id)
+                    (own || r.waiting.is_empty()).then_some(*id)
                 })
                 .collect();
             completed
@@ -188,13 +190,18 @@ impl CoordCoherence {
                 .collect()
         };
         for done in fired {
-            done(sim);
+            let round = if own {
+                Err(FsError::Retryable("the writer's coordinator session ended".into()))
+            } else {
+                Ok(())
+            };
+            done(sim, round);
         }
     }
 }
 
 impl CoherenceHook for CoordCoherence {
-    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: Box<dyn FnOnce(&mut Sim)>) {
+    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: RoundDone) {
         // Step 1: the deployment set D, ascending. Then snapshot its live
         // members, excluding ourselves (the leader's own cache applies the
         // same set once the write commits).
@@ -217,7 +224,7 @@ impl CoherenceHook for CoordCoherence {
         }
         members.retain(|m| *m != self.session);
         if members.is_empty() {
-            sim.schedule(SimDuration::ZERO, done);
+            sim.schedule(SimDuration::ZERO, move |sim| done(sim, Ok(())));
             return;
         }
         let round = {
@@ -234,7 +241,7 @@ impl CoherenceHook for CoordCoherence {
         self.inner.borrow_mut().invs_sent += members.len() as u64;
         if members.is_empty() {
             // All targets were dead: complete immediately.
-            sim.schedule(SimDuration::ZERO, done);
+            sim.schedule(SimDuration::ZERO, move |sim| done(sim, Ok(())));
         } else {
             let round_state = Round { waiting: members, done: Some(done) };
             self.inner.borrow_mut().rounds.insert(round, round_state);
@@ -270,7 +277,8 @@ mod tests {
                 paths: vec![DfsPath::root()],
                 ..InvalidationSet::default()
             });
-            endpoint.invalidate(&mut sim, inv, Box::new(move |_| fired.borrow_mut().push(round)));
+            let done: RoundDone = Box::new(move |_, _| fired.borrow_mut().push(round));
+            endpoint.invalidate(&mut sim, inv, done);
         }
         endpoint.on_member_left(&mut sim, follower);
         let order = fired.borrow().clone();

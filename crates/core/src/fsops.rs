@@ -115,14 +115,20 @@ impl InvalidationSet {
     }
 }
 
+/// Continuation fired when an invalidation round ends: `Ok` once every
+/// required ACK arrived, `Err` (transient) when they never can, because the
+/// writer's own coordinator session ended and the ACKs address its closed
+/// inbox. The write then aborts and releases its locks.
+pub type RoundDone = Box<dyn FnOnce(&mut Sim, Result<(), FsError>)>;
+
 /// The coherence protocol entry point a write calls **after** taking its
 /// exclusive store locks and **before** persisting anything (§3.5,
-/// Algorithm 1). `done` fires once every required ACK arrived. The round
-/// reaches every cache but the writer's, which applies the same set once
-/// the write commits.
+/// Algorithm 1). `done` fires once the round ends (see [`RoundDone`]). The
+/// round reaches every cache but the writer's, which applies the same set
+/// once the write commits.
 pub trait CoherenceHook {
     /// Runs one invalidation round.
-    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: Box<dyn FnOnce(&mut Sim)>);
+    fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: RoundDone);
 }
 
 /// Subtree-operation settings (Appendix D).
@@ -673,8 +679,9 @@ impl OpEngine {
             };
             let engine = this.clone();
             let own = inv.clone();
-            let write = move |sim: &mut Sim| {
-                let written = state
+            let write = move |sim: &mut Sim, round: Result<(), FsError>| {
+                let written = round
+                    .and(state)
                     .and_then(|state| apply(&this, txn, state, sim.now()).map_err(FsError::from));
                 let db = this.db.clone();
                 db.commit_after(sim, txn, written, move |sim, r| {
@@ -686,7 +693,7 @@ impl OpEngine {
             };
             match inv {
                 Some(inv) => engine.with_coherence(sim, inv, write),
-                None => write(sim),
+                None => write(sim, Ok(())),
             }
         });
     }
@@ -707,11 +714,11 @@ impl OpEngine {
     /// Runs the coherence hook if configured, else proceeds immediately.
     pub(crate) fn with_coherence<F>(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: F)
     where
-        F: FnOnce(&mut Sim) + 'static,
+        F: FnOnce(&mut Sim, Result<(), FsError>) + 'static,
     {
         match &self.coherence {
             Some(hook) if !inv.is_empty() => hook.invalidate(sim, inv, Box::new(done)),
-            _ => sim.schedule(SimDuration::ZERO, done),
+            _ => sim.schedule(SimDuration::ZERO, move |sim| done(sim, Ok(()))),
         }
     }
 

@@ -67,7 +67,7 @@ pub use audit::AuditReport;
 pub use client::ClientLib;
 pub use coherence::{deployment_group, CoordCoherence};
 pub use config::LambdaFsConfig;
-pub use fsops::{CoherenceHook, InvalidationSet, OpDone, OpEngine, SubtreeSettings};
+pub use fsops::{CoherenceHook, InvalidationSet, OpDone, OpEngine, RoundDone, SubtreeSettings};
 pub use messages::{ClientId, CoherenceMsg, NnRequest, NnResponse, RequestId};
 pub use metrics::RunMetrics;
 pub use namenode::{NameNode, NnServices};

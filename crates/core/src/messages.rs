@@ -20,7 +20,7 @@ impl std::fmt::Display for ClientId {
 }
 
 /// Uniquely identifies one client-issued operation across retries, so a
-/// NameNode can serve a resubmitted request from its result cache instead
+/// NameNode can serve a resubmitted write from its result cache instead
 /// of re-executing it (§3.2: "NameNodes temporarily cache results returned
 /// to clients …").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

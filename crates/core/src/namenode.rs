@@ -8,17 +8,20 @@
 //! possible and running the coherence protocol before any write persists.
 //!
 //! NameNodes also keep a small **result cache** keyed by client request id
-//! (§3.2): when a client resubmits a request after a timeout, the NameNode
+//! (§3.2): when a client resubmits a write after a timeout, the NameNode
 //! returns the cached result instead of re-executing the operation — this
 //! is what makes client retries safe for non-idempotent operations such as
-//! `create`.
+//! `create`. It keeps final write replies only: a read is idempotent, so a
+//! resubmitted read runs again and answers from the state at that moment,
+//! and a transient error is no answer, so a resubmitted write that got one
+//! runs again too.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use lambda_coord::{Coordinator, SessionId};
 use lambda_faas::{Function, InstanceCtx, Responder};
-use lambda_namespace::{DataNodeId, MetadataCache, MetadataSchema, OpResult, Partitioner};
+use lambda_namespace::{DataNodeId, FsError, MetadataCache, MetadataSchema, OpResult, Partitioner};
 use lambda_sim::{every, Sim, SimDuration, Station};
 use lambda_store::Db;
 
@@ -28,7 +31,8 @@ use crate::fsops::{OpEngine, SubtreeSettings};
 use crate::messages::{CoherenceMsg, NnRequest, NnResponse, RequestId};
 use crate::result_cache::ResultCache;
 
-/// How many recent results a NameNode retains for retry deduplication.
+/// How many recent final write replies a NameNode retains for retry
+/// deduplication.
 const RESULT_CACHE_CAPACITY: usize = 4096;
 /// Directory-listing cache capacity per NameNode, in directories.
 const LISTING_CACHE_CAPACITY: usize = 100_000;
@@ -112,11 +116,13 @@ impl NameNode {
         owned: bool,
         respond: Responder<NnResponse>,
     ) {
-        // Retry deduplication (§3.2): a resubmitted request is answered
-        // from the result cache without re-executing.
+        // Retry deduplication (§3.2): a resubmitted write is answered from
+        // the result cache without re-executing. Reads never enter it.
         let instance = ctx.instance;
         let deployment = self.deployment_index;
-        if let Some(result) = self.state.borrow().results.get(&id).cloned() {
+        let is_write = op.is_write();
+        let replay = if is_write { self.state.borrow().results.get(&id).cloned() } else { None };
+        if let Some(result) = replay {
             let cached = NnResponse { id, result, served_by: instance, deployment };
             sim.schedule(SimDuration::ZERO, move |sim| respond.send(sim, cached));
             return;
@@ -133,9 +139,11 @@ impl NameNode {
             op,
             owned,
             Box::new(move |sim, result| {
-                // The retained copy shares the reply's payload; the rest of
-                // the response is this instance's own identity.
-                state.borrow_mut().results.insert(id, result.clone());
+                // Only a write's final reply is worth replaying; the rest
+                // of the response is this instance's own identity.
+                if is_write && !result.as_ref().is_err_and(FsError::is_transient) {
+                    state.borrow_mut().results.insert(id, result.clone());
+                }
                 respond.send(sim, NnResponse { id, result, served_by: instance, deployment });
             }),
         );

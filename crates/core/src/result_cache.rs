@@ -1,6 +1,8 @@
 //! The NameNode's retry-deduplication cache (paper §3.2): the most recent
 //! replies, keyed by request id, so a resubmitted request is answered
-//! without re-executing a non-idempotent operation.
+//! without re-executing a non-idempotent operation. The NameNode retains
+//! final write replies only (`NameNode::handle_op`); the ring itself is
+//! agnostic of what it holds.
 //!
 //! A ring of `(id, reply)` slots plus a compact `id → slot` index. Inserts
 //! of new ids claim slots in ring order, so the slot about to be reused

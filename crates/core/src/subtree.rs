@@ -92,7 +92,10 @@ impl OpEngine {
                     ..InvalidationSet::default()
                 });
                 let this3 = this2.clone();
-                this2.with_coherence(sim, Rc::clone(&drop), move |sim| {
+                this2.with_coherence(sim, Rc::clone(&drop), move |sim, round| {
+                    if let Err(e) = round {
+                        return finish(sim, Err(e));
+                    }
                     this3.update_cache(true, |cache| drop.apply(cache));
                     // Leaf-first: reverse the BFS (parents-before-children)
                     // order so partial execution keeps the tree well-formed.

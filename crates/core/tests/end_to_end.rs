@@ -5,10 +5,17 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lambda_fs::{DfsService, LambdaFs, LambdaFsConfig, OpEngine};
-use lambda_namespace::{DfsPath, FsError, FsOp, MetadataCache, MetadataSchema, OpOutcome, OpResult};
-use lambda_sim::params::{CpuParams, StoreParams};
-use lambda_sim::{Sim, SimDuration, SimTime, Station};
+use lambda_coord::{Coordinator, GroupEvent};
+use lambda_fs::{
+    deployment_group, CoherenceMsg, CoordCoherence, DfsService, LambdaFs, LambdaFsConfig, OpEngine,
+};
+use lambda_namespace::{
+    DfsPath, FsError, FsOp, MetadataCache, MetadataSchema, OpOutcome, OpResult, Partitioner,
+};
+use lambda_sim::params::{CpuParams, NetParams, StoreParams};
+use lambda_sim::{
+    FaultPlan, FaultWindow, NetFault, NetFaultKind, Sim, SimDuration, SimTime, Station,
+};
 use lambda_store::Db;
 
 fn p(s: &str) -> DfsPath {
@@ -462,6 +469,72 @@ fn a_write_served_without_caching_still_patches_the_writers_listing() {
 }
 
 #[test]
+fn a_write_whose_writer_session_ends_mid_round_aborts_and_releases_its_locks() {
+    // One follower never ACKs (it has no inbox); the writer's session then
+    // ends, so the round's ACKs could only reach a closed inbox. The write
+    // must abort rather than hold its row locks for ever. The other
+    // follower answers: it has `ls /dir` cached and patches it from the
+    // INV before the write's fate is known.
+    let mut sim = Sim::new(41);
+    let db = Db::new(&StoreParams::default(), SimDuration::from_secs(5));
+    let schema = MetadataSchema::install(&db);
+    let mut engine = OpEngine::stateless(db, schema, Station::new("nn", 4), CpuParams::default());
+    let coord: Coordinator<CoherenceMsg> =
+        Coordinator::new(&NetParams::default(), SimDuration::from_secs(60));
+    let sessions: Vec<_> = (0..3).map(|_| coord.create_session(&mut sim)).collect();
+    let (writer, reader) = (sessions[0], sessions[2]);
+    for &session in &sessions {
+        coord.join_group(&mut sim, session, &deployment_group(0));
+    }
+    let endpoint_of = |session| {
+        let cache = Rc::new(RefCell::new(MetadataCache::new(1024)));
+        let partitioner = Rc::new(Partitioner::new(1));
+        let endpoint = CoordCoherence::new(coord.clone(), session, partitioner, Rc::clone(&cache));
+        let watcher = endpoint.clone();
+        coord.watch_group(
+            &deployment_group(0),
+            Rc::new(move |sim, event| {
+                if let GroupEvent::Left(member) = event {
+                    watcher.on_member_left(sim, member);
+                }
+            }),
+        );
+        (endpoint, cache)
+    };
+    let (endpoint, _) = endpoint_of(writer);
+    let (inbox, follower_cache) = endpoint_of(reader);
+    coord.register_inbox(reader, Box::new(move |sim, msg| inbox.handle(sim, msg)));
+    engine.coherence = Some(Rc::new(endpoint));
+    let dir = engine.schema.bootstrap_mkdir(&engine.db, &p("/dir"));
+    follower_cache.borrow_mut().cache_listing(dir, Rc::new(Vec::new()));
+
+    let slot: Rc<RefCell<Option<OpResult>>> = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&slot);
+    let done = Box::new(move |_: &mut Sim, r| *out.borrow_mut() = Some(r));
+    engine.execute(&mut sim, FsOp::CreateFile(p("/dir/f")), true, done);
+    sim.run_for(SimDuration::from_secs(1));
+    assert!(slot.borrow().is_none(), "the round ended without an ACK");
+    assert_eq!(engine.db.active_txn_count(), 1, "the write is not waiting in its round");
+    assert_eq!(follower_cache.borrow_mut().listing(dir), Some(Rc::new(vec!["f"])));
+
+    coord.close_session(&mut sim, writer);
+    sim.run_for(SimDuration::from_secs(1));
+    let result = slot.borrow_mut().take().expect("the write never ended");
+    assert!(result.as_ref().is_err_and(FsError::is_transient), "{result:?}");
+    assert_eq!(engine.db.active_txn_count(), 0);
+    assert_eq!(engine.db.locked_rows(), 0);
+    assert!(engine.schema.check_consistency(&engine.db).is_empty());
+    let created = engine.schema.peek_chain_ids(&engine.db, &p("/dir/f"));
+    assert!(created.is_none(), "the create committed");
+    // Known gap (ROADMAP 1(d)): nothing tells the follower that the write
+    // it patched its listing for never committed, so it keeps listing
+    // the name until something else drops the listing. A mend turns this
+    // into `None`.
+    let listed = follower_cache.borrow_mut().listing(dir);
+    assert_eq!(listed, Some(Rc::new(vec!["f"])), "the stale listing went away");
+}
+
+#[test]
 fn namenode_kill_is_survivable_and_leaves_namespace_consistent() {
     let mut sim = Sim::new(23);
     let fs = LambdaFs::build(&mut sim, small_config());
@@ -663,3 +736,101 @@ fn result_cache_deduplicates_resubmitted_creates() {
     fs.stop(&mut sim);
 }
 
+
+#[test]
+fn a_create_that_met_a_down_store_runs_again_when_resubmitted() {
+    // A transient reply is no answer: were the NameNode to retain it, every
+    // resubmission reaching the same instance (one per deployment here)
+    // would replay it until the client gave up with RetriesExhausted.
+    let mut config = small_config();
+    config.max_instances_per_deployment = 1;
+    let mut sim = Sim::new(71);
+    let fs = LambdaFs::build(&mut sim, config);
+    fs.start(&mut sim);
+    run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/down"))).unwrap();
+    let retries_before = fs.metrics().borrow().retries;
+    for shard in 0..fs.db().shard_count() as u32 {
+        fs.db().crash_shard(&mut sim, shard, SimDuration::from_millis(150));
+    }
+    let r = run_op(&mut sim, &fs, 0, FsOp::CreateFile(p("/down/f")));
+    assert!(matches!(r, Ok(OpOutcome::Created(_))), "resubmitted create never ran again: {r:?}");
+    assert!(fs.metrics().borrow().retries > retries_before, "the create never met the outage");
+    assert!(fs.check_consistency().is_empty());
+    fs.stop(&mut sim);
+}
+
+/// Metadata-cache lookups over every NameNode so far.
+fn cache_lookups(fs: &LambdaFs) -> u64 {
+    let s = fs.cache_stats();
+    s.hits + s.misses
+}
+
+/// Client 0 reads `path` while every reply to its VM is dropped, so the
+/// NameNode's answer is lost and the client resubmits after its timeout to
+/// the same instance. `between` runs after the first copy was answered and
+/// before the second arrives. Returns the read's result and the cache
+/// lookups of its first and of its second copy.
+fn read_whose_reply_is_lost(
+    path: &str,
+    between: impl FnOnce(&mut Sim, &LambdaFs),
+) -> (OpResult, u64, u64) {
+    let mut config = small_config();
+    config.max_instances_per_deployment = 1;
+    config.client_timeout = SimDuration::from_secs(1);
+    // No early (straggler) resubmission: the one resubmission is the
+    // timeout's, after `between` has run. (An infinite threshold would not
+    // do: its deadline falls back to the 50 ms straggler floor.)
+    config.straggler_threshold = 1e6;
+    let mut sim = Sim::new(73);
+    let fs = LambdaFs::build(&mut sim, config);
+    fs.start(&mut sim);
+    run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/lost"))).unwrap();
+    run_op(&mut sim, &fs, 0, FsOp::CreateFile(p(path))).unwrap();
+    run_op(&mut sim, &fs, 0, FsOp::ReadFile(p(path))).unwrap();
+    // Cold starts outlast the timeout: let the copies they caused finish.
+    sim.run_for(SimDuration::from_secs(10));
+
+    let now = sim.now();
+    let drop_replies_to_vm0 = NetFault {
+        kind: NetFaultKind::Drop,
+        prob: 1.0,
+        window: FaultWindow::new(now, now + SimDuration::from_millis(500)),
+        src: None,
+        dst: Some(0),
+    };
+    let plan = FaultPlan { net: vec![drop_replies_to_vm0], ..Default::default() };
+    fs.install_fault_plan(&mut sim, &plan);
+    let (start, retries_before) = (cache_lookups(&fs), fs.metrics().borrow().retries);
+    let slot: Rc<RefCell<Option<OpResult>>> = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&slot);
+    let done = Box::new(move |_: &mut Sim, r| *out.borrow_mut() = Some(r));
+    fs.submit(&mut sim, 0, FsOp::ReadFile(p(path)), done);
+    sim.run_for(SimDuration::from_millis(200));
+    assert!(slot.borrow().is_none(), "the first reply was not lost");
+    let first = cache_lookups(&fs) - start;
+    between(&mut sim, &fs);
+    let resubmitted_from = cache_lookups(&fs);
+    let deadline = sim.now() + SimDuration::from_secs(60);
+    while slot.borrow().is_none() && sim.now() < deadline && sim.step() {}
+    let second = cache_lookups(&fs) - resubmitted_from;
+    assert!(fs.metrics().borrow().retries > retries_before, "the read was never resubmitted");
+    fs.stop(&mut sim);
+    let result = slot.borrow_mut().take().expect("the read never completed");
+    (result, first, second)
+}
+
+#[test]
+fn a_resubmitted_read_runs_again_on_the_instance_that_answered_it() {
+    let (r, first, second) = read_whose_reply_is_lost("/lost/f", |_, _| {});
+    assert!(matches!(r, Ok(OpOutcome::Meta(_))), "{r:?}");
+    assert!(first > 0, "the first copy never reached the cache");
+    assert_eq!(second, first, "the resubmitted read was answered without running");
+}
+
+#[test]
+fn a_resubmitted_read_sees_a_delete_made_after_its_first_copy() {
+    let (r, ..) = read_whose_reply_is_lost("/lost/f", |sim, fs| {
+        run_op(sim, fs, 1, FsOp::Delete(p("/lost/f"))).unwrap();
+    });
+    assert!(matches!(r, Err(FsError::NotFound(_))), "a stale reply was replayed: {r:?}");
+}

@@ -127,15 +127,16 @@ impl FsOp {
 }
 
 /// A directory's child names in order, as a shared slice of interned
-/// names: the listing cache, every reply served from it and every retained
-/// copy of such a reply hold the same allocation, so handing one out is a
-/// reference-count bump whatever the directory's size.
+/// names: the listing cache and every reply served from it hold the same
+/// allocation, so handing one out is a reference-count bump whatever the
+/// directory's size.
 pub type Listing = Rc<Vec<&'static str>>;
 
 /// Successful result of a metadata operation.
 ///
-/// Read replies are reference-counted so that a reply and the copy a
-/// NameNode retains for retry deduplication (§3.2) share one allocation.
+/// Each payload is a pointer or a count, so a reply is two words wide. A
+/// `Listing` shares the listing cache's allocation. A NameNode retains a
+/// copy of write replies only, for retry deduplication (§3.2).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpOutcome {
     /// Attributes (and, for reads, block list) of the resolved inode.
@@ -175,6 +176,18 @@ pub enum FsError {
     /// its own subtree, moving or deleting `/`). Final: the client library
     /// does not retry it.
     InvalidArgument(String),
+}
+
+impl FsError {
+    /// Whether this is not a final answer: the service aborted the attempt
+    /// ([`FsError::Retryable`]) or a subtree operation held the namespace
+    /// ([`FsError::SubtreeLocked`]), so running the operation again may
+    /// succeed. A client retries these; a NameNode does not retain them
+    /// for retry deduplication.
+    #[must_use]
+    pub fn is_transient(&self) -> bool {
+        matches!(self, FsError::Retryable(_) | FsError::SubtreeLocked(_))
+    }
 }
 
 impl fmt::Display for FsError {
@@ -236,6 +249,22 @@ mod tests {
     fn primary_path_is_the_source_for_mv() {
         let op = FsOp::Mv(p("/src/x"), p("/dst/x"));
         assert_eq!(op.primary_path(), &p("/src/x"));
+    }
+
+    #[test]
+    fn only_aborts_and_subtree_locks_are_transient() {
+        assert!(FsError::Retryable("lock timeout".into()).is_transient());
+        assert!(FsError::SubtreeLocked("/d".into()).is_transient());
+        for e in [
+            FsError::NotFound("/x".into()),
+            FsError::AlreadyExists("/x".into()),
+            FsError::NotADirectory("/x".into()),
+            FsError::Timeout,
+            FsError::RetriesExhausted,
+            FsError::InvalidArgument("mv / /x".into()),
+        ] {
+            assert!(!e.is_transient(), "{e}");
+        }
     }
 
     #[test]
