@@ -43,7 +43,7 @@ impl InfiniCacheStyle {
             // Static fixed-size deployment: no intra-deployment scaling.
             max_instances_per_deployment: 1,
             // Anti-thrashing would fall back to TCP, defeating the model.
-            anti_thrash_threshold: f64::INFINITY,
+            anti_thrashing: false,
             ..base
         };
         InfiniCacheStyle { inner: LambdaFs::build(sim, config) }

@@ -158,7 +158,6 @@ mod tests {
             deployments: 4,
             clients: 8,
             client_vms: 2,
-            datanodes: 2,
             ..Default::default()
         };
         let fs = InfiniCacheStyle::build(&mut sim, base);

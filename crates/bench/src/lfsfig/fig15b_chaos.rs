@@ -29,7 +29,6 @@ struct ChaosReport {
     retries: u64,
     timeouts: u64,
     retries_exhausted: u64,
-    load_sheds: u64,
     net_dropped: u64,
     net_duplicated: u64,
     net_delayed: u64,
@@ -63,7 +62,6 @@ fn run_chaos(seed: u64, label: &'static str, spec: &str, secs: u64, durable: boo
         retries: m.retries,
         timeouts: m.timeouts,
         retries_exhausted: m.retries_exhausted,
-        load_sheds: m.load_sheds,
         net_dropped,
         net_duplicated,
         net_delayed,
@@ -110,7 +108,7 @@ pub fn run(args: &Args) {
                 fmt_ms(r.mean_latency_ms),
                 format!("{}/{}", r.completed, r.issued),
                 r.retries.to_string(),
-                format!("{}/{}/{}", r.timeouts, r.retries_exhausted, r.load_sheds),
+                format!("{}/{}", r.timeouts, r.retries_exhausted),
                 format!("{}/{}/{}", r.net_dropped, r.net_duplicated, r.net_delayed),
                 format!("{}/{}", r.shard_crashes, r.kills),
                 audit_cell(&r.audit),
@@ -128,7 +126,7 @@ pub fn run(args: &Args) {
             "avg latency",
             "done/gen",
             "retries",
-            "to/exh/shed",
+            "to/exh",
             "drop/dup/delay",
             "crash/kill",
             "audit",

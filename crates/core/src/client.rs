@@ -14,16 +14,23 @@
 //! * **connection registration**: a NameNode that serves a request
 //!   "establishes a TCP connection back" — modeled by recording the
 //!   serving instance against the client's TCP server;
-//! * **connection sharing** (Fig. 4): a client with no connection of its
-//!   own borrows one from another TCP server on its VM;
+//! * **connection sharing** (Fig. 4): a VM runs one TCP server per
+//!   [`CLIENTS_PER_TCP_SERVER`] clients, and a client with no connection
+//!   of its own borrows one from another server on its VM;
 //! * **retries with exponential backoff + jitter** on timeout, avoiding
-//!   the request storms of §3.2;
-//! * **straggler mitigation** (Appendix B): requests outliving
-//!   `threshold ×` the moving-average latency are resubmitted early;
-//! * **anti-thrashing mode** (Appendix C): when latency blows past `T ×`
-//!   the moving average — the thrashing signature — the client stops
-//!   issuing HTTP invocations entirely, reusing any live TCP connection
-//!   (even to a foreign deployment, which then serves without caching).
+//!   the request storms of §3.2, at most [`MAX_RETRIES`] per request;
+//! * **straggler mitigation** (Appendix B): a read outliving
+//!   [`STRAGGLER_THRESHOLD`] × its client's moving-average latency (and
+//!   at least [`STRAGGLER_FLOOR`]) is resubmitted early; a write waits
+//!   the full client timeout;
+//! * **anti-thrashing mode** (Appendix C): when latency blows past
+//!   [`ANTI_THRASH_THRESHOLD`] × the moving average — the thrashing
+//!   signature — the client stops issuing HTTP invocations entirely,
+//!   reusing any live TCP connection (even to a foreign deployment, which
+//!   then serves without caching).
+//!
+//! The thresholds are the paper's defaults, not options; only
+//! anti-thrashing can be switched off, for the InfiniCache baseline.
 //!
 //! # One request's lifecycle
 //!
@@ -32,13 +39,12 @@
 //! and reply, on either transport — crosses the fault plane through one
 //! [`NetDecision::carry`]. A retryable answer, or a timer that fires before
 //! any answer, goes to `resubmit`: the one place a try is counted and then
-//! given up, shed, or resent after backoff. A final answer goes to
-//! `complete`.
+//! given up or resent after backoff. A final answer goes to `complete`.
 //!
 //! # Memory layout
 //!
 //! The library is sized for the `fig08d_million_scale` sweep: a million
-//! simulated clients must fit comfortably. Per-client state is 40 bytes —
+//! simulated clients must fit comfortably. Per-client state is 24 bytes —
 //! a client's VM and TCP-server indices are *derived* from its id (the
 //! placement is a fixed formula) rather than stored, and the moving
 //! latency window is boxed on the client's first completed read and grows
@@ -63,24 +69,30 @@ use crate::messages::{ClientId, NnRequest, NnResponse, RequestId};
 use crate::metrics::RunMetrics;
 use crate::namenode::NameNode;
 
+/// Straggler-mitigation threshold (Appendix B's default): a read outliving
+/// this many times its client's moving-average latency is resubmitted.
+pub(crate) const STRAGGLER_THRESHOLD: f64 = 10.0;
 /// Floor for the straggler-resubmission deadline (the paper observes 1–5 ms
 /// TCP RPCs and resubmits at ≥ 50 ms with the default threshold of 10).
 const STRAGGLER_FLOOR: SimDuration = SimDuration::from_millis(50);
+/// Anti-thrashing threshold `T` (Appendix C finds 2–3 works best): a read
+/// latency above `T ×` the moving average puts the client in TCP-only mode.
+pub(crate) const ANTI_THRASH_THRESHOLD: f64 = 2.5;
 /// Floor for entering anti-thrashing mode: thrash manifests as
 /// cold-start-scale latencies, not single-digit-millisecond jitter.
-const ANTI_THRASH_FLOOR_SECS: f64 = 0.025;
+pub(crate) const ANTI_THRASH_FLOOR_SECS: f64 = 0.025;
+/// Tries past the first before a request is given up.
+const MAX_RETRIES: u32 = 6;
+/// At most this many clients share one TCP server on a VM (§3.2: "users
+/// can optionally configure λFS to assign at-most n clients to each TCP
+/// server"); a VM with more clients runs several servers, which share
+/// connections (Fig. 4).
+const CLIENTS_PER_TCP_SERVER: usize = 128;
 /// Base delay for exponential backoff after a timeout.
 const BACKOFF_BASE: SimDuration = SimDuration::from_millis(20);
 /// Fault-plane network addressing: client VMs use their VM index as the
 /// endpoint id; NameNode deployment `d` is endpoint `NN_ENDPOINT_BASE + d`.
 const NN_ENDPOINT_BASE: u32 = 1000;
-/// Retry-budget circuit breaker (token bucket, one token per retry). The
-/// capacity is deliberately generous: a healthy client retries a handful
-/// of times per run and never notices the breaker; only a client cut off
-/// by a network partition burns through it and starts shedding.
-const RETRY_BUDGET_CAPACITY: f64 = 50.0;
-/// Tokens regained per simulated second of calm.
-const RETRY_BUDGET_REFILL_PER_SEC: f64 = 10.0;
 /// Latency samples in a client's moving average; anti-thrashing waits for
 /// half of them.
 const LATENCY_WINDOW: usize = 64;
@@ -198,17 +210,13 @@ impl LatencyWindow {
     }
 }
 
-/// Per-client resident state: 40 bytes. The client's id, VM, and TCP
+/// Per-client resident state: 24 bytes. The client's id, VM, and TCP
 /// server are all derived from its index (see [`LibInner::placement`]),
 /// and the latency window is allocated only once the client completes its
 /// first read.
 #[derive(Debug)]
 struct ClientState {
     next_seq: u64,
-    /// Remaining retry-budget tokens (circuit breaker).
-    retry_tokens: f64,
-    /// When the token bucket was last refilled.
-    last_refill: SimTime,
     /// Moving window of recent end-to-end latencies (seconds), allocated
     /// on the first read and grown on demand up to [`LATENCY_WINDOW`].
     window: Option<Box<LatencyWindow>>,
@@ -217,13 +225,7 @@ struct ClientState {
 
 impl ClientState {
     fn new() -> ClientState {
-        ClientState {
-            next_seq: 0,
-            retry_tokens: RETRY_BUDGET_CAPACITY,
-            last_refill: SimTime::ZERO,
-            window: None,
-            anti_thrash: false,
-        }
+        ClientState { next_seq: 0, window: None, anti_thrash: false }
     }
 
     fn avg_latency(&self) -> Option<f64> {
@@ -232,22 +234,6 @@ impl ClientState {
 
     fn window_len(&self) -> usize {
         self.window.as_ref().map_or(0, |w| w.len())
-    }
-
-    /// Refills the retry budget for the calm since the last refill, then
-    /// tries to spend one token. `false` means the budget is gone and the
-    /// retry must be shed instead of sent.
-    fn take_retry_token(&mut self, now: SimTime) -> bool {
-        let calm = now.saturating_since(self.last_refill).as_secs_f64();
-        self.last_refill = now;
-        self.retry_tokens =
-            (self.retry_tokens + calm * RETRY_BUDGET_REFILL_PER_SEC).min(RETRY_BUDGET_CAPACITY);
-        if self.retry_tokens >= 1.0 {
-            self.retry_tokens -= 1.0;
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -282,7 +268,6 @@ struct LibInner {
     clients: Vec<ClientState>,
     /// Client-placement constants (see [`LibInner::placement`]).
     vm_count: usize,
-    per_server: usize,
     attempts: Slab<Attempt>,
     metrics: Rc<RefCell<RunMetrics>>,
     /// Network fault injector, when a fault plan is installed. `None`
@@ -294,12 +279,12 @@ struct LibInner {
 impl LibInner {
     /// A client's `(vm, tcp server)` placement, derived from its index:
     /// clients round-robin over VMs, then fill each VM's servers
-    /// `per_server` at a time. Storing these per client would be 16 dead
-    /// bytes × a million clients.
+    /// [`CLIENTS_PER_TCP_SERVER`] at a time. Storing these per client
+    /// would be 16 dead bytes × a million clients.
     fn placement(&self, client: usize) -> (usize, usize) {
         let vm = client % self.vm_count;
         let index_on_vm = client / self.vm_count;
-        (vm, index_on_vm / self.per_server)
+        (vm, index_on_vm / CLIENTS_PER_TCP_SERVER)
     }
 }
 
@@ -332,13 +317,12 @@ impl ClientLib {
         metrics: Rc<RefCell<RunMetrics>>,
     ) -> Self {
         let vm_count = config.client_vms.max(1) as usize;
-        let per_server = config.clients_per_tcp_server.max(1) as usize;
         let n = config.clients.max(1) as usize;
         let clients: Vec<ClientState> = (0..n).map(|_| ClientState::new()).collect();
         let mut vms: Vec<Vm> = (0..vm_count).map(|_| Vm { servers: Vec::new() }).collect();
         for i in 0..n {
             let vm = i % vm_count;
-            let server = (i / vm_count) / per_server;
+            let server = (i / vm_count) / CLIENTS_PER_TCP_SERVER;
             while vms[vm].servers.len() <= server {
                 vms[vm].servers.push(TcpServer::default());
             }
@@ -352,7 +336,6 @@ impl ClientLib {
                 vms,
                 clients,
                 vm_count,
-                per_server,
                 attempts: Slab::default(),
                 metrics,
                 injector: None,
@@ -455,9 +438,7 @@ impl ClientLib {
                 {
                     Some((dep, instance)) => (dep, Some((instance, true))),
                     None => {
-                        let mut m = inner.metrics.borrow_mut();
-                        m.http_no_connection += 1;
-                        m.no_conn_timeline.add(sim.now(), 1.0);
+                        inner.metrics.borrow_mut().http_no_connection += 1;
                         (target, None) // bootstrap
                     }
                 },
@@ -469,15 +450,15 @@ impl ClientLib {
                 owned: deployment == target,
             };
             // Straggler mitigation (Appendix B): resubmit early when the
-            // request outlives threshold × the moving average. The moving
-            // average tracks read-class latency, so early resubmission is
-            // applied to read-class operations only — duplicating a slow
-            // (store-bound) write wastes store capacity for no benefit.
+            // request outlives STRAGGLER_THRESHOLD × the moving average.
+            // The moving average tracks read-class latency, so early
+            // resubmission is applied to read-class operations only —
+            // duplicating a slow (store-bound) write wastes store capacity
+            // for no benefit.
             let is_read = !a.op.is_write();
             let straggler = if is_read {
                 state.avg_latency().map(|avg| {
-                    SimDuration::from_secs_f64(avg * inner.config.straggler_threshold)
-                        .max(STRAGGLER_FLOOR)
+                    SimDuration::from_secs_f64(avg * STRAGGLER_THRESHOLD).max(STRAGGLER_FLOOR)
                 })
             } else {
                 None
@@ -607,12 +588,10 @@ impl ClientLib {
     }
 
     /// One failed try of a live request: counts it, then gives up with
-    /// `exhausted` once past `max_retries`, or spends a retry-budget token
-    /// and resends after jittered exponential backoff (anti-request-storm,
-    /// §3.2). An empty budget sheds the request as
-    /// [`FsError::RetriesExhausted`] instead (the circuit breaker).
-    /// `straggler` marks an early resubmission (Appendix B). A completed
-    /// request (a duplicate response) is left alone.
+    /// `exhausted` once past [`MAX_RETRIES`], or resends after jittered
+    /// exponential backoff (anti-request-storm, §3.2). `straggler` marks an
+    /// early resubmission (Appendix B). A completed request (a duplicate
+    /// response) is left alone.
     fn resubmit(&self, sim: &mut Sim, key: AttemptKey, exhausted: FsError, straggler: bool) {
         let verdict = {
             let mut guard = self.inner.borrow_mut();
@@ -625,13 +604,10 @@ impl ClientLib {
             if straggler {
                 m.straggler_resubmits += 1;
             }
-            if tries > inner.config.max_retries {
+            if tries > MAX_RETRIES {
                 Err(exhausted)
-            } else if inner.clients[key.client as usize].take_retry_token(sim.now()) {
-                Ok(tries)
             } else {
-                m.load_sheds += 1;
-                Err(FsError::RetriesExhausted)
+                Ok(tries)
             }
         };
         match verdict {
@@ -667,14 +643,14 @@ impl ClientLib {
             // writes are store-bound and 10-100× slower by design, so
             // mixing them in would flap anti-thrashing on every write.
             if !a.op.is_write() {
-                let thresh = inner.config.anti_thrash_threshold;
+                let anti_thrashing = inner.config.anti_thrashing;
                 let state = &mut inner.clients[key.client as usize];
                 let avg = state.avg_latency();
                 let lat = latency.as_secs_f64();
                 if let Some(avg) = avg {
-                    if state.window_len() >= LATENCY_WINDOW / 2 {
+                    if anti_thrashing && state.window_len() >= LATENCY_WINDOW / 2 {
                         if !state.anti_thrash
-                            && lat > (thresh * avg).max(ANTI_THRASH_FLOOR_SECS)
+                            && lat > (ANTI_THRASH_THRESHOLD * avg).max(ANTI_THRASH_FLOOR_SECS)
                         {
                             state.anti_thrash = true;
                             metrics.borrow_mut().anti_thrash_entries += 1;
@@ -710,7 +686,7 @@ mod tests {
     fn client_state_stays_compact() {
         // The fig08d sweep holds a million of these; placement fields and
         // an eager deque would double it.
-        assert_eq!(std::mem::size_of::<ClientState>(), 40);
+        assert_eq!(std::mem::size_of::<ClientState>(), 24);
         assert_eq!(std::mem::size_of::<AttemptKey>(), 12);
     }
 

@@ -35,18 +35,11 @@ pub struct LambdaFsConfig {
     pub http_replace_prob: f64,
     /// Client-side request timeout before resubmission.
     pub client_timeout: SimDuration,
-    /// Maximum client retries before reporting [`FsError::Timeout`](lambda_namespace::FsError).
-    pub max_retries: u32,
-    /// Straggler-mitigation threshold: a request outliving `threshold ×`
-    /// the client's moving-average latency is cancelled and resubmitted
-    /// (Appendix B; default 10).
-    pub straggler_threshold: f64,
-    /// Anti-thrashing threshold `T` (Appendix C; 2–3 works best): a
-    /// latency above `T ×` the moving average puts the client in
-    /// TCP-only mode.
-    pub anti_thrash_threshold: f64,
-    /// Maximum concurrent in-flight subtree batches per executor.
-    pub subtree_parallelism: usize,
+    /// Anti-thrashing (Appendix C): a client whose read latency blows past
+    /// `T ×` its moving average stops issuing HTTP invocations until its
+    /// latency recovers. The InfiniCache baseline, which only speaks HTTP,
+    /// turns it off.
+    pub anti_thrashing: bool,
     /// Run the cache-coherence protocol on writes. Disabling this is an
     /// *unsafe ablation* used to measure the protocol's overhead.
     pub coherence_enabled: bool,
@@ -54,13 +47,6 @@ pub struct LambdaFsConfig {
     pub client_vms: u32,
     /// Total client processes across the VMs.
     pub clients: u32,
-    /// At most this many clients share one TCP server on a VM (§3.2:
-    /// "users can optionally configure λFS to assign at-most n clients to
-    /// each TCP server"); smaller values exercise connection sharing
-    /// (Fig. 4).
-    pub clients_per_tcp_server: u32,
-    /// Number of simulated DataNodes publishing reports.
-    pub datanodes: u32,
     /// Network latency model.
     pub net: NetParams,
     /// NameNode CPU service-time model.
@@ -91,15 +77,10 @@ impl Default for LambdaFsConfig {
             cache_capacity: 2_000_000,
             http_replace_prob: 0.01,
             client_timeout: SimDuration::from_secs(5),
-            max_retries: 6,
-            straggler_threshold: 10.0,
-            anti_thrash_threshold: 2.5,
-            subtree_parallelism: 4,
+            anti_thrashing: true,
             coherence_enabled: true,
             client_vms: 8,
             clients: 64,
-            clients_per_tcp_server: 128,
-            datanodes: 8,
             net: NetParams::default(),
             cpu: CpuParams::default(),
             store: StoreParams::default(),
@@ -120,7 +101,9 @@ mod tests {
         assert_eq!(c.cluster_vcpus, 512);
         assert!(c.http_replace_prob <= 0.01);
         assert_eq!(crate::namenode::SUBTREE_BATCH_SIZE, 512);
-        assert!((2.0..=3.0).contains(&c.anti_thrash_threshold));
-        assert_eq!(c.straggler_threshold, 10.0);
+        assert!(c.anti_thrashing);
+        assert!((2.0..=3.0).contains(&crate::client::ANTI_THRASH_THRESHOLD));
+        assert_eq!(crate::client::ANTI_THRASH_FLOOR_SECS, 0.025);
+        assert_eq!(crate::client::STRAGGLER_THRESHOLD, 10.0);
     }
 }

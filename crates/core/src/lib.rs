@@ -21,8 +21,11 @@
 //!   set of cached replicas strongly consistent (§3.5);
 //! * **subtree operations** run the three-phase HopsFS protocol with a
 //!   single prefix invalidation, sent by the root step under its locks
-//!   (Appendix D); **straggler mitigation** and **anti-thrashing** guard
-//!   the tail (Appendices B–C).
+//!   (Appendix D);
+//! * the client library retries with exponential backoff (§3.2), and
+//!   **straggler mitigation** and **anti-thrashing** guard the tail
+//!   (Appendices B–C), at the paper's thresholds; it adds no retry
+//!   mechanism of its own.
 //!
 //! Build a whole system with [`LambdaFs::build`]; drive it with
 //! [`LambdaFs::submit`] or through the [`DfsService`] trait the workload

@@ -22,12 +22,13 @@ pub struct RunMetrics {
     /// Operations whose every attempt timed out on the wire.
     pub timeouts: u64,
     /// Operations the service kept answering with transient errors until
-    /// the retry budget ran out ([`lambda_namespace::FsError::RetriesExhausted`]).
+    /// the client's retries ran out ([`lambda_namespace::FsError::RetriesExhausted`]).
     pub retries_exhausted: u64,
     /// Retry attempts (timeouts + transient failures).
     pub retries: u64,
-    /// Retries refused by the client's retry-budget circuit breaker (a
-    /// partitioned client sheds load instead of storming the service).
+    /// Always zero: the client library sheds no retries. It stays only
+    /// because the benchmark reports it, and goes with the benchmark's
+    /// next change.
     pub load_sheds: u64,
     /// Requests issued over HTTP (the FaaS-visible, auto-scaling path).
     pub http_rpcs: u64,
@@ -44,8 +45,6 @@ pub struct RunMetrics {
     pub http_replaced: u64,
     /// HTTP RPCs caused by having no TCP connection to the target.
     pub http_no_connection: u64,
-    /// Per-second series of no-connection HTTP fallbacks (diagnostics).
-    pub no_conn_timeline: Timeline,
 }
 
 impl Default for RunMetrics {
@@ -75,7 +74,6 @@ impl RunMetrics {
             connection_shares: 0,
             http_replaced: 0,
             http_no_connection: 0,
-            no_conn_timeline: Timeline::new(SimDuration::from_secs(10)),
         }
     }
 
@@ -146,12 +144,6 @@ impl RunMetrics {
     pub fn peak_sustained_throughput(&self, window_secs: usize) -> f64 {
         self.throughput.peak_sustained(window_secs)
     }
-
-    /// The latency recorder for one class, if any completions occurred.
-    #[must_use]
-    pub fn class_latency(&self, class: OpClass) -> Option<&LatencyRecorder> {
-        self.latency.get(&class)
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +157,7 @@ mod tests {
         m.record_success(SimTime::from_secs(1), OpClass::Read, SimDuration::from_millis(3));
         m.record_success(SimTime::from_secs(2), OpClass::Create, SimDuration::from_millis(10));
         assert_eq!(m.completed, 3);
-        assert_eq!(m.class_latency(OpClass::Read).unwrap().count(), 2);
+        assert_eq!(m.latency[&OpClass::Read].count(), 2);
         assert_eq!(m.mean_latency(), SimDuration::from_millis_f64(14.0 / 3.0));
         assert_eq!(m.throughput.buckets(), vec![0.0, 2.0, 1.0]);
         assert_eq!(m.peak_throughput(), 2.0);

@@ -38,6 +38,13 @@ const RESULT_CACHE_CAPACITY: usize = 4096;
 const LISTING_CACHE_CAPACITY: usize = 100_000;
 /// Sub-operation batch size for subtree operations (Appendix D).
 pub(crate) const SUBTREE_BATCH_SIZE: usize = 512;
+/// Maximum concurrent in-flight subtree batches per executor. Appendix D's
+/// helper NameNodes run batches beside the leader; more than twice
+/// HopsFS's 7 is all of λFS's lead in Table 3. Only a subtree of more than
+/// one batch reaches the bound.
+const SUBTREE_PARALLELISM: usize = 16;
+/// Number of simulated DataNodes publishing reports.
+pub(crate) const DATANODES: u32 = 8;
 
 /// Shared services a NameNode needs; cheap to clone per instance.
 #[derive(Clone)]
@@ -253,7 +260,6 @@ impl Function for NameNode {
         // via the persistent store).
         let dn_db = services.db.clone();
         let dn_schema = services.schema.clone();
-        let dn_count = config.datanodes;
         let dn_ctx = ctx.clone();
         every(
             sim,
@@ -263,7 +269,7 @@ impl Function for NameNode {
                 if !dn_ctx.is_alive() {
                     return false;
                 }
-                let ids: Vec<DataNodeId> = (1..=u64::from(dn_count)).collect();
+                let ids: Vec<DataNodeId> = (1..=u64::from(DATANODES)).collect();
                 dn_db.read_committed(sim, dn_schema.datanodes, ids, |_sim, _rows| {});
                 true
             },
@@ -281,7 +287,7 @@ impl Function for NameNode {
                 .then(|| Rc::new(coherence) as Rc<dyn crate::fsops::CoherenceHook>),
             subtree: SubtreeSettings {
                 batch_size: SUBTREE_BATCH_SIZE,
-                parallelism: config.subtree_parallelism,
+                parallelism: SUBTREE_PARALLELISM,
                 holder_tag: session.raw(),
                 holder_alive: Some(Rc::new(move |tag| {
                     coord_for_alive.is_alive(SessionId::from_raw(tag))

@@ -19,7 +19,7 @@ use crate::config::LambdaFsConfig;
 use crate::fsops::OpDone;
 use crate::messages::CoherenceMsg;
 use crate::metrics::RunMetrics;
-use crate::namenode::{NameNode, NnServices};
+use crate::namenode::{NameNode, NnServices, DATANODES};
 use crate::service::DfsService;
 
 /// Instances kept warm per deployment: none. Provisioned concurrency
@@ -129,7 +129,7 @@ impl LambdaFs {
             })
             .collect();
 
-        let fleet = DataNodeFleet::new(&db, &schema, config.datanodes, DATANODE_REPORT_EVERY);
+        let fleet = DataNodeFleet::new(&db, &schema, DATANODES, DATANODE_REPORT_EVERY);
         let metrics = Rc::new(RefCell::new(RunMetrics::new()));
         let clients = ClientLib::new(
             Rc::clone(&config),

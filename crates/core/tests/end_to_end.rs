@@ -23,7 +23,7 @@ fn p(s: &str) -> DfsPath {
 }
 
 fn small_config() -> LambdaFsConfig {
-    LambdaFsConfig { deployments: 4, clients: 8, client_vms: 2, datanodes: 2, ..Default::default() }
+    LambdaFsConfig { deployments: 4, clients: 8, client_vms: 2, ..Default::default() }
 }
 
 /// Submits `op` and runs the simulation until its callback fires,
@@ -643,7 +643,6 @@ fn coherence_disabled_is_faster_but_unsafe_knob_exists() {
 fn crashed_subtree_lock_holder_is_swept_by_the_leader() {
     let mut config = small_config();
     config.client_timeout = SimDuration::from_secs(600);
-    config.straggler_threshold = f64::INFINITY;
     let mut sim = Sim::new(37);
     let fs = LambdaFs::build(&mut sim, config);
     fs.start(&mut sim);
@@ -684,20 +683,19 @@ fn crashed_subtree_lock_holder_is_swept_by_the_leader() {
 
 #[test]
 fn connection_sharing_borrows_sibling_servers_connections() {
-    // One client per TCP server: with 8 clients on 2 VMs there are 4
-    // servers per VM, so most lookups must borrow a sibling server's
-    // connection (Fig. 4's sharing path).
-    let mut config = small_config();
-    config.clients_per_tcp_server = 1;
+    // At most 128 clients share a TCP server: with 129 clients on one VM,
+    // clients 0-127 share the first server and client 128 owns a second,
+    // so its lookups must borrow the first server's connection (Fig. 4's
+    // sharing path).
+    let config = LambdaFsConfig { clients: 129, client_vms: 1, ..small_config() };
     let mut sim = Sim::new(61);
     let fs = LambdaFs::build(&mut sim, config);
     fs.start(&mut sim);
     run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/shared-conn"))).unwrap();
     run_op(&mut sim, &fs, 0, FsOp::CreateFile(p("/shared-conn/f"))).unwrap();
-    // Client 0 established the connection; clients 2, 4, 6 live on the
-    // same VM (clients are striped over VMs) but own different servers.
-    for c in [2usize, 4, 6] {
-        run_op(&mut sim, &fs, c, FsOp::ReadFile(p("/shared-conn/f"))).unwrap();
+    // Client 0 established the connection on the first server.
+    for _ in 0..3 {
+        run_op(&mut sim, &fs, 128, FsOp::ReadFile(p("/shared-conn/f"))).unwrap();
     }
     let m = fs.metrics();
     let m = m.borrow();
@@ -710,18 +708,19 @@ fn connection_sharing_borrows_sibling_servers_connections() {
 
 #[test]
 fn result_cache_deduplicates_resubmitted_creates() {
-    // Force a straggler resubmission of a create by making the straggler
-    // threshold trivially aggressive... creates are exempt from straggler
-    // mitigation, so instead exercise the dedup path directly: a timeout
-    // retry of a create that actually completed must not yield
-    // AlreadyExists. We simulate that by a very short client timeout.
+    // Creates are exempt from straggler mitigation, so the dedup path is
+    // reached through a timeout: a retry of a create that actually
+    // completed must not yield AlreadyExists. A client timeout below the
+    // write latency forces that retry.
     let mut config = small_config();
     config.client_timeout = SimDuration::from_millis(8); // below write latency
-    config.max_retries = 10;
     let mut sim = Sim::new(67);
     let fs = LambdaFs::build(&mut sim, config);
+    // A cold start outlasts every retry at this timeout: start warm.
+    fs.schema().bootstrap_mkdir(fs.db(), &p("/dedup"));
     fs.start(&mut sim);
-    run_op(&mut sim, &fs, 0, FsOp::Mkdir(p("/dedup"))).unwrap();
+    fs.prewarm_with(&mut sim, &[p("/dedup")]);
+    sim.run_for(SimDuration::from_secs(8));
     // The create takes ~10-15ms (store writes + coherence); the client
     // resubmits at 8ms. The first execution completes and the resubmitted
     // copy must be answered from the NameNode's result cache — the final
@@ -765,11 +764,11 @@ fn cache_lookups(fs: &LambdaFs) -> u64 {
     s.hits + s.misses
 }
 
-/// Client 0 reads `path` while every reply to its VM is dropped, so the
-/// NameNode's answer is lost and the client resubmits after its timeout to
-/// the same instance. `between` runs after the first copy was answered and
-/// before the second arrives. Returns the read's result and the cache
-/// lookups of its first and of its second copy.
+/// Client 2 reads `path` while every reply to its VM (VM 0, client 0's)
+/// is dropped, so the NameNode's answer is lost and the client resubmits
+/// after its timeout to the same instance. `between` runs after the first
+/// copy was answered and before the second arrives. Returns the read's
+/// result and the cache lookups of its first and of its second copy.
 fn read_whose_reply_is_lost(
     path: &str,
     between: impl FnOnce(&mut Sim, &LambdaFs),
@@ -777,10 +776,6 @@ fn read_whose_reply_is_lost(
     let mut config = small_config();
     config.max_instances_per_deployment = 1;
     config.client_timeout = SimDuration::from_secs(1);
-    // No early (straggler) resubmission: the one resubmission is the
-    // timeout's, after `between` has run. (An infinite threshold would not
-    // do: its deadline falls back to the 50 ms straggler floor.)
-    config.straggler_threshold = 1e6;
     let mut sim = Sim::new(73);
     let fs = LambdaFs::build(&mut sim, config);
     fs.start(&mut sim);
@@ -804,7 +799,10 @@ fn read_whose_reply_is_lost(
     let slot: Rc<RefCell<Option<OpResult>>> = Rc::new(RefCell::new(None));
     let out = Rc::clone(&slot);
     let done = Box::new(move |_: &mut Sim, r| *out.borrow_mut() = Some(r));
-    fs.submit(&mut sim, 0, FsOp::ReadFile(p(path)), done);
+    // Client 2 shares client 0's TCP server but has completed no read, so
+    // it has no moving average and no early (straggler) deadline: its one
+    // resubmission is the timeout's, after `between` has run.
+    fs.submit(&mut sim, 2, FsOp::ReadFile(p(path)), done);
     sim.run_for(SimDuration::from_millis(200));
     assert!(slot.borrow().is_none(), "the first reply was not lost");
     let first = cache_lookups(&fs) - start;

@@ -34,7 +34,6 @@ fn main() {
             client_vms: 2,
             // Subtree ops outlive normal request timeouts.
             client_timeout: SimDuration::from_secs(600),
-            straggler_threshold: f64::INFINITY,
             ..Default::default()
         },
     );

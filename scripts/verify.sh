@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One entry point for correctness + perf verification of a PR. Every figure
 # step runs `./target/release/lfsfig <figure> …`; the steps that need the
-# plain build come first, because step 13 rebuilds that one binary with the
+# plain build come first, because step 14 rebuilds that one binary with the
 # counting allocator for the step after it.
 #   1. tier-1: release build + full test suite (quiet). The root manifest
 #      lists the root package, every crate and the stub crates (stubs/*)
@@ -83,22 +83,26 @@
 #      (teardown.rs); and the store's lock-batch and charge-plan pools
 #      never hold more buffers than were in flight (a lambda-store unit
 #      test).
-#  13. alloc-stats build: `lfsfig` rebuilt with the counting allocator
+#  13. examples: each of examples/*.rs runs to completion and must exit
+#      zero (step 1's `cargo test` only compiles them). They run in the
+#      debug build that step 1 already made, which adds about 21 s on
+#      2 cores, most of it compare_systems and elastic_burst.
+#  14. alloc-stats build: `lfsfig` rebuilt with the counting allocator
 #      registered. The feature is off by default, so only this step
-#      catches its bit-rot; step 14 needs it.
-#  14. memory sweep smoke: fig08d_million_scale --smoke exercises the
+#      catches its bit-rot; step 15 needs it.
+#  15. memory sweep smoke: fig08d_million_scale --smoke exercises the
 #      footprint instrumentation and the per-phase wall-clock breakdown
 #      end-to-end (small scales, exact bytes/inode + bytes/client
 #      accounting via the counting allocator), and exits nonzero if the
 #      post-run audit of either point finds a violation.
-#  15. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
+#  16. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
 #      the standalone package and runs all four workloads at 1/20 size
 #      with every correctness check; then the package's own tests.
 #
 # The smoke runs print to the terminal only and are informational at that
 # scale; the recorded full-size numbers are results/<figure>.txt, which
 # scripts/run_figs.sh regenerates. Host-side cost per layer is the
-# benchmark's to measure (step 15 runs it at smoke size).
+# benchmark's to measure (step 16 runs it at smoke size).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -163,6 +167,14 @@ cargo test -q --release --offline -p lambda-lsm --test crash_replay
 echo "== allocation gates in release (bytes/inode, bootstrap floor + density, allocs per op, teardown, store pools) =="
 cargo test -q --release --offline -p lambda-bench --test mem_budget --test bootstrap_budget --test alloc_per_op --test teardown
 cargo test -q --release --offline -p lambda-store --lib lock_and_plan_pools_hold_no_more_buffers_than_were_in_flight
+
+echo "== examples (each must run to completion and exit 0) =="
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run --offline --quiet --example "$name" > /dev/null \
+        || { echo "example $name exited non-zero"; exit 1; }
+    echo "example $name ran"
+done
 
 echo "== alloc-stats build (lfsfig with the counting allocator) =="
 cargo build --release --offline -p lambda-bench --features alloc-stats
