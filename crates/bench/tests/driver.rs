@@ -103,8 +103,19 @@ fn scripts_and_goldens_name_registered_figures() {
     }
     assert!(used.len() >= before + 8, "verify.sh figure runs not found: {:?}", &used[before..]);
 
+    // Goldens that verify.sh compares by their path rather than through a
+    // figure run (the benchmark smoke's fingerprints).
+    goldens_of_variants.extend(
+        verify
+            .lines()
+            .filter(|l| !l.trim_start().starts_with('#'))
+            .flat_map(str::split_whitespace)
+            .filter_map(|w| w.strip_prefix("results/golden/")?.strip_suffix(".txt"))
+            .map(str::to_owned),
+    );
+
     // A golden is named after its figure, or is the golden of a variant
-    // run that verify.sh checks.
+    // run or a direct comparison that verify.sh checks.
     let mut stems = Vec::new();
     for entry in std::fs::read_dir(root.join("results/golden")).expect("results/golden") {
         let path = entry.expect("dir entry").path();

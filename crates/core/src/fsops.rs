@@ -18,14 +18,20 @@
 //!    sorted batch, and releases them at the end of the read: one
 //!    [`Db::read`] (the single-batch resolution that HopsFS's INode-hint
 //!    cache enables). `ls` checks its directory the same way.
-//! 2. Write operations then take **exclusive** locks on their write set in
+//! 2. A write's resolved chain then passes the subtree-lock guard
+//!    (`OpEngine::check_subtree_locks`): one **unlocked** batch read of
+//!    the flag rows keyed by the chain's ids, skipped while no subtree
+//!    operation holds a flag anywhere. The read is read-committed, so a
+//!    flag taken between it and the write's own locks goes unseen by the
+//!    guard (DESIGN.md §4.1).
+//! 3. Write operations then take **exclusive** locks on their write set in
 //!    one sorted batch (never upgrading a held shared lock — resolution
 //!    and write-set locking use separate transactions), re-validate under
 //!    the locks, run the coherence hook, apply, and commit. One skeleton,
 //!    [`OpEngine::write`], runs these steps for every exclusive-lock write
 //!    — the single-inode operations here and the subtree protocol's flag
 //!    and root steps — so each write supplies only its data.
-//! 3. Any residual cross-operation ordering violation is caught by the
+//! 4. Any residual cross-operation ordering violation is caught by the
 //!    store's lock-wait timeout and surfaces as a retryable error, which
 //!    the client library resubmits — exactly HopsFS's deadlock-victim
 //!    behavior.
@@ -406,79 +412,73 @@ impl OpEngine {
         };
         let name = path.file_name_interned().expect("non-root");
         let this = self.clone();
-        self.check_subtree_locks(sim, path.clone(), move |sim, blocked| {
-            if let Some(p) = blocked {
-                return done(sim, Err(FsError::SubtreeLocked(p)));
+        self.resolve_for_write(sim, parent_path.clone(), allow_cache, move |sim, chain| {
+            let chain = match chain {
+                Err(e) => return done(sim, Err(e)),
+                Ok(c) => c,
+            };
+            let parent = chain.last().expect("non-empty").clone();
+            if !parent.is_dir() {
+                return done(sim, Err(FsError::NotADirectory(parent_path.to_string())));
             }
-            let this2 = this.clone();
-            this.resolve_chain(sim, parent_path.clone(), allow_cache, move |sim, chain| {
-                let chain = match chain {
-                    Err(e) => return done(sim, Err(e)),
-                    Ok(c) => c,
-                };
-                let parent = chain.last().expect("non-empty").clone();
-                if !parent.is_dir() {
-                    return done(sim, Err(FsError::NotADirectory(parent_path.to_string())));
-                }
-                let new_id = this2.schema.next_id();
-                // Exclusive write set: parent row, the (parent, name)
-                // children slot, and the new inode row.
-                let child_key = (parent.id, name.key());
-                let keys = [
-                    this2.db.lock_key(this2.schema.inodes, &parent.id),
-                    this2.db.lock_key(this2.schema.inodes, &new_id),
-                    this2.db.lock_key(this2.schema.children, &child_key),
-                ];
-                let validate = move |e: &OpEngine| {
-                    let parent_now = match e.db.peek(e.schema.inodes, &parent.id) {
-                        None => return Err(FsError::Retryable("parent vanished".into())),
-                        Some(p) if !p.is_dir() => {
-                            return Err(FsError::NotADirectory(parent_path.to_string()));
-                        }
-                        Some(p) => p,
-                    };
-                    if e.db.peek(e.schema.children, &child_key).is_some() {
-                        return Err(FsError::AlreadyExists(path.to_string()));
+            let new_id = this.schema.next_id();
+            // Exclusive write set: parent row, the (parent, name)
+            // children slot, and the new inode row.
+            let child_key = (parent.id, name.key());
+            let keys = [
+                this.db.lock_key(this.schema.inodes, &parent.id),
+                this.db.lock_key(this.schema.inodes, &new_id),
+                this.db.lock_key(this.schema.children, &child_key),
+            ];
+            let validate = move |e: &OpEngine| {
+                let parent_now = match e.db.peek(e.schema.inodes, &parent.id) {
+                    None => return Err(FsError::Retryable("parent vanished".into())),
+                    Some(p) if !p.is_dir() => {
+                        return Err(FsError::NotADirectory(parent_path.to_string()));
                     }
-                    // Structural change: the parent's *listing* gains a
-                    // name. The parent inode row is rewritten too (mtime),
-                    // but attribute-only updates deliberately do not
-                    // invalidate cached ancestors: every create would
-                    // otherwise invalidate its parent on every caching
-                    // NameNode, collapsing the hit rates the paper's read
-                    // latencies demonstrate. Cached mtimes are therefore
-                    // at-most-briefly stale; namespace *structure* stays
-                    // strongly consistent.
-                    let inv = InvalidationSet {
-                        listing_updates: vec![(parent.id, name.as_str(), true)],
-                        paths: vec![path.clone(), parent_path],
-                        ..InvalidationSet::default()
-                    };
-                    Ok(((parent_now, path), Some(inv)))
+                    Some(p) => p,
                 };
-                let apply = move |e: &OpEngine, txn, state: (Inode, DfsPath), now: SimTime| {
-                    let (mut parent_now, path) = state;
-                    parent_now.mtime_nanos = now.as_nanos();
-                    let inode = if dir {
-                        Inode::directory(new_id, parent.id, name)
-                    } else {
-                        Inode::file(new_id, parent.id, name)
-                    };
-                    e.db.upsert(txn, e.schema.inodes, parent.id, parent_now)?;
-                    e.db.upsert(txn, e.schema.inodes, new_id, inode.clone())?;
-                    e.db.upsert(txn, e.schema.children, child_key, new_id)?;
-                    Ok((inode, path))
+                if e.db.peek(e.schema.children, &child_key).is_some() {
+                    return Err(FsError::AlreadyExists(path.to_string()));
+                }
+                // Structural change: the parent's *listing* gains a
+                // name. The parent inode row is rewritten too (mtime),
+                // but attribute-only updates deliberately do not
+                // invalidate cached ancestors: every create would
+                // otherwise invalidate its parent on every caching
+                // NameNode, collapsing the hit rates the paper's read
+                // latencies demonstrate. Cached mtimes are therefore
+                // at-most-briefly stale; namespace *structure* stays
+                // strongly consistent.
+                let inv = InvalidationSet {
+                    listing_updates: vec![(parent.id, name.as_str(), true)],
+                    paths: vec![path.clone(), parent_path],
+                    ..InvalidationSet::default()
                 };
-                let committed = move |e: &OpEngine, (inode, path): (Inode, DfsPath)| {
-                    e.update_cache(allow_cache, |cache| {
-                        let mut chain = chain;
-                        chain.push(inode.clone());
-                        cache.insert_chain(&path, &chain);
-                    });
-                    OpOutcome::Created(Box::new(inode))
+                Ok(((parent_now, path), Some(inv)))
+            };
+            let apply = move |e: &OpEngine, txn, state: (Inode, DfsPath), now: SimTime| {
+                let (mut parent_now, path) = state;
+                parent_now.mtime_nanos = now.as_nanos();
+                let inode = if dir {
+                    Inode::directory(new_id, parent.id, name)
+                } else {
+                    Inode::file(new_id, parent.id, name)
                 };
-                this2.write(sim, keys, validate, apply, committed, done);
-            });
+                e.db.upsert(txn, e.schema.inodes, parent.id, parent_now)?;
+                e.db.upsert(txn, e.schema.inodes, new_id, inode.clone())?;
+                e.db.upsert(txn, e.schema.children, child_key, new_id)?;
+                Ok((inode, path))
+            };
+            let committed = move |e: &OpEngine, (inode, path): (Inode, DfsPath)| {
+                e.update_cache(allow_cache, |cache| {
+                    let mut chain = chain;
+                    chain.push(inode.clone());
+                    cache.insert_chain(&path, &chain);
+                });
+                OpOutcome::Created(Box::new(inode))
+            };
+            this.write(sim, keys, validate, apply, committed, done);
         });
     }
 
@@ -489,21 +489,15 @@ impl OpEngine {
             return done(sim, Err(FsError::InvalidArgument("cannot delete /".into())));
         }
         let this = self.clone();
-        self.check_subtree_locks(sim, path.clone(), move |sim, blocked| {
-            if let Some(p) = blocked {
-                return done(sim, Err(FsError::SubtreeLocked(p)));
+        self.resolve_for_write(sim, path.clone(), allow_cache, move |sim, chain| {
+            let target = match chain {
+                Err(e) => return done(sim, Err(e)),
+                Ok(mut c) => c.pop().expect("non-empty"),
+            };
+            if target.is_dir() && this.has_children(target.id) {
+                return this.delete_subtree(sim, path, done);
             }
-            let this2 = this.clone();
-            this.resolve_target(sim, path.clone(), allow_cache, move |sim, target| {
-                let target = match target {
-                    Err(e) => return done(sim, Err(e)),
-                    Ok(t) => t,
-                };
-                if target.is_dir() && this2.has_children(target.id) {
-                    return this2.delete_subtree(sim, path, done);
-                }
-                this2.delete_single(sim, target, path, done);
-            });
+            this.delete_single(sim, target, path, done);
         });
     }
 
@@ -541,26 +535,20 @@ impl OpEngine {
             return done(sim, Err(FsError::InvalidArgument("mv into its own subtree".into())));
         }
         let this = self.clone();
-        self.check_subtree_locks(sim, src.clone(), move |sim, blocked| {
-            if let Some(p) = blocked {
-                return done(sim, Err(FsError::SubtreeLocked(p)));
+        self.resolve_for_write(sim, src.clone(), allow_cache, move |sim, chain| {
+            let target = match chain {
+                Err(e) => return done(sim, Err(e)),
+                Ok(mut c) => c.pop().expect("non-empty"),
+            };
+            if target.is_dir() {
+                return this.mv_subtree(sim, src, dst, done);
             }
             let this2 = this.clone();
-            this.resolve_target(sim, src.clone(), allow_cache, move |sim, target| {
-                let target = match target {
-                    Err(e) => return done(sim, Err(e)),
-                    Ok(t) => t,
-                };
-                if target.is_dir() {
-                    return this2.mv_subtree(sim, src, dst, done);
+            this.resolve_dst_parent(sim, dst.parent(), allow_cache, move |sim, dst_parent| {
+                match dst_parent {
+                    Ok(dst_parent) => this2.mv_single(sim, src, dst, target, dst_parent, done),
+                    Err(e) => done(sim, Err(e)),
                 }
-                let this3 = this2.clone();
-                this2.resolve_dst_parent(sim, dst.parent(), allow_cache, move |sim, dst_parent| {
-                    match dst_parent {
-                        Ok(dst_parent) => this3.mv_single(sim, src, dst, target, dst_parent, done),
-                        Err(e) => done(sim, Err(e)),
-                    }
-                });
             });
         });
     }
@@ -722,30 +710,43 @@ impl OpEngine {
         }
     }
 
-    /// Rejects writes under an active overlapping subtree operation. The
-    /// check is free when no subtree op is active (NameNodes keep an
-    /// in-memory hint, modeled by the zero-length fast path) and one
-    /// read-committed scan otherwise.
-    pub(crate) fn check_subtree_locks<F>(&self, sim: &mut Sim, path: DfsPath, done: F)
+    /// [`OpEngine::resolve_chain`] for a write, whose resolved chain must
+    /// then pass [`OpEngine::check_subtree_locks`].
+    fn resolve_for_write<F>(&self, sim: &mut Sim, path: DfsPath, allow_cache: bool, done: F)
     where
-        F: FnOnce(&mut Sim, Option<String>) + 'static,
+        F: FnOnce(&mut Sim, ChainResult) + 'static,
     {
-        if self.db.table_len(self.schema.subtree_locks) == 0 {
-            done(sim, None);
+        let this = self.clone();
+        self.resolve_chain(sim, path, allow_cache, move |sim, chain| match chain {
+            Ok(chain) => this.check_subtree_locks(sim, chain, done),
+            Err(e) => done(sim, Err(e)),
+        });
+    }
+
+    /// The write guard of the subtree protocol (Appendix D): refuses a
+    /// write whose resolved `chain` runs through a flagged subtree root,
+    /// and passes the chain on otherwise. It reads the flag rows keyed by
+    /// the chain's ids in one read-committed batch, the root's excepted
+    /// (`/` is never flagged: a move or delete of it is refused); any row
+    /// found answers [`FsError::SubtreeLocked`] with its subtree's path. A
+    /// NameNode keeps no copy of the flags, so the read is charged to the
+    /// store; only an empty table (no subtree operation anywhere) makes the
+    /// check free.
+    fn check_subtree_locks<F>(&self, sim: &mut Sim, chain: Vec<Inode>, done: F)
+    where
+        F: FnOnce(&mut Sim, ChainResult) + 'static,
+    {
+        if chain.len() < 2 || self.db.table_len(self.schema.subtree_locks) == 0 {
+            done(sim, Ok(chain));
             return;
         }
-        self.db.scan_with(
-            sim,
-            self.schema.subtree_locks,
-            ..,
-            || None,
-            move |blocked: &mut Option<String>, _, row| {
-                if blocked.is_none() && row.overlaps(&path) {
-                    *blocked = Some(row.path.to_string());
-                }
-            },
-            done,
-        );
+        let ids = chain[1..].iter().map(|inode| inode.id).collect();
+        self.db.read_committed(sim, self.schema.subtree_locks, ids, move |sim, flags| {
+            match flags.into_iter().flatten().next() {
+                Some(flag) => done(sim, Err(FsError::SubtreeLocked(flag.path.to_string()))),
+                None => done(sim, Ok(chain)),
+            }
+        });
     }
 }
 

@@ -1,9 +1,12 @@
 //! Chaos harness for the fault plane: randomized `FaultPlan`s over small
 //! workloads must always (a) let every submitted op reach a terminal
 //! state and (b) leave the system coherent under the post-run invariant
-//! auditor. A separate pin test proves the whole plane is deterministic:
-//! the same `(seed, plan)` replays to an identical completion trace and
-//! audit report.
+//! auditor. The workload issues every single-inode operation class and one
+//! directory move, so the subtree protocol (its flag, the write guard that
+//! reads it, and the leader's sweep of flags left by killed holders) runs
+//! under the faults too. A separate pin test proves the whole plane is
+//! deterministic: the same `(seed, plan)` replays to an identical
+//! completion trace and audit report.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -76,6 +79,10 @@ fn random_plan(rng: &mut SimRng) -> FaultPlan {
 /// One terminal event: when it completed, which client, and how it ended.
 type Trace = Vec<(SimTime, usize, String)>;
 
+/// The index of the one op that moves a directory (a subtree operation);
+/// every case issues at least this many ops.
+const SUBTREE_MV_OP: usize = 10;
+
 /// Runs a tiny mixed workload under `plan`; returns the completion trace
 /// and the audit report. `durable` selects the WAL-backed store backend
 /// (shard outages then recover by WAL replay instead of fixed takeover,
@@ -97,17 +104,31 @@ fn run_case(seed: u64, plan: &FaultPlan, ops: usize, durable: bool) -> (Trace, l
     fs.install_fault_plan(&mut sim, plan);
     let root: DfsPath = "/chaos".parse().expect("valid");
     let dirs = DfsService::bootstrap_tree(fs.as_ref(), &root, 4, 2);
+    // The moved subtree: /chaos/sub/dir00000 and its three files.
+    let sub = root.join("sub").expect("valid");
+    let subtree = DfsService::bootstrap_tree(fs.as_ref(), &sub, 1, 3).remove(0);
     let trace: Rc<RefCell<Trace>> = Rc::new(RefCell::new(Vec::new()));
     // Ops are spread over the window the faults occupy, so every fault
     // class gets live traffic to chew on.
     for i in 0..ops {
         let client = i % fs.client_count();
         let dir = dirs[i % dirs.len()].clone();
-        let op = match i % 4 {
+        let child = |name: &str| dir.join(&format!("{name}{i:04}")).expect("valid");
+        let op = match i % 7 {
+            _ if i == SUBTREE_MV_OP => FsOp::Mv(subtree.clone(), sub.join("moved").expect("valid")),
             0 => FsOp::Stat(dir.join("file00000").expect("valid")),
             1 => FsOp::ReadFile(dir.join("file00001").expect("valid")),
-            2 => FsOp::Ls(dir),
-            _ => FsOp::CreateFile(dir.join(&format!("new{i:04}")).expect("valid")),
+            2 => FsOp::Ls(dir.clone()),
+            3 => FsOp::CreateFile(child("new")),
+            4 => FsOp::Mkdir(child("sub")),
+            5 => {
+                DfsService::bootstrap_file(fs.as_ref(), &child("del"));
+                FsOp::Delete(child("del"))
+            }
+            _ => {
+                DfsService::bootstrap_file(fs.as_ref(), &child("mv"));
+                FsOp::Mv(child("mv"), child("moved"))
+            }
         };
         let submit_at = SimDuration::from_millis(500 + (i as u64 * 7919) % 6000);
         let fs2 = Rc::clone(&fs);

@@ -1,8 +1,10 @@
 //! The subtree protocol's two guards (Appendix D), driven on one stateless
 //! engine: subtree isolation, under which a subtree operation refuses to
 //! start while any overlapping flag has a live holder, and the write guard,
-//! under which no create, mkdir or mv runs inside a subtree whose flag is
-//! held.
+//! under which no create, mkdir, delete or mv runs inside a subtree whose
+//! flag is held. The write guard reads only the flag rows of the write's
+//! own resolved chain, so its reach (every ancestor, the target itself)
+//! and its cost (one unlocked read, no scan) are pinned here too.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -12,7 +14,7 @@ use lambda_namespace::{DfsPath, FsError, FsOp, InodeId, MetadataSchema, OpOutcom
 use lambda_namespace::SubtreeLockRow;
 use lambda_sim::params::{CpuParams, StoreParams};
 use lambda_sim::{Sim, SimDuration, Station};
-use lambda_store::{Db, LockMode};
+use lambda_store::{Db, DbStats, LockMode};
 
 /// The holder tag the liveness oracle calls dead; every other is alive.
 const DEAD: u64 = 13;
@@ -141,4 +143,104 @@ fn writes_inside_a_flagged_subtree_are_refused_until_the_flag_goes() {
         assert!(result.is_ok(), "{op:?} after the flag went: {result:?}");
     }
     assert!(e.schema.check_consistency(&e.db).is_empty());
+}
+
+/// Flags `path`'s inode as a subtree root held by a live NameNode, before
+/// any transaction runs.
+fn flag(e: &OpEngine, path: &str) {
+    let root = e.schema.peek_chain(&e.db, &p(path)).expect("flagged path exists").last().unwrap().id;
+    let row = SubtreeLockRow { holder: OTHER, acquired_nanos: 0, path: p(path).as_str(), op: "mv" };
+    e.db.bootstrap_insert(e.schema.subtree_locks, root, row);
+}
+
+/// `/g/m` holding the files `f` and `h`, the empty directory `/e` and the
+/// empty sibling directory `/s`.
+fn tree() -> OpEngine {
+    let e = engine();
+    for dir in ["/g", "/g/m", "/e", "/s"] {
+        e.schema.bootstrap_mkdir(&e.db, &p(dir));
+    }
+    for file in ["/g/m/f", "/g/m/h"] {
+        e.schema.bootstrap_create(&e.db, &p(file));
+    }
+    e
+}
+
+/// The store counters the guard may move: `(scans, unlocked reads)`.
+fn guard_counters(stats: DbStats) -> (u64, u64) {
+    (stats.scans, stats.unlocked_reads)
+}
+
+#[test]
+fn a_flag_on_a_grandparent_refuses_every_single_inode_write_below_it() {
+    let mut sim = Sim::new(8);
+    let e = tree();
+    flag(&e, "/g");
+    let below = [
+        FsOp::CreateFile(p("/g/m/x")),
+        FsOp::Mkdir(p("/g/m/y")),
+        FsOp::Delete(p("/g/m/f")),
+        FsOp::Mv(p("/g/m/h"), p("/g/m/h2")),
+    ];
+    for op in below {
+        let result = run(&mut sim, &e, op.clone());
+        assert_eq!(result, Err(FsError::SubtreeLocked("/g".into())), "{op:?}");
+    }
+    assert!(e.schema.peek_chain(&e.db, &p("/g/m/f")).is_some(), "nothing deleted");
+    assert!(e.schema.peek_chain(&e.db, &p("/g/m/h")).is_some(), "nothing moved");
+    assert!(e.schema.check_consistency(&e.db).is_empty());
+}
+
+#[test]
+fn a_flagged_empty_directory_cannot_be_deleted_by_the_single_inode_path() {
+    let mut sim = Sim::new(9);
+    let e = tree();
+    flag(&e, "/e");
+    assert_eq!(run(&mut sim, &e, FsOp::Delete(p("/e"))), Err(FsError::SubtreeLocked("/e".into())));
+    assert!(e.schema.peek_chain(&e.db, &p("/e")).is_some());
+}
+
+#[test]
+fn a_write_beside_a_held_flag_pays_one_unlocked_read_and_no_scan() {
+    let mut sim = Sim::new(10);
+    let e = tree();
+    flag(&e, "/g");
+    let (scans, unlocked) = guard_counters(e.db.stats());
+    assert!(run(&mut sim, &e, FsOp::CreateFile(p("/s/x"))).is_ok());
+    assert_eq!(guard_counters(e.db.stats()), (scans, unlocked + 1));
+}
+
+#[test]
+fn with_no_flag_anywhere_the_guard_reads_nothing() {
+    let mut sim = Sim::new(11);
+    let e = tree();
+    let before = guard_counters(e.db.stats());
+    let writes = [
+        FsOp::CreateFile(p("/g/m/x")),
+        FsOp::Mkdir(p("/s/y")),
+        FsOp::Delete(p("/g/m/f")),
+        FsOp::Mv(p("/g/m/h"), p("/s/h")),
+    ];
+    for op in writes {
+        let result = run(&mut sim, &e, op.clone());
+        assert!(result.is_ok(), "{op:?}: {result:?}");
+    }
+    assert_eq!(guard_counters(e.db.stats()), before);
+}
+
+/// The guard runs after resolution and reads flags by inode id, so a path
+/// that does not resolve answers `NotFound` before any flag is consulted,
+/// and a create whose target exists answers `AlreadyExists` even when a
+/// flagged subtree lies below it.
+#[test]
+fn resolution_errors_come_before_the_guard() {
+    let mut sim = Sim::new(12);
+    let e = tree();
+    flag(&e, "/g/m");
+    let missing_parent = run(&mut sim, &e, FsOp::CreateFile(p("/g/m/none/x")));
+    assert_eq!(missing_parent, Err(FsError::NotFound("/g/m/none".into())));
+    let ancestor = run(&mut sim, &e, FsOp::Mkdir(p("/g")));
+    assert_eq!(ancestor, Err(FsError::AlreadyExists("/g".into())));
+    let inside = run(&mut sim, &e, FsOp::CreateFile(p("/g/m/x")));
+    assert_eq!(inside, Err(FsError::SubtreeLocked("/g/m".into())));
 }

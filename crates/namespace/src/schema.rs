@@ -10,7 +10,9 @@
 //!   used for path resolution and `ls` range scans);
 //! * `datanodes`: DataNode id → [`DataNodeInfo`] (heartbeats/reports);
 //! * `subtree_locks`: subtree-root inode id → [`SubtreeLockRow`] (the
-//!   application-level subtree locking protocol of Appendix D).
+//!   application-level subtree locking protocol of Appendix D). Keyed by
+//!   id so that a write's guard reads only the rows of its own chain; the
+//!   subtree operations compare the rows' paths with each other.
 //!
 //! Each table declares the bytes the durable backend's WAL logs per row
 //! (`*_ROW_BYTES`), so a row type's layout never moves a simulated byte.
@@ -53,7 +55,8 @@ pub struct SubtreeLockRow {
 
 impl SubtreeLockRow {
     /// Whether the locked subtree and `path` overlap: one contains the
-    /// other. Subtree isolation and the write guard share this test.
+    /// other. Subtree isolation uses this test; the write guard needs none,
+    /// as it reads only the flags keyed by its own chain's ids.
     #[must_use]
     pub fn overlaps(&self, path: &DfsPath) -> bool {
         self.path

@@ -1168,9 +1168,11 @@ impl Db {
     }
 
     /// Reads rows **without locks** (read-committed-at-best: a concurrent
-    /// uncommitted write *is* visible). Used only for maintenance paths
-    /// (DataNode reports, liveness polling) where staleness/dirtiness is
-    /// acceptable; protocol-critical reads use [`Db::read`].
+    /// uncommitted write *is* visible), charged as one batch read per shard
+    /// the keys touch. Used where staleness/dirtiness is acceptable:
+    /// maintenance paths (DataNode reports, liveness polling) and the
+    /// subtree-lock guard of a write, which the subtree protocol's own
+    /// locks back up; reads that must see a stable row use [`Db::read`].
     pub fn read_committed<K, V, F>(
         &self,
         sim: &mut Sim,

@@ -97,7 +97,11 @@
 #      post-run audit of either point finds a violation.
 #  16. the benchmark (BENCHMARK.json): `benchmark/run.sh --smoke` builds
 #      the standalone package and runs all four workloads at 1/20 size
-#      with every correctness check; then the package's own tests.
+#      with every correctness check. The `sim_fingerprint` each workload
+#      prints (a digest of every simulated completion) must equal its line
+#      in results/golden/bench_smoke_fingerprints.txt, so a change that
+#      moves a workload's simulated behaviour says so by updating that
+#      file. Then the package's own tests.
 #
 # The smoke runs print to the terminal only and are informational at that
 # scale; the recorded full-size numbers are results/<figure>.txt, which
@@ -182,8 +186,17 @@ cargo build --release --offline -p lambda-bench --features alloc-stats
 echo "== memory sweep smoke (fig08d, counting allocator, phase timings) =="
 ./target/release/lfsfig fig08d_million_scale --smoke
 
-echo "== benchmark smoke (four workloads at 1/20 size) + its own tests =="
-bash benchmark/run.sh --smoke
+echo "== benchmark smoke (four workloads at 1/20 size, fingerprints pinned) + its own tests =="
+smoke="$(mktemp)"
+bash benchmark/run.sh --smoke | tee "$smoke"
+# One `workload sim_fingerprint` line per workload, from the ledger line
+# that opens each workload's output and the line that ends it.
+diff results/golden/bench_smoke_fingerprints.txt <(awk '
+    /^ledger: / { match($0, /"workload": "[^"]*"/); w = substr($0, RSTART + 13, RLENGTH - 14) }
+    /sim_fingerprint/ { print w, $NF }' "$smoke") \
+    || { echo "benchmark smoke fingerprints differ from results/golden/bench_smoke_fingerprints.txt"; exit 1; }
+rm -f "$smoke"
+echo "benchmark smoke fingerprints match results/golden/bench_smoke_fingerprints.txt"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "verify.sh: all checks passed"
