@@ -26,7 +26,7 @@ use std::rc::Rc;
 use lambda_fs::{DfsService, OpDone, RunMetrics};
 use lambda_namespace::{
     interned, DfsPath, FsError, FsOp, Inode, InodeId, OpOutcome, OpResult, Partitioner,
-    ROOT_INODE_ID,
+    TreeLayout, ROOT_INODE_ID,
 };
 use lambda_sim::params::NetParams;
 use lambda_sim::{every, CostMeter, Dist, Sim, SimDuration, Station, StationRef, VmPricing};
@@ -381,15 +381,14 @@ impl DfsService for CephFs {
         if !root.is_root() && ns.resolve(root).is_err() {
             ns.add(root, true, 0).expect("bootstrap root");
         }
-        let mut out = Vec::with_capacity(dirs);
-        for d in 0..dirs {
-            let dir = root.join(&format!("dir{d:05}")).expect("valid");
-            ns.add(&dir, true, 0).expect("bootstrap dir");
-            for f in 0..files_per_dir {
-                let file = dir.join(&format!("file{f:05}")).expect("valid");
-                ns.add(&file, false, 0).expect("bootstrap file");
+        let layout = TreeLayout { dirs, files_per_dir };
+        let file_names = layout.file_names();
+        let out = layout.dir_paths(root);
+        for dir in &out {
+            ns.add(dir, true, 0).expect("bootstrap dir");
+            for &name in &file_names {
+                ns.add(&dir.join_interned(name), false, 0).expect("bootstrap file");
             }
-            out.push(dir);
         }
         out
     }

@@ -29,8 +29,6 @@ use crate::serverful::{PeerCoherence, Routing, ServerNode, ServerfulCluster};
 const VCPUS_PER_NN: u32 = 16;
 /// Cache capacity per NameNode, in inodes (HopsFS+Cache).
 const CACHE_CAPACITY: usize = 2_000_000;
-/// Subtree sub-operation batch size.
-const SUBTREE_BATCH_SIZE: usize = 512;
 /// Concurrent in-flight subtree batches (HopsFS runs sub-operations in
 /// parallel on the coordinating NameNode).
 const SUBTREE_PARALLELISM: usize = 7;
@@ -129,7 +127,6 @@ impl HopsFs {
                             as Rc<dyn lambda_fs::CoherenceHook>
                     }),
                     subtree: SubtreeSettings {
-                        batch_size: SUBTREE_BATCH_SIZE,
                         parallelism: SUBTREE_PARALLELISM,
                         holder_tag: i as u64 + 1,
                         holder_alive: None,

@@ -298,11 +298,7 @@ pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> Industrial
             fs.start(&mut sim);
             // Pre-load the tree and warm every deployment from every VM:
             // the paper's runs start against a warm, connected system.
-            let dirs = fs.bootstrap_tree(
-                &lambda_namespace::DfsPath::root(),
-                spotify.dirs,
-                spotify.files_per_dir,
-            );
+            let dirs = spotify.load(fs.as_ref());
             fs.prewarm_with(&mut sim, &dirs);
             sim.run_for(SimDuration::from_secs(8));
             let sample_until = sim.now() + SimDuration::from_secs(run_secs as u64);
@@ -335,6 +331,7 @@ pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> Industrial
         SystemKind::InfiniCache => {
             let fs = Rc::new(InfiniCacheStyle::build(&mut sim, lambda_config(params, false)));
             fs.start(&mut sim);
+            spotify.load(fs.as_ref());
             let run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
             fs.stop(&mut sim);
             let pay = fs.system().pay_meter().cumulative_per_second();
@@ -349,6 +346,7 @@ pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> Industrial
             cfg.store = params.store();
             let fs = Rc::new(HopsFs::build(&mut sim, cfg));
             fs.start(&mut sim);
+            spotify.load(fs.as_ref());
             let run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
             fs.stop(&mut sim);
             let cost = fs.cost_meter().cumulative_per_second();
@@ -360,6 +358,7 @@ pub fn run_industrial(kind: SystemKind, params: &IndustrialParams) -> Industrial
                 CephFsConfig::sized(params.vcpus(), params.clients()),
             ));
             fs.start(&mut sim);
+            spotify.load(fs.as_ref());
             let run = run_spotify(&mut sim, Rc::clone(&fs), spotify);
             fs.stop(&mut sim);
             let cost = fs.cost_meter().cumulative_per_second();

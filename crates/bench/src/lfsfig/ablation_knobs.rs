@@ -35,7 +35,7 @@ fn run_one(label: &str, params: &IndustrialParams, mutate: Knob) -> Ablation {
     let fs = Rc::new(LambdaFs::build(&mut sim, config));
     fs.start(&mut sim);
     let spotify = params.spotify_config();
-    let dirs = fs.bootstrap_tree(&"/".parse().unwrap(), spotify.dirs, spotify.files_per_dir);
+    let dirs = spotify.load(fs.as_ref());
     fs.prewarm_with(&mut sim, &dirs);
     sim.run_for(SimDuration::from_secs(8));
     let _run = run_spotify(&mut sim, Rc::clone(&fs), spotify);

@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use lambda_fs::{AuditReport, DfsService, LambdaFs, LambdaFsConfig};
-use lambda_namespace::{DfsPath, FsOp};
+use lambda_namespace::{DfsPath, FsOp, TreeLayout};
 use lambda_sim::fault::FaultPlan;
 use lambda_sim::{Sim, SimDuration, SimTime};
 
@@ -34,9 +34,9 @@ impl Driver {
         let dir = self.dirs[sim.rng().pick_index(self.dirs.len())].clone();
         let r = sim.rng().gen_unit();
         if r < self.mix.stat {
-            FsOp::Stat(dir.join("file00000").expect("valid"))
+            FsOp::Stat(dir.join_interned(TreeLayout::file_name(0)))
         } else if r < self.mix.read {
-            FsOp::ReadFile(dir.join("file00001").expect("valid"))
+            FsOp::ReadFile(dir.join_interned(TreeLayout::file_name(1)))
         } else if r < self.mix.ls {
             FsOp::Ls(dir)
         } else {

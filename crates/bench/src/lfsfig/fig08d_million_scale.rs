@@ -47,7 +47,7 @@ use std::time::Instant;
 use lambda_allocstats as mem;
 use lambda_bench::*;
 use lambda_fs::{AuditReport, DfsService, LambdaFs, LambdaFsConfig};
-use lambda_namespace::{DfsPath, FsOp, InodeName};
+use lambda_namespace::{DfsPath, FsOp, TreeLayout};
 use lambda_sim::{every, Sim, SimDuration, SimRng};
 
 use crate::closed_loop::{audit_cell, exit_on_violations};
@@ -110,8 +110,7 @@ fn run_lean_reads(
     rate: f64,
     seed: u64,
 ) -> u64 {
-    let file_names: Vec<InodeName> =
-        (0..FILES_PER_DIR).map(|f| InodeName::new(&format!("file{f:05}"))).collect();
+    let file_names = TreeLayout { dirs: dirs.len(), files_per_dir: FILES_PER_DIR }.file_names();
     let issued = Rc::new(Cell::new(0u64));
     let rng = RefCell::new(SimRng::new(seed ^ 0x00F1_608D));
     let n_clients = fs.client_lib().client_count();
@@ -235,7 +234,7 @@ fn scale25_reference(seed: u64) -> Scale25Reference {
     let inodes_before = fs.schema().inode_count(fs.db());
     let t_boot = Instant::now();
     let boot_scope = mem::GLOBAL.scope();
-    fs.schema().bootstrap_tree(fs.db(), &DfsPath::root(), spotify.dirs, spotify.files_per_dir);
+    spotify.load(&fs);
     let bootstrap_bytes = boot_scope.grown();
     let inodes_created = fs.schema().inode_count(fs.db()) - inodes_before;
     Scale25Reference {

@@ -73,7 +73,6 @@ fn run_cell(
         cluster_vcpus: 64,
         durability: Some(DurabilityConfig {
             flush_interval: SimDuration::from_millis_f64(flush_ms),
-            ..Default::default()
         }),
         ..Default::default()
     };

@@ -125,22 +125,9 @@ pub fn run_micro_point(kind: SystemKind, p: &MicroParams) -> MicroPoint {
                 },
             ));
             fs.start(&mut sim);
-            // Pre-build the micro tree (run_micro's bootstrap is
-            // idempotent, multi-rooted) and warm every deployment from
-            // every VM.
+            // Load the micro tree and warm every deployment from every VM.
             let cfg = micro_config(p);
-            let mut dirs = Vec::new();
-            for r in 0..8usize {
-                let root: lambda_namespace::DfsPath =
-                    format!("/bench{r}").parse().expect("valid");
-                let share = cfg.dirs / 8 + usize::from(r < cfg.dirs % 8);
-                dirs.extend(lambda_fs::DfsService::bootstrap_tree(
-                    fs.as_ref(),
-                    &root,
-                    share,
-                    cfg.files_per_dir,
-                ));
-            }
+            let dirs = cfg.load(fs.as_ref());
             fs.prewarm_with(&mut sim, &dirs);
             sim.run_for(SimDuration::from_secs(8));
             let run = run_micro(&mut sim, Rc::clone(&fs), cfg);
@@ -150,7 +137,9 @@ pub fn run_micro_point(kind: SystemKind, p: &MicroParams) -> MicroPoint {
         SystemKind::InfiniCache => {
             let fs = Rc::new(InfiniCacheStyle::build(&mut sim, lambda_base(store)));
             fs.start(&mut sim);
-            let run = run_micro(&mut sim, Rc::clone(&fs), micro_config(p));
+            let micro = micro_config(p);
+            micro.load(fs.as_ref());
+            let run = run_micro(&mut sim, Rc::clone(&fs), micro);
             fs.stop(&mut sim);
             (run, Some(fs.system().pay_meter().total()), 0.0)
         }
@@ -162,14 +151,18 @@ pub fn run_micro_point(kind: SystemKind, p: &MicroParams) -> MicroPoint {
             cfg.store = store;
             let fs = Rc::new(HopsFs::build(&mut sim, cfg));
             fs.start(&mut sim);
-            let run = run_micro(&mut sim, Rc::clone(&fs), micro_config(p));
+            let micro = micro_config(p);
+            micro.load(fs.as_ref());
+            let run = run_micro(&mut sim, Rc::clone(&fs), micro);
             fs.stop(&mut sim);
             (run, None, 0.0)
         }
         SystemKind::Ceph => {
             let fs = Rc::new(CephFs::build(&mut sim, CephFsConfig::sized(p.vcpus, p.clients)));
             fs.start(&mut sim);
-            let run = run_micro(&mut sim, Rc::clone(&fs), micro_config(p));
+            let micro = micro_config(p);
+            micro.load(fs.as_ref());
+            let run = run_micro(&mut sim, Rc::clone(&fs), micro);
             fs.stop(&mut sim);
             (run, None, 0.0)
         }

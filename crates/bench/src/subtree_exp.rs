@@ -76,15 +76,10 @@ pub fn run_subtree_mv(kind: SystemKind, dir_size: usize, seed: u64) -> SubtreeMv
     SubtreeMvResult { dir_size, latency_ms, moved }
 }
 
+/// One directory holding `files` files, via the service's bulk loader: an
+/// empty tree at the parent and at `dir` creates each if it is missing.
 fn bootstrap_flat_dir<S: DfsService>(fs: &S, dir: &DfsPath, files: usize) {
-    // One directory holding `files` files, via the service's bulk loader.
-    // bootstrap_tree creates dirs under a root; for a single flat dir we
-    // create the parent then one directory with all the files.
-    let parent = dir.parent().expect("non-root");
-    let _ = fs.bootstrap_tree(&parent, 0, 0);
-    // The victim directory itself, with its files, via a second call that
-    // creates exactly one directory named dir00000 — then rename is
-    // unnecessary: instead bootstrap under the victim path directly.
+    let _ = fs.bootstrap_tree(&dir.parent().expect("non-root"), 0, 0);
     let _ = fs.bootstrap_tree(dir, 0, 0);
     for i in 0..files {
         let f = dir.join(&format!("f{i:07}")).expect("valid");

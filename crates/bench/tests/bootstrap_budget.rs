@@ -7,12 +7,11 @@
 //! * **throughput** — a fresh 1M-inode tree must load at ≥500k inodes/sec
 //!   (measured ~4M/sec; the generous floor absorbs CI-host jitter while
 //!   still failing hard on any return of per-entry path resolution);
-//! * **density** — the streaming path's live heap per inode must not
-//!   exceed the per-entry insert+repack path's, nor a bytes/inode budget
-//!   on a tree whose inode rows span 24 pages. Contents and iteration
-//!   order are pinned by the differential proptest in
-//!   `crates/store/tests/bulk_build.rs`; node occupancy and row size are
-//!   only observable through the allocator, so they are pinned here.
+//! * **density** — the streaming path's live heap per inode must stay
+//!   under a bytes/inode budget on a tree whose inode rows span 24 pages.
+//!   Contents and iteration order are pinned by the differential proptest
+//!   in `crates/store/tests/bulk_build.rs`; node occupancy and row size
+//!   are only observable through the allocator, so they are pinned here.
 //!
 //! The file registers the counting global allocator itself. The density
 //! test runs in any build; the throughput floor is calibrated for release
@@ -22,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use lambda_allocstats as mem;
-use lambda_namespace::{interned, DfsPath, MetadataSchema};
+use lambda_namespace::{DfsPath, MetadataSchema, TreeLayout};
 use lambda_sim::params::StoreParams;
 use lambda_sim::SimDuration;
 use lambda_store::Db;
@@ -82,47 +81,22 @@ fn fresh_tree_bootstrap_meets_throughput_floor() {
 }
 
 #[test]
-fn streaming_path_is_at_least_as_dense_as_insert_plus_repack() {
+fn streaming_path_meets_the_bytes_per_inode_budget() {
     let _counting = exclusive_counter();
     assert!(mem::active(), "counting allocator must be registered");
-    let (dirs, files_per_dir) = (2_000, 48);
-    // Intern every name up front so neither measurement pays arena growth
-    // (the interner is process-global; whichever load ran first would
-    // otherwise be charged for both).
-    for d in 0..dirs {
-        let _ = interned(&format!("dir{d:05}"));
-    }
-    for f in 0..files_per_dir {
-        let _ = interned(&format!("file{f:05}"));
-    }
+    let layout = TreeLayout { dirs: 2_000, files_per_dir: 48 };
+    // Intern every name up front so the measurement does not pay the
+    // process-global interner's arena growth.
+    let _ = (layout.dir_names(), layout.file_names());
 
-    // Streaming path: fresh root, bulk_build all the way down.
-    let (db_a, schema_a) = fresh_schema();
-    let scope_a = mem::GLOBAL.scope();
-    schema_a.bootstrap_tree(&db_a, &DfsPath::root(), dirs, files_per_dir);
-    let grown_a = scope_a.grown();
+    let (db, schema) = fresh_schema();
+    let scope = mem::GLOBAL.scope();
+    schema.bootstrap_tree(&db, &DfsPath::root(), layout.dirs, layout.files_per_dir);
+    let grown = scope.grown();
 
-    // Per-entry path: a pre-existing colliding directory forces the
-    // idempotent fallback, which inserts row by row and repacks.
-    let (db_b, schema_b) = fresh_schema();
-    let scope_b = mem::GLOBAL.scope();
-    schema_b.bootstrap_mkdir(&db_b, &DfsPath::root().join("dir00000").unwrap());
-    schema_b.bootstrap_tree(&db_b, &DfsPath::root(), dirs, files_per_dir);
-    let grown_b = scope_b.grown();
-
-    assert_eq!(
-        schema_a.inode_count(&db_a),
-        schema_b.inode_count(&db_b),
-        "both paths must build the same tree"
-    );
-    let inodes = dirs * (files_per_dir + 1);
-    // 2% headroom for allocator bookkeeping jitter between the two runs.
-    assert!(
-        grown_a as f64 <= grown_b as f64 * 1.02,
-        "bulk_build is less dense than insert+repack: streaming grew {grown_a} \
-         bytes vs per-entry {grown_b} over {inodes} inodes",
-    );
-    let bytes_per_inode = grown_a as f64 / inodes as f64;
+    let inodes = layout.dirs * (layout.files_per_dir + 1);
+    assert_eq!(schema.inode_count(&db), inodes + 1);
+    let bytes_per_inode = grown as f64 / inodes as f64;
     assert!(
         bytes_per_inode < BYTES_PER_INODE_BUDGET,
         "bytes/inode regressed: {bytes_per_inode:.1} >= budget {BYTES_PER_INODE_BUDGET}"

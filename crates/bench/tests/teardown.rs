@@ -73,6 +73,12 @@ fn small_config() -> LambdaFsConfig {
     LambdaFsConfig { deployments: 4, clients: 4, ..Default::default() }
 }
 
+/// Loads a small bootstrap tree and warms every deployment over it.
+fn load_and_prewarm(sim: &mut Sim, fs: &LambdaFs) {
+    let dirs = fs.bootstrap_tree(&DfsPath::root(), 8, 1);
+    fs.prewarm_with(sim, &dirs);
+}
+
 /// 40 `mkdir`s and a `stat` of each, spread over the clients; counts the
 /// completions in `done`.
 fn submit_ops(sim: &mut Sim, fs: &dyn DfsService, done: &Rc<Cell<usize>>) {
@@ -110,7 +116,7 @@ fn a_started_driven_and_stopped_system_frees_its_heap() {
         let mut sim = Sim::new(SEED);
         let fs = LambdaFs::build(&mut sim, small_config());
         fs.start(&mut sim);
-        fs.prewarm(&mut sim);
+        load_and_prewarm(&mut sim, &fs);
         drive_and_drain(&mut sim, &fs);
         fs.stop(&mut sim);
         sim.run();
@@ -125,7 +131,7 @@ fn a_started_driven_and_stopped_system_frees_its_heap() {
 fn system_with_operations_in_flight(sim: &mut Sim) -> LambdaFs {
     let fs = LambdaFs::build(sim, small_config());
     fs.start(sim);
-    fs.prewarm(sim);
+    load_and_prewarm(sim, &fs);
     let done = Rc::new(Cell::new(0));
     let submit = |sim: &mut Sim, client: usize, op: FsOp| {
         let done = Rc::clone(&done);
@@ -174,7 +180,7 @@ fn dropping_a_system_ends_its_periodic_loops() {
     let mut sim = Sim::new(SEED);
     let fs = LambdaFs::build(&mut sim, small_config());
     fs.start(&mut sim);
-    fs.prewarm(&mut sim);
+    load_and_prewarm(&mut sim, &fs);
     sim.run_for(SimDuration::from_secs(2));
     assert!(fs.active_namenodes() > 0, "the prewarm left warm NameNodes");
     drop(fs);

@@ -100,7 +100,7 @@ mod tests {
         let c = LambdaFsConfig::default();
         assert_eq!(c.cluster_vcpus, 512);
         assert!(c.http_replace_prob <= 0.01);
-        assert_eq!(crate::namenode::SUBTREE_BATCH_SIZE, 512);
+        assert_eq!(crate::subtree::SUBTREE_BATCH_SIZE, 512);
         assert!(c.anti_thrashing);
         assert!((2.0..=3.0).contains(&crate::client::ANTI_THRASH_THRESHOLD));
         assert_eq!(crate::client::ANTI_THRASH_FLOOR_SECS, 0.025);

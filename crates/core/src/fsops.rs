@@ -137,11 +137,10 @@ pub trait CoherenceHook {
     fn invalidate(&self, sim: &mut Sim, inv: Rc<InvalidationSet>, done: RoundDone);
 }
 
-/// Subtree-operation settings (Appendix D).
+/// Subtree-operation settings (Appendix D). Every executor splits its
+/// work into batches of the same size (`SUBTREE_BATCH_SIZE`, 512).
 #[derive(Clone)]
 pub struct SubtreeSettings {
-    /// Sub-operation batch size (default 512).
-    pub batch_size: usize,
     /// Concurrent in-flight batches.
     pub parallelism: usize,
     /// Tag identifying this executor as a subtree-lock holder (λFS uses
@@ -156,7 +155,6 @@ pub struct SubtreeSettings {
 impl Default for SubtreeSettings {
     fn default() -> Self {
         SubtreeSettings {
-            batch_size: 512,
             parallelism: 8,
             holder_tag: 0,
             holder_alive: None,
@@ -167,7 +165,6 @@ impl Default for SubtreeSettings {
 impl std::fmt::Debug for SubtreeSettings {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubtreeSettings")
-            .field("batch_size", &self.batch_size)
             .field("parallelism", &self.parallelism)
             .finish()
     }

@@ -36,8 +36,6 @@ use crate::result_cache::ResultCache;
 const RESULT_CACHE_CAPACITY: usize = 4096;
 /// Directory-listing cache capacity per NameNode, in directories.
 const LISTING_CACHE_CAPACITY: usize = 100_000;
-/// Sub-operation batch size for subtree operations (Appendix D).
-pub(crate) const SUBTREE_BATCH_SIZE: usize = 512;
 /// Maximum concurrent in-flight subtree batches per executor. Appendix D's
 /// helper NameNodes run batches beside the leader; more than twice
 /// HopsFS's 7 is all of λFS's lead in Table 3. Only a subtree of more than
@@ -286,7 +284,6 @@ impl Function for NameNode {
                 .coherence_enabled
                 .then(|| Rc::new(coherence) as Rc<dyn crate::fsops::CoherenceHook>),
             subtree: SubtreeSettings {
-                batch_size: SUBTREE_BATCH_SIZE,
                 parallelism: SUBTREE_PARALLELISM,
                 holder_tag: session.raw(),
                 holder_alive: Some(Rc::new(move |tag| {

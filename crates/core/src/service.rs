@@ -31,8 +31,9 @@ pub trait DfsService {
 
     /// Bulk-loads the benchmark's pre-existing directory tree (§5.3:
     /// "all operations target random files and directories across an
-    /// existing directory tree") before the workload starts. Returns the
-    /// created directory paths.
+    /// existing directory tree"), laid out by
+    /// [`TreeLayout`](lambda_namespace::TreeLayout), once, before the
+    /// workload starts. Returns the created directory paths.
     fn bootstrap_tree(&self, root: &DfsPath, dirs: usize, files_per_dir: usize) -> Vec<DfsPath>;
 
     /// Bulk-loads a single file (parents must exist). Pre-run loading

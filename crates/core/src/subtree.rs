@@ -43,6 +43,10 @@ use lambda_store::NameKey;
 
 use crate::fsops::{InvalidationSet, OpDone, OpEngine};
 
+/// Sub-operation batch size of every subtree operation, λFS's and
+/// HopsFS's alike (Appendix D).
+pub(crate) const SUBTREE_BATCH_SIZE: usize = 512;
+
 /// One item of subtree work: an inode plus its `children`-index key.
 #[derive(Clone, Copy)]
 struct SubtreeItem {
@@ -101,8 +105,7 @@ impl OpEngine {
                     // order so partial execution keeps the tree well-formed.
                     items.reverse();
                     let deleted = OpOutcome::Deleted(items.len() as u64 + 1);
-                    let batch_size = this3.subtree.batch_size;
-                    let deletes = make_batches(&items, batch_size, SubtreeBatchKind::DeleteRows);
+                    let deletes = make_batches(&items, SubtreeBatchKind::DeleteRows);
                     let this4 = this3.clone();
                     this3.run_batches(sim, deletes, move |sim| {
                         // Finally the (now empty) root itself.
@@ -154,7 +157,7 @@ impl OpEngine {
     {
         let this = self.clone();
         self.collect_subtree(sim, root, move |sim, items| {
-            let quiesce = make_batches(&items, this.subtree.batch_size, SubtreeBatchKind::Quiesce);
+            let quiesce = make_batches(&items, SubtreeBatchKind::Quiesce);
             this.run_batches(sim, quiesce, move |sim| then(sim, items));
         });
     }
@@ -401,10 +404,10 @@ impl OpEngine {
     }
 }
 
-/// Splits items into batches of `batch_size` with the given kind.
-fn make_batches(items: &[SubtreeItem], batch_size: usize, kind: SubtreeBatchKind) -> Vec<SubtreeBatch> {
+/// Splits items into batches of [`SUBTREE_BATCH_SIZE`] with the given kind.
+fn make_batches(items: &[SubtreeItem], kind: SubtreeBatchKind) -> Vec<SubtreeBatch> {
     items
-        .chunks(batch_size.max(1))
+        .chunks(SUBTREE_BATCH_SIZE)
         .map(|chunk| SubtreeBatch { kind, items: chunk.to_vec() })
         .collect()
 }
@@ -419,19 +422,11 @@ mod tests {
         let items: Vec<SubtreeItem> = (0..1000)
             .map(|i| SubtreeItem { id: i, parent: 0, name: InodeName::new(&format!("f{i}")).key() })
             .collect();
-        let batches = make_batches(&items, 512, SubtreeBatchKind::Quiesce);
+        let batches = make_batches(&items, SubtreeBatchKind::Quiesce);
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].items.len(), 512);
         assert_eq!(batches[1].items.len(), 488);
         let total: usize = batches.iter().map(|b| b.items.len()).sum();
         assert_eq!(total, 1000);
-    }
-
-    #[test]
-    fn zero_batch_size_is_clamped() {
-        let items =
-            vec![SubtreeItem { id: 1, parent: 0, name: InodeName::new("x").key() }];
-        let batches = make_batches(&items, 0, SubtreeBatchKind::DeleteRows);
-        assert_eq!(batches.len(), 1);
     }
 }

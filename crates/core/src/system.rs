@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use lambda_coord::Coordinator;
 use lambda_faas::{DeploymentId, FunctionConfig, InstanceId, Platform, PlatformConfig};
-use lambda_namespace::{DataNodeFleet, DfsPath, FsOp, MetadataSchema, Partitioner};
+use lambda_namespace::{DataNodeFleet, DfsPath, FsOp, MetadataSchema, Partitioner, TreeLayout};
 use lambda_sim::fault::{FaultInjector, FaultPlan};
 use lambda_sim::{CostMeter, GaugeSeries, Sim, SimDuration};
 use lambda_store::Db;
@@ -176,26 +176,15 @@ impl LambdaFs {
         self.fleet.stop();
     }
 
-    /// Issues one warm-up request per deployment (a `stat /` over HTTP),
-    /// provisioning an initial instance in each — the evaluation's steady
-    /// starting state.
-    pub fn prewarm(&self, sim: &mut Sim) {
-        for (i, _) in self.deployments.iter().enumerate() {
-            // Submitting via a rotating client spreads the warm-up and
-            // registers connections.
-            let client = i % self.clients.client_count();
-            self.submit(sim, client, FsOp::Stat(DfsPath::root()), Box::new(|_sim, _r| {}));
-        }
-    }
-
     /// Warms **every** deployment and registers a TCP connection on
     /// **every** client VM before the workload starts — the evaluation's
     /// warm steady state (Fig. 8(a) begins with 22 NameNodes already
     /// active, not a cold platform).
     ///
-    /// `paths` should cover the namespace (e.g. the bootstrap
-    /// directories): for each deployment the first owned path is stat'ed
-    /// once from a client on each VM.
+    /// `paths` should cover the namespace (e.g. the bootstrap tree's
+    /// directories): for each deployment the first owned path among them
+    /// and their first files ([`TreeLayout::file_name`]) is stat'ed once
+    /// from a client on each VM.
     pub fn prewarm_with(&self, sim: &mut Sim, paths: &[DfsPath]) {
         let vm_count = self.config.client_vms.max(1) as usize;
         // Directory paths all hash to the root's deployment (partitioning
@@ -203,9 +192,7 @@ impl LambdaFs {
         let mut candidates: Vec<DfsPath> = Vec::with_capacity(paths.len() * 2);
         for p in paths {
             candidates.push(p.clone());
-            if let Ok(child) = p.join("file00000") {
-                candidates.push(child);
-            }
+            candidates.push(p.join_interned(TreeLayout::file_name(0)));
         }
         for d in 0..self.config.deployments {
             let Some(path) =

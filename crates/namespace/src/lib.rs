@@ -9,6 +9,8 @@
 //!   the evaluation (Table 2) and their results;
 //! * [`MetadataSchema`] — the store schema (inodes, children index,
 //!   DataNodes, subtree locks) plus bulk loading and a consistency checker;
+//! * [`TreeLayout`] — the names and paths of the bootstrap tree every
+//!   experiment runs against;
 //! * [`Partitioner`] — consistent hashing of parents onto function
 //!   deployments (paper §3.1/§3.3);
 //! * [`MetadataCache`] — the per-NameNode trie cache with LRU bounds and
@@ -22,6 +24,7 @@
 mod cache;
 mod datanode;
 mod inode;
+mod layout;
 mod ops;
 mod partition;
 mod path;
@@ -31,6 +34,7 @@ pub use cache::{CacheStats, MetadataCache};
 pub use datanode::DataNodeFleet;
 pub use lambda_store::MixBuild;
 pub use inode::{DataNodeId, DataNodeInfo, Inode, InodeId, InodeKind, StoredInode, ROOT_INODE_ID};
+pub use layout::TreeLayout;
 pub use ops::{FsError, FsOp, Listing, OpClass, OpOutcome, OpResult};
 pub use partition::Partitioner;
 pub use path::{interned, Ancestors, DfsPath, InodeName, ParsePathError};

@@ -7,10 +7,10 @@
 //! (good for locality, like LocoFS), while FaaS auto-scaling *within* the
 //! deployment absorbs hot directories (unlike LocoFS, §6).
 //!
-//! Two key variants exist in the paper ("parent directory path" in §3.1,
-//! "parent INode ID" in §3.3); both are provided.
+//! The paper names two keys ("parent directory path" in §3.1, "parent
+//! INode ID" in §3.3); the path is the one provided, since the client
+//! library routes a request before it knows any inode id.
 
-use crate::inode::InodeId;
 use crate::path::DfsPath;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -112,21 +112,21 @@ impl Partitioner {
         }
         self.owner_of_hash(mix64(h))
     }
-
-    /// The deployment responsible for an inode, keyed by its **parent
-    /// INode id** (§3.3 variant).
-    #[must_use]
-    pub fn deployment_for_parent_id(&self, parent: InodeId) -> u32 {
-        self.owner_of_hash(mix64(parent))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TreeLayout;
 
     fn p(s: &str) -> DfsPath {
         s.parse().unwrap()
+    }
+
+    /// A file in the `i`-th of many distinct directories: each key names a
+    /// different parent, the input the ring balances.
+    fn key(i: u64) -> DfsPath {
+        p(&format!("/d{i}/f"))
     }
 
     #[test]
@@ -134,9 +134,8 @@ mod tests {
         let a = Partitioner::new(16);
         let b = Partitioner::new(16);
         for i in 0..100 {
-            let path = p(&format!("/d{i}/f"));
+            let path = key(i);
             assert_eq!(a.deployment_for_path(&path), b.deployment_for_path(&path));
-            assert_eq!(a.deployment_for_parent_id(i), b.deployment_for_parent_id(i));
         }
     }
 
@@ -153,7 +152,7 @@ mod tests {
         let ring = Partitioner::new(10);
         let mut counts = vec![0u32; 10];
         for i in 0..10_000u64 {
-            counts[ring.deployment_for_parent_id(i) as usize] += 1;
+            counts[ring.deployment_for_path(&key(i)) as usize] += 1;
         }
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(*min > 0, "unused deployment");
@@ -168,7 +167,7 @@ mod tests {
         let ring = Partitioner::new(32);
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..50_000u64 {
-            seen.insert(ring.deployment_for_parent_id(i));
+            seen.insert(ring.deployment_for_path(&key(i)));
         }
         assert_eq!(seen.len(), 32);
     }
@@ -180,9 +179,9 @@ mod tests {
         let small = Partitioner::new(8);
         let large = Partitioner::new(9);
         let moved = (0..10_000u64)
-            .filter(|i| {
-                let a = small.deployment_for_parent_id(*i);
-                let b = large.deployment_for_parent_id(*i);
+            .filter(|&i| {
+                let a = small.deployment_for_path(&key(i));
+                let b = large.deployment_for_path(&key(i));
                 a != b && b != 8
             })
             .count();
@@ -196,12 +195,10 @@ mod tests {
         // Regression: FNV without finalization clustered similar paths
         // ("/dir00000", "/dir00001", …) onto one or two deployments.
         let ring = Partitioner::new(10);
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..128 {
-            let dir: DfsPath = format!("/dir{i:05}").parse().unwrap();
-            let file = dir.join("file00000").unwrap();
-            seen.insert(ring.deployment_for_path(&file));
-        }
+        let layout = TreeLayout { dirs: 128, files_per_dir: 1 };
+        let files = layout.file_paths(&layout.dir_paths(&DfsPath::root()));
+        let seen: std::collections::BTreeSet<u32> =
+            files.iter().map(|file| ring.deployment_for_path(file)).collect();
         assert_eq!(seen.len(), 10, "path hashing uses {} of 10 deployments", seen.len());
     }
 

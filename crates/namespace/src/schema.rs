@@ -23,6 +23,7 @@ use std::rc::Rc;
 use lambda_store::{Db, NameKey, TableHandle};
 
 use crate::inode::{DataNodeId, DataNodeInfo, Inode, InodeId, ROOT_INODE_ID};
+use crate::layout::TreeLayout;
 use crate::path::{DfsPath, InodeName};
 
 /// Bytes the WAL logs per inode row: the 64-byte row the durable backend
@@ -178,37 +179,38 @@ impl MetadataSchema {
             db.peek(self.children, &(parent.id, name.key())).is_none(),
             "bootstrap name collision: {path}"
         );
-        self.bootstrap_add_under(db, parent.id, name, dir)
-    }
-
-    /// Inserts one entry under an already-resolved parent id. The caller
-    /// owns the invariants `bootstrap_add` checks: the parent exists, is a
-    /// directory, and has no child named `name`.
-    fn bootstrap_add_under(&self, db: &Db, parent: InodeId, name: InodeName, dir: bool) -> InodeId {
         let id = self.next_id();
-        let inode =
-            if dir { Inode::directory(id, parent, name) } else { Inode::file(id, parent, name) };
+        let inode = if dir {
+            Inode::directory(id, parent.id, name)
+        } else {
+            Inode::file(id, parent.id, name)
+        };
         db.bootstrap_insert(self.inodes, id, inode);
-        db.bootstrap_insert(self.children, (parent, name.key()), id);
+        db.bootstrap_insert(self.children, (parent.id, name.key()), id);
         id
     }
 
-    /// Bulk-loads a balanced tree under `root`: `dirs` directories each
-    /// holding `files_per_dir` files. Returns the created directory paths.
+    /// Bulk-loads a fresh balanced tree under `root`: `dirs` directories
+    /// each holding `files_per_dir` files, named by [`TreeLayout`].
+    /// Creates `root` (whose parent must exist) if it is missing. Returns
+    /// the directory paths, [`TreeLayout::dir_paths`] of `root`.
     ///
     /// This is the "existing directory tree" every micro-benchmark
     /// targets (§5.3: "all operations target random files and directories
-    /// across an existing directory tree").
+    /// across an existing directory tree"). It is loaded once, before the
+    /// workload starts.
     ///
-    /// When none of the `dir{d:05}` names exist under `root` yet — every
-    /// fresh bootstrap — the tree is *streamed*: inode ids are laid out
-    /// arithmetically (each directory's id followed by its files', exactly
-    /// the order per-entry allocation produces) and both tables are built
-    /// through [`Db::bootstrap_bulk_load`]'s dense bulk build, with no
-    /// per-entry path resolution, B-tree insert, or post-hoc repack.
-    /// Re-bootstrapping an existing tree falls back to the idempotent
-    /// per-entry path (a no-op per existing entry), with the parent id
-    /// carried instead of re-walked.
+    /// The tree is *streamed*: inode ids are laid out arithmetically (each
+    /// directory's id followed by its files', the order per-entry
+    /// allocation would produce) and both tables are built through
+    /// [`Db::bootstrap_bulk_load`]'s dense bulk build, with no per-entry
+    /// path resolution or B-tree insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` does not resolve to a directory once created, or if
+    /// one of the tree's directory names is already taken under it (the
+    /// bulk load's key-collision check).
     pub fn bootstrap_tree(
         &self,
         db: &Db,
@@ -228,72 +230,27 @@ impl MetadataSchema {
             .pop()
             .expect("chain non-empty");
         assert!(root_inode.is_dir(), "bootstrap parent is a file: {root}");
-        let root_id = root_inode.id;
 
-        let mut buf = String::new();
-        let render = |buf: &mut String, prefix: &str, i: usize| {
-            use std::fmt::Write;
-            buf.clear();
-            write!(buf, "{prefix}{i:05}").expect("write to String");
-            // The children-index key rides along, built once per name
-            // (not once per row that carries it).
-            let name = InodeName::new(buf);
-            (name, name.key())
+        let layout = TreeLayout { dirs, files_per_dir };
+        // The children-index key rides along, built once per name (not once
+        // per row that carries it).
+        let keyed = |names: Vec<InodeName>| -> Vec<(InodeName, NameKey)> {
+            names.into_iter().map(|name| (name, name.key())).collect()
         };
-        let dir_names: Vec<(InodeName, NameKey)> =
-            (0..dirs).map(|d| render(&mut buf, "dir", d)).collect();
-        let file_names: Vec<(InodeName, NameKey)> =
-            (0..files_per_dir).map(|f| render(&mut buf, "file", f)).collect();
-
-        let fresh =
-            dir_names.iter().all(|&(_, dkey)| db.peek(self.children, &(root_id, dkey)).is_none());
-        let mut out = Vec::with_capacity(dirs);
-        if fresh {
-            self.stream_tree(db, root_id, &dir_names, &file_names);
-            out.extend(dir_names.iter().map(|&(dn, _)| root.join_interned(dn)));
-            return out;
-        }
-
-        // Idempotent per-entry path: re-bootstrapping an existing tree
-        // (e.g. a harness pre-loading before the workload driver does) is
-        // a no-op per existing entry.
-        for (d, &(dname, dkey)) in dir_names.iter().enumerate() {
-            let dir_id = match db.peek(self.children, &(root_id, dkey)) {
-                Some(id) => id,
-                None => self.bootstrap_add_under(db, root_id, dname, true),
-            };
-            if files_per_dir > 0 {
-                let dir_inode =
-                    db.peek(self.inodes, &dir_id).expect("children row points at live inode");
-                assert!(
-                    dir_inode.is_dir(),
-                    "bootstrap parent is a file: {root}/dir{d:05}"
-                );
-            }
-            for &(fname, fkey) in &file_names {
-                if db.peek(self.children, &(dir_id, fkey)).is_none() {
-                    self.bootstrap_add_under(db, dir_id, fname, false);
-                }
-            }
-            out.push(root.join_interned(dname));
-        }
-        // Per-entry loading inserts in ascending key order, which leaves
-        // every B-tree node half full; repacking densifies them (≈2× less
-        // node memory at the fig08d 10M-inode scale) without touching any
-        // observable state. (The streaming path above builds dense nodes
-        // directly and never needs this.)
-        db.bootstrap_repack();
-        out
+        let dir_names = keyed(layout.dir_names());
+        self.stream_tree(db, root_inode.id, &dir_names, &keyed(layout.file_names()));
+        dir_names.iter().map(|&(name, _)| root.join_interned(name)).collect()
     }
 
     /// Streams a fresh `dirs × files_per_dir` tree into the store through
     /// the dense bulk build.
     ///
-    /// Ids are allocated arithmetically in exactly the order the per-entry
-    /// path would have produced (each directory's id, then its files'), so
-    /// the resulting tables — and every later allocation — are identical
-    /// to the per-entry path followed by a repack. Each name comes with its
-    /// children-index key.
+    /// Ids are allocated arithmetically in exactly the order per-entry
+    /// loading would produce (each directory's id, then its files'), so
+    /// the tables — and every later allocation — are those of
+    /// [`MetadataSchema::bootstrap_mkdir`] and
+    /// [`MetadataSchema::bootstrap_create`] called entry by entry. Each name
+    /// comes with its children-index key.
     fn stream_tree(
         &self,
         db: &Db,
@@ -481,6 +438,46 @@ mod tests {
         // 1 root + 1 bench + 4 dirs + 32 files.
         assert_eq!(schema.inode_count(&db), 38);
         assert!(schema.check_consistency(&db).is_empty());
+    }
+
+    /// The one layout: the paths [`TreeLayout`] names are exactly the
+    /// directories `bootstrap_tree` returns and the entries the store
+    /// resolves, ids in load order.
+    #[test]
+    fn the_layout_names_exactly_the_loaded_tree() {
+        let (db, schema) = db_and_schema();
+        let root = p("/bench");
+        let layout = TreeLayout { dirs: 3, files_per_dir: 2 };
+        let dirs = schema.bootstrap_tree(&db, &root, layout.dirs, layout.files_per_dir);
+        assert_eq!(dirs, layout.dir_paths(&root));
+        assert_eq!(dirs[2], p("/bench/dir00002"));
+        let files = layout.file_paths(&dirs);
+        assert_eq!(files.len(), 6);
+        assert_eq!(files[3], p("/bench/dir00001/file00001"));
+        assert_eq!(dirs[0].join_interned(TreeLayout::file_name(1)), files[1]);
+        let mut ids = Vec::new();
+        for (d, dir) in dirs.iter().enumerate() {
+            let chain = schema.peek_chain(&db, dir).expect("directory loaded");
+            assert!(chain.last().unwrap().is_dir());
+            ids.push(chain.last().unwrap().id);
+            for file in &files[d * layout.files_per_dir..][..layout.files_per_dir] {
+                let chain = schema.peek_chain(&db, file).expect("file loaded");
+                assert!(!chain.last().unwrap().is_dir());
+                ids.push(chain.last().unwrap().id);
+            }
+        }
+        let root_id = schema.peek_chain(&db, &root).unwrap().pop().unwrap().id;
+        assert_eq!(ids, (root_id + 1..=root_id + 9).collect::<Vec<_>>());
+        // Nothing else was loaded: root, /bench and the 9 entries.
+        assert_eq!(schema.inode_count(&db), 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "key collision")]
+    fn a_tree_is_loaded_once() {
+        let (db, schema) = db_and_schema();
+        schema.bootstrap_tree(&db, &p("/bench"), 4, 2);
+        schema.bootstrap_tree(&db, &p("/bench"), 4, 2);
     }
 
     #[test]

@@ -22,9 +22,6 @@ pub struct NetParams {
     /// Extra end-to-end overhead of routing an invocation through the FaaS
     /// API gateway + invoker instead of a direct TCP hop.
     pub http_overhead: Dist,
-    /// One-way latency between a server and the persistent metadata store
-    /// (NDB / LevelDB host).
-    pub store_one_way: Dist,
     /// One-way latency to the Coordinator (ZooKeeper/NDB) for liveness and
     /// INV/ACK traffic.
     pub coord_one_way: Dist,
@@ -38,7 +35,6 @@ impl Default for NetParams {
             tcp_one_way: Dist::uniform_ms(0.35, 0.7),
             // HTTP RPCs are 8-20 ms end-to-end: gateway + invoker + routing.
             http_overhead: Dist::uniform_ms(6.5, 17.0),
-            store_one_way: Dist::uniform_ms(0.25, 0.5),
             coord_one_way: Dist::uniform_ms(0.2, 0.45),
         }
     }

@@ -39,34 +39,28 @@ use crate::key::EncodedKey;
 use crate::table::{AnyTable, TableId};
 use crate::txn::{RowWrite, TxnId};
 
-/// Tuning for the durable backend.
+/// Fixed crash-to-replay-start cost: failure detection plus process
+/// restart of the shard's store node.
+const DETECT_RESTART: SimDuration = SimDuration::from_millis(500);
+/// Replay cost per surviving WAL record.
+const REPLAY_PER_RECORD: SimDuration = SimDuration::from_micros(2);
+/// Replay cost per byte of WAL payload replayed plus SSTable bytes written
+/// by replay-triggered flushes/compactions.
+const REPLAY_PER_BYTE: SimDuration = SimDuration::from_nanos(20);
+
+/// Tuning for the durable backend. Each shard's shadow LSM runs
+/// [`LsmConfig::default`], whose memtable size governs flush-induced
+/// checkpointing.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Group-commit boundary: a commit's WAL records become durable at the
     /// next multiple of this interval (the `fsync` batching knob).
     pub flush_interval: SimDuration,
-    /// Fixed crash-to-replay-start cost: failure detection plus process
-    /// restart of the shard's store node.
-    pub detect_restart: SimDuration,
-    /// Replay cost per surviving WAL record.
-    pub replay_per_record: SimDuration,
-    /// Replay cost per byte of WAL payload replayed plus SSTable bytes
-    /// written by replay-triggered flushes/compactions.
-    pub replay_per_byte: SimDuration,
-    /// Shadow LSM tuning (memtable size governs flush-induced
-    /// checkpointing; see [`LsmConfig`]).
-    pub lsm: LsmConfig,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig {
-            flush_interval: SimDuration::from_millis(2),
-            detect_restart: SimDuration::from_millis(500),
-            replay_per_record: SimDuration::from_micros(2),
-            replay_per_byte: SimDuration::from_nanos(20),
-            lsm: LsmConfig::default(),
-        }
+        DurabilityConfig { flush_interval: SimDuration::from_millis(2) }
     }
 }
 
@@ -115,7 +109,7 @@ pub(crate) struct DurableBackend {
 impl DurableBackend {
     pub(crate) fn new(config: DurabilityConfig, shard_count: usize) -> Self {
         DurableBackend {
-            shards: (0..shard_count).map(|_| LsmTree::new(config.lsm.clone())).collect(),
+            shards: (0..shard_count).map(|_| LsmTree::new(LsmConfig::default())).collect(),
             config,
             pending: Vec::new(),
             stats: DurabilityStats::default(),
@@ -270,9 +264,9 @@ impl DurableBackend {
         }
         // Discard volatile state and replay the surviving WAL prefix.
         let report = self.shards[shard as usize].crash_and_recover();
-        let down_for = self.config.detect_restart
-            + self.config.replay_per_record * report.replayed_records
-            + self.config.replay_per_byte * (report.replayed_bytes + report.bytes_compacted);
+        let down_for = DETECT_RESTART
+            + REPLAY_PER_RECORD * report.replayed_records
+            + REPLAY_PER_BYTE * (report.replayed_bytes + report.bytes_compacted);
         self.stats.recoveries += 1;
         self.stats.replayed_records += report.replayed_records;
         self.stats.lost_records += report.lost_records;

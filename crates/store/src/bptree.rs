@@ -38,8 +38,8 @@
 //!   never touches interior rows at all: full middle leaves contribute
 //!   `len()` by header.
 //! * **Dense bulk build.** [`BpTree::from_ascending`] streams a sorted
-//!   stream straight into the flat buffers at 100% fill, bottom-up,
-//!   subsuming the insert-then-repack bootstrap path.
+//!   stream straight into the flat buffers at 100% fill, bottom-up: the
+//!   bootstrap tree is loaded this way, never row by row.
 //!
 //! Observable behavior is identical to `BTreeMap`: same insert/remove
 //! results, same sorted iteration order, and the same panics on inverted
@@ -55,8 +55,9 @@
 //!   50%.
 //! * **Lazy deletion.** Removal never rebalances; a node that empties is
 //!   unlinked and returned to the free list. Heavy churn can therefore
-//!   leave nodes sparse — [`BpTree::repack`] rebuilds at 100% occupancy,
-//!   exactly like the `BTreeMap::from_iter` repack it replaces.
+//!   leave nodes sparse. [`BpTree::repack`] rebuilds at 100% occupancy;
+//!   the store never calls it, and the engine's tests use it as the dense
+//!   reference a bulk build must match.
 //! * **Slack slots hold stale clones.** Fixed strides mean the slots past
 //!   `len` still contain *values* (old entries, or clones made when the
 //!   node was materialized) rather than nothing. They are never observable
@@ -724,7 +725,8 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
     }
 
     /// Rebuilds the tree at 100% node occupancy (contents and iteration
-    /// order unchanged) — the engine-level `repack`.
+    /// order unchanged). The store does not call it: the engine's tests
+    /// use it as the reference a bulk build must match.
     pub fn repack(&mut self) {
         let old = std::mem::take(self);
         *self = Self::from_ascending(old.into_entries());

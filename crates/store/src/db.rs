@@ -883,11 +883,11 @@ impl Db {
     /// merging with any rows already present, with no transaction, no
     /// locks, and no capacity charge.
     ///
-    /// The streaming counterpart of [`Db::bootstrap_insert`] +
-    /// [`Db::bootstrap_repack`]: the sorted stream feeds the B-tree's
-    /// dense bulk build directly, so the table comes out already repacked
-    /// — per-entry insert traffic and the post-hoc repack pass both
-    /// disappear. Pre-run bulk loading only, like `bootstrap_insert`.
+    /// The streaming counterpart of [`Db::bootstrap_insert`]: the sorted
+    /// stream feeds the B-tree's dense bulk build directly, so the table
+    /// holds the rows that inserting them one by one would, in nodes that
+    /// are full instead of half full. Pre-run bulk loading only, like
+    /// `bootstrap_insert`.
     ///
     /// # Panics
     ///
@@ -925,27 +925,6 @@ impl Db {
             }));
         } else {
             t.bulk_build(rows);
-        }
-    }
-
-    /// Repacks every table's B-tree into dense nodes. Call once after a
-    /// bulk load: [`Db::bootstrap_insert`]'s ascending key order leaves
-    /// every node ~half full, so a freshly loaded namespace holds nearly
-    /// 2× the node memory it needs. Iteration order, lookups, and all
-    /// charged/simulated behavior are unchanged — this reshapes resident
-    /// memory only, so it is safe (if pointless) to call repeatedly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any transaction is active, like [`Db::bootstrap_insert`].
-    pub fn bootstrap_repack(&self) {
-        let mut inner = self.inner.borrow_mut();
-        assert!(
-            inner.txns.is_empty(),
-            "bootstrap_repack is only allowed before any transaction starts"
-        );
-        for t in &mut inner.tables {
-            t.repack();
         }
     }
 

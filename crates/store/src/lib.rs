@@ -517,10 +517,7 @@ mod tests {
         Db::new_durable(
             &params,
             SimDuration::from_secs(5),
-            DurabilityConfig {
-                flush_interval: SimDuration::from_millis(flush_ms),
-                ..DurabilityConfig::default()
-            },
+            DurabilityConfig { flush_interval: SimDuration::from_millis(flush_ms) },
         )
     }
 
@@ -606,7 +603,7 @@ mod tests {
         let db = one_shard_durable_db(2);
         let t = db.create_table::<u64, u64>("t");
         // The takeover argument is ignored by the durable backend: the
-        // shard is down for detect_restart (500ms) + replay costs instead.
+        // shard is down for DETECT_RESTART (500ms) + replay costs instead.
         db.crash_shard(&mut sim, 0, SimDuration::from_secs(30));
         let results = Rc::new(RefCell::new(Vec::new()));
         for at_ms in [100u64, 700] {
@@ -663,10 +660,7 @@ mod tests {
     fn a_lost_commit_is_compensated_on_every_shard_it_wrote() {
         let mut sim = Sim::new(34);
         let params = StoreParams { shards: 2, ..StoreParams::default() };
-        let flush = DurabilityConfig {
-            flush_interval: SimDuration::from_secs(10),
-            ..DurabilityConfig::default()
-        };
+        let flush = DurabilityConfig { flush_interval: SimDuration::from_secs(10) };
         let db = Db::new_durable(&params, SimDuration::from_secs(5), flush);
         let t = db.create_table::<u64, u64>("t");
         let shard = |k: &u64| db::shard_of(2, db.lock_key(t, k).key.as_slice());

@@ -91,9 +91,6 @@ impl<K, V> fmt::Debug for TableHandle<K, V> {
 pub(crate) trait AnyTable {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// Repacks the backing B-tree into dense nodes (see
-    /// [`TypedTable::repack`]).
-    fn repack(&mut self);
     /// Visits every row's encoded key in ascending order — the durable
     /// backend's post-crash consistency check compares these against the
     /// recovered shadow key set.
@@ -227,34 +224,16 @@ impl<K: KeyCodec, V: Clone + 'static> TypedTable<K, V> {
         }
     }
 
-    /// Rebuilds the backing B+ tree from its own (already sorted) contents.
-    ///
-    /// Random insertion splits nodes at ~50% and lazy deletion leaves
-    /// sparse nodes behind, so a churned table can carry up to 2× the node
-    /// memory it needs. The rebuild streams the sorted contents through the
-    /// engine's dense bulk build ([`BpTree::from_ascending`]), packing
-    /// every node 100% full. Purely a memory/locality transform: iteration
-    /// order, lookups, and every observable behavior are unchanged. An
-    /// id-addressed table has no nodes to pack.
-    fn repack(&mut self) {
-        if let Rows::Tree(t) = &mut self.rows {
-            t.repack();
-        }
-    }
-
     /// Builds the table directly from a strictly ascending stream of fresh
     /// rows, merged with whatever the table already holds.
     ///
-    /// This is the streaming successor to insert-then-[`repack`]: instead
-    /// of pushing every row through `insert` (rightmost-edge splits,
-    /// half-full nodes) and densifying afterwards, the sorted stream goes
-    /// straight into the engine's dense bulk build. The resulting table is
-    /// logically identical to inserting the same rows and repacking — same
-    /// contents, same iteration order, same node occupancy — which
-    /// `tests/bulk_build.rs` pins differentially. An id-addressed table
-    /// takes the rows into their slots one by one.
-    ///
-    /// [`repack`]: TypedTable::repack
+    /// Instead of pushing every row through `insert` (rightmost-edge
+    /// splits, half-full nodes), the sorted stream goes straight into the
+    /// engine's dense bulk build. The resulting table holds the same
+    /// contents in the same iteration order as inserting the rows one by
+    /// one — which `tests/bulk_build.rs` pins differentially — in full
+    /// nodes. An id-addressed table takes the rows into their slots one by
+    /// one.
     ///
     /// # Panics
     ///
@@ -350,9 +329,6 @@ impl<K: KeyCodec, V: Clone + 'static> AnyTable for TypedTable<K, V> {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-    fn repack(&mut self) {
-        TypedTable::repack(self);
     }
     fn for_each_encoded_key(&self, visit: &mut dyn FnMut(&[u8])) {
         let mut buf = Vec::new();

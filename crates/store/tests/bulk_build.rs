@@ -1,14 +1,12 @@
 //! Differential property tests for the streaming bulk build:
 //! [`Db::bootstrap_bulk_load`] must be observationally identical to
-//! per-row [`Db::bootstrap_insert`] followed by [`Db::bootstrap_repack`].
+//! per-row [`Db::bootstrap_insert`].
 //!
 //! Contents and iteration order are compared exhaustively over randomized
 //! key sets, both into an empty table and merged over pre-existing rows.
-//! Node occupancy needs allocator introspection, so its equivalence is
-//! pinned empirically by the alloc-stats-gated bootstrap budget test in
-//! `crates/bench/tests/bootstrap_budget.rs` (both paths terminate in
-//! `BTreeMap::from_iter` over a sorted stream, which is what produces the
-//! dense nodes).
+//! Node occupancy needs allocator introspection: the bytes/inode budget in
+//! `crates/bench/tests/bootstrap_budget.rs` pins it, and
+//! `engine_differential.rs` checks the engine's bulk build is dense.
 
 use lambda_sim::params::StoreParams;
 use lambda_sim::SimDuration;
@@ -41,10 +39,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Bulk-loading an ascending stream over pre-existing rows yields
-    /// exactly the table that per-row insertion plus a repack yields:
-    /// same rows, same order, same values.
+    /// exactly the table that per-row insertion yields: same rows, same
+    /// order, same values.
     #[test]
-    fn bulk_build_matches_insert_then_repack((existing, streamed) in key_sets()) {
+    fn bulk_build_matches_per_row_inserts((existing, streamed) in key_sets()) {
         let bulk = fresh_db();
         let bulk_t = bulk.create_table::<u64, u64>("rows");
         let serial = fresh_db();
@@ -58,7 +56,6 @@ proptest! {
         for &k in &streamed {
             serial.bootstrap_insert(serial_t, k, value_of(k));
         }
-        serial.bootstrap_repack();
 
         let got = bulk.peek_range(bulk_t, ..);
         let want = serial.peek_range(serial_t, ..);
@@ -86,7 +83,6 @@ proptest! {
         for ((p, n), v) in rows {
             serial.bootstrap_insert(serial_t, (p, n), v);
         }
-        serial.bootstrap_repack();
 
         let got = bulk.peek_range(bulk_t, ..);
         let want = serial.peek_range(serial_t, ..);

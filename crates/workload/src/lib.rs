@@ -42,7 +42,6 @@ mod tests {
             LambdaFsConfig { deployments: 4, clients: 16, client_vms: 2, ..Default::default() },
         );
         fs.start(&mut sim);
-        fs.prewarm(&mut sim);
         let fs = Rc::new(fs);
         let cfg = SpotifyConfig {
             base_throughput: 500.0,
@@ -51,6 +50,8 @@ mod tests {
             files_per_dir: 16,
             ..Default::default()
         };
+        let dirs = cfg.load(fs.as_ref());
+        fs.prewarm_with(&mut sim, &dirs);
         let run = run_spotify(&mut sim, Rc::clone(&fs), cfg);
         assert!(run.generated > 8_000, "generated only {}", run.generated);
         let m = fs.run_metrics();
@@ -82,6 +83,7 @@ mod tests {
             files_per_dir: 8,
             ..Default::default()
         };
+        cfg.load(fs.as_ref());
         let run = run_spotify(&mut sim, Rc::clone(&fs), cfg);
         assert_eq!(run.targets.len(), 4); // one per 15s interval
         for t in &run.targets {
@@ -98,19 +100,17 @@ mod tests {
             LambdaFsConfig { deployments: 4, clients: 8, client_vms: 2, ..Default::default() },
         );
         fs.start(&mut sim);
-        fs.prewarm(&mut sim);
         let fs = Rc::new(fs);
-        let run = run_micro(
-            &mut sim,
-            Rc::clone(&fs),
-            MicroConfig {
-                op: OpClass::Read,
-                ops_per_client: 100,
-                dirs: 8,
-                files_per_dir: 8,
-                ..Default::default()
-            },
-        );
+        let cfg = MicroConfig {
+            op: OpClass::Read,
+            ops_per_client: 100,
+            dirs: 8,
+            files_per_dir: 8,
+            ..Default::default()
+        };
+        let dirs = cfg.load(fs.as_ref());
+        fs.prewarm_with(&mut sim, &dirs);
+        let run = run_micro(&mut sim, Rc::clone(&fs), cfg);
         assert_eq!(run.completed, 800);
         assert_eq!(run.succeeded, 800);
         assert!(run.throughput > 0.0);
@@ -127,19 +127,12 @@ mod tests {
                 LambdaFsConfig { deployments: 4, clients: 16, client_vms: 2, ..Default::default() },
             );
             fs.start(&mut sim);
-            fs.prewarm(&mut sim);
             let fs = Rc::new(fs);
-            let run = run_micro(
-                &mut sim,
-                Rc::clone(&fs),
-                MicroConfig {
-                    op,
-                    ops_per_client: 150,
-                    dirs: 8,
-                    files_per_dir: 16,
-                    ..Default::default()
-                },
-            );
+            let cfg =
+                MicroConfig { op, ops_per_client: 150, dirs: 8, files_per_dir: 16, ..Default::default() };
+            let dirs = cfg.load(fs.as_ref());
+            fs.prewarm_with(&mut sim, &dirs);
+            let run = run_micro(&mut sim, Rc::clone(&fs), cfg);
             fs.stop(&mut sim);
             run.throughput
         }

@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use lambda_fs::DfsService;
-use lambda_namespace::{interned, DfsPath, FsOp, OpClass};
+use lambda_namespace::{interned, DfsPath, FsOp, OpClass, TreeLayout};
 use lambda_sim::{Sim, SimDuration, SimRng, SimTime};
 
 /// Configuration for one micro-benchmark run.
@@ -50,6 +50,32 @@ impl Default for MicroConfig {
             gen_seed: 0x5EED,
             warmup_ops_per_client: 256,
         }
+    }
+}
+
+impl MicroConfig {
+    /// The pre-created tree: a multi-rooted one, with the directories
+    /// spread over eight top-level parents `/bench0` … `/bench7` so that
+    /// directory-keyed operations (ls, stat-dir) partition across
+    /// deployments like a real (nested) namespace, instead of all hashing
+    /// to the root's owner. Each root's layout holds its share of `dirs`.
+    fn roots(&self) -> impl Iterator<Item = (DfsPath, TreeLayout)> + '_ {
+        const ROOTS: usize = 8;
+        (0..ROOTS).map(move |r| {
+            let root: DfsPath = format!("/bench{r}").parse().expect("valid");
+            let dirs = self.dirs / ROOTS + usize::from(r < self.dirs % ROOTS);
+            (root, TreeLayout { dirs, files_per_dir: self.files_per_dir })
+        })
+    }
+
+    /// Loads the pre-created tree into `svc` and returns its directories.
+    /// Call it once, before [`run_micro`].
+    pub fn load<S: DfsService + ?Sized>(&self, svc: &S) -> Vec<DfsPath> {
+        self.roots()
+            .flat_map(|(root, layout)| {
+                svc.bootstrap_tree(&root, layout.dirs, layout.files_per_dir)
+            })
+            .collect()
     }
 }
 
@@ -146,27 +172,15 @@ impl<S: DfsService + 'static> MicroDriver<S> {
     }
 }
 
-/// Runs the micro-benchmark against a started service, returning the
-/// achieved-throughput record.
+/// Runs the micro-benchmark against a started service that holds `cfg`'s
+/// tree ([`MicroConfig::load`]), returning the achieved-throughput record.
 pub fn run_micro<S: DfsService + 'static>(sim: &mut Sim, svc: Rc<S>, cfg: MicroConfig) -> MicroRun {
-    // A multi-rooted tree: directories are spread over eight top-level
-    // parents so directory-keyed operations (ls, stat-dir) partition
-    // across deployments like a real (nested) namespace, instead of all
-    // hashing to the root's owner.
-    let roots = 8usize;
-    let mut dirs = Vec::with_capacity(cfg.dirs);
-    for r in 0..roots {
-        let root: DfsPath = format!("/bench{r}").parse().expect("valid");
-        let share = cfg.dirs / roots + usize::from(r < cfg.dirs % roots);
-        dirs.extend(svc.bootstrap_tree(&root, share, cfg.files_per_dir));
+    let (mut dirs, mut files) = (Vec::new(), Vec::new());
+    for (root, layout) in cfg.roots() {
+        let under_root = layout.dir_paths(&root);
+        files.extend(layout.file_paths(&under_root));
+        dirs.extend(under_root);
     }
-    // One rendering per distinct file name (see `run_spotify`).
-    let file_names: Vec<&'static str> =
-        (0..cfg.files_per_dir).map(|f| interned(&format!("file{f:05}"))).collect();
-    let files: Vec<DfsPath> = dirs
-        .iter()
-        .flat_map(|d| file_names.iter().map(move |name| d.join(name).expect("valid")))
-        .collect();
     let clients = svc.client_count().max(1);
     let warmup = cfg.warmup_ops_per_client;
     let driver = Rc::new(MicroDriver {

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use lambda_fs::DfsService;
-use lambda_namespace::{interned, DfsPath, FsOp, OpClass};
+use lambda_namespace::{interned, DfsPath, FsOp, OpClass, TreeLayout};
 use lambda_sim::{every, Dist, Sim, SimDuration, SimRng, SimTime, Timeline};
 
 /// The Table 2 operation mix as cumulative thresholds over a unit draw.
@@ -94,6 +94,13 @@ impl SpotifyConfig {
         self.duration = self.duration.mul_f64(1.0 / factor);
         self.dirs = ((self.dirs as f64 / factor) as usize).max(8);
         self
+    }
+
+    /// Loads the pre-created tree, `dirs` directories under `/` each
+    /// holding `files_per_dir` files, into `svc` and returns its
+    /// directories. Call it once, before [`run_spotify`].
+    pub fn load<S: DfsService + ?Sized>(&self, svc: &S) -> Vec<DfsPath> {
+        svc.bootstrap_tree(&DfsPath::root(), self.dirs, self.files_per_dir)
     }
 }
 
@@ -276,24 +283,18 @@ impl<S: DfsService + 'static> Driver<S> {
     }
 }
 
-/// Runs the industrial workload against `svc` (which must already be
-/// started), returning the driver-side record. The service's own
+/// Runs the industrial workload against `svc`, which must already be
+/// started and hold `cfg`'s tree ([`SpotifyConfig::load`]), returning the
+/// driver-side record. The service's own
 /// [`RunMetrics`](lambda_fs::RunMetrics) hold the measured side.
 pub fn run_spotify<S: DfsService + 'static>(
     sim: &mut Sim,
     svc: Rc<S>,
     cfg: SpotifyConfig,
 ) -> SpotifyRun {
-    let dirs = svc.bootstrap_tree(&DfsPath::root(), cfg.dirs, cfg.files_per_dir);
-    // Render each per-directory file name once, not once per directory:
-    // joining an already-interned name is a symbol-table hit, so building
-    // the `dirs × files_per_dir` target list does no string formatting.
-    let file_names: Vec<&'static str> =
-        (0..cfg.files_per_dir).map(|f| interned(&format!("file{f:05}"))).collect();
-    let files: Vec<DfsPath> = dirs
-        .iter()
-        .flat_map(|d| file_names.iter().map(move |name| d.join(name).expect("valid")))
-        .collect();
+    let layout = TreeLayout { dirs: cfg.dirs, files_per_dir: cfg.files_per_dir };
+    let dirs = layout.dir_paths(&DfsPath::root());
+    let files = layout.file_paths(&dirs);
     let n_clients = svc.client_count().max(1);
     let driver = Rc::new(Driver {
         svc,

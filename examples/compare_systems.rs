@@ -19,15 +19,20 @@ use std::rc::Rc;
 const SCALE: f64 = 8.0;
 const CLIENTS: u32 = 256;
 
-fn drive<S: DfsService + 'static>(sim: &mut Sim, svc: Rc<S>) -> (String, f64, f64) {
-    let cfg = MicroConfig {
+/// The read micro-benchmark every system runs.
+fn micro() -> MicroConfig {
+    MicroConfig {
         op: OpClass::Read,
         ops_per_client: 400,
         dirs: 32,
         files_per_dir: 16,
         ..Default::default()
-    };
-    let run = run_micro(sim, Rc::clone(&svc), cfg);
+    }
+}
+
+/// Runs [`micro`] against a started service that holds its tree.
+fn drive<S: DfsService + 'static>(sim: &mut Sim, svc: Rc<S>) -> (String, f64, f64) {
+    let run = run_micro(sim, Rc::clone(&svc), micro());
     let metrics = svc.run_metrics();
     let mut m = metrics.borrow_mut();
     let p50 = m
@@ -54,7 +59,7 @@ fn main() {
             },
         ));
         fs.start(&mut sim);
-        let dirs = fs.bootstrap_tree(&"/".parse().unwrap(), 32, 16);
+        let dirs = micro().load(fs.as_ref());
         fs.prewarm_with(&mut sim, &dirs);
         sim.run_for(SimDuration::from_secs(8));
         rows.push(drive(&mut sim, Rc::clone(&fs)));
@@ -66,6 +71,7 @@ fn main() {
         cfg.store = StoreParams::default().slowed(SCALE);
         let fs = Rc::new(HopsFs::build(&mut sim, cfg));
         fs.start(&mut sim);
+        micro().load(fs.as_ref());
         rows.push(drive(&mut sim, Rc::clone(&fs)));
         fs.stop(&mut sim);
     }
@@ -75,6 +81,7 @@ fn main() {
         cfg.store = StoreParams::default().slowed(SCALE);
         let fs = Rc::new(HopsFs::build(&mut sim, cfg));
         fs.start(&mut sim);
+        micro().load(fs.as_ref());
         rows.push(drive(&mut sim, Rc::clone(&fs)));
         fs.stop(&mut sim);
     }
@@ -82,6 +89,7 @@ fn main() {
         let mut sim = Sim::new(3);
         let fs = Rc::new(CephFs::build(&mut sim, CephFsConfig::sized(128, CLIENTS)));
         fs.start(&mut sim);
+        micro().load(fs.as_ref());
         rows.push(drive(&mut sim, Rc::clone(&fs)));
         fs.stop(&mut sim);
     }

@@ -40,7 +40,7 @@ fn main() {
         files_per_dir: 48,
         ..Default::default()
     };
-    let dirs = fs.bootstrap_tree(&"/".parse().unwrap(), spotify.dirs, spotify.files_per_dir);
+    let dirs = spotify.load(fs.as_ref());
     fs.prewarm_with(&mut sim, &dirs);
     sim.run_for(SimDuration::from_secs(8));
     println!("warm start: {} NameNodes active", fs.active_namenodes());

@@ -8,7 +8,7 @@
 //! ```
 
 use lambdafs_repro::fs::{DfsService, LambdaFs, LambdaFsConfig};
-use lambdafs_repro::namespace::FsOp;
+use lambdafs_repro::namespace::{FsOp, TreeLayout};
 use lambdafs_repro::sim::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,7 +34,7 @@ fn main() {
         let op = if i % 3 == 0 {
             FsOp::CreateFile(dir.join(&format!("crash-test-{i}")).unwrap())
         } else {
-            FsOp::ReadFile(dir.join(&format!("file{:05}", i % 8)).unwrap())
+            FsOp::ReadFile(dir.join_interned(TreeLayout::file_name(i as usize % 8)))
         };
         let c = Rc::clone(&completed);
         let f = Rc::clone(&failed);

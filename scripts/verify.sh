@@ -69,10 +69,9 @@
 #  12. allocation gates in release (each test file registers the counting
 #      allocator itself): bytes/inode (rows excluded) of the fig08a λFS
 #      tree at scale 25 under budget (mem_budget.rs); the streaming tree
-#      loader at >=500k inodes/sec — release only — under a bytes/inode
-#      budget on a 98k-inode tree whose rows span 24 inode-table pages,
-#      and at least as dense per inode as insert+repack
-#      (bootstrap_budget.rs); lean reads (point gets + visitor scans)
+#      loader at >=500k inodes/sec — release only — and under a
+#      bytes/inode budget on a 98k-inode tree whose rows span 24
+#      inode-table pages (bootstrap_budget.rs); lean reads (point gets + visitor scans)
 #      against a 250k-inode tree with zero heap allocations, a cached ls of 8 and of 512 children allocating
 #      equally often, a warmed Stat/ReadFile/Ls mix at most 16 times per
 #      op, a first-touch Stat/ReadFile at most 21 and a warmed

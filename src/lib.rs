@@ -20,8 +20,9 @@
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory
 //! and experiment index, and `EXPERIMENTS.md` for paper-vs-measured
-//! results. Runnable entry points live in `examples/` and in
-//! `crates/bench/src/bin/` (one binary per figure/table of the paper).
+//! results. Runnable entry points live in `examples/` and in one figure
+//! driver, `lfsfig <figure>` (`crates/bench/src/lfsfig/`; `lfsfig list`
+//! names every figure and table it reproduces).
 //!
 //! ```
 //! use lambdafs_repro::fs::{LambdaFs, LambdaFsConfig};

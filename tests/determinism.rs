@@ -20,7 +20,7 @@ fn run(seed: u64) -> (u64, u64, u64, u64, f64, f64, usize) {
         files_per_dir: 8,
         ..Default::default()
     };
-    let dirs = fs.bootstrap_tree(&"/".parse().unwrap(), cfg.dirs, cfg.files_per_dir);
+    let dirs = cfg.load(fs.as_ref());
     fs.prewarm_with(&mut sim, &dirs);
     sim.run_for(SimDuration::from_secs(8));
     let run = run_spotify(&mut sim, Rc::clone(&fs), cfg);

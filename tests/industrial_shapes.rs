@@ -51,7 +51,7 @@ fn run_lambda(seed: u64) -> (Outcome, f64, f64) {
     ));
     fs.start(&mut sim);
     let cfg = spotify();
-    let dirs = fs.bootstrap_tree(&"/".parse().unwrap(), cfg.dirs, cfg.files_per_dir);
+    let dirs = cfg.load(fs.as_ref());
     fs.prewarm_with(&mut sim, &dirs);
     sim.run_for(SimDuration::from_secs(8));
     let run = run_spotify(&mut sim, Rc::clone(&fs), cfg);
@@ -86,7 +86,9 @@ fn run_hops(seed: u64) -> Outcome {
     cfg.store = StoreParams::default().slowed(SCALE);
     let fs = Rc::new(HopsFs::build(&mut sim, cfg));
     fs.start(&mut sim);
-    let run = run_spotify(&mut sim, Rc::clone(&fs), spotify());
+    let cfg = spotify();
+    cfg.load(fs.as_ref());
+    let run = run_spotify(&mut sim, Rc::clone(&fs), cfg);
     fs.stop(&mut sim);
     assert!(fs.check_consistency().is_empty());
     let cost = fs.cost_meter().total();
