@@ -641,11 +641,11 @@ mod tests {
 
     #[test]
     fn trie_node_stays_compact() {
-        // Every cached inode is one node: seven u32 links and the 48-byte
+        // Every cached inode is one node: seven u32 links and the 32-byte
         // `Inode` of `inode_row_stays_compact`, id included (the store's
-        // id-addressed slots hold 40 bytes without it). A row that regrows
+        // id-addressed slots hold 24 bytes without it). A row that regrows
         // shows up here once per cache, not only in the store.
-        assert_eq!(std::mem::size_of::<Node>(), 80);
+        assert_eq!(std::mem::size_of::<Node>(), 64);
     }
 
     #[test]

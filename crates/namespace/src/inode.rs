@@ -1,16 +1,18 @@
 //! INodes and DataNode descriptors — the row types of the persistent
 //! metadata store.
 //!
-//! The [`Inode`] row is deliberately compact (48 bytes, down from 104 with
-//! an owned `String` name and a `Vec` block list): the store and every
-//! NameNode's cache keep rows resident and clone them on every read, so at
-//! the 10M-inode scale of `fig08d_million_scale` each row byte is ~10MB of
-//! resident memory and each per-clone allocation is measurable wall-clock.
-//! No operation reads or writes data blocks, so the row carries none; the
-//! bytes the simulated WAL logs per row are the schema's modeled size,
-//! not this layout (see `MetadataSchema::install`).
+//! The [`Inode`] row is deliberately compact (32 bytes, down from 104 with
+//! an owned `String` name, a `Vec` block list and permission, owner, group
+//! and size fields): the store and every NameNode's cache keep rows
+//! resident and clone them on every read, so at the 10M-inode scale of
+//! `fig08d_million_scale` each row byte is ~10MB of resident memory and
+//! each per-clone allocation is measurable wall-clock. A field enters the
+//! row with the operation that reads it. No operation reads data blocks,
+//! permissions, ownership or sizes, so the row carries none; the bytes the
+//! simulated WAL logs per row are the schema's modeled size, not this
+//! layout (see `MetadataSchema::install`).
 //!
-//! The store holds 40 bytes per row: the inode table is id-addressed, so
+//! The store holds 24 bytes per row: the inode table is id-addressed, so
 //! its slots keep a [`StoredInode`], every field but the id that the
 //! slot's position gives, and rebuild the `Inode` on each read
 //! ([`IdRow`]).
@@ -37,8 +39,10 @@ pub enum InodeKind {
 
 /// File-system metadata for one file or directory.
 ///
-/// This mirrors the HopsFS `INode` row: identity, tree position and
-/// permissions. (HopsFS keeps block locations in tables of their own.)
+/// The fields of the HopsFS `INode` row that an operation here reads:
+/// identity, tree position, kind, and the modification time a parent's
+/// rewrite on create, delete and `mv` sets. (HopsFS keeps block locations
+/// in tables of their own.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inode {
     /// This inode's id.
@@ -50,14 +54,6 @@ pub struct Inode {
     pub name: InodeName,
     /// File or directory.
     pub kind: InodeKind,
-    /// POSIX-style permission bits.
-    pub perm: u16,
-    /// Owner uid.
-    pub owner: u32,
-    /// Group gid.
-    pub group: u32,
-    /// File size in bytes (0 for directories).
-    pub size: u64,
     /// Modification time, nanoseconds of simulated time.
     pub mtime_nanos: u64,
 }
@@ -71,10 +67,6 @@ impl Inode {
             parent,
             name: name.into(),
             kind: InodeKind::Directory,
-            perm: 0o755,
-            owner: 0,
-            group: 0,
-            size: 0,
             mtime_nanos: 0,
         }
     }
@@ -87,10 +79,6 @@ impl Inode {
             parent,
             name: name.into(),
             kind: InodeKind::File,
-            perm: 0o644,
-            owner: 0,
-            group: 0,
-            size: 0,
             mtime_nanos: 0,
         }
     }
@@ -109,17 +97,13 @@ impl Inode {
 }
 
 /// An [`Inode`] as the id-addressed inode table's slot holds it: every
-/// field but the id, which is the slot's position. 40 bytes, and an empty
+/// field but the id, which is the slot's position. 24 bytes, and an empty
 /// slot costs no more (the kind byte's niche holds the `None`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredInode {
     parent: InodeId,
     name: InodeName,
     kind: InodeKind,
-    perm: u16,
-    owner: u32,
-    group: u32,
-    size: u64,
     mtime_nanos: u64,
 }
 
@@ -131,22 +115,12 @@ impl IdRow for Inode {
         if self.id != id {
             return Err(self);
         }
-        let Inode { id: _, parent, name, kind, perm, owner, group, size, mtime_nanos } = self;
-        Ok(StoredInode { parent, name, kind, perm, owner, group, size, mtime_nanos })
+        let Inode { id: _, parent, name, kind, mtime_nanos } = self;
+        Ok(StoredInode { parent, name, kind, mtime_nanos })
     }
 
     fn load(id: u64, s: &StoredInode) -> Inode {
-        Inode {
-            id,
-            parent: s.parent,
-            name: s.name,
-            kind: s.kind,
-            perm: s.perm,
-            owner: s.owner,
-            group: s.group,
-            size: s.size,
-            mtime_nanos: s.mtime_nanos,
-        }
+        Inode { id, parent: s.parent, name: s.name, kind: s.kind, mtime_nanos: s.mtime_nanos }
     }
 }
 
@@ -178,10 +152,10 @@ mod tests {
     fn constructors_set_sane_defaults() {
         let d = Inode::directory(5, 1, "data");
         assert!(d.is_dir());
-        assert_eq!(d.perm, 0o755);
+        assert_eq!(d.mtime_nanos, 0);
         let f = Inode::file(6, 5, "x.bin");
         assert!(!f.is_dir());
-        assert_eq!(f.perm, 0o644);
+        assert_eq!(f.mtime_nanos, 0);
     }
 
     #[test]
@@ -195,25 +169,23 @@ mod tests {
 
     #[test]
     fn inode_row_stays_compact() {
-        // The point of the interned name and the absent block list: the
-        // row is 48 bytes, and 40 in the store. A change that grows it
-        // shows up here, not as a silent regression in the fig08d memory
-        // sweep.
-        assert_eq!(std::mem::size_of::<Inode>(), 48);
+        // The point of the interned name and the absent block list,
+        // permissions, ownership and size: the row is 32 bytes, and 24 in
+        // the store. A change that grows it shows up here, not as a silent
+        // regression in the fig08d memory sweep.
+        assert_eq!(std::mem::size_of::<Inode>(), 32);
         assert_eq!(std::mem::size_of::<InodeName>(), 4);
         // The inode table stores `Option<StoredInode>` slots by id: the
         // slot's position is the id, so the row drops it, and a niche keeps
         // the tag out of the row, so a hole costs one row and no tag word.
-        assert_eq!(std::mem::size_of::<StoredInode>(), 40);
-        assert_eq!(std::mem::size_of::<Option<StoredInode>>(), 40);
+        assert_eq!(std::mem::size_of::<StoredInode>(), 24);
+        assert_eq!(std::mem::size_of::<Option<StoredInode>>(), 24);
     }
 
     #[test]
     fn stored_inode_round_trips_and_refuses_another_id() {
         let mut f = Inode::file(6, 5, "x.bin");
-        f.size = 4096;
         f.mtime_nanos = 77;
-        f.owner = 3;
         let stored = f.clone().store(6).unwrap();
         assert_eq!(Inode::load(6, &stored), f);
         assert_eq!(f.clone().store(7), Err(f));

@@ -26,10 +26,11 @@ use crate::inode::{DataNodeId, DataNodeInfo, Inode, InodeId, ROOT_INODE_ID};
 use crate::layout::TreeLayout;
 use crate::path::{DfsPath, InodeName};
 
-/// Bytes the WAL logs per inode row: the 64-byte row the durable backend
-/// was calibrated with, a block-list reference included. The host holds
-/// less: [`Inode`] is 48 bytes, and the id-addressed table's slot 40
-/// ([`StoredInode`](crate::StoredInode)).
+/// Bytes the WAL logs per inode row: the 64-byte HopsFS row the durable
+/// backend was calibrated with, a block-list reference, permissions,
+/// owner, group and size included. The host holds only the fields an
+/// operation reads: [`Inode`] is 32 bytes, and the id-addressed table's
+/// slot 24 ([`StoredInode`](crate::StoredInode)).
 const INODE_ROW_BYTES: u32 = 64;
 /// Bytes the WAL logs per `datanodes` row: five 8-byte counters.
 const DATANODE_ROW_BYTES: u32 = 40;
@@ -546,7 +547,7 @@ mod tests {
         db.lock(&mut sim, txn, keys, LockMode::Exclusive, move |sim, locked| {
             locked.unwrap();
             let mut grown = db2.peek(inodes, &2).unwrap();
-            grown.size = 4096;
+            grown.mtime_nanos = 4096;
             db2.upsert(txn, inodes, 2, grown).unwrap();
             db2.remove(txn, inodes, 3).unwrap().unwrap();
             db2.commit(sim, txn, |_sim, committed| committed.unwrap());

@@ -13,8 +13,8 @@
 //! * **No keys are stored, in the slot or in the row.** A slot's position
 //!   is its id, so a row costs `size_of::<Option<V::Stored>>()`: the row's
 //!   [`IdRow::Stored`] form leaves out the id the position gives, and a
-//!   niche keeps the `Option` tag out of it. The inode row is 48 bytes as
-//!   `Inode` and 40 in its slot. Reads rebuild the row from the slot's id
+//!   niche keeps the `Option` tag out of it. The inode row is 32 bytes as
+//!   `Inode` and 24 in its slot. Reads rebuild the row from the slot's id
 //!   and hand it out owned. The 8-byte leaf keys and the branch arenas a
 //!   B+ tree keeps beside the rows are gone too.
 //! * **A mis-keyed row is kept whole.** A row that names another id than
@@ -25,7 +25,7 @@
 //!   Only corruption tests write such rows.
 //! * **Growth never moves a row.** A page is allocated by the first insert
 //!   into it and never reallocated; only the directory grows. (A flat
-//!   doubling `Vec` would copy a 400 MB table on the first insert after a
+//!   doubling `Vec` would copy a 240 MB table on the first insert after a
 //!   10M-row bulk load.)
 //! * **Removal leaves a hole.** The slot empties and the page stays.
 //!   Sequence ids are not reused, so memory follows the highest id ever
@@ -47,7 +47,7 @@ use std::ops::{Bound, RangeBounds};
 
 use crate::bptree::check_range;
 
-/// Rows per page. A page of 40-byte stored inode rows is 160 KiB, and a
+/// Rows per page. A page of 24-byte stored inode rows is 96 KiB, and a
 /// 10M-row table needs 2 442 of them.
 pub const PAGE_ROWS: usize = 4096;
 

@@ -71,7 +71,9 @@
 #      tree at scale 25 under budget (mem_budget.rs); the streaming tree
 #      loader at >=500k inodes/sec — release only — and under a
 #      bytes/inode budget on a 98k-inode tree whose rows span 24
-#      inode-table pages (bootstrap_budget.rs); lean reads (point gets + visitor scans)
+#      inode-table pages, and that tree's children index under a
+#      bytes/row budget at its peak during the bulk load, which a std
+#      `BTreeMap` in the B+ tree's place fails (bootstrap_budget.rs); lean reads (point gets + visitor scans)
 #      against a 250k-inode tree with zero heap allocations, a cached ls of 8 and of 512 children allocating
 #      equally often, a warmed Stat/ReadFile/Ls mix at most 16 times per
 #      op, a first-touch Stat/ReadFile at most 21 and a warmed
@@ -167,7 +169,7 @@ golden_check ablation_knobs --scale=50
 echo "== LSM crash/replay differential proptests =="
 cargo test -q --release --offline -p lambda-lsm --test crash_replay
 
-echo "== allocation gates in release (bytes/inode, bootstrap floor + density, allocs per op, teardown, store pools) =="
+echo "== allocation gates in release (bytes/inode, bootstrap floor + density, children-index density, allocs per op, teardown, store pools) =="
 cargo test -q --release --offline -p lambda-bench --test mem_budget --test bootstrap_budget --test alloc_per_op --test teardown
 cargo test -q --release --offline -p lambda-store --lib lock_and_plan_pools_hold_no_more_buffers_than_were_in_flight
 
